@@ -17,6 +17,7 @@ from .automorphisms import (
     abelianization,
     apply,
     compose,
+    cyclic_images,
     identity_automorphism,
     invert,
     parse_automorphism,
@@ -28,6 +29,7 @@ from .outer_metric import (
     four_point_delta,
     gromov_product,
     highness_ratio,
+    log_stretch,
     sym_dist,
 )
 from .spectral import StretchBracket, bracket, stretch_lower, stretch_ratio, stretch_upper

@@ -145,18 +145,6 @@ class ImageTable:
         )
         self.py_blocks = [b.tolist() for b in blocks]
 
-    def slot(self, letter: int) -> int:
-        r = self.rank
-        return letter + r if letter < 0 else letter + r - 1
-
-    def substituted_size(self, word: np.ndarray) -> int:
-        if word.size == 0:
-            return 0
-        slots = word.astype(np.int64)
-        np.add(slots, self.rank, out=slots)
-        slots[word > 0] -= 1
-        return int(self.lens[slots].sum())
-
     def substitute(self, word: np.ndarray, budget: int) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result."""
         if word.size == 0:

@@ -19,11 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable, is_reduced
+from ._wordkernel import DTYPE, ImageTable
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
     ParseError,
     Word,
+    cyclic_reduce,
     parse_word,
     word_to_str,
 )
@@ -33,9 +34,9 @@ __all__ = [
     "Automorphism",
     "InverseCheckError",
     "apply",
+    "cyclic_images",
     "compose",
     "invert",
-    "power",
     "abelianization",
     "parse_automorphism",
     "automorphism_to_str",
@@ -45,11 +46,6 @@ __all__ = [
     "inversion",
     "permutation",
 ]
-
-# When True, compose() re-verifies the inverse certificate of every
-# result.  Construction-time checks always run for parsed/built maps.
-DEBUG_CHECKS = False
-
 
 class InverseCheckError(ValueError):
     """The supplied inverse images do not invert the map."""
@@ -114,13 +110,6 @@ class Automorphism:
         return sum(len(w) for w in self.images)
 
 
-def make_automorphism(images, inverse_images, rank: int) -> Automorphism:
-    """Construct and verify an automorphism from its two image lists."""
-    phi = Automorphism(tuple(images), tuple(inverse_images), rank)
-    phi.verify()
-    return phi
-
-
 def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
     """Image of w under phi, freely reduced."""
     if phi.rank != w.rank:
@@ -129,11 +118,15 @@ def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
     return Word._wrap(phi._table.substitute(w.letters, b), w.rank)
 
 
-def apply_inverse(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
-    if phi.rank != w.rank:
-        raise ValueError("rank mismatch")
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    return Word._wrap(phi._inv_table.substitute(w.letters, b), w.rank)
+def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:
+    """Cyclically reduced images of the conjugacy classes words under phi.
+
+    Conjugacy length is a class function, so iterating this along a
+    sequence of maps tracks |phi_k ... phi_1(g)| exactly while keeping
+    every tracked word as short as its class.  Raises WordBudgetExceeded
+    when a substitution needs more letters than the budget.
+    """
+    return [cyclic_reduce(apply(phi, w.as_word(), budget=budget)) for w in words]
 
 
 def compose(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> Automorphism:
@@ -148,24 +141,11 @@ def compose(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) 
     inverse_images = tuple(
         Word._wrap(psi._inv_table.substitute(w.letters, b), r) for w in phi.inverse_images
     )
-    out = Automorphism(images, inverse_images, r)
-    if DEBUG_CHECKS:
-        out.verify()
-    return out
+    return Automorphism(images, inverse_images, r)
 
 
 def invert(phi: Automorphism) -> Automorphism:
     return Automorphism(phi.inverse_images, phi.images, phi.rank)
-
-
-def power(phi: Automorphism, k: int, *, budget: int | None = None) -> Automorphism:
-    """phi composed with itself k times (k >= 0)."""
-    if k < 0:
-        raise ValueError("negative powers: invert first")
-    out = identity_automorphism(phi.rank)
-    for _ in range(k):
-        out = compose(out, phi, budget=budget)
-    return out
 
 
 def abelianization(phi: Automorphism) -> IntMatrix:

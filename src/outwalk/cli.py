@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import statistics
 import sys
 from datetime import datetime, timezone
 
-from .free_group import word_to_str
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -29,8 +27,9 @@ from .config import (
     format_config,
     parse_config,
     seed_words,
+    validate,
 )
-from .outer_metric import dist, sym_dist
+from .outer_metric import dist
 from .automorphisms import invert
 from .spectral import bracket
 from .walk_engine import (
@@ -223,8 +222,7 @@ def main(argv=None) -> int:
             cfg.paths = args.paths
         if args.out is not None:
             cfg.out = args.out
-        if not 0 <= cfg.master_seed < 2**64:
-            raise ConfigError("master_seed: must fit in 64 bits")
+        validate(cfg)
         return run(cfg, threads=max(1, args.threads))
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

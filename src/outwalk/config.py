@@ -21,7 +21,8 @@ from .automorphisms import InverseCheckError, parse_automorphism, automorphism_t
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
 from .walk_engine import ProbMeasure, WALK_K_MAX
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "format_config", "build_measure"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "validate", "format_config",
+           "build_measure"]
 
 KINDS = {
     "drift",
@@ -123,11 +124,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("word.<i> indices must be 0..k-1 without gaps")
     cfg.gens = [gens[i] for i in sorted(gens)]
     cfg.words = [words[i] for i in sorted(words)]
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def validate(cfg: ExperimentConfig) -> None:
+    """Check values and fill in kind-dependent defaults; rerun after edits."""
     if cfg.letter_budget <= 0:
         raise ConfigError("letter_budget: must be positive")
     if cfg.bit_budget <= 0:

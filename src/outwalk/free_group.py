@@ -38,8 +38,6 @@ __all__ = [
 
 DEFAULT_LETTER_BUDGET = 10**8
 
-MAX_RANK = 26  # the text grammar runs a..z
-
 
 class ParseError(ValueError):
     pass

@@ -8,8 +8,13 @@ in the ratio).  With the left action Phi . y0 = R . Phi^{-1}, pairwise
 orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi).
 
 The candidate loops on a rose are the petals and the figure eights; the
-optimal stretch is always attained on one of them, which the test suite
-checks against brute force over all short cyclic words.
+optimal stretch is always attained on one of them (Francaviglia-Martino,
+Metric properties of Outer space, 2011), which the test suite checks
+against brute force over all short cyclic words.  So dist needs only
+the N^2 cyclically reduced candidate images, never theta itself:
+`log_stretch` turns any such images into the exact maximal ratio, and
+the estimators that follow a walk or a power orbit feed it the images
+they track with `automorphisms.cyclic_images`, without composing maps.
 
 The metric is asymmetric; Gromov products and the four-point
 hyperbolicity diagnostic use the symmetrized version
@@ -24,15 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._wordkernel import cyclic_trim
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, Word
-from .automorphisms import Automorphism, compose, invert
+from .free_group import CyclicWord
+from .automorphisms import Automorphism, compose, cyclic_images, invert
 
 __all__ = [
     "CandidateSet",
-    "OrbitPoint",
     "FiniteMetricSample",
     "candidates",
+    "log_stretch",
     "dist",
     "sym_dist",
     "gromov_product",
@@ -54,17 +58,6 @@ class CandidateSet:
         return len(self.loops)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """The unit rose with marking twisted by an automorphism."""
-
-    marking: Automorphism
-
-    @property
-    def rank(self) -> int:
-        return self.marking.rank
-
-
 @lru_cache(maxsize=None)
 def candidates(rank: int) -> CandidateSet:
     if rank < 2:
@@ -79,21 +72,27 @@ def candidates(rank: int) -> CandidateSet:
     return CandidateSet(rank, tuple(loops))
 
 
+def log_stretch(loops, images) -> float:
+    """log of the largest conjugacy length ratio |image| / |loop|, at least 0.
+
+    images[i] is the image of loops[i]; ratios are compared exactly in
+    integers, so the result is the same float however it is reached.
+    """
+    best_num, best_den = 1, 1
+    for c, img in zip(loops, images):
+        num, den = len(img), len(c)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return math.log(best_num / best_den)
+
+
 def dist(theta: Automorphism, *, budget: int | None = None) -> float:
     """Orbit distance d(R, R.theta): log of the maximal candidate stretch.
 
     Zero exactly when theta permutes the generators up to inversion.
     """
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    table = theta._table
-    best_num, best_den = 1, 1  # ratio of conjugacy lengths, compared exactly
-    for c in candidates(theta.rank).loops:
-        img = table.substitute(c.letters, b)
-        clen = cyclic_trim(img).size
-        den = c.letters.size
-        if clen * best_den > best_num * den:
-            best_num, best_den = clen, den
-    return math.log(best_num / best_den)
+    loops = candidates(theta.rank).loops
+    return log_stretch(loops, cyclic_images(theta, loops, budget=budget))
 
 
 def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:

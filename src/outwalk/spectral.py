@@ -10,8 +10,15 @@ iteration, is pinched between two unconditional bounds:
   powers gives log lambda <= dist(phi^k) / k for every k, and the bound
   is nonincreasing along doubling by subadditivity.
 
-The point estimate iterates short seed loops and reports the last
-log length ratio.  Both bounds hold with no irreducibility hypothesis.
+The point estimate is the last log length ratio |phi^k(c)| / |phi^{k-1}(c)|
+of a seed loop c.  Both bounds hold with no irreducibility hypothesis.
+
+Powers of phi are never composed.  One orbit of the candidate loops,
+k -> phi^k(c) cyclically reduced (`automorphisms.cyclic_images`), gives
+dist(phi^k) at every step and the ratios of every seed at once.  The
+letter budget applies to each substitution of a tracked word: the orbit
+stops at the first step that needs more letters, and a bracket then
+reports the steps it completed.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .free_group import CyclicWord, WordBudgetExceeded, cyclic_reduce
-from .automorphisms import Automorphism, abelianization, apply, compose, identity_automorphism
+from .free_group import CyclicWord, WordBudgetExceeded
+from .automorphisms import Automorphism, abelianization, cyclic_images
 from .matrix_oracle import spectral_radius
-from .outer_metric import candidates, dist
+from .outer_metric import candidates, log_stretch
 
 __all__ = [
     "StretchBracket",
@@ -66,10 +73,11 @@ def stretch_upper(phi: Automorphism, k: int, *, budget: int | None = None) -> fl
     """dist(phi^k) / k; an upper bound for log lambda(phi) for every k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = identity_automorphism(phi.rank)
+    loops = candidates(phi.rank).loops
+    images = loops
     for _ in range(k):
-        p = compose(p, phi, budget=budget)
-    return dist(p, budget=budget) / k
+        images = cyclic_images(phi, images, budget=budget)
+    return log_stretch(loops, images) / k
 
 
 def stretch_lower(phi: Automorphism) -> float:
@@ -82,76 +90,76 @@ def stretch_lower(phi: Automorphism) -> float:
     return br.exact if br.exact is not None else br.lower
 
 
+def _orbit(phi: Automorphism, words, steps: int, budget: int | None):
+    """Yield phi^k(words), cyclically reduced, with the log length ratios
+    log |phi^k(w)| / |phi^{k-1}(w)|, for k = 1..steps.
+
+    Stops at the first step whose substitution exceeds the letter budget;
+    at k = 1 that raises, since nothing is known about phi yet.
+    """
+    for k in range(steps):
+        try:
+            images = cyclic_images(phi, words, budget=budget)
+        except WordBudgetExceeded:
+            if k == 0:
+                raise
+            return
+        yield images, [math.log(len(b) / len(a)) for a, b in zip(words, images)]
+        words = images
+
+
+def _point(ratios: list, prev: list | None, complete: bool) -> tuple[float, bool]:
+    """The largest last log ratio (the first on ties) and whether it converged.
+
+    It converged when the orbit ran all its steps and the ratio moved by
+    less than CONVERGE_TOL over the last one.
+    """
+    i = max(range(len(ratios)), key=ratios.__getitem__)
+    return ratios[i], complete and abs(ratios[i] - prev[i]) < CONVERGE_TOL
+
+
 def stretch_ratio(
     phi: Automorphism, seed: CyclicWord, k_max: int, *, budget: int | None = None
 ) -> tuple[float, bool]:
     """Iterate the seed loop and return (last log length ratio, converged).
 
-    Successive conjugacy lengths |phi^k(seed)| are computed on cyclically
-    reduced representatives (conjugacy length is a class function, so
-    re-reducing every step is sound and keeps words short).  On budget
-    exhaustion the best value so far is returned with converged = False.
+    When the budget cuts the orbit off after k >= 1 steps, the ratio of
+    step k is returned with converged = False; when not even phi(seed)
+    fits, WordBudgetExceeded is raised.
     """
     if len(seed) == 0:
         raise ValueError("seed must be nontrivial")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    w = seed.as_word()
-    prev_len = len(seed)
-    last = 0.0
-    prev_ratio = None
-    converged = False
-    for _ in range(k_max):
-        try:
-            w = cyclic_reduce(apply(phi, w, budget=budget)).as_word()
-        except WordBudgetExceeded:
-            return last, False
-        cur_len = len(w)
-        assert cur_len > 0, "automorphisms cannot kill a nontrivial class"
-        last = math.log(cur_len / prev_len)
-        prev_len = cur_len
-        if prev_ratio is not None:
-            converged = abs(last - prev_ratio) < CONVERGE_TOL
-        prev_ratio = last
-    return last, converged
+    k, ratios, prev = 0, None, None
+    for k, (_, step_ratios) in enumerate(_orbit(phi, [seed], k_max, budget), 1):
+        prev, ratios = ratios, step_ratios
+    return _point(ratios, prev, k == k_max)
 
 
 def bracket(
     phi: Automorphism,
     k_max: int = DEFAULT_K_MAX,
-    seeds=None,
     *,
     budget: int | None = None,
 ) -> StretchBracket:
     """Assemble lower/upper/point for log lambda(phi).
 
-    The upper bound takes the best dist(phi^k)/k over k = 1..k_max,
-    stopping early (and recording the reduced k) if the letter budget
-    cuts a power off.  The point estimate runs the ratio iteration over
-    the seed loops (candidate set by default) and keeps the largest
-    limit, which tracks the dominant growth stratum.
+    One orbit of the candidate loops runs max(2, k_max) steps.  The
+    upper bound is the best dist(phi^k)/k over k = 1..k_max; the point
+    estimate is the largest last log ratio over the loops, which tracks
+    the dominant growth stratum.  When the letter budget cuts the orbit
+    off, both use the steps completed, and k_used records how many of
+    them entered the upper bound.
     """
     lower = stretch_lower(phi)
+    loops = candidates(phi.rank).loops
+    steps = max(2, k_max)
     upper = math.inf
-    k_used = 0
-    p = identity_automorphism(phi.rank)
-    blocked = None
-    for k in range(1, k_max + 1):
-        try:
-            p = compose(p, phi, budget=budget)
-            upper = min(upper, dist(p, budget=budget) / k)
-            k_used = k
-        except WordBudgetExceeded as e:
-            blocked = e
-            break
-    if k_used == 0:
-        raise blocked  # not even dist(phi) fits the budget
-    if seeds is None:
-        seeds = candidates(phi.rank).loops
-    point = None
-    converged = False
-    for seed in seeds:
-        est, conv = stretch_ratio(phi, seed, max(2, k_max), budget=budget)
-        if point is None or est > point:
-            point, converged = est, conv
-    return StretchBracket(lower, upper, point, k_used, converged)
+    k, ratios, prev = 0, None, None
+    for k, (images, step_ratios) in enumerate(_orbit(phi, loops, steps, budget), 1):
+        if k <= k_max:
+            upper = min(upper, log_stretch(loops, images) / k)
+        prev, ratios = ratios, step_ratios
+    point, converged = _point(ratios, prev, k == steps)
+    return StretchBracket(lower, upper, point, min(k, k_max), converged)

@@ -1,15 +1,21 @@
 """Random walk sampling and the experiment suite.
 
 The walk at time n is the right product Phi_n = s_1 ... s_n of i.i.d.
-increments; each path maintains Phi_n and its inverse incrementally
-(Phi_{n+1} = Phi_n s_{n+1}, Phi_{n+1}^{-1} = s_{n+1}^{-1} Phi_n^{-1}).
-All orbit estimators consume Phi_n^{-1}: with the left action on the
-rose orbit, d(y0, Phi_n.y0) = dist(Phi_n^{-1}).
+increments.  With the left action on the rose orbit, d(y0, Phi_n.y0) =
+dist(Phi_n^{-1}).  Drift and conjugacy growth never form Phi_n: they
+track the candidate loops or the seed classes g under the inverse
+increments, Phi_n^{-1}(g) = s_n^{-1}(Phi_{n-1}^{-1}(g)), cyclically
+reduced, since conjugacy length is a class function.  Brackets, Gromov
+products and the delta orbit need the maps themselves and run a
+`WalkPath`, which composes Phi_{n+1} = Phi_n s_{n+1} once per step.
 
-Paths are independent tasks keyed by (master_seed, path_id); results are
-merged in path order, so the worker count never changes output bytes.
-Truncated paths (letter or bit budget) are marked, never silently
-dropped.
+A path is cut off at the first step at which one substitution, of a
+tracked word or into the composed product, needs more letters than the
+letter budget; it then ends in a "truncated" row, never silently
+dropped.  A budget hit inside one bracket or Gromov record marks only
+that record.  Paths are independent tasks keyed by (master_seed,
+path_id); results are merged in path order, so the worker count never
+changes output bytes.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .free_group import CyclicWord, WordBudgetExceeded, cyclic_reduce
+from .free_group import CyclicWord, WordBudgetExceeded
 from .automorphisms import (
     Automorphism,
-    apply,
     compose,
+    cyclic_images,
     identity_automorphism,
     invert,
 )
@@ -34,7 +41,7 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import FiniteMetricSample, dist, four_point_delta, sym_dist
+from .outer_metric import FiniteMetricSample, candidates, four_point_delta, log_stretch
 from .spectral import bracket
 from .rng import categorical, cumulative, path_generator
 
@@ -101,9 +108,17 @@ class ProbMeasure:
         return cumulative(self.weights)
 
 
+def _increments(measure: ProbMeasure, master_seed: int, path_id: int):
+    """Support indices of the increments s_1, s_2, ... of one path."""
+    gen = path_generator(master_seed, path_id)
+    cum = measure.cum_weights()
+    while True:
+        yield categorical(gen, cum)
+
+
 @dataclass
 class WalkPath:
-    """Incremental sample path of the automorphism walk."""
+    """Incremental sample path of the automorphism walk: Phi_n and its inverse."""
 
     measure: ProbMeasure
     master_seed: int
@@ -114,30 +129,26 @@ class WalkPath:
     increments: list = field(default_factory=list)
 
     def __post_init__(self):
-        rank = self.measure.rank
-        self.product = identity_automorphism(rank)
-        self.inverse_product = identity_automorphism(rank)
-        self._gen = path_generator(self.master_seed, self.path_id)
-        self._cum = self.measure.cum_weights()
-        self._inverses = [invert(a) for a in self.measure.support]
+        self.product = identity_automorphism(self.measure.rank)
+        self.inverse_product = self.product
+        self._steps = _increments(self.measure, self.master_seed, self.path_id)
 
     def advance(self) -> bool:
         """Draw one increment; False (and truncated) when the budget is hit."""
         if self.truncated:
             return False
-        idx = categorical(self._gen, self._cum)
-        s = self.measure.support[idx]
+        idx = next(self._steps)
         try:
-            product = compose(self.product, s, budget=self.letter_budget)
-            inverse = compose(
-                self._inverses[idx], self.inverse_product, budget=self.letter_budget
-            )
+            # compose(Phi_n, s) also substitutes the inverse images
+            # s^{-1}(Phi_n^{-1}(x)), which are those of Phi_{n+1}^{-1}
+            product = compose(self.product, self.measure.support[idx],
+                              budget=self.letter_budget)
         except WordBudgetExceeded:
             self.truncated = True
             return False
         self.increments.append(idx)
         self.product = product
-        self.inverse_product = inverse
+        self.inverse_product = invert(product)
         self.n += 1
         return True
 
@@ -172,9 +183,6 @@ class EstimateSeries:
                 continue
             out.append(value)
         return out
-
-    def effective_paths(self, estimator: str, n: int) -> int:
-        return len(self.values(estimator, n))
 
 
 def geometric_schedule(n_max: int) -> list:
@@ -233,8 +241,20 @@ def _append_summaries(rows: list, schedule, estimators) -> None:
             rows.append((-1, n, f"{est}.paths", float(len(vals)), "ok"))
 
 
-def _truncation_row(path: WalkPath, estimator: str):
-    return (path.path_id, path.n, estimator, float(path.n), "truncated")
+def _truncation_row(path_id: int, n: int, estimator: str):
+    return (path_id, n, estimator, float(n), "truncated")
+
+
+def _inverse_orbit(measure, inverses, master_seed, path_id, words, n_max, budget):
+    """Yield (n, Phi_n^{-1}(words) cyclically reduced) for n = 1..n_max, until a
+    substitution exceeds the budget; inverses[i] inverts support atom i."""
+    steps = _increments(measure, master_seed, path_id)
+    for n in range(1, n_max + 1):
+        try:
+            words = cyclic_images(inverses[next(steps)], words, budget=budget)
+        except WordBudgetExceeded:
+            return
+        yield n, words
 
 
 def drift_experiment(
@@ -247,15 +267,16 @@ def drift_experiment(
     threads: int = 1,
 ) -> EstimateSeries:
     """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator)."""
+    loops = candidates(measure.rank).loops
+    inverses = [invert(a) for a in measure.support]
 
     def one_path(pid: int) -> list:
-        rows = []
-        path = WalkPath(measure, master_seed, pid, letter_budget)
-        while path.n < n_max and path.advance():
-            value = dist(path.inverse_product, budget=letter_budget) / path.n
-            rows.append((pid, path.n, "drift", value, "ok"))
-        if path.truncated:
-            rows.append(_truncation_row(path, "drift"))
+        rows, n = [], 0
+        for n, images in _inverse_orbit(measure, inverses, master_seed, pid, loops,
+                                        n_max, letter_budget):
+            rows.append((pid, n, "drift", log_stretch(loops, images) / n, "ok"))
+        if n < n_max:
+            rows.append(_truncation_row(pid, n, "drift"))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -282,27 +303,16 @@ def conjugacy_growth_experiment(
     if any(len(g) == 0 for g in seeds):
         raise ValueError("seed classes must be nontrivial")
     names = [f"conjugacy.{_cyclic_str(g)}" for g in seeds]
+    inverses = [invert(a) for a in measure.support]
 
     def one_path(pid: int) -> list:
-        rows = []
-        path = WalkPath(measure, master_seed, pid, letter_budget)
-        # iterate the images of the seeds directly; cyclic length is a
-        # class function so re-reducing each step is sound
-        words = [g.as_word() for g in seeds]
-        while path.n < n_max and path.advance():
-            s_inv = path._inverses[path.increments[-1]]
-            try:
-                words = [
-                    cyclic_reduce(apply(s_inv, w, budget=letter_budget)).as_word()
-                    for w in words
-                ]
-            except WordBudgetExceeded:
-                path.truncated = True
-                break
-            for name, w in zip(names, words):
-                rows.append((pid, path.n, name, math.log(len(w)) / path.n, "ok"))
-        if path.truncated:
-            rows.append(_truncation_row(path, names[0]))
+        rows, n = [], 0
+        for n, images in _inverse_orbit(measure, inverses, master_seed, pid, seeds,
+                                        n_max, letter_budget):
+            for name, w in zip(names, images):
+                rows.append((pid, n, name, math.log(len(w)) / n, "ok"))
+        if n < n_max:
+            rows.append(_truncation_row(pid, n, names[0]))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -327,9 +337,10 @@ def spectral_experiment(
 ) -> EstimateSeries:
     """Stretch brackets of Phi_n^{-1}, normalized by n, on a geometric schedule.
 
-    k-th powers blow up like lambda^k, so the bracket depth is downgraded
-    per record whenever the letter budget cuts powers off (k = 1 stays
-    computable whenever the path itself is).
+    Orbit words under k-th powers blow up like lambda^k, so the bracket
+    depth is downgraded per record whenever the letter budget cuts the
+    orbit off; a record whose first orbit step already exceeds the budget
+    is marked truncated.
     """
     schedule = set(geometric_schedule(n_max))
     estimators = ["spectral.lower", "spectral.upper", "spectral.point", "spectral.k_used"]
@@ -352,7 +363,7 @@ def spectral_experiment(
             rows.append((pid, n, "spectral.point", br.point / n, status))
             rows.append((pid, n, "spectral.k_used", float(br.k_used), status))
         if path.truncated:
-            rows.append(_truncation_row(path, "spectral.upper"))
+            rows.append(_truncation_row(pid, path.n, "spectral.upper"))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -375,9 +386,10 @@ def gromov_decay_experiment(
 ) -> EstimateSeries:
     """Records (1/n) (Phi_n.y0 | Phi_n^{-1}.y0)_{y0} in the symmetrized metric.
 
-    The product equals sym_dist(Phi_n) - sym_dist(Phi_n^2) / 2; the
-    squared product is the expensive part, so records follow the
-    geometric schedule and budget failures mark single records.
+    The product equals sym_dist(Phi_n) - sym_dist(Phi_n^2) / 2, where
+    dist(Phi_n^{+-2}) comes from two orbit steps of the candidate loops.
+    That is the expensive part, so records follow the geometric schedule
+    and budget failures mark single records.
     """
     schedule = set(geometric_schedule(n_max))
 
@@ -389,15 +401,14 @@ def gromov_decay_experiment(
                 continue
             n = path.n
             try:
-                a = sym_dist(path.product, budget=letter_budget)
-                square = compose(path.product, path.product, budget=letter_budget)
-                c = sym_dist(square, budget=letter_budget)
+                d1, d2 = _dist_and_square(path.product, letter_budget)
+                e1, e2 = _dist_and_square(path.inverse_product, letter_budget)
             except WordBudgetExceeded:
                 rows.append((pid, n, "gromov", float("nan"), "truncated"))
                 continue
-            rows.append((pid, n, "gromov", (a - 0.5 * c) / n, "ok"))
+            rows.append((pid, n, "gromov", ((d1 + e1) - 0.5 * (d2 + e2)) / n, "ok"))
         if path.truncated:
-            rows.append(_truncation_row(path, "gromov"))
+            rows.append(_truncation_row(pid, path.n, "gromov"))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -407,6 +418,14 @@ def gromov_decay_experiment(
         rows,
         {"n_max": n_max, "paths": paths, "master_seed": master_seed},
     )
+
+
+def _dist_and_square(theta: Automorphism, budget) -> tuple[float, float]:
+    """dist(theta) and dist(theta^2) from two orbit steps of the candidate loops."""
+    loops = candidates(theta.rank).loops
+    once = cyclic_images(theta, loops, budget=budget)
+    twice = cyclic_images(theta, once, budget=budget)
+    return log_stretch(loops, once), log_stretch(loops, twice)
 
 
 def matrix_experiments(
@@ -432,10 +451,8 @@ def matrix_experiments(
         raise ValueError("matrix-furstenberg needs a seed vector")
 
     def increments(pid: int):
-        gen = path_generator(master_seed, pid)
-        cum = measure.cum_weights()
-        for _ in range(n_max):
-            yield measure.support[categorical(gen, cum)]
+        for idx in islice(_increments(measure, master_seed, pid), n_max):
+            yield measure.support[idx]
 
     def one_path(pid: int) -> list:
         rows = []
@@ -489,7 +506,7 @@ def delta_experiment(
     value = four_point_delta(sample)
     rows = [(0, path.n, "four_point_delta", value, "ok")]
     if path.truncated:
-        rows.append(_truncation_row(path, "four_point_delta"))
+        rows.append(_truncation_row(0, path.n, "four_point_delta"))
     return EstimateSeries(
         "delta",
         rows,

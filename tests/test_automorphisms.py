@@ -19,7 +19,6 @@ from outwalk.automorphisms import (
     left_multiplier,
     parse_automorphism,
     permutation,
-    power,
     right_multiplier,
 )
 from outwalk.matrix_oracle import IntMatrix
@@ -206,12 +205,6 @@ def test_builders():
     signed = permutation(2, [2, 1], signs=[-1, 1])
     assert [w.as_tuple() for w in signed.images] == [(-2,), (1,)]
     signed.verify()
-
-
-def test_power():
-    fib = parse_automorphism(FIB)
-    assert power(fib, 0) == identity_automorphism(2)
-    assert power(fib, 3) == compose(fib, compose(fib, fib))
 
 
 def test_automorphism_requires_nonempty_images():

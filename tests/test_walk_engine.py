@@ -5,16 +5,18 @@ import statistics
 
 import pytest
 
-from outwalk.free_group import cyclic_reduce, parse_word
+from outwalk.free_group import cyclic_reduce, parse_word, word_to_str
 from outwalk.automorphisms import (
     abelianization,
+    apply,
     compose,
     identity_automorphism,
     invert,
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import dist
+from outwalk.outer_metric import candidates, dist, sym_dist
+from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower, stretch_upper
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -299,3 +301,125 @@ def test_cesaro_tail_monotone_in_probability():
     mean_2m = sum(vals_2m) / len(vals_2m)
     ci = batch_means_ci(vals_m) or 0.0
     assert mean_2m <= mean_m + 2 * ci + 1e-9
+
+
+# Parity with the composed definitions.  The estimators track cyclic
+# words along orbits; these references compose Phi_n^{-1}, the powers
+# theta^k and the square Phi_n^2 as whole automorphisms, on walks where
+# no budget is hit, and the records must agree exactly.
+
+def composed_inverse_products(measure, master_seed, path_id, n_max):
+    """{n: Phi_n^{-1}} from composing the inverse increments one by one."""
+    path = WalkPath(measure, master_seed, path_id)
+    for _ in range(n_max):
+        path.advance()
+    inv = identity_automorphism(measure.rank)
+    out = {}
+    for n, idx in enumerate(path.increments, 1):
+        inv = compose(invert(measure.support[idx]), inv)
+        out[n] = inv
+    return out
+
+
+def composed_uppers(theta, k_max):
+    """[dist(theta^k) / k for k = 1..k_max] over composed powers."""
+    power, out = identity_automorphism(theta.rank), []
+    for k in range(1, k_max + 1):
+        power = compose(power, theta)
+        out.append(dist(power) / k)
+    return out
+
+
+def composed_bracket(theta, k_max):
+    """(upper, point, converged) from composed powers and the per-seed
+    iteration of apply over the candidate loops."""
+    upper = min(composed_uppers(theta, k_max))
+    point = None
+    for seed in candidates(theta.rank).loops:
+        w, ratios = seed.as_word(), []
+        for _ in range(max(2, k_max)):
+            image = cyclic_reduce(apply(theta, w)).as_word()
+            ratios.append(math.log(len(image) / len(w)))
+            w = image
+        if point is None or ratios[-1] > point:
+            point, converged = ratios[-1], abs(ratios[-1] - ratios[-2]) < CONVERGE_TOL
+    return upper, point, converged
+
+
+def records(series, estimator):
+    return {(r[0], r[1]): r[3] for r in series.records if r[0] >= 0 and r[2] == estimator}
+
+
+@pytest.fixture(params=["f3", "niel"])
+def walk(request, niel):
+    """(measure, paths, n_max) of a walk on which no budget is hit."""
+    return (F3_MEASURE, 4, 16) if request.param == "f3" else (niel, 3, 16)
+
+
+def test_drift_equals_dist_of_composed_inverse(walk):
+    measure, paths, n_max = walk
+    drift = records(drift_experiment(measure, n_max=n_max, paths=paths, master_seed=3), "drift")
+    for pid in range(paths):
+        for n, inv in composed_inverse_products(measure, 3, pid, n_max).items():
+            assert drift[(pid, n)] == dist(inv) / n
+
+
+def test_conjugacy_equals_apply_of_composed_inverse(walk):
+    measure, paths, n_max = walk
+    seeds = [cyclic_reduce(parse_word(t, 3)) for t in ("ab", "aCb")]
+    series = conjugacy_growth_experiment(measure, seeds, n_max=n_max, paths=paths,
+                                         master_seed=3)
+    for seed in seeds:
+        got = records(series, f"conjugacy.{word_to_str(seed)}")
+        for pid in range(paths):
+            for n, inv in composed_inverse_products(measure, 3, pid, n_max).items():
+                length = len(cyclic_reduce(apply(inv, seed.as_word())))
+                assert got[(pid, n)] == math.log(length) / n
+
+
+def test_spectral_equals_composed_powers(walk):
+    measure, paths, n_max = walk
+    k_max = 3
+    series = spectral_experiment(measure, n_max=n_max, paths=paths, master_seed=3,
+                                 k_max=k_max)
+    assert {r[4] for r in series.records} == {"ok"}
+    lower, upper, point, k_used = (records(series, f"spectral.{e}")
+                                   for e in ("lower", "upper", "point", "k_used"))
+    for pid in range(paths):
+        for n, inv in composed_inverse_products(measure, 3, pid, n_max).items():
+            if n not in geometric_schedule(n_max):
+                continue
+            want_upper, want_point, _ = composed_bracket(inv, k_max)
+            assert lower[(pid, n)] == stretch_lower(inv) / n
+            assert upper[(pid, n)] == want_upper / n
+            assert point[(pid, n)] == want_point / n
+            assert k_used[(pid, n)] == k_max
+
+
+@pytest.mark.parametrize("text", [
+    "a->b; b->c; c->ab | a->cA; b->a; c->b",
+    "a->ab; b->a | a->b; b->Ba",
+    "a->a; b->b | a->a; b->b",
+])
+def test_bracket_equals_composed_powers(text):
+    theta = parse_automorphism(text)
+    for k_max in (2, 5, 9):
+        br = bracket(theta, k_max)
+        assert (br.upper, br.point, br.converged) == composed_bracket(theta, k_max)
+        assert br.k_used == k_max
+        uppers = [stretch_upper(theta, k) for k in range(1, k_max + 1)]
+        assert uppers == composed_uppers(theta, k_max)
+
+
+def test_gromov_equals_sym_dist_of_composed_square(walk):
+    measure, paths, n_max = walk
+    series = gromov_decay_experiment(measure, n_max=n_max, paths=paths, master_seed=3)
+    got = records(series, "gromov")
+    for pid in range(paths):
+        path = WalkPath(measure, 3, pid)
+        while path.n < n_max and path.advance():
+            if path.n not in geometric_schedule(n_max):
+                continue
+            phi = path.product
+            want = (sym_dist(phi) - 0.5 * sym_dist(compose(phi, phi))) / path.n
+            assert got[(pid, path.n)] == want
