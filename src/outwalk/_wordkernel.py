@@ -4,14 +4,22 @@ A word is a 1-D numpy int8 array of nonzero letters: +i is the i-th
 generator, -i its inverse (1-based).  Everything here operates on raw
 arrays; the public types in :mod:`outwalk.free_group` wrap them.
 
-Two code paths are kept deliberately:
+Raw user input is reduced by `stack_reduce`, the pure-Python stack that
+also serves as the reference in tests.  Substitution gets a reduced word
+and reduced image blocks, so letters cancel only at block seams, and by
+Cooper's bounded-cancellation lemma never deeper than a constant of the
+map.  `ImageTable.substitute` picks one of two regimes from its input:
 
-* a pure-Python stack reducer (`stack_reduce`), simple enough to serve as
-  the reference implementation in tests, and fast for short words;
-* vectorized numpy routines for long words, where free reduction is done
-  by repeated deletion of non-overlapping adjacent inverse pairs.  Free
-  reduction is confluent, so any deletion order yields the same normal
-  form.
+* a block stack, the default: each block pops what its head cancels off
+  the reduced prefix and is appended whole, so long blocks cost one
+  `extend` each;
+* vectorized pair deletion for long words over short blocks, where the
+  Python loop would run once per letter: one gather, then passes that
+  delete non-overlapping adjacent inverse pairs until none is left.  A
+  pass peels one layer of every seam at once, so the pass count is the
+  deepest seam cancellation, small for short-image maps.
+
+Free reduction is confluent, so both regimes give the same normal form.
 """
 
 from __future__ import annotations
@@ -20,12 +28,9 @@ import numpy as np
 
 DTYPE = np.int8
 
-# Below this many letters the pure-Python path tends to win on overhead.
+# Substitutions of up to this many letters always take the block stack:
+# below it numpy's per-call overhead outweighs the per-letter loop.
 SMALL = 192
-
-# Vectorized reduction gives up after this many passes and falls back to
-# the stack reducer (only deep telescopic cancellation gets there).
-MAX_PASSES = 64
 
 
 class WordBudgetExceeded(RuntimeError):
@@ -92,14 +97,6 @@ def _delete_pairs_pass(arr: np.ndarray):
 
 def reduce_array(arr: np.ndarray) -> np.ndarray:
     """Freely reduce an arbitrary letter array."""
-    if arr.size <= SMALL:
-        return np.array(stack_reduce(arr.tolist()), dtype=DTYPE)
-    for _ in range(MAX_PASSES):
-        if arr.size < 2:
-            return arr
-        arr, changed = _delete_pairs_pass(arr)
-        if not changed:
-            return arr
     return np.array(stack_reduce(arr.tolist()), dtype=DTYPE)
 
 
@@ -107,82 +104,53 @@ def invert_array(arr: np.ndarray) -> np.ndarray:
     return (-arr[::-1]).copy()
 
 
-def concat_reduced(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Concatenate two already reduced words.
-
-    Cancellation happens only at the seam, so the maximal matching prefix
-    of v against the inverted suffix of u is found in one vector compare.
-    """
-    m = min(u.size, v.size)
-    t = 0
-    if m:
-        mismatch = u[u.size - m:][::-1] != -v[:m]
-        t = m if not mismatch.any() else int(mismatch.argmax())
-    if t == 0:
-        out = np.empty(u.size + v.size, dtype=DTYPE)
-        out[: u.size] = u
-        out[u.size:] = v
-        return out
-    return np.concatenate([u[: u.size - t], v[t:]])
-
-
 class ImageTable:
     """Per-letter image words of an automorphism, in gather-friendly form.
 
-    Slot layout: letter l maps to slot l + R for l < 0 and l + R - 1 for
-    l > 0, covering 0..2R-1.
+    Slot l holds the image of letter l, negative l counting from the end
+    as in Python and numpy indexing: slots 1..R hold the images of the R
+    generators, slots -R..-1 their inverses, and slot 0 an empty block.
     """
 
-    def __init__(self, images: list[np.ndarray], rank: int):
+    def __init__(self, images: list[np.ndarray]):
         # images: index i (0-based) holds the image of generator i+1
-        self.rank = rank
-        blocks = [invert_array(img) for img in reversed(images)] + list(images)
+        blocks = [empty()] + list(images) + [invert_array(img) for img in reversed(images)]
         self.lens = np.array([b.size for b in blocks], dtype=np.int64)
         self.starts = np.zeros(len(blocks), dtype=np.int64)
         np.cumsum(self.lens[:-1], out=self.starts[1:])
-        self.flat = (
-            np.concatenate(blocks) if any(b.size for b in blocks) else empty()
-        )
-        self.py_blocks = [b.tolist() for b in blocks]
+        self.flat = np.concatenate(blocks)
+        # int8 letters as bytes, each block with its letters negated (the
+        # letters that cancel them), so the block stack runs on bytearrays
+        self.py_blocks = [(b.tobytes(), (-b).tobytes()) for b in blocks]
 
     def substitute(self, word: np.ndarray, budget: int) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result."""
-        if word.size == 0:
-            return empty()
-        slots = word.astype(np.int64)
-        np.add(slots, self.rank, out=slots)
-        slots[word > 0] -= 1
-        lens = self.lens[slots]
+        lens = self.lens[word]
         total = int(lens.sum())
         if total > budget:
             raise WordBudgetExceeded(total, budget)
-        if total <= SMALL:
-            out = []
-            push = out.append
-            pop = out.pop
-            blocks = self.py_blocks
-            for s in slots.tolist():
-                for x in blocks[s]:
-                    if out and out[-1] == -x:
-                        pop()
-                    else:
-                        push(x)
-            return np.array(out, dtype=DTYPE)
-        if word.size <= 4:
-            # few long blocks: seam matching handles deep cancellation
-            s0 = slots[0]
-            acc = self.flat[self.starts[s0]: self.starts[s0] + lens[0]]
-            for k in range(1, slots.size):
-                s = slots[k]
-                acc = concat_reduced(
-                    acc, self.flat[self.starts[s]: self.starts[s] + lens[k]]
-                )
-            return acc
-        ends = np.cumsum(lens)
-        out_block_start = np.repeat(ends - lens, lens)
-        pos = np.arange(total, dtype=np.int64) - out_block_start
-        src = np.repeat(self.starts[slots], lens) + pos
-        return reduce_array(self.flat[src])
+        if total > SMALL and total < 4 * word.size:
+            # output letter j of block k reads flat[starts[word[k]] + j - offset_k]
+            offsets = np.cumsum(lens) - lens
+            src = np.arange(total, dtype=np.int64)
+            src += np.repeat(self.starts[word] - offsets, lens)
+            arr, changed = self.flat[src], True
+            while changed:
+                arr, changed = _delete_pairs_pass(arr)
+            return arr
+        out = bytearray()
+        pop, extend = out.pop, out.extend
+        blocks = self.py_blocks
+        for letter in word.tolist():
+            block, cancels = blocks[letter]
+            k = 0
+            for x in cancels:
+                if not out or out[-1] != x:
+                    break
+                pop()
+                k += 1
+            extend(block[k:] if k else block)
+        return np.frombuffer(out, dtype=DTYPE)
 
 
 def cyclic_trim(arr: np.ndarray) -> np.ndarray:

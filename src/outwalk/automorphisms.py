@@ -69,11 +69,11 @@ class Automorphism:
 
     @cached_property
     def _table(self) -> ImageTable:
-        return ImageTable([w.letters for w in self.images], self.rank)
+        return ImageTable([w.letters for w in self.images])
 
     @cached_property
     def _inv_table(self) -> ImageTable:
-        return ImageTable([w.letters for w in self.inverse_images], self.rank)
+        return ImageTable([w.letters for w in self.inverse_images])
 
     def verify(self) -> None:
         """Check the inverse certificate on all generators, both ways."""

@@ -34,11 +34,13 @@ from .automorphisms import invert
 from .spectral import bracket
 from .walk_engine import (
     EstimateSeries,
+    batch_means_ci,
     conjugacy_growth_experiment,
     delta_experiment,
     drift_experiment,
     gromov_decay_experiment,
     matrix_experiments,
+    ok_values,
     spectral_experiment,
 )
 
@@ -134,8 +136,8 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
             raise ConfigError(f"unhandled kind {kind!r}")
     if cfg.out:
         write_series(series, cfg, cfg.out)
-    ok_rows = [r for r in series.records if r[0] >= 0 and r[4] == "ok"]
-    if not ok_rows:
+    # downgraded records are certified brackets too, so they count as output
+    if not any(r[0] >= 0 and r[4] in ("ok", "downgraded") for r in series.records):
         print("error: budget exhausted on every path", file=sys.stderr)
         return 3
     return 0
@@ -144,12 +146,13 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
 def summarize(in_path: str, out_path: str) -> int:
     """Aggregate a series CSV: per-(experiment, n, estimator) statistics.
 
-    The 95% interval uses batch means over paths in path_id order:
-    split the P values into B = floor(sqrt(P)) batches of floor(P/B),
-    and take mean +- 1.96 * stdev(batch means) / sqrt(B).  With a single
-    path the interval is left empty.
+    The values aggregated are those of `walk_engine.ok_values`.  The 95%
+    interval uses batch means over paths in path_id order: split the P
+    values into B = floor(sqrt(P)) batches of floor(P/B), and take
+    mean +- 1.96 * stdev(batch means) / sqrt(B).  With fewer than four
+    paths the interval is left empty.
     """
-    groups: dict = {}
+    records: dict = {}
     try:
         with open(in_path) as fh:
             reader = csv.reader(line for line in fh if not line.startswith("#"))
@@ -162,10 +165,8 @@ def summarize(in_path: str, out_path: str) -> int:
                     print(f"error: malformed row {row!r}", file=sys.stderr)
                     return 2
                 experiment, pid, n, est, value, status = row
-                if int(pid) < 0 or status != "ok":
-                    continue
-                groups.setdefault((experiment, int(n), est), []).append(
-                    (int(pid), float(value))
+                records.setdefault(experiment, []).append(
+                    (int(pid), int(n), est, float(value), status)
                 )
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -174,21 +175,20 @@ def summarize(in_path: str, out_path: str) -> int:
         print(f"error: malformed series file: {e}", file=sys.stderr)
         return 2
     lines = [SUMMARY_HEADER]
-    for (experiment, n, est) in sorted(groups):
-        pairs = sorted(groups[(experiment, n, est)])
-        values = [v for _, v in pairs]
-        mean = sum(values) / len(values)
-        median = statistics.median(values)
-        from .walk_engine import batch_means_ci
-
-        half = batch_means_ci(values)
-        if half is None:
-            lo_s = hi_s = ""
-        else:
-            lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
-        lines.append(
-            f"{experiment},{n},{est},{_fmt(mean)},{_fmt(median)},{lo_s},{hi_s},{len(values)}"
-        )
+    for experiment in sorted(records):
+        by_key = ok_values(records[experiment])
+        for (n, est) in sorted(by_key):
+            values = by_key[(n, est)]
+            mean = sum(values) / len(values)
+            median = statistics.median(values)
+            half = batch_means_ci(values)
+            if half is None:
+                lo_s = hi_s = ""
+            else:
+                lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
+            lines.append(
+                f"{experiment},{n},{est},{_fmt(mean)},{_fmt(median)},{lo_s},{hi_s},{len(values)}"
+            )
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

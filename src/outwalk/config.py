@@ -136,6 +136,9 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("bit_budget: must be positive")
     if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed: must fit in 64 bits")
+    if cfg.out is not None and (cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1):
+        # format_config writes it as one `out = ...` line, which must parse back
+        raise ConfigError("out: must be one line without surrounding whitespace")
     if not cfg.gens:
         raise ConfigError("gen.0.*: at least one measure atom is required")
     if cfg.kind in MATRIX_KINDS:

@@ -5,7 +5,7 @@ iteration, is pinched between two unconditional bounds:
 
 * lower: log of the spectral radius of the abelianization (abelianized
   lengths never exceed conjugacy lengths), exact in rank 2, a certified
-  trace bound in higher rank;
+  trace bound in higher rank, and never below 0 since lambda >= 1;
 * upper: the translation inequality l(phi) <= d(phi.y, y) applied to
   powers gives log lambda <= dist(phi^k) / k for every k, and the bound
   is nonincreasing along doubling by subadditivity.
@@ -83,11 +83,12 @@ def stretch_upper(phi: Automorphism, k: int, *, budget: int | None = None) -> fl
 def stretch_lower(phi: Automorphism) -> float:
     """Certified lower bound: log spectral radius of the abelianization.
 
-    Exact in rank 2; Gelfand trace bound otherwise.  A singular-looking
-    abelianization reports -inf ("no bound") rather than failing.
+    Exact in rank 2; the Gelfand trace bound otherwise, which can be
+    negative or -inf when every trace it sees is small.  lambda >= 1, so
+    the bound is clamped at 0, itself a certified lower bound.
     """
     br = spectral_radius(abelianization(phi))
-    return br.exact if br.exact is not None else br.lower
+    return max(0.0, br.exact if br.exact is not None else br.lower)
 
 
 def _orbit(phi: Automorphism, words, steps: int, budget: int | None):

@@ -58,6 +58,7 @@ __all__ = [
     "delta_experiment",
     "geometric_schedule",
     "batch_means_ci",
+    "ok_values",
 ]
 
 WALK_K_MAX = 4  # default bracket depth inside walk experiments
@@ -222,13 +223,21 @@ def _run_paths(paths: int, threads: int, one_path) -> list:
     return rows
 
 
-def _append_summaries(rows: list, schedule, estimators) -> None:
-    # sentinel values (e.g. -inf "no bound") stay in per-path rows but are
-    # excluded from aggregates
+def ok_values(rows) -> dict:
+    """The values that enter aggregates, by (n, estimator), in path order.
+
+    Only finite values of ok per-path rows count; any other value stays
+    in its per-path row.
+    """
     by_key = {}
-    for pid, n, est, value, status in rows:
+    for pid, n, est, value, status in sorted(rows, key=lambda row: row[0]):
         if pid >= 0 and status == "ok" and math.isfinite(value):
             by_key.setdefault((n, est), []).append(value)
+    return by_key
+
+
+def _append_summaries(rows: list, schedule, estimators) -> None:
+    by_key = ok_values(rows)
     for n in schedule:
         for est in estimators:
             vals = by_key.get((n, est))

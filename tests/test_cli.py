@@ -1,9 +1,10 @@
-"""`outwalk run` end to end: exit codes and budget cut-offs."""
+"""`outwalk run` and `outwalk summarize` end to end: exit codes, budget
+cut-offs and aggregates."""
 
 import pytest
 
 from outwalk.automorphisms import automorphism_to_str
-from outwalk.cli import main
+from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
 
 F3_LINES = """rank = 3
 gen.0.map = a->b; b->c; c->a
@@ -92,3 +93,38 @@ def test_drift_budget_hit_truncates_paths(tmp_path, niel):
         else:
             assert last_n == n_max
     assert truncated > 0
+
+
+def test_exit_0_when_every_record_is_downgraded(tmp_path, niel):
+    # at 4 letters no bracket completes k_max = 4 orbit steps, but every
+    # record is still a certified bracket
+    text = ("kind = spectral\nn_max = 2\npaths = 2\nk_max = 4\nletter_budget = 4\n"
+            + measure_lines(niel))
+    rc, out = run_config(tmp_path, text)
+    assert rc == 0
+    statuses = [status for rows in per_path_rows(out).values() for _, status in rows]
+    assert len(statuses) == 16 and set(statuses) == {"downgraded"}
+
+
+def test_summarize_leaves_non_finite_ok_values_out(tmp_path):
+    # -inf was once written as a "no bound" spectral.lower; aggregates
+    # take only the finite values, in path order
+    series = tmp_path / "series.csv"
+    series.write_text("# outwalk run\n" + CSV_HEADER + "\n" + "\n".join([
+        "spectral,0,2,spectral.lower,-inf,ok",
+        "spectral,1,2,spectral.lower,0.25,ok",
+        "spectral,2,2,spectral.lower,0.5,ok",
+        "spectral,3,2,spectral.lower,0.75,downgraded",
+        "spectral,4,2,spectral.lower,1.0,ok",
+        "spectral,0,2,spectral.upper,1.0,ok",
+        "spectral,1,2,spectral.upper,nan,truncated",
+        "spectral,-1,2,spectral.lower.mean,0.5,ok",
+    ]) + "\n")
+    out = tmp_path / "summary.csv"
+    assert main(["summarize", "--in", str(series), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines == [
+        SUMMARY_HEADER,
+        "spectral,2,spectral.lower,0.5833333333333334,0.5,,,3",
+        "spectral,2,spectral.upper,1.0,1.0,,,1",
+    ]

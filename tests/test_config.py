@@ -1,0 +1,66 @@
+"""Config text: parse_config inverts format_config on every valid config."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
+from outwalk.config import (KINDS, MATRIX_KINDS, ConfigError, ExperimentConfig, format_config,
+                            parse_config, validate)
+
+
+def maps(rank):
+    moves = [inversion(rank, i) for i in range(1, rank + 1)]
+    moves += [f(rank, i, s * j) for f in (left_multiplier, right_multiplier)
+              for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j for s in (1, -1)]
+    return st.sampled_from([automorphism_to_str(m).split(" | ") for m in moves])
+
+
+weights = st.floats(min_value=1e-6, max_value=1.0).map(repr)
+
+
+@st.composite
+def configs(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    fields = dict(
+        kind=kind,
+        n_max=draw(st.integers(1, 10**6)),
+        paths=draw(st.integers(1, 10**4)),
+        k_max=draw(st.none() | st.integers(2, 64)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        letter_budget=draw(st.integers(1, 10**12)),
+        bit_budget=draw(st.integers(1, 10**12)),
+        out=draw(st.none() | st.text(max_size=20)),
+    )
+    if kind in MATRIX_KINDS:
+        dim = fields["dim"] = draw(st.integers(1, 4))
+        row = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
+        mats = st.lists(row, min_size=dim, max_size=dim).map(str)
+        fields["gens"] = draw(st.lists(st.fixed_dictionaries({"matrix": mats, "weight": weights}),
+                                       min_size=1, max_size=4))
+        if kind == "matrix-furstenberg":
+            fields["vector"] = tuple(draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
+                                          .filter(any)))
+    else:
+        rank = fields["rank"] = draw(st.integers(2, 5))
+        gens = []
+        for _ in range(draw(st.integers(1, 4))):
+            fwd, inv = draw(maps(rank))
+            gens.append({"map": fwd, "inv": inv, "weight": draw(weights)})
+        fields["gens"] = gens
+        letters = "abcde"[:rank] + "ABCDE"[:rank]
+        fields["words"] = draw(st.lists(st.text(letters, min_size=1, max_size=8),
+                                        min_size=kind == "conjugacy", max_size=3))
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_parse_inverts_format(fields):
+    cfg = ExperimentConfig(**fields)
+    try:
+        validate(cfg)
+    except ConfigError:
+        # only an `out` that cannot be written as one line is refused
+        assert cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1
+        return
+    assert parse_config(format_config(cfg)) == cfg

@@ -16,7 +16,7 @@ from outwalk.free_group import (
     reduce,
     word_to_str,
 )
-from outwalk._wordkernel import reduce_array, stack_reduce
+from outwalk._wordkernel import SMALL, ImageTable, stack_reduce
 
 
 def oracle_reduce(seq):
@@ -91,18 +91,30 @@ def test_concat_length_bound(a, b):
 
 
 def test_vectorized_reduce_matches_stack_on_long_words():
+    # images of one or two letters: substituting a long word takes the
+    # vectorized pair deletion
+    images = [np.array(b, dtype=np.int8) for b in ([1, 2], [-1, 2], [3])]
+    table = ImageTable(images)
     rng = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
     for _ in range(20):
         raw = rng.integers(1, 4, size=4000) * rng.choice([-1, 1], size=4000)
-        arr = raw.astype(np.int8)
-        assert reduce_array(arr.copy()).tolist() == stack_reduce(arr.tolist())
+        word = np.array(stack_reduce(raw.tolist()), dtype=np.int8)
+        blocks = [images[abs(x) - 1].tolist() if x > 0 else (-images[-x - 1][::-1]).tolist()
+                  for x in word.tolist()]
+        assert SMALL < sum(map(len, blocks)) < 4 * word.size
+        want = stack_reduce([y for b in blocks for y in b])
+        assert table.substitute(word, budget=10**6).tolist() == want
 
 
 def test_telescoping_reduction():
-    # a^k A^k fully cancels; exercises the deep-cascade fallback
-    n = 3000
-    raw = [1] * n + [-1] * n
-    assert reduce(raw, 2).as_tuple() == ()
+    # a -> a b^k sends a B^k to a b^k B^k = a: the one seam cancels k deep,
+    # so the vectorized regime runs k passes; a B A telescopes through
+    # three long blocks in the block stack
+    k = 3000
+    table = ImageTable([np.array([1] + [2] * k, dtype=np.int8), np.array([2], dtype=np.int8)])
+    assert table.substitute(np.array([1] + [-2] * k, dtype=np.int8), 10**6).tolist() == [1]
+    assert table.substitute(np.array([1, -2, -1], dtype=np.int8), 10**6).tolist() == [1, -2, -1]
+    assert reduce([1] * k + [-1] * k, 2).as_tuple() == ()
 
 
 def test_cyclic_reduce_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from outwalk.free_group import cyclic_reduce, parse_word
 from outwalk.automorphisms import (
+    abelianization,
     compose,
     identity_automorphism,
     inversion,
@@ -15,7 +16,9 @@ from outwalk.automorphisms import (
     parse_automorphism,
     right_multiplier,
 )
+from outwalk.matrix_oracle import spectral_radius
 from outwalk.spectral import StretchBracket, bracket, stretch_lower, stretch_ratio, stretch_upper
+from outwalk.walk_engine import sample_path, spectral_experiment
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -179,3 +182,18 @@ def test_rank2_point_matches_abelianization_when_hyperbolic():
 def test_bracket_validates_order():
     with pytest.raises(ValueError):
         StretchBracket(1.0, 0.5, 0.7, 1, True)
+
+
+def test_stretch_lower_clamped_at_zero_on_a_niel_path(niel):
+    # on this path the Gelfand trace bound of Phi_n^{-1} is log(2/3) at
+    # n = 4 and -inf at n = 8; lambda >= 1 makes 0 the certified bound
+    raw = {}
+    for n, _, inv in sample_path(niel, 18, 0, 8):
+        raw[n] = spectral_radius(abelianization(inv)).lower
+        assert stretch_lower(inv) == max(0.0, raw[n])
+    assert raw[4] < 0 and raw[8] == -math.inf
+    series = spectral_experiment(niel, n_max=8, paths=1, master_seed=18, k_max=2)
+    lower = {n: v for pid, n, est, v, _ in series.records
+             if pid == 0 and est == "spectral.lower"}
+    assert lower[4] == 0.0 and lower[8] == 0.0
+    assert all(v >= 0.0 for v in lower.values())
