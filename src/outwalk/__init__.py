@@ -39,7 +39,6 @@ from .matrix_oracle import (
     MatrixBracket,
     guivarch_series,
     log_norm,
-    mat_mul,
     spectral_radius,
     vector_growth,
 )

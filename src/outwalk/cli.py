@@ -29,8 +29,7 @@ from .config import (
     seed_words,
     validate,
 )
-from .outer_metric import dist
-from .automorphisms import invert
+from .outer_metric import dist, sym_dist
 from .spectral import bracket
 from .walk_engine import (
     EstimateSeries,
@@ -72,14 +71,11 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     if kind == "distance":
         theta = measure.support[0]
         d = dist(theta, budget=cfg.letter_budget)
-        s = d + dist(invert(theta), budget=cfg.letter_budget)
+        s = sym_dist(theta, budget=cfg.letter_budget)
         print(f"dist = {d:.6f}")
         print(f"sym = {s:.6f}")
-        series = EstimateSeries(
-            "distance",
-            [(0, 0, "dist", d, "ok"), (0, 0, "sym_dist", s, "ok")],
-            {},
-        )
+        series = EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
+                                             (0, 0, "sym_dist", s, "ok")], {})
     elif kind == "stretch":
         br = bracket(measure.support[0], cfg.k_max, budget=cfg.letter_budget)
         print(f"lower = {br.lower:.6f}")
@@ -115,7 +111,8 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
             master_seed=cfg.master_seed,
             letter_budget=cfg.letter_budget,
         )
-        print(f"four_point_delta = {series.records[0][3]:.6f}")
+        for value in series.values("four_point_delta"):
+            print(f"four_point_delta = {value:.6f}")
     else:
         common = dict(
             n_max=cfg.n_max,
@@ -223,7 +220,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out = args.out
         validate(cfg)
-        return run(cfg, threads=max(1, args.threads))
+        if args.threads < 1:
+            raise ConfigError("--threads: must be >= 1")
+        return run(cfg, threads=args.threads)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -157,8 +157,9 @@ def validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"gen.{i}.map/gen.{i}.inv: both images and inverse "
                                   "images are required")
     if cfg.kind in WALK_KINDS or cfg.kind in MATRIX_KINDS:
-        if cfg.n_max is None or cfg.n_max < 1:
-            raise ConfigError("n_max: required and must be >= 1")
+        low = 3 if cfg.kind == "delta" else 1  # delta needs four orbit points
+        if cfg.n_max is None or cfg.n_max < low:
+            raise ConfigError(f"n_max: required and must be >= {low}")
         if cfg.paths < 1:
             raise ConfigError("paths: must be >= 1")
     if cfg.kind == "conjugacy" and not cfg.words:

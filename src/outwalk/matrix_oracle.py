@@ -24,7 +24,6 @@ __all__ = [
     "IntMatrix",
     "MatrixBracket",
     "BitBudgetExceeded",
-    "mat_mul",
     "log_norm",
     "spectral_radius",
     "vector_growth",
@@ -144,10 +143,6 @@ class MatrixBracket:
                 raise ValueError("bracket does not contain its exact value")
         elif self.lower > self.upper + 1e-9:
             raise ValueError("bracket lower exceeds upper")
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return a @ b
 
 
 def _log_int(x: int) -> float:

@@ -5,7 +5,8 @@ dist(theta) = log max over candidate loops c of |theta(c)| / |c|, where
 |.| is conjugacy length: this is the stretch of the optimal map from the
 unit rose to the rose remarked by theta (covolume normalization cancels
 in the ratio).  With the left action Phi . y0 = R . Phi^{-1}, pairwise
-orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi).
+orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi): two-step
+candidate orbits, through Phi and then Psi^{-1} (`orbit_dist`).
 
 The candidate loops on a rose are the petals and the figure eights; the
 optimal stretch is always attained on one of them (Francaviglia-Martino,
@@ -29,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .free_group import CyclicWord
-from .automorphisms import Automorphism, compose, cyclic_images, invert
+from .free_group import CyclicWord, WordBudgetExceeded
+from .automorphisms import Automorphism, cyclic_images, invert
 
 __all__ = [
     "CandidateSet",
@@ -38,6 +39,7 @@ __all__ = [
     "candidates",
     "log_stretch",
     "dist",
+    "orbit_dist",
     "sym_dist",
     "gromov_product",
     "highness_ratio",
@@ -100,17 +102,25 @@ def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:
     return dist(theta, budget=budget) + dist(invert(theta), budget=budget)
 
 
+def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
+    """d(phi.y0, psi.y0) = dist(psi^{-1} phi), from the candidate loops
+    pushed through phi and then through psi^{-1}."""
+    loops = candidates(phi.rank).loops
+    images = cyclic_images(phi, loops, budget=budget)
+    return log_stretch(loops, cyclic_images(invert(psi), images, budget=budget))
+
+
 def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
     """Gromov product (phi.y0 | psi.y0) at the identity marking.
 
     Computed in the symmetrized orbit metric:
     (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
-    d_sym(y0, phi.y0) = sym_dist(phi) and d_sym(phi.y0, psi.y0) =
-    sym_dist(psi^{-1} phi).  Nonnegative by the triangle inequality.
+    d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
+    inequality.
     """
     a = sym_dist(phi, budget=budget)
     b = sym_dist(psi, budget=budget)
-    c = sym_dist(compose(invert(psi), phi, budget=budget), budget=budget)
+    c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
     return 0.5 * (a + b - c)
 
 
@@ -125,13 +135,11 @@ def highness_ratio(theta: Automorphism, probes, *, budget: int | None = None) ->
     if not probes:
         raise ValueError("need at least one probe")
     best = None
-    inv_theta = invert(theta)
     for psi in probes:
-        rel = compose(inv_theta, psi, budget=budget)
-        d = dist(rel, budget=budget)
+        d = orbit_dist(psi, theta, budget=budget)
         if d == 0.0:
             continue
-        ratio = (d + dist(invert(rel), budget=budget)) / d
+        ratio = (d + orbit_dist(theta, psi, budget=budget)) / d
         best = ratio if best is None else max(best, ratio)
     if best is None:
         raise ValueError("all probes are at distance zero from the base point")
@@ -170,18 +178,30 @@ class FiniteMetricSample:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @classmethod
-    def from_orbit(cls, markings, labels=None, *, budget: int | None = None) -> "FiniteMetricSample":
-        """Pairwise symmetrized distances between orbit points."""
-        markings = list(markings)
-        n = len(markings)
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rel = compose(invert(markings[j]), markings[i], budget=budget)
-                d[i, j] = d[j, i] = sym_dist(rel, budget=budget)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        return cls(tuple(labels), d)
+    def from_walk(cls, rank: int, steps, *, budget: int | None = None) -> "FiniteMetricSample":
+        """Orbit points Phi_j.y0 of the walk Phi_j = s_1 ... s_j over steps.
+
+        Point j adds a column: dist(s_j^{-1} ... s_{i+1}^{-1}) advances a
+        carried candidate orbit per start i through s_j^{-1}, and
+        dist(s_{i+1} ... s_j) is an orbit run back through s_j .. s_{i+1}.
+        The sample ends before the first step whose substitution exceeds
+        the budget."""
+        loops = candidates(rank).loops
+        seen, carried, d = [], [], np.zeros((1, 1))
+        for s in steps:
+            seen.append(s)
+            inv = invert(s)
+            try:
+                carried = [cyclic_images(inv, w, budget=budget) for w in carried + [loops]]
+                back, words = [], loops
+                for t in reversed(seen):
+                    words = cyclic_images(t, words, budget=budget)
+                    back.append(log_stretch(loops, words))
+            except WordBudgetExceeded:
+                break
+            d = np.pad(d, (0, 1))
+            d[-1, :-1] = d[:-1, -1] = [log_stretch(loops, w) + b for w, b in zip(carried, back[::-1])]
+        return cls(tuple(str(i) for i in range(len(d))), d)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -5,9 +5,10 @@ increments.  With the left action on the rose orbit, d(y0, Phi_n.y0) =
 dist(Phi_n^{-1}).  Drift and conjugacy growth never form Phi_n: they
 track the candidate loops or the seed classes g under the inverse
 increments, Phi_n^{-1}(g) = s_n^{-1}(Phi_{n-1}^{-1}(g)), cyclically
-reduced, since conjugacy length is a class function.  Brackets, Gromov
-products and the delta orbit need the maps themselves and run a
-`WalkPath`, which composes Phi_{n+1} = Phi_n s_{n+1} once per step.
+reduced, since conjugacy length is a class function; delta reads
+candidate orbits over the increments too.  Only brackets and Gromov
+products need the maps and run a `WalkPath`, which composes
+Phi_{n+1} = Phi_n s_{n+1} once per step.
 
 A path is cut off at the first step at which one substitution, of a
 tracked word or into the composed product, needs more letters than the
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .free_group import CyclicWord, WordBudgetExceeded
+from .free_group import WordBudgetExceeded, word_to_str
 from .automorphisms import (
     Automorphism,
     compose,
@@ -41,7 +42,8 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import FiniteMetricSample, candidates, four_point_delta, log_stretch
+from .outer_metric import (FiniteMetricSample, candidates, four_point_delta, gromov_product,
+                           log_stretch)
 from .spectral import bracket
 from .rng import categorical, cumulative, path_generator
 
@@ -115,6 +117,12 @@ def _increments(measure: ProbMeasure, master_seed: int, path_id: int):
     cum = measure.cum_weights()
     while True:
         yield categorical(gen, cum)
+
+
+def _steps(measure: ProbMeasure, master_seed: int, path_id: int, n_max: int):
+    """The increments s_1 .. s_{n_max} of one path, as support atoms."""
+    for idx in islice(_increments(measure, master_seed, path_id), n_max):
+        yield measure.support[idx]
 
 
 @dataclass
@@ -311,7 +319,7 @@ def conjugacy_growth_experiment(
     seeds = list(seeds)
     if any(len(g) == 0 for g in seeds):
         raise ValueError("seed classes must be nontrivial")
-    names = [f"conjugacy.{_cyclic_str(g)}" for g in seeds]
+    names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
     inverses = [invert(a) for a in measure.support]
 
     def one_path(pid: int) -> list:
@@ -330,7 +338,7 @@ def conjugacy_growth_experiment(
         "conjugacy",
         rows,
         {"n_max": n_max, "paths": paths, "master_seed": master_seed,
-         "seeds": [_cyclic_str(g) for g in seeds]},
+         "seeds": [word_to_str(g) for g in seeds]},
     )
 
 
@@ -395,10 +403,9 @@ def gromov_decay_experiment(
 ) -> EstimateSeries:
     """Records (1/n) (Phi_n.y0 | Phi_n^{-1}.y0)_{y0} in the symmetrized metric.
 
-    The product equals sym_dist(Phi_n) - sym_dist(Phi_n^2) / 2, where
-    dist(Phi_n^{+-2}) comes from two orbit steps of the candidate loops.
-    That is the expensive part, so records follow the geometric schedule
-    and budget failures mark single records.
+    `gromov_product` reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) = sym_dist(Phi_n^2)
+    from two-step candidate orbits, the expensive part; so records follow
+    the geometric schedule and budget failures mark single records.
     """
     schedule = set(geometric_schedule(n_max))
 
@@ -410,12 +417,11 @@ def gromov_decay_experiment(
                 continue
             n = path.n
             try:
-                d1, d2 = _dist_and_square(path.product, letter_budget)
-                e1, e2 = _dist_and_square(path.inverse_product, letter_budget)
+                value = gromov_product(path.product, path.inverse_product, budget=letter_budget)
             except WordBudgetExceeded:
                 rows.append((pid, n, "gromov", float("nan"), "truncated"))
                 continue
-            rows.append((pid, n, "gromov", ((d1 + e1) - 0.5 * (d2 + e2)) / n, "ok"))
+            rows.append((pid, n, "gromov", value / n, "ok"))
         if path.truncated:
             rows.append(_truncation_row(pid, path.n, "gromov"))
         return rows
@@ -427,14 +433,6 @@ def gromov_decay_experiment(
         rows,
         {"n_max": n_max, "paths": paths, "master_seed": master_seed},
     )
-
-
-def _dist_and_square(theta: Automorphism, budget) -> tuple[float, float]:
-    """dist(theta) and dist(theta^2) from two orbit steps of the candidate loops."""
-    loops = candidates(theta.rank).loops
-    once = cyclic_images(theta, loops, budget=budget)
-    twice = cyclic_images(theta, once, budget=budget)
-    return log_stretch(loops, once), log_stretch(loops, twice)
 
 
 def matrix_experiments(
@@ -459,20 +457,16 @@ def matrix_experiments(
     if kind == "matrix-furstenberg" and vector is None:
         raise ValueError("matrix-furstenberg needs a seed vector")
 
-    def increments(pid: int):
-        for idx in islice(_increments(measure, master_seed, pid), n_max):
-            yield measure.support[idx]
-
     def one_path(pid: int) -> list:
-        rows = []
+        rows, steps = [], _steps(measure, master_seed, pid, n_max)
         try:
             if kind == "matrix-guivarch":
-                for n, lo, hi, norm in guivarch_series(increments(pid), bit_budget):
+                for n, lo, hi, norm in guivarch_series(steps, bit_budget):
                     rows.append((pid, n, "guivarch.rho_lower", lo, "ok"))
                     rows.append((pid, n, "guivarch.rho_upper", hi, "ok"))
                     rows.append((pid, n, "guivarch.norm", norm, "ok"))
             else:
-                for n, value in vector_growth(increments(pid), vector, bit_budget):
+                for n, value in vector_growth(steps, vector, bit_budget):
                     rows.append((pid, n, "furstenberg.vector", value, "ok"))
         except BitBudgetExceeded:
             last_n = rows[-1][1] if rows else 0
@@ -505,25 +499,17 @@ def delta_experiment(
     Samples a single path, takes the orbit points Phi_0.y0 .. Phi_n.y0,
     and measures the four-point delta of their symmetrized distance
     matrix.  Descriptive only: the orbit metric is not claimed
-    hyperbolic.
+    hyperbolic.  A budget hit cuts the path off before that step; below
+    four points only the truncated row remains.
     """
-    path = WalkPath(measure, master_seed, 0, letter_budget)
-    markings = [path.product]
-    while path.n < n_max and path.advance():
-        markings.append(path.product)
-    sample = FiniteMetricSample.from_orbit(markings, budget=letter_budget)
-    value = four_point_delta(sample)
-    rows = [(0, path.n, "four_point_delta", value, "ok")]
-    if path.truncated:
-        rows.append(_truncation_row(0, path.n, "four_point_delta"))
+    steps = _steps(measure, master_seed, 0, n_max)
+    sample = FiniteMetricSample.from_walk(measure.rank, steps, budget=letter_budget)
+    n = len(sample) - 1
+    rows = [(0, n, "four_point_delta", four_point_delta(sample), "ok")] if n >= 3 else []
+    if n < n_max:
+        rows.append(_truncation_row(0, n, "four_point_delta"))
     return EstimateSeries(
         "delta",
         rows,
-        {"n_max": n_max, "paths": 1, "master_seed": master_seed, "points": len(markings)},
+        {"n_max": n_max, "paths": 1, "master_seed": master_seed, "points": len(sample)},
     )
-
-
-def _cyclic_str(g: CyclicWord) -> str:
-    from .free_group import word_to_str
-
-    return word_to_str(g)

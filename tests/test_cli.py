@@ -53,6 +53,8 @@ def test_exit_0_on_success(tmp_path):
     ["--paths", "-2"],
     ["--seed", "-1"],
     ["--seed", str(2**64)],
+    ["--threads", "0"],
+    ["--threads", "-3"],
 ])
 def test_exit_2_on_bad_override(tmp_path, override):
     rc, _ = run_config(tmp_path, "kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES, *override)
@@ -63,6 +65,7 @@ def test_exit_2_on_bad_override(tmp_path, override):
     "kind = drift\nn_max = 4\npaths = 0\n" + F3_LINES,
     "kind = drift\nn_max = 4\nletter_budget = 0\n" + F3_LINES,
     "kind = walk\nn_max = 4\n" + F3_LINES,
+    "kind = delta\nn_max = 2\n" + F3_LINES,
 ])
 def test_exit_2_on_bad_config(tmp_path, text):
     assert run_config(tmp_path, text)[0] == 2
@@ -93,6 +96,27 @@ def test_drift_budget_hit_truncates_paths(tmp_path, niel):
         else:
             assert last_n == n_max
     assert truncated > 0
+
+
+def test_delta_budget_hit_truncates_the_path(tmp_path, capsys, niel):
+    # a substitution over the budget cuts the path off before that step
+    text = ("kind = delta\nn_max = 40\nletter_budget = 200\nmaster_seed = 5\n"
+            + measure_lines(niel))
+    rc, out = run_config(tmp_path, text)
+    assert "Traceback" not in capsys.readouterr().err
+    rows = per_path_rows(out)[0]
+    last_n, status = rows[-1]
+    assert status == "truncated" and last_n < 40
+    assert rc == (0 if last_n >= 3 else 3)
+    assert rows[:-1] == ([(last_n, "ok")] if last_n >= 3 else [])
+
+
+def test_delta_below_four_points_exits_3(tmp_path, niel):
+    text = "kind = delta\nn_max = 40\nletter_budget = 3\n" + measure_lines(niel)
+    rc, out = run_config(tmp_path, text)
+    assert rc == 3
+    [(last_n, status)] = per_path_rows(out)[0]
+    assert status == "truncated" and last_n < 3
 
 
 def test_exit_0_when_every_record_is_downgraded(tmp_path, niel):
@@ -128,3 +152,26 @@ def test_summarize_leaves_non_finite_ok_values_out(tmp_path):
         "spectral,2,spectral.lower,0.5833333333333334,0.5,,,3",
         "spectral,2,spectral.upper,1.0,1.0,,,1",
     ]
+
+
+def body(out_path) -> str:
+    return "".join(line for line in out_path.read_text().splitlines(True)
+                   if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("head", [
+    "kind = drift\nn_max = 12\npaths = 5\n",
+    "kind = conjugacy\nn_max = 12\npaths = 5\nword.0 = ab\nword.1 = aCb\n",
+    "kind = spectral\nn_max = 8\npaths = 5\nk_max = 3\nletter_budget = 2000\n",
+    "kind = gromov\nn_max = 8\npaths = 5\n",
+    "kind = delta\nn_max = 12\n",
+])
+def test_bodies_identical_across_threads(tmp_path, niel, head):
+    text = head + "master_seed = 11\n" + measure_lines(niel)
+    bodies = []
+    for threads in ("1", "2"):
+        rc, out = run_config(tmp_path, text, "--threads", threads)
+        assert rc == 0
+        bodies.append(body(out))
+    assert bodies[0] == bodies[1]
+    assert bodies[0].count("\n") > 1

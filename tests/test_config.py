@@ -23,7 +23,7 @@ def configs(draw):
     kind = draw(st.sampled_from(sorted(KINDS)))
     fields = dict(
         kind=kind,
-        n_max=draw(st.integers(1, 10**6)),
+        n_max=draw(st.integers(3 if kind == "delta" else 1, 10**6)),  # delta: 4 points
         paths=draw(st.integers(1, 10**4)),
         k_max=draw(st.none() | st.integers(2, 64)),
         master_seed=draw(st.integers(0, 2**64 - 1)),

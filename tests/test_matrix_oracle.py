@@ -12,7 +12,6 @@ from outwalk.matrix_oracle import (
     MatrixBracket,
     guivarch_series,
     log_norm,
-    mat_mul,
     parse_matrix,
     spectral_radius,
     vector_growth,
@@ -32,9 +31,9 @@ def small_matrix(n):
 def test_mat_mul_examples():
     a = IntMatrix([[1, 1], [0, 1]])
     b = IntMatrix([[1, 0], [1, 1]])
-    assert mat_mul(a, b) == IntMatrix([[2, 1], [1, 1]])
+    assert a @ b == IntMatrix([[2, 1], [1, 1]])
     i = IntMatrix.identity(2)
-    assert mat_mul(a, i) == a and mat_mul(i, a) == a
+    assert a @ i == a and i @ a == a
 
 
 @settings(max_examples=50)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outwalk.free_group import cyclic_reduce, parse_word, reduce
+from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, reduce
 from outwalk.automorphisms import (
     compose,
     identity_automorphism,
@@ -26,6 +26,7 @@ from outwalk.outer_metric import (
     four_point_delta,
     gromov_product,
     highness_ratio,
+    orbit_dist,
     sym_dist,
 )
 
@@ -146,6 +147,38 @@ def test_gromov_product_nonnegative(phi, psi):
     assert gromov_product(phi, psi) >= -1e-9
 
 
+# The pairwise functions push the candidate loops through both factors;
+# their definitions compose the relative map psi^{-1} phi.  Equal floats.
+
+@settings(max_examples=40)
+@given(products(3), products(3))
+def test_orbit_dist_equals_dist_of_composed(phi, psi):
+    assert orbit_dist(phi, psi) == dist(compose(invert(psi), phi))
+
+
+@settings(max_examples=40)
+@given(products(3), products(3))
+def test_gromov_product_equals_composed_definition(phi, psi):
+    c = sym_dist(compose(invert(psi), phi))
+    assert gromov_product(phi, psi) == 0.5 * (sym_dist(phi) + sym_dist(psi) - c)
+
+
+@settings(max_examples=30)
+@given(products(3), st.lists(products(3), min_size=1, max_size=4))
+def test_highness_ratio_equals_composed_definition(theta, probes):
+    want = None
+    for psi in probes:
+        rel = compose(invert(theta), psi)
+        if dist(rel) > 0.0:
+            ratio = sym_dist(rel) / dist(rel)
+            want = ratio if want is None else max(want, ratio)
+    if want is None:
+        with pytest.raises(ValueError):
+            highness_ratio(theta, probes)
+    else:
+        assert highness_ratio(theta, probes) == want
+
+
 def test_highness_examples():
     probe = TWIST
     assert highness_ratio(identity_automorphism(2), [probe]) == pytest.approx(2.0)
@@ -214,13 +247,56 @@ def test_four_point_delta_requires_four_points():
 @given(st.lists(st.integers(0, 30), min_size=5, max_size=6))
 def test_four_point_delta_matches_oracle_on_orbit(ids):
     lib = library(2)
-    markings = [identity_automorphism(2)]
-    for i in ids:
-        markings.append(compose(markings[-1], lib[i % len(lib)]))
-    sample = FiniteMetricSample.from_orbit(markings)
+    sample = FiniteMetricSample.from_walk(2, [lib[i % len(lib)] for i in ids])
+    assert len(sample) == len(ids) + 1
     assert four_point_delta(sample) == pytest.approx(
         delta_oracle(sample.distances.tolist()), abs=1e-12
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=7))
+def test_walk_sample_equals_composed_markings(ids):
+    lib = library(3)
+    steps = [lib[i % len(lib)] for i in ids]
+    markings = [identity_automorphism(3)]
+    for s in steps:
+        markings.append(compose(markings[-1], s))
+    sample = FiniteMetricSample.from_walk(3, steps)
+    for i, phi in enumerate(markings):
+        for j, psi in enumerate(markings):
+            want = sym_dist(compose(invert(psi), phi)) if i != j else 0.0
+            assert sample.distances[i, j] == want
+
+
+def test_walk_sample_ends_before_the_budget_hit():
+    lib = library(3)
+    steps = [lib[(7 * k + 3) % len(lib)] for k in range(14)]
+    full = FiniteMetricSample.from_walk(3, steps)
+    for budget in (3, 4, 6, 8, 10):
+        cut = FiniteMetricSample.from_walk(3, steps, budget=budget)
+        m = len(cut)
+        assert m < len(full)
+        assert np.array_equal(cut.distances, full.distances[:m, :m])
+        # every orbit up to point m - 1 fits; point m needs more letters
+        _walk_orbits(steps[:m - 1], budget)
+        with pytest.raises(WordBudgetExceeded):
+            _walk_orbits(steps[:m], budget)
+
+
+def _walk_orbits(steps, budget):
+    """The candidate orbits through s_{i+1}^{-1}, ..., s_j^{-1} and through
+    s_j, ..., s_{i+1} for all i < j, raising on a budget hit."""
+    loops = candidates(3).loops
+    for i in range(len(steps)):
+        for j in range(i + 1, len(steps) + 1):
+            words = loops
+            for s in steps[i:j]:
+                words = [cyclic_reduce(apply(invert(s), w.as_word(), budget=budget))
+                         for w in words]
+            words = loops
+            for s in reversed(steps[i:j]):
+                words = [cyclic_reduce(apply(s, w.as_word(), budget=budget)) for w in words]
 
 
 def test_metric_sample_validation():

@@ -15,7 +15,13 @@ from outwalk.automorphisms import (
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import candidates, dist, sym_dist
+from outwalk.outer_metric import (
+    FiniteMetricSample,
+    candidates,
+    dist,
+    four_point_delta,
+    sym_dist,
+)
 from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower, stretch_upper
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -23,6 +29,7 @@ from outwalk.walk_engine import (
     WalkPath,
     batch_means_ci,
     conjugacy_growth_experiment,
+    delta_experiment,
     drift_experiment,
     geometric_schedule,
     gromov_decay_experiment,
@@ -423,3 +430,18 @@ def test_gromov_equals_sym_dist_of_composed_square(walk):
             phi = path.product
             want = (sym_dist(phi) - 0.5 * sym_dist(compose(phi, phi))) / path.n
             assert got[(pid, path.n)] == want
+
+
+def test_delta_equals_composed_markings(walk):
+    measure, _, n_max = walk
+    series = delta_experiment(measure, n_max=n_max, master_seed=3)
+    path = WalkPath(measure, 3, 0)
+    markings = [path.product]
+    while path.n < n_max and path.advance():
+        markings.append(path.product)
+    n = len(markings)
+    d = [[sym_dist(compose(invert(markings[j]), markings[i])) if i != j else 0.0
+          for j in range(n)] for i in range(n)]
+    want = four_point_delta(FiniteMetricSample(tuple(map(str, range(n))), d))
+    assert series.records == [(0, n_max, "four_point_delta", want, "ok")]
+    assert series.metadata["points"] == n_max + 1
