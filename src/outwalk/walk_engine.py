@@ -12,7 +12,8 @@ Phi_{n+1} = Phi_n s_{n+1} once per step.
 
 A path is cut off at the first step at which one substitution, of a
 tracked word or into the composed product, needs more letters than the
-letter budget; it then ends in a "truncated" row, never silently
+letter budget; it then ends in a row with estimator "truncated_at",
+value the last completed step and status "truncated", never silently
 dropped.  A budget hit inside one bracket or Gromov record marks only
 that record.  Paths are independent tasks keyed by (master_seed,
 path_id); results are merged in path order, so the worker count never
@@ -258,8 +259,10 @@ def _append_summaries(rows: list, schedule, estimators) -> None:
             rows.append((-1, n, f"{est}.paths", float(len(vals)), "ok"))
 
 
-def _truncation_row(path_id: int, n: int, estimator: str):
-    return (path_id, n, estimator, float(n), "truncated")
+def _truncation_row(path_id: int, n: int):
+    """The row that ends a path cut off after step n; its estimator name
+    is used by no ok row, so (path_id, n, estimator) stays unique."""
+    return (path_id, n, "truncated_at", float(n), "truncated")
 
 
 def _inverse_orbit(measure, inverses, master_seed, path_id, words, n_max, budget):
@@ -293,7 +296,7 @@ def drift_experiment(
                                         n_max, letter_budget):
             rows.append((pid, n, "drift", log_stretch(loops, images) / n, "ok"))
         if n < n_max:
-            rows.append(_truncation_row(pid, n, "drift"))
+            rows.append(_truncation_row(pid, n))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -329,7 +332,7 @@ def conjugacy_growth_experiment(
             for name, w in zip(names, images):
                 rows.append((pid, n, name, math.log(len(w)) / n, "ok"))
         if n < n_max:
-            rows.append(_truncation_row(pid, n, names[0]))
+            rows.append(_truncation_row(pid, n))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -380,7 +383,7 @@ def spectral_experiment(
             rows.append((pid, n, "spectral.point", br.point / n, status))
             rows.append((pid, n, "spectral.k_used", float(br.k_used), status))
         if path.truncated:
-            rows.append(_truncation_row(pid, path.n, "spectral.upper"))
+            rows.append(_truncation_row(pid, path.n))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -423,7 +426,7 @@ def gromov_decay_experiment(
                 continue
             rows.append((pid, n, "gromov", value / n, "ok"))
         if path.truncated:
-            rows.append(_truncation_row(pid, path.n, "gromov"))
+            rows.append(_truncation_row(pid, path.n))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -469,8 +472,7 @@ def matrix_experiments(
                 for n, value in vector_growth(steps, vector, bit_budget):
                     rows.append((pid, n, "furstenberg.vector", value, "ok"))
         except BitBudgetExceeded:
-            last_n = rows[-1][1] if rows else 0
-            rows.append((pid, last_n, "truncated_at", float(last_n), "truncated"))
+            rows.append(_truncation_row(pid, rows[-1][1] if rows else 0))
         return rows
 
     estimators = (
@@ -507,7 +509,7 @@ def delta_experiment(
     n = len(sample) - 1
     rows = [(0, n, "four_point_delta", four_point_delta(sample), "ok")] if n >= 3 else []
     if n < n_max:
-        rows.append(_truncation_row(0, n, "four_point_delta"))
+        rows.append(_truncation_row(0, n))
     return EstimateSeries(
         "delta",
         rows,

@@ -1,12 +1,14 @@
 """Exact matrix arithmetic and spectral brackets."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk.matrix_oracle import (
+    GELFAND_MAX_J,
     BitBudgetExceeded,
     IntMatrix,
     MatrixBracket,
@@ -15,6 +17,7 @@ from outwalk.matrix_oracle import (
     parse_matrix,
     spectral_radius,
     vector_growth,
+    _square,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -22,10 +25,29 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 entry = st.integers(min_value=-6, max_value=6)
 
 
-def small_matrix(n):
+def small_matrix(n, entries=entry):
     return st.lists(
-        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(IntMatrix)
+
+
+# zero stands in for the sparse entries of transvection products
+big_entry = st.one_of(st.just(0), st.integers(min_value=-2**200, max_value=2**200))
+
+
+def reference_ladder(a):
+    """(lower, upper) of the Gelfand ladder built from `@` powers."""
+    lower, upper = float("-inf"), math.inf
+    power = a
+    for j in range(GELFAND_MAX_J + 1):
+        if j:
+            power = power @ power
+        k = 1 << j
+        upper = min(upper, log_norm(power) / k)
+        tr = abs(power.trace())
+        if tr:
+            lower = max(lower, (math.log(tr) - math.log(a.n)) / k)
+    return lower, upper
 
 
 def test_mat_mul_examples():
@@ -46,6 +68,32 @@ def test_mat_mul_associative(a, b, c):
 @given(small_matrix(2), small_matrix(2))
 def test_det_multiplicative(a, b):
     assert (a @ b).det() == a.det() * b.det()
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: small_matrix(n, big_entry)))
+def test_square_equals_matmul(m):
+    assert _square(m.entries) == (m @ m).entries
+
+
+def test_power_equals_repeated_products(sl3):
+    a = IntMatrix.identity(3)
+    for s in sl3.support[::3]:
+        a = s @ a
+    expected = IntMatrix.identity(3)
+    for k in range(71):
+        assert a ** k == expected
+        expected = expected @ a
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.5, 0], [0, 1]],
+    [[1.0, 0], [0, 1]],
+    [["1", 0], [0, 1]],
+])
+def test_int_matrix_rejects_non_integer_entries(rows):
+    with pytest.raises(ValueError):
+        IntMatrix(rows)
 
 
 def test_det_examples():
@@ -110,6 +158,38 @@ def test_gelfand_bracket_orders(a):
     br = spectral_radius(a)
     assert br.lower <= br.upper + 1e-9
     assert br.lower <= log_norm(a) + 1e-9
+
+
+def test_spectral_radius_equals_reference_ladder_on_transvection_walk(sl3):
+    rng = random.Random(3)
+    prod = IntMatrix.identity(3)
+    for _ in range(600):
+        prod = rng.choice(sl3.support) @ prod
+        br = spectral_radius(prod)
+        assert (br.lower, br.upper) == reference_ladder(prod)
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_matrix(3, st.integers(-10**6, 10**6)),
+                 small_matrix(4, st.integers(-10**6, 10**6))))
+def test_spectral_radius_equals_reference_ladder(a):
+    br = spectral_radius(a)
+    assert (br.lower, br.upper) == reference_ladder(a)
+
+
+def test_bit_budget_bounds_the_gelfand_ladder():
+    h = IntMatrix([[2, 1, 0], [1, 1, 1], [0, 1, 1]])  # det -1, rho near e
+    a = h ** 40
+    assert a.max_bits() < 100  # A fits the budget, A^64 has about 3800 bits
+    with pytest.raises(BitBudgetExceeded):
+        spectral_radius(a, bit_budget=1000)
+    assert spectral_radius(a, bit_budget=4000) == spectral_radius(a)
+    # the walk is cut off once A_n^64, not A_n, outgrows the budget
+    rows = []
+    with pytest.raises(BitBudgetExceeded):
+        for row in guivarch_series([h] * 100, bit_budget=1000):
+            rows.append(row)
+    assert 0 < len(rows) < 20
 
 
 def test_gelfand_bracket_contains_known_value():

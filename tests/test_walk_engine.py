@@ -299,6 +299,35 @@ def test_estimate_series_unique_keys():
     assert len(keys) == len(set(keys))
 
 
+BUDGET_HITS = {
+    "drift": lambda niel, sl3: drift_experiment(
+        niel, n_max=40, paths=4, master_seed=5, letter_budget=2000),
+    "conjugacy": lambda niel, sl3: conjugacy_growth_experiment(
+        niel, [cyclic_reduce(parse_word("ab", 3))], n_max=40, paths=4, master_seed=5,
+        letter_budget=200),
+    "spectral": lambda niel, sl3: spectral_experiment(
+        niel, n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10),
+    "gromov": lambda niel, sl3: gromov_decay_experiment(
+        niel, n_max=16, paths=4, master_seed=1, letter_budget=10),
+    "delta": lambda niel, sl3: delta_experiment(
+        niel, n_max=40, master_seed=5, letter_budget=200),
+    "matrix-guivarch": lambda niel, sl3: matrix_experiments(
+        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16),
+    "matrix-furstenberg": lambda niel, sl3: matrix_experiments(
+        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16, vector=(1, 0, 0),
+        kind="matrix-furstenberg"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
+def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
+    series = BUDGET_HITS[kind](niel, sl3)
+    cut = [r for r in series.records if r[2] == "truncated_at"]
+    assert cut and all(r[3] == r[1] and r[4] == "truncated" for r in cut)
+    keys = [(r[0], r[1], r[2]) for r in series.records]
+    assert len(keys) == len(set(keys))
+
+
 def test_cesaro_tail_monotone_in_probability():
     series = drift_experiment(F3_MEASURE, n_max=16, paths=24, master_seed=13)
     m, n2 = 8, 16
