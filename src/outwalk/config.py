@@ -16,7 +16,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, parse_word
+from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, parse_word,
+                         word_to_str)
 from .automorphisms import InverseCheckError, parse_automorphism, automorphism_to_str
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
 from .walk_engine import ProbMeasure, WALK_K_MAX
@@ -211,7 +212,9 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
 
 
 def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
-    out = []
+    """Cyclically reduced seed classes; two seeds with the same reduced
+    form would write the same `conjugacy.<seed>` rows twice."""
+    out, names = [], {}
     for i, text in enumerate(cfg.words):
         try:
             w = parse_word(text, cfg.rank)
@@ -219,7 +222,12 @@ def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
             raise ConfigError(f"word.{i}: {e}") from None
         if len(w) == 0:
             raise ConfigError(f"word.{i}: seed word must be nontrivial")
-        out.append(cyclic_reduce(w))
+        g = cyclic_reduce(w)
+        name = word_to_str(g)
+        if name in names:
+            raise ConfigError(f"word.{i}: reduces to {name!r}, as word.{names[name]} does")
+        names[name] = i
+        out.append(g)
     return out
 
 

@@ -2,22 +2,30 @@
 
 The walk at time n is the right product Phi_n = s_1 ... s_n of i.i.d.
 increments.  With the left action on the rose orbit, d(y0, Phi_n.y0) =
-dist(Phi_n^{-1}).  Drift and conjugacy growth never form Phi_n: they
-track the candidate loops or the seed classes g under the inverse
-increments, Phi_n^{-1}(g) = s_n^{-1}(Phi_{n-1}^{-1}(g)), cyclically
-reduced, since conjugacy length is a class function; delta reads
-candidate orbits over the increments too.  Only brackets and Gromov
-products need the maps and run a `WalkPath`, which composes
-Phi_{n+1} = Phi_n s_{n+1} once per step.
+dist(Phi_n^{-1}).
 
-A path is cut off at the first step at which one substitution, of a
-tracked word or into the composed product, needs more letters than the
-letter budget; it then ends in a row with estimator "truncated_at",
+Every multi-path kind is a row source: path_rows(path_id) yields
+(n, [(estimator, value, status), ...]) once for every completed step.
+Drift and conjugacy growth run over `_inverse_orbit`, which tracks the
+candidate loops or the seed classes g under the inverse increments,
+Phi_n^{-1}(g) = s_n^{-1}(Phi_{n-1}^{-1}(g)), cyclically reduced, since
+conjugacy length is a class function; they never form Phi_n.  Brackets
+and Gromov products need the maps: they are per-record functions over
+`_scheduled_walk`, a `WalkPath` that composes Phi_{n+1} = Phi_n s_{n+1}
+once per step and yields no rows off the geometric schedule.  The
+matrix kinds run over `guivarch_series` and `vector_growth`.
+
+The driver `_series` alone applies the cut-off rule, the merge order
+and the summaries.  A path is cut off at the first step at which one
+substitution, of a tracked word or into the composed product, needs
+more letters than the letter budget, or a matrix entry more bits than
+the bit budget; it then ends in a row with estimator "truncated_at",
 value the last completed step and status "truncated", never silently
 dropped.  A budget hit inside one bracket or Gromov record marks only
 that record.  Paths are independent tasks keyed by (master_seed,
 path_id); results are merged in path order, so the worker count never
-changes output bytes.
+changes output bytes.  `delta_experiment` reads one orbit segment as a
+whole and writes its single record itself.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from .free_group import WordBudgetExceeded, word_to_str
@@ -265,16 +274,66 @@ def _truncation_row(path_id: int, n: int):
     return (path_id, n, "truncated_at", float(n), "truncated")
 
 
-def _inverse_orbit(measure, inverses, master_seed, path_id, words, n_max, budget):
-    """Yield (n, Phi_n^{-1}(words) cyclically reduced) for n = 1..n_max, until a
-    substitution exceeds the budget; inverses[i] inverts support atom i."""
-    steps = _increments(measure, master_seed, path_id)
-    for n in range(1, n_max + 1):
+def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
+    """The one per-path driver of every multi-path experiment.
+
+    path_rows(path_id) yields (n, [(estimator, value, status), ...]) for
+    every completed step n = 1, 2, ...; a budget exception ends the path.
+    A path whose last completed step is below n_max ends in one
+    truncation row.  Paths merge in path order, then the summaries of
+    `estimators` on the geometric schedule follow.
+    """
+
+    def one_path(pid: int) -> list:
+        rows, n = [], 0
         try:
-            words = cyclic_images(inverses[next(steps)], words, budget=budget)
-        except WordBudgetExceeded:
-            return
-        yield n, words
+            for n, step in path_rows(pid):
+                rows.extend([(pid, n, est, value, status) for est, value, status in step])
+        except (WordBudgetExceeded, BitBudgetExceeded):
+            pass
+        if n < n_max:
+            rows.append(_truncation_row(pid, n))
+        return rows
+
+    rows = _run_paths(paths, threads, one_path)
+    _append_summaries(rows, geometric_schedule(n_max), estimators)
+    return EstimateSeries(kind, rows, {"n_max": n_max, "paths": paths, **metadata})
+
+
+def _inverse_orbit(measure, master_seed, words, record, *, n_max, budget):
+    """Row source over Phi_n^{-1}(words), cyclically reduced: step n
+    yields record(n, images).  A substitution over the budget raises."""
+    inverses = [invert(a) for a in measure.support]
+
+    def path_rows(pid: int):
+        images = words
+        for n, idx in enumerate(islice(_increments(measure, master_seed, pid), n_max), 1):
+            images = cyclic_images(inverses[idx], images, budget=budget)
+            yield n, record(n, images)
+
+    return path_rows
+
+
+def _scheduled_walk(measure, master_seed, record, cut_estimator, *, n_max, budget):
+    """Row source over the composed walk: step n yields
+    record(n, Phi_n, Phi_n^{-1}) on the geometric schedule and no rows
+    off it, so the path ends at the exact step at which composing hit
+    the budget.  A budget hit inside one record marks only that record,
+    as (cut_estimator, nan, "truncated")."""
+    schedule = set(geometric_schedule(n_max))
+
+    def path_rows(pid: int):
+        for n, product, inverse in sample_path(measure, master_seed, pid, n_max,
+                                               letter_budget=budget):
+            rows = []
+            if n in schedule:
+                try:
+                    rows = record(n, product, inverse)
+                except WordBudgetExceeded:
+                    rows = [(cut_estimator, float("nan"), "truncated")]
+            yield n, rows
+
+    return path_rows
 
 
 def drift_experiment(
@@ -288,24 +347,13 @@ def drift_experiment(
 ) -> EstimateSeries:
     """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator)."""
     loops = candidates(measure.rank).loops
-    inverses = [invert(a) for a in measure.support]
 
-    def one_path(pid: int) -> list:
-        rows, n = [], 0
-        for n, images in _inverse_orbit(measure, inverses, master_seed, pid, loops,
-                                        n_max, letter_budget):
-            rows.append((pid, n, "drift", log_stretch(loops, images) / n, "ok"))
-        if n < n_max:
-            rows.append(_truncation_row(pid, n))
-        return rows
+    def record(n, images):
+        return [("drift", log_stretch(loops, images) / n, "ok")]
 
-    rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, geometric_schedule(n_max), ["drift"])
-    return EstimateSeries(
-        "drift",
-        rows,
-        {"n_max": n_max, "paths": paths, "master_seed": master_seed},
-    )
+    source = _inverse_orbit(measure, master_seed, loops, record, n_max=n_max, budget=letter_budget)
+    return _series("drift", source, ["drift"], {"master_seed": master_seed},
+                   n_max=n_max, paths=paths, threads=threads)
 
 
 def conjugacy_growth_experiment(
@@ -323,26 +371,16 @@ def conjugacy_growth_experiment(
     if any(len(g) == 0 for g in seeds):
         raise ValueError("seed classes must be nontrivial")
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
-    inverses = [invert(a) for a in measure.support]
+    if len(set(names)) < len(names):
+        raise ValueError(f"seed classes repeat: {[word_to_str(g) for g in seeds]}")
 
-    def one_path(pid: int) -> list:
-        rows, n = [], 0
-        for n, images in _inverse_orbit(measure, inverses, master_seed, pid, seeds,
-                                        n_max, letter_budget):
-            for name, w in zip(names, images):
-                rows.append((pid, n, name, math.log(len(w)) / n, "ok"))
-        if n < n_max:
-            rows.append(_truncation_row(pid, n))
-        return rows
+    def record(n, images):
+        return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, images)]
 
-    rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, geometric_schedule(n_max), names)
-    return EstimateSeries(
-        "conjugacy",
-        rows,
-        {"n_max": n_max, "paths": paths, "master_seed": master_seed,
-         "seeds": [word_to_str(g) for g in seeds]},
-    )
+    source = _inverse_orbit(measure, master_seed, seeds, record, n_max=n_max, budget=letter_budget)
+    return _series("conjugacy", source, names,
+                   {"master_seed": master_seed, "seeds": [word_to_str(g) for g in seeds]},
+                   n_max=n_max, paths=paths, threads=threads)
 
 
 def spectral_experiment(
@@ -362,37 +400,21 @@ def spectral_experiment(
     orbit off; a record whose first orbit step already exceeds the budget
     is marked truncated.
     """
-    schedule = set(geometric_schedule(n_max))
-    estimators = ["spectral.lower", "spectral.upper", "spectral.point", "spectral.k_used"]
 
-    def one_path(pid: int) -> list:
-        rows = []
-        path = WalkPath(measure, master_seed, pid, letter_budget)
-        while path.n < n_max and path.advance():
-            if path.n not in schedule:
-                continue
-            n = path.n
-            try:
-                br = bracket(path.inverse_product, k_max, budget=letter_budget)
-            except WordBudgetExceeded:
-                rows.append((pid, n, "spectral.upper", float("nan"), "truncated"))
-                continue
-            status = "ok" if br.k_used >= k_max else "downgraded"
-            rows.append((pid, n, "spectral.lower", br.lower / n, status))
-            rows.append((pid, n, "spectral.upper", br.upper / n, status))
-            rows.append((pid, n, "spectral.point", br.point / n, status))
-            rows.append((pid, n, "spectral.k_used", float(br.k_used), status))
-        if path.truncated:
-            rows.append(_truncation_row(pid, path.n))
-        return rows
+    def record(n, product, inverse):
+        br = bracket(inverse, k_max, budget=letter_budget)
+        status = "ok" if br.k_used >= k_max else "downgraded"
+        return [("spectral.lower", br.lower / n, status),
+                ("spectral.upper", br.upper / n, status),
+                ("spectral.point", br.point / n, status),
+                ("spectral.k_used", float(br.k_used), status)]
 
-    rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, sorted(schedule), estimators)
-    return EstimateSeries(
-        "spectral",
-        rows,
-        {"n_max": n_max, "paths": paths, "master_seed": master_seed, "k_max": k_max},
-    )
+    source = _scheduled_walk(measure, master_seed, record, "spectral.upper",
+                             n_max=n_max, budget=letter_budget)
+    return _series("spectral", source,
+                   ["spectral.lower", "spectral.upper", "spectral.point", "spectral.k_used"],
+                   {"master_seed": master_seed, "k_max": k_max},
+                   n_max=n_max, paths=paths, threads=threads)
 
 
 def gromov_decay_experiment(
@@ -410,32 +432,14 @@ def gromov_decay_experiment(
     from two-step candidate orbits, the expensive part; so records follow
     the geometric schedule and budget failures mark single records.
     """
-    schedule = set(geometric_schedule(n_max))
 
-    def one_path(pid: int) -> list:
-        rows = []
-        path = WalkPath(measure, master_seed, pid, letter_budget)
-        while path.n < n_max and path.advance():
-            if path.n not in schedule:
-                continue
-            n = path.n
-            try:
-                value = gromov_product(path.product, path.inverse_product, budget=letter_budget)
-            except WordBudgetExceeded:
-                rows.append((pid, n, "gromov", float("nan"), "truncated"))
-                continue
-            rows.append((pid, n, "gromov", value / n, "ok"))
-        if path.truncated:
-            rows.append(_truncation_row(pid, path.n))
-        return rows
+    def record(n, product, inverse):
+        return [("gromov", gromov_product(product, inverse, budget=letter_budget) / n, "ok")]
 
-    rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, sorted(schedule), ["gromov"])
-    return EstimateSeries(
-        "gromov",
-        rows,
-        {"n_max": n_max, "paths": paths, "master_seed": master_seed},
-    )
+    source = _scheduled_walk(measure, master_seed, record, "gromov",
+                             n_max=n_max, budget=letter_budget)
+    return _series("gromov", source, ["gromov"], {"master_seed": master_seed},
+                   n_max=n_max, paths=paths, threads=threads)
 
 
 def matrix_experiments(
@@ -457,36 +461,24 @@ def matrix_experiments(
     """
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
-    if kind == "matrix-furstenberg" and vector is None:
-        raise ValueError("matrix-furstenberg needs a seed vector")
+    if kind == "matrix-guivarch":
+        matrix_series = guivarch_series
+        estimators = ["guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm"]
+    elif kind == "matrix-furstenberg":
+        if vector is None:
+            raise ValueError("matrix-furstenberg needs a seed vector")
+        matrix_series = partial(vector_growth, v=vector)
+        estimators = ["furstenberg.vector"]
+    else:
+        raise ValueError(f"unknown matrix experiment kind {kind!r}")
 
-    def one_path(pid: int) -> list:
-        rows, steps = [], _steps(measure, master_seed, pid, n_max)
-        try:
-            if kind == "matrix-guivarch":
-                for n, lo, hi, norm in guivarch_series(steps, bit_budget):
-                    rows.append((pid, n, "guivarch.rho_lower", lo, "ok"))
-                    rows.append((pid, n, "guivarch.rho_upper", hi, "ok"))
-                    rows.append((pid, n, "guivarch.norm", norm, "ok"))
-            else:
-                for n, value in vector_growth(steps, vector, bit_budget):
-                    rows.append((pid, n, "furstenberg.vector", value, "ok"))
-        except BitBudgetExceeded:
-            rows.append(_truncation_row(pid, rows[-1][1] if rows else 0))
-        return rows
+    def path_rows(pid: int):
+        steps = _steps(measure, master_seed, pid, n_max)
+        for n, *values in matrix_series(steps, bit_budget=bit_budget):
+            yield n, [(est, value, "ok") for est, value in zip(estimators, values)]
 
-    estimators = (
-        ["guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm"]
-        if kind == "matrix-guivarch"
-        else ["furstenberg.vector"]
-    )
-    rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, geometric_schedule(n_max), estimators)
-    return EstimateSeries(
-        kind,
-        rows,
-        {"n_max": n_max, "paths": paths, "master_seed": master_seed},
-    )
+    return _series(kind, path_rows, estimators, {"master_seed": master_seed},
+                   n_max=n_max, paths=paths, threads=threads)
 
 
 def delta_experiment(

@@ -66,6 +66,8 @@ def test_exit_2_on_bad_override(tmp_path, override):
     "kind = drift\nn_max = 4\nletter_budget = 0\n" + F3_LINES,
     "kind = walk\nn_max = 4\n" + F3_LINES,
     "kind = delta\nn_max = 2\n" + F3_LINES,
+    "kind = conjugacy\nn_max = 4\npaths = 4\nword.0 = ab\nword.1 = ab\n" + F3_LINES,
+    "kind = conjugacy\nn_max = 4\nword.0 = abA\nword.1 = b\n" + F3_LINES,
 ])
 def test_exit_2_on_bad_config(tmp_path, text):
     assert run_config(tmp_path, text)[0] == 2

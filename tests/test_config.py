@@ -1,11 +1,12 @@
 """Config text: parse_config inverts format_config on every valid config."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
 from outwalk.config import (KINDS, MATRIX_KINDS, ConfigError, ExperimentConfig, format_config,
-                            parse_config, validate)
+                            parse_config, seed_words, validate)
 
 
 def maps(rank):
@@ -64,3 +65,11 @@ def test_parse_inverts_format(fields):
         assert cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1
         return
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_seed_words_refuse_repeated_classes():
+    cfg = ExperimentConfig(kind="conjugacy", rank=3, words=["ab", "aCb", "Cab"])
+    assert [len(g) for g in seed_words(cfg)] == [2, 3, 3]
+    for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"]):
+        with pytest.raises(ConfigError, match=f"word.{len(words) - 1}"):
+            seed_words(ExperimentConfig(kind="conjugacy", rank=3, words=words))

@@ -1,0 +1,96 @@
+"""Golden CSV bodies: `outwalk run` output pinned byte for byte.
+
+One small config per experiment kind, plus one budget-cut config per
+walk and matrix kind, runs through the CLI; the sha256 of its CSV body
+(every line that is not a `#` comment) must equal the digest recorded
+here.  A refactor that claims no behaviour change keeps every digest.
+An intended output change updates the digests it moves and says so in
+CHANGES.md, together with its cause.
+"""
+
+import hashlib
+
+import pytest
+
+from outwalk.automorphisms import automorphism_to_str
+from outwalk.cli import main
+
+THETA = "rank = 3\ngen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
+
+# name: (config head, measure); the measure is "niel", "sl3" or THETA
+CONFIGS = {
+    "drift": ("kind = drift\nn_max = 12\npaths = 4\nmaster_seed = 3\n", "niel"),
+    "conjugacy": ("kind = conjugacy\nn_max = 12\npaths = 4\nmaster_seed = 3\n"
+                  "word.0 = ab\nword.1 = aCb\n", "niel"),
+    "spectral": ("kind = spectral\nn_max = 8\npaths = 3\nmaster_seed = 3\nk_max = 3\n"
+                 "letter_budget = 2000\n", "niel"),
+    "gromov": ("kind = gromov\nn_max = 8\npaths = 3\nmaster_seed = 3\n", "niel"),
+    "delta": ("kind = delta\nn_max = 10\nmaster_seed = 3\n", "niel"),
+    "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 40\npaths = 3\nmaster_seed = 3\n",
+                        "sl3"),
+    "matrix-furstenberg": ("kind = matrix-furstenberg\nn_max = 40\npaths = 3\nmaster_seed = 3\n"
+                           "vector = [1, 0, 0]\n", "sl3"),
+    "distance": ("kind = distance\n", THETA),
+    "stretch": ("kind = stretch\nk_max = 6\n", THETA),
+    "drift-cut": ("kind = drift\nn_max = 40\npaths = 4\nmaster_seed = 5\n"
+                  "letter_budget = 2000\n", "niel"),
+    "conjugacy-cut": ("kind = conjugacy\nn_max = 40\npaths = 4\nmaster_seed = 5\n"
+                      "letter_budget = 200\nword.0 = ab\n", "niel"),
+    "spectral-cut": ("kind = spectral\nn_max = 16\npaths = 4\nmaster_seed = 1\nk_max = 2\n"
+                     "letter_budget = 10\n", "niel"),
+    "gromov-cut": ("kind = gromov\nn_max = 16\npaths = 4\nmaster_seed = 1\n"
+                   "letter_budget = 10\n", "niel"),
+    "delta-cut": ("kind = delta\nn_max = 40\nmaster_seed = 5\nletter_budget = 200\n", "niel"),
+    "matrix-guivarch-cut": ("kind = matrix-guivarch\nn_max = 100\npaths = 4\nmaster_seed = 5\n"
+                            "bit_budget = 16\n", "sl3"),
+    "matrix-furstenberg-cut": ("kind = matrix-furstenberg\nn_max = 100\npaths = 4\n"
+                               "master_seed = 5\nbit_budget = 16\nvector = [1, 0, 0]\n", "sl3"),
+}
+
+DIGESTS = {
+    "conjugacy": "f29f02b9fec09b0fec0e899a97abd99130bbb24fc8099ed85cb005625af94c11",
+    "conjugacy-cut": "389bfd27ef64417ee0fae91732805ac5793038d4d46433010f66fd66224e7243",
+    "delta": "b8abfbd4a83e18638bd442ad6ae30a837a363063fe421a62e5302d5e4687c294",
+    "delta-cut": "c72b9fd54fdd8fb507cccfc7aca6be97c70a50df8a230c8295083b280823f87d",
+    "distance": "27689480723d43ece157fff8b9d30bab88e58b5ee9cd5f698aaaa745e5badf34",
+    "drift": "3ebb7a0c2049b05a321ed4b9f820e99f0b6a2569f5c37d2a38ed41f10a4df8e5",
+    "drift-cut": "a468b5a6e3dd3fac19a19ed5f8ad19a7eb03139cddcbe51bba158b412ff400fd",
+    "gromov": "36745266139ace089e6c22acebd72b6b854954228713978779067bfe72d178a7",
+    "gromov-cut": "553f511481b87a4c539c101fb6324d703c35033e9ce6f7e0b51f226cfac73899",
+    "matrix-furstenberg": "e5daf769526510307977b17f6944f87a0bb53e6a5a755ac6107a0b6ed728e9e5",
+    "matrix-furstenberg-cut": "4495481cc31f73c9659a9249d10fb3f478346a8c29117f31221b5e310f795d4c",
+    "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
+    "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
+    "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",
+    "spectral-cut": "bd34824f9a16168770e730fd2d3678ec92c262b59cd89f3e71fe845a90871bcd",
+    "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
+}
+
+
+def measure_text(measure) -> str:
+    if measure.is_matrix:
+        lines = [f"dim = {measure.rank}"]
+        for i, (m, w) in enumerate(zip(measure.support, measure.weights)):
+            lines += [f"gen.{i}.matrix = {[list(row) for row in m.entries]}",
+                      f"gen.{i}.weight = {w!r}"]
+    else:
+        lines = [f"rank = {measure.rank}"]
+        for i, (a, w) in enumerate(zip(measure.support, measure.weights)):
+            fwd, inv = automorphism_to_str(a).split(" | ")
+            lines += [f"gen.{i}.map = {fwd}", f"gen.{i}.inv = {inv}", f"gen.{i}.weight = {w!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def body_digest(tmp_path, text) -> str:
+    cfg, out = tmp_path / "golden.cfg", tmp_path / "golden.csv"
+    cfg.write_text(text)
+    main(["run", "--config", str(cfg), "--out", str(out)])
+    body = "".join(line for line in out.read_text().splitlines(True) if not line.startswith("#"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_body_matches_golden(tmp_path, niel, sl3, name):
+    head, measure = CONFIGS[name]
+    measure = {"niel": measure_text(niel), "sl3": measure_text(sl3)}.get(measure, measure)
+    assert body_digest(tmp_path, head + measure) == DIGESTS[name]

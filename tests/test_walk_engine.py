@@ -328,6 +328,33 @@ def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("kind", ["spectral", "gromov"])
+def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
+    # records follow the geometric schedule, but a path is cut off at the
+    # step at which composing the walk hits the budget, on the schedule or not
+    series = BUDGET_HITS[kind](niel, sl3)
+    cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
+    want = {}
+    for pid in range(4):
+        path = WalkPath(niel, 1, pid, letter_budget=10)
+        while path.n < 16 and path.advance():
+            pass
+        want[pid] = path.n
+    assert cut == want == {0: 8, 1: 8, 2: 5, 3: 11}
+
+
+@pytest.mark.parametrize("texts", [("ab", "ab"), ("abA", "b"), ("a", "bc", "baB")])
+def test_conjugacy_refuses_repeated_seed_classes(texts):
+    seeds = [cyclic_reduce(parse_word(t, 3)) for t in texts]
+    with pytest.raises(ValueError, match="repeat"):
+        conjugacy_growth_experiment(F3_MEASURE, seeds, n_max=4, paths=2, master_seed=0)
+
+
+def test_matrix_experiments_refuse_unknown_kind():
+    with pytest.raises(ValueError, match="matrix-guivarsh"):
+        matrix_experiments(MAT_MEASURE, n_max=4, paths=1, master_seed=0, kind="matrix-guivarsh")
+
+
 def test_cesaro_tail_monotone_in_probability():
     series = drift_experiment(F3_MEASURE, n_max=16, paths=24, master_seed=13)
     m, n2 = 8, 16
