@@ -19,12 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable
+from ._wordkernel import DTYPE, ImageTable, cyclic_substitute
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
+    CyclicWord,
     ParseError,
     Word,
-    cyclic_reduce,
     parse_word,
     word_to_str,
 )
@@ -123,10 +123,18 @@ def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> lis
 
     Conjugacy length is a class function, so iterating this along a
     sequence of maps tracks |phi_k ... phi_1(g)| exactly while keeping
-    every tracked word as short as its class.  Raises WordBudgetExceeded
-    when a substitution needs more letters than the budget.
+    every tracked word as short as its class.  The words go through the
+    kernel as one batch (`_wordkernel.cyclic_substitute`), and each
+    image equals cyclic_reduce(apply(phi, w.as_word())).  Raises
+    WordBudgetExceeded for the first word, in input order, whose
+    substitution needs more letters than the budget.
     """
-    return [cyclic_reduce(apply(phi, w.as_word(), budget=budget)) for w in words]
+    r = phi.rank
+    if any(w.rank != r for w in words):
+        raise ValueError("rank mismatch")
+    b = DEFAULT_LETTER_BUDGET if budget is None else budget
+    images = cyclic_substitute(phi._table, [w.letters for w in words], b)
+    return [CyclicWord._wrap(a, r) for a in images]
 
 
 def compose(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> Automorphism:

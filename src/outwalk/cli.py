@@ -4,17 +4,22 @@
                 [--paths <int>] [--threads <int>]
     outwalk summarize --in <file> --out <file>
 
-Exit codes: 0 success, 2 validation or schema error, 3 budget exhausted
-everywhere.  CSV schema (exact): experiment,path_id,n,estimator,value,status.
-The resolved config is embedded as `# key = value` comment lines; the
-timestamp lives in its own comment line so output bodies stay
-byte-identical across reruns and worker counts.
+Exit codes: 0 success, 2 validation or schema error (an output path
+that cannot be written included, refused before the run starts), 3
+budget exhausted everywhere.  CSV schema (exact):
+experiment,path_id,n,estimator,value,status.  The resolved config is
+embedded as `# key = value` comment lines and the run metadata as
+`# meta.<key> = <JSON value>` lines; the timestamp lives in its own
+comment line so output bodies stay byte-identical across reruns and
+worker counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
+import os
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -58,11 +63,21 @@ def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -
     lines.append(f"# generated_at = {datetime.now(timezone.utc).isoformat()}")
     for cfg_line in format_config(cfg).rstrip("\n").splitlines():
         lines.append(f"# {cfg_line}")
+    for key, value in series.metadata.items():
+        lines.append(f"# meta.{key} = {json.dumps(value)}")
     lines.append(CSV_HEADER)
     for pid, n, est, value, status in series.records:
         lines.append(f"{series.experiment},{pid},{n},{est},{_fmt(value)},{status}")
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"out: cannot write {path!r}")
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> int:
@@ -222,6 +237,8 @@ def main(argv=None) -> int:
         validate(cfg)
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
+        if cfg.out:
+            _check_out(cfg.out)
         return run(cfg, threads=args.threads)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, parse_word,
-                         word_to_str)
+from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, least_rotation,
+                         parse_word, word_to_str)
 from .automorphisms import InverseCheckError, parse_automorphism, automorphism_to_str
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
 from .walk_engine import ProbMeasure, WALK_K_MAX
@@ -212,9 +212,9 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
 
 
 def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
-    """Cyclically reduced seed classes; two seeds with the same reduced
-    form would write the same `conjugacy.<seed>` rows twice."""
-    out, names = [], {}
+    """Cyclically reduced seed classes; two seeds of one conjugacy class
+    (the same least rotation) would write the same rows twice."""
+    out, classes = [], {}
     for i, text in enumerate(cfg.words):
         try:
             w = parse_word(text, cfg.rank)
@@ -223,10 +223,10 @@ def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
         if len(w) == 0:
             raise ConfigError(f"word.{i}: seed word must be nontrivial")
         g = cyclic_reduce(w)
-        name = word_to_str(g)
-        if name in names:
-            raise ConfigError(f"word.{i}: reduces to {name!r}, as word.{names[name]} does")
-        names[name] = i
+        key = least_rotation(g)
+        if key in classes:
+            raise ConfigError(f"word.{i}: {word_to_str(g)!r} is conjugate to word.{classes[key]}")
+        classes[key] = i
         out.append(g)
     return out
 

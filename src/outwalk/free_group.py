@@ -30,6 +30,7 @@ __all__ = [
     "ParseError",
     "reduce",
     "cyclic_reduce",
+    "least_rotation",
     "concat",
     "invert_word",
     "parse_word",
@@ -162,6 +163,31 @@ def reduce(raw, rank: int) -> Word:
 def cyclic_reduce(w: Word) -> CyclicWord:
     """Cyclically reduced representative of the conjugacy class of w."""
     return CyclicWord._wrap(cyclic_trim(w.letters).copy(), w.rank)
+
+
+def least_rotation(g: CyclicWord) -> bytes:
+    """The least rotation of g's letters, as bytes.
+
+    Cyclically reduced words are conjugate exactly when one is a
+    rotation of the other, so this names the conjugacy class of g.
+    Linear time: when start i loses to start j after k equal letters,
+    each of the starts i..i+k loses to the start as far past j, so the
+    search skips them all.
+    """
+    s = g.letters.tobytes()
+    n, d = len(s), s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = d[i + k], d[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return d[i:i + n]
 
 
 def concat(u: Word, v: Word) -> Word:

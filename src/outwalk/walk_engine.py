@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import WordBudgetExceeded, word_to_str
+from .free_group import WordBudgetExceeded, least_rotation, word_to_str
 from .automorphisms import (
     Automorphism,
     compose,
@@ -370,9 +370,9 @@ def conjugacy_growth_experiment(
     seeds = list(seeds)
     if any(len(g) == 0 for g in seeds):
         raise ValueError("seed classes must be nontrivial")
-    names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
-    if len(set(names)) < len(names):
+    if len({least_rotation(g) for g in seeds}) < len(seeds):
         raise ValueError(f"seed classes repeat: {[word_to_str(g) for g in seeds]}")
+    names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
 
     def record(n, images):
         return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, images)]

@@ -1,10 +1,12 @@
-"""Automorphism algebra: certified inverses, composition, abelianization."""
+"""Automorphism algebra: certified inverses, composition, abelianization,
+and the batched orbit step `cyclic_images`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outwalk._wordkernel import BATCH_CAP
 from outwalk.free_group import Word, WordBudgetExceeded, cyclic_reduce, parse_word, reduce
 from outwalk.automorphisms import (
     Automorphism,
@@ -13,6 +15,7 @@ from outwalk.automorphisms import (
     apply,
     automorphism_to_str,
     compose,
+    cyclic_images,
     identity_automorphism,
     inversion,
     invert,
@@ -22,6 +25,7 @@ from outwalk.automorphisms import (
     right_multiplier,
 )
 from outwalk.matrix_oracle import IntMatrix
+from outwalk.walk_engine import sample_path
 
 FIB = "a->ab; b->a | a->b; b->Ba"
 
@@ -211,3 +215,81 @@ def test_automorphism_requires_nonempty_images():
     w = Word.generator(1, 2)
     with pytest.raises(ValueError):
         Automorphism((w, Word.identity(2)), (w, w), 2)
+
+
+def random_cyclic(seed: int, size: int, rank: int = 3):
+    """A random cyclically reduced word of at most `size` letters."""
+    rng = np.random.default_rng(seed)
+    # letter codes 0..2R-1, code c + R (mod 2R) inverse to c; a step of
+    # R+1..3R-1 never lands on the inverse of the previous letter
+    steps = rng.integers(rank + 1, 3 * rank, size)
+    codes = (int(rng.integers(2 * rank)) + np.cumsum(steps)) % (2 * rank)
+    letters = np.where(codes < rank, codes + 1, rank - codes - 1).astype(np.int8)
+    return cyclic_reduce(Word(letters, rank))
+
+
+def one_at_a_time(phi, words, budget=None) -> list:
+    return [cyclic_reduce(apply(phi, w.as_word(), budget=budget)) for w in words]
+
+
+@pytest.fixture(scope="module")
+def walk_inverses(niel):
+    """Phi_n^{-1} of NIEL walks at n = 16 and 32: long image blocks."""
+    return [inv for pid in range(2) for n, _, inv in sample_path(niel, 5, pid, 32) if n in (16, 32)]
+
+
+# word sizes around a few letters, past SMALL, and on both sides of the cap
+word_sizes = st.one_of(st.integers(0, 4), st.integers(5, 600),
+                       st.integers(BATCH_CAP - 3, BATCH_CAP + 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), count=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32))
+def test_cyclic_images_on_nielsen_moves(niel, data, count, seed):
+    # one- and two-letter images: long batches take the vectorized regime
+    phi = data.draw(st.sampled_from(niel.support))
+    sizes = data.draw(st.lists(word_sizes, min_size=count, max_size=count))
+    words = [random_cyclic(seed + k, size) for k, size in enumerate(sizes)]
+    assert cyclic_images(phi, words) == one_at_a_time(phi, words)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), count=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32))
+def test_cyclic_images_on_walk_inverses(walk_inverses, data, count, seed):
+    # Phi_n^{-1} has long image blocks: the block stack, deep trims
+    phi = data.draw(st.sampled_from(walk_inverses))
+    sizes = data.draw(st.lists(st.integers(0, 40), min_size=count, max_size=count))
+    words = [random_cyclic(seed + k, size) for k, size in enumerate(sizes)]
+    assert cyclic_images(phi, words) == one_at_a_time(phi, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_cyclic_images_budget_is_per_word(walk_inverses, data, seed):
+    # the first word over the budget, in input order, raises with its own
+    # raw count, as in the loop over words; a budget every word fits,
+    # however far below the batch total, raises nothing
+    phi = data.draw(st.sampled_from(walk_inverses))
+    words = [random_cyclic(seed + k, data.draw(st.integers(1, 30))) for k in range(9)]
+    totals = [int(phi._table.lens[w.letters].sum()) for w in words]
+    budget = data.draw(st.integers(min(totals) - 1, max(totals)))
+    over = [t for t in totals if t > budget]
+    if over:
+        with pytest.raises(WordBudgetExceeded) as err:
+            cyclic_images(phi, words, budget=budget)
+        with pytest.raises(WordBudgetExceeded) as want:
+            one_at_a_time(phi, words, budget)
+        assert err.value.needed == want.value.needed == over[0]
+    else:
+        assert cyclic_images(phi, words, budget=budget) == one_at_a_time(phi, words, budget)
+
+
+def test_cyclic_images_in_rank_127():
+    # no letter is left for a separator, so every word runs alone; the
+    # letter 127 is a generator here and must come out as one
+    phi = right_multiplier(127, 127, -1)
+    words = [cyclic_reduce(Word(np.array(w, dtype=np.int8), 127))
+             for w in ([127], [127, 2, 127], [1, -127, 3], [5])]
+    assert cyclic_images(phi, words) == one_at_a_time(phi, words)
+    images = [w.as_tuple() for w in cyclic_images(phi, words)]
+    assert images[:2] == [(127, -1), (127, -1, 2, 127, -1)]

@@ -1,8 +1,11 @@
 """`outwalk run` and `outwalk summarize` end to end: exit codes, budget
 cut-offs and aggregates."""
 
+import json
+
 import pytest
 
+from outwalk import cli
 from outwalk.automorphisms import automorphism_to_str
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
 
@@ -68,9 +71,55 @@ def test_exit_2_on_bad_override(tmp_path, override):
     "kind = delta\nn_max = 2\n" + F3_LINES,
     "kind = conjugacy\nn_max = 4\npaths = 4\nword.0 = ab\nword.1 = ab\n" + F3_LINES,
     "kind = conjugacy\nn_max = 4\nword.0 = abA\nword.1 = b\n" + F3_LINES,
+    "kind = conjugacy\nn_max = 4\nword.0 = ab\nword.1 = ba\n" + F3_LINES,
 ])
 def test_exit_2_on_bad_config(tmp_path, text):
     assert run_config(tmp_path, text)[0] == 2
+
+
+@pytest.mark.parametrize("where", ["config", "override", "directory"])
+def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
+    def experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "drift_experiment", experiment)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    cfg = tmp_path / "run.cfg"
+    head = f"out = {out}\n" if where == "config" else ""
+    cfg.write_text(head + "kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES)
+    override = [] if where == "config" else ["--out", str(out)]
+    assert main(["run", "--config", str(cfg), *override]) == 2
+
+
+def read_meta(out_path) -> dict:
+    meta = {}
+    for line in out_path.read_text().splitlines():
+        if line.startswith("# meta."):
+            key, value = line[len("# meta."):].split(" = ", 1)
+            meta[key] = json.loads(value)
+    return meta
+
+
+@pytest.mark.parametrize("head", [
+    "kind = conjugacy\nn_max = 4\npaths = 2\nmaster_seed = 18446744073709551615\n"
+    "word.0 = ab\nword.1 = aCb\n",
+    "kind = spectral\nn_max = 4\npaths = 2\nk_max = 3\n",
+    "kind = delta\nn_max = 6\n",
+])
+def test_metadata_round_trips_through_comment_lines(tmp_path, monkeypatch, niel, head):
+    written = []
+    write_series = cli.write_series
+
+    def capture(series, cfg, out_path):
+        written.append(series)
+        write_series(series, cfg, out_path)
+
+    monkeypatch.setattr(cli, "write_series", capture)
+    rc, out = run_config(tmp_path, head + measure_lines(niel))
+    assert rc == 0
+    assert read_meta(out) == written[0].metadata
+    lines = out.read_text().splitlines()
+    assert lines.index(CSV_HEADER) == sum(line.startswith("#") for line in lines)
 
 
 def test_exit_3_when_every_path_is_cut_off(tmp_path):

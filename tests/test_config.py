@@ -70,6 +70,6 @@ def test_parse_inverts_format(fields):
 def test_seed_words_refuse_repeated_classes():
     cfg = ExperimentConfig(kind="conjugacy", rank=3, words=["ab", "aCb", "Cab"])
     assert [len(g) for g in seed_words(cfg)] == [2, 3, 3]
-    for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"]):
+    for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"], ["ab", "ba"], ["aCb", "baC"]):
         with pytest.raises(ConfigError, match=f"word.{len(words) - 1}"):
             seed_words(ExperimentConfig(kind="conjugacy", rank=3, words=words))

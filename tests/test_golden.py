@@ -1,7 +1,8 @@
 """Golden CSV bodies: `outwalk run` output pinned byte for byte.
 
 One small config per experiment kind, plus one budget-cut config per
-walk and matrix kind, runs through the CLI; the sha256 of its CSV body
+walk and matrix kind and a conjugacy config whose nine tracked words
+outgrow the orbit-step batch cap, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
 here.  A refactor that claims no behaviour change keeps every digest.
 An intended output change updates the digests it moves and says so in
@@ -36,6 +37,12 @@ CONFIGS = {
                   "letter_budget = 2000\n", "niel"),
     "conjugacy-cut": ("kind = conjugacy\nn_max = 40\npaths = 4\nmaster_seed = 5\n"
                       "letter_budget = 200\nword.0 = ab\n", "niel"),
+    # a word passes 2^15 letters at n = 43-50 and the budget cuts every path at n = 50-59
+    "conjugacy-batch": ("kind = conjugacy\nn_max = 80\npaths = 3\nmaster_seed = 7\n"
+                        "letter_budget = 200000\n"
+                        + "".join(f"word.{i} = {w}\n" for i, w in enumerate(
+                            ["ab", "aCb", "abc", "aBc", "abAB", "aabC", "bcAc", "acBB", "abcABC"])),
+                        "niel"),
     "spectral-cut": ("kind = spectral\nn_max = 16\npaths = 4\nmaster_seed = 1\nk_max = 2\n"
                      "letter_budget = 10\n", "niel"),
     "gromov-cut": ("kind = gromov\nn_max = 16\npaths = 4\nmaster_seed = 1\n"
@@ -49,6 +56,7 @@ CONFIGS = {
 
 DIGESTS = {
     "conjugacy": "f29f02b9fec09b0fec0e899a97abd99130bbb24fc8099ed85cb005625af94c11",
+    "conjugacy-batch": "9541ea3af2ab9fa62f95ebb0479b5706e226e00378aa37899818280931b595ae",
     "conjugacy-cut": "389bfd27ef64417ee0fae91732805ac5793038d4d46433010f66fd66224e7243",
     "delta": "b8abfbd4a83e18638bd442ad6ae30a837a363063fe421a62e5302d5e4687c294",
     "delta-cut": "c72b9fd54fdd8fb507cccfc7aca6be97c70a50df8a230c8295083b280823f87d",

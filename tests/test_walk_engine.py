@@ -343,7 +343,8 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     assert cut == want == {0: 8, 1: 8, 2: 5, 3: 11}
 
 
-@pytest.mark.parametrize("texts", [("ab", "ab"), ("abA", "b"), ("a", "bc", "baB")])
+@pytest.mark.parametrize("texts", [("ab", "ab"), ("abA", "b"), ("a", "bc", "baB"), ("ab", "ba"),
+                                   ("abC", "c", "Cab")])
 def test_conjugacy_refuses_repeated_seed_classes(texts):
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in texts]
     with pytest.raises(ValueError, match="repeat"):

@@ -1,9 +1,11 @@
-"""`ImageTable.substitute` in both of its regimes against `stack_reduce`.
+"""`ImageTable.substitute` in both of its regimes against `stack_reduce`,
+and `cyclic_substitute`, its batched orbit step, against one word at a time.
 
 The block stack takes words whose images have long blocks, the
 vectorized pair deletion long words over short blocks; every case here
 compares the result with the stack reduction of the raw concatenation
-of image blocks.
+of image blocks.  A batch must give each word the image it gets alone,
+hold the budget per word, and never let its separator out.
 """
 
 import numpy as np
@@ -11,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outwalk._wordkernel import SMALL, ImageTable, WordBudgetExceeded, stack_reduce
+from outwalk._wordkernel import (
+    BATCH_CAP,
+    SMALL,
+    ImageTable,
+    WordBudgetExceeded,
+    cyclic_substitute,
+    cyclic_trim,
+    stack_reduce,
+)
 from outwalk.automorphisms import compose
 from outwalk.walk_engine import sample_path
 
@@ -132,3 +142,77 @@ def test_few_long_blocks_telescope():
     for word in ([1, -2, -1], [1, 2, -1]):
         check(images, np.array(word, dtype=np.int8))
         assert ImageTable(images).substitute(np.array(word, dtype=np.int8), 10**9).size == 3
+
+
+def one_at_a_time(table, words, budget=10**9) -> list:
+    return [cyclic_trim(table.substitute(w, budget)).tolist() for w in words]
+
+
+def raw_total(table, word) -> int:
+    return int(table.lens[word].sum())
+
+
+def test_batch_over_budget_only_in_total_does_not_raise(niel):
+    # every word's raw image fits the budget; the nine together do not
+    table = niel.support[0]._table
+    words = [random_reduced(seed, 300) for seed in range(9)]
+    budget = max(raw_total(table, w) for w in words)
+    assert sum(raw_total(table, w) for w in words) > budget
+    got = cyclic_substitute(table, words, budget)
+    assert [a.tolist() for a in got] == one_at_a_time(table, words)
+
+
+@pytest.mark.parametrize("over", [[4], [2, 6], [8]])
+def test_batch_raises_for_the_first_word_over_budget(niel, over):
+    table = niel.support[0]._table
+    words = [random_reduced(k, 300 if k in over else 40) for k in range(9)]
+    budget = max(raw_total(table, w) for k, w in enumerate(words) if k not in over)
+    with pytest.raises(WordBudgetExceeded) as err:
+        cyclic_substitute(table, words, budget)
+    assert (err.value.needed, err.value.budget) == (raw_total(table, words[over[0]]), budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32),
+       sizes=st.lists(st.one_of(st.integers(0, 3), st.integers(4, 400)), max_size=12))
+def test_separator_never_leaves_a_batch(nielsen_products, walk_maps, data, seed, sizes):
+    # empty words put separators next to each other; both regimes run,
+    # short-block tables through pair deletion
+    phi = data.draw(st.sampled_from(nielsen_products + [inv for _, inv in walk_maps]))
+    words = [random_reduced(seed + k, size) for k, size in enumerate([0, 0] + sizes + [0, 0])]
+    got = cyclic_substitute(phi._table, words, 10**9)
+    assert all(np.abs(a).max(initial=0) <= 3 for a in got)
+    assert [a.tolist() for a in got] == one_at_a_time(phi._table, words)
+
+
+def test_batch_splits_at_the_cap(niel):
+    # words below the cap share a call, one past it runs alone, and the
+    # images are those of one word at a time either way
+    table = niel.support[5]._table
+    calls = []
+
+    class Counting(ImageTable):
+        def substitute(self, word, budget):
+            calls.append(word.size)
+            return super().substitute(word, budget)
+
+    counting = Counting([w.letters for w in niel.support[5].images])
+    words = ([random_reduced(k, 100) for k in range(3)] + [random_reduced(9, BATCH_CAP)]
+             + [random_reduced(k, 100) for k in range(3, 6)])
+    got = cyclic_substitute(counting, words, 10**9)
+    assert calls == [302, BATCH_CAP, 302]
+    assert [a.tolist() for a in got] == one_at_a_time(table, words)
+
+
+@pytest.mark.parametrize("depth", [1, 63, 64, 65, 300])
+def test_batch_trims_deep_conjugates(depth):
+    # x -> u x u^{-1} maps every cyclic word c to u c u^{-1}, which the
+    # trim peels back |u| deep, over several doubling passes for long u
+    u = random_reduced(depth, depth).tolist()
+    images = [np.array(stack_reduce(u + [i] + [-x for x in reversed(u)]), dtype=np.int8)
+              for i in (1, 2, 3)]
+    table = ImageTable(images)
+    words = [np.array(w, dtype=np.int8) for w in ([1], [1, 2], [3, -1, 2], [2, 2, -3, 1])]
+    got = cyclic_substitute(table, words, 10**9)
+    assert [a.tolist() for a in got] == one_at_a_time(table, words)
+    assert [a.size for a in got] == [w.size for w in words]
