@@ -13,27 +13,41 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
 * a block stack, the default: each block pops what its head cancels off
   the reduced prefix and is appended whole, so long blocks cost one
   `extend` each;
-* vectorized pair deletion for long words over short blocks, where the
-  Python loop would run once per letter: one gather, then passes that
-  delete non-overlapping adjacent inverse pairs until none is left.  A
-  pass peels one layer of every seam at once, so the pass count is the
-  deepest seam cancellation, small for short-image maps.
+* vectorized pair deletion for long words under a table whose blocks
+  all have at most `SHORT_BLOCK` letters, where the Python loop would
+  run once per letter: the blocks are the rows of one zero-padded int8
+  matrix, so the raw image is one row gather with the zeros dropped;
+  then passes delete non-overlapping adjacent inverse pairs until none
+  is left.  A pass peels one layer of every seam at once, so the pass
+  count is the deepest seam cancellation.  A long block can cancel as
+  deep as it is long (a -> a b^k sends a B^k to a b^k B^k), one pass
+  per letter, which is why the regime looks at the longest block of the
+  table and not at the word.
 
 Free reduction is confluent, so both regimes give the same normal form.
 
-An orbit step maps a handful of cyclic words at once, and per word the
-cost is numpy call overhead, not letters.  `cyclic_substitute` therefore
-runs a batch: the words concatenated with a separator letter between
-them, through one `substitute` call, then one set of vectorized
-end-peeling passes that trims every word to the representative
-`cyclic_trim` gives.  The separator is letter R+1 of a rank-R table, the
-slot that is also slot -(R+1); it maps to `SEP`, a letter no generator
-of rank below 127 uses, so neither regime ever cancels it and no word
-cancels into its neighbour.  The budget holds for each word's raw image,
-not for the batch, so batching never moves a cut-off.  A batch takes
-words while its input stays under `BATCH_CAP` letters, and a longer word
-runs alone: long words gain nothing from sharing a call, and an uncapped
-batch would hold the int64 index temporaries of all its words at once.
+An orbit step maps a handful of words at once, and per word the cost is
+numpy call overhead, not letters.  `batch_substitute` therefore runs a
+batch: the words concatenated with a separator letter between them,
+through one `substitute` call; `cyclic_substitute` adds one set of
+vectorized end-peeling passes that trims every word to the
+representative `cyclic_trim` gives.  The separator is letter R+1 of a
+rank-R table, the slot that is also slot -(R+1); it maps to `SEP`, a
+letter no generator of rank below 127 uses, so neither regime ever
+cancels it and no word cancels into its neighbour.  The budget holds
+for each word's raw image, not for the batch, so batching never moves a
+cut-off.  A batch takes words while its input stays under `BATCH_CAP`
+letters, and a longer word runs alone: long words gain nothing from
+sharing a call, and an uncapped batch would hold the temporaries of all
+its words at once.
+
+The conjugacy length of a product u v of reduced words needs no
+product: the seam cancels the common prefix of u^{-1} and v, and the
+ends then peel as the common prefix of u and v^{-1}
+(`product_cyclic_length`).  Both are read by `common_prefix` on
+`Reading`s, which compare windows of the two words as big integers
+built from their bytes, so no Python loop runs per letter and no
+temporary grows past a window, however long the words.
 """
 
 from __future__ import annotations
@@ -46,10 +60,23 @@ DTYPE = np.int8
 # below it numpy's per-call overhead outweighs the per-letter loop.
 SMALL = 192
 
+# Only tables whose blocks all have at most this many letters take the
+# vectorized regime; see the module docstring.
+SHORT_BLOCK = 4
+
 # The letter that separator slots map to, and the input-letter cap of a
 # batch; see the module docstring.
 SEP = 127
 BATCH_CAP = 1 << 15
+
+# A `Reading` keeps the first HEAD letters of a word as bytes and as one
+# integer; `common_prefix` compares windows of WINDOW letters, doubling up
+# to WINDOW_MAX.  NEG maps the byte of each int8 letter to that of its
+# inverse.
+HEAD = 1024
+WINDOW = 64
+WINDOW_MAX = 1 << 20
+NEG = bytes(-x & 0xFF for x in range(256))
 
 
 class WordBudgetExceeded(RuntimeError):
@@ -135,12 +162,18 @@ class ImageTable:
     def __init__(self, images: list[np.ndarray]):
         # images: index i (0-based) holds the image of generator i+1
         self.sep = len(images) + 1
+        self.sep_word = np.array([self.sep], dtype=DTYPE) if self.sep <= SEP else None
         blocks = ([empty()] + list(images) + [np.array([SEP], dtype=DTYPE)]
                   + [invert_array(img) for img in reversed(images)])
         self.lens = np.array([b.size for b in blocks], dtype=np.int64)
-        self.starts = np.zeros(len(blocks), dtype=np.int64)
-        np.cumsum(self.lens[:-1], out=self.starts[1:])
-        self.flat = np.concatenate(blocks)
+        # blocks as the rows of one zero-padded matrix when every block is
+        # short: substituting is then one row gather and dropping the zeros
+        width = int(self.lens.max())
+        self.rows = None
+        if width <= SHORT_BLOCK:
+            self.rows = np.zeros((len(blocks), width), dtype=DTYPE)
+            for row, b in zip(self.rows, blocks):
+                row[:b.size] = b
         # int8 letters as bytes, each block with its letters negated (the
         # letters that cancel them), so the block stack runs on bytearrays
         self.py_blocks = [(b.tobytes(), (-b).tobytes()) for b in blocks]
@@ -153,16 +186,13 @@ class ImageTable:
         WordBudgetExceeded for the first word whose raw image has more
         letters than the budget.
         """
-        lens = self.lens[word]
+        lens = self.lens.take(word)
         total = int(lens.sum())
         if total > budget:
             self._check_budget(word, lens, budget)
-        if total > SMALL and total < 4 * word.size:
-            # output letter j of block k reads flat[starts[word[k]] + j - offset_k]
-            offsets = np.cumsum(lens) - lens
-            src = np.arange(total, dtype=np.int64)
-            src += np.repeat(self.starts[word] - offsets, lens)
-            arr, changed = self.flat[src], True
+        if total > SMALL and self.rows is not None:
+            arr = self.rows.take(word, axis=0).ravel()
+            arr, changed = arr.compress(arr != 0), True
             while changed:
                 arr, changed = _delete_pairs_pass(arr)
             return arr
@@ -224,9 +254,10 @@ def _trim_segments(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
     return i, j
 
 
-def cyclic_substitute(table: ImageTable, words: list, budget: int) -> list:
-    """Cyclically reduced images of reduced words, one `substitute` call
-    per batch of consecutive words (see the module docstring).
+def _separated(table: ImageTable, words: list, budget: int):
+    """Substitute reduced words in separated batches (see the module
+    docstring): yields, per batch, the reduced images of its words with
+    `SEP` between them, and the positions of those separators.
 
     Words of rank 127 leave no letter for the separator and run alone.
     Raises WordBudgetExceeded for the first word, in input order, whose
@@ -240,16 +271,118 @@ def cyclic_substitute(table: ImageTable, words: list, budget: int) -> list:
             size = 0
         batches[-1].append(w)
         size += w.size + 1
-    out = []
     for batch in batches:
         if len(batch) == 1:
-            arr = table.substitute(batch[0], budget)
-            cuts = np.empty(0, dtype=np.int64)
-        else:
-            parts = [np.array([table.sep], dtype=DTYPE)] * (2 * len(batch) - 1)
-            parts[::2] = batch
-            arr = table.substitute(np.concatenate(parts), budget)
-            cuts = np.flatnonzero(arr == SEP)
-        i, j = _trim_segments(arr, np.concatenate(([0], cuts + 1)), np.append(cuts, arr.size))
+            yield table.substitute(batch[0], budget), []
+            continue
+        parts = [table.sep_word] * (2 * len(batch) - 1)
+        parts[::2] = batch
+        arr = table.substitute(np.concatenate(parts), budget)
+        yield arr, np.flatnonzero(arr == SEP).tolist()
+
+
+def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
+    """Reduced images of reduced words, one `substitute` call per batch."""
+    out = []
+    for arr, cuts in _separated(table, words, budget):
+        out += [arr[a + 1:b] for a, b in zip([-1] + cuts, cuts + [arr.size])]
+    return out
+
+
+def cyclic_substitute(table: ImageTable, words: list, budget: int) -> list:
+    """Cyclically reduced images of reduced words, one `substitute` call
+    per batch and one set of trim passes per batch."""
+    out = []
+    for arr, cuts in _separated(table, words, budget):
+        i, j = _trim_segments(arr, np.array([0] + [c + 1 for c in cuts]),
+                              np.array(cuts + [arr.size]))
         out += [arr[a:b] for a, b in zip(i.tolist(), j.tolist())]
     return out
+
+
+class Reading:
+    """A reduced word read as itself or, with `inverse`, as its inverse.
+
+    Its first HEAD letters are kept as bytes, and as one big-endian
+    integer for `common_prefix`; so for most words every window is a
+    slice of bytes, and the rest of a long word is read on demand.
+    """
+
+    __slots__ = ("word", "inverse", "size", "head", "head_bytes", "head_size")
+
+    def __init__(self, word: np.ndarray, inverse: bool = False):
+        n = word.size
+        h = n if n < HEAD else HEAD
+        self.word, self.inverse, self.size, self.head_size = word, inverse, n, h
+        if inverse:
+            self.head_bytes = word[n - h:].tobytes()[::-1].translate(NEG)
+        else:
+            self.head_bytes = word[:h].tobytes()
+        self.head = int.from_bytes(self.head_bytes, "big")
+
+    def window(self, a: int, b: int) -> bytes:
+        """Letters a..b-1 of the reading, as bytes."""
+        if b <= self.head_size:
+            return self.head_bytes[a:b]
+        if self.inverse:
+            n = self.size
+            return self.word[n - b:n - a].tobytes()[::-1].translate(NEG)
+        return self.word[a:b].tobytes()
+
+
+def common_prefix(x: Reading, y: Reading, cap: int, i: int = 0, j: int = 0) -> int:
+    """Length of the longest common prefix of x from its letter i and y
+    from its letter j, up to cap letters; cap takes neither past its end.
+
+    Windows are compared as big-endian integers: the highest set bit of
+    their xor lies in the first byte where they differ.  From the start
+    of both readings the first window is their heads.  A window that
+    matches whole doubles, up to WINDOW_MAX letters, so the work is
+    linear in the prefix and no temporary outgrows a window.
+    """
+    p = d = 0
+    if not (i or j):
+        p = min(cap, x.head_size, y.head_size)
+        d = (x.head >> 8 * (x.head_size - p)) ^ (y.head >> 8 * (y.head_size - p))
+    w = WINDOW
+    while not d and p < cap:
+        q = min(p + w, cap)
+        d = (int.from_bytes(x.window(i + p, i + q), "big")
+             ^ int.from_bytes(y.window(j + p, j + q), "big"))
+        p, w = q, min(2 * w, WINDOW_MAX)
+    return p - (d.bit_length() + 7) // 8
+
+
+def cyclic_length(u: Reading, u_inv: Reading) -> int:
+    """Length of the cyclically reduced conjugate of a reduced word, given
+    as its two readings.
+
+    The ends peeled are the common prefix of u and its inverse, which
+    stops short of the middle of a reduced word.
+    """
+    return u.size - 2 * common_prefix(u, u_inv, u.size // 2)
+
+
+def product_cyclic_length(u: Reading, u_inv: Reading, v: Reading, v_inv: Reading) -> int:
+    """Cyclic length of the reduced product u v of two reduced words,
+    each given as a reading and its inverse, without forming it.
+
+    The seam cancels the common prefix of u^{-1} and v, leaving w = u'v'
+    with u' the first a letters of u and v' the last b of v.  Letter p
+    of w^{-1} is letter p of v^{-1} for p < b, and letter p of w is
+    letter p of u for p < a, so the ends of w peel as the common prefix
+    of u and v^{-1} until one piece is used up.  Past that the peel
+    runs inside the rest of the longer piece, a segment of u or v,
+    which is the cyclic trim of that segment.
+    """
+    k = common_prefix(u_inv, v, min(u.size, v.size))
+    a, b = u.size - k, v.size - k
+    c = min(a, b)
+    t = common_prefix(u, v_inv, c)
+    if t < c:
+        return a + b - 2 * t
+    if a <= b:
+        # w peeled by a is v[k:k+b-a], whose inverse is v^{-1}[a:]
+        return b - a - 2 * common_prefix(v, v_inv, (b - a) // 2, k, a)
+    # w peeled by b is u[b:a], whose inverse is u^{-1}[k:]
+    return a - b - 2 * common_prefix(u, u_inv, (a - b) // 2, b, k)

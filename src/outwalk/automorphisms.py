@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable, cyclic_substitute
+from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_substitute
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
     CyclicWord,
@@ -34,6 +34,7 @@ __all__ = [
     "Automorphism",
     "InverseCheckError",
     "apply",
+    "images",
     "cyclic_images",
     "compose",
     "invert",
@@ -116,6 +117,20 @@ def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
         raise ValueError("rank mismatch")
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
     return Word._wrap(phi._table.substitute(w.letters, b), w.rank)
+
+
+def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
+    """Reduced images of the words under phi, as `apply` gives them one
+    at a time, from one kernel call per batch
+    (`_wordkernel.batch_substitute`).  Raises WordBudgetExceeded for the
+    first word, in input order, whose substitution needs more letters
+    than the budget.
+    """
+    r = phi.rank
+    if any(w.rank != r for w in words):
+        raise ValueError("rank mismatch")
+    b = DEFAULT_LETTER_BUDGET if budget is None else budget
+    return [Word._wrap(a, r) for a in batch_substitute(phi._table, [w.letters for w in words], b)]
 
 
 def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:

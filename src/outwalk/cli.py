@@ -5,8 +5,8 @@
     outwalk summarize --in <file> --out <file>
 
 Exit codes: 0 success, 2 validation or schema error (an output path
-that cannot be written included, refused before the run starts), 3
-budget exhausted everywhere.  CSV schema (exact):
+that cannot be written included, refused before the run or the
+aggregation starts), 3 budget exhausted everywhere.  CSV schema (exact):
 experiment,path_id,n,estimator,value,status.  The resolved config is
 embedded as `# key = value` comment lines and the run metadata as
 `# meta.<key> = <JSON value>` lines; the timestamp lives in its own
@@ -162,8 +162,14 @@ def summarize(in_path: str, out_path: str) -> int:
     interval uses batch means over paths in path_id order: split the P
     values into B = floor(sqrt(P)) batches of floor(P/B), and take
     mean +- 1.96 * stdev(batch means) / sqrt(B).  With fewer than four
-    paths the interval is left empty.
+    paths the interval is left empty.  An output path that cannot be
+    written is refused before the input is read.
     """
+    try:
+        _check_out(out_path)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     records: dict = {}
     try:
         with open(in_path) as fh:

@@ -12,10 +12,16 @@ The candidate loops on a rose are the petals and the figure eights; the
 optimal stretch is always attained on one of them (Francaviglia-Martino,
 Metric properties of Outer space, 2011), which the test suite checks
 against brute force over all short cyclic words.  So dist needs only
-the N^2 cyclically reduced candidate images, never theta itself:
-`log_stretch` turns any such images into the exact maximal ratio, and
-the estimators that follow a walk or a power orbit feed it the images
-they track with `automorphisms.cyclic_images`, without composing maps.
+the conjugacy lengths of the N^2 candidate images, and those need only
+the N generator images theta(x_i): a petal x_i is the cyclic trim of
+theta(x_i), a figure eight x_i x_j^{+-1} the seam between theta(x_i)
+and theta(x_j)^{+-1}, then the trim (`candidate_lengths`).  `dist`
+reads them off theta.images, and the drift estimator off the generator
+images it tracks along a walk.  `log_stretch` turns candidate lengths
+into the exact maximal ratio; estimators that push the candidate loops
+themselves through several maps (`orbit_dist`, the stretch brackets)
+feed it the lengths of the images they track with
+`automorphisms.cyclic_images`, without composing maps.
 
 The metric is asymmetric; Gromov products and the four-point
 hyperbolicity diagnostic use the symmetrized version
@@ -30,13 +36,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .free_group import CyclicWord, WordBudgetExceeded
+from ._wordkernel import Reading, cyclic_length, product_cyclic_length
+from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
 from .automorphisms import Automorphism, cyclic_images, invert
 
 __all__ = [
     "CandidateSet",
     "FiniteMetricSample",
     "candidates",
+    "candidate_lengths",
     "log_stretch",
     "dist",
     "orbit_dist",
@@ -74,15 +82,34 @@ def candidates(rank: int) -> CandidateSet:
     return CandidateSet(rank, tuple(loops))
 
 
-def log_stretch(loops, images) -> float:
-    """log of the largest conjugacy length ratio |image| / |loop|, at least 0.
+def candidate_lengths(images) -> list:
+    """Conjugacy lengths |theta(c)| of the candidate loops c, in the order
+    of `candidates`, from the reduced generator images images[i] = theta(x_i).
 
-    images[i] is the image of loops[i]; ratios are compared exactly in
-    integers, so the result is the same float however it is reached.
+    A petal x_i is the cyclic trim of theta(x_i); a figure eight
+    x_i x_j^{+-1} is the seam between theta(x_i) and theta(x_j)^{+-1},
+    then the trim, both read off the images without forming the product
+    (`_wordkernel.product_cyclic_length`).
+    """
+    readings = [(Reading(w.letters), Reading(w.letters, True)) for w in images]
+    out = [cyclic_length(u, u_inv) for u, u_inv in readings]
+    for i, (u, u_inv) in enumerate(readings):
+        for v, v_inv in readings[i + 1:]:
+            out += [product_cyclic_length(u, u_inv, v, v_inv),
+                    product_cyclic_length(u, u_inv, v_inv, v)]
+    return out
+
+
+def log_stretch(loops, lengths) -> float:
+    """log of the largest ratio lengths[i] / |loops[i]|, at least 0.
+
+    lengths[i] is the conjugacy length of the image of loops[i]; ratios
+    are compared exactly in integers, so the result is the same float
+    however it is reached.
     """
     best_num, best_den = 1, 1
-    for c, img in zip(loops, images):
-        num, den = len(img), len(c)
+    for c, num in zip(loops, lengths):
+        den = len(c)
         if num * best_den > best_num * den:
             best_num, best_den = num, den
     return math.log(best_num / best_den)
@@ -92,9 +119,18 @@ def dist(theta: Automorphism, *, budget: int | None = None) -> float:
     """Orbit distance d(R, R.theta): log of the maximal candidate stretch.
 
     Zero exactly when theta permutes the generators up to inversion.
+    Raises WordBudgetExceeded for the first candidate, in loop order,
+    whose raw image, the sum of |theta(x)| over its letters x, has more
+    letters than the budget.
     """
     loops = candidates(theta.rank).loops
-    return log_stretch(loops, cyclic_images(theta, loops, budget=budget))
+    sizes = [len(w) for w in theta.images]
+    b = DEFAULT_LETTER_BUDGET if budget is None else budget
+    for c in loops:
+        raw = sum(sizes[abs(x) - 1] for x in c.as_tuple())
+        if raw > b:
+            raise WordBudgetExceeded(raw, b)
+    return log_stretch(loops, candidate_lengths(theta.images))
 
 
 def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:
@@ -107,7 +143,7 @@ def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = Non
     pushed through phi and then through psi^{-1}."""
     loops = candidates(phi.rank).loops
     images = cyclic_images(phi, loops, budget=budget)
-    return log_stretch(loops, cyclic_images(invert(psi), images, budget=budget))
+    return log_stretch(loops, map(len, cyclic_images(invert(psi), images, budget=budget)))
 
 
 def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
@@ -196,11 +232,12 @@ class FiniteMetricSample:
                 back, words = [], loops
                 for t in reversed(seen):
                     words = cyclic_images(t, words, budget=budget)
-                    back.append(log_stretch(loops, words))
+                    back.append(log_stretch(loops, map(len, words)))
             except WordBudgetExceeded:
                 break
             d = np.pad(d, (0, 1))
-            d[-1, :-1] = d[:-1, -1] = [log_stretch(loops, w) + b for w, b in zip(carried, back[::-1])]
+            d[-1, :-1] = d[:-1, -1] = [log_stretch(loops, map(len, w)) + b
+                                       for w, b in zip(carried, back[::-1])]
         return cls(tuple(str(i) for i in range(len(d))), d)
 
     def __len__(self) -> int:

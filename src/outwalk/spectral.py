@@ -77,7 +77,7 @@ def stretch_upper(phi: Automorphism, k: int, *, budget: int | None = None) -> fl
     images = loops
     for _ in range(k):
         images = cyclic_images(phi, images, budget=budget)
-    return log_stretch(loops, images) / k
+    return log_stretch(loops, map(len, images)) / k
 
 
 def stretch_lower(phi: Automorphism) -> float:
@@ -160,7 +160,7 @@ def bracket(
     k, ratios, prev = 0, None, None
     for k, (images, step_ratios) in enumerate(_orbit(phi, loops, steps, budget), 1):
         if k <= k_max:
-            upper = min(upper, log_stretch(loops, images) / k)
+            upper = min(upper, log_stretch(loops, map(len, images)) / k)
         prev, ratios = ratios, step_ratios
     point, converged = _point(ratios, prev, k == steps)
     return StretchBracket(lower, upper, point, min(k, k_max), converged)

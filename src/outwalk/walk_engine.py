@@ -6,22 +6,26 @@ dist(Phi_n^{-1}).
 
 Every multi-path kind is a row source: path_rows(path_id) yields
 (n, [(estimator, value, status), ...]) once for every completed step.
-Drift and conjugacy growth run over `_inverse_orbit`, which tracks the
-candidate loops or the seed classes g under the inverse increments,
-Phi_n^{-1}(g) = s_n^{-1}(Phi_{n-1}^{-1}(g)), cyclically reduced, since
-conjugacy length is a class function; they never form Phi_n.  Brackets
-and Gromov products need the maps: they are per-record functions over
-`_scheduled_walk`, a `WalkPath` that composes Phi_{n+1} = Phi_n s_{n+1}
-once per step and yields no rows off the geometric schedule.  The
-matrix kinds run over `guivarch_series` and `vector_growth`.
+Drift and conjugacy growth run over `_inverse_orbit`, which tracks
+words under the inverse increments, Phi_n^{-1}(w) =
+s_n^{-1}(Phi_{n-1}^{-1}(w)), with one batched substitution per step;
+they never form Phi_n.  Drift tracks the N reduced generator images
+Phi_n^{-1}(x_i) and reads the candidate lengths off them
+(`outer_metric.candidate_lengths`); conjugacy growth tracks the seed
+classes g, cyclically reduced, since conjugacy length is a class
+function.  Brackets and Gromov products need the maps: they are
+per-record functions over `_scheduled_walk`, a `WalkPath` that composes
+Phi_{n+1} = Phi_n s_{n+1} once per step and yields no rows off the
+geometric schedule.  The matrix kinds run over `guivarch_series` and
+`vector_growth`.
 
 The driver `_series` alone applies the cut-off rule, the merge order
 and the summaries.  A path is cut off at the first step at which one
-substitution, of a tracked word or into the composed product, needs
-more letters than the letter budget, or a matrix entry more bits than
-the bit budget; it then ends in a row with estimator "truncated_at",
-value the last completed step and status "truncated", never silently
-dropped.  A budget hit inside one bracket or Gromov record marks only
+substitution, of a tracked word (for drift, a generator image) or into
+the composed product, needs more letters than the letter budget, or a
+matrix entry more bits than the bit budget; it then ends in a row with
+estimator "truncated_at", value the last completed step and status
+"truncated", never silently dropped.  A budget hit inside one bracket or Gromov record marks only
 that record.  Paths are independent tasks keyed by (master_seed,
 path_id); results are merged in path order, so the worker count never
 changes output bytes.  `delta_experiment` reads one orbit segment as a
@@ -37,12 +41,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import WordBudgetExceeded, least_rotation, word_to_str
+from .free_group import Word, WordBudgetExceeded, least_rotation, word_to_str
 from .automorphisms import (
     Automorphism,
     compose,
     cyclic_images,
     identity_automorphism,
+    images,
     invert,
 )
 from .matrix_oracle import (
@@ -52,8 +57,8 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import (FiniteMetricSample, candidates, four_point_delta, gromov_product,
-                           log_stretch)
+from .outer_metric import (FiniteMetricSample, candidate_lengths, candidates, four_point_delta,
+                           gromov_product, log_stretch)
 from .spectral import bracket
 from .rng import categorical, cumulative, path_generator
 
@@ -300,16 +305,17 @@ def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
     return EstimateSeries(kind, rows, {"n_max": n_max, "paths": paths, **metadata})
 
 
-def _inverse_orbit(measure, master_seed, words, record, *, n_max, budget):
-    """Row source over Phi_n^{-1}(words), cyclically reduced: step n
+def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
+    """Row source over the images of words under Phi_n^{-1}: step n maps
+    the images of step n-1 by step(s_n^{-1}, images, budget=budget) and
     yields record(n, images).  A substitution over the budget raises."""
     inverses = [invert(a) for a in measure.support]
 
     def path_rows(pid: int):
-        images = words
+        tracked = words
         for n, idx in enumerate(islice(_increments(measure, master_seed, pid), n_max), 1):
-            images = cyclic_images(inverses[idx], images, budget=budget)
-            yield n, record(n, images)
+            tracked = step(inverses[idx], tracked, budget=budget)
+            yield n, record(n, tracked)
 
     return path_rows
 
@@ -345,13 +351,23 @@ def drift_experiment(
     letter_budget: int | None = None,
     threads: int = 1,
 ) -> EstimateSeries:
-    """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator)."""
-    loops = candidates(measure.rank).loops
+    """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator).
 
-    def record(n, images):
-        return [("drift", log_stretch(loops, images) / n, "ok")]
+    The path tracks the N reduced generator images Phi_n^{-1}(x_i), one
+    batched substitution per step, and reads the candidate lengths off
+    them (`outer_metric.candidate_lengths`).  It is cut off at the first
+    step at which substituting one of those images needs more letters
+    than the letter budget.
+    """
+    rank = measure.rank
+    loops = candidates(rank).loops
+    gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
-    source = _inverse_orbit(measure, master_seed, loops, record, n_max=n_max, budget=letter_budget)
+    def record(n, tracked):
+        return [("drift", log_stretch(loops, candidate_lengths(tracked)) / n, "ok")]
+
+    source = _inverse_orbit(measure, master_seed, gens, images, record,
+                            n_max=n_max, budget=letter_budget)
     return _series("drift", source, ["drift"], {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
 
@@ -374,10 +390,11 @@ def conjugacy_growth_experiment(
         raise ValueError(f"seed classes repeat: {[word_to_str(g) for g in seeds]}")
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
 
-    def record(n, images):
-        return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, images)]
+    def record(n, tracked):
+        return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
 
-    source = _inverse_orbit(measure, master_seed, seeds, record, n_max=n_max, budget=letter_budget)
+    source = _inverse_orbit(measure, master_seed, seeds, cyclic_images, record,
+                            n_max=n_max, budget=letter_budget)
     return _series("conjugacy", source, names,
                    {"master_seed": master_seed, "seeds": [word_to_str(g) for g in seeds]},
                    n_max=n_max, paths=paths, threads=threads)

@@ -16,6 +16,7 @@ from outwalk.automorphisms import (
     automorphism_to_str,
     compose,
     cyclic_images,
+    images,
     identity_automorphism,
     inversion,
     invert,
@@ -282,6 +283,28 @@ def test_cyclic_images_budget_is_per_word(walk_inverses, data, seed):
         assert err.value.needed == want.value.needed == over[0]
     else:
         assert cyclic_images(phi, words, budget=budget) == one_at_a_time(phi, words, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), count=st.sampled_from([0, 1, 3, 9]), seed=st.integers(0, 2**32))
+def test_images_equal_apply_one_word_at_a_time(niel, walk_inverses, data, count, seed):
+    # the reduced (not cyclically reduced) images drift tracks, batched;
+    # the budget holds per word, the first word over it raising
+    phi = data.draw(st.sampled_from(list(niel.support) + walk_inverses))
+    sizes = data.draw(st.lists(word_sizes if phi in niel.support else st.integers(0, 40),
+                               min_size=count, max_size=count))
+    words = [random_cyclic(seed + k, size).as_word() for k, size in enumerate(sizes)]
+    assert images(phi, words) == [apply(phi, w) for w in words]
+    totals = [int(phi._table.lens[w.letters].sum()) for w in words]
+    if totals:
+        budget = data.draw(st.integers(min(totals) - 1, max(totals)))
+        over = [t for t in totals if t > budget]
+        if over:
+            with pytest.raises(WordBudgetExceeded) as err:
+                images(phi, words, budget=budget)
+            assert err.value.needed == over[0]
+        else:
+            assert images(phi, words, budget=budget) == [apply(phi, w) for w in words]
 
 
 def test_cyclic_images_in_rank_127():

@@ -122,9 +122,11 @@ def test_metadata_round_trips_through_comment_lines(tmp_path, monkeypatch, niel,
     assert lines.index(CSV_HEADER) == sum(line.startswith("#") for line in lines)
 
 
-def test_exit_3_when_every_path_is_cut_off(tmp_path):
+def test_exit_3_when_every_path_is_cut_off(tmp_path, niel):
+    # every NIEL move maps one generator to two letters, and drift tracks
+    # all three generator images, so no path completes a step
     rc, out = run_config(tmp_path, "kind = drift\nn_max = 4\npaths = 3\nletter_budget = 1\n"
-                         + F3_LINES)
+                         + measure_lines(niel))
     assert rc == 3
     assert all(rows == [(0, "truncated")] for rows in per_path_rows(out).values())
 
@@ -203,6 +205,20 @@ def test_summarize_leaves_non_finite_ok_values_out(tmp_path):
         "spectral,2,spectral.lower,0.5833333333333334,0.5,,,3",
         "spectral,2,spectral.upper,1.0,1.0,,,1",
     ]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_summarize_refuses_unwritable_out_before_aggregating(tmp_path, monkeypatch, capsys,
+                                                             where):
+    def aggregate(*args, **kwargs):
+        raise AssertionError("the series was aggregated")
+
+    monkeypatch.setattr(cli, "ok_values", aggregate)
+    series = tmp_path / "series.csv"
+    series.write_text(CSV_HEADER + "\ndrift,0,1,drift,0.5,ok\n")
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "y.csv"
+    assert main(["summarize", "--in", str(series), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: cannot write")
 
 
 def body(out_path) -> str:

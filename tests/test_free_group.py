@@ -107,9 +107,8 @@ def test_vectorized_reduce_matches_stack_on_long_words():
 
 
 def test_telescoping_reduction():
-    # a -> a b^k sends a B^k to a b^k B^k = a: the one seam cancels k deep,
-    # so the vectorized regime runs k passes; a B A telescopes through
-    # three long blocks in the block stack
+    # a -> a b^k sends a B^k to a b^k B^k = a: the one seam cancels k deep;
+    # a B A telescopes through three long blocks in the block stack
     k = 3000
     table = ImageTable([np.array([1] + [2] * k, dtype=np.int8), np.array([2], dtype=np.int8)])
     assert table.substitute(np.array([1] + [-2] * k, dtype=np.int8), 10**6).tolist() == [1]

@@ -62,7 +62,7 @@ DIGESTS = {
     "delta-cut": "c72b9fd54fdd8fb507cccfc7aca6be97c70a50df8a230c8295083b280823f87d",
     "distance": "27689480723d43ece157fff8b9d30bab88e58b5ee9cd5f698aaaa745e5badf34",
     "drift": "3ebb7a0c2049b05a321ed4b9f820e99f0b6a2569f5c37d2a38ed41f10a4df8e5",
-    "drift-cut": "a468b5a6e3dd3fac19a19ed5f8ad19a7eb03139cddcbe51bba158b412ff400fd",
+    "drift-cut": "b7451677266f9da2861b6b958bbe81d00e3f7c453dbac04f3a15cd55a4d7fde6",
     "gromov": "36745266139ace089e6c22acebd72b6b854954228713978779067bfe72d178a7",
     "gromov-cut": "553f511481b87a4c539c101fb6324d703c35033e9ce6f7e0b51f226cfac73899",
     "matrix-furstenberg": "e5daf769526510307977b17f6944f87a0bb53e6a5a755ac6107a0b6ed728e9e5",

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, reduce
 from outwalk.automorphisms import (
+    Automorphism,
     compose,
+    cyclic_images,
     identity_automorphism,
     inversion,
     invert,
@@ -21,6 +23,7 @@ from outwalk.automorphisms import (
 )
 from outwalk.outer_metric import (
     FiniteMetricSample,
+    candidate_lengths,
     candidates,
     dist,
     four_point_delta,
@@ -29,6 +32,7 @@ from outwalk.outer_metric import (
     orbit_dist,
     sym_dist,
 )
+from outwalk.walk_engine import sample_path
 
 TWIST = parse_automorphism("a->ab; b->b | a->aB; b->b")
 
@@ -111,6 +115,84 @@ def test_dist_zero_iff_signed_permutation():
     assert dist(permutation(2, [2, 1], signs=[-1, 1])) == 0.0
     assert dist(inversion(3, 2)) == 0.0
     assert dist(TWIST) > math.log(2) - 1e-12
+
+
+def substituted_lengths(theta, budget=None) -> list:
+    """Candidate lengths by substituting every candidate loop: the reference."""
+    return [len(w) for w in cyclic_images(theta, candidates(theta.rank).loops, budget=budget)]
+
+
+def conjugation(g: list, rank: int) -> Automorphism:
+    """x -> g x g^{-1}, with inverse x -> g^{-1} x g."""
+    g_inv = [-x for x in reversed(g)]
+    gens = range(1, rank + 1)
+    return Automorphism(tuple(reduce(g + [i] + g_inv, rank) for i in gens),
+                        tuple(reduce(g_inv + [i] + g, rank) for i in gens), rank)
+
+
+def random_letters(seed: int, size: int, rank: int) -> list:
+    rng = np.random.default_rng(seed)
+    return (rng.integers(1, rank + 1, size) * rng.choice([-1, 1], size)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda rank: products(rank, 8)))
+def test_candidate_lengths_on_nielsen_moves(theta):
+    assert candidate_lengths(theta.images) == substituted_lengths(theta)
+
+
+@pytest.fixture(scope="module")
+def walk_inverses_16_32_44(niel):
+    """Phi_n^{-1} of NIEL walks at n = 16, 32 and 44; the longest images
+    pass a few thousand letters."""
+    return [inv for pid in range(4) for n, _, inv in sample_path(niel, 9, pid, 44)
+            if n in (16, 32, 44)]
+
+
+def test_candidate_lengths_on_walk_inverses(walk_inverses_16_32_44):
+    assert max(len(w) for inv in walk_inverses_16_32_44 for w in inv.images) > 2048
+    for inv in walk_inverses_16_32_44:
+        assert candidate_lengths(inv.images) == substituted_lengths(inv)
+
+
+# conjugator sizes around the first window and the head of a reading
+conjugator_sizes = st.one_of(st.integers(0, 8), st.integers(60, 70), st.integers(1018, 1030),
+                             st.integers(2000, 4200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=conjugator_sizes, seed=st.integers(0, 2**32))
+def test_candidate_lengths_on_conjugations(data, size, seed):
+    # u_i = g x_i g^{-1}: seams cancel all of g, and the peel of a figure
+    # eight runs past the end of a piece whenever g ends in x_j^{+-1}
+    rank = data.draw(st.integers(2, 4))
+    inner = conjugation(random_letters(seed, size, rank), rank)
+    for theta in (inner, compose(inner, data.draw(products(rank))),
+                  compose(data.draw(products(rank)), inner)):
+        assert candidate_lengths(theta.images) == substituted_lengths(theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), size=conjugator_sizes, seed=st.integers(0, 2**32))
+def test_dist_budget_matches_the_substitution_route(data, size, seed):
+    # the raw size of a candidate is the sum of |theta(x)| over its
+    # letters; dist raises for the first candidate over the budget with
+    # the needed count that substituting the candidates raises with
+    rank = data.draw(st.integers(2, 4))
+    theta = compose(conjugation(random_letters(seed, size, rank), rank),
+                    data.draw(products(rank)))
+    loops = candidates(rank).loops
+    largest = max(sum(len(theta.images[abs(x) - 1]) for x in c.as_tuple()) for c in loops)
+    for budget in (largest - 1, largest, largest + 1):
+        if budget < largest:
+            with pytest.raises(WordBudgetExceeded) as err:
+                dist(theta, budget=budget)
+            with pytest.raises(WordBudgetExceeded) as want:
+                substituted_lengths(theta, budget)
+            assert (err.value.needed, err.value.budget) == (want.value.needed, budget)
+        else:
+            want = max(n / len(c) for n, c in zip(substituted_lengths(theta, budget), loops))
+            assert dist(theta, budget=budget) == math.log(max(1, want))
 
 
 @settings(max_examples=60)

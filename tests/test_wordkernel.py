@@ -1,8 +1,10 @@
 """`ImageTable.substitute` in both of its regimes against `stack_reduce`,
-and `cyclic_substitute`, its batched orbit step, against one word at a time.
+`cyclic_substitute`, its batched orbit step, against one word at a time,
+and the cyclic lengths of products, read by `common_prefix`, against the
+stack reduction of the product.
 
-The block stack takes words whose images have long blocks, the
-vectorized pair deletion long words over short blocks; every case here
+The block stack takes words under tables with a long block, the
+vectorized pair deletion long words under tables of short blocks; every case here
 compares the result with the stack reduction of the raw concatenation
 of image blocks.  A batch must give each word the image it gets alone,
 hold the budget per word, and never let its separator out.
@@ -13,13 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outwalk import _wordkernel
 from outwalk._wordkernel import (
     BATCH_CAP,
+    HEAD,
     SMALL,
+    WINDOW,
     ImageTable,
+    Reading,
     WordBudgetExceeded,
+    common_prefix,
+    cyclic_length,
     cyclic_substitute,
     cyclic_trim,
+    product_cyclic_length,
     stack_reduce,
 )
 from outwalk.automorphisms import compose
@@ -144,6 +153,23 @@ def test_few_long_blocks_telescope():
         assert ImageTable(images).substitute(np.array(word, dtype=np.int8), 10**9).size == 3
 
 
+def test_long_blocks_never_take_pair_deletion(monkeypatch):
+    # a -> a b^k, b -> b sends a B^k to a b^k B^k = a: one seam k deep,
+    # which pair deletion peels one layer per pass; a table with a block
+    # past SHORT_BLOCK letters takes the block stack whatever the word
+    k = 10_000
+    passes = []
+    delete_pairs = _wordkernel._delete_pairs_pass
+
+    def counted(arr):
+        passes.append(arr.size)
+        return delete_pairs(arr)
+
+    monkeypatch.setattr(_wordkernel, "_delete_pairs_pass", counted)
+    check(letters([1] + [2] * k, [2]), np.array([1] + [-2] * k, dtype=np.int8))
+    assert len(passes) <= 2
+
+
 def one_at_a_time(table, words, budget=10**9) -> list:
     return [cyclic_trim(table.substitute(w, budget)).tolist() for w in words]
 
@@ -216,3 +242,55 @@ def test_batch_trims_deep_conjugates(depth):
     got = cyclic_substitute(table, words, 10**9)
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
     assert [a.size for a in got] == [w.size for w in words]
+
+
+@pytest.mark.parametrize("shared", [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW,
+                                    HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
+def test_common_prefix_across_window_edges(shared):
+    # u = p x s and v = p y t with x != y: the prefix is p in either
+    # reading, from the start or from any offset into p, at any cap
+    p = random_reduced(shared, shared).tolist()
+    x = 1 if not p or abs(p[-1]) != 1 else 2
+    u = np.array(p + [x] + random_reduced(1, 2 * HEAD).tolist(), dtype=np.int8)
+    v = np.array(p + [-x] + random_reduced(2, 50).tolist(), dtype=np.int8)
+    assert stack_reduce(u.tolist()) == u.tolist() and stack_reduce(v.tolist()) == v.tolist()
+    pu, pv = Reading(u), Reading(v)
+    for cap in (shared - 1, shared, shared + 1, v.size):
+        if cap >= 0:
+            assert common_prefix(pu, pv, cap) == min(shared, cap)
+    # the inverse words, read as their inverses, are u and v again
+    iu = Reading(np.array(u[::-1] * -1), True)
+    iv = Reading(np.array(v[::-1] * -1), True)
+    assert common_prefix(iu, iv, v.size) == shared
+    for offset in {0, shared // 2, shared}:
+        assert common_prefix(pu, pv, v.size - offset, offset, offset) == shared - offset
+
+
+def product_by_stack(u, v) -> int:
+    return len(cyclic_trim(np.array(stack_reduce(u.tolist() + v.tolist()), dtype=np.int8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), sizes=st.lists(st.integers(0, 3 * HEAD), min_size=4,
+                                                  max_size=4),
+       shape=st.sampled_from(["free", "shared head", "v ends in u", "u ends in v^-1"]))
+def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
+    # shared heads and tails make the seam and the peel long, and one
+    # piece running out sends the peel into the rest of the other
+    c, s, t, r = (random_reduced(seed + k, n).tolist() for k, n in enumerate(sizes))
+    if shape == "free":
+        u, v = s, t
+    elif shape == "shared head":
+        u, v = c + s, c + t
+    elif shape == "v ends in u":
+        u, v = s, c + s
+    else:
+        u, v = c + r, [-x for x in reversed(r)]
+    u = np.array(stack_reduce(u), dtype=np.int8)
+    v = np.array(stack_reduce(v), dtype=np.int8)
+    v_inv = np.array(v[::-1] * -1)
+    pu, pu_inv, pv, pv_inv = Reading(u), Reading(u, True), Reading(v), Reading(v, True)
+    assert cyclic_length(pu, pu_inv) == len(cyclic_trim(u))
+    assert product_cyclic_length(pu, pu_inv, pv, pv_inv) == product_by_stack(u, v)
+    assert product_cyclic_length(pu, pu_inv, pv_inv, pv) == product_by_stack(u, v_inv)
+    assert product_cyclic_length(pv, pv_inv, pu, pu_inv) == product_by_stack(v, u)
