@@ -32,7 +32,7 @@ from .outer_metric import (
     log_stretch,
     sym_dist,
 )
-from .spectral import StretchBracket, bracket, stretch_lower, stretch_ratio, stretch_upper
+from .spectral import StretchBracket, bracket, stretch_lower, stretch_ratio
 from .matrix_oracle import (
     BitBudgetExceeded,
     IntMatrix,

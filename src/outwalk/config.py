@@ -142,6 +142,8 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("out: must be one line without surrounding whitespace")
     if not cfg.gens:
         raise ConfigError("gen.0.*: at least one measure atom is required")
+    if cfg.kind in SINGLE_KINDS and len(cfg.gens) > 1:
+        raise ConfigError(f"gen.1: a {cfg.kind} config takes one map, gen.0 only")
     if cfg.kind in MATRIX_KINDS:
         if cfg.dim is None:
             raise ConfigError("dim: required for matrix experiments")
@@ -170,6 +172,8 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("vector: required for matrix-furstenberg")
         if len(cfg.vector) != cfg.dim or not any(cfg.vector):
             raise ConfigError("vector: must be a nonzero vector of length dim")
+    if cfg.k_max is not None and cfg.k_max < 1:
+        raise ConfigError("k_max: must be >= 1")
     if cfg.kind == "stretch" and cfg.k_max is not None and cfg.k_max < 2:
         raise ConfigError("k_max: must be >= 2 for stretch brackets")
     if cfg.k_max is None:

@@ -5,8 +5,8 @@ dist(theta) = log max over candidate loops c of |theta(c)| / |c|, where
 |.| is conjugacy length: this is the stretch of the optimal map from the
 unit rose to the rose remarked by theta (covolume normalization cancels
 in the ratio).  With the left action Phi . y0 = R . Phi^{-1}, pairwise
-orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi): two-step
-candidate orbits, through Phi and then Psi^{-1} (`orbit_dist`).
+orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi): the
+generator images of Phi substituted through Psi^{-1} (`orbit_dist`).
 
 The candidate loops on a rose are the petals and the figure eights; the
 optimal stretch is always attained on one of them (Francaviglia-Martino,
@@ -15,13 +15,12 @@ against brute force over all short cyclic words.  So dist needs only
 the conjugacy lengths of the N^2 candidate images, and those need only
 the N generator images theta(x_i): a petal x_i is the cyclic trim of
 theta(x_i), a figure eight x_i x_j^{+-1} the seam between theta(x_i)
-and theta(x_j)^{+-1}, then the trim (`candidate_lengths`).  `dist`
-reads them off theta.images, and the drift estimator off the generator
-images it tracks along a walk.  `log_stretch` turns candidate lengths
-into the exact maximal ratio; estimators that push the candidate loops
-themselves through several maps (`orbit_dist`, the stretch brackets)
-feed it the lengths of the images they track with
-`automorphisms.cyclic_images`, without composing maps.
+and theta(x_j)^{+-1}, then the trim (`candidate_lengths`), and
+`log_stretch` turns candidate lengths into the exact maximal ratio.
+`dist` reads them off theta.images; every other distance reads them off
+generator images tracked through several maps with
+`automorphisms.images`, without composing maps: the drift along a walk,
+the stretch brackets along powers, `orbit_dist` and the delta sample.
 
 The metric is asymmetric; Gromov products and the four-point
 hyperbolicity diagnostic use the symmetrized version
@@ -38,7 +37,7 @@ import numpy as np
 
 from ._wordkernel import Reading, cyclic_length, product_cyclic_length
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import Automorphism, cyclic_images, invert
+from .automorphisms import Automorphism, identity_automorphism, images, invert
 
 __all__ = [
     "CandidateSet",
@@ -139,11 +138,12 @@ def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:
 
 
 def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
-    """d(phi.y0, psi.y0) = dist(psi^{-1} phi), from the candidate loops
-    pushed through phi and then through psi^{-1}."""
-    loops = candidates(phi.rank).loops
-    images = cyclic_images(phi, loops, budget=budget)
-    return log_stretch(loops, map(len, cyclic_images(invert(psi), images, budget=budget)))
+    """d(phi.y0, psi.y0) = dist(psi^{-1} phi), from the generator images
+    of phi substituted through psi^{-1}.  Raises WordBudgetExceeded for
+    the first image whose substitution needs more letters than the
+    budget."""
+    words = images(invert(psi), phi.images, budget=budget)
+    return log_stretch(candidates(phi.rank).loops, candidate_lengths(words))
 
 
 def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
@@ -217,26 +217,27 @@ class FiniteMetricSample:
     def from_walk(cls, rank: int, steps, *, budget: int | None = None) -> "FiniteMetricSample":
         """Orbit points Phi_j.y0 of the walk Phi_j = s_1 ... s_j over steps.
 
-        Point j adds a column: dist(s_j^{-1} ... s_{i+1}^{-1}) advances a
-        carried candidate orbit per start i through s_j^{-1}, and
-        dist(s_{i+1} ... s_j) is an orbit run back through s_j .. s_{i+1}.
-        The sample ends before the first step whose substitution exceeds
-        the budget."""
+        Point j adds a column: dist(s_j^{-1} ... s_{i+1}^{-1}) advances
+        the generator images carried per start i through s_j^{-1}, and
+        dist(s_{i+1} ... s_j) runs the generator images back through
+        s_j .. s_{i+1}.  The sample ends before the first step at which
+        substituting one of those images exceeds the budget."""
         loops = candidates(rank).loops
+        gens = identity_automorphism(rank).images
         seen, carried, d = [], [], np.zeros((1, 1))
         for s in steps:
             seen.append(s)
             inv = invert(s)
             try:
-                carried = [cyclic_images(inv, w, budget=budget) for w in carried + [loops]]
-                back, words = [], loops
+                carried = [images(inv, w, budget=budget) for w in carried + [gens]]
+                back, words = [], gens
                 for t in reversed(seen):
-                    words = cyclic_images(t, words, budget=budget)
-                    back.append(log_stretch(loops, map(len, words)))
+                    words = images(t, words, budget=budget)
+                    back.append(log_stretch(loops, candidate_lengths(words)))
             except WordBudgetExceeded:
                 break
             d = np.pad(d, (0, 1))
-            d[-1, :-1] = d[:-1, -1] = [log_stretch(loops, map(len, w)) + b
+            d[-1, :-1] = d[:-1, -1] = [log_stretch(loops, candidate_lengths(w)) + b
                                        for w, b in zip(carried, back[::-1])]
         return cls(tuple(str(i) for i in range(len(d))), d)
 

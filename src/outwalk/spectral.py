@@ -13,12 +13,13 @@ iteration, is pinched between two unconditional bounds:
 The point estimate is the last log length ratio |phi^k(c)| / |phi^{k-1}(c)|
 of a seed loop c.  Both bounds hold with no irreducibility hypothesis.
 
-Powers of phi are never composed.  One orbit of the candidate loops,
-k -> phi^k(c) cyclically reduced (`automorphisms.cyclic_images`), gives
-dist(phi^k) at every step and the ratios of every seed at once.  The
-letter budget applies to each substitution of a tracked word: the orbit
-stops at the first step that needs more letters, and a bracket then
-reports the steps it completed.
+Powers of phi are never composed.  One orbit of the N generator
+images, k -> phi^k(x_i) reduced (`automorphisms.images`), gives at every
+step the conjugacy lengths of the N^2 candidate loops c under phi^k
+(`outer_metric.candidate_lengths`): dist(phi^k) and the ratios of every
+candidate at once.  The letter budget applies to each substitution of a
+generator image: the orbit stops at the first step that needs more
+letters, and a bracket then reports the steps it completed.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import math
 from dataclasses import dataclass
 
 from .free_group import CyclicWord, WordBudgetExceeded
-from .automorphisms import Automorphism, abelianization, cyclic_images
+from .automorphisms import (Automorphism, abelianization, cyclic_images,
+                            identity_automorphism, images)
 from .matrix_oracle import spectral_radius
-from .outer_metric import candidates, log_stretch
+from .outer_metric import candidate_lengths, candidates, log_stretch
 
 __all__ = [
     "StretchBracket",
-    "stretch_upper",
     "stretch_lower",
     "stretch_ratio",
     "bracket",
@@ -69,17 +70,6 @@ class StretchBracket:
         return self.lower - tol <= self.point <= self.upper + tol
 
 
-def stretch_upper(phi: Automorphism, k: int, *, budget: int | None = None) -> float:
-    """dist(phi^k) / k; an upper bound for log lambda(phi) for every k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    loops = candidates(phi.rank).loops
-    images = loops
-    for _ in range(k):
-        images = cyclic_images(phi, images, budget=budget)
-    return log_stretch(loops, map(len, images)) / k
-
-
 def stretch_lower(phi: Automorphism) -> float:
     """Certified lower bound: log spectral radius of the abelianization.
 
@@ -91,32 +81,34 @@ def stretch_lower(phi: Automorphism) -> float:
     return max(0.0, br.exact if br.exact is not None else br.lower)
 
 
-def _orbit(phi: Automorphism, words, steps: int, budget: int | None):
-    """Yield phi^k(words), cyclically reduced, with the log length ratios
-    log |phi^k(w)| / |phi^{k-1}(w)|, for k = 1..steps.
+def _orbit(step, phi: Automorphism, words, steps: int, budget: int | None):
+    """Yield w_k = step(phi, w_{k-1}), w_0 = words, for k = 1..steps; step is
+    `images` or `cyclic_images`.
 
     Stops at the first step whose substitution exceeds the letter budget;
     at k = 1 that raises, since nothing is known about phi yet.
     """
     for k in range(steps):
         try:
-            images = cyclic_images(phi, words, budget=budget)
+            words = step(phi, words, budget=budget)
         except WordBudgetExceeded:
             if k == 0:
                 raise
             return
-        yield images, [math.log(len(b) / len(a)) for a, b in zip(words, images)]
-        words = images
+        yield words
 
 
-def _point(ratios: list, prev: list | None, complete: bool) -> tuple[float, bool]:
-    """The largest last log ratio (the first on ties) and whether it converged.
+def _point(lengths: list, complete: bool) -> tuple[float, bool]:
+    """The largest last log length ratio (the first on ties) over the
+    orbit lengths[0..k] and whether it converged.
 
     It converged when the orbit ran all its steps and the ratio moved by
     less than CONVERGE_TOL over the last one.
     """
-    i = max(range(len(ratios)), key=ratios.__getitem__)
-    return ratios[i], complete and abs(ratios[i] - prev[i]) < CONVERGE_TOL
+    ratios = [[math.log(b / a) for a, b in zip(u, v)] for u, v in zip(lengths, lengths[1:])]
+    last = ratios[-1]
+    i = max(range(len(last)), key=last.__getitem__)
+    return last[i], complete and abs(last[i] - ratios[-2][i]) < CONVERGE_TOL
 
 
 def stretch_ratio(
@@ -132,10 +124,9 @@ def stretch_ratio(
         raise ValueError("seed must be nontrivial")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    k, ratios, prev = 0, None, None
-    for k, (_, step_ratios) in enumerate(_orbit(phi, [seed], k_max, budget), 1):
-        prev, ratios = ratios, step_ratios
-    return _point(ratios, prev, k == k_max)
+    orbit = _orbit(cyclic_images, phi, [seed], k_max, budget)
+    lengths = [[len(seed)]] + [[len(w)] for [w] in orbit]
+    return _point(lengths, len(lengths) > k_max)
 
 
 def bracket(
@@ -146,21 +137,20 @@ def bracket(
 ) -> StretchBracket:
     """Assemble lower/upper/point for log lambda(phi).
 
-    One orbit of the candidate loops runs max(2, k_max) steps.  The
+    One orbit of the generator images runs max(2, k_max) steps.  The
     upper bound is the best dist(phi^k)/k over k = 1..k_max; the point
-    estimate is the largest last log ratio over the loops, which tracks
-    the dominant growth stratum.  When the letter budget cuts the orbit
-    off, both use the steps completed, and k_used records how many of
-    them entered the upper bound.
+    estimate is the largest last log ratio over the candidate loops,
+    which tracks the dominant growth stratum.  When the letter budget
+    cuts the orbit off, both use the steps completed, and k_used records
+    how many of them entered the upper bound.
     """
-    lower = stretch_lower(phi)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     loops = candidates(phi.rank).loops
     steps = max(2, k_max)
-    upper = math.inf
-    k, ratios, prev = 0, None, None
-    for k, (images, step_ratios) in enumerate(_orbit(phi, loops, steps, budget), 1):
-        if k <= k_max:
-            upper = min(upper, log_stretch(loops, map(len, images)) / k)
-        prev, ratios = ratios, step_ratios
-    point, converged = _point(ratios, prev, k == steps)
-    return StretchBracket(lower, upper, point, min(k, k_max), converged)
+    orbit = _orbit(images, phi, identity_automorphism(phi.rank).images, steps, budget)
+    lengths = [[len(c) for c in loops]] + [candidate_lengths(words) for words in orbit]
+    k_used = min(len(lengths) - 1, k_max)
+    upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
+    point, converged = _point(lengths, len(lengths) > steps)
+    return StretchBracket(stretch_lower(phi), upper, point, k_used, converged)

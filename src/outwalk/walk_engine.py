@@ -446,8 +446,9 @@ def gromov_decay_experiment(
     """Records (1/n) (Phi_n.y0 | Phi_n^{-1}.y0)_{y0} in the symmetrized metric.
 
     `gromov_product` reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) = sym_dist(Phi_n^2)
-    from two-step candidate orbits, the expensive part; so records follow
-    the geometric schedule and budget failures mark single records.
+    from the generator images of Phi_n^{+-1} substituted through themselves
+    (`orbit_dist`), the expensive part; so records follow the geometric
+    schedule and budget failures mark single records.
     """
 
     def record(n, product, inverse):

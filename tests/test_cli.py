@@ -77,6 +77,14 @@ def test_exit_2_on_bad_config(tmp_path, text):
     assert run_config(tmp_path, text)[0] == 2
 
 
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_spectral_k_max_below_1_exits_2(tmp_path, capsys, k_max):
+    # min(k_used, k_max) >= k_max held for any k_used, so every record read ok
+    text = f"kind = spectral\nn_max = 4\npaths = 2\nk_max = {k_max}\n" + F3_LINES
+    assert run_config(tmp_path, text)[0] == 2
+    assert "k_max: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["config", "override", "directory"])
 def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
     def experiment(*args, **kwargs):

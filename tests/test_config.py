@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
-from outwalk.config import (KINDS, MATRIX_KINDS, ConfigError, ExperimentConfig, format_config,
-                            parse_config, seed_words, validate)
+from outwalk.config import (KINDS, MATRIX_KINDS, SINGLE_KINDS, ConfigError, ExperimentConfig,
+                            format_config, parse_config, seed_words, validate)
 
 
 def maps(rank):
@@ -44,7 +44,7 @@ def configs(draw):
     else:
         rank = fields["rank"] = draw(st.integers(2, 5))
         gens = []
-        for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 1 if kind in SINGLE_KINDS else 4))):
             fwd, inv = draw(maps(rank))
             gens.append({"map": fwd, "inv": inv, "weight": draw(weights)})
         fields["gens"] = gens
@@ -73,3 +73,15 @@ def test_seed_words_refuse_repeated_classes():
     for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"], ["ab", "ba"], ["aCb", "baC"]):
         with pytest.raises(ConfigError, match=f"word.{len(words) - 1}"):
             seed_words(ExperimentConfig(kind="conjugacy", rank=3, words=words))
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_KINDS))
+@pytest.mark.parametrize("weighted", [True, False])
+def test_single_map_kinds_refuse_a_second_atom(kind, weighted):
+    gens = [{"map": "a->ab; b->b", "inv": "a->aB; b->b"}, {"map": "a->b; b->a", "inv": "a->b; b->a"}]
+    if weighted:
+        for g in gens:
+            g["weight"] = "0.5"
+    with pytest.raises(ConfigError, match=r"^gen\.1: "):
+        validate(ExperimentConfig(kind=kind, rank=2, gens=gens))
+    validate(ExperimentConfig(kind=kind, rank=2, gens=gens[:1]))

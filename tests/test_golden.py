@@ -59,18 +59,18 @@ DIGESTS = {
     "conjugacy-batch": "9541ea3af2ab9fa62f95ebb0479b5706e226e00378aa37899818280931b595ae",
     "conjugacy-cut": "389bfd27ef64417ee0fae91732805ac5793038d4d46433010f66fd66224e7243",
     "delta": "b8abfbd4a83e18638bd442ad6ae30a837a363063fe421a62e5302d5e4687c294",
-    "delta-cut": "c72b9fd54fdd8fb507cccfc7aca6be97c70a50df8a230c8295083b280823f87d",
+    "delta-cut": "4f740c4ec09c32aa038c4e9a25d8d38c88cf443b84f638a848e1558780c1dd04",
     "distance": "27689480723d43ece157fff8b9d30bab88e58b5ee9cd5f698aaaa745e5badf34",
     "drift": "3ebb7a0c2049b05a321ed4b9f820e99f0b6a2569f5c37d2a38ed41f10a4df8e5",
     "drift-cut": "b7451677266f9da2861b6b958bbe81d00e3f7c453dbac04f3a15cd55a4d7fde6",
     "gromov": "36745266139ace089e6c22acebd72b6b854954228713978779067bfe72d178a7",
-    "gromov-cut": "553f511481b87a4c539c101fb6324d703c35033e9ce6f7e0b51f226cfac73899",
+    "gromov-cut": "779b4c83162c9afc42124785bf70675b215798d988864d5c80195977d6495f6a",
     "matrix-furstenberg": "e5daf769526510307977b17f6944f87a0bb53e6a5a755ac6107a0b6ed728e9e5",
     "matrix-furstenberg-cut": "4495481cc31f73c9659a9249d10fb3f478346a8c29117f31221b5e310f795d4c",
     "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
     "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
     "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",
-    "spectral-cut": "bd34824f9a16168770e730fd2d3678ec92c262b59cd89f3e71fe845a90871bcd",
+    "spectral-cut": "3df4fab7f16171d544b3fc84f692de3371f3ca6576a2391bbf69e84bbb66243a",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
 }
 

@@ -353,7 +353,7 @@ def test_walk_sample_equals_composed_markings(ids):
 
 def test_walk_sample_ends_before_the_budget_hit():
     lib = library(3)
-    steps = [lib[(7 * k + 3) % len(lib)] for k in range(14)]
+    steps = [lib[(7 * k + 3) % len(lib)] for k in range(16)]
     full = FiniteMetricSample.from_walk(3, steps)
     for budget in (3, 4, 6, 8, 10):
         cut = FiniteMetricSample.from_walk(3, steps, budget=budget)
@@ -367,18 +367,18 @@ def test_walk_sample_ends_before_the_budget_hit():
 
 
 def _walk_orbits(steps, budget):
-    """The candidate orbits through s_{i+1}^{-1}, ..., s_j^{-1} and through
-    s_j, ..., s_{i+1} for all i < j, raising on a budget hit."""
-    loops = candidates(3).loops
+    """The generator images carried through s_{i+1}^{-1}, ..., s_j^{-1} and
+    run back through s_j, ..., s_{i+1} for all i < j, raising on a budget
+    hit."""
+    gens = identity_automorphism(3).images
     for i in range(len(steps)):
         for j in range(i + 1, len(steps) + 1):
-            words = loops
+            words = gens
             for s in steps[i:j]:
-                words = [cyclic_reduce(apply(invert(s), w.as_word(), budget=budget))
-                         for w in words]
-            words = loops
+                words = [apply(invert(s), w, budget=budget) for w in words]
+            words = gens
             for s in reversed(steps[i:j]):
-                words = [cyclic_reduce(apply(s, w.as_word(), budget=budget)) for w in words]
+                words = [apply(s, w, budget=budget) for w in words]
 
 
 def test_metric_sample_validation():

@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outwalk.free_group import cyclic_reduce, parse_word
+from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word
 from outwalk.automorphisms import (
     abelianization,
     compose,
@@ -17,7 +17,9 @@ from outwalk.automorphisms import (
     right_multiplier,
 )
 from outwalk.matrix_oracle import spectral_radius
-from outwalk.spectral import StretchBracket, bracket, stretch_lower, stretch_ratio, stretch_upper
+from outwalk.outer_metric import candidate_lengths, dist
+from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, stretch_lower,
+                              stretch_ratio)
 from outwalk.walk_engine import sample_path, spectral_experiment
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
@@ -29,6 +31,9 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 ASYM = parse_automorphism("a->b; b->c; c->ab | a->cA; b->a; c->b")
 LOG_PLASTIC = math.log(1.3247179572447460)
 LOG_INV = math.log(1.4655712318767682)
+
+# order 3 and dist > 0: dist(phi^k) / k is 0 at k = 3 and positive at 4, 5
+ORDER3 = parse_automorphism("a->b; b->BA | a->BA; b->a")
 
 
 def library(rank):
@@ -54,6 +59,20 @@ def _prod(lib, ids, rank):
     for i in ids:
         out = compose(out, lib[i])
     return out
+
+
+def power(phi, k):
+    """phi composed with itself k times."""
+    out = identity_automorphism(phi.rank)
+    for _ in range(k):
+        out = compose(out, phi)
+    return out
+
+
+def stretch_upper(phi, k):
+    """dist(phi^k) / k, an upper bound for log lambda(phi), from the
+    composed power."""
+    return dist(power(phi, k)) / k
 
 
 def test_stretch_upper_identity():
@@ -85,6 +104,75 @@ def test_stretch_upper_fekete(phi, k, m):
 def test_stretch_upper_halving():
     for k in (1, 2, 3):
         assert stretch_upper(FIB, 2 * k) <= stretch_upper(FIB, k) + 1e-9
+
+
+def composed_bracket(phi, k_max):
+    """(upper, point, converged) from the candidate lengths of the composed
+    powers phi^0 .. phi^max(2, k_max), as `bracket` defines them."""
+    steps = max(2, k_max)
+    lengths = [candidate_lengths(power(phi, k).images) for k in range(steps + 1)]
+    ratios = [[math.log(b / a) for a, b in zip(before, after)]
+              for before, after in zip(lengths, lengths[1:])]
+    upper = min(stretch_upper(phi, k) for k in range(1, k_max + 1))
+    i = max(range(len(ratios[-1])), key=ratios[-1].__getitem__)
+    return upper, ratios[-1][i], abs(ratios[-1][i] - ratios[-2][i]) < CONVERGE_TOL
+
+
+def assert_bracket_equals_composed(phi, k_max):
+    br = bracket(phi, k_max)
+    assert (br.upper, br.point, br.converged) == composed_bracket(phi, k_max)
+    assert br.k_used == k_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda rank: products(rank, 6)), st.integers(1, 5))
+@example(ORDER3, 5)
+def test_bracket_equals_composed_powers_on_nielsen_products(phi, k_max):
+    assert_bracket_equals_composed(phi, k_max)
+
+
+@pytest.fixture(scope="module")
+def walk_inverses_16_32(niel):
+    """Phi_n^{-1} of NIEL walks at n = 16 and 32."""
+    return {n: [inv for pid in range(3) for m, _, inv in sample_path(niel, 9, pid, 32) if m == n]
+            for n in (16, 32)}
+
+
+def test_bracket_equals_composed_powers_on_walk_inverses(walk_inverses_16_32):
+    for n, k_maxes in ((16, (1, 2, 3)), (32, (1, 2))):
+        for inv in walk_inverses_16_32[n]:
+            for k_max in k_maxes:
+                assert_bracket_equals_composed(inv, k_max)
+
+
+def raw_sizes(phi, steps):
+    """The largest raw image size of each orbit step k = 1..steps: the sum
+    of |phi(x)| over the letters x of phi^{k-1}(x_i), largest over i."""
+    sizes = [len(w) for w in phi.images]
+    return [max(sum(sizes[abs(x) - 1] for x in w.as_tuple()) for w in power(phi, k - 1).images)
+            for k in range(1, steps + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda rank: products(rank, 6)), st.integers(1, 4))
+def test_bracket_k_used_at_the_raw_image_sizes(phi, k_max):
+    # the orbit runs the leading steps whose raw images fit the budget;
+    # k_used counts them up to k_max, and not even step 1 fitting raises
+    raw = raw_sizes(phi, max(2, k_max))
+    for k in range(1, len(raw) + 1):
+        for budget in (raw[k - 1] - 1, raw[k - 1]):
+            fits = next((j for j, r in enumerate(raw) if r > budget), len(raw))
+            if fits == 0:
+                with pytest.raises(WordBudgetExceeded):
+                    bracket(phi, k_max, budget=budget)
+            else:
+                assert bracket(phi, k_max, budget=budget).k_used == min(fits, k_max)
+
+
+def test_bracket_refuses_k_max_below_1():
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            bracket(FIB, k_max)
 
 
 def test_stretch_lower_examples():

@@ -22,7 +22,7 @@ from outwalk.outer_metric import (
     four_point_delta,
     sym_dist,
 )
-from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower, stretch_upper
+from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -471,8 +471,6 @@ def test_bracket_equals_composed_powers(text):
         br = bracket(theta, k_max)
         assert (br.upper, br.point, br.converged) == composed_bracket(theta, k_max)
         assert br.k_used == k_max
-        uppers = [stretch_upper(theta, k) for k in range(1, k_max + 1)]
-        assert uppers == composed_uppers(theta, k_max)
 
 
 def test_gromov_equals_sym_dist_of_composed_square(walk):
