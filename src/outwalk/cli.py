@@ -7,11 +7,11 @@
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, refused before the run or the
 aggregation starts), 3 budget exhausted everywhere.  CSV schema (exact):
-experiment,path_id,n,estimator,value,status.  The resolved config is
-embedded as `# key = value` comment lines and the run metadata as
-`# meta.<key> = <JSON value>` lines; the timestamp lives in its own
-comment line so output bodies stay byte-identical across reruns and
-worker counts.
+experiment,path_id,n,estimator,value,status.  The resolved config, less
+its `out` path, is embedded as `# key = value` comment lines and the run
+metadata as `# meta.<key> = <JSON value>` lines; the timestamp lives in
+its own comment line so output bodies stay byte-identical across reruns
+and worker counts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
@@ -61,7 +62,8 @@ def _fmt(value: float) -> str:
 def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -> None:
     lines = ["# outwalk run"]
     lines.append(f"# generated_at = {datetime.now(timezone.utc).isoformat()}")
-    for cfg_line in format_config(cfg).rstrip("\n").splitlines():
+    # without `out`, runs that differ only in where they write share a header
+    for cfg_line in format_config(replace(cfg, out=None)).rstrip("\n").splitlines():
         lines.append(f"# {cfg_line}")
     for key, value in series.metadata.items():
         lines.append(f"# meta.{key} = {json.dumps(value)}")

@@ -7,8 +7,8 @@ gen.<i>.inv, gen.<i>.weight (automorphisms) or gen.<i>.matrix,
 gen.<i>.weight (matrices); seed words word.<i>.
 
 parse_config(format_config(cfg)) round-trips exactly; runs embed the
-resolved config in the output header, so every CSV names its own
-provenance.
+resolved config, less its `out` path, in the output header, so every
+CSV names its own provenance.
 """
 
 from __future__ import annotations

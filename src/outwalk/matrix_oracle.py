@@ -12,18 +12,27 @@ Spectral radius brackets are reported on natural-log scale: a linear
 value would overflow a double long before a 1000-step product does.
 
 Above dimension 2 the bracket comes from the Gelfand ladder A, A^2, A^4,
-..., A^64, built by repeated squaring on the raw integer rows.  A square
-shares products: an off-diagonal entry is
+..., A^64: power A^k gives log ||A^k|| / k above log rho(A) and
+(log |tr A^k| - log n) / k below it.  The powers are not built by
+squaring the matrix.  By Cayley-Hamilton, A^k = r_k(A) where r_k(x) is
+x^k modulo the characteristic polynomial chi_A, which is monic with
+integer coefficients, so r_k has integer coefficients too:
 
-    (M^2)_ik = M_ik (M_ii + M_kk) + sum_{j not in {i, k}} M_ij M_jk,
+* chi_A comes from the traces of A, ..., A^n by Newton's identities,
+  k c_k = -sum_{i<=k} c_{k-i} tr(A^i), whose divisions are exact;
+* r_{2k} is r_k squared, n(n+1)/2 big-integer products (6 at n = 3,
+  10 at n = 4), then reduced modulo chi_A with (n-1)n products by its
+  small coefficients;
+* A^(2^j) = sum_{d<n} c_d A^d takes (n-1)n^2 products of a big
+  coefficient by an entry of a small power A^d.
 
-and a diagonal entry (M^2)_ii = M_ii^2 + sum_{j != i} M_ij M_ji, where
-each M_ij M_ji (i < j) is computed once and serves both (i, i) and
-(j, j).  A 3x3 square takes 18 big-integer multiplications, three of
-them squares, instead of 27; a 2x2 square takes 5 instead of 8.  The
-entries of A^64 have about 64 times the bits of those of A, so the bit
-budget bounds the ladder too: the first Gelfand power whose entries
-exceed it raises BitBudgetExceeded.
+A matrix square, even sharing the products M_ij M_ji, takes
+n^3 - 3n(n-1)/2 big products per level (18 at n = 3, 46 at n = 4).  All arithmetic is
+exact, so every power, norm and trace is the same integer as repeated
+squaring gives.  The entries of A^64 have about 64 times the bits of
+those of A, so the bit budget bounds the ladder too: the powers are
+built one at a time, each checked before the bounds use it, and the
+first whose entries exceed the budget raises BitBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -102,7 +112,7 @@ class IntMatrix:
                 result = result @ base
             k >>= 1
             if k:
-                base = IntMatrix(_square(base.entries))
+                base = base @ base
         return result
 
     def transpose(self) -> "IntMatrix":
@@ -144,36 +154,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def _square(rows: tuple) -> tuple:
-    """Rows of M^2 for the square matrix M given by rows of ints.
-
-    Shares products as in the module docstring: n^3 - 3n(n-1)/2
-    multiplications in place of n^3.
-    """
-    n = len(rows)
-    diag = [row[i] * row[i] for i, row in enumerate(rows)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = rows[i][j] * rows[j][i]
-            diag[i] += p
-            diag[j] += p
-    out = []
-    for i, row in enumerate(rows):
-        mii = row[i]
-        out_row = []
-        for k in range(n):
-            if k == i:
-                out_row.append(diag[i])
-                continue
-            s = row[k] * (mii + rows[k][k])
-            for j in range(n):
-                if j != i and j != k:
-                    s += row[j] * rows[j][k]
-            out_row.append(s)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def _max_bits(rows: tuple) -> int:
     return max(x.bit_length() for row in rows for x in row)
 
@@ -181,6 +161,68 @@ def _max_bits(rows: tuple) -> int:
 def _row_norm(rows: tuple) -> int:
     """Max absolute row sum: the l_inf to l_inf operator norm."""
     return max(sum(abs(x) for x in row) for row in rows)
+
+
+def _charpoly(powers: list, cols: list) -> list:
+    """q_0, ..., q_{n-1} with chi_A(x) = x^n + sum_d q_d x^d.
+
+    `powers` holds A, ..., A^(n-1) flattened and `cols` the columns of A.
+    Newton's identities on the traces p_k = tr(A^k), k = 1..n, give the
+    coefficient c_k of x^(n-k): k c_k = -sum_{i=1..k} c_{k-i} p_i with
+    c_0 = 1, an exact division.
+    """
+    n = len(cols)
+    p = [sum(m[::n + 1]) for m in powers]
+    p.append(sum(map(operator.mul, powers[-1], chain.from_iterable(cols))))
+    c = [1]
+    for k in range(1, n + 1):
+        c.append(-sum(map(operator.mul, reversed(c), p)) // k)
+    return c[:0:-1]  # q_d = c_(n-d)
+
+
+def _square_mod(c: list, q: list) -> list:
+    """The n coefficients of c(x)^2 mod x^n + sum_d q_d x^d, n = len(q)."""
+    s = [0] * (2 * len(c) - 1)
+    for i, ci in enumerate(c):
+        if ci:
+            s[2 * i] += ci * ci
+            ci <<= 1
+            for j in range(i + 1, len(c)):
+                s[i + j] += ci * c[j]
+    n = len(q)
+    for top in range(len(s) - 1, n - 1, -1):
+        t = s[top]
+        if t:
+            for d, qd in enumerate(q, top - n):
+                s[d] -= t * qd
+    return s[:n]
+
+
+def _gelfand_powers(a: IntMatrix) -> Iterator[list]:
+    """Yield A^(2^j), j = 0..GELFAND_MAX_J, flat row-major (module docstring).
+
+    Lazy, so a caller that stops at a power over budget builds no later one.
+    """
+    n = a.n
+    flat = [x for row in a.entries for x in row]
+    yield flat
+    cols = [flat[k::n] for k in range(n)]
+    powers = [flat]  # A^d at index d - 1, d < n
+    while len(powers) < n - 1:
+        rows = zip(*[iter(powers[-1])] * n)  # n entries at a time
+        powers.append([sum(map(operator.mul, row, col)) for row in rows for col in cols])
+    q = _charpoly(powers, cols)
+    c = [0, 1] + [0] * (n - 2)  # x; for n = 1 of degree n, reduced by the first square
+    for j in range(1, GELFAND_MAX_J + 1):
+        c = _square_mod(c, q)
+        if 1 << j < n:
+            yield powers[(1 << j) - 1]
+            continue
+        m = [0] * (n * n)
+        m[::n + 1] = [c[0]] * n
+        for cd, p in zip(c[1:], powers):
+            m = [x + cd * y for x, y in zip(m, p)]
+        yield m
 
 
 @dataclass(frozen=True)
@@ -251,17 +293,17 @@ def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> Matri
         return MatrixBracket(v, v, v)
     lower = NEG_INF
     upper = math.inf
-    rows = a.entries
-    for j in range(GELFAND_MAX_J + 1):
-        if j:
-            rows = _square(rows)
+    log_n = math.log(n)
+    for j, m in enumerate(_gelfand_powers(a)):
         k = 1 << j
-        if _max_bits(rows) > bit_budget:
+        norm = max(map(sum, zip(*[map(abs, m)] * n)))
+        # |x| <= norm for every entry x, so only a long norm needs the scan
+        if norm.bit_length() > bit_budget and max(x.bit_length() for x in m) > bit_budget:
             raise BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
-        upper = min(upper, _log_int(_row_norm(rows)) / k)
-        tr = abs(sum(rows[i][i] for i in range(n)))
+        upper = min(upper, _log_int(norm) / k)
+        tr = abs(sum(m[::n + 1]))
         if tr:
-            lower = max(lower, (_log_int(tr) - math.log(n)) / k)
+            lower = max(lower, (_log_int(tr) - log_n) / k)
     return MatrixBracket(lower, upper)
 
 

@@ -250,3 +250,18 @@ def test_bodies_identical_across_threads(tmp_path, niel, head):
         bodies.append(body(out))
     assert bodies[0] == bodies[1]
     assert bodies[0].count("\n") > 1
+
+
+def test_header_does_not_depend_on_the_output_path(tmp_path, niel):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = drift\nn_max = 6\npaths = 2\n" + measure_lines(niel))
+    headers, bodies = [], []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        headers.append([line for line in out.read_text().splitlines()
+                        if line.startswith("#") and not line.startswith("# generated_at = ")])
+        bodies.append(body(out))
+    assert headers[0] == headers[1]
+    assert "# kind = drift" in headers[0]
+    assert bodies[0] == bodies[1]

@@ -17,7 +17,7 @@ from outwalk.matrix_oracle import (
     parse_matrix,
     spectral_radius,
     vector_growth,
-    _square,
+    _gelfand_powers,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -35,7 +35,7 @@ def small_matrix(n, entries=entry):
 big_entry = st.one_of(st.just(0), st.integers(min_value=-2**200, max_value=2**200))
 
 
-def reference_ladder(a):
+def reference_ladder(a, bit_budget=math.inf):
     """(lower, upper) of the Gelfand ladder built from `@` powers."""
     lower, upper = float("-inf"), math.inf
     power = a
@@ -43,11 +43,27 @@ def reference_ladder(a):
         if j:
             power = power @ power
         k = 1 << j
+        if power.max_bits() > bit_budget:
+            raise BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
         upper = min(upper, log_norm(power) / k)
         tr = abs(power.trace())
         if tr:
             lower = max(lower, (math.log(tr) - math.log(a.n)) / k)
     return lower, upper
+
+
+def special_matrix(n):
+    """Singular, nilpotent (chi = x^n), permutation and diagonal matrices."""
+    big = st.lists(big_entry, min_size=n * n, max_size=n * n)
+    rows = big.map(lambda e: [e[i * n:(i + 1) * n] for i in range(n)])
+    singular = rows.map(lambda r: r[:-1] + [r[0]])
+    nilpotent = rows.map(lambda r: [[x if j > i else 0 for j, x in enumerate(row)]
+                                    for i, row in enumerate(r)])
+    nilpotent_low = nilpotent.map(lambda r: [list(col) for col in zip(*r)])
+    permutation = st.permutations(range(n)).map(
+        lambda p: [[int(j == p[i]) for j in range(n)] for i in range(n)])
+    diagonal = big.map(lambda e: [[e[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return st.one_of(singular, nilpotent, nilpotent_low, permutation, diagonal).map(IntMatrix)
 
 
 def test_mat_mul_examples():
@@ -70,10 +86,16 @@ def test_det_multiplicative(a, b):
     assert (a @ b).det() == a.det() * b.det()
 
 
-@settings(max_examples=100)
-@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: small_matrix(n, big_entry)))
-def test_square_equals_matmul(m):
-    assert _square(m.entries) == (m @ m).entries
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.one_of(small_matrix(n, big_entry), special_matrix(n))))
+def test_cayley_hamilton_powers_equal_matmul_powers(a):
+    power = a
+    for j, flat in enumerate(_gelfand_powers(a)):
+        if j:
+            power = power @ power
+        assert IntMatrix([flat[i:i + a.n] for i in range(0, a.n * a.n, a.n)]) == power
+    assert j == GELFAND_MAX_J
 
 
 def test_power_equals_repeated_products(sl3):
@@ -175,6 +197,23 @@ def test_spectral_radius_equals_reference_ladder_on_transvection_walk(sl3):
 def test_spectral_radius_equals_reference_ladder(a):
     br = spectral_radius(a)
     assert (br.lower, br.upper) == reference_ladder(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_matrix(3, st.one_of(st.just(0), st.integers(-2**40, 2**40))),
+                 small_matrix(4, st.one_of(st.just(0), st.integers(-2**40, 2**40)))))
+def test_bit_budget_matches_reference_ladder_at_every_level(a):
+    level_bits = [(a ** (1 << j)).max_bits() for j in range(GELFAND_MAX_J + 1)]
+    for budget in sorted({b - d for b in level_bits for d in (0, 1)}):
+        try:
+            expected = reference_ladder(a, budget)
+        except BitBudgetExceeded as e:
+            with pytest.raises(BitBudgetExceeded) as got:
+                spectral_radius(a, budget)
+            assert str(got.value) == str(e)
+        else:
+            br = spectral_radius(a, budget)
+            assert (br.lower, br.upper) == expected
 
 
 def test_bit_budget_bounds_the_gelfand_ladder():
