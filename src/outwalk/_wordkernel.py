@@ -10,9 +10,15 @@ and reduced image blocks, so letters cancel only at block seams, and by
 Cooper's bounded-cancellation lemma never deeper than a constant of the
 map.  `ImageTable.substitute` picks one of two regimes from its input:
 
-* a block stack, the default: each block pops what its head cancels off
+* a block stack, the default: each block cancels against the end of
   the reduced prefix and is appended whole, so long blocks cost one
-  `extend` each;
+  `extend` each.  The seam is the common suffix of the prefix and the
+  inverse block.  Its first `SEAM_LETTERS` letters are compared one by
+  one, which is all that Nielsen-move tables ever cancel; a deeper seam,
+  as between the long blocks of a power phi^(k-1) (Cooper's bounded
+  cancellation constant grows with k), is measured by comparing byte
+  windows as integers (`common_suffix`, as `common_prefix` does) and
+  removed with one `del`;
 * vectorized pair deletion for long words under a table whose blocks
   all have at most `SHORT_BLOCK` letters, where the Python loop would
   run once per letter: the blocks are the rows of one zero-padded int8
@@ -68,6 +74,11 @@ SHORT_BLOCK = 4
 # batch; see the module docstring.
 SEP = 127
 BATCH_CAP = 1 << 15
+
+# The block stack compares a seam letter by letter for its first
+# SEAM_LETTERS letters, and deeper by windows (`common_suffix`): below
+# this depth one window costs more than the letters it would save.
+SEAM_LETTERS = 8
 
 # A `Reading` keeps the first HEAD letters of a word as bytes and as one
 # integer; `common_prefix` compares windows of WINDOW letters, doubling up
@@ -174,9 +185,14 @@ class ImageTable:
             self.rows = np.zeros((len(blocks), width), dtype=DTYPE)
             for row, b in zip(self.rows, blocks):
                 row[:b.size] = b
-        # int8 letters as bytes, each block with its letters negated (the
-        # letters that cancel them), so the block stack runs on bytearrays
-        self.py_blocks = [(b.tobytes(), (-b).tobytes()) for b in blocks]
+        # per slot, for the block stack on bytearrays: the block as bytes,
+        # the byte that cancels its first letter (256, which no byte equals,
+        # for the empty block; the separator's, -SEP, no word holds), and
+        # the bytes of the inverse block, whose suffixes are what the block
+        # cancels; slot -l holds the inverse of slot l
+        raw = [b.tobytes() for b in blocks]
+        heads = [-int(b[0]) & 0xFF if b.size else 256 for b in blocks]
+        self.py_blocks = [(raw[l], heads[l], raw[-l]) for l in range(len(blocks))]
 
     def substitute(self, word: np.ndarray, budget: int) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result.
@@ -197,17 +213,22 @@ class ImageTable:
                 arr, changed = _delete_pairs_pass(arr)
             return arr
         out = bytearray()
-        pop, extend = out.pop, out.extend
+        extend = out.extend
         blocks = self.py_blocks
         for letter in word.tolist():
-            block, cancels = blocks[letter]
-            k = 0
-            for x in cancels:
-                if not out or out[-1] != x:
-                    break
-                pop()
-                k += 1
-            extend(block[k:] if k else block)
+            block, head, inverse = blocks[letter]
+            if out and out[-1] == head:
+                # the seam cancels the common suffix of out and the inverse
+                # block: letter by letter up to SEAM_LETTERS, then by windows
+                k, m = 1, min(len(out), len(inverse), SEAM_LETTERS)
+                while k < m and out[-1 - k] == inverse[-1 - k]:
+                    k += 1
+                if k == SEAM_LETTERS:
+                    k = common_suffix(out, inverse, k)
+                del out[-k:]
+                extend(block[k:])
+            else:
+                extend(block)
         return np.frombuffer(out, dtype=DTYPE)
 
     def _check_budget(self, word, lens, budget):
@@ -227,6 +248,27 @@ def cyclic_trim(arr: np.ndarray) -> np.ndarray:
         i += 1
         j -= 1
     return arr[i:j] if (i or j != arr.size) else arr
+
+
+def common_suffix(x, y, k: int) -> int:
+    """Length of the longest common suffix of the byte strings x and y,
+    given that it is at least k.
+
+    Windows of the two are compared as big-endian integers, as in
+    `common_prefix`: the lowest set bit of their xor lies in the last
+    byte where they differ.  Windows double from WINDOW up to WINDOW_MAX
+    letters, so the work is linear in the suffix and no temporary
+    outgrows a window.
+    """
+    a, b = len(x), len(y)
+    m, w = min(a, b), WINDOW
+    while k < m:
+        q = min(k + w, m)
+        d = int.from_bytes(x[a - q:a - k], "big") ^ int.from_bytes(y[b - q:b - k], "big")
+        if d:
+            return k + ((d & -d).bit_length() - 1) // 8
+        k, w = q, min(2 * w, WINDOW_MAX)
+    return k
 
 
 def _trim_segments(arr: np.ndarray, i: np.ndarray, j: np.ndarray):

@@ -14,6 +14,7 @@ abelianization(psi) @ abelianization(phi).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,10 @@ __all__ = [
     "cyclic_images",
     "compose",
     "invert",
+    "letter_counts",
     "abelianization",
+    "image_abelianization",
+    "endomorphism_images",
     "parse_automorphism",
     "automorphism_to_str",
     "identity_automorphism",
@@ -171,14 +175,38 @@ def invert(phi: Automorphism) -> Automorphism:
     return Automorphism(phi.inverse_images, phi.images, phi.rank)
 
 
+def letter_counts(w: Word) -> list:
+    """[(occurrences of x_j, occurrences of x_j^{-1}) for j = 1..rank] in w."""
+    a = w.letters
+    return [(int(np.count_nonzero(a == j)), int(np.count_nonzero(a == -j)))
+            for j in range(1, w.rank + 1)]
+
+
 def abelianization(phi: Automorphism) -> IntMatrix:
     """Signed letter counts: row i counts generators in the image of x_{i+1}."""
-    r = phi.rank
-    rows = []
-    for w in phi.images:
-        counts = np.bincount(w.letters.astype(np.int64) + r, minlength=2 * r + 1)
-        rows.append(tuple(int(counts[r + j] - counts[r - j]) for j in range(1, r + 1)))
-    return IntMatrix(tuple(rows))
+    return image_abelianization(phi.images)
+
+
+def image_abelianization(images) -> IntMatrix:
+    """The abelianization of the map x_{i+1} -> images[i], from the signed
+    letter counts of its generator images."""
+    return IntMatrix(tuple(tuple(p - q for p, q in letter_counts(w)) for w in images))
+
+
+def endomorphism_images(table, words) -> list:
+    """Reduced images of the reduced words under the map x_j -> table[j-1],
+    from one kernel call per batch, as `images` gives them under an
+    automorphism with those generator images.
+
+    No letter budget applies: the caller bounds the sizes.  The map need
+    not be invertible, so no `Automorphism` is built for it.
+    """
+    r = len(table)
+    if any(w.rank != r for w in (*table, *words)):
+        raise ValueError("rank mismatch")
+    kernel_table = ImageTable([w.letters for w in table])
+    return [Word._wrap(a, r)
+            for a in batch_substitute(kernel_table, [w.letters for w in words], sys.maxsize)]
 
 
 def identity_automorphism(rank: int) -> Automorphism:

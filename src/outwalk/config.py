@@ -8,7 +8,10 @@ gen.<i>.weight (matrices); seed words word.<i>.
 
 parse_config(format_config(cfg)) round-trips exactly; runs embed the
 resolved config, less its `out` path, in the output header, so every
-CSV names its own provenance.
+CSV names its own provenance.  `validate` fills in only the defaults a
+kind reads: `letter_budget` for word kinds, `bit_budget` for matrix
+kinds and `k_max` for `spectral` and `stretch`; a key left unset stays
+None and out of the header.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_r
                          parse_word, word_to_str)
 from .automorphisms import InverseCheckError, parse_automorphism, automorphism_to_str
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
+from .spectral import DEFAULT_K_MAX
 from .walk_engine import ProbMeasure, WALK_K_MAX
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "validate", "format_config",
@@ -58,8 +62,8 @@ class ExperimentConfig:
     paths: int = 1
     k_max: int | None = None
     master_seed: int = 0
-    letter_budget: int = DEFAULT_LETTER_BUDGET
-    bit_budget: int = DEFAULT_BIT_BUDGET
+    letter_budget: int | None = None
+    bit_budget: int | None = None
     out: str | None = None
     vector: tuple | None = None
     gens: list = field(default_factory=list)  # dicts: map/inv or matrix, weight
@@ -131,9 +135,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> None:
     """Check values and fill in kind-dependent defaults; rerun after edits."""
-    if cfg.letter_budget <= 0:
+    if cfg.letter_budget is not None and cfg.letter_budget <= 0:
         raise ConfigError("letter_budget: must be positive")
-    if cfg.bit_budget <= 0:
+    if cfg.bit_budget is not None and cfg.bit_budget <= 0:
         raise ConfigError("bit_budget: must be positive")
     if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed: must fit in 64 bits")
@@ -176,8 +180,13 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("k_max: must be >= 1")
     if cfg.kind == "stretch" and cfg.k_max is not None and cfg.k_max < 2:
         raise ConfigError("k_max: must be >= 2 for stretch brackets")
-    if cfg.k_max is None:
-        cfg.k_max = 12 if cfg.kind == "stretch" else WALK_K_MAX
+    if cfg.kind in MATRIX_KINDS:
+        if cfg.bit_budget is None:
+            cfg.bit_budget = DEFAULT_BIT_BUDGET
+    elif cfg.letter_budget is None:
+        cfg.letter_budget = DEFAULT_LETTER_BUDGET
+    if cfg.k_max is None and cfg.kind in ("spectral", "stretch"):
+        cfg.k_max = DEFAULT_K_MAX if cfg.kind == "stretch" else WALK_K_MAX
 
 
 def build_measure(cfg: ExperimentConfig) -> ProbMeasure:

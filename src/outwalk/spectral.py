@@ -13,23 +13,32 @@ iteration, is pinched between two unconditional bounds:
 The point estimate is the last log length ratio |phi^k(c)| / |phi^{k-1}(c)|
 of a seed loop c.  Both bounds hold with no irreducibility hypothesis.
 
-Powers of phi are never composed.  One orbit of the N generator
-images, k -> phi^k(x_i) reduced (`automorphisms.images`), gives at every
-step the conjugacy lengths of the N^2 candidate loops c under phi^k
+Powers of phi are never composed.  A bracket needs only the N
+generator images phi(x_i) (`bracket_images`; walks pass the images they
+track).  One orbit of reduced generator images gives at every step the
+conjugacy lengths of the N^2 candidate loops c under phi^k
 (`outer_metric.candidate_lengths`): dist(phi^k) and the ratios of every
-candidate at once.  The letter budget applies to each substitution of a
-generator image: the orbit stops at the first step that needs more
-letters, and a bracket then reports the steps it completed.
+candidate at once.  The orbit is associated as
+phi^k(x_i) = phi^(k-1)(phi(x_i)): the previous step's images form the
+substitution table (`automorphisms.endomorphism_images`), and the N
+short words phi(x_i) are its input, so each step feeds the kernel a few
+letters and copies long blocks whole.  The letter budget keeps the rule
+of the other association, substituting phi into phi^(k-1)(x_i): the raw
+size of step k for x_i is the unsigned letter counts of phi^(k-1)(x_i)
+dotted with the lengths |phi(x_j)|.  The orbit stops at the first step
+whose raw size exceeds the budget, and a bracket then reports the steps
+it completed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .free_group import CyclicWord, WordBudgetExceeded
-from .automorphisms import (Automorphism, abelianization, cyclic_images,
-                            identity_automorphism, images)
+from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
+from .automorphisms import (Automorphism, cyclic_images, endomorphism_images,
+                            image_abelianization, letter_counts)
 from .matrix_oracle import spectral_radius
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
@@ -38,6 +47,7 @@ __all__ = [
     "stretch_lower",
     "stretch_ratio",
     "bracket",
+    "bracket_images",
 ]
 
 CONVERGE_TOL = 1e-3  # on logs; experiments read results at 1e-2 resolution
@@ -77,25 +87,55 @@ def stretch_lower(phi: Automorphism) -> float:
     negative or -inf when every trace it sees is small.  lambda >= 1, so
     the bound is clamped at 0, itself a certified lower bound.
     """
-    br = spectral_radius(abelianization(phi))
+    return _lower(phi.images)
+
+
+def _lower(images) -> float:
+    """`stretch_lower` of the map with generator images `images`."""
+    br = spectral_radius(image_abelianization(images))
     return max(0.0, br.exact if br.exact is not None else br.lower)
 
 
-def _orbit(step, phi: Automorphism, words, steps: int, budget: int | None):
-    """Yield w_k = step(phi, w_{k-1}), w_0 = words, for k = 1..steps; step is
-    `images` or `cyclic_images`.
+def _orbit(step, words, steps: int):
+    """Yield w_k = step(w_{k-1}), w_0 = words, for k = 1..steps.
 
-    Stops at the first step whose substitution exceeds the letter budget;
-    at k = 1 that raises, since nothing is known about phi yet.
+    Stops at the first step that raises WordBudgetExceeded; at k = 1 that
+    raises, since nothing is known about the map yet.
     """
     for k in range(steps):
         try:
-            words = step(phi, words, budget=budget)
+            words = step(words)
         except WordBudgetExceeded:
             if k == 0:
                 raise
             return
         yield words
+
+
+def _power_step(images, budget: int, words) -> list:
+    """phi^k(x_i) = phi^(k-1)(phi(x_i)) from words[i] = phi^(k-1)(x_i),
+    for the map phi with generator images `images`; words None stands
+    for phi^0, the identity, and gives phi^1 = images.
+
+    Raises WordBudgetExceeded for the first i whose raw size, the
+    unsigned letter counts of words[i] dotted with |phi(x_j)|, exceeds
+    the budget: the size of substituting phi into words[i], which is
+    |phi(x_i)| at k = 1.
+    """
+    sizes = [len(w) for w in images]
+    if words is None:
+        over = [size for size in sizes if size > budget]
+        if over:
+            raise WordBudgetExceeded(over[0], budget)
+        return list(images)
+    longest = max(sizes)
+    for w in words:
+        if len(w) * longest <= budget:
+            continue  # the raw size is at most that; no need to count
+        raw = sum((p + q) * size for (p, q), size in zip(letter_counts(w), sizes))
+        if raw > budget:
+            raise WordBudgetExceeded(raw, budget)
+    return endomorphism_images(words, images)
 
 
 def _point(lengths: list, complete: bool) -> tuple[float, bool]:
@@ -124,7 +164,7 @@ def stretch_ratio(
         raise ValueError("seed must be nontrivial")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    orbit = _orbit(cyclic_images, phi, [seed], k_max, budget)
+    orbit = _orbit(partial(cyclic_images, phi, budget=budget), [seed], k_max)
     lengths = [[len(seed)]] + [[len(w)] for [w] in orbit]
     return _point(lengths, len(lengths) > k_max)
 
@@ -144,13 +184,24 @@ def bracket(
     cuts the orbit off, both use the steps completed, and k_used records
     how many of them entered the upper bound.
     """
+    return bracket_images(phi.images, k_max, budget=budget)
+
+
+def bracket_images(images, k_max: int = DEFAULT_K_MAX, *,
+                   budget: int | None = None) -> StretchBracket:
+    """`bracket` of the map phi given by its reduced generator images
+    images[i] = phi(x_i), all a bracket reads of phi: the lower bound
+    from their signed letter counts, the orbit from the images
+    themselves."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    loops = candidates(phi.rank).loops
+    rank = len(images)
+    loops = candidates(rank).loops
     steps = max(2, k_max)
-    orbit = _orbit(images, phi, identity_automorphism(phi.rank).images, steps, budget)
+    b = DEFAULT_LETTER_BUDGET if budget is None else budget
+    orbit = _orbit(partial(_power_step, images, b), None, steps)
     lengths = [[len(c) for c in loops]] + [candidate_lengths(words) for words in orbit]
     k_used = min(len(lengths) - 1, k_max)
     upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
     point, converged = _point(lengths, len(lengths) > steps)
-    return StretchBracket(stretch_lower(phi), upper, point, k_used, converged)
+    return StretchBracket(_lower(images), upper, point, k_used, converged)

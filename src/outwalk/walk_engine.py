@@ -6,30 +6,33 @@ dist(Phi_n^{-1}).
 
 Every multi-path kind is a row source: path_rows(path_id) yields
 (n, [(estimator, value, status), ...]) once for every completed step.
-Drift and conjugacy growth run over `_inverse_orbit`, which tracks
-words under the inverse increments, Phi_n^{-1}(w) =
+Drift, stretch brackets and conjugacy growth run over `_inverse_orbit`,
+which tracks words under the inverse increments, Phi_n^{-1}(w) =
 s_n^{-1}(Phi_{n-1}^{-1}(w)), with one batched substitution per step;
-they never form Phi_n.  Drift tracks the N reduced generator images
-Phi_n^{-1}(x_i) and reads the candidate lengths off them
-(`outer_metric.candidate_lengths`); conjugacy growth tracks the seed
-classes g, cyclically reduced, since conjugacy length is a class
-function.  Brackets and Gromov products need the maps: they are
-per-record functions over `_scheduled_walk`, a `WalkPath` that composes
-Phi_{n+1} = Phi_n s_{n+1} once per step and yields no rows off the
-geometric schedule.  The matrix kinds run over `guivarch_series` and
-`vector_growth`.
+they never form Phi_n.  Drift and brackets track the N reduced
+generator images Phi_n^{-1}(x_i): drift reads the candidate lengths off
+them (`outer_metric.candidate_lengths`) at every step, and a bracket
+reads its powers off them (`spectral.bracket_images`) on the geometric
+schedule.  Conjugacy growth tracks the seed classes g, cyclically
+reduced, since conjugacy length is a class function.  Only Gromov
+products still compose: they need Phi_n and Phi_n^{-1} substituted
+through each other, so they are per-record functions over
+`_scheduled_walk`, a `WalkPath` that composes Phi_{n+1} = Phi_n s_{n+1}
+once per step and yields no rows off the geometric schedule.  The
+matrix kinds run over `guivarch_series` and `vector_growth`.
 
 The driver `_series` alone applies the cut-off rule, the merge order
 and the summaries.  A path is cut off at the first step at which one
-substitution, of a tracked word (for drift, a generator image) or into
-the composed product, needs more letters than the letter budget, or a
-matrix entry more bits than the bit budget; it then ends in a row with
-estimator "truncated_at", value the last completed step and status
-"truncated", never silently dropped.  A budget hit inside one bracket or Gromov record marks only
-that record.  Paths are independent tasks keyed by (master_seed,
-path_id); results are merged in path order, so the worker count never
-changes output bytes.  `delta_experiment` reads one orbit segment as a
-whole and writes its single record itself.
+substitution, of a tracked word (for drift and brackets, a generator
+image) or into the composed product, needs more letters than the
+letter budget, or a matrix entry more bits than the bit budget; it then
+ends in a row with estimator "truncated_at", value the last completed
+step and status "truncated", never silently dropped.  A budget hit
+inside one bracket or Gromov record marks only that record.  Paths
+are independent tasks keyed by (master_seed, path_id); results are
+merged in path order, so the worker count never changes output bytes.
+`delta_experiment` reads one orbit segment as a whole and writes its
+single record itself.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .matrix_oracle import (
 )
 from .outer_metric import (FiniteMetricSample, candidate_lengths, candidates, four_point_delta,
                            gromov_product, log_stretch)
-from .spectral import bracket
+from .spectral import bracket_images
 from .rng import categorical, cumulative, path_generator
 
 __all__ = [
@@ -320,24 +323,34 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     return path_rows
 
 
+def _on_schedule(record, cut_estimator, n_max):
+    """record(n, ...) at the n of the geometric schedule, and no rows off
+    it.  A budget hit inside one record marks only that record, as
+    (cut_estimator, nan, "truncated")."""
+    schedule = set(geometric_schedule(n_max))
+
+    def scheduled(n, *args):
+        if n not in schedule:
+            return []
+        try:
+            return record(n, *args)
+        except WordBudgetExceeded:
+            return [(cut_estimator, float("nan"), "truncated")]
+
+    return scheduled
+
+
 def _scheduled_walk(measure, master_seed, record, cut_estimator, *, n_max, budget):
     """Row source over the composed walk: step n yields
     record(n, Phi_n, Phi_n^{-1}) on the geometric schedule and no rows
-    off it, so the path ends at the exact step at which composing hit
-    the budget.  A budget hit inside one record marks only that record,
-    as (cut_estimator, nan, "truncated")."""
-    schedule = set(geometric_schedule(n_max))
+    off it (`_on_schedule`), so the path ends at the exact step at which
+    composing hit the budget."""
+    scheduled = _on_schedule(record, cut_estimator, n_max)
 
     def path_rows(pid: int):
         for n, product, inverse in sample_path(measure, master_seed, pid, n_max,
                                                letter_budget=budget):
-            rows = []
-            if n in schedule:
-                try:
-                    rows = record(n, product, inverse)
-                except WordBudgetExceeded:
-                    rows = [(cut_estimator, float("nan"), "truncated")]
-            yield n, rows
+            yield n, scheduled(n, product, inverse)
 
     return path_rows
 
@@ -412,22 +425,29 @@ def spectral_experiment(
 ) -> EstimateSeries:
     """Stretch brackets of Phi_n^{-1}, normalized by n, on a geometric schedule.
 
-    Orbit words under k-th powers blow up like lambda^k, so the bracket
-    depth is downgraded per record whenever the letter budget cuts the
-    orbit off; a record whose first orbit step already exceeds the budget
-    is marked truncated.
+    The path tracks the N reduced generator images Phi_n^{-1}(x_i), as
+    drift does, and is cut off at the same step; at a scheduled n the
+    bracket reads those images (`spectral.bracket_images`).  Orbit words
+    under k-th powers blow up like lambda^k, so the bracket depth is
+    downgraded per record whenever the letter budget cuts the orbit off.
+    The first orbit step is the tracked images themselves, which fit the
+    budget; a bracket that raised anyway would mark only its record
+    truncated (`_on_schedule`).
     """
+    rank = measure.rank
+    gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
-    def record(n, product, inverse):
-        br = bracket(inverse, k_max, budget=letter_budget)
+    def record(n, tracked):
+        br = bracket_images(tracked, k_max, budget=letter_budget)
         status = "ok" if br.k_used >= k_max else "downgraded"
         return [("spectral.lower", br.lower / n, status),
                 ("spectral.upper", br.upper / n, status),
                 ("spectral.point", br.point / n, status),
                 ("spectral.k_used", float(br.k_used), status)]
 
-    source = _scheduled_walk(measure, master_seed, record, "spectral.upper",
-                             n_max=n_max, budget=letter_budget)
+    source = _inverse_orbit(measure, master_seed, gens, images,
+                            _on_schedule(record, "spectral.upper", n_max),
+                            n_max=n_max, budget=letter_budget)
     return _series("spectral", source,
                    ["spectral.lower", "spectral.upper", "spectral.point", "spectral.k_used"],
                    {"master_seed": master_seed, "k_max": k_max},

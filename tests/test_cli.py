@@ -8,6 +8,7 @@ import pytest
 from outwalk import cli
 from outwalk.automorphisms import automorphism_to_str
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
+from outwalk.config import format_config, parse_config
 
 F3_LINES = """rank = 3
 gen.0.map = a->b; b->c; c->a
@@ -265,3 +266,32 @@ def test_header_does_not_depend_on_the_output_path(tmp_path, niel):
     assert headers[0] == headers[1]
     assert "# kind = drift" in headers[0]
     assert bodies[0] == bodies[1]
+
+
+# kind: (config, keys its header names, keys it leaves out)
+HEADER_KEYS = {
+    "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 4\npaths = 2\ndim = 2\n"
+                        "gen.0.matrix = [[1, 1], [0, 1]]\ngen.0.weight = 0.5\n"
+                        "gen.1.matrix = [[1, 0], [1, 1]]\ngen.1.weight = 0.5\n",
+                        {"bit_budget"}, {"k_max", "letter_budget"}),
+    "drift": ("kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES,
+              {"letter_budget"}, {"k_max", "bit_budget"}),
+    "spectral": ("kind = spectral\nn_max = 4\npaths = 2\n" + F3_LINES,
+                 {"letter_budget", "k_max"}, {"bit_budget"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADER_KEYS))
+def test_header_names_only_the_settings_the_kind_reads(tmp_path, kind):
+    head, named, unnamed = HEADER_KEYS[kind]
+    rc, out = run_config(tmp_path, head)
+    assert rc == 0
+    comments = [line[2:] for line in out.read_text().splitlines() if line.startswith("# ")]
+    header = [line for line in comments
+              if " = " in line and not line.startswith(("meta.", "generated_at"))]
+    keys = {line.split(" = ")[0] for line in header}
+    assert named <= keys and not keys & unnamed
+    # the header is the resolved config, and it parses back to it
+    cfg = parse_config("\n".join(header) + "\n")
+    assert cfg == parse_config(head)
+    assert parse_config(format_config(cfg)) == cfg

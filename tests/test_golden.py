@@ -70,7 +70,7 @@ DIGESTS = {
     "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
     "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
     "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",
-    "spectral-cut": "3df4fab7f16171d544b3fc84f692de3371f3ca6576a2391bbf69e84bbb66243a",
+    "spectral-cut": "939f3891ecc9b9747d6318dbfae356b2989376c03e039e46aa8717424ebc11f6",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
 }
 

@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from outwalk.free_group import cyclic_reduce, parse_word, word_to_str
+from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, word_to_str
 from outwalk.automorphisms import (
     abelianization,
     apply,
@@ -328,19 +328,41 @@ def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
     assert len(keys) == len(set(keys))
 
 
-@pytest.mark.parametrize("kind", ["spectral", "gromov"])
-def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
-    # records follow the geometric schedule, but a path is cut off at the
-    # step at which composing the walk hits the budget, on the schedule or not
-    series = BUDGET_HITS[kind](niel, sl3)
-    cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
+def walk_cut_steps(niel) -> dict:
+    """The step at which composing each walk of the spectral and gromov
+    budget configs hits the budget."""
     want = {}
     for pid in range(4):
         path = WalkPath(niel, 1, pid, letter_budget=10)
         while path.n < 16 and path.advance():
             pass
         want[pid] = path.n
-    assert cut == want == {0: 8, 1: 8, 2: 5, 3: 11}
+    return want
+
+
+def drift_cut_steps(niel) -> dict:
+    """The step at which substituting a generator image of Phi_n^{-1}
+    hits the budget, on the same walks."""
+    series = drift_experiment(niel, n_max=16, paths=4, master_seed=1, letter_budget=10)
+    return {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
+
+
+SCHEDULED_CUTS = {
+    "spectral": (drift_cut_steps, {0: 8, 1: 8, 2: 9, 3: 11}),
+    "gromov": (walk_cut_steps, {0: 8, 1: 8, 2: 5, 3: 11}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULED_CUTS))
+def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
+    # records follow the geometric schedule, but a path is cut off at the
+    # step at which its walk hits the budget, on the schedule or not:
+    # spectral tracks the generator images of Phi_n^{-1}, as drift does,
+    # and gromov composes the walk
+    cut_steps, want = SCHEDULED_CUTS[kind]
+    series = BUDGET_HITS[kind](niel, sl3)
+    cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
+    assert cut == cut_steps(niel) == want
 
 
 @pytest.mark.parametrize("texts", [("ab", "ab"), ("abA", "b"), ("a", "bc", "baB"), ("ab", "ba"),
@@ -458,6 +480,36 @@ def test_spectral_equals_composed_powers(walk):
             assert upper[(pid, n)] == want_upper / n
             assert point[(pid, n)] == want_point / n
             assert k_used[(pid, n)] == k_max
+
+
+@pytest.mark.parametrize("budget", [2000, 20_000])
+def test_spectral_records_equal_bracket_of_the_sampled_inverse(niel, budget):
+    # the records read the tracked images of Phi_n^{-1}; sample_path
+    # composes Phi_n^{-1}, and its budget also bounds the forward images,
+    # so its walk is cut off first (path 3 at n = 27 under budget 2000)
+    k_max, n_max = 3, 32
+    series = spectral_experiment(niel, n_max=n_max, paths=4, master_seed=9, k_max=k_max,
+                                 letter_budget=budget)
+    got = {}
+    for pid, n, est, value, status in series.records:
+        if pid >= 0 and est.startswith("spectral."):
+            got.setdefault((pid, n), []).append((est, repr(value), status))
+    want = {}
+    for pid in range(4):
+        for n, _, inv in sample_path(niel, 9, pid, n_max, letter_budget=budget):
+            if n in geometric_schedule(n_max):
+                try:
+                    br = bracket(inv, k_max, budget=budget)
+                except WordBudgetExceeded:
+                    want[(pid, n)] = [("spectral.upper", "nan", "truncated")]
+                    continue
+                status = "ok" if br.k_used >= k_max else "downgraded"
+                want[(pid, n)] = [(f"spectral.{e}", repr(v), status) for e, v in (
+                    ("lower", br.lower / n), ("upper", br.upper / n), ("point", br.point / n),
+                    ("k_used", float(br.k_used)))]
+    assert {key: got[key] for key in want} == want
+    statuses = {status for rows in want.values() for _, _, status in rows}
+    assert statuses == {"ok", "downgraded"}
 
 
 @pytest.mark.parametrize("text", [

@@ -6,7 +6,9 @@ stack reduction of the product.
 The block stack takes words under tables with a long block, the
 vectorized pair deletion long words under tables of short blocks; every case here
 compares the result with the stack reduction of the raw concatenation
-of image blocks.  A batch must give each word the image it gets alone,
+of image blocks.  Seams deeper than `SEAM_LETTERS`, which the block
+stack measures by windows, come from tables of powers of walk inverses
+and from seams built to a given depth.  A batch must give each word the image it gets alone,
 hold the budget per word, and never let its separator out.
 """
 
@@ -19,6 +21,7 @@ from outwalk import _wordkernel
 from outwalk._wordkernel import (
     BATCH_CAP,
     HEAD,
+    SEAM_LETTERS,
     SMALL,
     WINDOW,
     ImageTable,
@@ -168,6 +171,74 @@ def test_long_blocks_never_take_pair_deletion(monkeypatch):
     monkeypatch.setattr(_wordkernel, "_delete_pairs_pass", counted)
     check(letters([1] + [2] * k, [2]), np.array([1] + [-2] * k, dtype=np.int8))
     assert len(passes) <= 2
+
+
+@pytest.fixture(scope="module")
+def walk_powers(niel):
+    """(phi, the images of phi^j) for phi = Phi_n^{-1} of NIEL walks at
+    n = 8 and 12, j = 2, 3: the tables a bracket orbit substitutes the
+    short words phi(x_i) into, whose seams cancel up to thousands of
+    letters deep."""
+    out = []
+    for pid in range(3):
+        for n, _, inv in sample_path(niel, 5, pid, 12):
+            if n in (8, 12):
+                power = inv
+                for _ in (2, 3):
+                    power = compose(power, inv)
+                    out.append((inv, [w.letters for w in power.images]))
+    return out
+
+
+def seam_depths(images, word) -> list:
+    """How deep each image block of word cancels into the reduced image
+    of the letters before it."""
+    out, depths = [], []
+    for x in word.tolist():
+        block = images[abs(x) - 1].tolist()
+        block = block if x > 0 else [-y for y in reversed(block)]
+        k = 0
+        while k < len(block) and out and out[-1] == -block[k]:
+            out.pop()
+            k += 1
+        out += block[k:]
+        depths.append(k)
+    return depths
+
+
+def test_walk_power_seams_pass_the_first_window(walk_powers):
+    # the data of the test below reach seams deeper than the letters
+    # compared one by one, and deeper than the first window after them
+    depths = [d for phi, table in walk_powers for w in phi.images
+              for d in seam_depths(table, w.letters)]
+    assert any(SEAM_LETTERS < d <= SEAM_LETTERS + WINDOW for d in depths)
+    assert max(depths) > SEAM_LETTERS + 4 * WINDOW
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), size=st.integers(0, 24), seed=st.integers(0, 2**32))
+def test_substitute_on_walk_power_tables(walk_powers, data, size, seed):
+    phi, table = data.draw(st.sampled_from(walk_powers))
+    for w in phi.images:
+        check(table, w.letters)
+    check(table, random_reduced(seed, size))
+
+
+@pytest.mark.parametrize("left, right", [(5, 5), (0, 5), (5, 0)])
+@pytest.mark.parametrize("depth", [1, SEAM_LETTERS - 1, SEAM_LETTERS, SEAM_LETTERS + 1,
+                                   SEAM_LETTERS + WINDOW - 1, SEAM_LETTERS + WINDOW,
+                                   SEAM_LETTERS + WINDOW + 1, SEAM_LETTERS + 3 * WINDOW,
+                                   5000])
+def test_seam_cancels_exactly_its_depth(depth, left, right):
+    # a -> r g, b -> g^{-1} s sends a b to r s: the seam cancels |g| deep,
+    # all of what came before it when r is empty, the whole block when s is
+    g = random_reduced(depth, depth, rank=2).tolist()
+    r, s = [3] * left, [3] * right
+    images = [np.array(r + g, dtype=np.int8),
+              np.array([-x for x in reversed(g)] + s, dtype=np.int8), letters([3])[0]]
+    for word in ([1, 2], [3, 1, 2, 3], [1, 2, 1, 2]):
+        check(images, np.array(word, dtype=np.int8))
+    assert ImageTable(images).substitute(np.array([1, 2], dtype=np.int8), 10**9).tolist() == r + s
 
 
 def one_at_a_time(table, words, budget=10**9) -> list:
