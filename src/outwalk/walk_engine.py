@@ -10,13 +10,14 @@ Drift, stretch brackets and conjugacy growth run over `_inverse_orbit`,
 which tracks words under the inverse increments, Phi_n^{-1}(w) =
 s_n^{-1}(Phi_{n-1}^{-1}(w)), with one batched substitution per step;
 they never form Phi_n.  Drift and brackets track the N reduced
-generator images Phi_n^{-1}(x_i): drift reads the candidate lengths off
-them (`outer_metric.candidate_lengths`) at every step, and a bracket
-reads its powers off them (`spectral.bracket_images`) on the geometric
-schedule.  Conjugacy growth tracks the seed classes g, cyclically
-reduced, since conjugacy length is a class function.  Only Gromov
-products still compose: they need Phi_n and Phi_n^{-1} substituted
-through each other, so they are per-record functions over
+generator images Phi_n^{-1}(x_i): drift reads the distance off them at
+every step (`outer_metric.image_dist`, which reads exact candidate
+lengths only while their size bounds can still beat the best ratio),
+and a bracket reads its powers off them (`spectral.bracket_images`) on
+the geometric schedule.  Conjugacy growth tracks the seed classes g,
+cyclically reduced, since conjugacy length is a class function.  Only
+Gromov products still compose: they need Phi_n and Phi_n^{-1}
+substituted through each other, so they are per-record functions over
 `_scheduled_walk`, a `WalkPath` that composes Phi_{n+1} = Phi_n s_{n+1}
 once per step and yields no rows off the geometric schedule.  The
 matrix kinds run over `guivarch_series` and `vector_growth`.
@@ -60,8 +61,7 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import (FiniteMetricSample, candidate_lengths, candidates, four_point_delta,
-                           gromov_product, log_stretch)
+from .outer_metric import FiniteMetricSample, four_point_delta, gromov_product, image_dist
 from .spectral import bracket_images
 from .rng import categorical, cumulative, path_generator
 
@@ -98,6 +98,8 @@ class ProbMeasure:
             raise ValueError("measure support is empty")
         if len(self.support) != len(self.weights):
             raise ValueError("one weight per support atom required")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
@@ -367,17 +369,18 @@ def drift_experiment(
     """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator).
 
     The path tracks the N reduced generator images Phi_n^{-1}(x_i), one
-    batched substitution per step, and reads the candidate lengths off
-    them (`outer_metric.candidate_lengths`).  It is cut off at the first
-    step at which substituting one of those images needs more letters
-    than the letter budget.
+    batched substitution per step, and reads dist off them best-first
+    (`outer_metric.image_dist`): the image sizes bound every candidate's
+    ratio, and only candidates whose bound beats the best ratio so far
+    get their exact length.  It is cut off at the first step at which
+    substituting one of those images needs more letters than the letter
+    budget.
     """
     rank = measure.rank
-    loops = candidates(rank).loops
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
     def record(n, tracked):
-        return [("drift", log_stretch(loops, candidate_lengths(tracked)) / n, "ok")]
+        return [("drift", image_dist(tracked) / n, "ok")]
 
     source = _inverse_orbit(measure, master_seed, gens, images, record,
                             n_max=n_max, budget=letter_budget)

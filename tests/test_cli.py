@@ -78,6 +78,25 @@ def test_exit_2_on_bad_config(tmp_path, text):
     assert run_config(tmp_path, text)[0] == 2
 
 
+NAN_WEIGHT_HEADS = {
+    "drift": ("kind = drift\nn_max = 4\npaths = 2\nrank = 2\n"
+              "gen.0.map = a->ab; b->b\ngen.0.inv = a->aB; b->b\ngen.0.weight = {w}\n"
+              "gen.1.map = a->b; b->a\ngen.1.inv = a->b; b->a\ngen.1.weight = 0.5\n"),
+    "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 4\npaths = 2\ndim = 2\n"
+                        "gen.0.matrix = [[1, 1], [0, 1]]\ngen.0.weight = {w}\n"
+                        "gen.1.matrix = [[1, 0], [1, 1]]\ngen.1.weight = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("weight", ["nan", "-nan"])
+@pytest.mark.parametrize("kind", sorted(NAN_WEIGHT_HEADS))
+def test_nan_weight_exits_2(tmp_path, capsys, kind, weight):
+    # a NaN weight sum passed the tolerance check, and sampling then
+    # bisected a NaN cumulative table
+    assert run_config(tmp_path, NAN_WEIGHT_HEADS[kind].format(w=weight))[0] == 2
+    assert "gen.*.weight: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k_max", [0, -3])
 def test_spectral_k_max_below_1_exits_2(tmp_path, capsys, k_max):
     # min(k_used, k_max) >= k_max held for any k_used, so every record read ok

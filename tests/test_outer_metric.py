@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from outwalk.outer_metric import (
     four_point_delta,
     gromov_product,
     highness_ratio,
+    image_dist,
+    log_stretch,
     orbit_dist,
     sym_dist,
 )
+from outwalk import outer_metric
 from outwalk.walk_engine import sample_path
 
 TWIST = parse_automorphism("a->ab; b->b | a->aB; b->b")
@@ -130,6 +134,12 @@ def conjugation(g: list, rank: int) -> Automorphism:
                         tuple(reduce(g_inv + [i] + g, rank) for i in gens), rank)
 
 
+def assert_best_first_read(words):
+    """image_dist is the maximum of the full read, as the same float."""
+    assert image_dist(words) == log_stretch(candidates(len(words)).loops,
+                                            candidate_lengths(words))
+
+
 def random_letters(seed: int, size: int, rank: int) -> list:
     rng = np.random.default_rng(seed)
     return (rng.integers(1, rank + 1, size) * rng.choice([-1, 1], size)).tolist()
@@ -139,6 +149,7 @@ def random_letters(seed: int, size: int, rank: int) -> list:
 @given(st.integers(2, 4).flatmap(lambda rank: products(rank, 8)))
 def test_candidate_lengths_on_nielsen_moves(theta):
     assert candidate_lengths(theta.images) == substituted_lengths(theta)
+    assert_best_first_read(theta.images)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +164,41 @@ def test_candidate_lengths_on_walk_inverses(walk_inverses_16_32_44):
     assert max(len(w) for inv in walk_inverses_16_32_44 for w in inv.images) > 2048
     for inv in walk_inverses_16_32_44:
         assert candidate_lengths(inv.images) == substituted_lengths(inv)
+        assert_best_first_read(inv.images)
+
+
+def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, monkeypatch):
+    # a loop's ratio is at most its raw size over its length: image_dist
+    # reads every loop whose bound beats the maximum ratio and none whose
+    # bound falls short of it, so never more than the N^2 lengths
+    loops = candidates(3).loops
+    wants = [max([Fraction(1)] + [Fraction(n, len(c)) for n, c in
+                                  zip(candidate_lengths(inv.images), loops)])
+             for inv in walk_inverses_16_32_44]
+    bounds = []
+    petal, eight = outer_metric.cyclic_length, outer_metric.product_cyclic_length
+
+    def read_petal(u, u_inv):
+        bounds.append(Fraction(u.size))
+        return petal(u, u_inv)
+
+    def read_eight(u, u_inv, v, v_inv):
+        bounds.append(Fraction(u.size + v.size, 2))
+        return eight(u, u_inv, v, v_inv)
+
+    monkeypatch.setattr(outer_metric, "cyclic_length", read_petal)
+    monkeypatch.setattr(outer_metric, "product_cyclic_length", read_eight)
+    reads = []
+    for inv, want in zip(walk_inverses_16_32_44, wants):
+        bounds.clear()
+        image_dist(inv.images)
+        sizes = [len(w) for w in inv.images]
+        all_bounds = [Fraction(sum(sizes[abs(x) - 1] for x in c.as_tuple()), len(c))
+                      for c in loops]
+        assert min(bounds) >= want
+        assert sum(b > want for b in all_bounds) <= len(bounds) <= len(loops)
+        reads.append(len(bounds))
+    assert sum(reads) < len(reads) * len(loops)
 
 
 # conjugator sizes around the first window and the head of a reading
@@ -170,6 +216,21 @@ def test_candidate_lengths_on_conjugations(data, size, seed):
     for theta in (inner, compose(inner, data.draw(products(rank))),
                   compose(data.draw(products(rank)), inner)):
         assert candidate_lengths(theta.images) == substituted_lengths(theta)
+        assert_best_first_read(theta.images)
+
+
+@pytest.mark.parametrize("theta, want", [
+    (identity_automorphism(4), 0.0),
+    (permutation(3, [2, 3, 1]), 0.0),
+    (permutation(2, [2, 1], signs=[-1, 1]), 0.0),
+    (inversion(3, 2), 0.0),
+    # the petals a, b and the figure eights ab, aB all stretch by 2
+    (parse_automorphism("a->ab; b->bc; c->c | a->acB; b->bC; c->c"), math.log(2)),
+])
+def test_image_dist_ties(theta, want):
+    # every bound ties the best ratio: the read stops without a better one
+    assert_best_first_read(theta.images)
+    assert image_dist(theta.images) == dist(theta) == want
 
 
 @settings(max_examples=40, deadline=None)
