@@ -35,25 +35,26 @@ Free reduction is confluent, so both regimes give the same normal form.
 An orbit step maps a handful of words at once, and per word the cost is
 numpy call overhead, not letters.  `batch_substitute` therefore runs a
 batch: the words concatenated with a separator letter between them,
-through one `substitute` call; `cyclic_substitute` adds one set of
-vectorized end-peeling passes that trims every word to the
-representative `cyclic_trim` gives.  The separator is letter R+1 of a
-rank-R table, the slot that is also slot -(R+1); it maps to `SEP`, a
-letter no generator of rank below 127 uses, so neither regime ever
-cancels it and no word cancels into its neighbour.  The budget holds
+through one `substitute` call; `cyclic_substitute` then trims each
+image with `cyclic_trim`.  The separator is letter R+1 of a rank-R
+table, the slot that is also slot -(R+1); it maps to `SEP`, a letter
+no generator of rank below 127 uses, so neither regime ever cancels it
+and no word cancels into its neighbour.  The budget holds
 for each word's raw image, not for the batch, so batching never moves a
 cut-off.  A batch takes words while its input stays under `BATCH_CAP`
 letters, and a longer word runs alone: long words gain nothing from
 sharing a call, and an uncapped batch would hold the temporaries of all
 its words at once.
 
-The conjugacy length of a product u v of reduced words needs no
-product: the seam cancels the common prefix of u^{-1} and v, and the
-ends then peel as the common prefix of u and v^{-1}
-(`product_cyclic_length`).  Both are read by `common_prefix` on
-`Reading`s, which compare windows of the two words as big integers
-built from their bytes, so no Python loop runs per letter and no
-temporary grows past a window, however long the words.
+The ends that a cyclic trim peels off a reduced word u are the common
+prefix of u and u^{-1} (`cyclic_trim`, `cyclic_length`).  The
+conjugacy length of a product u v of reduced words needs no product:
+the seam cancels the common prefix of u^{-1} and v, and the ends then
+peel as the common prefix of u and v^{-1} (`product_cyclic_length`).
+All are read by `common_prefix` on `Reading`s, which compare windows
+of the two words as big integers built from their bytes, so no Python
+loop runs per letter and no temporary grows past a window, however
+long the words.
 """
 
 from __future__ import annotations
@@ -241,15 +242,6 @@ class ImageTable:
             raise WordBudgetExceeded(int(raw[over[0]]), budget)
 
 
-def cyclic_trim(arr: np.ndarray) -> np.ndarray:
-    """Peel matched ends off a reduced word until cyclically reduced."""
-    i, j = 0, arr.size
-    while j - i >= 2 and arr[i] == -arr[j - 1]:
-        i += 1
-        j -= 1
-    return arr[i:j] if (i or j != arr.size) else arr
-
-
 def common_suffix(x, y, k: int) -> int:
     """Length of the longest common suffix of the byte strings x and y,
     given that it is at least k.
@@ -269,31 +261,6 @@ def common_suffix(x, y, k: int) -> int:
             return k + ((d & -d).bit_length() - 1) // 8
         k, w = q, min(2 * w, WINDOW_MAX)
     return k
-
-
-def _trim_segments(arr: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """Peel matched ends off every segment arr[i:j] of a reduced array
-    until each is cyclically reduced, as `cyclic_trim` does one word.
-
-    Most segments have unmatched ends and leave at the first check.  A
-    pass compares up to w letters at both ends of every segment still
-    open and peels each up to its first mismatch; a segment that matched
-    its whole window stays open, and w doubles.
-    """
-    live, w = np.flatnonzero(j - i >= 2), 64
-    live = live[arr[i[live]] == -arr[j[live] - 1]]
-    while live.size:
-        li, lj = i[live], j[live]
-        n = np.minimum((lj - li) // 2, w)
-        first = np.cumsum(n) - n
-        t = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
-        bad = arr[np.repeat(li, n) + t] != -arr[np.repeat(lj - 1, n) - t]
-        depth = np.minimum.reduceat(np.where(bad, t, np.repeat(n, n)), first)
-        i[live] = li + depth
-        j[live] = lj - depth
-        live = live[(depth == n) & (lj - li - 2 * depth >= 2)]
-        w *= 2
-    return i, j
 
 
 def _separated(table: ImageTable, words: list, budget: int):
@@ -333,13 +300,8 @@ def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
 
 def cyclic_substitute(table: ImageTable, words: list, budget: int) -> list:
     """Cyclically reduced images of reduced words, one `substitute` call
-    per batch and one set of trim passes per batch."""
-    out = []
-    for arr, cuts in _separated(table, words, budget):
-        i, j = _trim_segments(arr, np.array([0] + [c + 1 for c in cuts]),
-                              np.array(cuts + [arr.size]))
-        out += [arr[a:b] for a, b in zip(i.tolist(), j.tolist())]
-    return out
+    per batch, each image then trimmed by `cyclic_trim`."""
+    return [cyclic_trim(w) for w in batch_substitute(table, words, budget)]
 
 
 class Reading:
@@ -393,6 +355,19 @@ def common_prefix(x: Reading, y: Reading, cap: int, i: int = 0, j: int = 0) -> i
              ^ int.from_bytes(y.window(j + p, j + q), "big"))
         p, w = q, min(2 * w, WINDOW_MAX)
     return p - (d.bit_length() + 7) // 8
+
+
+def cyclic_trim(arr: np.ndarray) -> np.ndarray:
+    """Peel matched ends off a reduced word until cyclically reduced.
+
+    The ends peeled are the common prefix of the word and its inverse,
+    as `cyclic_length` reads them; most words have unmatched ends and
+    leave at the first check.
+    """
+    if arr.size < 2 or arr[0] != -arr[-1]:
+        return arr
+    t = common_prefix(Reading(arr), Reading(arr, True), arr.size // 2)
+    return arr[t:arr.size - t]
 
 
 def cyclic_length(u: Reading, u_inv: Reading) -> int:

@@ -6,12 +6,13 @@
 
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, refused before the run or the
-aggregation starts), 3 budget exhausted everywhere.  CSV schema (exact):
-experiment,path_id,n,estimator,value,status.  The resolved config, less
-its `out` path, is embedded as `# key = value` comment lines and the run
-metadata as `# meta.<key> = <JSON value>` lines; the timestamp lives in
-its own comment line so output bodies stay byte-identical across reruns
-and worker counts.
+aggregation starts), 3 budget exhausted everywhere (on the one map of
+a `distance` or `stretch` run, which then writes no CSV).  CSV
+schema (exact): experiment,path_id,n,estimator,value,status.  The
+resolved config, less its `out` path, is embedded as `# key = value`
+comment lines and the run metadata as `# meta.<key> = <JSON value>`
+lines; the timestamp lives in its own comment line so output bodies
+stay byte-identical across reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import (
     seed_words,
     validate,
 )
+from .free_group import WordBudgetExceeded
 from .outer_metric import dist, sym_dist
 from .spectral import bracket
 from .walk_engine import (
@@ -82,34 +84,45 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"out: cannot write {path!r}")
 
 
-def run(cfg: ExperimentConfig, threads: int = 1) -> int:
-    measure = build_measure(cfg)
-    kind = cfg.kind
+def _single_map(kind: str, theta, cfg: ExperimentConfig) -> EstimateSeries:
+    """The one record of a `distance` or `stretch` run, printed too.
+    Raises WordBudgetExceeded when a word of the map outgrows the
+    letter budget."""
     if kind == "distance":
-        theta = measure.support[0]
         d = dist(theta, budget=cfg.letter_budget)
         s = sym_dist(theta, budget=cfg.letter_budget)
         print(f"dist = {d:.6f}")
         print(f"sym = {s:.6f}")
-        series = EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
-                                             (0, 0, "sym_dist", s, "ok")], {})
-    elif kind == "stretch":
-        br = bracket(measure.support[0], cfg.k_max, budget=cfg.letter_budget)
-        print(f"lower = {br.lower:.6f}")
-        print(f"upper = {br.upper:.6f}")
-        print(f"point = {br.point:.6f}")
-        print(f"k_used = {br.k_used}")
-        print(f"converged = {br.converged}")
-        series = EstimateSeries(
-            "stretch",
-            [
-                (0, 0, "stretch.lower", br.lower, "ok"),
-                (0, 0, "stretch.upper", br.upper, "ok"),
-                (0, 0, "stretch.point", br.point, "ok"),
-                (0, 0, "stretch.k_used", float(br.k_used), "ok"),
-            ],
-            {},
-        )
+        return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
+                                           (0, 0, "sym_dist", s, "ok")], {})
+    br = bracket(theta, cfg.k_max, budget=cfg.letter_budget)
+    print(f"lower = {br.lower:.6f}")
+    print(f"upper = {br.upper:.6f}")
+    print(f"point = {br.point:.6f}")
+    print(f"k_used = {br.k_used}")
+    print(f"converged = {br.converged}")
+    return EstimateSeries(
+        "stretch",
+        [
+            (0, 0, "stretch.lower", br.lower, "ok"),
+            (0, 0, "stretch.upper", br.upper, "ok"),
+            (0, 0, "stretch.point", br.point, "ok"),
+            (0, 0, "stretch.k_used", float(br.k_used), "ok"),
+        ],
+        {},
+    )
+
+
+def run(cfg: ExperimentConfig, threads: int = 1) -> int:
+    measure = build_measure(cfg)
+    kind = cfg.kind
+    if kind in ("distance", "stretch"):
+        try:
+            series = _single_map(kind, measure.support[0], cfg)
+        except WordBudgetExceeded as e:
+            # one map and no path to cut off: the run has nothing to write
+            print(f"error: budget exhausted: {e}", file=sys.stderr)
+            return 3
     elif kind in MATRIX_KINDS:
         series = matrix_experiments(
             measure,

@@ -102,19 +102,6 @@ class IntMatrix:
             )
         )
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 

@@ -6,32 +6,33 @@ dist(Phi_n^{-1}).
 
 Every multi-path kind is a row source: path_rows(path_id) yields
 (n, [(estimator, value, status), ...]) once for every completed step.
-Drift, stretch brackets and conjugacy growth run over `_inverse_orbit`,
-which tracks words under the inverse increments, Phi_n^{-1}(w) =
-s_n^{-1}(Phi_{n-1}^{-1}(w)), with one batched substitution per step;
-they never form Phi_n.  Drift and brackets track the N reduced
-generator images Phi_n^{-1}(x_i): drift reads the distance off them at
+Every word kind runs over `_inverse_orbit`, which tracks a state under
+the inverse increments, Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)),
+with one step per increment; none forms Phi_n by composing forward.
+Drift and brackets track the N reduced generator images
+Phi_n^{-1}(x_i) (step `images`): drift reads the distance off them at
 every step (`outer_metric.image_dist`, which reads exact candidate
 lengths only while their size bounds can still beat the best ratio),
 and a bracket reads its powers off them (`spectral.bracket_images`) on
 the geometric schedule.  Conjugacy growth tracks the seed classes g,
-cyclically reduced, since conjugacy length is a class function.  Only
-Gromov products still compose: they need Phi_n and Phi_n^{-1}
-substituted through each other, so they are per-record functions over
-`_scheduled_walk`, a `WalkPath` that composes Phi_{n+1} = Phi_n s_{n+1}
-once per step and yields no rows off the geometric schedule.  The
-matrix kinds run over `guivarch_series` and `vector_growth`.
+cyclically reduced, since conjugacy length is a class function (step
+`cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
+substituted through each other, so they track the automorphism
+Phi_n^{-1} itself (step `compose`), which carries Phi_n as its inverse
+images, and record on the geometric schedule only.  The matrix kinds
+run over `guivarch_series` and `vector_growth`.
 
 The driver `_series` alone applies the cut-off rule, the merge order
 and the summaries.  A path is cut off at the first step at which one
-substitution, of a tracked word (for drift and brackets, a generator
-image) or into the composed product, needs more letters than the
-letter budget, or a matrix entry more bits than the bit budget; it then
-ends in a row with estimator "truncated_at", value the last completed
-step and status "truncated", never silently dropped.  A budget hit
-inside one bracket or Gromov record marks only that record.  Paths
-are independent tasks keyed by (master_seed, path_id); results are
-merged in path order, so the worker count never changes output bytes.
+substitution of a tracked word (for drift and brackets, a generator
+image; for Gromov products, an image of Phi_n^{-1} or of Phi_n) needs
+more letters than the letter budget, or a matrix entry more bits than
+the bit budget; it then ends in a row with estimator "truncated_at",
+value the last completed step and status "truncated", never silently
+dropped.  A budget hit inside one bracket or Gromov record marks only
+that record.  Paths are independent tasks keyed by (master_seed,
+path_id); results are merged in path order, so the worker count never
+changes output bytes.
 `delta_experiment` reads one orbit segment as a whole and writes its
 single record itself.
 """
@@ -147,7 +148,10 @@ def _steps(measure: ProbMeasure, master_seed: int, path_id: int, n_max: int):
 
 @dataclass
 class WalkPath:
-    """Incremental sample path of the automorphism walk: Phi_n and its inverse."""
+    """Incremental sample path of the automorphism walk: Phi_n and its inverse.
+
+    No experiment kind composes forward; this is the composed reference
+    that the orbit kinds are checked against."""
 
     measure: ProbMeasure
     master_seed: int
@@ -313,7 +317,9 @@ def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
 def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     """Row source over the images of words under Phi_n^{-1}: step n maps
     the images of step n-1 by step(s_n^{-1}, images, budget=budget) and
-    yields record(n, images).  A substitution over the budget raises."""
+    yields record(n, images).  With step `compose` and the identity as
+    words, the tracked state is the automorphism Phi_n^{-1}.  A
+    substitution over the budget raises."""
     inverses = [invert(a) for a in measure.support]
 
     def path_rows(pid: int):
@@ -340,21 +346,6 @@ def _on_schedule(record, cut_estimator, n_max):
             return [(cut_estimator, float("nan"), "truncated")]
 
     return scheduled
-
-
-def _scheduled_walk(measure, master_seed, record, cut_estimator, *, n_max, budget):
-    """Row source over the composed walk: step n yields
-    record(n, Phi_n, Phi_n^{-1}) on the geometric schedule and no rows
-    off it (`_on_schedule`), so the path ends at the exact step at which
-    composing hit the budget."""
-    scheduled = _on_schedule(record, cut_estimator, n_max)
-
-    def path_rows(pid: int):
-        for n, product, inverse in sample_path(measure, master_seed, pid, n_max,
-                                               letter_budget=budget):
-            yield n, scheduled(n, product, inverse)
-
-    return path_rows
 
 
 def drift_experiment(
@@ -468,17 +459,24 @@ def gromov_decay_experiment(
 ) -> EstimateSeries:
     """Records (1/n) (Phi_n.y0 | Phi_n^{-1}.y0)_{y0} in the symmetrized metric.
 
-    `gromov_product` reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) = sym_dist(Phi_n^2)
-    from the generator images of Phi_n^{+-1} substituted through themselves
-    (`orbit_dist`), the expensive part; so records follow the geometric
-    schedule and budget failures mark single records.
+    The path tracks the automorphism Phi_n^{-1} itself, composed as
+    s_n^{-1} Phi_{n-1}^{-1}, which substitutes its images and those of
+    Phi_n, the inverse images it carries; it is cut off at the first
+    step at which one of them needs more letters than the letter
+    budget.  `gromov_product` reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) =
+    sym_dist(Phi_n^2) from the generator images of Phi_n^{+-1}
+    substituted through themselves (`orbit_dist`), the expensive part;
+    so records follow the geometric schedule and budget failures mark
+    single records.
     """
 
-    def record(n, product, inverse):
-        return [("gromov", gromov_product(product, inverse, budget=letter_budget) / n, "ok")]
+    def record(n, inverse):
+        return [("gromov", gromov_product(invert(inverse), inverse, budget=letter_budget) / n,
+                 "ok")]
 
-    source = _scheduled_walk(measure, master_seed, record, "gromov",
-                             n_max=n_max, budget=letter_budget)
+    source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank), compose,
+                            _on_schedule(record, "gromov", n_max),
+                            n_max=n_max, budget=letter_budget)
     return _series("gromov", source, ["gromov"], {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
 

@@ -179,6 +179,20 @@ def test_drift_budget_hit_truncates_paths(tmp_path, niel):
     assert truncated > 0
 
 
+@pytest.mark.parametrize("kind, budget", [("distance", 2), ("stretch", 1)])
+def test_single_map_over_budget_exits_3(tmp_path, capsys, kind, budget):
+    # a and b map to two letters each: the raw image of the figure eight
+    # ab has four, and the bracket's first power two; one map has no
+    # path to cut off, so the run ends with exit 3 and no CSV
+    text = (f"kind = {kind}\nletter_budget = {budget}\nrank = 3\n"
+            "gen.0.map = a->ab; b->bc; c->c\ngen.0.inv = a->acB; b->bC; c->c\n")
+    rc, out = run_config(tmp_path, text)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: budget exhausted") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_delta_budget_hit_truncates_the_path(tmp_path, capsys, niel):
     # a substitution over the budget cuts the path off before that step
     text = ("kind = delta\nn_max = 40\nletter_budget = 200\nmaster_seed = 5\n"

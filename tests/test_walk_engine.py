@@ -358,7 +358,8 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     # records follow the geometric schedule, but a path is cut off at the
     # step at which its walk hits the budget, on the schedule or not:
     # spectral tracks the generator images of Phi_n^{-1}, as drift does,
-    # and gromov composes the walk
+    # and gromov tracks Phi_n^{-1} with its inverse images Phi_n, which
+    # are those that composing the walk forward substitutes
     cut_steps, want = SCHEDULED_CUTS[kind]
     series = BUDGET_HITS[kind](niel, sl3)
     cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}

@@ -1,7 +1,8 @@
 """`ImageTable.substitute` in both of its regimes against `stack_reduce`,
 `cyclic_substitute`, its batched orbit step, against one word at a time,
-and the cyclic lengths of products, read by `common_prefix`, against the
-stack reduction of the product.
+and `cyclic_trim` and the cyclic lengths of products, read by
+`common_prefix`, against the stack reduction and a letter-by-letter
+peel.
 
 The block stack takes words under tables with a long block, the
 vectorized pair deletion long words under tables of short blocks; every case here
@@ -241,8 +242,17 @@ def test_seam_cancels_exactly_its_depth(depth, left, right):
     assert ImageTable(images).substitute(np.array([1, 2], dtype=np.int8), 10**9).tolist() == r + s
 
 
+def peel(letters) -> list:
+    """Cyclic trim of a reduced letter list, one matched pair of ends at
+    a time: the reference for `cyclic_trim`."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return letters[i:j]
+
+
 def one_at_a_time(table, words, budget=10**9) -> list:
-    return [cyclic_trim(table.substitute(w, budget)).tolist() for w in words]
+    return [peel(table.substitute(w, budget).tolist()) for w in words]
 
 
 def raw_total(table, word) -> int:
@@ -301,10 +311,10 @@ def test_batch_splits_at_the_cap(niel):
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
 
 
-@pytest.mark.parametrize("depth", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
 def test_batch_trims_deep_conjugates(depth):
     # x -> u x u^{-1} maps every cyclic word c to u c u^{-1}, which the
-    # trim peels back |u| deep, over several doubling passes for long u
+    # trim peels back |u| deep, past the head of a `Reading` for long u
     u = random_reduced(depth, depth).tolist()
     images = [np.array(stack_reduce(u + [i] + [-x for x in reversed(u)]), dtype=np.int8)
               for i in (1, 2, 3)]
@@ -337,8 +347,23 @@ def test_common_prefix_across_window_edges(shared):
         assert common_prefix(pu, pv, v.size - offset, offset, offset) == shared - offset
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), core=st.integers(0, 6),
+       ends=st.one_of(st.integers(0, 4), st.integers(WINDOW - 2, 3 * HEAD)))
+def test_cyclic_trim_against_the_peel(seed, core, ends):
+    # u c u^{-1}, reduced: the peel runs about |u| deep, past the head
+    # of a `Reading` for long u
+    u = random_reduced(seed, ends).tolist()
+    c = random_reduced(seed + 1, core).tolist()
+    w = np.array(stack_reduce(u + c + [-x for x in reversed(u)]), dtype=np.int8)
+    got = cyclic_trim(w)
+    assert got.tolist() == peel(w.tolist())
+    if got.size == w.size:
+        assert got is w
+
+
 def product_by_stack(u, v) -> int:
-    return len(cyclic_trim(np.array(stack_reduce(u.tolist() + v.tolist()), dtype=np.int8)))
+    return len(peel(stack_reduce(u.tolist() + v.tolist())))
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,7 +386,7 @@ def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
     v = np.array(stack_reduce(v), dtype=np.int8)
     v_inv = np.array(v[::-1] * -1)
     pu, pu_inv, pv, pv_inv = Reading(u), Reading(u, True), Reading(v), Reading(v, True)
-    assert cyclic_length(pu, pu_inv) == len(cyclic_trim(u))
+    assert cyclic_length(pu, pu_inv) == len(peel(u.tolist()))
     assert product_cyclic_length(pu, pu_inv, pv, pv_inv) == product_by_stack(u, v)
     assert product_cyclic_length(pu, pu_inv, pv_inv, pv) == product_by_stack(u, v_inv)
     assert product_cyclic_length(pv, pv_inv, pu, pu_inv) == product_by_stack(v, u)
