@@ -33,18 +33,19 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
 Free reduction is confluent, so both regimes give the same normal form.
 
 An orbit step maps a handful of words at once, and per word the cost is
-numpy call overhead, not letters.  `batch_substitute` therefore runs a
-batch: the words concatenated with a separator letter between them,
-through one `substitute` call; `cyclic_substitute` then trims each
-image with `cyclic_trim`.  The separator is letter R+1 of a rank-R
-table, the slot that is also slot -(R+1); it maps to `SEP`, a letter
-no generator of rank below 127 uses, so neither regime ever cancels it
-and no word cancels into its neighbour.  The budget holds
-for each word's raw image, not for the batch, so batching never moves a
-cut-off.  A batch takes words while its input stays under `BATCH_CAP`
-letters, and a longer word runs alone: long words gain nothing from
-sharing a call, and an uncapped batch would hold the temporaries of all
-its words at once.
+numpy call overhead, not letters.  So `batch_substitute` is the one
+entry point above `substitute`: it joins the words with a separator
+letter between them and runs the batch through one `substitute` call.
+Every word operation of `automorphisms` (compose, apply, the inverse
+check, the orbit steps) is one or two such batches.  The separator is
+letter R+1 of a rank-R table, the slot that is also slot -(R+1); it
+maps to `SEP`, a letter no generator of rank below 127 uses, so neither
+regime ever cancels it and no word cancels into its neighbour.  The
+budget holds for each word's raw image, not for the batch, so batching
+never moves a cut-off.  A batch takes words while its input stays under
+`BATCH_CAP` letters, and a longer word runs alone: long words gain
+nothing from sharing a call, and an uncapped batch would hold the
+temporaries of all its words at once.
 
 The ends that a cyclic trim peels off a reduced word u are the common
 prefix of u and u^{-1} (`cyclic_trim`, `cyclic_length`).  The
@@ -263,10 +264,9 @@ def common_suffix(x, y, k: int) -> int:
     return k
 
 
-def _separated(table: ImageTable, words: list, budget: int):
-    """Substitute reduced words in separated batches (see the module
-    docstring): yields, per batch, the reduced images of its words with
-    `SEP` between them, and the positions of those separators.
+def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
+    """Reduced images of reduced words, one `substitute` call per
+    separated batch (see the module docstring).
 
     Words of rank 127 leave no letter for the separator and run alone.
     Raises WordBudgetExceeded for the first word, in input order, whose
@@ -280,28 +280,17 @@ def _separated(table: ImageTable, words: list, budget: int):
             size = 0
         batches[-1].append(w)
         size += w.size + 1
+    out = []
     for batch in batches:
         if len(batch) == 1:
-            yield table.substitute(batch[0], budget), []
+            out.append(table.substitute(batch[0], budget))
             continue
         parts = [table.sep_word] * (2 * len(batch) - 1)
         parts[::2] = batch
         arr = table.substitute(np.concatenate(parts), budget)
-        yield arr, np.flatnonzero(arr == SEP).tolist()
-
-
-def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
-    """Reduced images of reduced words, one `substitute` call per batch."""
-    out = []
-    for arr, cuts in _separated(table, words, budget):
+        cuts = np.flatnonzero(arr == SEP).tolist()
         out += [arr[a + 1:b] for a, b in zip([-1] + cuts, cuts + [arr.size])]
     return out
-
-
-def cyclic_substitute(table: ImageTable, words: list, budget: int) -> list:
-    """Cyclically reduced images of reduced words, one `substitute` call
-    per batch, each image then trimmed by `cyclic_trim`."""
-    return [cyclic_trim(w) for w in batch_substitute(table, words, budget)]
 
 
 class Reading:

@@ -6,6 +6,12 @@ carries both the images and the inverse images, and the pair is verified
 on every user-facing construction (apply the map then its claimed inverse
 to every generator and demand the identity).
 
+Every word operation here is a batch substitution
+(`_wordkernel.batch_substitute`) of words through a map's generator
+images, by way of `images`: `apply` is a batch of one, `compose` two
+batches, the inverse check two round trips, and `cyclic_images` a batch
+followed by a cyclic trim of each image.
+
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
 generator, so it reverses order: abelianization(compose(phi, psi)) ==
@@ -20,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_substitute
+from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_trim
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
     CyclicWord,
@@ -76,26 +82,23 @@ class Automorphism:
     def _table(self) -> ImageTable:
         return ImageTable([w.letters for w in self.images])
 
-    @cached_property
-    def _inv_table(self) -> ImageTable:
-        return ImageTable([w.letters for w in self.inverse_images])
-
     def verify(self) -> None:
-        """Check the inverse certificate on all generators, both ways."""
-        budget = 4 * max(
-            1,
-            sum(len(w) for w in self.images) * max(len(w) for w in self.inverse_images),
-            sum(len(w) for w in self.inverse_images) * max(len(w) for w in self.images),
-        )
-        for i in range(1, self.rank + 1):
-            gen = np.array([i], dtype=DTYPE)
-            back = self._inv_table.substitute(self._table.substitute(gen, budget), budget)
-            if back.size != 1 or back[0] != i:
+        """Check the inverse certificate on all generators, both ways:
+        each generator back through the inverse, then forth.
+
+        No budget applies: a round trip's raw size is at most the total
+        size of one side times the longest word of the other.
+        """
+        inv = invert(self)
+        gens = [Word.generator(i, self.rank) for i in range(1, self.rank + 1)]
+        back = images(inv, images(self, gens, budget=sys.maxsize), budget=sys.maxsize)
+        forth = images(self, images(inv, gens, budget=sys.maxsize), budget=sys.maxsize)
+        for i, (gen, b, f) in enumerate(zip(gens, back, forth), 1):
+            if b != gen:
                 raise InverseCheckError(
                     f"inverse images fail on generator {i}: not an inverse pair"
                 )
-            forth = self._table.substitute(self._inv_table.substitute(gen, budget), budget)
-            if forth.size != 1 or forth[0] != i:
+            if f != gen:
                 raise InverseCheckError(
                     f"images fail on generator {i}: not an inverse pair"
                 )
@@ -117,18 +120,14 @@ class Automorphism:
 
 def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
     """Image of w under phi, freely reduced."""
-    if phi.rank != w.rank:
-        raise ValueError("rank mismatch")
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    return Word._wrap(phi._table.substitute(w.letters, b), w.rank)
+    return images(phi, [w], budget=budget)[0]
 
 
 def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
-    """Reduced images of the words under phi, as `apply` gives them one
-    at a time, from one kernel call per batch
-    (`_wordkernel.batch_substitute`).  Raises WordBudgetExceeded for the
-    first word, in input order, whose substitution needs more letters
-    than the budget.
+    """Reduced images of the words under phi, from one kernel call per
+    batch (`_wordkernel.batch_substitute`).  Raises WordBudgetExceeded
+    for the first word, in input order, whose substitution needs more
+    letters than the budget.
     """
     r = phi.rank
     if any(w.rank != r for w in words):
@@ -143,32 +142,24 @@ def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> lis
     Conjugacy length is a class function, so iterating this along a
     sequence of maps tracks |phi_k ... phi_1(g)| exactly while keeping
     every tracked word as short as its class.  The words go through the
-    kernel as one batch (`_wordkernel.cyclic_substitute`), and each
-    image equals cyclic_reduce(apply(phi, w.as_word())).  Raises
+    kernel as one batch, as in `images`, and each image is then trimmed
+    (`_wordkernel.cyclic_trim`), so it equals
+    cyclic_reduce(apply(phi, w.as_word())).  Raises
     WordBudgetExceeded for the first word, in input order, whose
     substitution needs more letters than the budget.
     """
-    r = phi.rank
-    if any(w.rank != r for w in words):
-        raise ValueError("rank mismatch")
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    images = cyclic_substitute(phi._table, [w.letters for w in words], b)
-    return [CyclicWord._wrap(a, r) for a in images]
+    return [CyclicWord._wrap(cyclic_trim(w.letters), phi.rank)
+            for w in images(phi, words, budget=budget)]
 
 
 def compose(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> Automorphism:
-    """phi after psi: x maps to phi(psi(x))."""
-    if phi.rank != psi.rank:
-        raise ValueError("rank mismatch")
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    r = phi.rank
-    images = tuple(
-        Word._wrap(phi._table.substitute(w.letters, b), r) for w in psi.images
-    )
-    inverse_images = tuple(
-        Word._wrap(psi._inv_table.substitute(w.letters, b), r) for w in phi.inverse_images
-    )
-    return Automorphism(images, inverse_images, r)
+    """phi after psi: x maps to phi(psi(x)), and its inverse x to
+    psi^{-1}(phi^{-1}(x)), two batches (`images`).  Raises
+    WordBudgetExceeded for the first word over the budget, images before
+    inverse images."""
+    return Automorphism(tuple(images(phi, psi.images, budget=budget)),
+                        tuple(images(invert(psi), phi.inverse_images, budget=budget)),
+                        phi.rank)
 
 
 def invert(phi: Automorphism) -> Automorphism:

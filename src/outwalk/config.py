@@ -44,6 +44,7 @@ KINDS = {
 WALK_KINDS = {"drift", "conjugacy", "spectral", "gromov", "delta"}
 MATRIX_KINDS = {"matrix-guivarch", "matrix-furstenberg"}
 SINGLE_KINDS = {"distance", "stretch"}
+ONE_PATH_KINDS = SINGLE_KINDS | {"delta"}
 
 _INT_KEYS = ("rank", "dim", "n_max", "paths", "k_max", "master_seed",
              "letter_budget", "bit_budget")
@@ -169,6 +170,9 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"n_max: required and must be >= {low}")
         if cfg.paths < 1:
             raise ConfigError("paths: must be >= 1")
+    if cfg.kind in ONE_PATH_KINDS and cfg.paths != 1:
+        # the run reads one map or one path; more would be ignored
+        raise ConfigError(f"paths: a {cfg.kind} run has exactly one path")
     if cfg.kind == "conjugacy" and not cfg.words:
         raise ConfigError("word.0: conjugacy experiments need seed words")
     if cfg.kind == "matrix-furstenberg":

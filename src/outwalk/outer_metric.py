@@ -17,6 +17,10 @@ the N generator images theta(x_i): a petal x_i is the cyclic trim of
 theta(x_i), a figure eight x_i x_j^{+-1} the seam between theta(x_i)
 and theta(x_j)^{+-1}, then the trim (`candidate_lengths`), and
 `log_stretch` turns candidate lengths into the exact maximal ratio.
+The candidate order is written once, as the (i, j, flip) triples of
+`_pieces`: the loops of `candidates`, the lengths of
+`candidate_lengths`, the best-first queue of `image_dist` and the budget
+check of `dist` all follow it.
 
 A distance needs only the maximum, so `image_dist` reads it best-first:
 the conjugacy length of a loop's image is at most the loop's raw size,
@@ -48,7 +52,6 @@ from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
 from .automorphisms import Automorphism, identity_automorphism, images, invert
 
 __all__ = [
-    "CandidateSet",
     "FiniteMetricSample",
     "candidates",
     "candidate_lengths",
@@ -65,39 +68,29 @@ __all__ = [
 TRIANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Petals and figure eights on the rank-N rose: N^2 loops of length <= 2."""
-
-    rank: int
-    loops: tuple
-
-    def __len__(self) -> int:
-        return len(self.loops)
-
-
-@lru_cache(maxsize=None)
-def candidates(rank: int) -> CandidateSet:
-    if rank < 2:
-        raise ValueError("need rank >= 2")
-    loops = []
-    for i in range(1, rank + 1):
-        loops.append(CyclicWord(np.array([i], dtype=np.int8), rank))
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            loops.append(CyclicWord(np.array([i, j], dtype=np.int8), rank))
-            loops.append(CyclicWord(np.array([i, -j], dtype=np.int8), rank))
-    return CandidateSet(rank, tuple(loops))
-
-
 @lru_cache(maxsize=None)
 def _pieces(rank: int) -> tuple:
-    """(i, j, flip) per loop of `candidates(rank)`, in its order, with
-    0-based image indices: (i, i, False) for the petal x_i, (i, j, flip)
-    for the figure eight x_i x_j^{-1 if flip else 1}."""
+    """(i, j, flip) per candidate loop on the rank-N rose, with 0-based
+    image indices: (i, i, False) for the petal x_i, (i, j, flip) for the
+    figure eight x_i x_j^{-1 if flip else 1}.  The order of every
+    candidate list: petals, then figure eights by (i, j), x_j before
+    x_j^{-1}."""
+    if rank < 2:
+        raise ValueError("need rank >= 2")
     return tuple([(i, i, False) for i in range(rank)]
                  + [(i, j, flip) for i in range(rank) for j in range(i + 1, rank)
                     for flip in (False, True)])
+
+
+@lru_cache(maxsize=None)
+def candidates(rank: int) -> tuple:
+    """Petals and figure eights on the rank-N rose, N^2 cyclic loops of
+    length <= 2, in the order of `_pieces`."""
+    loops = []
+    for i, j, flip in _pieces(rank):
+        letters = [i + 1] if i == j else [i + 1, -(j + 1) if flip else j + 1]
+        loops.append(CyclicWord(np.array(letters, dtype=np.int8), rank))
+    return tuple(loops)
 
 
 def candidate_lengths(images) -> list:
@@ -142,7 +135,7 @@ def log_stretch(loops, lengths) -> float:
 
 def image_dist(images) -> float:
     """dist read off the reduced generator images images[i] = theta(x_i):
-    log_stretch(candidates(N).loops, candidate_lengths(images)), with the
+    log_stretch(candidates(N), candidate_lengths(images)), with the
     exact lengths read best-first.
 
     The image of a loop is reduced, so its conjugacy length is at most
@@ -184,11 +177,10 @@ def dist(theta: Automorphism, *, budget: int | None = None) -> float:
     WordBudgetExceeded for the first candidate, in loop order, whose raw
     image has more letters than the budget.
     """
-    loops = candidates(theta.rank).loops
     sizes = [len(w) for w in theta.images]
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    for c in loops:
-        raw = sum(sizes[abs(x) - 1] for x in c.as_tuple())
+    for i, j, _ in _pieces(theta.rank):
+        raw = sizes[i] if i == j else sizes[i] + sizes[j]
         if raw > b:
             raise WordBudgetExceeded(raw, b)
     return image_dist(theta.images)
@@ -261,10 +253,17 @@ class FiniteMetricSample:
             raise ValueError("diagonal must be zero")
         if d.min(initial=0.0) < -TRIANGLE_TOL:
             raise ValueError("distances must be nonnegative")
-        # triangle inequality on all ordered triples
-        gap = (d[:, :, None] + d[None, :, :]) - d[:, None, :]
-        if gap.min(initial=0.0) < -TRIANGLE_TOL:
-            i, j, k = np.unravel_index(int(gap.argmin()), gap.shape)
+        # triangle inequality on all ordered triples (i, j, k), one i at a
+        # time so that memory stays quadratic: gap[j, k] = d_ij + d_jk - d_ik;
+        # only a strictly smaller minimum moves the first argmin
+        worst, where = 0.0, None
+        for i in range(n):
+            gap = d[i, :, None] + d - d[i]
+            j, k = np.unravel_index(int(gap.argmin()), gap.shape)
+            if gap[j, k] < worst:
+                worst, where = gap[j, k], (i, j, k)
+        if worst < -TRIANGLE_TOL:
+            i, j, k = where
             raise ValueError(
                 f"triangle inequality fails on ({self.labels[i]}, "
                 f"{self.labels[j]}, {self.labels[k]})"

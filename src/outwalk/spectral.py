@@ -196,7 +196,7 @@ def bracket_images(images, k_max: int = DEFAULT_K_MAX, *,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     rank = len(images)
-    loops = candidates(rank).loops
+    loops = candidates(rank)
     steps = max(2, k_max)
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
     orbit = _orbit(partial(_power_step, images, b), None, steps)

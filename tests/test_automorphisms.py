@@ -1,12 +1,13 @@
 """Automorphism algebra: certified inverses, composition, abelianization,
-and the batched orbit step `cyclic_images`."""
+and the batched orbit step `cyclic_images`; compose and the inverse
+check, which run as batches, against one word at a time."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outwalk._wordkernel import BATCH_CAP
+from outwalk._wordkernel import BATCH_CAP, ImageTable
 from outwalk.free_group import Word, WordBudgetExceeded, cyclic_reduce, parse_word, reduce
 from outwalk.automorphisms import (
     Automorphism,
@@ -186,6 +187,15 @@ def test_parse_automorphism_rejects_non_inverse():
         parse_automorphism("a->ab; b->a | a->a; b->b")
 
 
+def test_inverse_check_order():
+    # generator by generator, back through the inverse before forth: a
+    # goes back to a, but forth to b
+    with pytest.raises(InverseCheckError, match="^images fail on generator 1"):
+        parse_automorphism("a->b; b->a | a->a; b->a")
+    with pytest.raises(InverseCheckError, match="^inverse images fail on generator 1"):
+        parse_automorphism("a->ab; b->b | a->a; b->b")
+
+
 def test_parse_automorphism_rejects_bad_grammar():
     from outwalk.free_group import ParseError
 
@@ -305,6 +315,45 @@ def test_images_equal_apply_one_word_at_a_time(niel, walk_inverses, data, count,
             assert err.value.needed == over[0]
         else:
             assert images(phi, words, budget=budget) == [apply(phi, w) for w in words]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compose_equals_one_word_at_a_time(niel, walk_inverses, data):
+    # the reference substitutes word by word, phi's images of psi's
+    # images, then psi's inverse images of phi's inverse images; under a
+    # budget the first of those words over it raises with its raw count
+    short = [inv for inv in walk_inverses if inv.size() < 400]
+    phi = data.draw(st.sampled_from(list(niel.support) + short))
+    psi = data.draw(st.sampled_from(list(niel.support) + short))
+    inv_table = ImageTable([w.letters for w in psi.inverse_images])
+    pairs = ([(phi._table, w) for w in psi.images]
+             + [(inv_table, w) for w in phi.inverse_images])
+    got = compose(phi, psi)
+    assert ([w.letters.tolist() for w in (*got.images, *got.inverse_images)]
+            == [table.substitute(w.letters, 10**9).tolist() for table, w in pairs])
+    totals = [int(table.lens[w.letters].sum()) for table, w in pairs]
+    budget = data.draw(st.integers(min(totals) - 1, max(totals)))
+    over = [t for t in totals if t > budget]
+    if over:
+        with pytest.raises(WordBudgetExceeded) as err:
+            compose(phi, psi, budget=budget)
+        assert err.value.needed == over[0]
+    else:
+        assert compose(phi, psi, budget=budget) == got
+
+
+def test_compose_raises_for_images_before_inverse_images():
+    # phi(psi(b)) = phi(baaa) has 7 raw letters, psi^{-1}(phi^{-1}(a)) =
+    # psi^{-1}(aB) 5: under a budget of 4 both exceed, and the images raise
+    phi = parse_automorphism("a->ab; b->b | a->aB; b->b")
+    psi = parse_automorphism("a->a; b->baaa | a->a; b->bAAA")
+    with pytest.raises(WordBudgetExceeded) as err:
+        compose(phi, psi, budget=4)
+    assert (err.value.needed, err.value.budget) == (7, 4)
+    with pytest.raises(WordBudgetExceeded) as err:
+        compose(invert(psi), invert(phi), budget=4)
+    assert err.value.needed == 5
 
 
 def test_cyclic_images_in_rank_127():

@@ -206,6 +206,29 @@ def test_delta_budget_hit_truncates_the_path(tmp_path, capsys, niel):
     assert rows[:-1] == ([(last_n, "ok")] if last_n >= 3 else [])
 
 
+ONE_PATH_CONFIGS = {
+    "delta": "kind = delta\nn_max = 4\n" + F3_LINES,
+    "distance": "kind = distance\nrank = 3\ngen.0.map = a->ab; b->b; c->c\n"
+                "gen.0.inv = a->aB; b->b; c->c\n",
+    "stretch": "kind = stretch\nk_max = 3\nrank = 3\ngen.0.map = a->ab; b->b; c->c\n"
+               "gen.0.inv = a->aB; b->b; c->c\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_PATH_CONFIGS))
+@pytest.mark.parametrize("paths", [0, 5])
+def test_one_path_kinds_refuse_paths(tmp_path, capsys, kind, paths):
+    # a kind that reads one path or one map would ignore the others and
+    # still write `# paths = 5` into its header
+    text = ONE_PATH_CONFIGS[kind]
+    rc, out = run_config(tmp_path, text + f"paths = {paths}\n")
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: paths: ")
+    assert run_config(tmp_path, text, "--paths", str(paths))[0] == 2
+    assert run_config(tmp_path, text + "paths = 1\n")[0] == 0
+    assert run_config(tmp_path, text, "--paths", "1")[0] == 0
+
+
 def test_delta_below_four_points_exits_3(tmp_path, niel):
     text = "kind = delta\nn_max = 40\nletter_budget = 3\n" + measure_lines(niel)
     rc, out = run_config(tmp_path, text)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
-from outwalk.config import (KINDS, MATRIX_KINDS, SINGLE_KINDS, ConfigError, ExperimentConfig,
-                            format_config, parse_config, seed_words, validate)
+from outwalk.config import (KINDS, MATRIX_KINDS, ONE_PATH_KINDS, SINGLE_KINDS, ConfigError,
+                            ExperimentConfig, format_config, parse_config, seed_words, validate)
 
 
 def maps(rank):
@@ -25,7 +25,7 @@ def configs(draw):
     fields = dict(
         kind=kind,
         n_max=draw(st.integers(3 if kind == "delta" else 1, 10**6)),  # delta: 4 points
-        paths=draw(st.integers(1, 10**4)),
+        paths=1 if kind in ONE_PATH_KINDS else draw(st.integers(1, 10**4)),
         k_max=draw(st.none() | st.integers(2, 64)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         letter_budget=draw(st.integers(1, 10**12)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -85,11 +86,17 @@ def brute_force_sup(theta, max_len):
 def test_candidate_sets():
     c2 = candidates(2)
     assert len(c2) == 4
-    assert sorted(w.as_tuple() for w in c2.loops) == [(1,), (1, -2), (1, 2), (2,)]
+    assert sorted(w.as_tuple() for w in c2) == [(1,), (1, -2), (1, 2), (2,)]
     assert len(candidates(3)) == 9
-    assert all(len(w) <= 2 for w in candidates(3).loops)
+    assert all(len(w) <= 2 for w in candidates(3))
     with pytest.raises(ValueError):
         candidates(1)
+
+
+def test_candidate_order_at_rank_3():
+    # the one order of every candidate list: petals, then figure eights
+    assert [c.as_tuple() for c in candidates(3)] == [
+        (1,), (2,), (3,), (1, 2), (1, -2), (1, 3), (1, -3), (2, 3), (2, -3)]
 
 
 def test_dist_examples():
@@ -123,7 +130,7 @@ def test_dist_zero_iff_signed_permutation():
 
 def substituted_lengths(theta, budget=None) -> list:
     """Candidate lengths by substituting every candidate loop: the reference."""
-    return [len(w) for w in cyclic_images(theta, candidates(theta.rank).loops, budget=budget)]
+    return [len(w) for w in cyclic_images(theta, candidates(theta.rank), budget=budget)]
 
 
 def conjugation(g: list, rank: int) -> Automorphism:
@@ -136,7 +143,7 @@ def conjugation(g: list, rank: int) -> Automorphism:
 
 def assert_best_first_read(words):
     """image_dist is the maximum of the full read, as the same float."""
-    assert image_dist(words) == log_stretch(candidates(len(words)).loops,
+    assert image_dist(words) == log_stretch(candidates(len(words)),
                                             candidate_lengths(words))
 
 
@@ -171,7 +178,7 @@ def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, mo
     # a loop's ratio is at most its raw size over its length: image_dist
     # reads every loop whose bound beats the maximum ratio and none whose
     # bound falls short of it, so never more than the N^2 lengths
-    loops = candidates(3).loops
+    loops = candidates(3)
     wants = [max([Fraction(1)] + [Fraction(n, len(c)) for n, c in
                                   zip(candidate_lengths(inv.images), loops)])
              for inv in walk_inverses_16_32_44]
@@ -242,7 +249,7 @@ def test_dist_budget_matches_the_substitution_route(data, size, seed):
     rank = data.draw(st.integers(2, 4))
     theta = compose(conjugation(random_letters(seed, size, rank), rank),
                     data.draw(products(rank)))
-    loops = candidates(rank).loops
+    loops = candidates(rank)
     largest = max(sum(len(theta.images[abs(x) - 1]) for x in c.as_tuple()) for c in loops)
     for budget in (largest - 1, largest, largest + 1):
         if budget < largest:
@@ -377,6 +384,38 @@ def test_four_point_delta_l1_square():
     # scales linearly: half-unit square gives 0.5
     dh = _l1_square(0.5)
     assert four_point_delta(FiniteMetricSample(tuple("abcd"), dh)) == pytest.approx(0.5)
+
+
+def test_sample_validation_memory_is_quadratic():
+    # a valid 200-point path metric; checking all n^3 triples at once
+    # peaked at 2 * 8 n^3 bytes (122 MB here)
+    n = 200
+    d = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
+    tracemalloc.start()
+    try:
+        FiniteMetricSample(tuple(range(n)), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(3, 9))
+def test_sample_names_the_first_worst_triangle(seed, n):
+    # the triple named is the first argmin of d_ij + d_jk - d_ik over all
+    # (i, j, k) in lexicographic order, ties included
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 4, (n, n)).astype(float)
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    gap = d[:, :, None] + d[None, :, :] - d[:, None, :]
+    labels = tuple(f"p{i}" for i in range(n))
+    if gap.min() >= 0:
+        assert len(FiniteMetricSample(labels, d)) == n
+        return
+    i, j, k = np.unravel_index(int(gap.argmin()), gap.shape)
+    with pytest.raises(ValueError, match=rf"\(p{i}, p{j}, p{k}\)$"):
+        FiniteMetricSample(labels, d)
 
 
 def test_four_point_delta_requires_four_points():

@@ -422,7 +422,7 @@ def composed_bracket(theta, k_max):
     iteration of apply over the candidate loops."""
     upper = min(composed_uppers(theta, k_max))
     point = None
-    for seed in candidates(theta.rank).loops:
+    for seed in candidates(theta.rank):
         w, ratios = seed.as_word(), []
         for _ in range(max(2, k_max)):
             image = cyclic_reduce(apply(theta, w)).as_word()

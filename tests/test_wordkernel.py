@@ -1,8 +1,8 @@
 """`ImageTable.substitute` in both of its regimes against `stack_reduce`,
-`cyclic_substitute`, its batched orbit step, against one word at a time,
-and `cyclic_trim` and the cyclic lengths of products, read by
-`common_prefix`, against the stack reduction and a letter-by-letter
-peel.
+`batch_substitute`, the one batched entry point above it, against one
+word at a time, and `cyclic_trim` and the cyclic lengths of products,
+read by `common_prefix`, against the stack reduction and a
+letter-by-letter peel.
 
 The block stack takes words under tables with a long block, the
 vectorized pair deletion long words under tables of short blocks; every case here
@@ -28,9 +28,9 @@ from outwalk._wordkernel import (
     ImageTable,
     Reading,
     WordBudgetExceeded,
+    batch_substitute,
     common_prefix,
     cyclic_length,
-    cyclic_substitute,
     cyclic_trim,
     product_cyclic_length,
     stack_reduce,
@@ -252,7 +252,7 @@ def peel(letters) -> list:
 
 
 def one_at_a_time(table, words, budget=10**9) -> list:
-    return [peel(table.substitute(w, budget).tolist()) for w in words]
+    return [table.substitute(w, budget).tolist() for w in words]
 
 
 def raw_total(table, word) -> int:
@@ -265,7 +265,7 @@ def test_batch_over_budget_only_in_total_does_not_raise(niel):
     words = [random_reduced(seed, 300) for seed in range(9)]
     budget = max(raw_total(table, w) for w in words)
     assert sum(raw_total(table, w) for w in words) > budget
-    got = cyclic_substitute(table, words, budget)
+    got = batch_substitute(table, words, budget)
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
 
 
@@ -275,7 +275,7 @@ def test_batch_raises_for_the_first_word_over_budget(niel, over):
     words = [random_reduced(k, 300 if k in over else 40) for k in range(9)]
     budget = max(raw_total(table, w) for k, w in enumerate(words) if k not in over)
     with pytest.raises(WordBudgetExceeded) as err:
-        cyclic_substitute(table, words, budget)
+        batch_substitute(table, words, budget)
     assert (err.value.needed, err.value.budget) == (raw_total(table, words[over[0]]), budget)
 
 
@@ -287,7 +287,7 @@ def test_separator_never_leaves_a_batch(nielsen_products, walk_maps, data, seed,
     # short-block tables through pair deletion
     phi = data.draw(st.sampled_from(nielsen_products + [inv for _, inv in walk_maps]))
     words = [random_reduced(seed + k, size) for k, size in enumerate([0, 0] + sizes + [0, 0])]
-    got = cyclic_substitute(phi._table, words, 10**9)
+    got = batch_substitute(phi._table, words, 10**9)
     assert all(np.abs(a).max(initial=0) <= 3 for a in got)
     assert [a.tolist() for a in got] == one_at_a_time(phi._table, words)
 
@@ -306,7 +306,7 @@ def test_batch_splits_at_the_cap(niel):
     counting = Counting([w.letters for w in niel.support[5].images])
     words = ([random_reduced(k, 100) for k in range(3)] + [random_reduced(9, BATCH_CAP)]
              + [random_reduced(k, 100) for k in range(3, 6)])
-    got = cyclic_substitute(counting, words, 10**9)
+    got = batch_substitute(counting, words, 10**9)
     assert calls == [302, BATCH_CAP, 302]
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
 
@@ -320,8 +320,8 @@ def test_batch_trims_deep_conjugates(depth):
               for i in (1, 2, 3)]
     table = ImageTable(images)
     words = [np.array(w, dtype=np.int8) for w in ([1], [1, 2], [3, -1, 2], [2, 2, -3, 1])]
-    got = cyclic_substitute(table, words, 10**9)
-    assert [a.tolist() for a in got] == one_at_a_time(table, words)
+    got = [cyclic_trim(a) for a in batch_substitute(table, words, 10**9)]
+    assert [a.tolist() for a in got] == [peel(a) for a in one_at_a_time(table, words)]
     assert [a.size for a in got] == [w.size for w in words]
 
 
