@@ -48,8 +48,9 @@ from .walk_engine import (
     WalkPath,
     conjugacy_growth_experiment,
     drift_experiment,
+    furstenberg_experiment,
     gromov_decay_experiment,
-    matrix_experiments,
+    guivarch_experiment,
     sample_path,
     spectral_experiment,
 )

@@ -4,6 +4,11 @@
                 [--paths <int>] [--threads <int>]
     outwalk summarize --in <file> --out <file>
 
+`run` calls the kind's runner in `RUNNERS` with exactly the settings
+that `config.KIND_TABLE` names for the kind.  `--seed` and `--paths`
+set `master_seed` and `paths`, so a kind that does not read one refuses
+it (`--paths 1` is the one path such a kind runs, and passes).
+
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, refused before the run or the
 aggregation starts), 3 budget exhausted everywhere (on the one map of
@@ -27,9 +32,9 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from .config import (
+    KIND_TABLE,
     ConfigError,
     ExperimentConfig,
-    MATRIX_KINDS,
     build_measure,
     format_config,
     parse_config,
@@ -45,8 +50,9 @@ from .walk_engine import (
     conjugacy_growth_experiment,
     delta_experiment,
     drift_experiment,
+    furstenberg_experiment,
     gromov_decay_experiment,
-    matrix_experiments,
+    guivarch_experiment,
     ok_values,
     spectral_experiment,
 )
@@ -84,18 +90,20 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"out: cannot write {path!r}")
 
 
-def _single_map(kind: str, theta, cfg: ExperimentConfig) -> EstimateSeries:
-    """The one record of a `distance` or `stretch` run, printed too.
-    Raises WordBudgetExceeded when a word of the map outgrows the
-    letter budget."""
-    if kind == "distance":
-        d = dist(theta, budget=cfg.letter_budget)
-        s = sym_dist(theta, budget=cfg.letter_budget)
-        print(f"dist = {d:.6f}")
-        print(f"sym = {s:.6f}")
-        return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
-                                           (0, 0, "sym_dist", s, "ok")], {})
-    br = bracket(theta, cfg.k_max, budget=cfg.letter_budget)
+def _distance(measure, *, letter_budget) -> EstimateSeries:
+    """The one record of a `distance` run, printed too."""
+    theta = measure.support[0]
+    d = dist(theta, budget=letter_budget)
+    s = sym_dist(theta, budget=letter_budget)
+    print(f"dist = {d:.6f}")
+    print(f"sym = {s:.6f}")
+    return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
+                                       (0, 0, "sym_dist", s, "ok")], {})
+
+
+def _stretch(measure, *, k_max, letter_budget) -> EstimateSeries:
+    """The one record of a `stretch` run, printed too."""
+    br = bracket(measure.support[0], k_max, budget=letter_budget)
     print(f"lower = {br.lower:.6f}")
     print(f"upper = {br.upper:.6f}")
     print(f"point = {br.point:.6f}")
@@ -113,54 +121,44 @@ def _single_map(kind: str, theta, cfg: ExperimentConfig) -> EstimateSeries:
     )
 
 
+def _delta(measure, **settings) -> EstimateSeries:
+    series = delta_experiment(measure, **settings)
+    for value in series.values("four_point_delta"):
+        print(f"four_point_delta = {value:.6f}")
+    return series
+
+
+def _conjugacy(measure, *, words, **settings) -> EstimateSeries:
+    return conjugacy_growth_experiment(measure, seed_words(words, measure.rank), **settings)
+
+
+# kind -> runner(measure, **settings), called with the settings that
+# config.KIND_TABLE names for the kind, plus `threads` when it runs paths
+RUNNERS = {
+    "drift": drift_experiment,
+    "conjugacy": _conjugacy,
+    "spectral": spectral_experiment,
+    "gromov": gromov_decay_experiment,
+    "delta": _delta,
+    "matrix-guivarch": guivarch_experiment,
+    "matrix-furstenberg": furstenberg_experiment,
+    "distance": _distance,
+    "stretch": _stretch,
+}
+
+
 def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     measure = build_measure(cfg)
-    kind = cfg.kind
-    if kind in ("distance", "stretch"):
-        try:
-            series = _single_map(kind, measure.support[0], cfg)
-        except WordBudgetExceeded as e:
-            # one map and no path to cut off: the run has nothing to write
-            print(f"error: budget exhausted: {e}", file=sys.stderr)
-            return 3
-    elif kind in MATRIX_KINDS:
-        series = matrix_experiments(
-            measure,
-            n_max=cfg.n_max,
-            paths=cfg.paths,
-            master_seed=cfg.master_seed,
-            vector=cfg.vector,
-            bit_budget=cfg.bit_budget,
-            threads=threads,
-            kind=kind,
-        )
-    elif kind == "delta":
-        series = delta_experiment(
-            measure,
-            n_max=cfg.n_max,
-            master_seed=cfg.master_seed,
-            letter_budget=cfg.letter_budget,
-        )
-        for value in series.values("four_point_delta"):
-            print(f"four_point_delta = {value:.6f}")
-    else:
-        common = dict(
-            n_max=cfg.n_max,
-            paths=cfg.paths,
-            master_seed=cfg.master_seed,
-            letter_budget=cfg.letter_budget,
-            threads=threads,
-        )
-        if kind == "drift":
-            series = drift_experiment(measure, **common)
-        elif kind == "conjugacy":
-            series = conjugacy_growth_experiment(measure, seed_words(cfg), **common)
-        elif kind == "spectral":
-            series = spectral_experiment(measure, k_max=cfg.k_max, **common)
-        elif kind == "gromov":
-            series = gromov_decay_experiment(measure, **common)
-        else:  # pragma: no cover - kinds are validated upstream
-            raise ConfigError(f"unhandled kind {kind!r}")
+    settings = {name: getattr(cfg, name) for name in KIND_TABLE[cfg.kind].settings}
+    if "paths" in settings:
+        settings["threads"] = threads
+    try:
+        series = RUNNERS[cfg.kind](measure, **settings)
+    except WordBudgetExceeded as e:
+        # only a one-map run raises it, with no path to cut off: it has
+        # nothing to write
+        print(f"error: budget exhausted: {e}", file=sys.stderr)
+        return 3
     if cfg.out:
         write_series(series, cfg, cfg.out)
     # downgraded records are certified brackets too, so they count as output

@@ -6,12 +6,13 @@ letter_budget, bit_budget, out, vector; measure entries gen.<i>.map,
 gen.<i>.inv, gen.<i>.weight (automorphisms) or gen.<i>.matrix,
 gen.<i>.weight (matrices); seed words word.<i>.
 
+`KIND_TABLE` names, for each kind, the settings it reads and the value
+`validate` fills in for each one a config leaves unset.  A config that
+sets anything else (a setting, or a measure line of the other family)
+is refused, so a resolved config holds exactly what bounded its run.
 parse_config(format_config(cfg)) round-trips exactly; runs embed the
 resolved config, less its `out` path, in the output header, so every
-CSV names its own provenance.  `validate` fills in only the defaults a
-kind reads: `letter_budget` for word kinds, `bit_budget` for matrix
-kinds and `k_max` for `spectral` and `stretch`; a key left unset stays
-None and out of the header.
+CSV names its own provenance.
 """
 
 from __future__ import annotations
@@ -29,25 +30,51 @@ from .walk_engine import ProbMeasure, WALK_K_MAX
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "validate", "format_config",
            "build_measure"]
 
-KINDS = {
-    "drift",
-    "conjugacy",
-    "spectral",
-    "gromov",
-    "matrix-guivarch",
-    "matrix-furstenberg",
-    "distance",
-    "stretch",
-    "delta",
-}
-
-WALK_KINDS = {"drift", "conjugacy", "spectral", "gromov", "delta"}
-MATRIX_KINDS = {"matrix-guivarch", "matrix-furstenberg"}
-SINGLE_KINDS = {"distance", "stretch"}
-ONE_PATH_KINDS = SINGLE_KINDS | {"delta"}
-
 _INT_KEYS = ("rank", "dim", "n_max", "paths", "k_max", "master_seed",
              "letter_budget", "bit_budget")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind reads from a config.
+
+    `size` is `rank` for a measure on automorphisms of F_rank (gen.<i>.map
+    and gen.<i>.inv) or `dim` for one on dim x dim matrices
+    (gen.<i>.matrix).  `settings` are the keywords of the kind's runner
+    (`cli.RUNNERS`), each with the value `validate` fills in when a config
+    leaves it unset (None: the config must set it).  A kind that reads no
+    `n_max` takes no walk but one map, gen.0, whose weight may be left out.
+    """
+
+    size: str
+    settings: dict
+    n_min: int = 1  # the least n_max
+
+    @property
+    def lines(self) -> tuple:
+        return ("matrix",) if self.size == "dim" else ("map", "inv")
+
+    @property
+    def walks(self) -> bool:
+        return "n_max" in self.settings
+
+
+_WALK = {"n_max": None, "paths": 1, "master_seed": 0}
+_LETTERS = {"letter_budget": DEFAULT_LETTER_BUDGET}
+_BITS = {"bit_budget": DEFAULT_BIT_BUDGET}
+
+KIND_TABLE = {
+    "drift": Kind("rank", {**_WALK, **_LETTERS}),
+    "conjugacy": Kind("rank", {**_WALK, **_LETTERS, "words": None}),
+    "spectral": Kind("rank", {**_WALK, **_LETTERS, "k_max": WALK_K_MAX}),
+    "gromov": Kind("rank", {**_WALK, **_LETTERS}),
+    # one path, and four orbit points at least
+    "delta": Kind("rank", {"n_max": None, "master_seed": 0, **_LETTERS}, n_min=3),
+    "matrix-guivarch": Kind("dim", {**_WALK, **_BITS}),
+    "matrix-furstenberg": Kind("dim", {**_WALK, **_BITS, "vector": None}),
+    "distance": Kind("rank", _LETTERS),
+    "stretch": Kind("rank", {**_LETTERS, "k_max": DEFAULT_K_MAX}),
+}
 
 
 class ConfigError(ValueError):
@@ -62,13 +89,17 @@ class ExperimentConfig:
     n_max: int | None = None
     paths: int = 1
     k_max: int | None = None
-    master_seed: int = 0
+    master_seed: int | None = None
     letter_budget: int | None = None
     bit_budget: int | None = None
     out: str | None = None
     vector: tuple | None = None
     gens: list = field(default_factory=list)  # dicts: map/inv or matrix, weight
     words: list = field(default_factory=list)  # seed word strings
+
+
+# what a config that sets nothing holds: paths 1, no words, else None
+_UNSET = vars(ExperimentConfig(kind=""))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -86,10 +117,7 @@ def parse_config(text: str) -> ExperimentConfig:
         pairs[key] = value
     if "kind" not in pairs:
         raise ConfigError("missing required key 'kind'")
-    kind = pairs.pop("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind: unknown experiment kind {kind!r}")
-    cfg = ExperimentConfig(kind=kind)
+    cfg = ExperimentConfig(kind=pairs.pop("kind"))
 
     for key in _INT_KEYS:
         if key in pairs:
@@ -135,80 +163,63 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    """Check values and fill in kind-dependent defaults; rerun after edits."""
-    if cfg.letter_budget is not None and cfg.letter_budget <= 0:
-        raise ConfigError("letter_budget: must be positive")
-    if cfg.bit_budget is not None and cfg.bit_budget <= 0:
-        raise ConfigError("bit_budget: must be positive")
-    if not 0 <= cfg.master_seed < 2**64:
+    """Check values and fill in the defaults of the settings cfg.kind reads
+    (`KIND_TABLE`); refuse every other setting.  Rerun after edits."""
+    kind = KIND_TABLE.get(cfg.kind)
+    if kind is None:
+        raise ConfigError(f"kind: unknown experiment kind {cfg.kind!r}")
+    reads = {kind.size: None, **kind.settings}
+    for name in (*_INT_KEYS, "vector", "words"):
+        key = "word.0" if name == "words" else name
+        if getattr(cfg, name) != _UNSET[name]:
+            if name not in reads:
+                raise ConfigError(f"{key}: a {cfg.kind} run does not read it")
+        elif name in reads:
+            if reads[name] is None:
+                raise ConfigError(f"{key}: required for a {cfg.kind} run")
+            setattr(cfg, name, reads[name])
+    least = {"rank": 2, "dim": 1, "n_max": kind.n_min, "paths": 1, "k_max": 1,
+             "letter_budget": 1, "bit_budget": 1}
+    for name, low in least.items():
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ConfigError(f"{name}: must be >= {low}")
+    if cfg.master_seed is not None and not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed: must fit in 64 bits")
+    if cfg.vector is not None and (len(cfg.vector) != cfg.dim or not any(cfg.vector)):
+        raise ConfigError("vector: must be a nonzero vector of length dim")
     if cfg.out is not None and (cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1):
         # format_config writes it as one `out = ...` line, which must parse back
         raise ConfigError("out: must be one line without surrounding whitespace")
     if not cfg.gens:
         raise ConfigError("gen.0.*: at least one measure atom is required")
-    if cfg.kind in SINGLE_KINDS and len(cfg.gens) > 1:
+    if not kind.walks and len(cfg.gens) > 1:
         raise ConfigError(f"gen.1: a {cfg.kind} config takes one map, gen.0 only")
-    if cfg.kind in MATRIX_KINDS:
-        if cfg.dim is None:
-            raise ConfigError("dim: required for matrix experiments")
-        for i, g in enumerate(cfg.gens):
-            if "matrix" not in g:
-                raise ConfigError(f"gen.{i}.matrix: required for matrix experiments")
-    else:
-        if cfg.rank is None:
-            raise ConfigError("rank: required for automorphism experiments")
-        if cfg.rank < 2:
-            raise ConfigError("rank: must be at least 2")
-        for i, g in enumerate(cfg.gens):
-            if "map" not in g or "inv" not in g:
-                raise ConfigError(f"gen.{i}.map/gen.{i}.inv: both images and inverse "
-                                  "images are required")
-    if cfg.kind in WALK_KINDS or cfg.kind in MATRIX_KINDS:
-        low = 3 if cfg.kind == "delta" else 1  # delta needs four orbit points
-        if cfg.n_max is None or cfg.n_max < low:
-            raise ConfigError(f"n_max: required and must be >= {low}")
-        if cfg.paths < 1:
-            raise ConfigError("paths: must be >= 1")
-    if cfg.kind in ONE_PATH_KINDS and cfg.paths != 1:
-        # the run reads one map or one path; more would be ignored
-        raise ConfigError(f"paths: a {cfg.kind} run has exactly one path")
-    if cfg.kind == "conjugacy" and not cfg.words:
-        raise ConfigError("word.0: conjugacy experiments need seed words")
-    if cfg.kind == "matrix-furstenberg":
-        if cfg.vector is None:
-            raise ConfigError("vector: required for matrix-furstenberg")
-        if len(cfg.vector) != cfg.dim or not any(cfg.vector):
-            raise ConfigError("vector: must be a nonzero vector of length dim")
-    if cfg.k_max is not None and cfg.k_max < 1:
-        raise ConfigError("k_max: must be >= 1")
-    if cfg.kind == "stretch" and cfg.k_max is not None and cfg.k_max < 2:
-        raise ConfigError("k_max: must be >= 2 for stretch brackets")
-    if cfg.kind in MATRIX_KINDS:
-        if cfg.bit_budget is None:
-            cfg.bit_budget = DEFAULT_BIT_BUDGET
-    elif cfg.letter_budget is None:
-        cfg.letter_budget = DEFAULT_LETTER_BUDGET
-    if cfg.k_max is None and cfg.kind in ("spectral", "stretch"):
-        cfg.k_max = DEFAULT_K_MAX if cfg.kind == "stretch" else WALK_K_MAX
+    for i, g in enumerate(cfg.gens):
+        for sub in g:
+            if sub != "weight" and sub not in kind.lines:
+                raise ConfigError(f"gen.{i}.{sub}: a {cfg.kind} run does not read it")
+        missing = [f"gen.{i}.{sub}" for sub in kind.lines if sub not in g]
+        if missing:
+            raise ConfigError(f"{'/'.join(missing)}: required for a {cfg.kind} run")
 
 
 def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
+    kind = KIND_TABLE[cfg.kind]
     support = []
     weights = []
-    single = cfg.kind in SINGLE_KINDS
     for i, g in enumerate(cfg.gens):
         if "weight" in g:
             try:
                 w = float(g["weight"])
             except ValueError:
                 raise ConfigError(f"gen.{i}.weight: expected a number") from None
-        elif single:
+        elif not kind.walks:
             w = 1.0
         else:
             raise ConfigError(f"gen.{i}.weight: required")
         weights.append(w)
-        if cfg.kind in MATRIX_KINDS:
+        if kind.size == "dim":
             try:
                 m = parse_matrix(g["matrix"])
             except ValueError as e:
@@ -228,13 +239,13 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
         raise ConfigError(f"gen.*.weight: {e}") from None
 
 
-def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
-    """Cyclically reduced seed classes; two seeds of one conjugacy class
-    (the same least rotation) would write the same rows twice."""
+def seed_words(words: list, rank: int) -> list[CyclicWord]:
+    """Cyclically reduced seed classes of F_rank; two seeds of one conjugacy
+    class (the same least rotation) would write the same rows twice."""
     out, classes = [], {}
-    for i, text in enumerate(cfg.words):
+    for i, text in enumerate(words):
         try:
-            w = parse_word(text, cfg.rank)
+            w = parse_word(text, rank)
         except ParseError as e:
             raise ConfigError(f"word.{i}: {e}") from None
         if len(w) == 0:
@@ -249,11 +260,13 @@ def seed_words(cfg: ExperimentConfig) -> list[CyclicWord]:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config inverts it exactly."""
+    """Canonical text form; parse_config inverts it exactly.  A one-path
+    kind reads no `paths`, so its `paths = 1` is left out."""
+    kind = KIND_TABLE[cfg.kind]
     lines = [f"kind = {cfg.kind}"]
     for key in _INT_KEYS:
         value = getattr(cfg, key)
-        if value is not None:
+        if value is not None and key in (kind.size, *kind.settings):
             lines.append(f"{key} = {value}")
     if cfg.vector is not None:
         lines.append(f"vector = {list(cfg.vector)}")

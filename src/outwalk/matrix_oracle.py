@@ -295,13 +295,13 @@ def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> Matri
 
 
 def vector_growth(
-    increments: Iterable[IntMatrix], v: tuple, bit_budget: int = DEFAULT_BIT_BUDGET
+    increments: Iterable[IntMatrix], vector: tuple, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> Iterator[tuple]:
-    """Yield (n, (1/n) log ||A_n ... A_1 v||_inf) along a path of increments.
+    """Yield (n, (1/n) log ||A_n ... A_1 vector||_inf) along a path of increments.
 
     Raises BitBudgetExceeded once entries outgrow the bit budget.
     """
-    w = tuple(int(x) for x in v)
+    w = tuple(int(x) for x in vector)
     if not any(w):
         raise ValueError("seed vector must be nonzero")
     n = 0

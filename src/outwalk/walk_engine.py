@@ -75,7 +75,8 @@ __all__ = [
     "conjugacy_growth_experiment",
     "spectral_experiment",
     "gromov_decay_experiment",
-    "matrix_experiments",
+    "guivarch_experiment",
+    "furstenberg_experiment",
     "delta_experiment",
     "geometric_schedule",
     "batch_means_ci",
@@ -481,43 +482,29 @@ def gromov_decay_experiment(
                    n_max=n_max, paths=paths, threads=threads)
 
 
-def matrix_experiments(
-    measure: ProbMeasure,
-    *,
-    n_max: int,
-    paths: int,
-    master_seed: int,
-    vector=None,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-    threads: int = 1,
-    kind: str = "matrix-guivarch",
-) -> EstimateSeries:
-    """Matrix-walk series in the common record schema.
-
-    matrix-guivarch records per-n spectral radius brackets and norms of
-    the exact product; matrix-furstenberg records the vector growth
-    series for the given integer seed vector.
-    """
+def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max, paths, master_seed,
+                       bit_budget=DEFAULT_BIT_BUDGET, threads=1, **series_args):
+    """Records, per path per n, the values that matrix_series(increments,
+    bit_budget=bit_budget, **series_args) yields for the running products
+    A_n ... A_1, one per estimator."""
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
-    if kind == "matrix-guivarch":
-        matrix_series = guivarch_series
-        estimators = ["guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm"]
-    elif kind == "matrix-furstenberg":
-        if vector is None:
-            raise ValueError("matrix-furstenberg needs a seed vector")
-        matrix_series = partial(vector_growth, v=vector)
-        estimators = ["furstenberg.vector"]
-    else:
-        raise ValueError(f"unknown matrix experiment kind {kind!r}")
 
     def path_rows(pid: int):
         steps = _steps(measure, master_seed, pid, n_max)
-        for n, *values in matrix_series(steps, bit_budget=bit_budget):
+        for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
             yield n, [(est, value, "ok") for est, value in zip(estimators, values)]
 
-    return _series(kind, path_rows, estimators, {"master_seed": master_seed},
+    return _series(experiment, path_rows, estimators, {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
+
+
+# each matrix kind names its series: the spectral radius bracket and the
+# norm of the product, or the growth of the product on the seed `vector`
+guivarch_experiment = partial(_matrix_experiment, "matrix-guivarch", guivarch_series,
+                              ("guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm"))
+furstenberg_experiment = partial(_matrix_experiment, "matrix-furstenberg", vector_growth,
+                                 ("furstenberg.vector",))
 
 
 def delta_experiment(

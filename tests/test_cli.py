@@ -6,9 +6,10 @@ import json
 import pytest
 
 from outwalk import cli
-from outwalk.automorphisms import automorphism_to_str
+from outwalk.automorphisms import automorphism_to_str, parse_automorphism
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
-from outwalk.config import format_config, parse_config
+from outwalk.config import KIND_TABLE, format_config, parse_config
+from outwalk.spectral import bracket
 
 F3_LINES = """rank = 3
 gen.0.map = a->b; b->c; c->a
@@ -105,12 +106,20 @@ def test_spectral_k_max_below_1_exits_2(tmp_path, capsys, k_max):
     assert "k_max: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, size", [("drift", "rank = 1"), ("matrix-guivarch", "dim = 0")])
+def test_measure_size_below_its_least_exits_2(tmp_path, capsys, kind, size):
+    # dim = 0 was refused only as a mismatch of gen.0.matrix
+    text = BASES[kind].replace(size.split(" = ")[0] + " = 3", size)
+    assert run_config(tmp_path, text)[0] == 2
+    assert capsys.readouterr().err.startswith(f"error: {size.split(' = ')[0]}: must be >= ")
+
+
 @pytest.mark.parametrize("where", ["config", "override", "directory"])
 def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
     def experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setattr(cli, "drift_experiment", experiment)
+    monkeypatch.setitem(cli.RUNNERS, "drift", experiment)
     out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
     cfg = tmp_path / "run.cfg"
     head = f"out = {out}\n" if where == "config" else ""
@@ -324,30 +333,123 @@ def test_header_does_not_depend_on_the_output_path(tmp_path, niel):
     assert bodies[0] == bodies[1]
 
 
-# kind: (config, keys its header names, keys it leaves out)
-HEADER_KEYS = {
-    "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 4\npaths = 2\ndim = 2\n"
-                        "gen.0.matrix = [[1, 1], [0, 1]]\ngen.0.weight = 0.5\n"
-                        "gen.1.matrix = [[1, 0], [1, 1]]\ngen.1.weight = 0.5\n",
-                        {"bit_budget"}, {"k_max", "letter_budget"}),
-    "drift": ("kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES,
-              {"letter_budget"}, {"k_max", "bit_budget"}),
-    "spectral": ("kind = spectral\nn_max = 4\npaths = 2\n" + F3_LINES,
-                 {"letter_budget", "k_max"}, {"bit_budget"}),
+MATRIX_LINES = """dim = 3
+gen.0.matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+gen.0.weight = 0.5
+gen.1.matrix = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
+gen.1.weight = 0.5
+"""
+
+MAP_LINES = "rank = 3\ngen.0.map = a->ab; b->b; c->c\ngen.0.inv = a->aB; b->b; c->c\n"
+
+# kind: a config that sets only what the kind requires
+BASES = {
+    "drift": "kind = drift\nn_max = 4\n" + F3_LINES,
+    "conjugacy": "kind = conjugacy\nn_max = 4\nword.0 = ab\n" + F3_LINES,
+    "spectral": "kind = spectral\nn_max = 4\n" + F3_LINES,
+    "gromov": "kind = gromov\nn_max = 4\n" + F3_LINES,
+    "delta": "kind = delta\nn_max = 4\n" + F3_LINES,
+    "matrix-guivarch": "kind = matrix-guivarch\nn_max = 4\n" + MATRIX_LINES,
+    "matrix-furstenberg": "kind = matrix-furstenberg\nn_max = 4\nvector = [1, 0, 0]\n"
+                          + MATRIX_LINES,
+    "distance": "kind = distance\n" + MAP_LINES,
+    "stretch": "kind = stretch\n" + MAP_LINES,
 }
 
+WALK = {"n_max", "paths", "master_seed"}
 
-@pytest.mark.parametrize("kind", sorted(HEADER_KEYS))
+# kind: the settings it reads; its header names exactly these
+READS = {
+    "drift": {"rank", "letter_budget"} | WALK,
+    "conjugacy": {"rank", "letter_budget", "word.0"} | WALK,
+    "spectral": {"rank", "letter_budget", "k_max"} | WALK,
+    "gromov": {"rank", "letter_budget"} | WALK,
+    "delta": {"rank", "letter_budget", "n_max", "master_seed"},
+    "matrix-guivarch": {"dim", "bit_budget"} | WALK,
+    "matrix-furstenberg": {"dim", "bit_budget", "vector"} | WALK,
+    "distance": {"rank", "letter_budget"},
+    "stretch": {"rank", "letter_budget", "k_max"},
+}
+
+# (setting, config line or command-line override that sets it to a value
+# every kind that reads it accepts)
+SETTERS = [
+    ("rank", "rank = 3"),
+    ("dim", "dim = 3"),
+    ("n_max", "n_max = 4"),
+    ("paths", "paths = 2"),
+    ("paths", ["--paths", "2"]),
+    ("k_max", "k_max = 2"),
+    ("master_seed", "master_seed = 7"),
+    ("master_seed", ["--seed", "7"]),
+    ("letter_budget", "letter_budget = 100000"),
+    ("bit_budget", "bit_budget = 100000"),
+    ("vector", "vector = [1, 0, 0]"),
+    ("word.0", "word.0 = ab"),
+]
+
+
+def test_runners_are_the_table_kinds():
+    assert sorted(cli.RUNNERS) == sorted(KIND_TABLE) == sorted(READS)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+@pytest.mark.parametrize("setting, setter", SETTERS,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_setting_runs_only_on_a_kind_that_reads_it(tmp_path, capsys, kind, setting, setter):
+    # a setting the kind does not read would bound nothing, yet its header
+    # would name it
+    text, args = BASES[kind], []
+    if isinstance(setter, list):
+        args = setter
+    elif not any(line.startswith(setting + " = ") for line in text.splitlines()):
+        text += setter + "\n"
+    rc, out = run_config(tmp_path, text, *args)
+    err = capsys.readouterr().err
+    if setting in READS[kind]:
+        assert rc == 0, err
+    else:
+        assert rc == 2 and not out.exists()
+        assert err.startswith(f"error: {setting}: ")
+
+
+OTHER_FAMILY = {"rank": ["gen.0.matrix = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
+                "dim": ["gen.1.map = a->b; b->a; c->c", "gen.0.inv = a->b; b->a; c->c"]}
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_measure_lines_of_the_other_family_exit_2(tmp_path, capsys, kind):
+    for line in OTHER_FAMILY[KIND_TABLE[kind].size]:
+        rc, out = run_config(tmp_path, BASES[kind] + line + "\n")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {line.split(' = ')[0]}: ")
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
 def test_header_names_only_the_settings_the_kind_reads(tmp_path, kind):
-    head, named, unnamed = HEADER_KEYS[kind]
+    head = BASES[kind]
     rc, out = run_config(tmp_path, head)
     assert rc == 0
     comments = [line[2:] for line in out.read_text().splitlines() if line.startswith("# ")]
     header = [line for line in comments
               if " = " in line and not line.startswith(("meta.", "generated_at"))]
-    keys = {line.split(" = ")[0] for line in header}
-    assert named <= keys and not keys & unnamed
+    keys = {line.split(" = ")[0] for line in header if not line.startswith("gen.")}
+    assert keys == READS[kind] | {"kind"}
     # the header is the resolved config, and it parses back to it
     cfg = parse_config("\n".join(header) + "\n")
     assert cfg == parse_config(head)
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_stretch_k_max_1_is_one_bracket(tmp_path):
+    # the bracket runs two orbit steps for any k_max, so k_max = 1 is a
+    # bracket like any other
+    theta = "gen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
+    rc, out = run_config(tmp_path, "kind = stretch\nk_max = 1\nrank = 3\n" + theta)
+    assert rc == 0
+    values = {line.split(",")[3]: float(line.split(",")[4])
+              for line in out.read_text().splitlines() if line.startswith("stretch,")}
+    br = bracket(parse_automorphism("a->b; b->c; c->ab | a->cA; b->a; c->b", 3), 1,
+                 budget=10**8)
+    assert values == {"stretch.lower": br.lower, "stretch.upper": br.upper,
+                      "stretch.point": br.point, "stretch.k_used": 1.0}

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
-from outwalk.config import (KINDS, MATRIX_KINDS, ONE_PATH_KINDS, SINGLE_KINDS, ConfigError,
-                            ExperimentConfig, format_config, parse_config, seed_words, validate)
+from outwalk.config import (KIND_TABLE, ConfigError, ExperimentConfig, format_config,
+                            parse_config, seed_words, validate)
 
 
 def maps(rank):
@@ -21,36 +21,40 @@ weights = st.floats(min_value=1e-6, max_value=1.0).map(repr)
 
 @st.composite
 def configs(draw):
-    kind = draw(st.sampled_from(sorted(KINDS)))
-    fields = dict(
-        kind=kind,
-        n_max=draw(st.integers(3 if kind == "delta" else 1, 10**6)),  # delta: 4 points
-        paths=1 if kind in ONE_PATH_KINDS else draw(st.integers(1, 10**4)),
-        k_max=draw(st.none() | st.integers(2, 64)),
-        master_seed=draw(st.integers(0, 2**64 - 1)),
-        letter_budget=draw(st.integers(1, 10**12)),
-        bit_budget=draw(st.integers(1, 10**12)),
-        out=draw(st.none() | st.text(max_size=20)),
+    """A config that sets only settings its kind reads; a setting left
+    None takes the kind's default."""
+    kind = draw(st.sampled_from(sorted(KIND_TABLE)))
+    spec = KIND_TABLE[kind]
+    values = dict(
+        n_max=st.integers(spec.n_min, 10**6),
+        paths=st.integers(1, 10**4),
+        k_max=st.none() | st.integers(1, 64),
+        master_seed=st.none() | st.integers(0, 2**64 - 1),
+        letter_budget=st.none() | st.integers(1, 10**12),
+        bit_budget=st.none() | st.integers(1, 10**12),
     )
-    if kind in MATRIX_KINDS:
+    fields = {name: draw(values[name]) for name in spec.settings if name in values}
+    fields.update(kind=kind, out=draw(st.none() | st.text(max_size=20)))
+    if spec.size == "dim":
         dim = fields["dim"] = draw(st.integers(1, 4))
         row = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
         mats = st.lists(row, min_size=dim, max_size=dim).map(str)
         fields["gens"] = draw(st.lists(st.fixed_dictionaries({"matrix": mats, "weight": weights}),
                                        min_size=1, max_size=4))
-        if kind == "matrix-furstenberg":
+        if "vector" in spec.settings:
             fields["vector"] = tuple(draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
                                           .filter(any)))
     else:
         rank = fields["rank"] = draw(st.integers(2, 5))
         gens = []
-        for _ in range(draw(st.integers(1, 1 if kind in SINGLE_KINDS else 4))):
+        for _ in range(draw(st.integers(1, 4 if spec.walks else 1))):
             fwd, inv = draw(maps(rank))
             gens.append({"map": fwd, "inv": inv, "weight": draw(weights)})
         fields["gens"] = gens
-        letters = "abcde"[:rank] + "ABCDE"[:rank]
-        fields["words"] = draw(st.lists(st.text(letters, min_size=1, max_size=8),
-                                        min_size=kind == "conjugacy", max_size=3))
+        if "words" in spec.settings:
+            letters = "abcde"[:rank] + "ABCDE"[:rank]
+            fields["words"] = draw(st.lists(st.text(letters, min_size=1, max_size=8),
+                                            min_size=1, max_size=3))
     return fields
 
 
@@ -68,14 +72,13 @@ def test_parse_inverts_format(fields):
 
 
 def test_seed_words_refuse_repeated_classes():
-    cfg = ExperimentConfig(kind="conjugacy", rank=3, words=["ab", "aCb", "Cab"])
-    assert [len(g) for g in seed_words(cfg)] == [2, 3, 3]
+    assert [len(g) for g in seed_words(["ab", "aCb", "Cab"], 3)] == [2, 3, 3]
     for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"], ["ab", "ba"], ["aCb", "baC"]):
         with pytest.raises(ConfigError, match=f"word.{len(words) - 1}"):
-            seed_words(ExperimentConfig(kind="conjugacy", rank=3, words=words))
+            seed_words(words, 3)
 
 
-@pytest.mark.parametrize("kind", sorted(SINGLE_KINDS))
+@pytest.mark.parametrize("kind", ["distance", "stretch"])
 @pytest.mark.parametrize("weighted", [True, False])
 def test_single_map_kinds_refuse_a_second_atom(kind, weighted):
     gens = [{"map": "a->ab; b->b", "inv": "a->aB; b->b"}, {"map": "a->b; b->a", "inv": "a->b; b->a"}]

@@ -31,9 +31,10 @@ from outwalk.walk_engine import (
     conjugacy_growth_experiment,
     delta_experiment,
     drift_experiment,
+    furstenberg_experiment,
     geometric_schedule,
     gromov_decay_experiment,
-    matrix_experiments,
+    guivarch_experiment,
     sample_path,
     spectral_experiment,
 )
@@ -249,18 +250,14 @@ def test_gromov_identity_and_point_mass():
 
 def test_matrix_guivarch_identity():
     measure = ProbMeasure((IntMatrix.identity(2),), (1.0,))
-    series = matrix_experiments(
-        measure, n_max=5, paths=2, master_seed=0, kind="matrix-guivarch"
-    )
+    series = guivarch_experiment(measure, n_max=5, paths=2, master_seed=0)
     assert all(v == 0.0 for v in series.values("guivarch.norm"))
 
 
 def test_matrix_guivarch_hyperbolic_point_mass():
     a = IntMatrix([[2, 1], [1, 1]])
     measure = ProbMeasure((a,), (1.0,))
-    series = matrix_experiments(
-        measure, n_max=40, paths=1, master_seed=0, kind="matrix-guivarch"
-    )
+    series = guivarch_experiment(measure, n_max=40, paths=1, master_seed=0)
     limit = math.log((3 + math.sqrt(5)) / 2)
     for n in (1, 10, 40):
         assert series.values("guivarch.rho_lower", n)[0] == pytest.approx(limit, rel=1e-9)
@@ -268,10 +265,8 @@ def test_matrix_guivarch_hyperbolic_point_mass():
 
 
 def test_matrix_furstenberg_series():
-    series = matrix_experiments(
-        MAT_MEASURE, n_max=50, paths=3, master_seed=4,
-        vector=(1, 0), kind="matrix-furstenberg",
-    )
+    series = furstenberg_experiment(MAT_MEASURE, vector=(1, 0), n_max=50, paths=3,
+                                    master_seed=4)
     assert len(series.values("furstenberg.vector", 50)) == 3
 
 
@@ -311,11 +306,10 @@ BUDGET_HITS = {
         niel, n_max=16, paths=4, master_seed=1, letter_budget=10),
     "delta": lambda niel, sl3: delta_experiment(
         niel, n_max=40, master_seed=5, letter_budget=200),
-    "matrix-guivarch": lambda niel, sl3: matrix_experiments(
+    "matrix-guivarch": lambda niel, sl3: guivarch_experiment(
         sl3, n_max=100, paths=4, master_seed=5, bit_budget=16),
-    "matrix-furstenberg": lambda niel, sl3: matrix_experiments(
-        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16, vector=(1, 0, 0),
-        kind="matrix-furstenberg"),
+    "matrix-furstenberg": lambda niel, sl3: furstenberg_experiment(
+        sl3, vector=(1, 0, 0), n_max=100, paths=4, master_seed=5, bit_budget=16),
 }
 
 
@@ -372,11 +366,6 @@ def test_conjugacy_refuses_repeated_seed_classes(texts):
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in texts]
     with pytest.raises(ValueError, match="repeat"):
         conjugacy_growth_experiment(F3_MEASURE, seeds, n_max=4, paths=2, master_seed=0)
-
-
-def test_matrix_experiments_refuse_unknown_kind():
-    with pytest.raises(ValueError, match="matrix-guivarsh"):
-        matrix_experiments(MAT_MEASURE, n_max=4, paths=1, master_seed=0, kind="matrix-guivarsh")
 
 
 def test_cesaro_tail_monotone_in_probability():
