@@ -33,6 +33,24 @@ squaring gives.  The entries of A^64 have about 64 times the bits of
 those of A, so the bit budget bounds the ladder too: the powers are
 built one at a time, each checked before the bounds use it, and the
 first whose entries exceed the budget raises BitBudgetExceeded.
+
+The ladder has two regimes.  The powers are exact up to the first whose
+row norm has more than BALL_BITS = 1024 bits.  After it, the ladder
+squares a ball: integer mids m cut to their top PREC = 128 bits under
+one shared exponent e, and one integer radius rad, so that every entry
+of the power is within rad * 2^e of m_ij * 2^e.  Its row norm and trace
+are then within n * rad * 2^e of those of m * 2^e.  Only the floats
+math.log(row norm) and math.log(|trace|) are needed, and CPython's
+math.log of an int reads only the int rounded half-even to 53 bits.
+So a ball fixes a float when every integer of its interval rounds
+alike: the interval ends share their bit length and top 54 bits, and
+the lower end is not a tie (`_log_of_all`).  Then the float is the
+one the exact ladder writes.  A level whose interval may hold 0, may
+cross a rounding boundary, or whose row norm may exceed the bit budget
+sends the whole matrix back to the exact ladder, which remains the only
+other path, so both regimes write the same bracket.  A ball square
+costs n^3 products of 128-bit mids, where the exact A^32 and A^64 of a
+long walk have thousands of bits of which math.log reads 53.
 """
 
 from __future__ import annotations
@@ -60,6 +78,9 @@ DEFAULT_BIT_BUDGET = 10**6
 
 GELFAND_MAX_J = 6  # powers A^(2^j), j = 0..6
 
+BALL_BITS = 1024  # the ladder squares balls after the first power whose row norm is longer
+PREC = 128  # bits kept in the largest mid of a ball
+
 NEG_INF = float("-inf")
 
 
@@ -83,6 +104,13 @@ class IntMatrix:
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _of_rows(cls, rows: tuple) -> "IntMatrix":
+        """The matrix of `rows`, a square tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -95,15 +123,15 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         b_cols = tuple(zip(*other.entries))
-        return IntMatrix(
+        return IntMatrix._of_rows(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in b_cols)
+                tuple(sum(map(operator.mul, row, col)) for col in b_cols)
                 for row in self.entries
             )
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
+        return IntMatrix._of_rows(tuple(zip(*self.entries)))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
@@ -278,20 +306,99 @@ def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> Matri
         else:
             v = _log_int(d) / 2.0  # complex pair, modulus sqrt(det)
         return MatrixBracket(v, v, v)
+    bracket = _ladder(a, bit_budget, BALL_BITS)
+    if bracket is None:  # a ball could not fix a float: the exact ladder decides
+        bracket = _ladder(a, bit_budget, math.inf)
+    return bracket
+
+
+def _ladder(a: IntMatrix, bit_budget: int, ball_bits: float) -> Optional[MatrixBracket]:
+    """The Gelfand bracket of A, n >= 3 (module docstring).
+
+    The powers are exact up to the first whose row norm has more than
+    `ball_bits` bits, and balls after it.  None when a ball cannot fix a
+    float or the bit budget; with ball_bits = inf every power is exact.
+    """
+    n = a.n
     lower = NEG_INF
     upper = math.inf
     log_n = math.log(n)
-    for j, m in enumerate(_gelfand_powers(a)):
+    exact = _gelfand_powers(a)
+    ball = None
+    for j in range(GELFAND_MAX_J + 1):
         k = 1 << j
-        norm = max(map(sum, zip(*[map(abs, m)] * n)))
-        # |x| <= norm for every entry x, so only a long norm needs the scan
-        if norm.bit_length() > bit_budget and max(x.bit_length() for x in m) > bit_budget:
-            raise BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
-        upper = min(upper, _log_int(norm) / k)
-        tr = abs(sum(m[::n + 1]))
-        if tr:
-            lower = max(lower, (_log_int(tr) - log_n) / k)
+        if ball:
+            ball = _square_ball(*ball, n)
+            logs = _ball_logs(*ball, n, bit_budget)
+            if logs is None:
+                return None
+            norm_log, tr_log = logs
+        else:
+            m = next(exact)
+            norm = max(map(sum, zip(*[map(abs, m)] * n)))
+            # |x| <= norm for every entry x, so only a long norm needs the scan
+            if norm.bit_length() > bit_budget and max(x.bit_length() for x in m) > bit_budget:
+                raise BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
+            tr = abs(sum(m[::n + 1]))
+            norm_log, tr_log = _log_int(norm), _log_int(tr) if tr else None
+            if norm.bit_length() > ball_bits:
+                shift = max(0, max(x.bit_length() for x in m) - PREC)
+                ball = [x >> shift for x in m], 1, shift
+        upper = min(upper, norm_log / k)
+        if tr_log is not None:
+            lower = max(lower, (tr_log - log_n) / k)
     return MatrixBracket(lower, upper)
+
+
+def _square_ball(m: list, rad: int, e: int, n: int) -> tuple:
+    """The ball (m', rad', e') of the square of the ball (m, rad, e).
+
+    (M + D)^2 = M^2 + MD + DM + D^2 with |D_ij| <= rad, so the error of
+    M^2 is at most rad * (max abs row sum + max abs col sum) + n rad^2 per
+    entry; cutting M^2 to PREC bits by a floor shift adds less than 1.
+    """
+    cols = [m[i::n] for i in range(n)]
+    s = [sum(map(operator.mul, row, col)) for row in zip(*[iter(m)] * n) for col in cols]
+    abs_rows = list(zip(*[map(abs, m)] * n))
+    growth = max(map(sum, abs_rows)) + max(map(sum, zip(*abs_rows)))
+    shift = max(0, max(map(int.bit_length, s)) - PREC)
+    rad = ((rad * growth + n * rad * rad) >> shift) + 2
+    return [x >> shift for x in s], rad, 2 * e + shift
+
+
+def _ball_logs(m: list, rad: int, e: int, n: int, bit_budget: int) -> Optional[tuple]:
+    """(log ||X||, log |tr X|), the same two floats for every X in the ball.
+
+    Both the row norm and the trace of X are within n * rad * 2^e of those
+    of m * 2^e.  None when the row norm may exceed bit_budget bits, or
+    either interval holds integers of different logs or may hold 0.
+    """
+    r = n * rad
+    norm = max(map(sum, zip(*[map(abs, m)] * n)))
+    tr = abs(sum(m[::n + 1]))
+    if (norm + r).bit_length() + e > bit_budget:
+        return None
+    norm_log = _log_of_all(norm - r, norm + r, e)
+    tr_log = _log_of_all(tr - r, tr + r, e)
+    if norm_log is None or tr_log is None:
+        return None
+    return norm_log, tr_log
+
+
+def _log_of_all(lo: int, hi: int, e: int) -> Optional[float]:
+    """math.log(x), the one float of every integer x in [lo << e, hi << e].
+
+    CPython's math.log of an int reads only the int rounded half-even to
+    53 bits (a double, or a mantissa and exponent past 2^1024).  Every
+    integer in the interval rounds alike when lo and hi share their bit
+    length and top 54 bits (53 mantissa bits and the round bit) and lo is
+    not a tie (round bit 1, every lower bit 0).  None otherwise, so None
+    whenever lo <= 0 < hi: then s <= 0 or the tops differ in sign.
+    """
+    s = lo.bit_length() - 54  # the bits below the round bit
+    if s <= 0 or lo >> s != hi >> s or (lo >> s & 1 and not lo & ((1 << s) - 1)):
+        return None
+    return math.log(lo << e)
 
 
 def vector_growth(

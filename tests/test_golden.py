@@ -1,8 +1,9 @@
 """Golden CSV bodies: `outwalk run` output pinned byte for byte.
 
 One small config per experiment kind, plus one budget-cut config per
-walk and matrix kind and a conjugacy config whose nine tracked words
-outgrow the orbit-step batch cap, runs through the CLI; the sha256 of its CSV body
+walk and matrix kind, a conjugacy config whose nine tracked words
+outgrow the orbit-step batch cap, and a Guivarch config long enough for
+the Gelfand ladder's ball regime, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
 here.  A refactor that claims no behaviour change keeps every digest.
 An intended output change updates the digests it moves and says so in
@@ -29,6 +30,9 @@ CONFIGS = {
     "delta": ("kind = delta\nn_max = 10\nmaster_seed = 3\n", "niel"),
     "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 40\npaths = 3\nmaster_seed = 3\n",
                         "sl3"),
+    # from n = 262 of path 0 on, the Gelfand ladder squares balls (796 in all)
+    "matrix-guivarch-long": ("kind = matrix-guivarch\nn_max = 600\npaths = 2\nmaster_seed = 3\n",
+                             "sl3"),
     "matrix-furstenberg": ("kind = matrix-furstenberg\nn_max = 40\npaths = 3\nmaster_seed = 3\n"
                            "vector = [1, 0, 0]\n", "sl3"),
     "distance": ("kind = distance\n", THETA),
@@ -69,6 +73,7 @@ DIGESTS = {
     "matrix-furstenberg-cut": "4495481cc31f73c9659a9249d10fb3f478346a8c29117f31221b5e310f795d4c",
     "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
     "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
+    "matrix-guivarch-long": "c7d04fd6d99fd5d33c82242bf4cf355c1d1c7dc1bc27b303f3a2c52b82843bc1",
     "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",
     "spectral-cut": "939f3891ecc9b9747d6318dbfae356b2989376c03e039e46aa8717424ebc11f6",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outwalk import matrix_oracle
 from outwalk.matrix_oracle import (
+    BALL_BITS,
     GELFAND_MAX_J,
+    PREC,
     BitBudgetExceeded,
     IntMatrix,
     MatrixBracket,
@@ -18,6 +21,9 @@ from outwalk.matrix_oracle import (
     spectral_radius,
     vector_growth,
     _gelfand_powers,
+    _log_of_all,
+    _row_norm,
+    _square_ball,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -74,12 +80,47 @@ def special_matrix(n):
     return st.one_of(singular, nilpotent, nilpotent_low, permutation, diagonal).map(IntMatrix)
 
 
+def transvections(n):
+    """The n(n-1) pairs I +- E_ij of SL(n, Z), i != j."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for sign in (1, -1):
+                    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+                    rows[i][j] = sign
+                    out.append(IntMatrix(rows))
+    return out
+
+
+@pytest.fixture
+def ladder_runs(monkeypatch):
+    """Counts of exact ladders (ball_bits = inf) and of ball squares."""
+    runs = {"exact": 0, "squares": 0}
+    ladder, square = matrix_oracle._ladder, matrix_oracle._square_ball
+
+    def spy_ladder(a, bit_budget, ball_bits):
+        runs["exact"] += ball_bits == math.inf
+        return ladder(a, bit_budget, ball_bits)
+
+    def spy_square(*ball):
+        runs["squares"] += 1
+        return square(*ball)
+
+    monkeypatch.setattr(matrix_oracle, "_ladder", spy_ladder)
+    monkeypatch.setattr(matrix_oracle, "_square_ball", spy_square)
+    return runs
+
+
 def test_mat_mul_examples():
     a = IntMatrix([[1, 1], [0, 1]])
     b = IntMatrix([[1, 0], [1, 1]])
     assert a @ b == IntMatrix([[2, 1], [1, 1]])
     i = IntMatrix.identity(2)
     assert a @ i == a and i @ a == a
+    # a product is a well-formed matrix: tuple rows, hashable, equal to the checked one
+    assert hash(a @ b) == hash(IntMatrix([[2, 1], [1, 1]]))
+    assert a.transpose() == b and hash(a.transpose()) == hash(b)
 
 
 @settings(max_examples=50)
@@ -227,6 +268,121 @@ def test_bit_budget_bounds_the_gelfand_ladder():
         for row in guivarch_series([h] * 100, bit_budget=1000):
             rows.append(row)
     assert 0 < len(rows) < 20
+
+
+huge_entry = st.one_of(st.just(0), st.integers(min_value=-2**400, max_value=2**400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrix(3, huge_entry), small_matrix(4, huge_entry),
+                 special_matrix(3), special_matrix(4)))
+def test_ball_ladder_equals_reference_ladder_on_long_entries(a):
+    # A^4 passes BALL_BITS when the entries have 400 bits, so A^8..A^64 are balls
+    br = spectral_radius(a)
+    assert (br.lower, br.upper) == reference_ladder(a)
+
+
+def assert_square_ball_encloses(a, levels=4):
+    exact = a
+    flat = [x for row in a.entries for x in row]
+    shift = max(0, max(map(int.bit_length, flat)) - PREC)
+    m, rad, e = [x >> shift for x in flat], 1, shift
+    for _ in range(levels):
+        exact = exact @ exact
+        m, rad, e = _square_ball(m, rad, e, a.n)
+        flat = [x for row in exact.entries for x in row]
+        assert all(abs(x - (y << e)) <= rad << e for x, y in zip(flat, m))
+        assert max(map(int.bit_length, m)) <= PREC
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrix(3, huge_entry), small_matrix(4, huge_entry)))
+def test_square_ball_encloses_the_exact_square(a):
+    assert_square_ball_encloses(a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("bits", [400, 1100])
+def test_square_ball_encloses_a_worst_case_square(n, bits):
+    # every entry is all ones: each cut drops nearly 1, and with all signs
+    # equal MD + DM reaches rad * (row sum + col sum)
+    assert_square_ball_encloses(IntMatrix([[2**bits - 1] * n] * n), levels=GELFAND_MAX_J)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_ball_ladder_equals_reference_ladder_on_transvection_walks(dim, ladder_runs):
+    support = transvections(dim)
+    rng = random.Random(dim)
+    prod = IntMatrix.identity(dim)
+    for n in range(1, 1201):
+        prod = rng.choice(support) @ prod
+        if n >= 300 and n % 60 == 0:
+            br = spectral_radius(prod)
+            assert (br.lower, br.upper) == reference_ladder(prod)
+    assert ladder_runs["squares"] > 0
+    assert ladder_runs["exact"] == 0  # the balls fixed every float
+
+
+@pytest.mark.parametrize("rows", [
+    # every row norm is a power of two: a ball's interval straddles it
+    [[2**200, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # a 3-cycle: the trace of every A^(2^j) is 0
+    [[0, 2**400, 0], [0, 0, 2**400], [2**400, 0, 0]],
+    # nilpotent, past the switch at A itself: A^2 has trace 0, A^4 = 0
+    [[0, 3**700, 5**500], [0, 0, 7**400], [0, 0, 0]],
+    [[0, 0, 0, 0], [3**700, 0, 0, 0], [5**600, 2**1100, 0, 0], [1, 7**500, 11**400, 0]],
+])
+def test_undecided_balls_fall_back_to_the_exact_ladder(rows, ladder_runs):
+    a = IntMatrix(rows)
+    br = spectral_radius(a)
+    assert ladder_runs["exact"] == 1
+    assert (br.lower, br.upper) == reference_ladder(a)
+
+
+@pytest.mark.parametrize("dim, seed, steps", [(3, 1, 600), (3, 2, 600), (4, 3, 1500)])
+def test_bit_budget_past_the_switch_raises_at_the_reference_power(dim, seed, steps):
+    support = transvections(dim)
+    rng = random.Random(seed)
+    a = IntMatrix.identity(dim)
+    for _ in range(steps):
+        a = rng.choice(support) @ a
+    powers = [a]
+    for _ in range(GELFAND_MAX_J):
+        powers.append(powers[-1] @ powers[-1])
+    norm_bits = [_row_norm(p.entries).bit_length() for p in powers]
+    switch = next(j for j, b in enumerate(norm_bits) if b > BALL_BITS)
+    assert switch < GELFAND_MAX_J - 1  # at least two ball levels
+    budgets = {b - d for p, nb in zip(powers[switch + 1:], norm_bits[switch + 1:])
+               for b in (p.max_bits(), nb) for d in (-1, 0, 1, 2)}
+    for budget in sorted(budgets):
+        try:
+            expected = reference_ladder(a, budget)
+        except BitBudgetExceeded as e:
+            with pytest.raises(BitBudgetExceeded) as got:
+                spectral_radius(a, budget)
+            assert str(got.value) == str(e)
+        else:
+            br = spectral_radius(a, budget)
+            assert (br.lower, br.upper) == expected
+
+
+@settings(max_examples=300)
+@given(st.integers(2**53, 2**1000), st.integers(0, 2**40), st.integers(0, 3000), st.data())
+def test_log_of_all_is_the_log_of_every_integer_in_the_interval(lo, width, e, data):
+    hi = lo + width
+    got = _log_of_all(lo, hi, e)
+    if got is not None:
+        assert float(lo) == float(hi)  # both ends round to one double
+        x = data.draw(st.integers(lo << e, hi << e))
+        assert math.log(lo << e) == math.log(x) == math.log(hi << e) == got
+
+
+def test_log_of_all_refuses_a_tie():
+    # mantissa 2^52 (even), round bit 1, no bit below: lo rounds down, lo + 1 up
+    tie = ((2**52 << 1) | 1) << 3
+    assert float(tie) != float(tie + 1)
+    assert _log_of_all(tie, tie + 1, 0) is None
+    assert _log_of_all(tie + 1, tie + 2, 0) == math.log(tie + 1)
 
 
 def test_gelfand_bracket_contains_known_value():
