@@ -13,44 +13,38 @@ value would overflow a double long before a 1000-step product does.
 
 Above dimension 2 the bracket comes from the Gelfand ladder A, A^2, A^4,
 ..., A^64: power A^k gives log ||A^k|| / k above log rho(A) and
-(log |tr A^k| - log n) / k below it.  The powers are not built by
-squaring the matrix.  By Cayley-Hamilton, A^k = r_k(A) where r_k(x) is
-x^k modulo the characteristic polynomial chi_A, which is monic with
-integer coefficients, so r_k has integer coefficients too:
+(log |tr A^k| - log n) / k below it.  `_ladder` runs the ladders of a
+batch of matrices together.  Each level is a few whole-batch operations
+on a numpy object array of Python ints (the square P @ P, the abs, sum
+and max of the row norms, the traces, the cut shifts), then one pass
+over the batch that reads each matrix's two floats.
 
-* chi_A comes from the traces of A, ..., A^n by Newton's identities,
-  k c_k = -sum_{i<=k} c_{k-i} tr(A^i), whose divisions are exact;
-* r_{2k} is r_k squared, n(n+1)/2 big-integer products (6 at n = 3,
-  10 at n = 4), then reduced modulo chi_A with (n-1)n products by its
-  small coefficients;
-* A^(2^j) = sum_{d<n} c_d A^d takes (n-1)n^2 products of a big
-  coefficient by an entry of a small power A^d.
+Every power is a ball: integer mids m under one shared exponent e and
+one integer radius rad, so that every entry of the power is within
+rad * 2^e of m_ij * 2^e.  A power is exact (rad = 0, e = 0) until its
+row norm passes PREC = 128 bits.  Such a power is cut to PREC bits
+before it is squared, and from then on the ladder squares balls:
+(M + D)^2 = M^2 + MD + DM + D^2, and rad bounds the last three terms.
+The row norm and the trace of a ball's power are within n * rad * 2^e
+of those of m * 2^e.  Only the floats math.log(row norm) and
+math.log(|trace|) are needed, and CPython's math.log of an int reads
+only the int rounded half-even to 53 bits.  So a ball fixes a float
+when both ends of its interval round to one double (`_log_of_all`), and
+then the float is the one the exact power gives.  A ball square costs
+n^3 products of mids of about PREC bits, where the exact A^32 and A^64
+of a long walk have thousands of bits of which math.log reads 53.
 
-A matrix square, even sharing the products M_ij M_ji, takes
-n^3 - 3n(n-1)/2 big products per level (18 at n = 3, 46 at n = 4).  All arithmetic is
-exact, so every power, norm and trace is the same integer as repeated
-squaring gives.  The entries of A^64 have about 64 times the bits of
-those of A, so the bit budget bounds the ladder too: the powers are
-built one at a time, each checked before the bounds use it, and the
-first whose entries exceed the budget raises BitBudgetExceeded.
-
-The ladder has two regimes.  The powers are exact up to the first whose
-row norm has more than BALL_BITS = 1024 bits.  After it, the ladder
-squares a ball: integer mids m cut to their top PREC = 128 bits under
-one shared exponent e, and one integer radius rad, so that every entry
-of the power is within rad * 2^e of m_ij * 2^e.  Its row norm and trace
-are then within n * rad * 2^e of those of m * 2^e.  Only the floats
-math.log(row norm) and math.log(|trace|) are needed, and CPython's
-math.log of an int reads only the int rounded half-even to 53 bits.
-So a ball fixes a float when every integer of its interval rounds
-alike: the interval ends share their bit length and top 54 bits, and
-the lower end is not a tie (`_log_of_all`).  Then the float is the
-one the exact ladder writes.  A level whose interval may hold 0, may
-cross a rounding boundary, or whose row norm may exceed the bit budget
-sends the whole matrix back to the exact ladder, which remains the only
-other path, so both regimes write the same bracket.  A ball square
-costs n^3 products of 128-bit mids, where the exact A^32 and A^64 of a
-long walk have thousands of bits of which math.log reads 53.
+The entries of A^64 have about 64 times the bits of those of A, so the
+bit budget bounds the ladder too: the first exact power whose entries
+exceed it raises BitBudgetExceeded, checked before the bounds use it.
+A matrix whose ball interval may hold 0, may cross a rounding boundary,
+or may exceed the bit budget leaves the batch, and the same body runs
+on it alone with no cut: every power is then exact, the same integers
+as repeated squaring gives, and the budget raises at the same power.
+So the bracket is the exact ladder's whichever way it is read, and no
+matrix of a batch changes another's.  `spectral_radii` is the batch
+entry, `spectral_radius` its batch of one, and `guivarch_series` takes
+the brackets of a path's running products one chunk at a time.
 """
 
 from __future__ import annotations
@@ -59,9 +53,10 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 __all__ = [
     "IntMatrix",
@@ -69,6 +64,7 @@ __all__ = [
     "BitBudgetExceeded",
     "log_norm",
     "spectral_radius",
+    "spectral_radii",
     "vector_growth",
     "guivarch_series",
     "parse_matrix",
@@ -78,8 +74,13 @@ DEFAULT_BIT_BUDGET = 10**6
 
 GELFAND_MAX_J = 6  # powers A^(2^j), j = 0..6
 
-BALL_BITS = 1024  # the ladder squares balls after the first power whose row norm is longer
-PREC = 128  # bits kept in the largest mid of a ball
+PREC = 128  # a power whose row norm is longer is cut to PREC bits before it is squared
+
+# running products per spectral_radii batch of guivarch_series, and a cap
+# on the entry bits a chunk holds (a chunk of CHUNK products of 3x3
+# matrices near the default bit budget would hold about 144 MB)
+CHUNK = 128
+CHUNK_BITS = 1 << 22
 
 NEG_INF = float("-inf")
 
@@ -178,68 +179,6 @@ def _row_norm(rows: tuple) -> int:
     return max(sum(abs(x) for x in row) for row in rows)
 
 
-def _charpoly(powers: list, cols: list) -> list:
-    """q_0, ..., q_{n-1} with chi_A(x) = x^n + sum_d q_d x^d.
-
-    `powers` holds A, ..., A^(n-1) flattened and `cols` the columns of A.
-    Newton's identities on the traces p_k = tr(A^k), k = 1..n, give the
-    coefficient c_k of x^(n-k): k c_k = -sum_{i=1..k} c_{k-i} p_i with
-    c_0 = 1, an exact division.
-    """
-    n = len(cols)
-    p = [sum(m[::n + 1]) for m in powers]
-    p.append(sum(map(operator.mul, powers[-1], chain.from_iterable(cols))))
-    c = [1]
-    for k in range(1, n + 1):
-        c.append(-sum(map(operator.mul, reversed(c), p)) // k)
-    return c[:0:-1]  # q_d = c_(n-d)
-
-
-def _square_mod(c: list, q: list) -> list:
-    """The n coefficients of c(x)^2 mod x^n + sum_d q_d x^d, n = len(q)."""
-    s = [0] * (2 * len(c) - 1)
-    for i, ci in enumerate(c):
-        if ci:
-            s[2 * i] += ci * ci
-            ci <<= 1
-            for j in range(i + 1, len(c)):
-                s[i + j] += ci * c[j]
-    n = len(q)
-    for top in range(len(s) - 1, n - 1, -1):
-        t = s[top]
-        if t:
-            for d, qd in enumerate(q, top - n):
-                s[d] -= t * qd
-    return s[:n]
-
-
-def _gelfand_powers(a: IntMatrix) -> Iterator[list]:
-    """Yield A^(2^j), j = 0..GELFAND_MAX_J, flat row-major (module docstring).
-
-    Lazy, so a caller that stops at a power over budget builds no later one.
-    """
-    n = a.n
-    flat = [x for row in a.entries for x in row]
-    yield flat
-    cols = [flat[k::n] for k in range(n)]
-    powers = [flat]  # A^d at index d - 1, d < n
-    while len(powers) < n - 1:
-        rows = zip(*[iter(powers[-1])] * n)  # n entries at a time
-        powers.append([sum(map(operator.mul, row, col)) for row in rows for col in cols])
-    q = _charpoly(powers, cols)
-    c = [0, 1] + [0] * (n - 2)  # x; for n = 1 of degree n, reduced by the first square
-    for j in range(1, GELFAND_MAX_J + 1):
-        c = _square_mod(c, q)
-        if 1 << j < n:
-            yield powers[(1 << j) - 1]
-            continue
-        m = [0] * (n * n)
-        m[::n + 1] = [c[0]] * n
-        for cd, p in zip(c[1:], powers):
-            m = [x + cd * y for x, y in zip(m, p)]
-        yield m
-
-
 @dataclass(frozen=True)
 class MatrixBracket:
     """Certified bracket for log rho(A), natural-log scale.
@@ -293,112 +232,130 @@ def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> Matri
     For n >= 3, raises BitBudgetExceeded once A or one of its Gelfand
     powers has an entry beyond bit_budget bits.
     """
-    n = a.n
-    if n == 1:
+    br = next(spectral_radii([a], bit_budget))
+    if isinstance(br, BitBudgetExceeded):
+        raise br
+    return br
+
+
+def spectral_radii(mats: list, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator:
+    """Yield spectral_radius of each matrix of `mats`, all of one dimension.
+
+    Each item is the MatrixBracket of its matrix, or the BitBudgetExceeded
+    that spectral_radius raises on it; no matrix changes another's item.
+    The batch ladder runs at the first item, and the exact ladder of a
+    matrix the balls leave undecided when its item is reached.
+    """
+    if not mats or mats[0].n <= 2:
+        yield from map(_closed_form, mats)
+        return
+    for a, br in zip(mats, _ladder(mats, bit_budget, PREC)):
+        yield br if br is not None else _ladder([a], bit_budget, None)[0]
+
+
+def _closed_form(a: IntMatrix) -> MatrixBracket:
+    """The log spectral radius of a 1x1 or 2x2 matrix."""
+    if a.n == 1:
         v = _log_int(abs(a.entries[0][0]))
         return MatrixBracket(v, v, v)
-    if n == 2:
-        t = a.trace()
-        d = a.det()
-        disc = t * t - 4 * d
-        if disc >= 0:
-            v = _log_half_sum_sqrt(abs(t), disc)
-        else:
-            v = _log_int(d) / 2.0  # complex pair, modulus sqrt(det)
-        return MatrixBracket(v, v, v)
-    bracket = _ladder(a, bit_budget, BALL_BITS)
-    if bracket is None:  # a ball could not fix a float: the exact ladder decides
-        bracket = _ladder(a, bit_budget, math.inf)
-    return bracket
+    t = a.trace()
+    d = a.det()
+    disc = t * t - 4 * d
+    if disc >= 0:
+        v = _log_half_sum_sqrt(abs(t), disc)
+    else:
+        v = _log_int(d) / 2.0  # complex pair, modulus sqrt(det)
+    return MatrixBracket(v, v, v)
 
 
-def _ladder(a: IntMatrix, bit_budget: int, ball_bits: float) -> Optional[MatrixBracket]:
-    """The Gelfand bracket of A, n >= 3 (module docstring).
+def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
+    """The Gelfand brackets of `mats`, n >= 3, as one batch (module docstring).
 
-    The powers are exact up to the first whose row norm has more than
-    `ball_bits` bits, and balls after it.  None when a ball cannot fix a
-    float or the bit budget; with ball_bits = inf every power is exact.
+    Each power is a ball (m, rad, e), exact while rad = 0, and cut to
+    `prec` bits before it is squared once its row norm is longer; with
+    prec = None nothing is cut.  An item is None when a ball cannot fix a
+    float or the bit budget, and the BitBudgetExceeded of its matrix when
+    an exact power is over budget.  A ball read at a level had rad below
+    its row norm at the level before, so the ends it reads stay below
+    about n^2 4^prec, as `_log_of_all` needs.
     """
-    n = a.n
-    lower = NEG_INF
-    upper = math.inf
+    n = mats[0].n
     log_n = math.log(n)
-    exact = _gelfand_powers(a)
-    ball = None
+    out = [None] * len(mats)
+    live = list(range(len(mats)))  # the index in `mats` of each batch row
+    m = np.array([a.entries for a in mats], dtype=object)
+    rad = [0] * len(mats)
+    e = [0] * len(mats)
+    upper = [math.inf] * len(mats)
+    lower = [NEG_INF] * len(mats)
     for j in range(GELFAND_MAX_J + 1):
         k = 1 << j
-        if ball:
-            ball = _square_ball(*ball, n)
-            logs = _ball_logs(*ball, n, bit_budget)
-            if logs is None:
-                return None
-            norm_log, tr_log = logs
-        else:
-            m = next(exact)
-            norm = max(map(sum, zip(*[map(abs, m)] * n)))
-            # |x| <= norm for every entry x, so only a long norm needs the scan
-            if norm.bit_length() > bit_budget and max(x.bit_length() for x in m) > bit_budget:
-                raise BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
-            tr = abs(sum(m[::n + 1]))
-            norm_log, tr_log = _log_int(norm), _log_int(tr) if tr else None
-            if norm.bit_length() > ball_bits:
-                shift = max(0, max(x.bit_length() for x in m) - PREC)
-                ball = [x >> shift for x in m], 1, shift
-        upper = min(upper, norm_log / k)
-        if tr_log is not None:
-            lower = max(lower, (tr_log - log_n) / k)
-    return MatrixBracket(lower, upper)
-
-
-def _square_ball(m: list, rad: int, e: int, n: int) -> tuple:
-    """The ball (m', rad', e') of the square of the ball (m, rad, e).
-
-    (M + D)^2 = M^2 + MD + DM + D^2 with |D_ij| <= rad, so the error of
-    M^2 is at most rad * (max abs row sum + max abs col sum) + n rad^2 per
-    entry; cutting M^2 to PREC bits by a floor shift adds less than 1.
-    """
-    cols = [m[i::n] for i in range(n)]
-    s = [sum(map(operator.mul, row, col)) for row in zip(*[iter(m)] * n) for col in cols]
-    abs_rows = list(zip(*[map(abs, m)] * n))
-    growth = max(map(sum, abs_rows)) + max(map(sum, zip(*abs_rows)))
-    shift = max(0, max(map(int.bit_length, s)) - PREC)
-    rad = ((rad * growth + n * rad * rad) >> shift) + 2
-    return [x >> shift for x in s], rad, 2 * e + shift
-
-
-def _ball_logs(m: list, rad: int, e: int, n: int, bit_budget: int) -> Optional[tuple]:
-    """(log ||X||, log |tr X|), the same two floats for every X in the ball.
-
-    Both the row norm and the trace of X are within n * rad * 2^e of those
-    of m * 2^e.  None when the row norm may exceed bit_budget bits, or
-    either interval holds integers of different logs or may hold 0.
-    """
-    r = n * rad
-    norm = max(map(sum, zip(*[map(abs, m)] * n)))
-    tr = abs(sum(m[::n + 1]))
-    if (norm + r).bit_length() + e > bit_budget:
-        return None
-    norm_log = _log_of_all(norm - r, norm + r, e)
-    tr_log = _log_of_all(tr - r, tr + r, e)
-    if norm_log is None or tr_log is None:
-        return None
-    return norm_log, tr_log
+        last = j == GELFAND_MAX_J
+        norms = np.abs(m).sum(axis=2).max(axis=1).tolist()
+        traces = m.diagonal(0, 1, 2).sum(axis=1).tolist()
+        keep, shifts = [], []
+        for i, (x, t, rd, s) in enumerate(zip(norms, traces, rad, e)):
+            t = abs(t)
+            if rd:
+                # the row norm and |trace| of the power: within r << s of x << s and t << s
+                r = n * rd
+                if (x + r).bit_length() + s > bit_budget:
+                    continue  # a ball that may pass the budget: undecided
+                norm_log = _log_of_all(x - r, x + r, s)
+                tr_log = _log_of_all(t - r, t + r, s)
+                if norm_log is None or tr_log is None:
+                    continue
+            else:
+                # |y| <= x for every entry y, so only a long norm needs the scan
+                if x.bit_length() > bit_budget and np.abs(m[i]).max().bit_length() > bit_budget:
+                    out[live[i]] = BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
+                    continue
+                norm_log, tr_log = _log_int(x), _log_int(t)  # a zero trace leaves lower
+            upper[i] = min(upper[i], norm_log / k)
+            lower[i] = max(lower[i], (tr_log - log_n) / k)
+            keep.append(i)
+            if last:
+                continue
+            # cut to prec bits: each mid moves by less than one unit
+            sh = max(0, x.bit_length() - prec) if prec else 0
+            if sh:
+                rd = -(-rd >> sh) + 1
+                x = (x >> sh) + n + 1
+            # (M + D)^2 = M^2 + MD + DM + D^2 with |D_ij| <= rd, and every
+            # row and column sum of |M| is at most (n + 1) x
+            rad[i] = rd * (n + 1) * x + n * rd * rd
+            e[i] = 2 * (s + sh)
+            shifts.append(sh)
+        if len(keep) < len(live):
+            if not keep:
+                return out
+            live = [live[i] for i in keep]
+            m = m[keep]
+            rad, e = [rad[i] for i in keep], [e[i] for i in keep]
+            upper, lower = [upper[i] for i in keep], [lower[i] for i in keep]
+        if last:
+            break
+        if any(shifts):
+            m = m >> np.array(shifts, dtype=object)[:, None, None]
+        m = m @ m
+    for i, lo, hi in zip(live, lower, upper):
+        out[i] = MatrixBracket(lo, hi)
+    return out
 
 
 def _log_of_all(lo: int, hi: int, e: int) -> Optional[float]:
     """math.log(x), the one float of every integer x in [lo << e, hi << e].
 
-    CPython's math.log of an int reads only the int rounded half-even to
-    53 bits (a double, or a mantissa and exponent past 2^1024).  Every
-    integer in the interval rounds alike when lo and hi share their bit
-    length and top 54 bits (53 mantissa bits and the round bit) and lo is
-    not a tie (round bit 1, every lower bit 0).  None otherwise, so None
-    whenever lo <= 0 < hi: then s <= 0 or the tops differ in sign.
+    For lo < hi < 2^1024 with hi > 0; None when the interval may hold 0
+    or integers of different logs.  CPython's math.log of an int reads
+    only the int rounded half-even to 53 bits (a double, or a mantissa
+    and exponent past 2^1024).  Rounding is monotone and commutes with
+    the shift by e, so every integer of the interval has one log when lo
+    and hi round to one double, which then is positive.
     """
-    s = lo.bit_length() - 54  # the bits below the round bit
-    if s <= 0 or lo >> s != hi >> s or (lo >> s & 1 and not lo & ((1 << s) - 1)):
-        return None
-    return math.log(lo << e)
+    if float(lo) == float(hi):
+        return math.log(lo << e)
+    return None
 
 
 def vector_growth(
@@ -426,19 +383,42 @@ def guivarch_series(
 ) -> Iterator[tuple]:
     """Yield (n, rho_lower/n, rho_upper/n, log_norm/n) for running products.
 
-    The product is maintained exactly; rho bounds come from
-    spectral_radius (exact for 2x2).  Raises BitBudgetExceeded when the
-    entries of the product or of one of its Gelfand powers outgrow the
-    budget.
+    The product is maintained exactly.  The rho bounds of a chunk of
+    CHUNK running products, fewer once their entries hold CHUNK_BITS
+    bits, come from one `spectral_radii` batch (exact for 2x2), so the
+    products run ahead of the rows by at most a chunk.  Raises
+    BitBudgetExceeded, after the rows before it, at the first n where
+    the entries of the product or of one of its Gelfand powers outgrow
+    the budget.
     """
     prod = None
     n = 0
+    chunk, bits = [], 0
     for a in increments:
         prod = a if prod is None else a @ prod
+        b = prod.max_bits()
+        if b > bit_budget:
+            yield from _bracket_rows(chunk, n, bit_budget)
+            raise BitBudgetExceeded(
+                f"product entries exceed {bit_budget} bits at n={n + len(chunk) + 1}")
+        chunk.append(prod)
+        bits += b * prod.n * prod.n
+        if len(chunk) == CHUNK or bits > CHUNK_BITS:
+            yield from _bracket_rows(chunk, n, bit_budget)
+            n += len(chunk)
+            chunk, bits = [], 0
+    yield from _bracket_rows(chunk, n, bit_budget)
+
+
+def _bracket_rows(products: list, n: int, bit_budget: int) -> Iterator[tuple]:
+    """The guivarch_series rows of the running products A_(n+1), A_(n+2), ...
+
+    Raises the BitBudgetExceeded of the first product that has one.
+    """
+    for br, prod in zip(spectral_radii(products, bit_budget), products):
+        if isinstance(br, BitBudgetExceeded):
+            raise br
         n += 1
-        if prod.max_bits() > bit_budget:
-            raise BitBudgetExceeded(f"product entries exceed {bit_budget} bits at n={n}")
-        br = spectral_radius(prod, bit_budget)
         yield n, br.lower / n, br.upper / n, log_norm(prod) / n
 
 

@@ -2,8 +2,9 @@
 
 One small config per experiment kind, plus one budget-cut config per
 walk and matrix kind, a conjugacy config whose nine tracked words
-outgrow the orbit-step batch cap, and a Guivarch config long enough for
-the Gelfand ladder's ball regime, runs through the CLI; the sha256 of its CSV body
+outgrow the orbit-step batch cap, a Guivarch config long enough for the
+Gelfand ladder's ball regime, and one whose budget a Gelfand power passes
+mid-chunk, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
 here.  A refactor that claims no behaviour change keeps every digest.
 An intended output change updates the digests it moves and says so in
@@ -30,7 +31,7 @@ CONFIGS = {
     "delta": ("kind = delta\nn_max = 10\nmaster_seed = 3\n", "niel"),
     "matrix-guivarch": ("kind = matrix-guivarch\nn_max = 40\npaths = 3\nmaster_seed = 3\n",
                         "sl3"),
-    # from n = 262 of path 0 on, the Gelfand ladder squares balls (796 in all)
+    # from n = 28 or so on, the last levels of the Gelfand ladder are balls
     "matrix-guivarch-long": ("kind = matrix-guivarch\nn_max = 600\npaths = 2\nmaster_seed = 3\n",
                              "sl3"),
     "matrix-furstenberg": ("kind = matrix-furstenberg\nn_max = 40\npaths = 3\nmaster_seed = 3\n"
@@ -54,6 +55,10 @@ CONFIGS = {
     "delta-cut": ("kind = delta\nn_max = 40\nmaster_seed = 5\nletter_budget = 200\n", "niel"),
     "matrix-guivarch-cut": ("kind = matrix-guivarch\nn_max = 100\npaths = 4\nmaster_seed = 5\n"
                             "bit_budget = 16\n", "sl3"),
+    # the budget cuts paths 0-3 at n = 328, 322, 378 and 353, past the first chunk, where
+    # a Gelfand power of the product, not the product, outgrows it
+    "matrix-guivarch-ballcut": ("kind = matrix-guivarch\nn_max = 700\npaths = 4\nmaster_seed = 5\n"
+                                "bit_budget = 3000\n", "sl3"),
     "matrix-furstenberg-cut": ("kind = matrix-furstenberg\nn_max = 100\npaths = 4\n"
                                "master_seed = 5\nbit_budget = 16\nvector = [1, 0, 0]\n", "sl3"),
 }
@@ -72,6 +77,7 @@ DIGESTS = {
     "matrix-furstenberg": "e5daf769526510307977b17f6944f87a0bb53e6a5a755ac6107a0b6ed728e9e5",
     "matrix-furstenberg-cut": "4495481cc31f73c9659a9249d10fb3f478346a8c29117f31221b5e310f795d4c",
     "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
+    "matrix-guivarch-ballcut": "4f7e73d455bf383cac775906b2f32ca5abb99911920fe39f2421a8cd46bc797e",
     "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
     "matrix-guivarch-long": "c7d04fd6d99fd5d33c82242bf4cf355c1d1c7dc1bc27b303f3a2c52b82843bc1",
     "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",

@@ -2,6 +2,7 @@
 
 import math
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from outwalk import matrix_oracle
 from outwalk.matrix_oracle import (
-    BALL_BITS,
+    CHUNK,
     GELFAND_MAX_J,
     PREC,
     BitBudgetExceeded,
@@ -18,12 +19,11 @@ from outwalk.matrix_oracle import (
     guivarch_series,
     log_norm,
     parse_matrix,
+    spectral_radii,
     spectral_radius,
     vector_growth,
-    _gelfand_powers,
     _log_of_all,
     _row_norm,
-    _square_ball,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -95,20 +95,20 @@ def transvections(n):
 
 @pytest.fixture
 def ladder_runs(monkeypatch):
-    """Counts of exact ladders (ball_bits = inf) and of ball squares."""
-    runs = {"exact": 0, "squares": 0}
-    ladder, square = matrix_oracle._ladder, matrix_oracle._square_ball
+    """Counts of exact ladders (no cut) and of ball intervals read."""
+    runs = {"exact": 0, "balls": 0}
+    ladder, log_of_all = matrix_oracle._ladder, matrix_oracle._log_of_all
 
-    def spy_ladder(a, bit_budget, ball_bits):
-        runs["exact"] += ball_bits == math.inf
-        return ladder(a, bit_budget, ball_bits)
+    def spy_ladder(mats, bit_budget, prec):
+        runs["exact"] += prec is None
+        return ladder(mats, bit_budget, prec)
 
-    def spy_square(*ball):
-        runs["squares"] += 1
-        return square(*ball)
+    def spy_log_of_all(lo, hi, e):
+        runs["balls"] += 1
+        return log_of_all(lo, hi, e)
 
     monkeypatch.setattr(matrix_oracle, "_ladder", spy_ladder)
-    monkeypatch.setattr(matrix_oracle, "_square_ball", spy_square)
+    monkeypatch.setattr(matrix_oracle, "_log_of_all", spy_log_of_all)
     return runs
 
 
@@ -136,15 +136,11 @@ def test_det_multiplicative(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=6).flatmap(
+@given(st.integers(min_value=3, max_value=6).flatmap(
     lambda n: st.one_of(small_matrix(n, big_entry), special_matrix(n))))
-def test_cayley_hamilton_powers_equal_matmul_powers(a):
-    power = a
-    for j, flat in enumerate(_gelfand_powers(a)):
-        if j:
-            power = power @ power
-        assert IntMatrix([flat[i:i + a.n] for i in range(0, a.n * a.n, a.n)]) == power
-    assert j == GELFAND_MAX_J
+def test_spectral_radius_equals_reference_ladder_up_to_dimension_six(a):
+    br = spectral_radius(a)
+    assert (br.lower, br.upper) == reference_ladder(a)
 
 
 @pytest.mark.parametrize("rows", [
@@ -277,36 +273,52 @@ huge_entry = st.one_of(st.just(0), st.integers(min_value=-2**400, max_value=2**4
 @given(st.one_of(small_matrix(3, huge_entry), small_matrix(4, huge_entry),
                  special_matrix(3), special_matrix(4)))
 def test_ball_ladder_equals_reference_ladder_on_long_entries(a):
-    # A^4 passes BALL_BITS when the entries have 400 bits, so A^8..A^64 are balls
+    # A passes PREC bits when the entries have 400 bits, so A^2..A^64 are balls
     br = spectral_radius(a)
     assert (br.lower, br.upper) == reference_ladder(a)
 
 
-def assert_square_ball_encloses(a, levels=4):
-    exact = a
-    flat = [x for row in a.entries for x in row]
-    shift = max(0, max(map(int.bit_length, flat)) - PREC)
-    m, rad, e = [x >> shift for x in flat], 1, shift
-    for _ in range(levels):
-        exact = exact @ exact
-        m, rad, e = _square_ball(m, rad, e, a.n)
-        flat = [x for row in exact.entries for x in row]
-        assert all(abs(x - (y << e)) <= rad << e for x, y in zip(flat, m))
-        assert max(map(int.bit_length, m)) <= PREC
+def assert_balls_enclose(a):
+    """Every ball the ladder reads for A holds the row norm and |trace| of its power.
+
+    Returns the number of ball levels read.
+    """
+    reads = []
+    log_of_all = matrix_oracle._log_of_all
+
+    def spy(lo, hi, e):
+        reads.append((lo << e, hi << e))
+        return log_of_all(lo, hi, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_oracle, "_log_of_all", spy)
+        spectral_radius(a)
+    powers = [a]
+    for _ in range(GELFAND_MAX_J):
+        powers.append(powers[-1] @ powers[-1])
+    # the first ball is the square of the first power whose row norm passes PREC bits
+    first = 1 + next((j for j, p in enumerate(powers) if _row_norm(p.entries).bit_length() > PREC),
+                     GELFAND_MAX_J)
+    levels = list(zip(reads[::2], reads[1::2]))
+    assert len(reads) % 2 == 0 and first + len(levels) <= GELFAND_MAX_J + 1
+    for p, (norm, trace) in zip(powers[first:], levels):
+        assert norm[0] <= _row_norm(p.entries) <= norm[1]
+        assert trace[0] <= abs(p.trace()) <= trace[1]
+    return len(levels)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(small_matrix(3, huge_entry), small_matrix(4, huge_entry)))
-def test_square_ball_encloses_the_exact_square(a):
-    assert_square_ball_encloses(a)
+def test_balls_enclose_the_exact_powers(a):
+    assert_balls_enclose(a)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("bits", [400, 1100])
-def test_square_ball_encloses_a_worst_case_square(n, bits):
+def test_balls_enclose_the_powers_of_a_worst_case_matrix(n, bits):
     # every entry is all ones: each cut drops nearly 1, and with all signs
     # equal MD + DM reaches rad * (row sum + col sum)
-    assert_square_ball_encloses(IntMatrix([[2**bits - 1] * n] * n), levels=GELFAND_MAX_J)
+    assert assert_balls_enclose(IntMatrix([[2**bits - 1] * n] * n)) == GELFAND_MAX_J
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -319,13 +331,14 @@ def test_ball_ladder_equals_reference_ladder_on_transvection_walks(dim, ladder_r
         if n >= 300 and n % 60 == 0:
             br = spectral_radius(prod)
             assert (br.lower, br.upper) == reference_ladder(prod)
-    assert ladder_runs["squares"] > 0
+    assert ladder_runs["balls"] > 0
     assert ladder_runs["exact"] == 0  # the balls fixed every float
 
 
 @pytest.mark.parametrize("rows", [
-    # every row norm is a power of two: a ball's interval straddles it
-    [[2**200, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # the row norm y^2 of A^2 is within 2y of a rounding tie, 2^300 (1 + 2^-53),
+    # and the ball's interval is far wider
+    [[isqrt(2**300 + 2**247), 0, 0], [0, 1, 0], [0, 0, 1]],
     # a 3-cycle: the trace of every A^(2^j) is 0
     [[0, 2**400, 0], [0, 0, 2**400], [2**400, 0, 0]],
     # nilpotent, past the switch at A itself: A^2 has trace 0, A^4 = 0
@@ -350,7 +363,7 @@ def test_bit_budget_past_the_switch_raises_at_the_reference_power(dim, seed, ste
     for _ in range(GELFAND_MAX_J):
         powers.append(powers[-1] @ powers[-1])
     norm_bits = [_row_norm(p.entries).bit_length() for p in powers]
-    switch = next(j for j, b in enumerate(norm_bits) if b > BALL_BITS)
+    switch = next(j for j, b in enumerate(norm_bits) if b > PREC)  # cut before it is squared
     assert switch < GELFAND_MAX_J - 1  # at least two ball levels
     budgets = {b - d for p, nb in zip(powers[switch + 1:], norm_bits[switch + 1:])
                for b in (p.max_bits(), nb) for d in (-1, 0, 1, 2)}
@@ -364,6 +377,107 @@ def test_bit_budget_past_the_switch_raises_at_the_reference_power(dim, seed, ste
         else:
             br = spectral_radius(a, budget)
             assert (br.lower, br.upper) == expected
+
+
+def assert_reference(a, br, bit_budget=math.inf):
+    """br, a bracket or an exception, is what reference_ladder gives for A."""
+    try:
+        expected = reference_ladder(a, bit_budget)
+    except BitBudgetExceeded as e:
+        assert isinstance(br, BitBudgetExceeded) and str(br) == str(e)
+    else:
+        assert (br.lower, br.upper) == expected
+
+
+def test_a_batch_equals_its_matrices_one_by_one(ladder_runs):
+    budget = 10_000
+    rng = random.Random(5)
+    walk = IntMatrix.identity(3)
+    for _ in range(600):
+        walk = rng.choice(transvections(3)) @ walk
+    mats = [
+        IntMatrix([[2, 1, 0], [1, 1, 1], [0, 1, 1]]),  # exact at every level
+        walk,  # balls from A^4 on
+        # undecided at A^2: the exact ladder decides
+        IntMatrix([[isqrt(2**300 + 2**247), 0, 0], [0, 1, 0], [0, 0, 1]]),
+        # the ball of A^64 may pass the budget: the exact ladder raises
+        IntMatrix([[2**200 + 1, 1, 0], [0, 1, 0], [1, 0, 1]]),
+        IntMatrix([[2**budget, 0, 0], [0, 1, 0], [0, 0, 1]]),  # A itself is over budget
+    ]
+    batch = mats + mats[::-1]  # each kind beside each other kind
+    got = list(spectral_radii(batch, budget))
+    assert ladder_runs["exact"] == 4
+    for a, br in zip(batch, got):
+        assert_reference(a, br, budget)
+    assert [str(x) for x in got] == [str(next(spectral_radii([a], budget))) for a in batch]
+
+
+def ladder_matrix(n):
+    return st.one_of(small_matrix(n), small_matrix(n, huge_entry), special_matrix(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(ladder_matrix(n), ladder_matrix(n))),
+       st.sampled_from([300, 3000, 10**6]))
+def test_the_ladder_of_a_pair_is_the_pair_of_ladders(pair, budget):
+    got = list(spectral_radii(list(pair), budget))
+    alone = [next(spectral_radii([a], budget)) for a in pair]
+    assert [str(x) for x in got] == [str(x) for x in alone]
+    for a, br in zip(pair, got):
+        assert_reference(a, br, budget)
+
+
+def reference_rows(increments, bit_budget):
+    """guivarch_series one step at a time: its rows and the message it ends with."""
+    prod, rows = None, []
+    for n, a in enumerate(increments, 1):
+        prod = a if prod is None else a @ prod
+        if prod.max_bits() > bit_budget:
+            return rows, f"product entries exceed {bit_budget} bits at n={n}"
+        if a.n <= 2:
+            lower = upper = spectral_radius(prod).exact
+        else:
+            try:
+                lower, upper = reference_ladder(prod, bit_budget)
+            except BitBudgetExceeded as e:
+                return rows, str(e)
+        rows.append((n, lower / n, upper / n, log_norm(prod) / n))
+    return rows, None
+
+
+@pytest.mark.parametrize("chunk, chunk_bits", [(1, None), (3, None), (CHUNK, None), (CHUNK, 2000)])
+@pytest.mark.parametrize("dim, steps, bit_budget", [
+    (3, 400, 10**6),  # A^64 is a ball from n = 29 on
+    (3, 400, 2000),  # A^64 passes the budget at n = 213
+    (2, 200, 16),  # closed form: the product itself passes the budget at n = 81
+])
+def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps, bit_budget,
+                                                    monkeypatch):
+    rng = random.Random(steps + dim)
+    increments = [rng.choice(transvections(dim)) for _ in range(steps)]
+    monkeypatch.setattr(matrix_oracle, "CHUNK", chunk)
+    if chunk_bits is not None:
+        monkeypatch.setattr(matrix_oracle, "CHUNK_BITS", chunk_bits)
+    bits_cap = matrix_oracle.CHUNK_BITS
+    batches = []
+    batch_ladder = matrix_oracle.spectral_radii
+
+    def spy(mats, bit_budget):
+        batches.append([a.max_bits() * a.n * a.n for a in mats])
+        return batch_ladder(mats, bit_budget)
+
+    monkeypatch.setattr(matrix_oracle, "spectral_radii", spy)
+    rows, message = [], None
+    try:
+        for row in guivarch_series(increments, bit_budget):
+            rows.append(row)
+    except BitBudgetExceeded as e:
+        message = str(e)
+    assert (rows, message) == reference_rows(increments, bit_budget)
+    # a chunk closes at `chunk` products or once its entries pass the cap
+    assert all(len(b) <= chunk and sum(b[:-1]) <= bits_cap for b in batches)
+    if chunk_bits is not None and dim == 3 and bit_budget == 10**6:
+        assert any(len(b) < chunk for b in batches[:-1])
 
 
 @settings(max_examples=300)
@@ -383,6 +497,12 @@ def test_log_of_all_refuses_a_tie():
     assert float(tie) != float(tie + 1)
     assert _log_of_all(tie, tie + 1, 0) is None
     assert _log_of_all(tie + 1, tie + 2, 0) == math.log(tie + 1)
+
+
+def test_log_of_all_refuses_an_interval_that_may_hold_zero():
+    assert _log_of_all(0, 1, 5) is None
+    assert _log_of_all(-2**60, 2**60, 0) is None
+    assert _log_of_all(-1, 2**60, 0) is None
 
 
 def test_gelfand_bracket_contains_known_value():
