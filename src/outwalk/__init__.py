@@ -23,10 +23,8 @@ from .automorphisms import (
     parse_automorphism,
 )
 from .outer_metric import (
-    FiniteMetricSample,
     candidates,
     dist,
-    four_point_delta,
     gromov_product,
     highness_ratio,
     log_stretch,

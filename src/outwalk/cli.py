@@ -48,7 +48,6 @@ from .walk_engine import (
     EstimateSeries,
     batch_means_ci,
     conjugacy_growth_experiment,
-    delta_experiment,
     drift_experiment,
     furstenberg_experiment,
     gromov_decay_experiment,
@@ -121,13 +120,6 @@ def _stretch(measure, *, k_max, letter_budget) -> EstimateSeries:
     )
 
 
-def _delta(measure, **settings) -> EstimateSeries:
-    series = delta_experiment(measure, **settings)
-    for value in series.values("four_point_delta"):
-        print(f"four_point_delta = {value:.6f}")
-    return series
-
-
 def _conjugacy(measure, *, words, **settings) -> EstimateSeries:
     return conjugacy_growth_experiment(measure, seed_words(words, measure.rank), **settings)
 
@@ -139,7 +131,6 @@ RUNNERS = {
     "conjugacy": _conjugacy,
     "spectral": spectral_experiment,
     "gromov": gromov_decay_experiment,
-    "delta": _delta,
     "matrix-guivarch": guivarch_experiment,
     "matrix-furstenberg": furstenberg_experiment,
     "distance": _distance,

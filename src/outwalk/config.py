@@ -48,7 +48,6 @@ class Kind:
 
     size: str
     settings: dict
-    n_min: int = 1  # the least n_max
 
     @property
     def lines(self) -> tuple:
@@ -68,8 +67,6 @@ KIND_TABLE = {
     "conjugacy": Kind("rank", {**_WALK, **_LETTERS, "words": None}),
     "spectral": Kind("rank", {**_WALK, **_LETTERS, "k_max": WALK_K_MAX}),
     "gromov": Kind("rank", {**_WALK, **_LETTERS}),
-    # one path, and four orbit points at least
-    "delta": Kind("rank", {"n_max": None, "master_seed": 0, **_LETTERS}, n_min=3),
     "matrix-guivarch": Kind("dim", {**_WALK, **_BITS}),
     "matrix-furstenberg": Kind("dim", {**_WALK, **_BITS, "vector": None}),
     "distance": Kind("rank", _LETTERS),
@@ -178,7 +175,7 @@ def validate(cfg: ExperimentConfig) -> None:
             if reads[name] is None:
                 raise ConfigError(f"{key}: required for a {cfg.kind} run")
             setattr(cfg, name, reads[name])
-    least = {"rank": 2, "dim": 1, "n_max": kind.n_min, "paths": 1, "k_max": 1,
+    least = {"rank": 2, "dim": 1, "n_max": 1, "paths": 1, "k_max": 1,
              "letter_budget": 1, "bit_budget": 1}
     for name, low in least.items():
         value = getattr(cfg, name)
@@ -260,7 +257,7 @@ def seed_words(words: list, rank: int) -> list[CyclicWord]:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config inverts it exactly.  A one-path
+    """Canonical text form; parse_config inverts it exactly.  A one-map
     kind reads no `paths`, so its `paths = 1` is left out."""
     kind = KIND_TABLE[cfg.kind]
     lines = [f"kind = {cfg.kind}"]

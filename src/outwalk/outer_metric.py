@@ -30,29 +30,26 @@ bound until no bound left can beat the best ratio (about 2.6 of the 9
 lengths per step of a rank-3 NIEL drift walk).  `dist` reads theta.images this way;
 every other distance reads generator images tracked through several
 maps with `automorphisms.images`, without composing maps: the drift
-along a walk, `orbit_dist` and the delta sample through `image_dist`,
-the stretch brackets along powers through every candidate length,
-since their point estimate reads each loop's ratio.
+along a walk and `orbit_dist` through `image_dist`, the stretch
+brackets along powers through every candidate length, since their
+point estimate reads each loop's ratio.
 
-The metric is asymmetric; Gromov products and the four-point
-hyperbolicity diagnostic use the symmetrized version
+The metric is asymmetric; Gromov products use the symmetrized version
 d_sym(x, y) = d(x, y) + d(y, x).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._wordkernel import Reading, cyclic_length, product_cyclic_length
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import Automorphism, identity_automorphism, images, invert
+from .automorphisms import Automorphism, images, invert
 
 __all__ = [
-    "FiniteMetricSample",
     "candidates",
     "candidate_lengths",
     "log_stretch",
@@ -62,11 +59,7 @@ __all__ = [
     "sym_dist",
     "gromov_product",
     "highness_ratio",
-    "four_point_delta",
 ]
-
-TRIANGLE_TOL = 1e-9
-
 
 @lru_cache(maxsize=None)
 def _pieces(rank: int) -> tuple:
@@ -234,106 +227,3 @@ def highness_ratio(theta: Automorphism, probes, *, budget: int | None = None) ->
         raise ValueError("all probes are at distance zero from the base point")
     return best
 
-
-@dataclass(frozen=True)
-class FiniteMetricSample:
-    """A finite symmetric metric space, validated on ingestion."""
-
-    labels: tuple
-    distances: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float)
-        n = len(self.labels)
-        if d.shape != (n, n):
-            raise ValueError("distance matrix shape does not match labels")
-        if not np.allclose(d, d.T, atol=TRIANGLE_TOL, rtol=0.0):
-            raise ValueError("distance matrix is not symmetric")
-        if np.abs(np.diag(d)).max(initial=0.0) > TRIANGLE_TOL:
-            raise ValueError("diagonal must be zero")
-        if d.min(initial=0.0) < -TRIANGLE_TOL:
-            raise ValueError("distances must be nonnegative")
-        # triangle inequality on all ordered triples (i, j, k), one i at a
-        # time so that memory stays quadratic: gap[j, k] = d_ij + d_jk - d_ik;
-        # only a strictly smaller minimum moves the first argmin
-        worst, where = 0.0, None
-        for i in range(n):
-            gap = d[i, :, None] + d - d[i]
-            j, k = np.unravel_index(int(gap.argmin()), gap.shape)
-            if gap[j, k] < worst:
-                worst, where = gap[j, k], (i, j, k)
-        if worst < -TRIANGLE_TOL:
-            i, j, k = where
-            raise ValueError(
-                f"triangle inequality fails on ({self.labels[i]}, "
-                f"{self.labels[j]}, {self.labels[k]})"
-            )
-        d = d.copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_walk(cls, rank: int, steps, *, budget: int | None = None) -> "FiniteMetricSample":
-        """Orbit points Phi_j.y0 of the walk Phi_j = s_1 ... s_j over steps.
-
-        Point j adds a column: dist(s_j^{-1} ... s_{i+1}^{-1}) advances
-        the generator images carried per start i through s_j^{-1}, and
-        dist(s_{i+1} ... s_j) runs the generator images back through
-        s_j .. s_{i+1}.  The sample ends before the first step at which
-        substituting one of those images exceeds the budget."""
-        gens = identity_automorphism(rank).images
-        seen, carried, d = [], [], np.zeros((1, 1))
-        for s in steps:
-            seen.append(s)
-            inv = invert(s)
-            try:
-                carried = [images(inv, w, budget=budget) for w in carried + [gens]]
-                back, words = [], gens
-                for t in reversed(seen):
-                    words = images(t, words, budget=budget)
-                    back.append(image_dist(words))
-            except WordBudgetExceeded:
-                break
-            d = np.pad(d, (0, 1))
-            d[-1, :-1] = d[:-1, -1] = [image_dist(w) + b for w, b in zip(carried, back[::-1])]
-        return cls(tuple(str(i) for i in range(len(d))), d)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-def four_point_delta(
-    sample: FiniteMetricSample,
-    *,
-    max_exhaustive: int = 60,
-    subsample: int = 2_000_000,
-    seed: int = 0,
-) -> float:
-    """Smallest delta for which the four-point condition holds on the sample.
-
-    The condition, over all ordered quadruples (x, y, z, w) with basepoint
-    w: (x|y)_w >= min((x|z)_w, (y|z)_w) - delta.  Exhaustive up to
-    max_exhaustive points, random quadruples (pinned generator) beyond.
-    """
-    n = len(sample)
-    if n < 4:
-        raise ValueError("need at least 4 points")
-    d = sample.distances
-    worst = 0.0
-    if n <= max_exhaustive:
-        for w in range(n):
-            p = 0.5 * (d[w][:, None] + d[w][None, :] - d)
-            for z in range(n):
-                # violations of (x|y)_w >= min((x|z)_w, (y|z)_w) - delta
-                m = np.minimum(p[:, z][:, None], p[z, :][None, :]) - p
-                worst = max(worst, float(m.max()))
-        return worst
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    quads = rng.integers(0, n, size=(subsample, 4))
-    x, y, z, w = quads.T
-    pxy = 0.5 * (d[w, x] + d[w, y] - d[x, y])
-    pxz = 0.5 * (d[w, x] + d[w, z] - d[x, z])
-    pyz = 0.5 * (d[w, y] + d[w, z] - d[y, z])
-    viol = np.minimum(pxz, pyz) - pxy
-    return max(0.0, float(viol.max()))

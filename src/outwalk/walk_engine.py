@@ -22,19 +22,17 @@ Phi_n^{-1} itself (step `compose`), which carries Phi_n as its inverse
 images, and record on the geometric schedule only.  The matrix kinds
 run over `guivarch_series` and `vector_growth`.
 
-The driver `_series` alone applies the cut-off rule, the merge order
-and the summaries.  A path is cut off at the first step at which one
-substitution of a tracked word (for drift and brackets, a generator
-image; for Gromov products, an image of Phi_n^{-1} or of Phi_n) needs
-more letters than the letter budget, or a matrix entry more bits than
-the bit budget; it then ends in a row with estimator "truncated_at",
+The driver `_series` runs every multi-path kind, and it alone applies
+the cut-off rule, the merge order and the summaries.  A path is cut
+off at the first step at which one substitution of a tracked word
+(for drift and brackets, a generator image; for Gromov products, an
+image of Phi_n^{-1} or of Phi_n) needs more letters than the letter
+budget, or a matrix entry more bits than the bit budget; it then ends in a row with estimator "truncated_at",
 value the last completed step and status "truncated", never silently
 dropped.  A budget hit inside one bracket or Gromov record marks only
 that record.  Paths are independent tasks keyed by (master_seed,
 path_id); results are merged in path order, so the worker count never
 changes output bytes.
-`delta_experiment` reads one orbit segment as a whole and writes its
-single record itself.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import Word, WordBudgetExceeded, least_rotation, word_to_str
+from .free_group import Word, WordBudgetExceeded, word_to_str
 from .automorphisms import (
     Automorphism,
     compose,
@@ -62,7 +60,7 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import FiniteMetricSample, four_point_delta, gromov_product, image_dist
+from .outer_metric import gromov_product, image_dist
 from .spectral import bracket_images
 from .rng import categorical, cumulative, path_generator
 
@@ -77,7 +75,6 @@ __all__ = [
     "gromov_decay_experiment",
     "guivarch_experiment",
     "furstenberg_experiment",
-    "delta_experiment",
     "geometric_schedule",
     "batch_means_ci",
     "ok_values",
@@ -283,12 +280,6 @@ def _append_summaries(rows: list, schedule, estimators) -> None:
             rows.append((-1, n, f"{est}.paths", float(len(vals)), "ok"))
 
 
-def _truncation_row(path_id: int, n: int):
-    """The row that ends a path cut off after step n; its estimator name
-    is used by no ok row, so (path_id, n, estimator) stays unique."""
-    return (path_id, n, "truncated_at", float(n), "truncated")
-
-
 def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
     """The one per-path driver of every multi-path experiment.
 
@@ -307,7 +298,8 @@ def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
         except (WordBudgetExceeded, BitBudgetExceeded):
             pass
         if n < n_max:
-            rows.append(_truncation_row(pid, n))
+            # no ok row is named "truncated_at", so the key stays unique
+            rows.append((pid, n, "truncated_at", float(n), "truncated"))
         return rows
 
     rows = _run_paths(paths, threads, one_path)
@@ -390,12 +382,13 @@ def conjugacy_growth_experiment(
     letter_budget: int | None = None,
     threads: int = 1,
 ) -> EstimateSeries:
-    """Records (1/n) log |Phi_n^{-1}(g)| for each seed conjugacy class g."""
+    """Records (1/n) log |Phi_n^{-1}(g)| for each seed conjugacy class g.
+
+    The seeds must be distinct, nontrivial conjugacy classes, each given
+    cyclically reduced (`config.seed_words` checks a config's words);
+    two seeds of one class would write the same rows twice.
+    """
     seeds = list(seeds)
-    if any(len(g) == 0 for g in seeds):
-        raise ValueError("seed classes must be nontrivial")
-    if len({least_rotation(g) for g in seeds}) < len(seeds):
-        raise ValueError(f"seed classes repeat: {[word_to_str(g) for g in seeds]}")
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
 
     def record(n, tracked):
@@ -506,30 +499,3 @@ guivarch_experiment = partial(_matrix_experiment, "matrix-guivarch", guivarch_se
 furstenberg_experiment = partial(_matrix_experiment, "matrix-furstenberg", vector_growth,
                                  ("furstenberg.vector",))
 
-
-def delta_experiment(
-    measure: ProbMeasure,
-    *,
-    n_max: int,
-    master_seed: int,
-    letter_budget: int | None = None,
-) -> EstimateSeries:
-    """Four-point hyperbolicity defect of one orbit segment.
-
-    Samples a single path, takes the orbit points Phi_0.y0 .. Phi_n.y0,
-    and measures the four-point delta of their symmetrized distance
-    matrix.  Descriptive only: the orbit metric is not claimed
-    hyperbolic.  A budget hit cuts the path off before that step; below
-    four points only the truncated row remains.
-    """
-    steps = _steps(measure, master_seed, 0, n_max)
-    sample = FiniteMetricSample.from_walk(measure.rank, steps, budget=letter_budget)
-    n = len(sample) - 1
-    rows = [(0, n, "four_point_delta", four_point_delta(sample), "ok")] if n >= 3 else []
-    if n < n_max:
-        rows.append(_truncation_row(0, n))
-    return EstimateSeries(
-        "delta",
-        rows,
-        {"n_max": n_max, "paths": 1, "master_seed": master_seed, "points": len(sample)},
-    )

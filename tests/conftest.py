@@ -7,14 +7,13 @@ from outwalk.matrix_oracle import IntMatrix
 from outwalk.walk_engine import ProbMeasure
 
 
-@pytest.fixture(scope="module")
-def niel():
-    """Uniform measure on the 24 elementary Nielsen moves of F_3:
+def nielsen_measure(rank: int) -> ProbMeasure:
+    """Uniform measure on the elementary Nielsen moves of F_rank:
     x_i -> x_i x_j^{+-1} and x_i -> x_j^{+-1} x_i (i != j)."""
     moves = [
-        move(3, i, sign * j)
-        for i in range(1, 4)
-        for j in range(1, 4)
+        move(rank, i, sign * j)
+        for i in range(1, rank + 1)
+        for j in range(1, rank + 1)
         if i != j
         for sign in (1, -1)
         for move in (right_multiplier, left_multiplier)
@@ -22,17 +21,36 @@ def niel():
     return ProbMeasure(tuple(moves), tuple(1 / len(moves) for _ in moves))
 
 
-@pytest.fixture(scope="module")
-def sl3():
-    """Uniform measure on the 12 elementary transvections I +- E_ij of
-    SL(3, Z) (i != j), the abelianizations of the NIEL moves."""
+def transvection_measure(dim: int) -> ProbMeasure:
+    """Uniform measure on the elementary transvections I +- E_ij of
+    SL(dim, Z) (i != j), the abelianizations of the Nielsen moves."""
     mats = []
-    for i in range(3):
-        for j in range(3):
+    for i in range(dim):
+        for j in range(dim):
             if i == j:
                 continue
             for sign in (1, -1):
-                rows = [[int(r == c) for c in range(3)] for r in range(3)]
+                rows = [[int(r == c) for c in range(dim)] for r in range(dim)]
                 rows[i][j] = sign
                 mats.append(IntMatrix(rows))
     return ProbMeasure(tuple(mats), tuple(1 / len(mats) for _ in mats))
+
+
+@pytest.fixture(scope="module")
+def niel():
+    """The 24 elementary Nielsen moves of F_3, uniformly."""
+    return nielsen_measure(3)
+
+
+@pytest.fixture(scope="module")
+def sl3():
+    """The 12 elementary transvections of SL(3, Z), uniformly."""
+    return transvection_measure(3)
+
+
+@pytest.fixture(scope="module")
+def measures(niel, sl3):
+    """The walk measures by name: Nielsen moves of F_2 and F_3 and
+    transvections of SL(2, Z), SL(3, Z) and SL(4, Z)."""
+    return {"niel": niel, "niel2": nielsen_measure(2), "sl2": transvection_measure(2),
+            "sl3": sl3, "sl4": transvection_measure(4)}

@@ -20,6 +20,28 @@ gen.1.inv = a->aB; b->b; c->c
 gen.1.weight = 0.5
 """
 
+MATRIX_LINES = """dim = 3
+gen.0.matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+gen.0.weight = 0.5
+gen.1.matrix = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
+gen.1.weight = 0.5
+"""
+
+MAP_LINES = "rank = 3\ngen.0.map = a->ab; b->b; c->c\ngen.0.inv = a->aB; b->b; c->c\n"
+
+# kind: a config that sets only what the kind requires
+BASES = {
+    "drift": "kind = drift\nn_max = 4\n" + F3_LINES,
+    "conjugacy": "kind = conjugacy\nn_max = 4\nword.0 = ab\n" + F3_LINES,
+    "spectral": "kind = spectral\nn_max = 4\n" + F3_LINES,
+    "gromov": "kind = gromov\nn_max = 4\n" + F3_LINES,
+    "matrix-guivarch": "kind = matrix-guivarch\nn_max = 4\n" + MATRIX_LINES,
+    "matrix-furstenberg": "kind = matrix-furstenberg\nn_max = 4\nvector = [1, 0, 0]\n"
+                          + MATRIX_LINES,
+    "distance": "kind = distance\n" + MAP_LINES,
+    "stretch": "kind = stretch\n" + MAP_LINES,
+}
+
 
 def measure_lines(measure) -> str:
     lines = [f"rank = {measure.rank}"]
@@ -27,6 +49,11 @@ def measure_lines(measure) -> str:
         fwd, inv = automorphism_to_str(a).split(" | ")
         lines += [f"gen.{i}.map = {fwd}", f"gen.{i}.inv = {inv}", f"gen.{i}.weight = {w!r}"]
     return "\n".join(lines) + "\n"
+
+
+def with_measure(head, niel) -> str:
+    """head, with the NIEL(3) measure lines unless it has its own."""
+    return head if "\ngen.0." in head else head + measure_lines(niel)
 
 
 def run_config(tmp_path, text, *args):
@@ -66,17 +93,29 @@ def test_exit_2_on_bad_override(tmp_path, override):
     assert rc == 2
 
 
-@pytest.mark.parametrize("text", [
-    "kind = drift\nn_max = 4\npaths = 0\n" + F3_LINES,
-    "kind = drift\nn_max = 4\nletter_budget = 0\n" + F3_LINES,
-    "kind = walk\nn_max = 4\n" + F3_LINES,
-    "kind = delta\nn_max = 2\n" + F3_LINES,
-    "kind = conjugacy\nn_max = 4\npaths = 4\nword.0 = ab\nword.1 = ab\n" + F3_LINES,
-    "kind = conjugacy\nn_max = 4\nword.0 = abA\nword.1 = b\n" + F3_LINES,
-    "kind = conjugacy\nn_max = 4\nword.0 = ab\nword.1 = ba\n" + F3_LINES,
+@pytest.mark.parametrize("text, error", [
+    ("kind = drift\nn_max = 4\npaths = 0\n", "paths: must be >= 1"),
+    ("kind = drift\nn_max = 4\nletter_budget = 0\n", "letter_budget: must be >= 1"),
+    ("kind = walk\nn_max = 4\n", "kind: unknown experiment kind 'walk'"),
+    ("kind = delta\nn_max = 2\n", "kind: unknown experiment kind 'delta'"),
+    ("kind = conjugacy\nn_max = 4\npaths = 4\nword.0 = ab\nword.1 = ab\n",
+     "word.1: 'ab' is conjugate to word.0"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = abA\nword.1 = b\n",
+     "word.1: 'b' is conjugate to word.0"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = ab\nword.1 = ba\n",
+     "word.1: 'ba' is conjugate to word.0"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = a\nword.1 = bc\nword.2 = baB\n",
+     "word.2: 'a' is conjugate to word.0"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = abC\nword.1 = c\nword.2 = Cab\n",
+     "word.2: 'Cab' is conjugate to word.0"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = ab\nword.1 = 1\n",
+     "word.1: seed word must be nontrivial"),
+    ("kind = conjugacy\nn_max = 4\nword.0 = aA\n", "word.0: seed word must be nontrivial"),
 ])
-def test_exit_2_on_bad_config(tmp_path, text):
-    assert run_config(tmp_path, text)[0] == 2
+def test_exit_2_on_bad_config(tmp_path, capsys, text, error):
+    rc, out = run_config(tmp_path, text + F3_LINES)
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 NAN_WEIGHT_HEADS = {
@@ -99,19 +138,22 @@ def test_nan_weight_exits_2(tmp_path, capsys, kind, weight):
 
 
 @pytest.mark.parametrize("k_max", [0, -3])
-def test_spectral_k_max_below_1_exits_2(tmp_path, capsys, k_max):
-    # min(k_used, k_max) >= k_max held for any k_used, so every record read ok
-    text = f"kind = spectral\nn_max = 4\npaths = 2\nk_max = {k_max}\n" + F3_LINES
-    assert run_config(tmp_path, text)[0] == 2
+@pytest.mark.parametrize("kind", ["spectral", "stretch"])
+def test_k_max_below_1_exits_2(tmp_path, capsys, kind, k_max):
+    # min(k_used, k_max) >= k_max held for any k_used, so every spectral
+    # record read ok
+    assert run_config(tmp_path, BASES[kind] + f"k_max = {k_max}\n")[0] == 2
     assert "k_max: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, size", [("drift", "rank = 1"), ("matrix-guivarch", "dim = 0")])
-def test_measure_size_below_its_least_exits_2(tmp_path, capsys, kind, size):
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_measure_size_below_its_least_exits_2(tmp_path, capsys, kind):
     # dim = 0 was refused only as a mismatch of gen.0.matrix
-    text = BASES[kind].replace(size.split(" = ")[0] + " = 3", size)
-    assert run_config(tmp_path, text)[0] == 2
-    assert capsys.readouterr().err.startswith(f"error: {size.split(' = ')[0]}: must be >= ")
+    size = KIND_TABLE[kind].size
+    text = BASES[kind].replace(f"{size} = 3", f"{size} = {dict(rank=1, dim=0)[size]}")
+    rc, out = run_config(tmp_path, text)
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {size}: must be >= ")
 
 
 @pytest.mark.parametrize("where", ["config", "override", "directory"])
@@ -138,10 +180,15 @@ def read_meta(out_path) -> dict:
 
 
 @pytest.mark.parametrize("head", [
+    "kind = drift\nn_max = 4\npaths = 2\n",
     "kind = conjugacy\nn_max = 4\npaths = 2\nmaster_seed = 18446744073709551615\n"
     "word.0 = ab\nword.1 = aCb\n",
     "kind = spectral\nn_max = 4\npaths = 2\nk_max = 3\n",
-    "kind = delta\nn_max = 6\n",
+    "kind = gromov\nn_max = 4\npaths = 2\n",
+    "kind = matrix-guivarch\nn_max = 4\npaths = 2\nbit_budget = 5000\n" + MATRIX_LINES,
+    "kind = matrix-furstenberg\nn_max = 4\npaths = 2\nvector = [0, 1, 1]\n" + MATRIX_LINES,
+    "kind = distance\n" + MAP_LINES,
+    "kind = stretch\nk_max = 2\n" + MAP_LINES,
 ])
 def test_metadata_round_trips_through_comment_lines(tmp_path, monkeypatch, niel, head):
     written = []
@@ -152,7 +199,7 @@ def test_metadata_round_trips_through_comment_lines(tmp_path, monkeypatch, niel,
         write_series(series, cfg, out_path)
 
     monkeypatch.setattr(cli, "write_series", capture)
-    rc, out = run_config(tmp_path, head + measure_lines(niel))
+    rc, out = run_config(tmp_path, with_measure(head, niel))
     assert rc == 0
     assert read_meta(out) == written[0].metadata
     lines = out.read_text().splitlines()
@@ -202,21 +249,7 @@ def test_single_map_over_budget_exits_3(tmp_path, capsys, kind, budget):
     assert not out.exists()
 
 
-def test_delta_budget_hit_truncates_the_path(tmp_path, capsys, niel):
-    # a substitution over the budget cuts the path off before that step
-    text = ("kind = delta\nn_max = 40\nletter_budget = 200\nmaster_seed = 5\n"
-            + measure_lines(niel))
-    rc, out = run_config(tmp_path, text)
-    assert "Traceback" not in capsys.readouterr().err
-    rows = per_path_rows(out)[0]
-    last_n, status = rows[-1]
-    assert status == "truncated" and last_n < 40
-    assert rc == (0 if last_n >= 3 else 3)
-    assert rows[:-1] == ([(last_n, "ok")] if last_n >= 3 else [])
-
-
 ONE_PATH_CONFIGS = {
-    "delta": "kind = delta\nn_max = 4\n" + F3_LINES,
     "distance": "kind = distance\nrank = 3\ngen.0.map = a->ab; b->b; c->c\n"
                 "gen.0.inv = a->aB; b->b; c->c\n",
     "stretch": "kind = stretch\nk_max = 3\nrank = 3\ngen.0.map = a->ab; b->b; c->c\n"
@@ -227,8 +260,8 @@ ONE_PATH_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(ONE_PATH_CONFIGS))
 @pytest.mark.parametrize("paths", [0, 5])
 def test_one_path_kinds_refuse_paths(tmp_path, capsys, kind, paths):
-    # a kind that reads one path or one map would ignore the others and
-    # still write `# paths = 5` into its header
+    # a kind that reads one map would ignore the other paths and still
+    # write `# paths = 5` into its header
     text = ONE_PATH_CONFIGS[kind]
     rc, out = run_config(tmp_path, text + f"paths = {paths}\n")
     assert rc == 2 and not out.exists()
@@ -236,14 +269,6 @@ def test_one_path_kinds_refuse_paths(tmp_path, capsys, kind, paths):
     assert run_config(tmp_path, text, "--paths", str(paths))[0] == 2
     assert run_config(tmp_path, text + "paths = 1\n")[0] == 0
     assert run_config(tmp_path, text, "--paths", "1")[0] == 0
-
-
-def test_delta_below_four_points_exits_3(tmp_path, niel):
-    text = "kind = delta\nn_max = 40\nletter_budget = 3\n" + measure_lines(niel)
-    rc, out = run_config(tmp_path, text)
-    assert rc == 3
-    [(last_n, status)] = per_path_rows(out)[0]
-    assert status == "truncated" and last_n < 3
 
 
 def test_exit_0_when_every_record_is_downgraded(tmp_path, niel):
@@ -305,10 +330,12 @@ def body(out_path) -> str:
     "kind = conjugacy\nn_max = 12\npaths = 5\nword.0 = ab\nword.1 = aCb\n",
     "kind = spectral\nn_max = 8\npaths = 5\nk_max = 3\nletter_budget = 2000\n",
     "kind = gromov\nn_max = 8\npaths = 5\n",
-    "kind = delta\nn_max = 12\n",
+    # past the first chunk of 128 products batched into one Gelfand ladder
+    "kind = matrix-guivarch\nn_max = 160\npaths = 5\n" + MATRIX_LINES,
+    "kind = matrix-furstenberg\nn_max = 40\npaths = 5\nvector = [1, 0, 0]\n" + MATRIX_LINES,
 ])
 def test_bodies_identical_across_threads(tmp_path, niel, head):
-    text = head + "master_seed = 11\n" + measure_lines(niel)
+    text = with_measure("master_seed = 11\n" + head, niel)
     bodies = []
     for threads in ("1", "2"):
         rc, out = run_config(tmp_path, text, "--threads", threads)
@@ -333,29 +360,6 @@ def test_header_does_not_depend_on_the_output_path(tmp_path, niel):
     assert bodies[0] == bodies[1]
 
 
-MATRIX_LINES = """dim = 3
-gen.0.matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-gen.0.weight = 0.5
-gen.1.matrix = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
-gen.1.weight = 0.5
-"""
-
-MAP_LINES = "rank = 3\ngen.0.map = a->ab; b->b; c->c\ngen.0.inv = a->aB; b->b; c->c\n"
-
-# kind: a config that sets only what the kind requires
-BASES = {
-    "drift": "kind = drift\nn_max = 4\n" + F3_LINES,
-    "conjugacy": "kind = conjugacy\nn_max = 4\nword.0 = ab\n" + F3_LINES,
-    "spectral": "kind = spectral\nn_max = 4\n" + F3_LINES,
-    "gromov": "kind = gromov\nn_max = 4\n" + F3_LINES,
-    "delta": "kind = delta\nn_max = 4\n" + F3_LINES,
-    "matrix-guivarch": "kind = matrix-guivarch\nn_max = 4\n" + MATRIX_LINES,
-    "matrix-furstenberg": "kind = matrix-furstenberg\nn_max = 4\nvector = [1, 0, 0]\n"
-                          + MATRIX_LINES,
-    "distance": "kind = distance\n" + MAP_LINES,
-    "stretch": "kind = stretch\n" + MAP_LINES,
-}
-
 WALK = {"n_max", "paths", "master_seed"}
 
 # kind: the settings it reads; its header names exactly these
@@ -364,7 +368,6 @@ READS = {
     "conjugacy": {"rank", "letter_budget", "word.0"} | WALK,
     "spectral": {"rank", "letter_budget", "k_max"} | WALK,
     "gromov": {"rank", "letter_budget"} | WALK,
-    "delta": {"rank", "letter_budget", "n_max", "master_seed"},
     "matrix-guivarch": {"dim", "bit_budget"} | WALK,
     "matrix-furstenberg": {"dim", "bit_budget", "vector"} | WALK,
     "distance": {"rank", "letter_budget"},

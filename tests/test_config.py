@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from outwalk.automorphisms import automorphism_to_str, inversion, left_multiplier, right_multiplier
 from outwalk.config import (KIND_TABLE, ConfigError, ExperimentConfig, format_config,
                             parse_config, seed_words, validate)
+from outwalk.free_group import word_to_str
 
 
 def maps(rank):
@@ -26,7 +27,7 @@ def configs(draw):
     kind = draw(st.sampled_from(sorted(KIND_TABLE)))
     spec = KIND_TABLE[kind]
     values = dict(
-        n_max=st.integers(spec.n_min, 10**6),
+        n_max=st.integers(1, 10**6),
         paths=st.integers(1, 10**4),
         k_max=st.none() | st.integers(1, 64),
         master_seed=st.none() | st.integers(0, 2**64 - 1),
@@ -73,9 +74,19 @@ def test_parse_inverts_format(fields):
 
 def test_seed_words_refuse_repeated_classes():
     assert [len(g) for g in seed_words(["ab", "aCb", "Cab"], 3)] == [2, 3, 3]
-    for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"], ["ab", "ba"], ["aCb", "baC"]):
+    for words in (["ab", "ab"], ["abA", "b"], ["c", "a", "bcB"], ["ab", "ba"], ["aCb", "baC"],
+                  ["a", "bc", "baB"], ["abC", "c", "Cab"]):
         with pytest.raises(ConfigError, match=f"word.{len(words) - 1}"):
             seed_words(words, 3)
+
+
+def test_seed_words_are_the_cyclic_reductions():
+    # conjugacy_growth_experiment reads its seeds as given: distinct,
+    # nontrivial and cyclically reduced
+    got = seed_words(["abA", "CaBc", "bbcaBB"], 3)
+    assert [word_to_str(g) for g in got] == ["b", "aB", "ca"]
+    with pytest.raises(ConfigError, match=r"^word\.1: letter 'd' exceeds rank 3$"):
+        seed_words(["ab", "ad"], 3)
 
 
 @pytest.mark.parametrize("kind", ["distance", "stretch"])

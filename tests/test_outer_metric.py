@@ -1,8 +1,7 @@
-"""Rose-orbit metric: candidates, distances, Gromov products, delta."""
+"""Rose-orbit metric: candidates, distances, Gromov products."""
 
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +23,9 @@ from outwalk.automorphisms import (
     apply,
 )
 from outwalk.outer_metric import (
-    FiniteMetricSample,
     candidate_lengths,
     candidates,
     dist,
-    four_point_delta,
     gromov_product,
     highness_ratio,
     image_dist,
@@ -275,6 +272,21 @@ def test_sym_dist_symmetry(theta):
     assert sym_dist(theta) == pytest.approx(sym_dist(invert(theta)), abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6))
+def test_sym_dist_is_a_metric_on_walk_orbits(ids):
+    # the symmetrized distance between the orbit points Phi_i.y0 of a walk:
+    # zero on the diagonal, symmetric and within the triangle inequality
+    lib = library(3)
+    markings = [identity_automorphism(3)]
+    for i in ids:
+        markings.append(compose(markings[-1], lib[i % len(lib)]))
+    d = [[sym_dist(compose(invert(psi), phi)) for psi in markings] for phi in markings]
+    for i, j, k in itertools.product(range(len(d)), repeat=3):
+        assert d[i][i] == 0.0 and d[i][j] == pytest.approx(d[j][i], abs=1e-12)
+        assert d[i][k] <= d[i][j] + d[j][k] + 1e-9
+
+
 @settings(max_examples=40)
 @given(products(3), products(3), products(3))
 def test_left_invariance(phi, psi, xi):
@@ -346,156 +358,3 @@ def test_highness_at_least_one(theta, seed_ids):
         assert highness_ratio(theta, probes) >= 1.0 - 1e-12
     except ValueError:
         pass  # all probes coincided with theta's orbit point
-
-
-def delta_oracle(dmat):
-    """Enumerate all ordered quadruples directly."""
-    n = len(dmat)
-    prod = lambda w, x, y: 0.5 * (dmat[w][x] + dmat[w][y] - dmat[x][y])
-    worst = 0.0
-    for w, x, y, z in itertools.product(range(n), repeat=4):
-        worst = max(worst, min(prod(w, x, z), prod(w, y, z)) - prod(w, x, y))
-    return worst
-
-
-def test_four_point_delta_line():
-    pts = [0.0, 1.0, 2.0, 3.0]
-    d = np.abs(np.subtract.outer(pts, pts))
-    sample = FiniteMetricSample(tuple("abcd"), d)
-    assert four_point_delta(sample) == pytest.approx(0.0)
-    assert delta_oracle(d.tolist()) == pytest.approx(0.0)
-
-
-def _l1_square(side):
-    corners = [(0, 0), (side, 0), (side, side), (0, side)]
-    n = 4
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = abs(corners[i][0] - corners[j][0]) + abs(corners[i][1] - corners[j][1])
-    return d
-
-
-def test_four_point_delta_l1_square():
-    # unit-side taxicab square: delta = side (frozen from the quadruple oracle)
-    d1 = _l1_square(1.0)
-    assert delta_oracle(d1.tolist()) == pytest.approx(1.0)
-    assert four_point_delta(FiniteMetricSample(tuple("abcd"), d1)) == pytest.approx(1.0)
-    # scales linearly: half-unit square gives 0.5
-    dh = _l1_square(0.5)
-    assert four_point_delta(FiniteMetricSample(tuple("abcd"), dh)) == pytest.approx(0.5)
-
-
-def test_sample_validation_memory_is_quadratic():
-    # a valid 200-point path metric; checking all n^3 triples at once
-    # peaked at 2 * 8 n^3 bytes (122 MB here)
-    n = 200
-    d = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
-    tracemalloc.start()
-    try:
-        FiniteMetricSample(tuple(range(n)), d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), n=st.integers(3, 9))
-def test_sample_names_the_first_worst_triangle(seed, n):
-    # the triple named is the first argmin of d_ij + d_jk - d_ik over all
-    # (i, j, k) in lexicographic order, ties included
-    rng = np.random.default_rng(seed)
-    d = rng.integers(1, 4, (n, n)).astype(float)
-    d = np.triu(d, 1) + np.triu(d, 1).T
-    gap = d[:, :, None] + d[None, :, :] - d[:, None, :]
-    labels = tuple(f"p{i}" for i in range(n))
-    if gap.min() >= 0:
-        assert len(FiniteMetricSample(labels, d)) == n
-        return
-    i, j, k = np.unravel_index(int(gap.argmin()), gap.shape)
-    with pytest.raises(ValueError, match=rf"\(p{i}, p{j}, p{k}\)$"):
-        FiniteMetricSample(labels, d)
-
-
-def test_four_point_delta_requires_four_points():
-    d = np.zeros((3, 3))
-    sample = FiniteMetricSample(tuple("abc"), d)
-    with pytest.raises(ValueError):
-        four_point_delta(sample)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.integers(0, 30), min_size=5, max_size=6))
-def test_four_point_delta_matches_oracle_on_orbit(ids):
-    lib = library(2)
-    sample = FiniteMetricSample.from_walk(2, [lib[i % len(lib)] for i in ids])
-    assert len(sample) == len(ids) + 1
-    assert four_point_delta(sample) == pytest.approx(
-        delta_oracle(sample.distances.tolist()), abs=1e-12
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=7))
-def test_walk_sample_equals_composed_markings(ids):
-    lib = library(3)
-    steps = [lib[i % len(lib)] for i in ids]
-    markings = [identity_automorphism(3)]
-    for s in steps:
-        markings.append(compose(markings[-1], s))
-    sample = FiniteMetricSample.from_walk(3, steps)
-    for i, phi in enumerate(markings):
-        for j, psi in enumerate(markings):
-            want = sym_dist(compose(invert(psi), phi)) if i != j else 0.0
-            assert sample.distances[i, j] == want
-
-
-def test_walk_sample_ends_before_the_budget_hit():
-    lib = library(3)
-    steps = [lib[(7 * k + 3) % len(lib)] for k in range(16)]
-    full = FiniteMetricSample.from_walk(3, steps)
-    for budget in (3, 4, 6, 8, 10):
-        cut = FiniteMetricSample.from_walk(3, steps, budget=budget)
-        m = len(cut)
-        assert m < len(full)
-        assert np.array_equal(cut.distances, full.distances[:m, :m])
-        # every orbit up to point m - 1 fits; point m needs more letters
-        _walk_orbits(steps[:m - 1], budget)
-        with pytest.raises(WordBudgetExceeded):
-            _walk_orbits(steps[:m], budget)
-
-
-def _walk_orbits(steps, budget):
-    """The generator images carried through s_{i+1}^{-1}, ..., s_j^{-1} and
-    run back through s_j, ..., s_{i+1} for all i < j, raising on a budget
-    hit."""
-    gens = identity_automorphism(3).images
-    for i in range(len(steps)):
-        for j in range(i + 1, len(steps) + 1):
-            words = gens
-            for s in steps[i:j]:
-                words = [apply(invert(s), w, budget=budget) for w in words]
-            words = gens
-            for s in reversed(steps[i:j]):
-                words = [apply(s, w, budget=budget) for w in words]
-
-
-def test_metric_sample_validation():
-    bad = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="triangle"):
-        FiniteMetricSample(tuple("abc"), bad)
-    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        FiniteMetricSample(tuple("ab"), asym)
-
-
-def test_subsampled_delta_close_to_exhaustive():
-    rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
-    pts = rng.random((12, 2))
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    sample = FiniteMetricSample(tuple(str(i) for i in range(12)), d)
-    exact = four_point_delta(sample)
-    sub = four_point_delta(sample, max_exhaustive=4, subsample=400_000)
-    assert sub <= exact + 1e-12
-    assert sub >= 0.5 * exact  # random quadruples find most of the defect

@@ -15,13 +15,7 @@ from outwalk.automorphisms import (
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import (
-    FiniteMetricSample,
-    candidates,
-    dist,
-    four_point_delta,
-    sym_dist,
-)
+from outwalk.outer_metric import candidates, dist, sym_dist
 from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -29,7 +23,6 @@ from outwalk.walk_engine import (
     WalkPath,
     batch_means_ci,
     conjugacy_growth_experiment,
-    delta_experiment,
     drift_experiment,
     furstenberg_experiment,
     geometric_schedule,
@@ -294,22 +287,22 @@ def test_estimate_series_unique_keys():
     assert len(keys) == len(set(keys))
 
 
+# kind: (niel, sl3, threads=1) -> a series whose budget cuts some paths
 BUDGET_HITS = {
-    "drift": lambda niel, sl3: drift_experiment(
-        niel, n_max=40, paths=4, master_seed=5, letter_budget=2000),
-    "conjugacy": lambda niel, sl3: conjugacy_growth_experiment(
+    "drift": lambda niel, sl3, threads=1: drift_experiment(
+        niel, n_max=40, paths=4, master_seed=5, letter_budget=2000, threads=threads),
+    "conjugacy": lambda niel, sl3, threads=1: conjugacy_growth_experiment(
         niel, [cyclic_reduce(parse_word("ab", 3))], n_max=40, paths=4, master_seed=5,
-        letter_budget=200),
-    "spectral": lambda niel, sl3: spectral_experiment(
-        niel, n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10),
-    "gromov": lambda niel, sl3: gromov_decay_experiment(
-        niel, n_max=16, paths=4, master_seed=1, letter_budget=10),
-    "delta": lambda niel, sl3: delta_experiment(
-        niel, n_max=40, master_seed=5, letter_budget=200),
-    "matrix-guivarch": lambda niel, sl3: guivarch_experiment(
-        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16),
-    "matrix-furstenberg": lambda niel, sl3: furstenberg_experiment(
-        sl3, vector=(1, 0, 0), n_max=100, paths=4, master_seed=5, bit_budget=16),
+        letter_budget=200, threads=threads),
+    "spectral": lambda niel, sl3, threads=1: spectral_experiment(
+        niel, n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10, threads=threads),
+    "gromov": lambda niel, sl3, threads=1: gromov_decay_experiment(
+        niel, n_max=16, paths=4, master_seed=1, letter_budget=10, threads=threads),
+    "matrix-guivarch": lambda niel, sl3, threads=1: guivarch_experiment(
+        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16, threads=threads),
+    "matrix-furstenberg": lambda niel, sl3, threads=1: furstenberg_experiment(
+        sl3, vector=(1, 0, 0), n_max=100, paths=4, master_seed=5, bit_budget=16,
+        threads=threads),
 }
 
 
@@ -320,6 +313,39 @@ def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
     assert cut and all(r[3] == r[1] and r[4] == "truncated" for r in cut)
     keys = [(r[0], r[1], r[2]) for r in series.records]
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
+def test_a_cut_path_ends_in_its_truncation_row(kind, niel, sl3):
+    # `_series` drives every multi-path kind: a path's rows run in step
+    # order and end in one truncation row at its last completed step, or
+    # at n_max; the paths follow in path order, then the summaries (a
+    # gromov record over the budget is a truncated row of its own)
+    series = BUDGET_HITS[kind](niel, sl3)
+    n_max, paths = series.metadata["n_max"], series.metadata["paths"]
+    pids = [r[0] for r in series.records]
+    assert pids == sorted(pids, key=lambda pid: (pid < 0, pid))
+    assert set(pids) == {-1, *range(paths)}
+    cut = 0
+    for pid in range(paths):
+        rows = [r[1:] for r in series.records if r[0] == pid]
+        steps = [n for n, *_ in rows]
+        assert steps == sorted(steps)
+        last_n, est, value, status = rows[-1]
+        assert all(r[1] != "truncated_at" for r in rows[:-1])
+        if est == "truncated_at":
+            cut += 1
+            assert (value, status) == (float(last_n), "truncated") and last_n < n_max
+        else:
+            assert last_n == n_max
+    assert 0 < cut
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
+def test_threads_do_not_change_cut_records(kind, niel, sl3):
+    # repr: a truncated record's nan is not equal to itself
+    one, many = (BUDGET_HITS[kind](niel, sl3, threads=threads) for threads in (1, 3))
+    assert list(map(repr, many.records)) == list(map(repr, one.records))
 
 
 def walk_cut_steps(niel) -> dict:
@@ -358,14 +384,6 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     series = BUDGET_HITS[kind](niel, sl3)
     cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
     assert cut == cut_steps(niel) == want
-
-
-@pytest.mark.parametrize("texts", [("ab", "ab"), ("abA", "b"), ("a", "bc", "baB"), ("ab", "ba"),
-                                   ("abC", "c", "Cab")])
-def test_conjugacy_refuses_repeated_seed_classes(texts):
-    seeds = [cyclic_reduce(parse_word(t, 3)) for t in texts]
-    with pytest.raises(ValueError, match="repeat"):
-        conjugacy_growth_experiment(F3_MEASURE, seeds, n_max=4, paths=2, master_seed=0)
 
 
 def test_cesaro_tail_monotone_in_probability():
@@ -527,18 +545,3 @@ def test_gromov_equals_sym_dist_of_composed_square(walk):
             phi = path.product
             want = (sym_dist(phi) - 0.5 * sym_dist(compose(phi, phi))) / path.n
             assert got[(pid, path.n)] == want
-
-
-def test_delta_equals_composed_markings(walk):
-    measure, _, n_max = walk
-    series = delta_experiment(measure, n_max=n_max, master_seed=3)
-    path = WalkPath(measure, 3, 0)
-    markings = [path.product]
-    while path.n < n_max and path.advance():
-        markings.append(path.product)
-    n = len(markings)
-    d = [[sym_dist(compose(invert(markings[j]), markings[i])) if i != j else 0.0
-          for j in range(n)] for i in range(n)]
-    want = four_point_delta(FiniteMetricSample(tuple(map(str, range(n))), d))
-    assert series.records == [(0, n_max, "four_point_delta", want, "ok")]
-    assert series.metadata["points"] == n_max + 1
