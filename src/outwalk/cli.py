@@ -18,6 +18,11 @@ resolved config, less its `out` path, is embedded as `# key = value`
 comment lines and the run metadata as `# meta.<key> = <JSON value>`
 lines; the timestamp lives in its own comment line so output bodies
 stay byte-identical across reruns and worker counts.
+
+A `run` body holds per-path records only (path_id 0..paths-1); every
+summary comes from `summarize`, the one aggregator.  Its schema (exact):
+experiment,n,estimator,mean,median,ci_low,ci_high,effective_paths,
+truncated,downgraded; the last three say which paths a row covers.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -46,19 +53,18 @@ from .outer_metric import dist, sym_dist
 from .spectral import bracket
 from .walk_engine import (
     EstimateSeries,
-    batch_means_ci,
     conjugacy_growth_experiment,
     drift_experiment,
     furstenberg_experiment,
     gromov_decay_experiment,
     guivarch_experiment,
-    ok_values,
     spectral_experiment,
 )
 
 CSV_HEADER = "experiment,path_id,n,estimator,value,status"
 
-SUMMARY_HEADER = "experiment,n,estimator,mean,median,ci_low,ci_high,effective_paths"
+SUMMARY_HEADER = ("experiment,n,estimator,mean,median,ci_low,ci_high,effective_paths,"
+                  "truncated,downgraded")
 
 
 def _fmt(value: float) -> str:
@@ -153,21 +159,75 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     if cfg.out:
         write_series(series, cfg, cfg.out)
     # downgraded records are certified brackets too, so they count as output
-    if not any(r[0] >= 0 and r[4] in ("ok", "downgraded") for r in series.records):
+    if not any(r[4] in ("ok", "downgraded") for r in series.records):
         print("error: budget exhausted on every path", file=sys.stderr)
         return 3
     return 0
 
 
-def summarize(in_path: str, out_path: str) -> int:
-    """Aggregate a series CSV: per-(experiment, n, estimator) statistics.
+def batch_means_ci(values) -> float | None:
+    """Half-width of a 95% batch-means interval; None below two batches.
 
-    The values aggregated are those of `walk_engine.ok_values`.  The 95%
-    interval uses batch means over paths in path_id order: split the P
-    values into B = floor(sqrt(P)) batches of floor(P/B), and take
-    mean +- 1.96 * stdev(batch means) / sqrt(B).  With fewer than four
-    paths the interval is left empty.  An output path that cannot be
-    written is refused before the input is read.
+    The P values, in path order, split into B = floor(sqrt(P)) batches
+    of floor(P/B); the half-width is 1.96 * stdev(batch means) / sqrt(B).
+    """
+    p = len(values)
+    nb = math.isqrt(p)
+    if nb < 2:
+        return None
+    per = p // nb
+    means = [sum(values[i * per: (i + 1) * per]) / per for i in range(nb)]
+    return 1.96 * statistics.stdev(means) / math.sqrt(nb)
+
+
+def ok_values(rows) -> dict:
+    """The values that enter aggregates, by (n, estimator), in path order.
+
+    Only finite values of ok per-path rows count; any other value stays
+    in its per-path row.  A series file may come from an older version
+    whose body still holds summary rows (path_id -1); they never count.
+    """
+    by_key = {}
+    for pid, n, est, value, status in sorted(rows, key=lambda row: row[0]):
+        if pid >= 0 and status == "ok" and math.isfinite(value):
+            by_key.setdefault((n, est), []).append(value)
+    return by_key
+
+
+def _uncovered(rows) -> dict:
+    """(truncated, downgraded) by (n, estimator), for every key of a
+    per-path record.
+
+    truncated counts the paths cut at n: a path whose `truncated_at`
+    step is below n, or one with a record at n that hit the budget (a
+    spectral or gromov record).  downgraded counts the downgraded
+    records at (n, estimator).
+    """
+    rows = [row for row in rows if row[0] >= 0]
+    last_step = {pid: value for pid, _, est, value, _ in rows if est == "truncated_at"}
+    hit = {(pid, n) for pid, n, est, _, status in rows
+           if status == "truncated" and est != "truncated_at"}
+    downgraded = Counter((n, est) for _, n, est, _, status in rows if status == "downgraded")
+    out = {}
+    for n, est in {(n, est) for _, n, est, _, _ in rows if est != "truncated_at"}:
+        cut = {pid for pid, step in last_step.items() if step < n}
+        cut |= {pid for pid, m in hit if m == n}
+        out[(n, est)] = (len(cut), downgraded[(n, est)])
+    return out
+
+
+def summarize(in_path: str, out_path: str) -> int:
+    """Aggregate a series CSV: one row per (experiment, n, estimator) of
+    a per-path record.
+
+    mean, median and the interval are over the values of `ok_values`,
+    and effective_paths counts them; with none, the three are left
+    empty.  The 95% interval uses batch means over paths in path_id
+    order (`batch_means_ci`); with fewer than four paths it is left
+    empty.  truncated and downgraded count the paths left out
+    (`_uncovered`), so that effective_paths + truncated + downgraded is
+    the number of paths whenever every ok value is finite.  An output
+    path that cannot be written is refused before the input is read.
     """
     try:
         _check_out(out_path)
@@ -199,18 +259,17 @@ def summarize(in_path: str, out_path: str) -> int:
     lines = [SUMMARY_HEADER]
     for experiment in sorted(records):
         by_key = ok_values(records[experiment])
-        for (n, est) in sorted(by_key):
-            values = by_key[(n, est)]
-            mean = sum(values) / len(values)
-            median = statistics.median(values)
-            half = batch_means_ci(values)
-            if half is None:
-                lo_s = hi_s = ""
-            else:
-                lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
-            lines.append(
-                f"{experiment},{n},{est},{_fmt(mean)},{_fmt(median)},{lo_s},{hi_s},{len(values)}"
-            )
+        for (n, est), (truncated, downgraded) in sorted(_uncovered(records[experiment]).items()):
+            values = by_key.get((n, est), [])
+            mean_s = median_s = lo_s = hi_s = ""
+            if values:
+                mean = sum(values) / len(values)
+                mean_s, median_s = _fmt(mean), _fmt(statistics.median(values))
+                half = batch_means_ci(values)
+                if half is not None:
+                    lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
+            lines.append(f"{experiment},{n},{est},{mean_s},{median_s},{lo_s},{hi_s},"
+                         f"{len(values)},{truncated},{downgraded}")
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -181,6 +181,9 @@ def validate(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, name)
         if value is not None and value < low:
             raise ConfigError(f"{name}: must be >= {low}")
+    if cfg.rank is not None and cfg.rank > 26:
+        # maps and words are written in the letters a-z
+        raise ConfigError("rank: must be <= 26")
     if cfg.master_seed is not None and not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed: must fit in 64 bits")
     if cfg.vector is not None and (len(cfg.vector) != cfg.dim or not any(cfg.vector)):
@@ -223,6 +226,8 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
                 raise ConfigError(f"gen.{i}.matrix: {e}") from None
             if m.n != cfg.dim:
                 raise ConfigError(f"gen.{i}.matrix: dimension {m.n} != dim {cfg.dim}")
+            if m.det() not in (-1, 1):
+                raise ConfigError(f"gen.{i}.matrix: determinant {m.det()} is not +-1")
             support.append(m)
         else:
             try:

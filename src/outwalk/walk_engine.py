@@ -23,22 +23,23 @@ images, and record on the geometric schedule only.  The matrix kinds
 run over `guivarch_series` and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
-the cut-off rule, the merge order and the summaries.  A path is cut
-off at the first step at which one substitution of a tracked word
-(for drift and brackets, a generator image; for Gromov products, an
-image of Phi_n^{-1} or of Phi_n) needs more letters than the letter
-budget, or a matrix entry more bits than the bit budget; it then ends in a row with estimator "truncated_at",
-value the last completed step and status "truncated", never silently
-dropped.  A budget hit inside one bracket or Gromov record marks only
-that record.  Paths are independent tasks keyed by (master_seed,
-path_id); results are merged in path order, so the worker count never
-changes output bytes.
+the cut-off rule and the merge order.  A series holds per-path records
+only: this module computes no summary, and `outwalk summarize`
+(`cli.summarize`) is the one aggregator.  A path is cut off at the
+first step at which one substitution of a tracked word (for drift and
+brackets, a generator image; for Gromov products, an image of
+Phi_n^{-1} or of Phi_n) needs more letters than the letter budget, or
+a matrix entry more bits than the bit budget; it then ends in a row
+with estimator "truncated_at", value the last completed step and
+status "truncated", never silently dropped.  A budget hit inside one
+bracket or Gromov record marks only that record.  Paths are independent
+tasks keyed by (master_seed, path_id); results are merged in path
+order, so the worker count never changes output bytes.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -76,8 +77,6 @@ __all__ = [
     "guivarch_experiment",
     "furstenberg_experiment",
     "geometric_schedule",
-    "batch_means_ci",
-    "ok_values",
 ]
 
 WALK_K_MAX = 4  # default bracket depth inside walk experiments
@@ -195,8 +194,8 @@ def sample_path(measure, master_seed, path_id, n_max, *, letter_budget=None):
 class EstimateSeries:
     """Per-path, per-time estimator records plus run metadata.
 
-    records hold (path_id, n, estimator, value, status); summary rows use
-    path_id -1.  (path_id, n, estimator) is unique.
+    records hold (path_id, n, estimator, value, status), per-path records
+    only (path_id >= 0); (path_id, n, estimator) is unique.
     """
 
     experiment: str
@@ -206,7 +205,7 @@ class EstimateSeries:
     def values(self, estimator: str, n: int | None = None, ok_only: bool = True) -> list:
         out = []
         for pid, rn, est, value, status in self.records:
-            if pid < 0 or est != estimator:
+            if est != estimator:
                 continue
             if n is not None and rn != n:
                 continue
@@ -226,20 +225,6 @@ def geometric_schedule(n_max: int) -> list:
     return sorted(ns)
 
 
-def batch_means_ci(values) -> float | None:
-    """Half-width of a 95% batch-means interval; None below two batches."""
-    p = len(values)
-    nb = int(math.isqrt(p))
-    if nb < 2:
-        return None
-    per = p // nb
-    means = [
-        sum(values[i * per: (i + 1) * per]) / per for i in range(nb)
-    ]
-    spread = statistics.stdev(means)
-    return 1.96 * spread / math.sqrt(nb)
-
-
 def _run_paths(paths: int, threads: int, one_path) -> list:
     """Run per-path jobs and merge rows deterministically in path order."""
     if threads <= 1:
@@ -253,41 +238,13 @@ def _run_paths(paths: int, threads: int, one_path) -> list:
     return rows
 
 
-def ok_values(rows) -> dict:
-    """The values that enter aggregates, by (n, estimator), in path order.
-
-    Only finite values of ok per-path rows count; any other value stays
-    in its per-path row.
-    """
-    by_key = {}
-    for pid, n, est, value, status in sorted(rows, key=lambda row: row[0]):
-        if pid >= 0 and status == "ok" and math.isfinite(value):
-            by_key.setdefault((n, est), []).append(value)
-    return by_key
-
-
-def _append_summaries(rows: list, schedule, estimators) -> None:
-    by_key = ok_values(rows)
-    for n in schedule:
-        for est in estimators:
-            vals = by_key.get((n, est))
-            if not vals:
-                continue
-            rows.append((-1, n, f"{est}.mean", sum(vals) / len(vals), "ok"))
-            half = batch_means_ci(vals)
-            if half is not None:
-                rows.append((-1, n, f"{est}.ci95_half", half, "ok"))
-            rows.append((-1, n, f"{est}.paths", float(len(vals)), "ok"))
-
-
-def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
+def _series(kind, path_rows, metadata, *, n_max, paths, threads):
     """The one per-path driver of every multi-path experiment.
 
     path_rows(path_id) yields (n, [(estimator, value, status), ...]) for
     every completed step n = 1, 2, ...; a budget exception ends the path.
     A path whose last completed step is below n_max ends in one
-    truncation row.  Paths merge in path order, then the summaries of
-    `estimators` on the geometric schedule follow.
+    truncation row.  Paths merge in path order; no other row follows.
     """
 
     def one_path(pid: int) -> list:
@@ -303,7 +260,6 @@ def _series(kind, path_rows, estimators, metadata, *, n_max, paths, threads):
         return rows
 
     rows = _run_paths(paths, threads, one_path)
-    _append_summaries(rows, geometric_schedule(n_max), estimators)
     return EstimateSeries(kind, rows, {"n_max": n_max, "paths": paths, **metadata})
 
 
@@ -368,7 +324,7 @@ def drift_experiment(
 
     source = _inverse_orbit(measure, master_seed, gens, images, record,
                             n_max=n_max, budget=letter_budget)
-    return _series("drift", source, ["drift"], {"master_seed": master_seed},
+    return _series("drift", source, {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
 
 
@@ -396,7 +352,7 @@ def conjugacy_growth_experiment(
 
     source = _inverse_orbit(measure, master_seed, seeds, cyclic_images, record,
                             n_max=n_max, budget=letter_budget)
-    return _series("conjugacy", source, names,
+    return _series("conjugacy", source,
                    {"master_seed": master_seed, "seeds": [word_to_str(g) for g in seeds]},
                    n_max=n_max, paths=paths, threads=threads)
 
@@ -436,9 +392,7 @@ def spectral_experiment(
     source = _inverse_orbit(measure, master_seed, gens, images,
                             _on_schedule(record, "spectral.upper", n_max),
                             n_max=n_max, budget=letter_budget)
-    return _series("spectral", source,
-                   ["spectral.lower", "spectral.upper", "spectral.point", "spectral.k_used"],
-                   {"master_seed": master_seed, "k_max": k_max},
+    return _series("spectral", source, {"master_seed": master_seed, "k_max": k_max},
                    n_max=n_max, paths=paths, threads=threads)
 
 
@@ -471,7 +425,7 @@ def gromov_decay_experiment(
     source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank), compose,
                             _on_schedule(record, "gromov", n_max),
                             n_max=n_max, budget=letter_budget)
-    return _series("gromov", source, ["gromov"], {"master_seed": master_seed},
+    return _series("gromov", source, {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
 
 
@@ -488,7 +442,7 @@ def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max,
         for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
             yield n, [(est, value, "ok") for est, value in zip(estimators, values)]
 
-    return _series(experiment, path_rows, estimators, {"master_seed": master_seed},
+    return _series(experiment, path_rows, {"master_seed": master_seed},
                    n_max=n_max, paths=paths, threads=threads)
 
 

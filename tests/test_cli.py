@@ -68,7 +68,7 @@ def per_path_rows(out_path) -> dict:
     rows = {}
     for line in out_path.read_text().splitlines():
         parts = line.split(",")
-        if line.startswith("#") or parts[1] in ("path_id", "-1"):
+        if line.startswith("#") or parts[1] == "path_id":
             continue
         rows.setdefault(int(parts[1]), []).append((int(parts[2]), parts[5]))
     return rows
@@ -111,9 +111,15 @@ def test_exit_2_on_bad_override(tmp_path, override):
     ("kind = conjugacy\nn_max = 4\nword.0 = ab\nword.1 = 1\n",
      "word.1: seed word must be nontrivial"),
     ("kind = conjugacy\nn_max = 4\nword.0 = aA\n", "word.0: seed word must be nontrivial"),
+    # a determinant other than +-1 is the matrix's fault, not gen.*.weight's
+    ("kind = matrix-guivarch\nn_max = 4\ndim = 2\ngen.0.matrix = [[2, 0], [0, 1]]\n"
+     "gen.0.weight = 1\n", "gen.0.matrix: determinant 2 is not +-1"),
+    # past z a generator has no letter: parsing its map listed '{', '|', ...
+    ("kind = drift\nn_max = 4\nrank = 30\ngen.0.map = a->b; b->a\ngen.0.inv = a->b; b->a\n"
+     "gen.0.weight = 1\n", "rank: must be <= 26"),
 ])
 def test_exit_2_on_bad_config(tmp_path, capsys, text, error):
-    rc, out = run_config(tmp_path, text + F3_LINES)
+    rc, out = run_config(tmp_path, text if "\ngen.0." in text else text + F3_LINES)
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == f"error: {error}\n"
 
@@ -294,15 +300,20 @@ def test_summarize_leaves_non_finite_ok_values_out(tmp_path):
         "spectral,4,2,spectral.lower,1.0,ok",
         "spectral,0,2,spectral.upper,1.0,ok",
         "spectral,1,2,spectral.upper,nan,truncated",
+        "spectral,3,2,spectral.point,0.75,downgraded",
+        # the summary rows of an older series body are never aggregated
         "spectral,-1,2,spectral.lower.mean,0.5,ok",
     ]) + "\n")
     out = tmp_path / "summary.csv"
     assert main(["summarize", "--in", str(series), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
+    # path 1 hit the budget at n = 2, and path 3 is downgraded there; a key
+    # with no ok value keeps its row, with no mean
     assert lines == [
         SUMMARY_HEADER,
-        "spectral,2,spectral.lower,0.5833333333333334,0.5,,,3",
-        "spectral,2,spectral.upper,1.0,1.0,,,1",
+        "spectral,2,spectral.lower,0.5833333333333334,0.5,,,3,1,1",
+        "spectral,2,spectral.point,,,,,0,1,1",
+        "spectral,2,spectral.upper,1.0,1.0,,,1,1,0",
     ]
 
 

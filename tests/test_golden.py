@@ -77,29 +77,29 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "conjugacy": "f29f02b9fec09b0fec0e899a97abd99130bbb24fc8099ed85cb005625af94c11",
-    "conjugacy-batch": "9541ea3af2ab9fa62f95ebb0479b5706e226e00378aa37899818280931b595ae",
-    "conjugacy-cut": "389bfd27ef64417ee0fae91732805ac5793038d4d46433010f66fd66224e7243",
-    "conjugacy-f2": "a603f3890bd2e0eb732bec91564497a72baca41bc1bdb08344d915034577f3c4",
+    "conjugacy": "c43aeed6745f48049fc1d2fe46ed5be2a946e2ea52ebcb49b85863e33832098c",
+    "conjugacy-batch": "ecb17a2476e640e7497b6b853e53016115fa9fa57dbaed630c81372457c63f9b",
+    "conjugacy-cut": "fdeecd399e0788949f598ef20be4976bd220294608606c207c05762ceb68db30",
+    "conjugacy-f2": "3a4e18bb8ca861e21914f27760e7fdc9a8a7dc19c54552154dfab84cc8281494",
     "distance": "27689480723d43ece157fff8b9d30bab88e58b5ee9cd5f698aaaa745e5badf34",
-    "drift": "3ebb7a0c2049b05a321ed4b9f820e99f0b6a2569f5c37d2a38ed41f10a4df8e5",
-    "drift-cut": "b7451677266f9da2861b6b958bbe81d00e3f7c453dbac04f3a15cd55a4d7fde6",
-    "drift-f2": "d0908785d51a232770488d186420bd3154716958b9d39f1c423b09d813f27ca1",
-    "gromov": "36745266139ace089e6c22acebd72b6b854954228713978779067bfe72d178a7",
-    "gromov-cut": "779b4c83162c9afc42124785bf70675b215798d988864d5c80195977d6495f6a",
-    "gromov-f2": "71d3f536e7480ffab44597c84f5a6f6bc030ae9952977c6bcc7add3b2f28b26b",
-    "matrix-furstenberg": "e5daf769526510307977b17f6944f87a0bb53e6a5a755ac6107a0b6ed728e9e5",
-    "matrix-furstenberg-cut": "4495481cc31f73c9659a9249d10fb3f478346a8c29117f31221b5e310f795d4c",
-    "matrix-furstenberg-sl2": "200de35df9f7032a99d84f6a383122613d459cdcbef6c864697eafbe979cabd3",
-    "matrix-guivarch": "f0547c21ce6a68e06bc24e77496631dc5235ccbfc1af85da2743792eee378e5b",
-    "matrix-guivarch-ballcut": "4f7e73d455bf383cac775906b2f32ca5abb99911920fe39f2421a8cd46bc797e",
-    "matrix-guivarch-cut": "88c3903d732676b03dd5625e80869c82cf3cd84f19d73b84f3ca1f2ab3524260",
-    "matrix-guivarch-long": "c7d04fd6d99fd5d33c82242bf4cf355c1d1c7dc1bc27b303f3a2c52b82843bc1",
-    "matrix-guivarch-sl2": "d9962a01d0ba62639d8418562e1910f575acda46ff0af4db2c9aec65729a9872",
-    "matrix-guivarch-sl4": "bc5cb171cbcbf4e7e1044c4e95b73ac39c16f117c19dad87a5e5a5b2b773cb7d",
-    "spectral": "5d1ee46cf21818ae9ca2b969e7260a6e6669eaca90804213e2c7104c6f53b1c6",
-    "spectral-cut": "939f3891ecc9b9747d6318dbfae356b2989376c03e039e46aa8717424ebc11f6",
-    "spectral-f2": "d647c1cda7d1f2c5ecc792ff09c933e9d2744131f2eeab98d552cccf14d9b897",
+    "drift": "b4be53219ccd7f807015478526780bd84a4c29e2a8664190fbe946bd97a1ad0a",
+    "drift-cut": "48a8da77e6c92c51ff76ac2dab23a8454b3e4c0917221fe7e5679d29a8954c2f",
+    "drift-f2": "b78ccf6ce4dcc22572e8db0e317381db181bda75d1c91418c34b90bf94baa5d2",
+    "gromov": "dc43dbced567fbf2a2c60c8a55b04fc1cf597a1ba1a5e2f36079e51b5ca9c91e",
+    "gromov-cut": "1c15500341697be3bd70a6c947300b137ed51322d1669bbe358bffed8fdc560c",
+    "gromov-f2": "47322fdd395d1017ce5c559fb006aa57a51c0af9bc4ca7f2ab38810dc4d1f468",
+    "matrix-furstenberg": "55a67aec1296e43329a8e530979cb5424092b367bbee028560787ba68d044e49",
+    "matrix-furstenberg-cut": "993b5e9f61ae9be8385bc06fc1306c4899d3d44bade5ceb9048acb7ae1e2e543",
+    "matrix-furstenberg-sl2": "de60d502bdd48b670577cae72e561c1a5d4796def97afdd0f85019c75e2aa9a7",
+    "matrix-guivarch": "c409d8f82c56ba12b11591cdcc6bf749d445843260ed0a2a6fcfb54bb9aa88b1",
+    "matrix-guivarch-ballcut": "84358fc5a59784bea7d3c93cc53d721301924cd3b5ac094a65dd9f627900af4d",
+    "matrix-guivarch-cut": "015e4214c3e4367857fca370c59153b904a5085b9e861906eb1a00df778f1c67",
+    "matrix-guivarch-long": "c46067a4a66edeec5b952d17acb1fa90168b4a86bc9cc3e6de2996cb7bdb998c",
+    "matrix-guivarch-sl2": "b3b0dee4d7992814d5f2d4ec94968f60a60ea0e0d43223d782897a24f710089f",
+    "matrix-guivarch-sl4": "7592c61fe3f2c595e4310cc7181bc670ce44c183679da81e033da50c14ce90bb",
+    "spectral": "78451887c2ea48f729c7dcac39c1ca526344b8c915c412aa9ad992723a535b90",
+    "spectral-cut": "c09995a77f23c93ada7f79aa8fd5769cf9ae5a0c4febf015cd0d5f3c1f32b238",
+    "spectral-f2": "cabe62df7c54e65e7fbb580550bfe1eb2a78ad9cd668fc1c8f2252394085a4c0",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
 }
 

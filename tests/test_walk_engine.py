@@ -5,6 +5,9 @@ import statistics
 
 import pytest
 
+from outwalk import cli
+from outwalk.cli import SUMMARY_HEADER, batch_means_ci
+from outwalk.config import ExperimentConfig
 from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, word_to_str
 from outwalk.automorphisms import (
     abelianization,
@@ -21,7 +24,6 @@ from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
     WalkPath,
-    batch_means_ci,
     conjugacy_growth_experiment,
     drift_experiment,
     furstenberg_experiment,
@@ -150,12 +152,32 @@ def test_drift_subadditivity_along_paths():
         assert dists[2 * n] <= dists[n] + dist(rel) + 1e-9
 
 
-def test_drift_summary_rows():
+def summarized(tmp_path, series) -> dict:
+    """`outwalk summarize` of the series as `outwalk run` writes it:
+    {(n, estimator): (mean, effective_paths, truncated, downgraded)}, the
+    mean None where no value counts."""
+    series_csv, summary_csv = tmp_path / "series.csv", tmp_path / "summary.csv"
+    cli.write_series(series, ExperimentConfig(kind=series.experiment), str(series_csv))
+    assert cli.main(["summarize", "--in", str(series_csv), "--out", str(summary_csv)]) == 0
+    lines = summary_csv.read_text().splitlines()
+    assert lines[0] == SUMMARY_HEADER
+    out = {}
+    for line in lines[1:]:
+        experiment, n, est, mean, _, _, _, *counts = line.split(",")
+        assert experiment == series.experiment
+        out[(int(n), est)] = (float(mean) if mean else None, *map(int, counts))
+    return out
+
+
+def test_drift_summary_rows(tmp_path):
+    # the body holds no summary; summarize covers every n, each path once
     series = drift_experiment(F3_MEASURE, n_max=8, paths=5, master_seed=1)
-    means = [r for r in series.records if r[0] == -1 and r[2] == "drift.mean"]
-    assert {r[1] for r in means} == {1, 2, 4, 8}
-    counts = [r for r in series.records if r[2] == "drift.paths"]
-    assert all(r[3] == 5.0 for r in counts)
+    assert {r[0] for r in series.records} == set(range(5))
+    summary = summarized(tmp_path, series)
+    assert sorted(summary) == [(n, "drift") for n in range(1, 9)]
+    for n in range(1, 9):
+        values = series.values("drift", n)
+        assert summary[(n, "drift")] == (sum(values) / len(values), 5, 0, 0)
 
 
 def test_conjugacy_fibonacci_point_mass():
@@ -319,13 +341,13 @@ def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
 def test_a_cut_path_ends_in_its_truncation_row(kind, niel, sl3):
     # `_series` drives every multi-path kind: a path's rows run in step
     # order and end in one truncation row at its last completed step, or
-    # at n_max; the paths follow in path order, then the summaries (a
+    # at n_max; the paths follow in path order, and nothing else (a
     # gromov record over the budget is a truncated row of its own)
     series = BUDGET_HITS[kind](niel, sl3)
     n_max, paths = series.metadata["n_max"], series.metadata["paths"]
     pids = [r[0] for r in series.records]
-    assert pids == sorted(pids, key=lambda pid: (pid < 0, pid))
-    assert set(pids) == {-1, *range(paths)}
+    assert pids == sorted(pids)
+    assert set(pids) == set(range(paths))
     cut = 0
     for pid in range(paths):
         rows = [r[1:] for r in series.records if r[0] == pid]
@@ -339,6 +361,36 @@ def test_a_cut_path_ends_in_its_truncation_row(kind, niel, sl3):
         else:
             assert last_n == n_max
     assert 0 < cut
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
+def test_summarize_aggregates_the_ok_finite_values(tmp_path, kind, niel, sl3):
+    # summarize is the one aggregator: its mean and effective_paths are the
+    # mean and count of the ok, finite per-path values, summed in path order,
+    # and each row accounts for every path
+    series = BUDGET_HITS[kind](niel, sl3)
+    want = {}
+    for pid, n, est, value, status in series.records:
+        if status == "ok" and math.isfinite(value):
+            want.setdefault((n, est), []).append(value)
+    summary = summarized(tmp_path, series)
+    assert want and set(want) <= set(summary)
+    for key, (mean, effective, truncated, downgraded) in summary.items():
+        values = want.get(key, [])
+        assert effective == len(values)
+        assert mean == (sum(values) / len(values) if values else None)
+        assert effective + truncated + downgraded == series.metadata["paths"]
+
+
+def test_summary_counts_the_paths_the_budget_cut_first(tmp_path, niel, sl3):
+    # the drift-cut golden config: the letter budget cuts the fastest paths
+    # first, so past the first cut the mean is over slower paths only, and
+    # the row must say how many are missing
+    series = BUDGET_HITS["drift"](niel, sl3)
+    first_cut = min(int(r[3]) for r in series.records if r[2] == "truncated_at")
+    _, effective, truncated, downgraded = summarized(tmp_path, series)[(first_cut + 1, "drift")]
+    assert truncated >= 1 and downgraded == 0
+    assert effective + truncated == series.metadata["paths"]
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
