@@ -26,7 +26,6 @@ from .outer_metric import (
     candidates,
     dist,
     gromov_product,
-    highness_ratio,
     log_stretch,
     sym_dist,
 )

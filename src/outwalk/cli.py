@@ -14,10 +14,11 @@ that cannot be written included, refused before the run or the
 aggregation starts), 3 budget exhausted everywhere (on the one map of
 a `distance` or `stretch` run, which then writes no CSV).  CSV
 schema (exact): experiment,path_id,n,estimator,value,status.  The
-resolved config, less its `out` path, is embedded as `# key = value`
-comment lines and the run metadata as `# meta.<key> = <JSON value>`
-lines; the timestamp lives in its own comment line so output bodies
-stay byte-identical across reruns and worker counts.
+header is the line `# outwalk run`, the timestamp in its own
+`# generated_at = ...` line, and the resolved config, less its `out`
+path, as `# key = value` lines: every setting that bounded the run, and
+nothing else.  Only the timestamp differs between reruns, so output
+bodies stay byte-identical across reruns and worker counts.
 
 A `run` body holds per-path records only (path_id 0..paths-1); every
 summary comes from `summarize`, the one aggregator.  Its schema (exact):
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import statistics
@@ -78,8 +78,6 @@ def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -
     # without `out`, runs that differ only in where they write share a header
     for cfg_line in format_config(replace(cfg, out=None)).rstrip("\n").splitlines():
         lines.append(f"# {cfg_line}")
-    for key, value in series.metadata.items():
-        lines.append(f"# meta.{key} = {json.dumps(value)}")
     lines.append(CSV_HEADER)
     for pid, n, est, value, status in series.records:
         lines.append(f"{series.experiment},{pid},{n},{est},{_fmt(value)},{status}")
@@ -103,7 +101,7 @@ def _distance(measure, *, letter_budget) -> EstimateSeries:
     print(f"dist = {d:.6f}")
     print(f"sym = {s:.6f}")
     return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
-                                       (0, 0, "sym_dist", s, "ok")], {})
+                                       (0, 0, "sym_dist", s, "ok")])
 
 
 def _stretch(measure, *, k_max, letter_budget) -> EstimateSeries:
@@ -122,7 +120,6 @@ def _stretch(measure, *, k_max, letter_budget) -> EstimateSeries:
             (0, 0, "stretch.point", br.point, "ok"),
             (0, 0, "stretch.k_used", float(br.k_used), "ok"),
         ],
-        {},
     )
 
 

@@ -127,9 +127,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if "vector" in pairs:
         try:
             vec = ast.literal_eval(pairs.pop("vector"))
-            cfg.vector = tuple(int(x) for x in vec)
         except (ValueError, SyntaxError, TypeError):
-            raise ConfigError("vector: expected an integer list like [1,0]") from None
+            vec = None
+        # type, not isinstance: a bool is an int, but True is no entry
+        if not isinstance(vec, (list, tuple)) or not all(type(x) is int for x in vec):
+            raise ConfigError("vector: expected an integer list like [1,0]")
+        cfg.vector = tuple(vec)
 
     gens = {}
     words = {}

@@ -17,7 +17,6 @@ from ._wordkernel import (
     WordBudgetExceeded,
     as_array,
     cyclic_trim,
-    invert_array,
     is_reduced,
     reduce_array,
     stack_reduce,
@@ -31,8 +30,6 @@ __all__ = [
     "reduce",
     "cyclic_reduce",
     "least_rotation",
-    "concat",
-    "invert_word",
     "parse_word",
     "word_to_str",
 ]
@@ -99,9 +96,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({word_to_str(self)!r}, rank={self.rank})"
 
-    def as_tuple(self) -> tuple:
-        return tuple(int(x) for x in self.letters)
-
 
 @dataclass(frozen=True, eq=False)
 class CyclicWord:
@@ -149,9 +143,6 @@ class CyclicWord:
     def as_word(self) -> Word:
         return Word._wrap(self.letters, self.rank)
 
-    def as_tuple(self) -> tuple:
-        return tuple(int(x) for x in self.letters)
-
 
 def reduce(raw, rank: int) -> Word:
     """Freely reduce a raw letter sequence.  Idempotent."""
@@ -188,16 +179,6 @@ def least_rotation(g: CyclicWord) -> bytes:
             j += k + 1
         k = 0
     return d[i:i + n]
-
-
-def concat(u: Word, v: Word) -> Word:
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch")
-    return reduce(np.concatenate([u.letters, v.letters]), u.rank)
-
-
-def invert_word(w: Word) -> Word:
-    return Word._wrap(invert_array(w.letters), w.rank)
 
 
 def _char_to_letter(ch: str) -> int:

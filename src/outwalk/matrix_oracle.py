@@ -9,7 +9,9 @@ two conventions are bridged by transposing increments, which preserves
 spectral radii.)
 
 Spectral radius brackets are reported on natural-log scale: a linear
-value would overflow a double long before a 1000-step product does.
+value would overflow a double long before a 1000-step product does.  Up
+to dimension 2 the characteristic polynomial gives log rho(A) itself,
+as a bracket with lower == upper (`_closed_form`).
 
 Above dimension 2 the bracket comes from the Gelfand ladder A, A^2, A^4,
 ..., A^64: power A^k gives log ||A^k|| / k above log rho(A) and
@@ -131,9 +133,6 @@ class IntMatrix:
             )
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of_rows(tuple(zip(*self.entries)))
-
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
 
@@ -183,19 +182,15 @@ def _row_norm(rows: tuple) -> int:
 class MatrixBracket:
     """Certified bracket for log rho(A), natural-log scale.
 
-    `exact` is set when the dimension is 2 (characteristic polynomial in
-    closed form); then lower == exact == upper.
+    Up to dimension 2 the characteristic polynomial gives log rho(A) in
+    closed form, and lower == upper is that value.
     """
 
     lower: float
     upper: float
-    exact: Optional[float] = None
 
     def __post_init__(self):
-        if self.exact is not None:
-            if not (self.lower - 1e-9 <= self.exact <= self.upper + 1e-9):
-                raise ValueError("bracket does not contain its exact value")
-        elif self.lower > self.upper + 1e-9:
+        if self.lower > self.upper + 1e-9:
             raise ValueError("bracket lower exceeds upper")
 
 
@@ -257,7 +252,7 @@ def _closed_form(a: IntMatrix) -> MatrixBracket:
     """The log spectral radius of a 1x1 or 2x2 matrix."""
     if a.n == 1:
         v = _log_int(abs(a.entries[0][0]))
-        return MatrixBracket(v, v, v)
+        return MatrixBracket(v, v)
     t = a.trace()
     d = a.det()
     disc = t * t - 4 * d
@@ -265,7 +260,7 @@ def _closed_form(a: IntMatrix) -> MatrixBracket:
         v = _log_half_sum_sqrt(abs(t), disc)
     else:
         v = _log_int(d) / 2.0  # complex pair, modulus sqrt(det)
-    return MatrixBracket(v, v, v)
+    return MatrixBracket(v, v)
 
 
 def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
@@ -383,6 +378,10 @@ def guivarch_series(
 ) -> Iterator[tuple]:
     """Yield (n, rho_lower/n, rho_upper/n, log_norm/n) for running products.
 
+    The increments must be unimodular (det +-1, the only matrices that
+    `ProbMeasure` admits), so every product has rho >= 1 and rho_lower
+    is clamped at 0, itself a certified bound, where the Gelfand trace
+    bound reads below it (or -inf, when every trace it sees is 0).
     The product is maintained exactly.  The rho bounds of a chunk of
     CHUNK running products, fewer once their entries hold CHUNK_BITS
     bits, come from one `spectral_radii` batch (exact for 2x2), so the
@@ -419,7 +418,7 @@ def _bracket_rows(products: list, n: int, bit_budget: int) -> Iterator[tuple]:
         if isinstance(br, BitBudgetExceeded):
             raise br
         n += 1
-        yield n, br.lower / n, br.upper / n, log_norm(prod) / n
+        yield n, max(0.0, br.lower) / n, br.upper / n, log_norm(prod) / n
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -431,8 +430,7 @@ def parse_matrix(text: str) -> IntMatrix:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ValueError(f"invalid matrix literal: {text!r}")
     for row in rows:
-        if not isinstance(row, (list, tuple)) or not all(
-            isinstance(x, int) for x in row
-        ):
+        # type, not isinstance: a bool is an int, but True is no matrix entry
+        if not isinstance(row, (list, tuple)) or not all(type(x) is int for x in row):
             raise ValueError(f"matrix rows must be integer lists: {text!r}")
     return IntMatrix(tuple(tuple(row) for row in rows))

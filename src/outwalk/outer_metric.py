@@ -58,7 +58,6 @@ __all__ = [
     "orbit_dist",
     "sym_dist",
     "gromov_product",
-    "highness_ratio",
 ]
 
 @lru_cache(maxsize=None)
@@ -204,26 +203,4 @@ def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None =
     b = sym_dist(psi, budget=budget)
     c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
     return 0.5 * (a + b - c)
-
-
-def highness_ratio(theta: Automorphism, probes, *, budget: int | None = None) -> float:
-    """Empirical lower bound for the highness constant at theta.y0.
-
-    For each probe psi the ratio d_sym(psi.y0, theta.y0) / d(psi.y0,
-    theta.y0) is at least 1; probes at distance zero (isometric
-    remarkings) are skipped.
-    """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
-    best = None
-    for psi in probes:
-        d = orbit_dist(psi, theta, budget=budget)
-        if d == 0.0:
-            continue
-        ratio = (d + orbit_dist(theta, psi, budget=budget)) / d
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise ValueError("all probes are at distance zero from the base point")
-    return best
 

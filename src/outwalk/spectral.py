@@ -76,9 +76,6 @@ class StretchBracket:
         if self.lower > self.upper + BRACKET_TOL:
             raise ValueError(f"bracket out of order: {self.lower} > {self.upper}")
 
-    def contains_point(self, tol: float = 1e-2) -> bool:
-        return self.lower - tol <= self.point <= self.upper + tol
-
 
 def stretch_lower(phi: Automorphism) -> float:
     """Certified lower bound: log spectral radius of the abelianization.
@@ -92,8 +89,7 @@ def stretch_lower(phi: Automorphism) -> float:
 
 def _lower(images) -> float:
     """`stretch_lower` of the map with generator images `images`."""
-    br = spectral_radius(image_abelianization(images))
-    return max(0.0, br.exact if br.exact is not None else br.lower)
+    return max(0.0, spectral_radius(image_abelianization(images)).lower)
 
 
 def _orbit(step, words, steps: int):

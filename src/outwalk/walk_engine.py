@@ -192,15 +192,15 @@ def sample_path(measure, master_seed, path_id, n_max, *, letter_budget=None):
 
 @dataclass
 class EstimateSeries:
-    """Per-path, per-time estimator records plus run metadata.
+    """Per-path, per-time estimator records of one experiment.
 
     records hold (path_id, n, estimator, value, status), per-path records
-    only (path_id >= 0); (path_id, n, estimator) is unique.
+    only (path_id >= 0); (path_id, n, estimator) is unique.  What bounded
+    the run is its resolved config, which `cli.write_series` writes.
     """
 
     experiment: str
     records: list
-    metadata: dict
 
     def values(self, estimator: str, n: int | None = None, ok_only: bool = True) -> list:
         out = []
@@ -238,7 +238,7 @@ def _run_paths(paths: int, threads: int, one_path) -> list:
     return rows
 
 
-def _series(kind, path_rows, metadata, *, n_max, paths, threads):
+def _series(kind, path_rows, *, n_max, paths, threads):
     """The one per-path driver of every multi-path experiment.
 
     path_rows(path_id) yields (n, [(estimator, value, status), ...]) for
@@ -260,7 +260,7 @@ def _series(kind, path_rows, metadata, *, n_max, paths, threads):
         return rows
 
     rows = _run_paths(paths, threads, one_path)
-    return EstimateSeries(kind, rows, {"n_max": n_max, "paths": paths, **metadata})
+    return EstimateSeries(kind, rows)
 
 
 def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
@@ -324,8 +324,7 @@ def drift_experiment(
 
     source = _inverse_orbit(measure, master_seed, gens, images, record,
                             n_max=n_max, budget=letter_budget)
-    return _series("drift", source, {"master_seed": master_seed},
-                   n_max=n_max, paths=paths, threads=threads)
+    return _series("drift", source, n_max=n_max, paths=paths, threads=threads)
 
 
 def conjugacy_growth_experiment(
@@ -352,9 +351,7 @@ def conjugacy_growth_experiment(
 
     source = _inverse_orbit(measure, master_seed, seeds, cyclic_images, record,
                             n_max=n_max, budget=letter_budget)
-    return _series("conjugacy", source,
-                   {"master_seed": master_seed, "seeds": [word_to_str(g) for g in seeds]},
-                   n_max=n_max, paths=paths, threads=threads)
+    return _series("conjugacy", source, n_max=n_max, paths=paths, threads=threads)
 
 
 def spectral_experiment(
@@ -392,8 +389,7 @@ def spectral_experiment(
     source = _inverse_orbit(measure, master_seed, gens, images,
                             _on_schedule(record, "spectral.upper", n_max),
                             n_max=n_max, budget=letter_budget)
-    return _series("spectral", source, {"master_seed": master_seed, "k_max": k_max},
-                   n_max=n_max, paths=paths, threads=threads)
+    return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)
 
 
 def gromov_decay_experiment(
@@ -425,8 +421,7 @@ def gromov_decay_experiment(
     source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank), compose,
                             _on_schedule(record, "gromov", n_max),
                             n_max=n_max, budget=letter_budget)
-    return _series("gromov", source, {"master_seed": master_seed},
-                   n_max=n_max, paths=paths, threads=threads)
+    return _series("gromov", source, n_max=n_max, paths=paths, threads=threads)
 
 
 def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max, paths, master_seed,
@@ -442,8 +437,7 @@ def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max,
         for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
             yield n, [(est, value, "ok") for est, value in zip(estimators, values)]
 
-    return _series(experiment, path_rows, {"master_seed": master_seed},
-                   n_max=n_max, paths=paths, threads=threads)
+    return _series(experiment, path_rows, n_max=n_max, paths=paths, threads=threads)
 
 
 # each matrix kind names its series: the spectral radius bracket and the

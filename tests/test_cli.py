@@ -1,8 +1,6 @@
 """`outwalk run` and `outwalk summarize` end to end: exit codes, budget
 cut-offs and aggregates."""
 
-import json
-
 import pytest
 
 from outwalk import cli
@@ -93,6 +91,10 @@ def test_exit_2_on_bad_override(tmp_path, override):
     assert rc == 2
 
 
+FURSTENBERG_2 = ("kind = matrix-furstenberg\nn_max = 4\ndim = 2\nvector = {vector}\n"
+                 "gen.0.matrix = {matrix}\ngen.0.weight = 1\n")
+
+
 @pytest.mark.parametrize("text, error", [
     ("kind = drift\nn_max = 4\npaths = 0\n", "paths: must be >= 1"),
     ("kind = drift\nn_max = 4\nletter_budget = 0\n", "letter_budget: must be >= 1"),
@@ -114,6 +116,13 @@ def test_exit_2_on_bad_override(tmp_path, override):
     # a determinant other than +-1 is the matrix's fault, not gen.*.weight's
     ("kind = matrix-guivarch\nn_max = 4\ndim = 2\ngen.0.matrix = [[2, 0], [0, 1]]\n"
      "gen.0.weight = 1\n", "gen.0.matrix: determinant 2 is not +-1"),
+    # int() read 1.5, '1' and True as 1, and isinstance(True, int) holds
+    *[(FURSTENBERG_2.format(vector=vector, matrix="[[1, 1], [0, 1]]"),
+       "vector: expected an integer list like [1,0]")
+      for vector in ("[1.5, 0]", "['1', 0]", "[True, 0]", "'10'")],
+    *[(FURSTENBERG_2.format(vector="[1, 0]", matrix=matrix),
+       f"gen.0.matrix: matrix rows must be integer lists: {matrix!r}")
+      for matrix in ("[[True, 1], [0, 1]]", "[[1, 1], [0, True]]")],
     # past z a generator has no letter: parsing its map listed '{', '|', ...
     ("kind = drift\nn_max = 4\nrank = 30\ngen.0.map = a->b; b->a\ngen.0.inv = a->b; b->a\n"
      "gen.0.weight = 1\n", "rank: must be <= 26"),
@@ -176,15 +185,6 @@ def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
     assert main(["run", "--config", str(cfg), *override]) == 2
 
 
-def read_meta(out_path) -> dict:
-    meta = {}
-    for line in out_path.read_text().splitlines():
-        if line.startswith("# meta."):
-            key, value = line[len("# meta."):].split(" = ", 1)
-            meta[key] = json.loads(value)
-    return meta
-
-
 @pytest.mark.parametrize("head", [
     "kind = drift\nn_max = 4\npaths = 2\n",
     "kind = conjugacy\nn_max = 4\npaths = 2\nmaster_seed = 18446744073709551615\n"
@@ -196,20 +196,20 @@ def read_meta(out_path) -> dict:
     "kind = distance\n" + MAP_LINES,
     "kind = stretch\nk_max = 2\n" + MAP_LINES,
 ])
-def test_metadata_round_trips_through_comment_lines(tmp_path, monkeypatch, niel, head):
-    written = []
-    write_series = cli.write_series
-
-    def capture(series, cfg, out_path):
-        written.append(series)
-        write_series(series, cfg, out_path)
-
-    monkeypatch.setattr(cli, "write_series", capture)
-    rc, out = run_config(tmp_path, with_measure(head, niel))
+def test_metadata_round_trips_through_comment_lines(tmp_path, niel, head):
+    # a run's metadata is its resolved config: the header is the run line,
+    # the timestamp and that config less its `out` path, and no other line
+    text = with_measure(head, niel)
+    rc, out = run_config(tmp_path, text)
     assert rc == 0
-    assert read_meta(out) == written[0].metadata
     lines = out.read_text().splitlines()
-    assert lines.index(CSV_HEADER) == sum(line.startswith("#") for line in lines)
+    k = lines.index(CSV_HEADER)
+    assert not any(line.startswith("#") for line in lines[k:])
+    assert lines[0] == "# outwalk run" and lines[1].startswith("# generated_at = ")
+    assert all(line.startswith("# ") for line in lines[2:k])
+    header = "\n".join(line[2:] for line in lines[2:k]) + "\n"
+    assert header == format_config(parse_config(text))
+    assert parse_config(header) == parse_config(text)
 
 
 def test_exit_3_when_every_path_is_cut_off(tmp_path, niel):
@@ -445,8 +445,7 @@ def test_header_names_only_the_settings_the_kind_reads(tmp_path, kind):
     rc, out = run_config(tmp_path, head)
     assert rc == 0
     comments = [line[2:] for line in out.read_text().splitlines() if line.startswith("# ")]
-    header = [line for line in comments
-              if " = " in line and not line.startswith(("meta.", "generated_at"))]
+    header = [line for line in comments if " = " in line and not line.startswith("generated_at")]
     keys = {line.split(" = ")[0] for line in header if not line.startswith("gen.")}
     assert keys == READS[kind] | {"kind"}
     # the header is the resolved config, and it parses back to it

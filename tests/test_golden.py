@@ -91,12 +91,12 @@ DIGESTS = {
     "matrix-furstenberg": "55a67aec1296e43329a8e530979cb5424092b367bbee028560787ba68d044e49",
     "matrix-furstenberg-cut": "993b5e9f61ae9be8385bc06fc1306c4899d3d44bade5ceb9048acb7ae1e2e543",
     "matrix-furstenberg-sl2": "de60d502bdd48b670577cae72e561c1a5d4796def97afdd0f85019c75e2aa9a7",
-    "matrix-guivarch": "c409d8f82c56ba12b11591cdcc6bf749d445843260ed0a2a6fcfb54bb9aa88b1",
-    "matrix-guivarch-ballcut": "84358fc5a59784bea7d3c93cc53d721301924cd3b5ac094a65dd9f627900af4d",
+    "matrix-guivarch": "bf6990c2e4c2919fdd3e1fe3990e82c0c5dc22017046bf02c7d950d0423ea5c9",
+    "matrix-guivarch-ballcut": "0a2194f1a84af7ccd6de369c4c62edab56d10761de3d4acf0b0571223471c1df",
     "matrix-guivarch-cut": "015e4214c3e4367857fca370c59153b904a5085b9e861906eb1a00df778f1c67",
-    "matrix-guivarch-long": "c46067a4a66edeec5b952d17acb1fa90168b4a86bc9cc3e6de2996cb7bdb998c",
+    "matrix-guivarch-long": "dc70d6bba9f22f20264bc2641222044a41f41d9a60a652ffa0c12caaab55ea79",
     "matrix-guivarch-sl2": "b3b0dee4d7992814d5f2d4ec94968f60a60ea0e0d43223d782897a24f710089f",
-    "matrix-guivarch-sl4": "7592c61fe3f2c595e4310cc7181bc670ce44c183679da81e033da50c14ce90bb",
+    "matrix-guivarch-sl4": "bc8823abc56ec9ab312dfbebb488851137858cb2f38d935a2f41cdff02ff5dbd",
     "spectral": "78451887c2ea48f729c7dcac39c1ca526344b8c915c412aa9ad992723a535b90",
     "spectral-cut": "c09995a77f23c93ada7f79aa8fd5769cf9ae5a0c4febf015cd0d5f3c1f32b238",
     "spectral-f2": "cabe62df7c54e65e7fbb580550bfe1eb2a78ad9cd668fc1c8f2252394085a4c0",

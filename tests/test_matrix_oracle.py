@@ -120,7 +120,6 @@ def test_mat_mul_examples():
     assert a @ i == a and i @ a == a
     # a product is a well-formed matrix: tuple rows, hashable, equal to the checked one
     assert hash(a @ b) == hash(IntMatrix([[2, 1], [1, 1]]))
-    assert a.transpose() == b and hash(a.transpose()) == hash(b)
 
 
 @settings(max_examples=50)
@@ -173,31 +172,33 @@ def test_log_norm_submultiplicative(a, b):
 
 
 def test_spectral_radius_exact_2x2():
-    assert spectral_radius(IntMatrix.identity(2)).exact == pytest.approx(0.0)
+    assert spectral_radius(IntMatrix.identity(2)).lower == pytest.approx(0.0)
     br = spectral_radius(IntMatrix([[2, 1], [1, 1]]))
-    assert math.exp(br.exact) == pytest.approx((3 + math.sqrt(5)) / 2)
+    # the closed form is the value itself
+    assert br.lower == br.upper
+    assert math.exp(br.lower) == pytest.approx((3 + math.sqrt(5)) / 2)
     # parabolic: double eigenvalue 1
-    assert spectral_radius(IntMatrix([[1, 1], [0, 1]])).exact == pytest.approx(0.0)
+    assert spectral_radius(IntMatrix([[1, 1], [0, 1]])).lower == pytest.approx(0.0)
     # rotation: complex pair of modulus 1
-    assert spectral_radius(IntMatrix([[0, -1], [1, 0]])).exact == pytest.approx(0.0)
+    assert spectral_radius(IntMatrix([[0, -1], [1, 0]])).lower == pytest.approx(0.0)
     # fibonacci
     fib = spectral_radius(IntMatrix([[1, 1], [1, 0]]))
-    assert fib.exact == pytest.approx(math.log(GOLDEN), abs=1e-12)
+    assert fib.lower == pytest.approx(math.log(GOLDEN), abs=1e-12)
 
 
 def test_spectral_radius_huge_entries():
     # powers with thousand-bit entries must not overflow the log
     m = power(IntMatrix([[2, 1], [1, 1]]), 900)
     br = spectral_radius(m)
-    assert br.exact == pytest.approx(900 * math.log((3 + math.sqrt(5)) / 2), rel=1e-12)
+    assert br.lower == pytest.approx(900 * math.log((3 + math.sqrt(5)) / 2), rel=1e-12)
 
 
 def test_power_rho_consistency():
     # rho(A^k) = rho(A)^k for exact 2x2 values
     a = IntMatrix([[2, 1], [1, 1]])
-    base = spectral_radius(a).exact
+    base = spectral_radius(a).lower
     for k in range(1, 6):
-        assert spectral_radius(power(a, k)).exact == pytest.approx(k * base, rel=1e-12)
+        assert spectral_radius(power(a, k)).lower == pytest.approx(k * base, rel=1e-12)
 
 
 @settings(max_examples=50)
@@ -205,8 +206,8 @@ def test_power_rho_consistency():
 def test_conjugation_invariance_2x2(a):
     conj = IntMatrix([[1, 1], [0, 1]])
     conj_inv = IntMatrix([[1, -1], [0, 1]])
-    left = spectral_radius(conj @ a @ conj_inv).exact
-    assert left == pytest.approx(spectral_radius(a).exact, abs=1e-9)
+    left = spectral_radius(conj @ a @ conj_inv).lower
+    assert left == pytest.approx(spectral_radius(a).lower, abs=1e-9)
 
 
 @settings(max_examples=60)
@@ -435,13 +436,14 @@ def reference_rows(increments, bit_budget):
         if prod.max_bits() > bit_budget:
             return rows, f"product entries exceed {bit_budget} bits at n={n}"
         if a.n <= 2:
-            lower = upper = spectral_radius(prod).exact
+            lower = upper = spectral_radius(prod).lower
         else:
             try:
                 lower, upper = reference_ladder(prod, bit_budget)
             except BitBudgetExceeded as e:
                 return rows, str(e)
-        rows.append((n, lower / n, upper / n, log_norm(prod) / n))
+        # a unimodular product has rho >= 1, so 0 bounds log rho below
+        rows.append((n, max(0.0, lower) / n, upper / n, log_norm(prod) / n))
     return rows, None
 
 
@@ -569,11 +571,11 @@ def test_parse_matrix():
     with pytest.raises(ValueError):
         parse_matrix("[[1.5,0],[0,1]]")
     with pytest.raises(ValueError):
+        parse_matrix("[[True,0],[0,1]]")
+    with pytest.raises(ValueError):
         parse_matrix("nonsense")
 
 
 def test_bracket_validation():
     with pytest.raises(ValueError):
         MatrixBracket(1.0, 0.0)
-    with pytest.raises(ValueError):
-        MatrixBracket(0.0, 1.0, exact=2.0)

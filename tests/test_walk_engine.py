@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from functools import partial
 
 import pytest
 
@@ -286,15 +287,17 @@ def test_matrix_furstenberg_series():
 
 
 def test_matrix_vs_abelianization_bridge():
-    # transposed abelianized inverse increments, multiplied on the left,
-    # reproduce abelianization(Phi_n^{-1}) exactly
+    # row i of abelianization(phi) is the homology of phi(x_i), so
+    # abelianization(phi psi) = abelianization(psi) @ abelianization(phi):
+    # abelianized inverse increments, multiplied on the right, reproduce
+    # abelianization(Phi_n^{-1}) exactly
     path = WalkPath(F3_MEASURE, 17, 0)
     prod = IntMatrix.identity(3)
     for _ in range(10):
         path.advance()
         s_inv = invert(F3_MEASURE.support[path.increments[-1]])
-        prod = abelianization(s_inv).transpose() @ prod
-        assert prod.transpose() == abelianization(path.inverse_product)
+        prod = prod @ abelianization(s_inv)
+        assert prod == abelianization(path.inverse_product)
 
 
 def test_threads_do_not_change_records():
@@ -309,28 +312,35 @@ def test_estimate_series_unique_keys():
     assert len(keys) == len(set(keys))
 
 
-# kind: (niel, sl3, threads=1) -> a series whose budget cuts some paths
+# kind: (runner, measure, settings) of a series whose budget cuts some
+# of its paths; the measure is "niel" or "sl3"
 BUDGET_HITS = {
-    "drift": lambda niel, sl3, threads=1: drift_experiment(
-        niel, n_max=40, paths=4, master_seed=5, letter_budget=2000, threads=threads),
-    "conjugacy": lambda niel, sl3, threads=1: conjugacy_growth_experiment(
-        niel, [cyclic_reduce(parse_word("ab", 3))], n_max=40, paths=4, master_seed=5,
-        letter_budget=200, threads=threads),
-    "spectral": lambda niel, sl3, threads=1: spectral_experiment(
-        niel, n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10, threads=threads),
-    "gromov": lambda niel, sl3, threads=1: gromov_decay_experiment(
-        niel, n_max=16, paths=4, master_seed=1, letter_budget=10, threads=threads),
-    "matrix-guivarch": lambda niel, sl3, threads=1: guivarch_experiment(
-        sl3, n_max=100, paths=4, master_seed=5, bit_budget=16, threads=threads),
-    "matrix-furstenberg": lambda niel, sl3, threads=1: furstenberg_experiment(
-        sl3, vector=(1, 0, 0), n_max=100, paths=4, master_seed=5, bit_budget=16,
-        threads=threads),
+    "drift": (drift_experiment, "niel",
+              dict(n_max=40, paths=4, master_seed=5, letter_budget=2000)),
+    "conjugacy": (partial(conjugacy_growth_experiment, seeds=[cyclic_reduce(parse_word("ab", 3))]),
+                  "niel", dict(n_max=40, paths=4, master_seed=5, letter_budget=200)),
+    "spectral": (spectral_experiment, "niel",
+                 dict(n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10)),
+    "gromov": (gromov_decay_experiment, "niel",
+               dict(n_max=16, paths=4, master_seed=1, letter_budget=10)),
+    "matrix-guivarch": (guivarch_experiment, "sl3",
+                        dict(n_max=100, paths=4, master_seed=5, bit_budget=16)),
+    "matrix-furstenberg": (furstenberg_experiment, "sl3",
+                           dict(vector=(1, 0, 0), n_max=100, paths=4, master_seed=5,
+                                bit_budget=16)),
 }
+
+
+def budget_hit(kind, niel, sl3, threads=1):
+    """The BUDGET_HITS series of the kind, and its settings."""
+    runner, measure, settings = BUDGET_HITS[kind]
+    measure = {"niel": niel, "sl3": sl3}[measure]
+    return runner(measure, **settings, threads=threads), settings
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
 def test_truncated_paths_keep_keys_unique(kind, niel, sl3):
-    series = BUDGET_HITS[kind](niel, sl3)
+    series, _ = budget_hit(kind, niel, sl3)
     cut = [r for r in series.records if r[2] == "truncated_at"]
     assert cut and all(r[3] == r[1] and r[4] == "truncated" for r in cut)
     keys = [(r[0], r[1], r[2]) for r in series.records]
@@ -343,8 +353,8 @@ def test_a_cut_path_ends_in_its_truncation_row(kind, niel, sl3):
     # order and end in one truncation row at its last completed step, or
     # at n_max; the paths follow in path order, and nothing else (a
     # gromov record over the budget is a truncated row of its own)
-    series = BUDGET_HITS[kind](niel, sl3)
-    n_max, paths = series.metadata["n_max"], series.metadata["paths"]
+    series, settings = budget_hit(kind, niel, sl3)
+    n_max, paths = settings["n_max"], settings["paths"]
     pids = [r[0] for r in series.records]
     assert pids == sorted(pids)
     assert set(pids) == set(range(paths))
@@ -368,7 +378,7 @@ def test_summarize_aggregates_the_ok_finite_values(tmp_path, kind, niel, sl3):
     # summarize is the one aggregator: its mean and effective_paths are the
     # mean and count of the ok, finite per-path values, summed in path order,
     # and each row accounts for every path
-    series = BUDGET_HITS[kind](niel, sl3)
+    series, settings = budget_hit(kind, niel, sl3)
     want = {}
     for pid, n, est, value, status in series.records:
         if status == "ok" and math.isfinite(value):
@@ -379,24 +389,44 @@ def test_summarize_aggregates_the_ok_finite_values(tmp_path, kind, niel, sl3):
         values = want.get(key, [])
         assert effective == len(values)
         assert mean == (sum(values) / len(values) if values else None)
-        assert effective + truncated + downgraded == series.metadata["paths"]
+        assert effective + truncated + downgraded == settings["paths"]
 
 
 def test_summary_counts_the_paths_the_budget_cut_first(tmp_path, niel, sl3):
     # the drift-cut golden config: the letter budget cuts the fastest paths
     # first, so past the first cut the mean is over slower paths only, and
     # the row must say how many are missing
-    series = BUDGET_HITS["drift"](niel, sl3)
+    series, settings = budget_hit("drift", niel, sl3)
     first_cut = min(int(r[3]) for r in series.records if r[2] == "truncated_at")
     _, effective, truncated, downgraded = summarized(tmp_path, series)[(first_cut + 1, "drift")]
     assert truncated >= 1 and downgraded == 0
-    assert effective + truncated == series.metadata["paths"]
+    assert effective + truncated == settings["paths"]
+
+
+def test_guivarch_lower_bound_is_clamped_at_0(tmp_path):
+    # the matrix-guivarch config of CI: on path 1 every trace the Gelfand
+    # ladder sees at n = 14 and 16 is 0, and the trace bound read -inf,
+    # an ok row that summarize left uncounted.  Every product of
+    # unimodular increments has rho >= 1, so 0 is the certified bound.
+    rows = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, -1, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [1, 1, 0], [0, 0, 1]], [[1, 0, 0], [-1, 1, 0], [0, 0, 1]]]
+    measure = ProbMeasure(tuple(IntMatrix(r) for r in rows), (0.25,) * 4)
+    paths = 2
+    series = guivarch_experiment(measure, n_max=16, paths=paths, master_seed=0)
+    lower = {(pid, n): value for pid, n, est, value, _ in series.records
+             if est == "guivarch.rho_lower"}
+    assert lower[(1, 14)] == lower[(1, 16)] == 0.0
+    assert all(value >= 0.0 for value in lower.values())
+    summary = summarized(tmp_path, series)
+    assert summary[(16, "guivarch.rho_lower")][1:] == (paths, 0, 0)
+    for _, effective, truncated, downgraded in summary.values():
+        assert effective + truncated + downgraded == paths
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGET_HITS))
 def test_threads_do_not_change_cut_records(kind, niel, sl3):
     # repr: a truncated record's nan is not equal to itself
-    one, many = (BUDGET_HITS[kind](niel, sl3, threads=threads) for threads in (1, 3))
+    one, many = (budget_hit(kind, niel, sl3, threads)[0] for threads in (1, 3))
     assert list(map(repr, many.records)) == list(map(repr, one.records))
 
 
@@ -433,7 +463,7 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     # and gromov tracks Phi_n^{-1} with its inverse images Phi_n, which
     # are those that composing the walk forward substitutes
     cut_steps, want = SCHEDULED_CUTS[kind]
-    series = BUDGET_HITS[kind](niel, sl3)
+    series, _ = budget_hit(kind, niel, sl3)
     cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
     assert cut == cut_steps(niel) == want
 
