@@ -15,11 +15,12 @@ as a bracket with lower == upper (`_closed_form`).
 
 Above dimension 2 the bracket comes from the Gelfand ladder A, A^2, A^4,
 ..., A^64: power A^k gives log ||A^k|| / k above log rho(A) and
-(log |tr A^k| - log n) / k below it.  `_ladder` runs the ladders of a
-batch of matrices together.  Each level is a few whole-batch operations
-on a numpy object array of Python ints (the square P @ P, the abs, sum
-and max of the row norms, the traces, the cut shifts), then one pass
-over the batch that reads each matrix's two floats.
+(log |tr A^k| - log n) / k below it, raised to 0 when A is nonsingular:
+its eigenvalue moduli multiply to |det| >= 1, so rho >= 1.  `_ladder`
+runs the ladders of a batch together.  Each level is a few whole-batch
+operations on a numpy object array of Python ints (the square P @ P,
+the abs, sum and max of the row norms, the traces, the cut shifts),
+then one pass over the batch that reads each matrix's two floats.
 
 Every power is a ball: integer mids m under one shared exponent e and
 one integer radius rad, so that every entry of the power is within
@@ -182,8 +183,8 @@ def _row_norm(rows: tuple) -> int:
 class MatrixBracket:
     """Certified bracket for log rho(A), natural-log scale.
 
-    Up to dimension 2 the characteristic polynomial gives log rho(A) in
-    closed form, and lower == upper is that value.
+    Up to dimension 2 lower == upper is log rho(A) in closed form.
+    lower >= 0 for every nonsingular matrix.
     """
 
     lower: float
@@ -222,7 +223,7 @@ def _log_half_sum_sqrt(t_abs: int, disc: int) -> float:
 
 
 def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> MatrixBracket:
-    """Bracket (or closed form, n <= 2) for the log spectral radius.
+    """The MatrixBracket of log rho(A): lower >= 0 if A is nonsingular.
 
     For n >= 3, raises BitBudgetExceeded once A or one of its Gelfand
     powers has an entry beyond bit_budget bits.
@@ -334,6 +335,8 @@ def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
             m = m >> np.array(shifts, dtype=object)[:, None, None]
         m = m @ m
     for i, lo, hi in zip(live, lower, upper):
+        if lo < 0 and mats[i].det():
+            lo = 0.0  # rho >= 1 (module docstring)
         out[i] = MatrixBracket(lo, hi)
     return out
 
@@ -378,17 +381,15 @@ def guivarch_series(
 ) -> Iterator[tuple]:
     """Yield (n, rho_lower/n, rho_upper/n, log_norm/n) for running products.
 
-    The increments must be unimodular (det +-1, the only matrices that
-    `ProbMeasure` admits), so every product has rho >= 1 and rho_lower
-    is clamped at 0, itself a certified bound, where the Gelfand trace
-    bound reads below it (or -inf, when every trace it sees is 0).
     The product is maintained exactly.  The rho bounds of a chunk of
     CHUNK running products, fewer once their entries hold CHUNK_BITS
     bits, come from one `spectral_radii` batch (exact for 2x2), so the
     products run ahead of the rows by at most a chunk.  Raises
     BitBudgetExceeded, after the rows before it, at the first n where
     the entries of the product or of one of its Gelfand powers outgrow
-    the budget.
+    the budget.  The powers A^k of a product with b-bit entries have at
+    most k (b + n.bit_length()) bits, so a chunk also closes after a
+    product whose A^64 may outgrow it: no product past a cut is formed.
     """
     prod = None
     n = 0
@@ -402,7 +403,8 @@ def guivarch_series(
                 f"product entries exceed {bit_budget} bits at n={n + len(chunk) + 1}")
         chunk.append(prod)
         bits += b * prod.n * prod.n
-        if len(chunk) == CHUNK or bits > CHUNK_BITS:
+        if (len(chunk) == CHUNK or bits > CHUNK_BITS
+                or (b + prod.n.bit_length()) << GELFAND_MAX_J > bit_budget):
             yield from _bracket_rows(chunk, n, bit_budget)
             n += len(chunk)
             chunk, bits = [], 0
@@ -418,7 +420,7 @@ def _bracket_rows(products: list, n: int, bit_budget: int) -> Iterator[tuple]:
         if isinstance(br, BitBudgetExceeded):
             raise br
         n += 1
-        yield n, max(0.0, br.lower) / n, br.upper / n, log_norm(prod) / n
+        yield n, br.lower / n, br.upper / n, log_norm(prod) / n
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -5,7 +5,7 @@ iteration, is pinched between two unconditional bounds:
 
 * lower: log of the spectral radius of the abelianization (abelianized
   lengths never exceed conjugacy lengths), exact in rank 2, a certified
-  trace bound in higher rank, and never below 0 since lambda >= 1;
+  trace bound in higher rank, and never below 0 (`spectral_radius`);
 * upper: the translation inequality l(phi) <= d(phi.y, y) applied to
   powers gives log lambda <= dist(phi^k) / k for every k, and the bound
   is nonincreasing along doubling by subadditivity.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import (Automorphism, cyclic_images, endomorphism_images,
+from .automorphisms import (Automorphism, abelianization, cyclic_images, endomorphism_images,
                             image_abelianization, letter_counts)
 from .matrix_oracle import spectral_radius
 from .outer_metric import candidate_lengths, candidates, log_stretch
@@ -80,16 +80,11 @@ class StretchBracket:
 def stretch_lower(phi: Automorphism) -> float:
     """Certified lower bound: log spectral radius of the abelianization.
 
-    Exact in rank 2; the Gelfand trace bound otherwise, which can be
-    negative or -inf when every trace it sees is small.  lambda >= 1, so
-    the bound is clamped at 0, itself a certified lower bound.
+    Exact in rank 2; the Gelfand trace bound otherwise, which
+    `spectral_radius` raises to 0 where it reads below, since an
+    invertible integer matrix has rho >= 1.
     """
-    return _lower(phi.images)
-
-
-def _lower(images) -> float:
-    """`stretch_lower` of the map with generator images `images`."""
-    return max(0.0, spectral_radius(image_abelianization(images)).lower)
+    return spectral_radius(abelianization(phi)).lower
 
 
 def _orbit(step, words, steps: int):
@@ -200,4 +195,5 @@ def bracket_images(images, k_max: int = DEFAULT_K_MAX, *,
     k_used = min(len(lengths) - 1, k_max)
     upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
     point, converged = _point(lengths, len(lengths) > steps)
-    return StretchBracket(_lower(images), upper, point, k_used, converged)
+    lower = spectral_radius(image_abelianization(images)).lower
+    return StretchBracket(lower, upper, point, k_used, converged)

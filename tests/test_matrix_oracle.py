@@ -5,7 +5,7 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from outwalk import matrix_oracle
@@ -25,6 +25,7 @@ from outwalk.matrix_oracle import (
     _log_of_all,
     _row_norm,
 )
+from outwalk.walk_engine import guivarch_experiment
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -42,6 +43,13 @@ big_entry = st.one_of(st.just(0), st.integers(min_value=-2**200, max_value=2**20
 
 
 def reference_ladder(a, bit_budget=math.inf):
+    """(lower, upper) of the Gelfand ladder built from `@` powers, with
+    the lower bound raised to 0 when A is nonsingular (then rho >= 1)."""
+    lower, upper = unclamped_ladder(a, bit_budget)
+    return (0.0 if lower < 0 and a.det() else lower), upper
+
+
+def unclamped_ladder(a, bit_budget=math.inf):
     """(lower, upper) of the Gelfand ladder built from `@` powers."""
     lower, upper = float("-inf"), math.inf
     power = a
@@ -442,8 +450,7 @@ def reference_rows(increments, bit_budget):
                 lower, upper = reference_ladder(prod, bit_budget)
             except BitBudgetExceeded as e:
                 return rows, str(e)
-        # a unimodular product has rho >= 1, so 0 bounds log rho below
-        rows.append((n, max(0.0, lower) / n, upper / n, log_norm(prod) / n))
+        rows.append((n, lower / n, upper / n, log_norm(prod) / n))
     return rows, None
 
 
@@ -465,7 +472,7 @@ def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps,
     batch_ladder = matrix_oracle.spectral_radii
 
     def spy(mats, bit_budget):
-        batches.append([a.max_bits() * a.n * a.n for a in mats])
+        batches.append(mats)
         return batch_ladder(mats, bit_budget)
 
     monkeypatch.setattr(matrix_oracle, "spectral_radii", spy)
@@ -476,10 +483,48 @@ def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps,
     except BitBudgetExceeded as e:
         message = str(e)
     assert (rows, message) == reference_rows(increments, bit_budget)
-    # a chunk closes at `chunk` products or once its entries pass the cap
-    assert all(len(b) <= chunk and sum(b[:-1]) <= bits_cap for b in batches)
+    def entry_bits(mats):
+        return sum(a.max_bits() * a.n * a.n for a in mats)
+
+    def may_cut(a):
+        # entries of A^64 have at most 64 (b + n.bit_length()) bits
+        return (a.max_bits() + a.n.bit_length()) << GELFAND_MAX_J > bit_budget
+
+    # a chunk closes at `chunk` products, once its entries pass the cap, or
+    # after a product whose Gelfand ladder may pass the budget
+    assert all(len(b) <= chunk and entry_bits(b[:-1]) <= bits_cap for b in batches)
+    assert not any(may_cut(a) for b in batches for a in b[:-1])
+    if bit_budget == 10**6:
+        # no product of this walk comes near the budget
+        assert all(len(b) == chunk or entry_bits(b) > bits_cap for b in batches[:-1])
     if chunk_bits is not None and dim == 3 and bit_budget == 10**6:
         assert any(len(b) < chunk for b in batches[:-1])
+
+
+def test_a_cut_guivarch_path_forms_no_product_past_its_cut(sl3, monkeypatch):
+    # the `matrix-guivarch-ballcut` golden: on each of its 4 paths a Gelfand
+    # power of the product, not the product, passes the budget mid-chunk
+    counts = {"matmul": 0, "batched": 0}
+    matmul, ladder = IntMatrix.__matmul__, matrix_oracle._ladder
+
+    def spy_matmul(a, b):
+        counts["matmul"] += 1
+        return matmul(a, b)
+
+    def spy_ladder(mats, bit_budget, prec):
+        if prec is not None:  # not an exact rerun
+            counts["batched"] += len(mats)
+        return ladder(mats, bit_budget, prec)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", spy_matmul)
+    monkeypatch.setattr(matrix_oracle, "_ladder", spy_ladder)
+    series = guivarch_experiment(sl3, n_max=700, paths=4, master_seed=5, bit_budget=3000)
+    cuts = [n + 1 for _, n, est, _, _ in series.records if est == "truncated_at"]
+    assert len(cuts) == 4 and max(cuts) < 700
+    # a path's first product is its first increment: the cut is the last product formed
+    assert counts["matmul"] == sum(cut - 1 for cut in cuts)
+    # the batches ladder no more matrices than the products formed
+    assert counts["batched"] <= counts["matmul"] + len(cuts)
 
 
 @settings(max_examples=300)
@@ -505,6 +550,23 @@ def test_log_of_all_refuses_an_interval_that_may_hold_zero():
     assert _log_of_all(0, 1, 5) is None
     assert _log_of_all(-2**60, 2**60, 0) is None
     assert _log_of_all(-1, 2**60, 0) is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.one_of(small_matrix(n), small_matrix(n, big_entry), special_matrix(n))))
+@example(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # every trace bound reads -inf
+def test_only_a_nonsingular_lower_bound_is_raised_to_zero(a):
+    br = spectral_radius(a)
+    if a.det():
+        assert br.lower >= 0.0
+    elif a.n >= 3:
+        assert (br.lower, br.upper) == unclamped_ladder(a)
+    else:
+        # a singular matrix of size <= 2 has rho = |trace|
+        t = abs(a.trace())
+        assert br.lower == br.upper
+        assert br.lower == (pytest.approx(math.log(t), rel=1e-12) if t else -math.inf)
 
 
 def test_gelfand_bracket_contains_known_value():

@@ -16,7 +16,9 @@ from outwalk.automorphisms import (
     parse_automorphism,
     right_multiplier,
 )
-from outwalk.matrix_oracle import spectral_radius
+from outwalk import matrix_oracle, spectral
+from outwalk.matrix_oracle import (GELFAND_MAX_J, IntMatrix, MatrixBracket, guivarch_series,
+                                   spectral_radius)
 from outwalk.outer_metric import candidate_lengths, dist
 from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, stretch_lower,
                               stretch_ratio)
@@ -267,16 +269,42 @@ def test_bracket_validates_order():
         StretchBracket(1.0, 0.5, 0.7, 1, True)
 
 
+def trace_bound(a):
+    """The Gelfand trace bound: the best (log |tr A^k| - log n) / k, k = 1, 2, 4, ..., 64."""
+    bound, power = -math.inf, a
+    for j in range(GELFAND_MAX_J + 1):
+        if j:
+            power = power @ power
+        t = abs(power.trace())
+        if t:
+            bound = max(bound, (math.log(t) - math.log(a.n)) / (1 << j))
+    return bound
+
+
 def test_stretch_lower_clamped_at_zero_on_a_niel_path(niel):
     # on this path the Gelfand trace bound of Phi_n^{-1} is log(2/3) at
-    # n = 4 and -inf at n = 8; lambda >= 1 makes 0 the certified bound
-    raw = {}
+    # n = 4 and -inf at n = 8; lambda >= 1 makes 0 the certified bound,
+    # and spectral_radius reports it
+    raw, lower = {}, {}
     for n, _, inv in sample_path(niel, 18, 0, 8):
-        raw[n] = spectral_radius(abelianization(inv)).lower
-        assert stretch_lower(inv) == max(0.0, raw[n])
-    assert raw[4] < 0 and raw[8] == -math.inf
+        a = abelianization(inv)
+        raw[n], lower[n] = trace_bound(a), spectral_radius(a).lower
+        assert stretch_lower(inv) == lower[n] == max(0.0, raw[n])
+    assert raw[4] == pytest.approx(math.log(2 / 3)) and raw[8] == -math.inf
+    assert lower[4] == lower[8] == 0.0
     series = spectral_experiment(niel, n_max=8, paths=1, master_seed=18, k_max=2)
-    lower = {n: v for pid, n, est, v, _ in series.records
-             if pid == 0 and est == "spectral.lower"}
-    assert lower[4] == 0.0 and lower[8] == 0.0
-    assert all(v >= 0.0 for v in lower.values())
+    recorded = {n: v for pid, n, est, v, _ in series.records
+                if pid == 0 and est == "spectral.lower"}
+    assert recorded[4] == 0.0 and recorded[8] == 0.0
+    assert all(v >= 0.0 for v in recorded.values())
+
+
+def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
+    # a bracket whose lower bound reads below 0 reaches every caller as it is
+    fake = MatrixBracket(-1.0, 1.0)
+    monkeypatch.setattr(matrix_oracle, "spectral_radii", lambda mats, bit_budget: [fake] * len(mats))
+    monkeypatch.setattr(spectral, "spectral_radius", lambda a: fake)
+    rows = list(guivarch_series([IntMatrix.identity(3)] * 5))
+    assert [lower for _, lower, _, _ in rows] == [-1.0 / n for n in range(1, 6)]
+    assert stretch_lower(ASYM) == -1.0
+    assert bracket(ASYM, 2).lower == -1.0
