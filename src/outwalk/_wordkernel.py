@@ -33,11 +33,13 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
 Free reduction is confluent, so both regimes give the same normal form.
 
 An orbit step maps a handful of words at once, and per word the cost is
-numpy call overhead, not letters.  So `batch_substitute` is the one
-entry point above `substitute`: it joins the words with a separator
-letter between them and runs the batch through one `substitute` call.
-Every word operation of `automorphisms` (compose, apply, the inverse
-check, the orbit steps) is one or two such batches.  The separator is
+numpy call overhead, not letters.  So `batch_substitute` is the entry
+point above `substitute` for one map: it joins the words with a
+separator letter between them and runs the batch through one
+`substitute` call.  Every word operation of `automorphisms` on one map
+(compose, apply, the inverse check, the orbit step of a lone path) is
+one or two such batches; `lockstep_substitute`, below, is the entry
+for many maps at once.  The separator is
 letter R+1 of a rank-R table, the slot that is also slot -(R+1); it
 maps to `SEP`, a letter no generator of rank below 127 uses, so neither
 regime ever cancels it and no word cancels into its neighbour.  The
@@ -46,6 +48,19 @@ never moves a cut-off.  A batch takes words while its input stays under
 `BATCH_CAP` letters, and a longer word runs alone: long words gain
 nothing from sharing a call, and an uncapped batch would hold the
 temporaries of all its words at once.
+
+The walks step many paths at once, each through its own map, so
+`lockstep_substitute` batches words across maps.  One table stacks the
+maps (`ImageTable(*maps)`): map m takes the slots from m * stride on,
+stride the least power of two of at least 2R+2, so that a letter's slot
+in its map is its two's-complement bits below the stride, one bitwise
+and with no division.  The words of all groups are joined, each followed
+by the separator letter R+1, read as slots of their group's map (slot
+R+1 of every map maps to `SEP`), and cut into batches by the rule
+above.  The raw size of each word is the sum of its slots' block
+lengths; a group with a word over the budget is dropped before
+substituting, so the budget cuts exactly the groups that a call per
+group would raise on.
 
 The ends that a cyclic trim peels off a reduced word u are the common
 prefix of u and u^{-1} (`cyclic_trim`, `cyclic_length`).  The
@@ -164,37 +179,49 @@ def invert_array(arr: np.ndarray) -> np.ndarray:
 
 
 class ImageTable:
-    """Per-letter image words of an automorphism, in gather-friendly form.
+    """Per-letter image words of one or more maps, in gather-friendly form.
 
     Slot l holds the image of letter l, negative l counting from the end
     as in Python and numpy indexing: slots 1..R hold the images of the R
-    generators, slots -R..-1 their inverses, slot 0 an empty block, and
-    slot R+1, which is also slot -(R+1), the separator `SEP`.
+    generators, slots -R..-1 their inverses, slot 0 an empty block, slot
+    R+1 the separator `SEP`, and the slots between, if any, empty
+    blocks.  A map takes `stride` slots, the least power of two of at
+    least 2R+2, so the slot of a letter is its two's-complement bits
+    below the stride.  A table of several maps of one rank stacks them:
+    letter l of map m takes slot m * stride + (l & (stride - 1)), so the
+    slots of map 0 are those of a one-map table.
     """
 
-    def __init__(self, images: list[np.ndarray]):
-        # images: index i (0-based) holds the image of generator i+1
-        self.sep = len(images) + 1
+    def __init__(self, *maps: list[np.ndarray]):
+        # maps[m][i] (0-based i) holds the image of generator i+1 under map m
+        rank = len(maps[0])
+        self.sep = rank + 1
+        self.stride = 1 << (2 * rank + 1).bit_length()
         self.sep_word = np.array([self.sep], dtype=DTYPE) if self.sep <= SEP else None
-        blocks = ([empty()] + list(images) + [np.array([SEP], dtype=DTYPE)]
-                  + [invert_array(img) for img in reversed(images)])
+        blocks = []
+        for images in maps:
+            blocks += ([empty()] + list(images) + [np.array([SEP], dtype=DTYPE)]
+                       + [empty()] * (self.stride - 2 * rank - 2)
+                       + [invert_array(img) for img in reversed(images)])
         self.lens = np.array([b.size for b in blocks], dtype=np.int64)
+        self.longest = int(self.lens.max())
         # blocks as the rows of one zero-padded matrix when every block is
         # short: substituting is then one row gather and dropping the zeros
-        width = int(self.lens.max())
         self.rows = None
-        if width <= SHORT_BLOCK:
-            self.rows = np.zeros((len(blocks), width), dtype=DTYPE)
+        if self.longest <= SHORT_BLOCK:
+            self.rows = np.zeros((len(blocks), self.longest), dtype=DTYPE)
             for row, b in zip(self.rows, blocks):
                 row[:b.size] = b
         # per slot, for the block stack on bytearrays: the block as bytes,
         # the byte that cancels its first letter (256, which no byte equals,
         # for the empty block; the separator's, -SEP, no word holds), and
         # the bytes of the inverse block, whose suffixes are what the block
-        # cancels; slot -l holds the inverse of slot l
+        # cancels; slot -l of a map holds the inverse of its slot l
         raw = [b.tobytes() for b in blocks]
         heads = [-int(b[0]) & 0xFF if b.size else 256 for b in blocks]
-        self.py_blocks = [(raw[l], heads[l], raw[-l]) for l in range(len(blocks))]
+        mask = self.stride - 1
+        self.py_blocks = [(raw[l], heads[l], raw[l & ~mask | -l & mask])
+                          for l in range(len(blocks))]
 
     def substitute(self, word: np.ndarray, budget: int) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result.
@@ -272,25 +299,82 @@ def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
     Raises WordBudgetExceeded for the first word, in input order, whose
     raw image exceeds the budget.
     """
-    cap = BATCH_CAP if table.sep <= SEP else 0
-    batches, size = [], cap
-    for w in words:
-        if size + w.size >= cap:
-            batches.append([])
-            size = 0
-        batches[-1].append(w)
-        size += w.size + 1
     out = []
-    for batch in batches:
-        if len(batch) == 1:
-            out.append(table.substitute(batch[0], budget))
+    for a, b in _batches(table, [w.size for w in words]):
+        if b - a == 1:
+            out.append(table.substitute(words[a], budget))
             continue
-        parts = [table.sep_word] * (2 * len(batch) - 1)
-        parts[::2] = batch
-        arr = table.substitute(np.concatenate(parts), budget)
-        cuts = np.flatnonzero(arr == SEP).tolist()
-        out += [arr[a + 1:b] for a, b in zip([-1] + cuts, cuts + [arr.size])]
+        parts = [table.sep_word] * (2 * (b - a) - 1)
+        parts[::2] = words[a:b]
+        out += _split(table.substitute(np.concatenate(parts), budget))
     return out
+
+
+def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int) -> list:
+    """Reduced images of groups of reduced words, the words of group p
+    through map maps[p] of a stacked table, from one `substitute` call
+    per separated batch of all groups' words (see the module docstring).
+
+    Returns the images of each group, or None for a group with a word
+    whose raw image exceeds the budget; such a group is dropped before
+    substituting, so the budget cuts exactly the groups that
+    `batch_substitute` would raise on, one group at a time.
+    """
+    words = [w for ws in groups for w in ws]
+    owners = [m for m, ws in zip(maps, groups) for _ in ws]
+    sizes = [w.size for w in words]
+    batches = _batches(table, sizes)
+    if words and max(sizes) * table.longest > budget:
+        # the raw image of a word and its separator, less the separator
+        raw = []
+        for a, b in batches:
+            starts = np.cumsum([0] + [size + 1 for size in sizes[a:b - 1]])
+            lens = table.lens.take(_slots(table, owners[a:b], words[a:b]))
+            raw += (np.add.reduceat(lens, starts) - 1).tolist()
+        over = iter([size > budget for size in raw])
+        cut = [any([next(over) for _ in ws]) for ws in groups]
+        if any(cut):
+            kept = [p for p, c in enumerate(cut) if not c]
+            images = iter(lockstep_substitute(table, [maps[p] for p in kept],
+                                              [groups[p] for p in kept], budget))
+            return [None if c else next(images) for c in cut]
+    out = []
+    for a, b in batches:
+        # no word in the batch passes the budget; their sum may
+        arr = table.substitute(_slots(table, owners[a:b], words[a:b])[:-1],
+                               np.iinfo(np.int64).max)
+        out += [arr] if b - a == 1 else _split(arr)
+    images = iter(out)
+    return [[next(images) for _ in ws] for ws in groups]
+
+
+def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
+    """The words, each followed by the separator letter R+1, as slots of
+    a stacked table: word i read in map owners[i]."""
+    parts = [np.array([table.sep], dtype=np.int16)] * (2 * len(words))
+    parts[::2] = words
+    offsets = np.repeat(np.multiply(owners, table.stride), [w.size + 1 for w in words])
+    return (np.concatenate(parts) & (table.stride - 1)) + offsets
+
+
+def _batches(table: ImageTable, sizes: list) -> list:
+    """(first, end) word index ranges of the separated batches of words of
+    these sizes: a batch takes words while its input, separators included,
+    stays under BATCH_CAP letters; at rank 127 every word runs alone."""
+    cap = BATCH_CAP if table.sep <= SEP else 0
+    firsts, size = [], cap
+    for i, w in enumerate(sizes):
+        if size + w >= cap:
+            firsts.append(i)
+            size = 0
+        size += w + 1
+    return list(zip(firsts, firsts[1:] + [len(sizes)]))
+
+
+def _split(arr: np.ndarray) -> list:
+    """The reduced words of a substituted batch, cut at its SEP letters."""
+    cuts = np.flatnonzero(arr == SEP).tolist()
+    return [arr[a + 1:b] for a, b in zip([-1] + cuts, cuts + [arr.size])]
 
 
 class Reading:

@@ -10,7 +10,9 @@ Every word operation here is a batch substitution
 (`_wordkernel.batch_substitute`) of words through a map's generator
 images, by way of `images`: `apply` is a batch of one, `compose` two
 batches, the inverse check two round trips, and `cyclic_images` a batch
-followed by a cyclic trim of each image.
+followed by a cyclic trim of each image.  `MapStack` steps many states
+at once, each through its own map of a tuple, and maps the words of
+all of them in shared batches (`_wordkernel.lockstep_substitute`).
 
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
@@ -26,12 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_trim
+from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_trim, lockstep_substitute
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
     CyclicWord,
     ParseError,
     Word,
+    WordBudgetExceeded,
     parse_word,
     word_to_str,
 )
@@ -40,6 +43,7 @@ from .matrix_oracle import IntMatrix
 __all__ = [
     "Automorphism",
     "InverseCheckError",
+    "MapStack",
     "apply",
     "images",
     "cyclic_images",
@@ -160,6 +164,59 @@ def compose(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) 
     return Automorphism(tuple(images(phi, psi.images, budget=budget)),
                         tuple(images(invert(psi), phi.inverse_images, budget=budget)),
                         phi.rank)
+
+
+class MapStack:
+    """A tuple of automorphisms of one rank, through which many tracked
+    states step at once: state p through phis[maps[p]].
+
+    `images`, `cyclic_images` and `compose` are the steps of the same
+    names, one per state, and give None for a state whose step passes
+    the letter budget where the one-state step raises.  The word steps
+    share one kernel table of every map (`_wordkernel.ImageTable` with
+    one slot range per map), so that the words of all states go through
+    one kernel call per separated batch (`lockstep_substitute`).  A single
+    state goes through its map's own table, as `images` maps it, whose
+    int8 letters index the table as they are: a long word alone then
+    holds no slot array of eight bytes per letter.
+    `compose` maps state by state, since there each state is a table of
+    its own.
+    """
+
+    def __init__(self, phis):
+        self.phis = tuple(phis)
+
+    @cached_property
+    def _table(self) -> ImageTable:
+        return ImageTable(*[[w.letters for w in phi.images] for phi in self.phis])
+
+    def images(self, maps, states, *, budget: int | None = None) -> list:
+        """[images(phis[m], words) for m, words in zip(maps, states)], None where one raises."""
+        if len(states) == 1:
+            try:
+                return [images(self.phis[maps[0]], states[0], budget=budget)]
+            except WordBudgetExceeded:
+                return [None]
+        b = DEFAULT_LETTER_BUDGET if budget is None else budget
+        r = self.phis[0].rank
+        out = lockstep_substitute(self._table, maps, [[w.letters for w in ws] for ws in states], b)
+        return [None if arrs is None else [Word._wrap(a, r) for a in arrs] for arrs in out]
+
+    def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
+        """[cyclic_images(phis[m], words) ...], None where one raises."""
+        r = self.phis[0].rank
+        return [None if ws is None else [CyclicWord._wrap(cyclic_trim(w.letters), r) for w in ws]
+                for ws in self.images(maps, states, budget=budget)]
+
+    def compose(self, maps, states, *, budget: int | None = None) -> list:
+        """[compose(phis[m], psi) ...], None where one raises."""
+        out = []
+        for m, psi in zip(maps, states):
+            try:
+                out.append(compose(self.phis[m], psi, budget=budget))
+            except WordBudgetExceeded:
+                out.append(None)
+        return out
 
 
 def invert(phi: Automorphism) -> Automorphism:

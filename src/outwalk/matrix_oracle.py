@@ -388,8 +388,10 @@ def guivarch_series(
     BitBudgetExceeded, after the rows before it, at the first n where
     the entries of the product or of one of its Gelfand powers outgrow
     the budget.  The powers A^k of a product with b-bit entries have at
-    most k (b + n.bit_length()) bits, so a chunk also closes after a
-    product whose A^64 may outgrow it: no product past a cut is formed.
+    most k (b + n.bit_length()) bits, so a chunk of n x n products,
+    n >= 3, also closes after a product whose A^64 may outgrow it: no
+    product past a cut is formed.  The closed form of n <= 2 forms no
+    power and cannot raise.
     """
     prod = None
     n = 0
@@ -404,7 +406,7 @@ def guivarch_series(
         chunk.append(prod)
         bits += b * prod.n * prod.n
         if (len(chunk) == CHUNK or bits > CHUNK_BITS
-                or (b + prod.n.bit_length()) << GELFAND_MAX_J > bit_budget):
+                or prod.n > 2 and (b + prod.n.bit_length()) << GELFAND_MAX_J > bit_budget):
             yield from _bracket_rows(chunk, n, bit_budget)
             n += len(chunk)
             chunk, bits = [], 0

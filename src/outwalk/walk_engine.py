@@ -4,23 +4,24 @@ The walk at time n is the right product Phi_n = s_1 ... s_n of i.i.d.
 increments.  With the left action on the rose orbit, d(y0, Phi_n.y0) =
 dist(Phi_n^{-1}).
 
-Every multi-path kind is a row source: path_rows(path_id) yields
-(n, [(estimator, value, status), ...]) once for every completed step.
-Every word kind runs over `_inverse_orbit`, which tracks a state under
-the inverse increments, Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)),
-with one step per increment; none forms Phi_n by composing forward.
-Drift and brackets track the N reduced generator images
-Phi_n^{-1}(x_i) (step `images`): drift reads the distance off them at
-every step (`outer_metric.image_dist`, which reads exact candidate
-lengths only while their size bounds can still beat the best ratio),
-and a bracket reads its powers off them (`spectral.bracket_images`) on
-the geometric schedule.  Conjugacy growth tracks the seed classes g,
-cyclically reduced, since conjugacy length is a class function (step
-`cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
+Every multi-path kind is a row source: group_rows(path_ids) yields
+(path_id, n, [(estimator, value, status), ...]) once for every
+completed step of each path.  Every word kind runs over
+`_inverse_orbit`, which tracks a state under the inverse increments,
+Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)), with one step per
+increment; none forms Phi_n by composing forward.  Drift and brackets
+track the N reduced generator images Phi_n^{-1}(x_i) (step
+`MapStack.images`): drift reads the distance off them at every step
+(`outer_metric.image_dist`, which reads exact candidate lengths only
+while their size bounds can still beat the best ratio), and a bracket
+reads its powers off them (`spectral.bracket_images`) on the geometric
+schedule.  Conjugacy growth tracks the seed classes g, cyclically
+reduced, since conjugacy length is a class function (step
+`MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
 substituted through each other, so they track the automorphism
-Phi_n^{-1} itself (step `compose`), which carries Phi_n as its inverse
-images, and record on the geometric schedule only.  The matrix kinds
-run over `guivarch_series` and `vector_growth`.
+Phi_n^{-1} itself (step `MapStack.compose`), which carries Phi_n as its
+inverse images, and record on the geometric schedule only.  The matrix
+kinds run over `guivarch_series` and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records
@@ -32,9 +33,30 @@ Phi_n^{-1} or of Phi_n) needs more letters than the letter budget, or
 a matrix entry more bits than the bit budget; it then ends in a row
 with estimator "truncated_at", value the last completed step and
 status "truncated", never silently dropped.  A budget hit inside one
-bracket or Gromov record marks only that record.  Paths are independent
-tasks keyed by (master_seed, path_id); results are merged in path
-order, so the worker count never changes output bytes.
+bracket or Gromov record marks only that record.  Paths are keyed by
+(master_seed, path_id), each with its own increment stream, and run in
+one group of contiguous path ids per thread (`_run_paths` runs the
+groups); results are merged in path order, so the worker count never
+changes output bytes.
+
+The word kinds step the paths of a group in lockstep (`_inverse_orbit`).
+At step n every live path draws its increment, and one
+`automorphisms.MapStack` step maps the tracked words of all of them,
+each through its own s_n^{-1}: the kernel table stacks the inverse
+support once per experiment, one slot range per map, and the words go
+through `ImageTable.substitute` in separated batches of at most
+`BATCH_CAP` input letters (`_wordkernel.lockstep_substitute`), not in
+one call per path.  A path with a word whose raw image passes the
+letter budget is cut and dropped before the batch is substituted.
+So the call overhead of a step is paid once per batch, not once per
+path.  Gromov products
+compose path by path inside the same loop, since there each path's
+state is a table of its own.  A path whose input passes `BATCH_CAP`
+letters leaves the group and runs alone to its end, through its own
+map's table as a one-path run does, before the group's next step: long
+words gain nothing from sharing a call, and only one long path is held
+at a time.  The matrix kinds run their paths of a group one after the
+other.
 """
 
 from __future__ import annotations
@@ -46,12 +68,12 @@ from functools import partial
 from itertools import islice
 
 from .free_group import Word, WordBudgetExceeded, word_to_str
+from ._wordkernel import BATCH_CAP
 from .automorphisms import (
     Automorphism,
+    MapStack,
     compose,
-    cyclic_images,
     identity_automorphism,
-    images,
     invert,
 )
 from .matrix_oracle import (
@@ -226,7 +248,8 @@ def geometric_schedule(n_max: int) -> list:
 
 
 def _run_paths(paths: int, threads: int, one_path) -> list:
-    """Run per-path jobs and merge rows deterministically in path order."""
+    """Run the jobs 0..paths-1, each a group of paths, and merge their
+    rows deterministically in job order."""
     if threads <= 1:
         chunks = [one_path(pid) for pid in range(paths)]
     else:
@@ -238,46 +261,83 @@ def _run_paths(paths: int, threads: int, one_path) -> list:
     return rows
 
 
-def _series(kind, path_rows, *, n_max, paths, threads):
-    """The one per-path driver of every multi-path experiment.
+def _series(kind, group_rows, *, n_max, paths, threads):
+    """The one driver of every multi-path experiment.
 
-    path_rows(path_id) yields (n, [(estimator, value, status), ...]) for
-    every completed step n = 1, 2, ...; a budget exception ends the path.
-    A path whose last completed step is below n_max ends in one
-    truncation row.  Paths merge in path order; no other row follows.
+    group_rows(pids) yields (pid, n, [(estimator, value, status), ...])
+    for every completed step n = 1, 2, ... of each path of pids, a
+    path's steps in order.  A path whose last completed step is below
+    n_max ends in one truncation row.  The paths run in one group of
+    contiguous path ids per thread (`_run_paths` runs the groups), and
+    merge in path order; no other row follows.
     """
+    groups = max(1, min(threads, paths))
+    bounds = [paths * g // groups for g in range(groups + 1)]
 
-    def one_path(pid: int) -> list:
-        rows, n = [], 0
-        try:
-            for n, step in path_rows(pid):
-                rows.extend([(pid, n, est, value, status) for est, value, status in step])
-        except (WordBudgetExceeded, BitBudgetExceeded):
-            pass
-        if n < n_max:
-            # no ok row is named "truncated_at", so the key stays unique
-            rows.append((pid, n, "truncated_at", float(n), "truncated"))
-        return rows
+    def one_group(g: int) -> list:
+        pids = range(bounds[g], bounds[g + 1])
+        rows = {pid: [] for pid in pids}
+        last = dict.fromkeys(pids, 0)
+        for pid, n, step in group_rows(pids):
+            rows[pid].extend([(pid, n, est, value, status) for est, value, status in step])
+            last[pid] = n
+        out = []
+        for pid in pids:
+            out.extend(rows[pid])
+            if last[pid] < n_max:
+                # no ok row is named "truncated_at", so the key stays unique
+                out.append((pid, last[pid], "truncated_at", float(last[pid]), "truncated"))
+        return out
 
-    rows = _run_paths(paths, threads, one_path)
+    rows = _run_paths(groups, threads, one_group)
     return EstimateSeries(kind, rows)
 
 
+def _input_letters(state) -> int:
+    """Letters that a step feeds the kernel from one path's state: its
+    tracked words, or the images of its tracked automorphism, with a
+    separator between two."""
+    words = state.images if isinstance(state, Automorphism) else state
+    return sum([w.letters.size for w in words]) + len(words) - 1
+
+
 def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
-    """Row source over the images of words under Phi_n^{-1}: step n maps
-    the images of step n-1 by step(s_n^{-1}, images, budget=budget) and
-    yields record(n, images).  With step `compose` and the identity as
-    words, the tracked state is the automorphism Phi_n^{-1}.  A
-    substitution over the budget raises."""
-    inverses = [invert(a) for a in measure.support]
+    """Row source over the images of words under Phi_n^{-1}, all paths of
+    a group in lockstep: step n maps the images of step n-1 of every live
+    path through its own s_n^{-1} by step(stack, maps, states,
+    budget=budget), with step a method of `MapStack` over the inverse
+    support, and yields record(n, images) for each path the step did not
+    cut.  With `MapStack.compose` and the identity as words, the tracked
+    state is the automorphism Phi_n^{-1}.
 
-    def path_rows(pid: int):
-        tracked = words
-        for n, idx in enumerate(islice(_increments(measure, master_seed, pid), n_max), 1):
-            tracked = step(inverses[idx], tracked, budget=budget)
-            yield n, record(n, tracked)
+    A path whose input passes BATCH_CAP letters leaves the group and runs
+    alone to its end before the group's next step, so at most one long
+    path is held at a time.
+    """
+    stack = MapStack([invert(a) for a in measure.support])
 
-    return path_rows
+    def advance(paths, n):
+        while paths and n <= n_max:
+            if len(paths) > 1:
+                short = []
+                for path in paths:
+                    if _input_letters(path[2]) >= BATCH_CAP:
+                        yield from advance([path], n)
+                    else:
+                        short.append(path)
+                paths = short
+            maps = [next(steps) for _, steps, _ in paths]
+            states = step(stack, maps, [state for _, _, state in paths], budget=budget)
+            paths = [(pid, steps, state)
+                     for (pid, steps, _), state in zip(paths, states) if state is not None]
+            for pid, _, state in paths:
+                yield pid, n, record(n, state)
+            n += 1
+
+    def group_rows(pids):
+        return advance([(pid, _increments(measure, master_seed, pid), words) for pid in pids], 1)
+
+    return group_rows
 
 
 def _on_schedule(record, cut_estimator, n_max):
@@ -322,7 +382,7 @@ def drift_experiment(
     def record(n, tracked):
         return [("drift", image_dist(tracked) / n, "ok")]
 
-    source = _inverse_orbit(measure, master_seed, gens, images, record,
+    source = _inverse_orbit(measure, master_seed, gens, MapStack.images, record,
                             n_max=n_max, budget=letter_budget)
     return _series("drift", source, n_max=n_max, paths=paths, threads=threads)
 
@@ -349,7 +409,7 @@ def conjugacy_growth_experiment(
     def record(n, tracked):
         return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
 
-    source = _inverse_orbit(measure, master_seed, seeds, cyclic_images, record,
+    source = _inverse_orbit(measure, master_seed, seeds, MapStack.cyclic_images, record,
                             n_max=n_max, budget=letter_budget)
     return _series("conjugacy", source, n_max=n_max, paths=paths, threads=threads)
 
@@ -386,7 +446,7 @@ def spectral_experiment(
                 ("spectral.point", br.point / n, status),
                 ("spectral.k_used", float(br.k_used), status)]
 
-    source = _inverse_orbit(measure, master_seed, gens, images,
+    source = _inverse_orbit(measure, master_seed, gens, MapStack.images,
                             _on_schedule(record, "spectral.upper", n_max),
                             n_max=n_max, budget=letter_budget)
     return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)
@@ -418,7 +478,8 @@ def gromov_decay_experiment(
         return [("gromov", gromov_product(invert(inverse), inverse, budget=letter_budget) / n,
                  "ok")]
 
-    source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank), compose,
+    source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank),
+                            MapStack.compose,
                             _on_schedule(record, "gromov", n_max),
                             n_max=n_max, budget=letter_budget)
     return _series("gromov", source, n_max=n_max, paths=paths, threads=threads)
@@ -432,12 +493,16 @@ def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max,
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
 
-    def path_rows(pid: int):
-        steps = _steps(measure, master_seed, pid, n_max)
-        for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
-            yield n, [(est, value, "ok") for est, value in zip(estimators, values)]
+    def group_rows(pids):
+        for pid in pids:
+            steps = _steps(measure, master_seed, pid, n_max)
+            try:
+                for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
+                    yield pid, n, [(est, value, "ok") for est, value in zip(estimators, values)]
+            except BitBudgetExceeded:
+                pass
 
-    return _series(experiment, path_rows, n_max=n_max, paths=paths, threads=threads)
+    return _series(experiment, group_rows, n_max=n_max, paths=paths, threads=threads)
 
 
 # each matrix kind names its series: the spectral radius bracket and the

@@ -487,13 +487,17 @@ def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps,
         return sum(a.max_bits() * a.n * a.n for a in mats)
 
     def may_cut(a):
-        # entries of A^64 have at most 64 (b + n.bit_length()) bits
-        return (a.max_bits() + a.n.bit_length()) << GELFAND_MAX_J > bit_budget
+        # entries of A^64 have at most 64 (b + n.bit_length()) bits; the
+        # closed form of a 2x2 matrix forms no power
+        return a.n > 2 and (a.max_bits() + a.n.bit_length()) << GELFAND_MAX_J > bit_budget
 
     # a chunk closes at `chunk` products, once its entries pass the cap, or
     # after a product whose Gelfand ladder may pass the budget
     assert all(len(b) <= chunk and entry_bits(b[:-1]) <= bits_cap for b in batches)
     assert not any(may_cut(a) for b in batches for a in b[:-1])
+    if dim == 2 and chunk > 1:
+        # 2x2 products share a batch at any budget
+        assert any(len(b) > 1 for b in batches)
     if bit_budget == 10**6:
         # no product of this walk comes near the budget
         assert all(len(b) == chunk or entry_bits(b) > bits_cap for b in batches[:-1])

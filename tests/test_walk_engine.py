@@ -3,24 +3,29 @@
 import math
 import statistics
 from functools import partial
+from itertools import islice
 
 import pytest
 
-from outwalk import cli
+from outwalk import cli, walk_engine
+from outwalk._wordkernel import BATCH_CAP
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
-from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, word_to_str
+from outwalk.free_group import Word, WordBudgetExceeded, cyclic_reduce, parse_word, word_to_str
 from outwalk.automorphisms import (
+    MapStack,
     abelianization,
     apply,
     compose,
+    cyclic_images,
     identity_automorphism,
+    images,
     invert,
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import candidates, dist, sym_dist
-from outwalk.spectral import CONVERGE_TOL, bracket, stretch_lower
+from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
+from outwalk.spectral import CONVERGE_TOL, bracket, bracket_images, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -466,6 +471,137 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     series, _ = budget_hit(kind, niel, sl3)
     cut = {r[0]: r[1] for r in series.records if r[2] == "truncated_at"}
     assert cut == cut_steps(niel) == want
+
+
+# Lockstep parity.  `_inverse_orbit` steps every live path of a group
+# together, with one kernel call per batch of all their words.  The
+# references below step one path at a time: the tracked state of the kind
+# mapped through s_n^{-1} by the one-state step (`images`, `cyclic_images`
+# or `compose`), the path cut at the first step that raises; and the
+# composed walk of `sample_path`, whose Phi_n^{-1} gives the same state
+# up to the cut.  Each kind's records are read off either state by the
+# same reference reader.
+
+WORD_KINDS = ("conjugacy", "drift", "gromov", "spectral")
+
+BATCH_SEEDS = ["ab", "aCb", "abc", "aBc", "abAB", "aabC", "bcAc", "acBB", "abcABC"]
+
+
+def kind_reference(kind, rank, settings, seeds=None):
+    """(first state, one-state step, records(n, state), state of a composed
+    Phi_n^{-1}) of a word kind, with the settings of its series."""
+    budget, n_max = settings["letter_budget"], settings["n_max"]
+    schedule = set(geometric_schedule(n_max))
+    gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
+    if kind == "drift":
+        return (gens, images, lambda n, ims: [("drift", image_dist(ims) / n, "ok")],
+                lambda inv: list(inv.images))
+    if kind == "conjugacy":
+        return (seeds, cyclic_images,
+                lambda n, ws: [(f"conjugacy.{word_to_str(g)}", math.log(len(w)) / n, "ok")
+                               for g, w in zip(seeds, ws)],
+                lambda inv: [cyclic_reduce(apply(inv, g.as_word())) for g in seeds])
+    if kind == "spectral":
+        def spectral_records(n, ims):
+            if n not in schedule:
+                return []
+            try:
+                br = bracket_images(ims, settings["k_max"], budget=budget)
+            except WordBudgetExceeded:
+                return [("spectral.upper", float("nan"), "truncated")]
+            status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
+            return [("spectral.lower", br.lower / n, status),
+                    ("spectral.upper", br.upper / n, status),
+                    ("spectral.point", br.point / n, status),
+                    ("spectral.k_used", float(br.k_used), status)]
+
+        return gens, images, spectral_records, lambda inv: list(inv.images)
+
+    def gromov_records(n, inv):
+        if n not in schedule:
+            return []
+        try:
+            return [("gromov", gromov_product(invert(inv), inv, budget=budget) / n, "ok")]
+        except WordBudgetExceeded:
+            return [("gromov", float("nan"), "truncated")]
+
+    return identity_automorphism(rank), compose, gromov_records, lambda inv: inv
+
+
+def one_path_records(kind, measure, settings, seeds=None) -> list:
+    """The records of a word-kind series with each path stepped alone."""
+    state0, step, read, _ = kind_reference(kind, measure.rank, settings, seeds)
+    inverses = [invert(a) for a in measure.support]
+    rows = []
+    for pid in range(settings["paths"]):
+        state, n = state0, 0
+        for idx in islice(walk_engine._increments(measure, settings["master_seed"], pid),
+                          settings["n_max"]):
+            try:
+                state = step(inverses[idx], state, budget=settings["letter_budget"])
+            except WordBudgetExceeded:
+                break
+            n += 1
+            rows += [(pid, n, *row) for row in read(n, state)]
+        if n < settings["n_max"]:
+            rows.append((pid, n, "truncated_at", float(n), "truncated"))
+    return rows
+
+
+def assert_composed_walk_reads_the_records(kind, measure, series, settings, seeds=None):
+    """Every record before a path's cut is read off the state of the
+    composed Phi_n^{-1}."""
+    _, _, read, composed_state = kind_reference(kind, measure.rank, settings, seeds)
+    got = {}
+    for pid, n, est, value, status in series.records:
+        if est != "truncated_at":
+            got.setdefault((pid, n), []).append(repr((est, value, status)))
+    last = {pid: n for pid, n, est, _, _ in series.records if est == "truncated_at"}
+    for pid in range(settings["paths"]):
+        n_cut = last.get(pid, settings["n_max"])
+        for n, _, inv in sample_path(measure, settings["master_seed"], pid, n_cut):
+            assert got.get((pid, n), []) == [repr(r) for r in read(n, composed_state(inv))]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", WORD_KINDS)
+def test_lockstep_records_equal_one_path_references(kind, threads, niel, sl3):
+    # the BUDGET_HITS configs: the budget cuts the paths at different steps
+    series, settings = budget_hit(kind, niel, sl3, threads)
+    seeds = BUDGET_HITS["conjugacy"][0].keywords["seeds"] if kind == "conjugacy" else None
+    cuts = {r[1] for r in series.records if r[2] == "truncated_at"}
+    assert len(cuts) > 1
+    want = one_path_records(kind, niel, settings, seeds)
+    assert list(map(repr, series.records)) == list(map(repr, want))
+    assert_composed_walk_reads_the_records(kind, niel, series, settings, seeds)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_long_path_leaves_the_batch_and_runs_alone(niel, monkeypatch, threads):
+    # the `conjugacy-batch` golden config: one path's nine words pass the
+    # cap at n = 43-50 while the others stay short; it runs alone to its
+    # cut, then the others go on together
+    seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
+    settings = dict(n_max=80, paths=3, master_seed=7, letter_budget=200_000)
+    calls = []
+    step = MapStack.cyclic_images
+
+    def spy(self, maps, states, *, budget=None):
+        calls.append([walk_engine._input_letters(state) for state in states])
+        return step(self, maps, states, budget=budget)
+
+    monkeypatch.setattr(MapStack, "cyclic_images", spy)
+    series = conjugacy_growth_experiment(niel, seeds, **settings, threads=threads)
+    monkeypatch.setattr(MapStack, "cyclic_images", step)
+    # a batch never holds a state past the cap; only a lone path does
+    assert all(size < BATCH_CAP for call in calls if len(call) > 1 for size in call)
+    alone = [i for i, call in enumerate(calls) if len(call) == 1 and call[0] >= BATCH_CAP]
+    if threads == 1:
+        assert alone and any(len(call) > 1 for call in calls[alone[0]:])
+    cuts = sorted(r[1] for r in series.records if r[2] == "truncated_at")
+    assert cuts == [50, 55, 59]
+    want = one_path_records("conjugacy", niel, settings, seeds)
+    assert list(map(repr, series.records)) == list(map(repr, want))
 
 
 def test_cesaro_tail_monotone_in_probability():

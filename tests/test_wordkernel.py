@@ -10,7 +10,10 @@ compares the result with the stack reduction of the raw concatenation
 of image blocks.  Seams deeper than `SEAM_LETTERS`, which the block
 stack measures by windows, come from tables of powers of walk inverses
 and from seams built to a given depth.  A batch must give each word the image it gets alone,
-hold the budget per word, and never let its separator out.
+hold the budget per word, and never let its separator out.  A lockstep
+batch (`lockstep_substitute`) must give each group of words the images
+that its own map's table gives them, and drop a group with a word over
+the budget before any letter of it reaches the kernel.
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from outwalk._wordkernel import (
     common_prefix,
     cyclic_length,
     cyclic_trim,
+    lockstep_substitute,
     product_cyclic_length,
     stack_reduce,
 )
@@ -309,6 +313,92 @@ def test_batch_splits_at_the_cap(niel):
     got = batch_substitute(counting, words, 10**9)
     assert calls == [302, BATCH_CAP, 302]
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
+
+
+def stacked(maps) -> ImageTable:
+    """One table of every map, map m in slots m * stride on."""
+    return ImageTable(*[[w.letters for w in phi.images] for phi in maps])
+
+
+def own_table_images(phi, words, budget):
+    """The images of words under phi's own table, or None where
+    `batch_substitute` raises."""
+    try:
+        return [a.tolist() for a in batch_substitute(phi._table, words, budget)]
+    except WordBudgetExceeded:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), short_only=st.booleans(),
+       groups=st.lists(st.lists(st.one_of(st.integers(0, 3), st.integers(4, 300)),
+                                min_size=1, max_size=4), min_size=1, max_size=8))
+def test_lockstep_gives_each_group_its_own_maps_images(nielsen_products, walk_maps, data, seed,
+                                                       short_only, groups):
+    # short-block tables only take pair deletion once a batch passes SMALL;
+    # with a walk inverse among the maps every batch takes the block stack
+    maps = nielsen_products + ([] if short_only else [inv for _, inv in walk_maps])
+    picks = [data.draw(st.integers(0, len(maps) - 1)) for _ in groups]
+    words = [[random_reduced(seed + 7 * p + k, size) for k, size in enumerate(g)]
+             for p, g in enumerate(groups)]
+    raws = sorted(raw_total(maps[m]._table, w) for m, ws in zip(picks, words) for w in ws)
+    budget = data.draw(st.sampled_from(raws + [10**9]))
+    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    want = [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)]
+    assert [None if g is None else [a.tolist() for a in g] for g in got] == want
+
+
+@pytest.mark.parametrize("cap, batches", [(BATCH_CAP, 1), (1000, 3), (1, 15)])
+def test_lockstep_splits_at_the_cap_between_words(niel, monkeypatch, cap, batches):
+    # a batch takes words while its input stays under the cap, whatever
+    # group they belong to, and the separators cut it back into words
+    monkeypatch.setattr(_wordkernel, "BATCH_CAP", cap)
+    calls = []
+    substitute = ImageTable.substitute
+
+    def spy(self, word, budget):
+        calls.append(word.size)
+        return substitute(self, word, budget)
+
+    monkeypatch.setattr(ImageTable, "substitute", spy)
+    maps = list(niel.support)
+    picks = [3, 3, 17, 0, 23]
+    words = [[random_reduced(10 * p + k, 40 + 90 * k) for k in range(3)] for p in range(5)]
+    got = lockstep_substitute(stacked(maps), picks, words, 10**9)
+    # words of 40, 130 and 220 letters in turn: under a cap of 1000 the
+    # batches take 8, 6 and 1 of them, one separator between two words
+    assert len(calls) == batches
+    assert sum(calls) == sum(w.size for ws in words for w in ws) + 15 - batches
+    monkeypatch.setattr(ImageTable, "substitute", substitute)
+    assert ([[a.tolist() for a in g] for g in got]
+            == [own_table_images(maps[m], ws, 10**9) for m, ws in zip(picks, words)])
+
+
+def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
+    # group 1 has one word over the budget: it gets None, and not one of
+    # its letters enters the kernel; the other groups share one call
+    calls = []
+    substitute = ImageTable.substitute
+
+    def spy(self, word, budget):
+        calls.append(word.size)
+        return substitute(self, word, budget)
+
+    monkeypatch.setattr(ImageTable, "substitute", spy)
+    maps = list(niel.support)
+    picks = [1, 2, 3, 4]
+    words = [[random_reduced(10 * p + k, 300 if (p, k) == (1, 2) else 50) for k in range(3)]
+             for p in range(4)]
+    budget = max(raw_total(maps[m]._table, w)
+                 for p, (m, ws) in enumerate(zip(picks, words)) for w in ws if p != 1)
+    assert raw_total(maps[2]._table, words[1][2]) > budget
+    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    assert got[1] is None and all(g is not None for p, g in enumerate(got) if p != 1)
+    assert calls == [3 * (3 * 50) + 8]
+    monkeypatch.setattr(ImageTable, "substitute", substitute)
+    assert ([[a.tolist() for a in g] for p, g in enumerate(got) if p != 1]
+            == [own_table_images(maps[m], ws, budget)
+                for p, (m, ws) in enumerate(zip(picks, words)) if p != 1])
 
 
 @pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
