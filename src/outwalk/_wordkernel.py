@@ -33,34 +33,32 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
 Free reduction is confluent, so both regimes give the same normal form.
 
 An orbit step maps a handful of words at once, and per word the cost is
-numpy call overhead, not letters.  So `batch_substitute` is the entry
-point above `substitute` for one map: it joins the words with a
-separator letter between them and runs the batch through one
-`substitute` call.  Every word operation of `automorphisms` on one map
-(compose, apply, the inverse check, the orbit step of a lone path) is
-one or two such batches; `lockstep_substitute`, below, is the entry
-for many maps at once.  The separator is
-letter R+1 of a rank-R table, the slot that is also slot -(R+1); it
-maps to `SEP`, a letter no generator of rank below 127 uses, so neither
-regime ever cancels it and no word cancels into its neighbour.  The
-budget holds for each word's raw image, not for the batch, so batching
-never moves a cut-off.  A batch takes words while its input stays under
-`BATCH_CAP` letters, and a longer word runs alone: long words gain
+numpy call overhead, not letters.  So `lockstep_substitute` is the one
+entry point above `substitute`, and the one place the letter budget is
+checked: it joins the words with a separator letter between them and
+runs each batch through one `substitute` call.  Its words come in
+groups, each read in a map of the table; every word operation of
+`automorphisms` on one map (compose, apply, the inverse check, the orbit
+step of a lone path) is a group of one on that map's own table, and the
+walks step many paths at once, each a group through its own map.  One
+table stacks the maps (`ImageTable(*maps)`): map m takes the slots from
+m * stride on, stride the least power of two of at least 2R+2, so that
+a letter's slot in its map is its two's-complement bits below the
+stride, one bitwise and with no division.  The separator is letter R+1,
+the slot that is also slot -(R+1) of a map; it maps to `SEP`, a letter
+no generator of rank below 127 uses, so neither regime ever cancels it
+and no word cancels into its neighbour.  On a one-map table the int8
+letters are their own slots; on a stacked one each word is read as
+slots of its group's map.  A batch takes words while its input stays
+under `BATCH_CAP` letters, and a longer word runs alone: long words gain
 nothing from sharing a call, and an uncapped batch would hold the
 temporaries of all its words at once.
 
-The walks step many paths at once, each through its own map, so
-`lockstep_substitute` batches words across maps.  One table stacks the
-maps (`ImageTable(*maps)`): map m takes the slots from m * stride on,
-stride the least power of two of at least 2R+2, so that a letter's slot
-in its map is its two's-complement bits below the stride, one bitwise
-and with no division.  The words of all groups are joined, each followed
-by the separator letter R+1, read as slots of their group's map (slot
-R+1 of every map maps to `SEP`), and cut into batches by the rule
-above.  The raw size of each word is the sum of its slots' block
-lengths; a group with a word over the budget is dropped before
-substituting, so the budget cuts exactly the groups that a call per
-group would raise on.
+The budget holds for each word's raw image, the sum of its slots' block
+lengths, not for the batch, so batching never moves a cut-off.  A group
+with a word over the budget is dropped before substituting, and its
+item is the WordBudgetExceeded of its first such word, so the budget
+cuts exactly the groups that a call per group would raise on.
 
 The ends that a cyclic trim peels off a reduced word u are the common
 prefix of u and u^{-1} (`cyclic_trim`, `cyclic_length`).  The
@@ -223,19 +221,14 @@ class ImageTable:
         self.py_blocks = [(raw[l], heads[l], raw[l & ~mask | -l & mask])
                           for l in range(len(blocks))]
 
-    def substitute(self, word: np.ndarray, budget: int) -> np.ndarray:
+    def substitute(self, word: np.ndarray) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result.
 
         The word may be a batch of reduced words separated by the letter
-        `sep`; each comes out reduced, with `SEP` between them.  Raises
-        WordBudgetExceeded for the first word whose raw image has more
-        letters than the budget.
+        `sep`; each comes out reduced, with `SEP` between them.  No budget
+        applies here: `lockstep_substitute` checks it before calling.
         """
-        lens = self.lens.take(word)
-        total = int(lens.sum())
-        if total > budget:
-            self._check_budget(word, lens, budget)
-        if total > SMALL and self.rows is not None:
+        if self.rows is not None and int(self.lens.take(word).sum()) > SMALL:
             arr = self.rows.take(word, axis=0).ravel()
             arr, changed = arr.compress(arr != 0), True
             while changed:
@@ -260,15 +253,6 @@ class ImageTable:
                 extend(block)
         return np.frombuffer(out, dtype=DTYPE)
 
-    def _check_budget(self, word, lens, budget):
-        """Raise for the first separated word whose raw image exceeds the budget."""
-        cuts = np.flatnonzero(word == self.sep)
-        raw = np.concatenate(([0], np.cumsum(lens)))
-        raw = raw[np.append(cuts, word.size)] - raw[np.concatenate(([0], cuts + 1))]
-        over = np.flatnonzero(raw > budget)
-        if over.size:
-            raise WordBudgetExceeded(int(raw[over[0]]), budget)
-
 
 def common_suffix(x, y, k: int) -> int:
     """Length of the longest common suffix of the byte strings x and y,
@@ -291,70 +275,67 @@ def common_suffix(x, y, k: int) -> int:
     return k
 
 
-def batch_substitute(table: ImageTable, words: list, budget: int) -> list:
-    """Reduced images of reduced words, one `substitute` call per
-    separated batch (see the module docstring).
-
-    Words of rank 127 leave no letter for the separator and run alone.
-    Raises WordBudgetExceeded for the first word, in input order, whose
-    raw image exceeds the budget.
-    """
-    out = []
-    for a, b in _batches(table, [w.size for w in words]):
-        if b - a == 1:
-            out.append(table.substitute(words[a], budget))
-            continue
-        parts = [table.sep_word] * (2 * (b - a) - 1)
-        parts[::2] = words[a:b]
-        out += _split(table.substitute(np.concatenate(parts), budget))
-    return out
-
-
 def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int) -> list:
     """Reduced images of groups of reduced words, the words of group p
-    through map maps[p] of a stacked table, from one `substitute` call
-    per separated batch of all groups' words (see the module docstring).
+    through map maps[p] of the table, from one `substitute` call per
+    separated batch of all groups' words (see the module docstring).
 
-    Returns the images of each group, or None for a group with a word
-    whose raw image exceeds the budget; such a group is dropped before
-    substituting, so the budget cuts exactly the groups that
-    `batch_substitute` would raise on, one group at a time.
+    Returns the images of each group or, for a group with a word whose
+    raw image exceeds the budget, the WordBudgetExceeded of its first
+    such word; such a group is dropped before substituting.
     """
     words = [w for ws in groups for w in ws]
     owners = [m for m, ws in zip(maps, groups) for _ in ws]
     sizes = [w.size for w in words]
     batches = _batches(table, sizes)
     if words and max(sizes) * table.longest > budget:
-        # the raw image of a word and its separator, less the separator
-        raw = []
-        for a, b in batches:
-            starts = np.cumsum([0] + [size + 1 for size in sizes[a:b - 1]])
-            lens = table.lens.take(_slots(table, owners[a:b], words[a:b]))
-            raw += (np.add.reduceat(lens, starts) - 1).tolist()
-        over = iter([size > budget for size in raw])
-        cut = [any([next(over) for _ in ws]) for ws in groups]
+        raw = iter([n for a, b in batches for n in _raw_sizes(
+            table, _slots(table, owners[a:b], words[a:b]), sizes[a:b])])
+        cut = []
+        for ws in groups:
+            over = [n for n in [next(raw) for _ in ws] if n > budget]
+            cut.append(WordBudgetExceeded(over[0], budget) if over else None)
         if any(cut):
-            kept = [p for p, c in enumerate(cut) if not c]
+            kept = [p for p, c in enumerate(cut) if c is None]
             images = iter(lockstep_substitute(table, [maps[p] for p in kept],
                                               [groups[p] for p in kept], budget))
-            return [None if c else next(images) for c in cut]
+            return [next(images) if c is None else c for c in cut]
     out = []
     for a, b in batches:
-        # no word in the batch passes the budget; their sum may
-        arr = table.substitute(_slots(table, owners[a:b], words[a:b])[:-1],
-                               np.iinfo(np.int64).max)
+        arr = table.substitute(_slots(table, owners[a:b], words[a:b]))
         out += [arr] if b - a == 1 else _split(arr)
+    if len(groups) == 1:
+        return [out]
     images = iter(out)
     return [[next(images) for _ in ws] for ws in groups]
 
 
 def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
-    """The words, each followed by the separator letter R+1, as slots of
-    a stacked table: word i read in map owners[i]."""
+    """The words of a batch, joined by the separator letter R+1, as slots
+    of the table: word i read in map owners[i].  On a one-map table the
+    int8 letters are their own slots and pass as they are."""
+    if table.lens.size == table.stride:
+        if len(words) == 1:
+            return words[0]
+        parts = [table.sep_word] * (2 * len(words) - 1)
+        parts[::2] = words
+        return np.concatenate(parts)
     parts = [np.array([table.sep], dtype=np.int16)] * (2 * len(words))
     parts[::2] = words
     offsets = np.repeat(np.multiply(owners, table.stride), [w.size + 1 for w in words])
-    return (np.concatenate(parts) & (table.stride - 1)) + offsets
+    return ((np.concatenate(parts) & (table.stride - 1)) + offsets)[:-1]
+
+
+def _raw_sizes(table: ImageTable, slots: np.ndarray, sizes: list) -> list:
+    """The raw image size of each word of a batch of words of these sizes:
+    the block lengths of its slots, summed up to its separator."""
+    lens = table.lens.take(slots)
+    if len(sizes) == 1:
+        return [int(lens.sum())]
+    # each word is summed with the one-letter separator after it; one more
+    # after the last word gives an empty last word a segment too
+    starts = np.cumsum([0] + [size + 1 for size in sizes[:-1]])
+    return (np.add.reduceat(np.append(lens, 1), starts) - 1).tolist()
 
 
 def _batches(table: ImageTable, sizes: list) -> list:

@@ -6,13 +6,13 @@ carries both the images and the inverse images, and the pair is verified
 on every user-facing construction (apply the map then its claimed inverse
 to every generator and demand the identity).
 
-Every word operation here is a batch substitution
-(`_wordkernel.batch_substitute`) of words through a map's generator
-images, by way of `images`: `apply` is a batch of one, `compose` two
-batches, the inverse check two round trips, and `cyclic_images` a batch
-followed by a cyclic trim of each image.  `MapStack` steps many states
-at once, each through its own map of a tuple, and maps the words of
-all of them in shared batches (`_wordkernel.lockstep_substitute`).
+Every word operation here goes through the kernel's one batch entry,
+`_wordkernel.lockstep_substitute`, which alone applies the letter
+budget.  `images` is a group of one on a map's own table: `apply` maps
+one word with it, `compose` two groups, the inverse check two round
+trips, and `cyclic_images` one group followed by a cyclic trim of each
+image.  `MapStack` steps many states at once, each a group through its
+own map of a tuple.
 
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._wordkernel import DTYPE, ImageTable, batch_substitute, cyclic_trim, lockstep_substitute
+from ._wordkernel import DTYPE, ImageTable, cyclic_trim, lockstep_substitute
 from .free_group import (
     DEFAULT_LETTER_BUDGET,
     CyclicWord,
@@ -128,16 +128,25 @@ def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
 
 
 def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
-    """Reduced images of the words under phi, from one kernel call per
-    batch (`_wordkernel.batch_substitute`).  Raises WordBudgetExceeded
-    for the first word, in input order, whose substitution needs more
-    letters than the budget.
+    """Reduced images of the words under phi, a group of one on phi's
+    table (`_one_map`).  Raises WordBudgetExceeded for the first word,
+    in input order, whose substitution needs more letters than the
+    budget.
     """
-    r = phi.rank
-    if any(w.rank != r for w in words):
+    words = list(words)
+    if any(w.rank != phi.rank for w in words):
         raise ValueError("rank mismatch")
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    return [Word._wrap(a, r) for a in batch_substitute(phi._table, [w.letters for w in words], b)]
+    return _one_map(phi._table, words, phi.rank,
+                    DEFAULT_LETTER_BUDGET if budget is None else budget)
+
+
+def _one_map(table: ImageTable, words: list, rank: int, budget: int) -> list:
+    """The reduced images of the words through a one-map table, from one
+    kernel call per batch; raises the group's WordBudgetExceeded."""
+    [out] = lockstep_substitute(table, [0], [[w.letters for w in words]], budget)
+    if isinstance(out, WordBudgetExceeded):
+        raise out
+    return [Word._wrap(a, rank) for a in out]
 
 
 def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:
@@ -146,7 +155,7 @@ def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> lis
     Conjugacy length is a class function, so iterating this along a
     sequence of maps tracks |phi_k ... phi_1(g)| exactly while keeping
     every tracked word as short as its class.  The words go through the
-    kernel as one batch, as in `images`, and each image is then trimmed
+    kernel as one group, as in `images`, and each image is then trimmed
     (`_wordkernel.cyclic_trim`), so it equals
     cyclic_reduce(apply(phi, w.as_word())).  Raises
     WordBudgetExceeded for the first word, in input order, whose
@@ -172,13 +181,14 @@ class MapStack:
 
     `images`, `cyclic_images` and `compose` are the steps of the same
     names, one per state, and give None for a state whose step passes
-    the letter budget where the one-state step raises.  The word steps
+    the letter budget where the one-state step raises.  A word step is
+    one `lockstep_substitute` call, each state a group: many states
     share one kernel table of every map (`_wordkernel.ImageTable` with
-    one slot range per map), so that the words of all states go through
-    one kernel call per separated batch (`lockstep_substitute`).  A single
-    state goes through its map's own table, as `images` maps it, whose
-    int8 letters index the table as they are: a long word alone then
-    holds no slot array of eight bytes per letter.
+    one slot range per map), so that the words of all of them go through
+    one kernel call per separated batch.  A single state goes through
+    its map's own table, as `images` maps it, whose int8 letters index
+    the table as they are: a long word alone then holds no slot array of
+    eight bytes per letter.
     `compose` maps state by state, since there each state is a table of
     its own.
     """
@@ -193,14 +203,14 @@ class MapStack:
     def images(self, maps, states, *, budget: int | None = None) -> list:
         """[images(phis[m], words) for m, words in zip(maps, states)], None where one raises."""
         if len(states) == 1:
-            try:
-                return [images(self.phis[maps[0]], states[0], budget=budget)]
-            except WordBudgetExceeded:
-                return [None]
+            table, maps = self.phis[maps[0]]._table, [0]
+        else:
+            table = self._table
         b = DEFAULT_LETTER_BUDGET if budget is None else budget
         r = self.phis[0].rank
-        out = lockstep_substitute(self._table, maps, [[w.letters for w in ws] for ws in states], b)
-        return [None if arrs is None else [Word._wrap(a, r) for a in arrs] for arrs in out]
+        out = lockstep_substitute(table, maps, [[w.letters for w in ws] for ws in states], b)
+        return [None if isinstance(arrs, WordBudgetExceeded) else [Word._wrap(a, r) for a in arrs]
+                for arrs in out]
 
     def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
         """[cyclic_images(phis[m], words) ...], None where one raises."""
@@ -243,18 +253,17 @@ def image_abelianization(images) -> IntMatrix:
 
 def endomorphism_images(table, words) -> list:
     """Reduced images of the reduced words under the map x_j -> table[j-1],
-    from one kernel call per batch, as `images` gives them under an
+    a group of one on its table, as `images` gives them under an
     automorphism with those generator images.
 
     No letter budget applies: the caller bounds the sizes.  The map need
     not be invertible, so no `Automorphism` is built for it.
     """
+    words = list(words)
     r = len(table)
     if any(w.rank != r for w in (*table, *words)):
         raise ValueError("rank mismatch")
-    kernel_table = ImageTable([w.letters for w in table])
-    return [Word._wrap(a, r)
-            for a in batch_substitute(kernel_table, [w.letters for w in words], sys.maxsize)]
+    return _one_map(ImageTable([w.letters for w in table]), words, r, sys.maxsize)
 
 
 def identity_automorphism(rank: int) -> Automorphism:

@@ -247,14 +247,14 @@ def geometric_schedule(n_max: int) -> list:
     return sorted(ns)
 
 
-def _run_paths(paths: int, threads: int, one_path) -> list:
-    """Run the jobs 0..paths-1, each a group of paths, and merge their
-    rows deterministically in job order."""
+def _run_paths(groups: int, threads: int, one_group) -> list:
+    """Run one_group(g) for the path groups g = 0..groups-1 and merge
+    their rows deterministically in group order."""
     if threads <= 1:
-        chunks = [one_path(pid) for pid in range(paths)]
+        chunks = [one_group(g) for g in range(groups)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_path, range(paths)))
+            chunks = list(pool.map(one_group, range(groups)))
     rows = []
     for chunk in chunks:
         rows.extend(chunk)

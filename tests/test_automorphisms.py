@@ -17,6 +17,7 @@ from outwalk.automorphisms import (
     automorphism_to_str,
     compose,
     cyclic_images,
+    endomorphism_images,
     images,
     identity_automorphism,
     inversion,
@@ -331,7 +332,7 @@ def test_compose_equals_one_word_at_a_time(niel, walk_inverses, data):
              + [(inv_table, w) for w in phi.inverse_images])
     got = compose(phi, psi)
     assert ([w.letters.tolist() for w in (*got.images, *got.inverse_images)]
-            == [table.substitute(w.letters, 10**9).tolist() for table, w in pairs])
+            == [table.substitute(w.letters).tolist() for table, w in pairs])
     totals = [int(table.lens[w.letters].sum()) for table, w in pairs]
     budget = data.draw(st.integers(min(totals) - 1, max(totals)))
     over = [t for t in totals if t > budget]
@@ -354,6 +355,19 @@ def test_compose_raises_for_images_before_inverse_images():
     with pytest.raises(WordBudgetExceeded) as err:
         compose(invert(psi), invert(phi), budget=4)
     assert err.value.needed == 5
+
+
+def test_word_steps_read_an_iterator_of_words_once():
+    # the rank check must not use the words up before they are mapped
+    phi = right_multiplier(3, 1, -2)
+    gens = [Word.generator(i, 3) for i in (1, 2, 3)]
+    want = images(phi, gens)
+    assert [w.letters.tolist() for w in want] == [[1, -2], [2], [3]]
+    assert images(phi, iter(gens)) == want
+    assert endomorphism_images(phi.images, iter(gens)) == want
+    classes = [cyclic_reduce(w) for w in gens]
+    assert cyclic_images(phi, iter(classes)) == cyclic_images(phi, classes) == one_at_a_time(
+        phi, classes)
 
 
 def test_cyclic_images_in_rank_127():

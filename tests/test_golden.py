@@ -8,17 +8,23 @@ outgrow the orbit-step batch cap, a Guivarch config long enough for the
 Gelfand ladder's ball regime, and one whose budget a Gelfand power passes
 mid-chunk, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
-here.  A refactor that claims no behaviour change keeps every digest.
+here, at `--threads 1` and, for a config that reads `paths`, at
+`--threads 2` too.  A refactor that claims no behaviour change keeps
+every digest.
 An intended output change updates the digests it moves and says so in
 CHANGES.md, together with its cause.
 """
 
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
-from outwalk.automorphisms import automorphism_to_str
+from outwalk._wordkernel import BATCH_CAP, ImageTable
+from outwalk.automorphisms import automorphism_to_str, endomorphism_images, images
 from outwalk.cli import main
+from outwalk.free_group import Word
 
 THETA = "rank = 3\ngen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
 
@@ -118,16 +124,53 @@ def measure_text(measure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def body_digest(tmp_path, text) -> str:
+def body_digest(tmp_path, text, threads=1) -> str:
     cfg, out = tmp_path / "golden.cfg", tmp_path / "golden.csv"
     cfg.write_text(text)
-    main(["run", "--config", str(cfg), "--out", str(out)])
+    main(["run", "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
     body = "".join(line for line in out.read_text().splitlines(True) if not line.startswith("#"))
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_body_matches_golden(tmp_path, measures, name):
+def config_text(measures, name) -> str:
     head, measure = CONFIGS[name]
-    measure = measure_text(measures[measure]) if measure in measures else measure
-    assert body_digest(tmp_path, head + measure) == DIGESTS[name]
+    return head + (measure_text(measures[measure]) if measure in measures else measure)
+
+
+# every config at one thread, and one that reads `paths` at two threads,
+# one group of paths per thread
+RUNS = [pytest.param(name, threads, id=name if threads == 1 else f"{name}-threads{threads}")
+        for name in sorted(CONFIGS)
+        for threads in ((1, 2) if "\npaths = " in CONFIGS[name][0] else (1,))]
+
+
+@pytest.mark.parametrize("name, threads", RUNS)
+def test_body_matches_golden(tmp_path, measures, name, threads):
+    assert body_digest(tmp_path, config_text(measures, name), threads) == DIGESTS[name]
+
+
+def test_substitute_is_reached_only_through_lockstep_substitute(tmp_path, measures,
+                                                                 monkeypatch):
+    # the kernel has one batch entry: every `substitute` call comes from
+    # `lockstep_substitute`, and a one-map table gets the int8 letters as
+    # they are, from `images`, `endomorphism_images` and the steps of a
+    # path that runs alone once its words pass BATCH_CAP
+    calls = []
+    substitute = ImageTable.substitute
+
+    def spy(self, word):
+        calls.append((sys._getframe(1).f_code.co_name, self.lens.size == self.stride,
+                      word.dtype, word.size))
+        return substitute(self, word)
+
+    monkeypatch.setattr(ImageTable, "substitute", spy)
+    phi = measures["niel"].support[5]
+    gens = [Word.generator(i, 3) for i in (1, 2, 3)]
+    images(phi, gens)
+    endomorphism_images(phi.images, gens)
+    assert [call[1:3] for call in calls] == [(True, np.int8)] * 2
+    assert body_digest(tmp_path, config_text(measures, "conjugacy-batch")) == DIGESTS[
+        "conjugacy-batch"]
+    assert {caller for caller, *_ in calls} == {"lockstep_substitute"}
+    assert {dtype for _, one_map, dtype, _ in calls if one_map} == {np.dtype(np.int8)}
+    assert max(size for _, one_map, _, size in calls[2:] if one_map) >= BATCH_CAP

@@ -1,19 +1,22 @@
 """`ImageTable.substitute` in both of its regimes against `stack_reduce`,
-`batch_substitute`, the one batched entry point above it, against one
-word at a time, and `cyclic_trim` and the cyclic lengths of products,
+`lockstep_substitute`, the one batched entry point above it and the one
+place the letter budget is checked, against one word at a time on each
+map's own table, and `cyclic_trim` and the cyclic lengths of products,
 read by `common_prefix`, against the stack reduction and a
 letter-by-letter peel.
 
 The block stack takes words under tables with a long block, the
-vectorized pair deletion long words under tables of short blocks; every case here
-compares the result with the stack reduction of the raw concatenation
-of image blocks.  Seams deeper than `SEAM_LETTERS`, which the block
-stack measures by windows, come from tables of powers of walk inverses
-and from seams built to a given depth.  A batch must give each word the image it gets alone,
-hold the budget per word, and never let its separator out.  A lockstep
-batch (`lockstep_substitute`) must give each group of words the images
-that its own map's table gives them, and drop a group with a word over
-the budget before any letter of it reaches the kernel.
+vectorized pair deletion long words under tables of short blocks; every
+case here compares the result with the stack reduction of the raw
+concatenation of image blocks.  Seams deeper than `SEAM_LETTERS`, which
+the block stack measures by windows, come from tables of powers of walk
+inverses and from seams built to a given depth.  A batch must give each
+word the image it gets alone, hold the budget per word, and never let
+its separator out.  A group of one on a map's own table is how
+`automorphisms` maps words; many groups over a stacked table must each
+get the images that their own map's table gives them, and a group with
+a word over the budget must get the WordBudgetExceeded of its first
+such word before any letter of it reaches the kernel.
 """
 
 import numpy as np
@@ -31,7 +34,6 @@ from outwalk._wordkernel import (
     ImageTable,
     Reading,
     WordBudgetExceeded,
-    batch_substitute,
     common_prefix,
     cyclic_length,
     cyclic_trim,
@@ -39,7 +41,8 @@ from outwalk._wordkernel import (
     product_cyclic_length,
     stack_reduce,
 )
-from outwalk.automorphisms import compose
+from outwalk.automorphisms import compose, images
+from outwalk.free_group import Word
 from outwalk.walk_engine import sample_path
 
 # word sizes on both sides of SMALL, with the few-letter words that
@@ -68,7 +71,7 @@ def raw_concatenation(images, word) -> list:
 
 def check(images, word):
     want = stack_reduce(raw_concatenation(images, word))
-    got = ImageTable(images).substitute(word, budget=10**9)
+    got = ImageTable(images).substitute(word)
     assert got.dtype == np.int8
     assert got.tolist() == want
 
@@ -117,9 +120,9 @@ def test_substitute_on_walk_inverse_tables(walk_maps, data, size, seed):
     # short since the raw concatenation has about |u| |Phi_n| |Phi_n^{-1}|
     # letters
     u = word[:3]
-    image = ImageTable([w.letters for w in phi.images]).substitute(u, budget=10**9)
+    image = ImageTable([w.letters for w in phi.images]).substitute(u)
     check(images, image)
-    assert ImageTable(images).substitute(image, budget=10**9).tolist() == u.tolist()
+    assert ImageTable(images).substitute(image).tolist() == u.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,18 +141,19 @@ def test_substitute_deep_cancellation_over_short_blocks(k, size, seed):
 def test_budget_raised_exactly_when_raw_total_exceeds_it(walk_maps, data, size, seed,
                                                          slack):
     phi, inv = data.draw(st.sampled_from(walk_maps))
-    images = [w.letters for w in data.draw(st.sampled_from([phi, inv])).images]
+    psi = data.draw(st.sampled_from([phi, inv]))
+    table = [w.letters for w in psi.images]
     word = random_reduced(seed, size)
-    total = len(raw_concatenation(images, word))
+    total = len(raw_concatenation(table, word))
     budget = max(0, total + slack)
-    table = ImageTable(images)
+    [got] = lockstep_substitute(psi._table, [0], [[word]], budget)
     if total > budget:
+        assert (got.needed, got.budget) == (total, budget)
         with pytest.raises(WordBudgetExceeded) as err:
-            table.substitute(word, budget)
+            images(psi, [Word(word, 3)], budget=budget)
         assert (err.value.needed, err.value.budget) == (total, budget)
     else:
-        assert table.substitute(word, budget).tolist() == stack_reduce(
-            raw_concatenation(images, word))
+        assert [a.tolist() for a in got] == [stack_reduce(raw_concatenation(table, word))]
 
 
 def test_few_long_blocks_telescope():
@@ -158,7 +162,7 @@ def test_few_long_blocks_telescope():
     images = letters([1] + [2] * k, [2])
     for word in ([1, -2, -1], [1, 2, -1]):
         check(images, np.array(word, dtype=np.int8))
-        assert ImageTable(images).substitute(np.array(word, dtype=np.int8), 10**9).size == 3
+        assert ImageTable(images).substitute(np.array(word, dtype=np.int8)).size == 3
 
 
 def test_long_blocks_never_take_pair_deletion(monkeypatch):
@@ -243,7 +247,7 @@ def test_seam_cancels_exactly_its_depth(depth, left, right):
               np.array([-x for x in reversed(g)] + s, dtype=np.int8), letters([3])[0]]
     for word in ([1, 2], [3, 1, 2, 3], [1, 2, 1, 2]):
         check(images, np.array(word, dtype=np.int8))
-    assert ImageTable(images).substitute(np.array([1, 2], dtype=np.int8), 10**9).tolist() == r + s
+    assert ImageTable(images).substitute(np.array([1, 2], dtype=np.int8)).tolist() == r + s
 
 
 def peel(letters) -> list:
@@ -255,8 +259,17 @@ def peel(letters) -> list:
     return letters[i:j]
 
 
-def one_at_a_time(table, words, budget=10**9) -> list:
-    return [table.substitute(w, budget).tolist() for w in words]
+def one_at_a_time(table, words) -> list:
+    return [table.substitute(w).tolist() for w in words]
+
+
+def group_of_one(table, words, budget=10**9):
+    """The item of words as a group of one on map 0 of the table."""
+    return lockstep_substitute(table, [0], [words], budget)[0]
+
+
+def as_words(words) -> list:
+    return [Word(w, 3) for w in words]
 
 
 def raw_total(table, word) -> int:
@@ -265,22 +278,26 @@ def raw_total(table, word) -> int:
 
 def test_batch_over_budget_only_in_total_does_not_raise(niel):
     # every word's raw image fits the budget; the nine together do not
-    table = niel.support[0]._table
+    phi = niel.support[0]
+    table = phi._table
     words = [random_reduced(seed, 300) for seed in range(9)]
     budget = max(raw_total(table, w) for w in words)
     assert sum(raw_total(table, w) for w in words) > budget
-    got = batch_substitute(table, words, budget)
-    assert [a.tolist() for a in got] == one_at_a_time(table, words)
+    got = images(phi, as_words(words), budget=budget)
+    assert [w.letters.tolist() for w in got] == one_at_a_time(table, words)
 
 
 @pytest.mark.parametrize("over", [[4], [2, 6], [8]])
 def test_batch_raises_for_the_first_word_over_budget(niel, over):
-    table = niel.support[0]._table
+    phi = niel.support[0]
+    table = phi._table
     words = [random_reduced(k, 300 if k in over else 40) for k in range(9)]
     budget = max(raw_total(table, w) for k, w in enumerate(words) if k not in over)
+    cut = group_of_one(table, words, budget)
+    assert (cut.needed, cut.budget) == (raw_total(table, words[over[0]]), budget)
     with pytest.raises(WordBudgetExceeded) as err:
-        batch_substitute(table, words, budget)
-    assert (err.value.needed, err.value.budget) == (raw_total(table, words[over[0]]), budget)
+        images(phi, as_words(words), budget=budget)
+    assert (err.value.needed, err.value.budget) == (cut.needed, budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,7 +308,7 @@ def test_separator_never_leaves_a_batch(nielsen_products, walk_maps, data, seed,
     # short-block tables through pair deletion
     phi = data.draw(st.sampled_from(nielsen_products + [inv for _, inv in walk_maps]))
     words = [random_reduced(seed + k, size) for k, size in enumerate([0, 0] + sizes + [0, 0])]
-    got = batch_substitute(phi._table, words, 10**9)
+    got = group_of_one(phi._table, words)
     assert all(np.abs(a).max(initial=0) <= 3 for a in got)
     assert [a.tolist() for a in got] == one_at_a_time(phi._table, words)
 
@@ -303,14 +320,14 @@ def test_batch_splits_at_the_cap(niel):
     calls = []
 
     class Counting(ImageTable):
-        def substitute(self, word, budget):
+        def substitute(self, word):
             calls.append(word.size)
-            return super().substitute(word, budget)
+            return super().substitute(word)
 
     counting = Counting([w.letters for w in niel.support[5].images])
     words = ([random_reduced(k, 100) for k in range(3)] + [random_reduced(9, BATCH_CAP)]
              + [random_reduced(k, 100) for k in range(3, 6)])
-    got = batch_substitute(counting, words, 10**9)
+    got = group_of_one(counting, words)
     assert calls == [302, BATCH_CAP, 302]
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
 
@@ -321,12 +338,17 @@ def stacked(maps) -> ImageTable:
 
 
 def own_table_images(phi, words, budget):
-    """The images of words under phi's own table, or None where
-    `batch_substitute` raises."""
-    try:
-        return [a.tolist() for a in batch_substitute(phi._table, words, budget)]
-    except WordBudgetExceeded:
-        return None
+    """The images of words under phi's own table, one word at a time, or
+    (needed, budget) of the first word whose raw image exceeds the budget."""
+    over = [n for n in (raw_total(phi._table, w) for w in words) if n > budget]
+    return (over[0], budget) if over else one_at_a_time(phi._table, words)
+
+
+def as_lists(item):
+    """A lockstep item as `own_table_images` gives it."""
+    if isinstance(item, WordBudgetExceeded):
+        return (item.needed, item.budget)
+    return [a.tolist() for a in item]
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,7 +367,7 @@ def test_lockstep_gives_each_group_its_own_maps_images(nielsen_products, walk_ma
     budget = data.draw(st.sampled_from(raws + [10**9]))
     got = lockstep_substitute(stacked(maps), picks, words, budget)
     want = [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)]
-    assert [None if g is None else [a.tolist() for a in g] for g in got] == want
+    assert [as_lists(g) for g in got] == want
 
 
 @pytest.mark.parametrize("cap, batches", [(BATCH_CAP, 1), (1000, 3), (1, 15)])
@@ -356,9 +378,9 @@ def test_lockstep_splits_at_the_cap_between_words(niel, monkeypatch, cap, batche
     calls = []
     substitute = ImageTable.substitute
 
-    def spy(self, word, budget):
+    def spy(self, word):
         calls.append(word.size)
-        return substitute(self, word, budget)
+        return substitute(self, word)
 
     monkeypatch.setattr(ImageTable, "substitute", spy)
     maps = list(niel.support)
@@ -370,19 +392,20 @@ def test_lockstep_splits_at_the_cap_between_words(niel, monkeypatch, cap, batche
     assert len(calls) == batches
     assert sum(calls) == sum(w.size for ws in words for w in ws) + 15 - batches
     monkeypatch.setattr(ImageTable, "substitute", substitute)
-    assert ([[a.tolist() for a in g] for g in got]
+    assert ([as_lists(g) for g in got]
             == [own_table_images(maps[m], ws, 10**9) for m, ws in zip(picks, words)])
 
 
 def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
-    # group 1 has one word over the budget: it gets None, and not one of
-    # its letters enters the kernel; the other groups share one call
+    # group 1 has one word over the budget: it gets that word's
+    # WordBudgetExceeded, and not one of its letters enters the kernel;
+    # the other groups share one call
     calls = []
     substitute = ImageTable.substitute
 
-    def spy(self, word, budget):
+    def spy(self, word):
         calls.append(word.size)
-        return substitute(self, word, budget)
+        return substitute(self, word)
 
     monkeypatch.setattr(ImageTable, "substitute", spy)
     maps = list(niel.support)
@@ -391,14 +414,14 @@ def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
              for p in range(4)]
     budget = max(raw_total(maps[m]._table, w)
                  for p, (m, ws) in enumerate(zip(picks, words)) for w in ws if p != 1)
-    assert raw_total(maps[2]._table, words[1][2]) > budget
+    needed = raw_total(maps[2]._table, words[1][2])
+    assert needed > budget
     got = lockstep_substitute(stacked(maps), picks, words, budget)
-    assert got[1] is None and all(g is not None for p, g in enumerate(got) if p != 1)
     assert calls == [3 * (3 * 50) + 8]
     monkeypatch.setattr(ImageTable, "substitute", substitute)
-    assert ([[a.tolist() for a in g] for p, g in enumerate(got) if p != 1]
-            == [own_table_images(maps[m], ws, budget)
-                for p, (m, ws) in enumerate(zip(picks, words)) if p != 1])
+    assert as_lists(got[1]) == (needed, budget)
+    assert ([as_lists(g) for g in got]
+            == [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)])
 
 
 @pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
@@ -410,7 +433,7 @@ def test_batch_trims_deep_conjugates(depth):
               for i in (1, 2, 3)]
     table = ImageTable(images)
     words = [np.array(w, dtype=np.int8) for w in ([1], [1, 2], [3, -1, 2], [2, 2, -3, 1])]
-    got = [cyclic_trim(a) for a in batch_substitute(table, words, 10**9)]
+    got = [cyclic_trim(a) for a in group_of_one(table, words)]
     assert [a.tolist() for a in got] == [peel(a) for a in one_at_a_time(table, words)]
     assert [a.size for a in got] == [w.size for w in words]
 
