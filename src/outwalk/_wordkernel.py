@@ -13,15 +13,27 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
 * a block stack, the default: each block cancels against the end of
   the reduced prefix and is appended whole, so long blocks cost one
   `extend` each.  The seam is the common suffix of the prefix and the
-  inverse block.  Its first `SEAM_LETTERS` letters are compared one by
-  one, which is all that Nielsen-move tables ever cancel; a deeper seam,
-  as between the long blocks of a power phi^(k-1) (Cooper's bounded
-  cancellation constant grows with k), is measured by comparing byte
-  windows as integers (`common_suffix`, as `common_prefix` does) and
-  removed with one `del`;
-* vectorized pair deletion for long words under a table whose blocks
-  all have at most `SHORT_BLOCK` letters, where the Python loop would
-  run once per letter: the blocks are the rows of one zero-padded int8
+  inverse block, removed with one `del`.  Seams are measured by
+  comparing byte windows as integers (`common_suffix`, as
+  `common_prefix` does), and the table caches the seam of each slot
+  pair (a, b) it meets, the common suffix of block a and inverse block
+  b: a property of the map, as deep as the long blocks of a power
+  phi^(k-1) cancel (Cooper's bounded cancellation constant grows with
+  k), and met again at every a b of the word.  Slot b's cache holds
+  only the slots a of its own map, since a separator never cancels, so
+  a table of many maps stays linear in them.  The stack tracks how
+  many letters of the previous block are still at the end of the
+  prefix.  A cached seam shorter than that is the cancellation itself;
+  otherwise the prefix reaches past the block's letters into what came
+  before, and the seam goes on from there by windows of the prefix.
+  Threads that share a table may fill one cache entry at once, with
+  equal values;
+* vectorized pair deletion for words of more than `SMALL` letters
+  under a table whose blocks all have at most `SHORT_BLOCK` letters,
+  where the Python loop would run once per letter (the word's length
+  stands for its raw image's, which is no shorter, since the image of
+  a generator under an automorphism and the separator are never
+  empty): the blocks are the rows of one zero-padded int8
   matrix, so the raw image is one row gather with the zeros dropped;
   then passes delete non-overlapping adjacent inverse pairs until none
   is left.  A pass peels one layer of every seam at once, so the pass
@@ -77,7 +89,7 @@ import numpy as np
 
 DTYPE = np.int8
 
-# Substitutions of up to this many letters always take the block stack:
+# Words of up to this many letters always take the block stack:
 # below it numpy's per-call overhead outweighs the per-letter loop.
 SMALL = 192
 
@@ -89,11 +101,6 @@ SHORT_BLOCK = 4
 # batch; see the module docstring.
 SEP = 127
 BATCH_CAP = 1 << 15
-
-# The block stack compares a seam letter by letter for its first
-# SEAM_LETTERS letters, and deeper by windows (`common_suffix`): below
-# this depth one window costs more than the letters it would save.
-SEAM_LETTERS = 8
 
 # A `Reading` keeps the first HEAD letters of a word as bytes and as one
 # integer; `common_prefix` compares windows of WINDOW letters, doubling up
@@ -210,15 +217,19 @@ class ImageTable:
             self.rows = np.zeros((len(blocks), self.longest), dtype=DTYPE)
             for row, b in zip(self.rows, blocks):
                 row[:b.size] = b
-        # per slot, for the block stack on bytearrays: the block as bytes,
-        # the byte that cancels its first letter (256, which no byte equals,
-        # for the empty block; the separator's, -SEP, no word holds), and
-        # the bytes of the inverse block, whose suffixes are what the block
-        # cancels; slot -l of a map holds the inverse of its slot l
+        # per slot, for the block stack on bytearrays: the block as bytes
+        # and its length, the byte that cancels its first letter (256,
+        # which no byte equals, for the empty block; the separator's, -SEP,
+        # no word holds), the bytes of the inverse block, whose suffixes are
+        # what the block cancels (slot -l of a map holds the inverse of its
+        # slot l), and the slot's seam cache: slot b's maps a slot a, once
+        # met before it, to the seam of the pair (a, b).  Only slots of one
+        # map meet, a word at a time, so a cache holds at most `stride`
+        # entries and a table stays linear in its maps
         raw = [b.tobytes() for b in blocks]
         heads = [-int(b[0]) & 0xFF if b.size else 256 for b in blocks]
         mask = self.stride - 1
-        self.py_blocks = [(raw[l], heads[l], raw[l & ~mask | -l & mask])
+        self.py_blocks = [(raw[l], len(raw[l]), heads[l], raw[l & ~mask | -l & mask], {})
                           for l in range(len(blocks))]
 
     def substitute(self, word: np.ndarray) -> np.ndarray:
@@ -228,7 +239,7 @@ class ImageTable:
         `sep`; each comes out reduced, with `SEP` between them.  No budget
         applies here: `lockstep_substitute` checks it before calling.
         """
-        if self.rows is not None and int(self.lens.take(word).sum()) > SMALL:
+        if self.rows is not None and word.size > SMALL:
             arr = self.rows.take(word, axis=0).ravel()
             arr, changed = arr.compress(arr != 0), True
             while changed:
@@ -237,20 +248,26 @@ class ImageTable:
         out = bytearray()
         extend = out.extend
         blocks = self.py_blocks
+        # kept: the letters of the previous slot's block still at the end of out
+        prev = kept = 0
         for letter in word.tolist():
-            block, head, inverse = blocks[letter]
+            block, size, head, inverse, seams = blocks[letter]
             if out and out[-1] == head:
                 # the seam cancels the common suffix of out and the inverse
-                # block: letter by letter up to SEAM_LETTERS, then by windows
-                k, m = 1, min(len(out), len(inverse), SEAM_LETTERS)
-                while k < m and out[-1 - k] == inverse[-1 - k]:
-                    k += 1
-                if k == SEAM_LETTERS:
-                    k = common_suffix(out, inverse, k)
+                # block; the cached seam of the slot pair, when shorter than
+                # kept, is that suffix
+                k = seams.get(prev) if kept else 0
+                if k is None:
+                    k = seams[prev] = common_suffix(blocks[prev][0], inverse, 0)
+                if k >= kept:
+                    k = common_suffix(out, inverse, kept)
                 del out[-k:]
                 extend(block[k:])
+                kept = size - k
             else:
                 extend(block)
+                kept = size
+            prev = letter
         return np.frombuffer(out, dtype=DTYPE)
 
 
@@ -313,17 +330,23 @@ def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int
 def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
     """The words of a batch, joined by the separator letter R+1, as slots
     of the table: word i read in map owners[i].  On a one-map table the
-    int8 letters are their own slots and pass as they are."""
+    int8 letters are their own slots and pass as they are; on a stacked
+    one the slots take the narrowest unsigned dtype that holds them."""
     if table.lens.size == table.stride:
         if len(words) == 1:
             return words[0]
         parts = [table.sep_word] * (2 * len(words) - 1)
         parts[::2] = words
         return np.concatenate(parts)
-    parts = [np.array([table.sep], dtype=np.int16)] * (2 * len(words))
+    dtype = np.min_scalar_type(table.lens.size - 1)
+    parts = [table.sep_word] * (2 * len(words) - 1)
     parts[::2] = words
-    offsets = np.repeat(np.multiply(owners, table.stride), [w.size + 1 for w in words])
-    return ((np.concatenate(parts) & (table.stride - 1)) + offsets)[:-1]
+    # the two's-complement bits of an int8 letter are its uint8 view
+    slots = (np.concatenate(parts).view(np.uint8) & (table.stride - 1)).astype(dtype, copy=False)
+    counts = [w.size + 1 for w in words]
+    counts[-1] -= 1
+    slots += np.repeat(np.array(owners, dtype=dtype) * table.stride, counts)
+    return slots
 
 
 def _raw_sizes(table: ImageTable, slots: np.ndarray, sizes: list) -> list:

@@ -234,10 +234,10 @@ def invert(phi: Automorphism) -> Automorphism:
 
 
 def letter_counts(w: Word) -> list:
-    """[(occurrences of x_j, occurrences of x_j^{-1}) for j = 1..rank] in w."""
-    a = w.letters
-    return [(int(np.count_nonzero(a == j)), int(np.count_nonzero(a == -j)))
-            for j in range(1, w.rank + 1)]
+    """[(occurrences of x_j, occurrences of x_j^{-1}) for j = 1..rank] in w,
+    from one count of its bytes: x_j is byte j and x_j^{-1} byte 256 - j."""
+    counts = np.bincount(w.letters.view(np.uint8), minlength=256).tolist()
+    return [(counts[j], counts[-j]) for j in range(1, w.rank + 1)]
 
 
 def abelianization(phi: Automorphism) -> IntMatrix:

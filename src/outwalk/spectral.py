@@ -5,7 +5,7 @@ iteration, is pinched between two unconditional bounds:
 
 * lower: log of the spectral radius of the abelianization (abelianized
   lengths never exceed conjugacy lengths), exact in rank 2, a certified
-  trace bound in higher rank, and never below 0 (`spectral_radius`);
+  trace bound in higher rank, and never below 0 (`spectral_radii`);
 * upper: the translation inequality l(phi) <= d(phi.y, y) applied to
   powers gives log lambda <= dist(phi^k) / k for every k, and the bound
   is nonincreasing along doubling by subadditivity.
@@ -28,6 +28,11 @@ size of step k for x_i is the unsigned letter counts of phi^(k-1)(x_i)
 dotted with the lengths |phi(x_j)|.  The orbit stops at the first step
 whose raw size exceeds the budget, and a bracket then reports the steps
 it completed.
+
+A bracket takes its lower bound from the caller: `bracket` passes
+`stretch_lower(phi)`, and a walk step brackets the abelianizations of
+all its paths in one `spectral_radii` batch (`stretch_lowers`), which
+gives each matrix the bracket it gets alone.
 """
 
 from __future__ import annotations
@@ -37,14 +42,15 @@ from dataclasses import dataclass
 from functools import partial
 
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import (Automorphism, abelianization, cyclic_images, endomorphism_images,
+from .automorphisms import (Automorphism, cyclic_images, endomorphism_images,
                             image_abelianization, letter_counts)
-from .matrix_oracle import spectral_radius
+from .matrix_oracle import BitBudgetExceeded, spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
 __all__ = [
     "StretchBracket",
     "stretch_lower",
+    "stretch_lowers",
     "stretch_ratio",
     "bracket",
     "bracket_images",
@@ -78,13 +84,27 @@ class StretchBracket:
 
 
 def stretch_lower(phi: Automorphism) -> float:
-    """Certified lower bound: log spectral radius of the abelianization.
+    """Certified lower bound: log spectral radius of the abelianization,
+    as `stretch_lowers` gives it for a batch of one."""
+    return stretch_lowers([phi.images])[0]
+
+
+def stretch_lowers(image_sets) -> list:
+    """The lower bound of each map given by its generator images: the
+    log spectral radius of its abelianization, from one `spectral_radii`
+    batch of them.
 
     Exact in rank 2; the Gelfand trace bound otherwise, which
-    `spectral_radius` raises to 0 where it reads below, since an
-    invertible integer matrix has rho >= 1.
+    `spectral_radii` raises to 0 where it reads below, since an
+    invertible integer matrix has rho >= 1.  Raises the
+    BitBudgetExceeded of the first matrix that passes the bit budget.
     """
-    return spectral_radius(abelianization(phi)).lower
+    out = []
+    for br in spectral_radii([image_abelianization(images) for images in image_sets]):
+        if isinstance(br, BitBudgetExceeded):
+            raise br
+        out.append(br.lower)
+    return out
 
 
 def _orbit(step, words, steps: int):
@@ -175,15 +195,14 @@ def bracket(
     cuts the orbit off, both use the steps completed, and k_used records
     how many of them entered the upper bound.
     """
-    return bracket_images(phi.images, k_max, budget=budget)
+    return bracket_images(phi.images, k_max, lower=stretch_lower(phi), budget=budget)
 
 
-def bracket_images(images, k_max: int = DEFAULT_K_MAX, *,
+def bracket_images(images, k_max: int = DEFAULT_K_MAX, *, lower: float,
                    budget: int | None = None) -> StretchBracket:
     """`bracket` of the map phi given by its reduced generator images
-    images[i] = phi(x_i), all a bracket reads of phi: the lower bound
-    from their signed letter counts, the orbit from the images
-    themselves."""
+    images[i] = phi(x_i), whose orbit it runs, and the lower bound
+    `stretch_lower(phi)`, which it takes as given."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     rank = len(images)
@@ -195,5 +214,4 @@ def bracket_images(images, k_max: int = DEFAULT_K_MAX, *,
     k_used = min(len(lengths) - 1, k_max)
     upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
     point, converged = _point(lengths, len(lengths) > steps)
-    lower = spectral_radius(image_abelianization(images)).lower
     return StretchBracket(lower, upper, point, k_used, converged)

@@ -15,8 +15,10 @@ track the N reduced generator images Phi_n^{-1}(x_i) (step
 (`outer_metric.image_dist`, which reads exact candidate lengths only
 while their size bounds can still beat the best ratio), and a bracket
 reads its powers off them (`spectral.bracket_images`) on the geometric
-schedule.  Conjugacy growth tracks the seed classes g, cyclically
-reduced, since conjugacy length is a class function (step
+schedule, with the lower bound that one `spectral_radii` batch gives
+for the abelianizations of all paths of the step
+(`spectral.stretch_lowers`).  Conjugacy growth tracks the seed classes
+g, cyclically reduced, since conjugacy length is a class function (step
 `MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
 substituted through each other, so they track the automorphism
 Phi_n^{-1} itself (step `MapStack.compose`), which carries Phi_n as its
@@ -49,14 +51,15 @@ through `ImageTable.substitute` in separated batches of at most
 one call per path.  A path with a word whose raw image passes the
 letter budget is cut and dropped before the batch is substituted.
 So the call overhead of a step is paid once per batch, not once per
-path.  Gromov products
-compose path by path inside the same loop, since there each path's
-state is a table of its own.  A path whose input passes `BATCH_CAP`
-letters leaves the group and runs alone to its end, through its own
-map's table as a one-path run does, before the group's next step: long
-words gain nothing from sharing a call, and only one long path is held
-at a time.  The matrix kinds run their paths of a group one after the
-other.
+path.  One `record` call then reads the new states of all of them, so
+that a spectral step brackets their abelianizations in one batch.
+Gromov products compose path by path inside the same loop, since there
+each path's state is a table of its own.  A path whose input passes
+`BATCH_CAP` letters leaves the group and runs alone to its end, through
+its own map's table as a one-path run does, before the group's next
+step: long words gain nothing from sharing a call, and only one long
+path is held at a time.  The matrix kinds run their paths of a group
+one after the other.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .matrix_oracle import (
     vector_growth,
 )
 from .outer_metric import gromov_product, image_dist
-from .spectral import bracket_images
+from .spectral import bracket_images, stretch_lowers
 from .rng import categorical, cumulative, path_generator
 
 __all__ = [
@@ -306,13 +309,15 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     a group in lockstep: step n maps the images of step n-1 of every live
     path through its own s_n^{-1} by step(stack, maps, states,
     budget=budget), with step a method of `MapStack` over the inverse
-    support, and yields record(n, images) for each path the step did not
-    cut.  With `MapStack.compose` and the identity as words, the tracked
-    state is the automorphism Phi_n^{-1}.
+    support.  One record(n, states) call reads the new states of the
+    paths that the step did not cut, in order, and gives the rows of
+    each, which are yielded as (pid, n, rows).  With `MapStack.compose`
+    and the identity as words, the tracked state is the automorphism
+    Phi_n^{-1}.
 
     A path whose input passes BATCH_CAP letters leaves the group and runs
     alone to its end before the group's next step, so at most one long
-    path is held at a time.
+    path is held at a time; its record calls read one state each.
     """
     stack = MapStack([invert(a) for a in measure.support])
 
@@ -330,8 +335,9 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
             states = step(stack, maps, [state for _, _, state in paths], budget=budget)
             paths = [(pid, steps, state)
                      for (pid, steps, _), state in zip(paths, states) if state is not None]
-            for pid, _, state in paths:
-                yield pid, n, record(n, state)
+            rows = record(n, [state for _, _, state in paths])
+            for (pid, _, _), step_rows in zip(paths, rows):
+                yield pid, n, step_rows
             n += 1
 
     def group_rows(pids):
@@ -340,19 +346,27 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     return group_rows
 
 
-def _on_schedule(record, cut_estimator, n_max):
-    """record(n, ...) at the n of the geometric schedule, and no rows off
-    it.  A budget hit inside one record marks only that record, as
-    (cut_estimator, nan, "truncated")."""
+def _on_schedule(record, cut_estimator, n_max, shared=None):
+    """The step record of `_inverse_orbit` that reads each state by
+    record(n, state) at the n of the geometric schedule, and gives no
+    rows off it; with `shared`, by record(n, state, x) for the items x
+    of shared(states), one call per scheduled step.  A budget hit inside
+    one record marks only that record, as (cut_estimator, nan,
+    "truncated")."""
     schedule = set(geometric_schedule(n_max))
 
-    def scheduled(n, *args):
-        if n not in schedule:
-            return []
+    def one(n, *args):
         try:
             return record(n, *args)
         except WordBudgetExceeded:
             return [(cut_estimator, float("nan"), "truncated")]
+
+    def scheduled(n, states):
+        if n not in schedule:
+            return [[]] * len(states)
+        if shared is None:
+            return [one(n, state) for state in states]
+        return [one(n, state, x) for state, x in zip(states, shared(states))]
 
     return scheduled
 
@@ -379,8 +393,8 @@ def drift_experiment(
     rank = measure.rank
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
-    def record(n, tracked):
-        return [("drift", image_dist(tracked) / n, "ok")]
+    def record(n, states):
+        return [[("drift", image_dist(tracked) / n, "ok")] for tracked in states]
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.images, record,
                             n_max=n_max, budget=letter_budget)
@@ -406,8 +420,9 @@ def conjugacy_growth_experiment(
     seeds = list(seeds)
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
 
-    def record(n, tracked):
-        return [(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
+    def record(n, states):
+        return [[(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
+                for tracked in states]
 
     source = _inverse_orbit(measure, master_seed, seeds, MapStack.cyclic_images, record,
                             n_max=n_max, budget=letter_budget)
@@ -428,8 +443,10 @@ def spectral_experiment(
 
     The path tracks the N reduced generator images Phi_n^{-1}(x_i), as
     drift does, and is cut off at the same step; at a scheduled n the
-    bracket reads those images (`spectral.bracket_images`).  Orbit words
-    under k-th powers blow up like lambda^k, so the bracket depth is
+    bracket reads those images (`spectral.bracket_images`), and its lower
+    bound comes from one batch over the paths of the step
+    (`spectral.stretch_lowers`), the same as each path's alone.  Orbit
+    words under k-th powers blow up like lambda^k, so the bracket depth is
     downgraded per record whenever the letter budget cuts the orbit off.
     The first orbit step is the tracked images themselves, which fit the
     budget; a bracket that raised anyway would mark only its record
@@ -438,8 +455,8 @@ def spectral_experiment(
     rank = measure.rank
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
-    def record(n, tracked):
-        br = bracket_images(tracked, k_max, budget=letter_budget)
+    def record(n, tracked, lower):
+        br = bracket_images(tracked, k_max, lower=lower, budget=letter_budget)
         status = "ok" if br.k_used >= k_max else "downgraded"
         return [("spectral.lower", br.lower / n, status),
                 ("spectral.upper", br.upper / n, status),
@@ -447,7 +464,7 @@ def spectral_experiment(
                 ("spectral.k_used", float(br.k_used), status)]
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.images,
-                            _on_schedule(record, "spectral.upper", n_max),
+                            _on_schedule(record, "spectral.upper", n_max, stretch_lowers),
                             n_max=n_max, budget=letter_budget)
     return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)
 

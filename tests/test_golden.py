@@ -4,7 +4,8 @@ One small config per experiment kind, plus one budget-cut config per
 walk and matrix kind, the walk kinds on F_2 and the matrix kinds on
 SL(2, Z) (whose spectral radius has a closed form) and SL(4, Z), a
 conjugacy config whose nine tracked words
-outgrow the orbit-step batch cap, a Guivarch config long enough for the
+outgrow the orbit-step batch cap, a spectral config at the benchmark's
+sizes, a Guivarch config long enough for the
 Gelfand ladder's ball regime, and one whose budget a Gelfand power passes
 mid-chunk, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
@@ -68,6 +69,10 @@ CONFIGS = {
                         + "".join(f"word.{i} = {w}\n" for i, w in enumerate(
                             ["ab", "aCb", "abc", "aBc", "abAB", "aabC", "bcAc", "acBB", "abcABC"])),
                         "niel"),
+    # the bench's spectral-niel sizes: power blocks whose seams the table's
+    # cache answers, a lower bound batch per step, and downgraded brackets
+    "spectral-deep": ("kind = spectral\nn_max = 32\npaths = 4\nmaster_seed = 3\nk_max = 4\n"
+                      "letter_budget = 200000\n", "niel"),
     "spectral-cut": ("kind = spectral\nn_max = 16\npaths = 4\nmaster_seed = 1\nk_max = 2\n"
                      "letter_budget = 10\n", "niel"),
     "gromov-cut": ("kind = gromov\nn_max = 16\npaths = 4\nmaster_seed = 1\n"
@@ -104,6 +109,7 @@ DIGESTS = {
     "matrix-guivarch-sl2": "b3b0dee4d7992814d5f2d4ec94968f60a60ea0e0d43223d782897a24f710089f",
     "matrix-guivarch-sl4": "bc8823abc56ec9ab312dfbebb488851137858cb2f38d935a2f41cdff02ff5dbd",
     "spectral": "78451887c2ea48f729c7dcac39c1ca526344b8c915c412aa9ad992723a535b90",
+    "spectral-deep": "0fb6df30db07b19b31842bc4eaacb4a045cc75919e77f4bccbea1668969c4789",
     "spectral-cut": "c09995a77f23c93ada7f79aa8fd5769cf9ae5a0c4febf015cd0d5f3c1f32b238",
     "spectral-f2": "cabe62df7c54e65e7fbb580550bfe1eb2a78ad9cd668fc1c8f2252394085a4c0",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",

@@ -303,7 +303,7 @@ def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
     # a bracket whose lower bound reads below 0 reaches every caller as it is
     fake = MatrixBracket(-1.0, 1.0)
     monkeypatch.setattr(matrix_oracle, "spectral_radii", lambda mats, bit_budget: [fake] * len(mats))
-    monkeypatch.setattr(spectral, "spectral_radius", lambda a: fake)
+    monkeypatch.setattr(spectral, "spectral_radii", lambda mats: [fake] * len(mats))
     rows = list(guivarch_series([IntMatrix.identity(3)] * 5))
     assert [lower for _, lower, _, _ in rows] == [-1.0 / n for n in range(1, 6)]
     assert stretch_lower(ASYM) == -1.0

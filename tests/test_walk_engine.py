@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from outwalk import cli, walk_engine
+from outwalk import cli, spectral, walk_engine
 from outwalk._wordkernel import BATCH_CAP
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
@@ -25,7 +25,7 @@ from outwalk.automorphisms import (
 )
 from outwalk.matrix_oracle import IntMatrix
 from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
-from outwalk.spectral import CONVERGE_TOL, bracket, bracket_images, stretch_lower
+from outwalk.spectral import CONVERGE_TOL, bracket, bracket_images, stretch_lower, stretch_lowers
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -506,7 +506,8 @@ def kind_reference(kind, rank, settings, seeds=None):
             if n not in schedule:
                 return []
             try:
-                br = bracket_images(ims, settings["k_max"], budget=budget)
+                br = bracket_images(ims, settings["k_max"], budget=budget,
+                                    lower=stretch_lowers([ims])[0])
             except WordBudgetExceeded:
                 return [("spectral.upper", float("nan"), "truncated")]
             status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
@@ -574,6 +575,31 @@ def test_lockstep_records_equal_one_path_references(kind, threads, niel, sl3):
     want = one_path_records(kind, niel, settings, seeds)
     assert list(map(repr, series.records)) == list(map(repr, want))
     assert_composed_walk_reads_the_records(kind, niel, series, settings, seeds)
+
+
+def test_spectral_records_do_not_depend_on_the_group(niel, monkeypatch):
+    # a spectral step brackets the abelianizations of all its paths in
+    # one `spectral_radii` batch: path 0 gets the same records alone, as
+    # one of four, and as one of two at two threads
+    batches = []
+    radii = spectral.spectral_radii
+
+    def spy(mats):
+        batches.append(len(mats))
+        return radii(mats)
+
+    monkeypatch.setattr(spectral, "spectral_radii", spy)
+    settings = dict(n_max=32, k_max=4, master_seed=3, letter_budget=200_000)
+    runs = {}
+    for paths, threads in ((1, 1), (4, 1), (4, 2)):
+        batches.clear()
+        series = spectral_experiment(niel, paths=paths, threads=threads, **settings)
+        runs[paths, threads] = [repr(r) for r in series.records if r[0] == 0]
+        if threads == 1:
+            assert set(batches) == {paths}
+    alone = runs[1, 1]
+    assert any("downgraded" in r for r in alone)
+    assert runs[4, 1] == alone and runs[4, 2] == alone
 
 
 @pytest.mark.parametrize("threads", [1, 2])

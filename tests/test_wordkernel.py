@@ -8,9 +8,11 @@ letter-by-letter peel.
 The block stack takes words under tables with a long block, the
 vectorized pair deletion long words under tables of short blocks; every
 case here compares the result with the stack reduction of the raw
-concatenation of image blocks.  Seams deeper than `SEAM_LETTERS`, which
-the block stack measures by windows, come from tables of powers of walk
-inverses and from seams built to a given depth.  A batch must give each
+concatenation of image blocks.  Seams across several of the windows
+that the block stack measures them by come from tables of powers of
+walk inverses and from seams built to a given depth; both reach the
+table's seam cache and its fallback, the windows of the prefix past the
+letters of the previous block that it still holds.  A batch must give each
 word the image it gets alone, hold the budget per word, and never let
 its separator out.  A group of one on a map's own table is how
 `automorphisms` maps words; many groups over a stacked table must each
@@ -18,6 +20,9 @@ get the images that their own map's table gives them, and a group with
 a word over the budget must get the WordBudgetExceeded of its first
 such word before any letter of it reaches the kernel.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +33,6 @@ from outwalk import _wordkernel
 from outwalk._wordkernel import (
     BATCH_CAP,
     HEAD,
-    SEAM_LETTERS,
     SMALL,
     WINDOW,
     ImageTable,
@@ -41,9 +45,11 @@ from outwalk._wordkernel import (
     product_cyclic_length,
     stack_reduce,
 )
-from outwalk.automorphisms import compose, images
+from outwalk.automorphisms import MapStack, compose, images
 from outwalk.free_group import Word
 from outwalk.walk_engine import sample_path
+
+from conftest import nielsen_measure
 
 # word sizes on both sides of SMALL, with the few-letter words that
 # substitutions into composed products see
@@ -215,13 +221,41 @@ def seam_depths(images, word) -> list:
     return depths
 
 
-def test_walk_power_seams_pass_the_first_window(walk_powers):
-    # the data of the test below reach seams deeper than the letters
-    # compared one by one, and deeper than the first window after them
+def seam_reads(monkeypatch, images, word) -> tuple:
+    """(seams the cache answers, (kept, depth) of each seam measured on
+    past the kept letters of the previous block) when a fresh table of
+    the images substitutes the word."""
+    fallbacks = []
+    common_suffix = _wordkernel.common_suffix
+
+    def spy(x, y, k):
+        depth = common_suffix(x, y, k)
+        if isinstance(x, bytearray):  # the prefix, not a cached block
+            fallbacks.append((k, depth))
+        return depth
+
+    with monkeypatch.context() as m:
+        m.setattr(_wordkernel, "common_suffix", spy)
+        ImageTable(images).substitute(word)
+    seams = sum(d > 0 for d in seam_depths(images, word))
+    return seams - len(fallbacks), fallbacks
+
+
+def test_walk_power_seams_pass_the_first_window(walk_powers, monkeypatch):
+    # the data of the test below reach seams inside the first window of
+    # `common_suffix`, past it and past the doubled window after it; the
+    # cache answers some and the windows of the prefix measure others,
+    # some of those deeper than the kept letters of the previous block
     depths = [d for phi, table in walk_powers for w in phi.images
               for d in seam_depths(table, w.letters)]
-    assert any(SEAM_LETTERS < d <= SEAM_LETTERS + WINDOW for d in depths)
-    assert max(depths) > SEAM_LETTERS + 4 * WINDOW
+    assert any(0 < d <= WINDOW for d in depths)
+    assert any(WINDOW < d <= 3 * WINDOW for d in depths)
+    assert max(depths) > 7 * WINDOW
+    reads = [seam_reads(monkeypatch, table, w.letters)
+             for phi, table in walk_powers for w in phi.images]
+    assert sum(hits for hits, _ in reads) > 0
+    fallbacks = [kd for _, fb in reads for kd in fb]
+    assert any(depth > kept > 0 for kept, depth in fallbacks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,14 +267,73 @@ def test_substitute_on_walk_power_tables(walk_powers, data, size, seed):
     check(table, random_reduced(seed, size))
 
 
+def test_threads_sharing_a_table_fill_its_seam_cache_alike(walk_powers):
+    # threads that share a table may fill one cache entry at once, and
+    # each fill is the same seam: every thread gets the images, and the
+    # table the cache, that one thread alone gets from a fresh table
+    words = [w.letters for phi, _ in walk_powers for w in phi.images]
+    tables = [table for _, table in walk_powers]
+    alone = [ImageTable(table) for table in tables]
+    want = [[t.substitute(w).tolist() for w in words] for t in alone]
+    shared = [ImageTable(table) for table in tables]
+    got = {}
+
+    def work(i):
+        got[i] = [[t.substitute(w).tolist() for w in words] for t in shared]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: want for i in range(4)}
+    assert ([[b[4] for b in t.py_blocks] for t in shared]
+            == [[b[4] for b in t.py_blocks] for t in alone])
+
+
+def test_a_stacked_table_stays_linear_in_its_maps():
+    # the fifth powers of the 224 Nielsen moves of F_8, blocks of up to
+    # six letters for the block stack, take 32 slots each; a seam cache
+    # with an entry for every slot of the table would hold 7168^2 of them.
+    # Only slots of one map meet, so each slot's cache holds slots of its
+    # own map alone, at most 32, and none before a word goes through
+    powers = []
+    for phi in nielsen_measure(8).support:
+        power = phi
+        for _ in range(4):
+            power = compose(power, phi)
+        powers.append(power)
+    stack = MapStack(powers)
+    table = stack._table
+    stride = table.stride
+    assert (stride, table.lens.size) == (32, 224 * stride)
+    assert not any(b[4] for b in table.py_blocks)
+    maps = list(range(224))
+    states = [[Word._wrap(random_reduced(m, 100 + m % 50, rank=8), 8)] for m in maps]
+    out = stack.images(maps, states)
+    assert out == [images(stack.phis[m], ws) for m, ws in zip(maps, states)]
+    caches = [b[4] for b in table.py_blocks]
+    assert sum(map(len, caches)) > 0
+    assert all(a // stride == b // stride for b, cache in enumerate(caches) for a in cache)
+
+
 @pytest.mark.parametrize("left, right", [(5, 5), (0, 5), (5, 0)])
-@pytest.mark.parametrize("depth", [1, SEAM_LETTERS - 1, SEAM_LETTERS, SEAM_LETTERS + 1,
-                                   SEAM_LETTERS + WINDOW - 1, SEAM_LETTERS + WINDOW,
-                                   SEAM_LETTERS + WINDOW + 1, SEAM_LETTERS + 3 * WINDOW,
-                                   5000])
-def test_seam_cancels_exactly_its_depth(depth, left, right):
+@pytest.mark.parametrize("depth", [1, 2, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW - 1,
+                                   3 * WINDOW, 3 * WINDOW + 1, 5000])
+def test_seam_cancels_exactly_its_depth(depth, left, right, monkeypatch):
     # a -> r g, b -> g^{-1} s sends a b to r s: the seam cancels |g| deep,
-    # all of what came before it when r is empty, the whole block when s is
+    # all of what came before it when r is empty, the whole block when s
+    # is.  The windows of `common_suffix` end at WINDOW and 3 WINDOW
+    # letters.  The seam of the slot pair (a, b) is |g|: the cache answers
+    # it below the |r g| letters kept of block a, and with r empty, where
+    # all of block a is in the seam, the windows of the prefix go on
+    # past it
     g = random_reduced(depth, depth, rank=2).tolist()
     r, s = [3] * left, [3] * right
     images = [np.array(r + g, dtype=np.int8),
@@ -248,6 +341,27 @@ def test_seam_cancels_exactly_its_depth(depth, left, right):
     for word in ([1, 2], [3, 1, 2, 3], [1, 2, 1, 2]):
         check(images, np.array(word, dtype=np.int8))
     assert ImageTable(images).substitute(np.array([1, 2], dtype=np.int8)).tolist() == r + s
+    hits, fallbacks = seam_reads(monkeypatch, images, np.array([3, 1, 2, 3], dtype=np.int8))
+    assert (hits, fallbacks) == ((1, []) if left else (0, [(depth, depth)]))
+
+
+def test_seam_cache_holds_only_inside_the_kept_letters(monkeypatch):
+    # a -> r g, b -> g^{-1} s, c -> x s^{-1} r^{-1}, d -> x^{-1} a: the
+    # cached seam of (a, b) is |g|.  In a b block a is kept whole, |r g|
+    # letters, and the cache answers.  In c a b the cache answers (c, a),
+    # whose seam is r; block a then keeps |g| letters, so the seam of
+    # (a, b) reads on past them through s^{-1} into c's block: block b
+    # cancels whole, and c a b maps to x.  Of it nothing is kept, so the
+    # seam of d into x is measured by windows of the prefix alone
+    g = random_reduced(7, 3 * WINDOW, rank=2).tolist()
+    r, s, x = [3, 4] * WINDOW, [4, 3] * 5, [-4]
+    inv = lambda w: [-y for y in reversed(w)]
+    images = [np.array(w, dtype=np.int8)
+              for w in (r + g, inv(g) + s, x + inv(s) + inv(r), inv(x) + [1])]
+    word = np.array([1, 2, 3, 1, 2, 4], dtype=np.int8)
+    check(images, word)
+    hits, fallbacks = seam_reads(monkeypatch, images, word)
+    assert (hits, fallbacks) == (2, [(len(g), len(g) + len(s)), (0, 1)])
 
 
 def peel(letters) -> list:
