@@ -52,11 +52,13 @@ runs each batch through one `substitute` call.  Its words come in
 groups, each read in a map of the table; every word operation of
 `automorphisms` on one map (compose, apply, the inverse check, the orbit
 step of a lone path) is a group of one on that map's own table, and the
-walks step many paths at once, each a group through its own map.  One
-table stacks the maps (`ImageTable(*maps)`): map m takes the slots from
-m * stride on, stride the least power of two of at least 2R+2, so that
-a letter's slot in its map is its two's-complement bits below the
-stride, one bitwise and with no division.  The separator is letter R+1,
+walks step many paths at once, each a group through its own map, as the
+brackets of a walk step (`spectral.brackets`) step their power orbits,
+each a group through its own power.  One table stacks the maps
+(`ImageTable(*maps)`): map m takes the slots from m * stride on, stride
+the least power of two of at least 2R+2, so that a letter's slot in its
+map is its two's-complement bits below the stride, one bitwise and with
+no division.  The separator is letter R+1,
 the slot that is also slot -(R+1) of a map; it maps to `SEP`, a letter
 no generator of rank below 127 uses, so neither regime ever cancels it
 and no word cancels into its neighbour.  On a one-map table the int8
@@ -97,9 +99,10 @@ SMALL = 192
 # vectorized regime; see the module docstring.
 SHORT_BLOCK = 4
 
-# The letter that separator slots map to, and the input-letter cap of a
-# batch; see the module docstring.
+# The letter that separator slots map to, as a letter and as a byte, and
+# the input-letter cap of a batch; see the module docstring.
 SEP = 127
+SEP_BYTE = bytes([SEP])
 BATCH_CAP = 1 << 15
 
 # A `Reading` keeps the first HEAD letters of a word as bytes and as one
@@ -126,10 +129,6 @@ def as_array(letters) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("letters must be one-dimensional")
     return arr
-
-
-def empty() -> np.ndarray:
-    return np.empty(0, dtype=DTYPE)
 
 
 def stack_reduce(letters) -> list:
@@ -179,10 +178,6 @@ def reduce_array(arr: np.ndarray) -> np.ndarray:
     return np.array(stack_reduce(arr.tolist()), dtype=DTYPE)
 
 
-def invert_array(arr: np.ndarray) -> np.ndarray:
-    return (-arr[::-1]).copy()
-
-
 class ImageTable:
     """Per-letter image words of one or more maps, in gather-friendly form.
 
@@ -203,34 +198,33 @@ class ImageTable:
         self.sep = rank + 1
         self.stride = 1 << (2 * rank + 1).bit_length()
         self.sep_word = np.array([self.sep], dtype=DTYPE) if self.sep <= SEP else None
-        blocks = []
+        # per slot, the block as bytes: slot -l of a map holds the inverse
+        # of its slot l, the reversed bytes of the block, each negated
+        pad = [b""] * (self.stride - 2 * rank - 2)
+        raw = []
         for images in maps:
-            blocks += ([empty()] + list(images) + [np.array([SEP], dtype=DTYPE)]
-                       + [empty()] * (self.stride - 2 * rank - 2)
-                       + [invert_array(img) for img in reversed(images)])
-        self.lens = np.array([b.size for b in blocks], dtype=np.int64)
-        self.longest = int(self.lens.max())
+            fwd = [img.tobytes() for img in images]
+            raw += [b""] + fwd + [SEP_BYTE] + pad + [b[::-1].translate(NEG) for b in reversed(fwd)]
+        sizes = [len(b) for b in raw]
+        self.lens = np.array(sizes, dtype=np.int64)
+        self.longest = max(sizes)
         # blocks as the rows of one zero-padded matrix when every block is
         # short: substituting is then one row gather and dropping the zeros
         self.rows = None
         if self.longest <= SHORT_BLOCK:
-            self.rows = np.zeros((len(blocks), self.longest), dtype=DTYPE)
-            for row, b in zip(self.rows, blocks):
-                row[:b.size] = b
-        # per slot, for the block stack on bytearrays: the block as bytes
-        # and its length, the byte that cancels its first letter (256,
-        # which no byte equals, for the empty block; the separator's, -SEP,
-        # no word holds), the bytes of the inverse block, whose suffixes are
-        # what the block cancels (slot -l of a map holds the inverse of its
-        # slot l), and the slot's seam cache: slot b's maps a slot a, once
+            self.rows = np.frombuffer(b"".join([b.ljust(self.longest, b"\0") for b in raw]),
+                                      dtype=DTYPE).reshape(len(raw), self.longest)
+        # per slot, for the block stack on bytearrays: the block and its
+        # length, the byte that cancels its first letter (256, which no
+        # byte equals, for the empty block; the separator's, -SEP, no word
+        # holds), the inverse block, whose suffixes are what the block
+        # cancels, and the slot's seam cache: slot b's maps a slot a, once
         # met before it, to the seam of the pair (a, b).  Only slots of one
         # map meet, a word at a time, so a cache holds at most `stride`
         # entries and a table stays linear in its maps
-        raw = [b.tobytes() for b in blocks]
-        heads = [-int(b[0]) & 0xFF if b.size else 256 for b in blocks]
         mask = self.stride - 1
-        self.py_blocks = [(raw[l], len(raw[l]), heads[l], raw[l & ~mask | -l & mask], {})
-                          for l in range(len(blocks))]
+        self.py_blocks = [(raw[l], sizes[l], NEG[raw[l][0]] if sizes[l] else 256,
+                           raw[l & ~mask | -l & mask], {}) for l in range(len(raw))]
 
     def substitute(self, word: np.ndarray) -> np.ndarray:
         """Apply the substitution to a reduced word and reduce the result.

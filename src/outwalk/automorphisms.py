@@ -52,7 +52,6 @@ __all__ = [
     "letter_counts",
     "abelianization",
     "image_abelianization",
-    "endomorphism_images",
     "parse_automorphism",
     "automorphism_to_str",
     "identity_automorphism",
@@ -128,25 +127,19 @@ def apply(phi: Automorphism, w: Word, *, budget: int | None = None) -> Word:
 
 
 def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
-    """Reduced images of the words under phi, a group of one on phi's
-    table (`_one_map`).  Raises WordBudgetExceeded for the first word,
-    in input order, whose substitution needs more letters than the
-    budget.
+    """Reduced images of the words under phi, from one kernel call per
+    batch, a group of one on phi's table.  Raises WordBudgetExceeded for
+    the first word, in input order, whose substitution needs more letters
+    than the budget.
     """
     words = list(words)
     if any(w.rank != phi.rank for w in words):
         raise ValueError("rank mismatch")
-    return _one_map(phi._table, words, phi.rank,
-                    DEFAULT_LETTER_BUDGET if budget is None else budget)
-
-
-def _one_map(table: ImageTable, words: list, rank: int, budget: int) -> list:
-    """The reduced images of the words through a one-map table, from one
-    kernel call per batch; raises the group's WordBudgetExceeded."""
-    [out] = lockstep_substitute(table, [0], [[w.letters for w in words]], budget)
+    [out] = lockstep_substitute(phi._table, [0], [[w.letters for w in words]],
+                                DEFAULT_LETTER_BUDGET if budget is None else budget)
     if isinstance(out, WordBudgetExceeded):
         raise out
-    return [Word._wrap(a, rank) for a in out]
+    return [Word._wrap(a, phi.rank) for a in out]
 
 
 def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:
@@ -249,21 +242,6 @@ def image_abelianization(images) -> IntMatrix:
     """The abelianization of the map x_{i+1} -> images[i], from the signed
     letter counts of its generator images."""
     return IntMatrix(tuple(tuple(p - q for p, q in letter_counts(w)) for w in images))
-
-
-def endomorphism_images(table, words) -> list:
-    """Reduced images of the reduced words under the map x_j -> table[j-1],
-    a group of one on its table, as `images` gives them under an
-    automorphism with those generator images.
-
-    No letter budget applies: the caller bounds the sizes.  The map need
-    not be invertible, so no `Automorphism` is built for it.
-    """
-    words = list(words)
-    r = len(table)
-    if any(w.rank != r for w in (*table, *words)):
-        raise ValueError("rank mismatch")
-    return _one_map(ImageTable([w.letters for w in table]), words, r, sys.maxsize)
 
 
 def identity_automorphism(rank: int) -> Automorphism:

@@ -14,20 +14,32 @@ The point estimate is the last log length ratio |phi^k(c)| / |phi^{k-1}(c)|
 of a seed loop c.  Both bounds hold with no irreducibility hypothesis.
 
 Powers of phi are never composed.  A bracket needs only the N
-generator images phi(x_i) (`bracket_images`; walks pass the images they
+generator images phi(x_i) (`brackets`; walks pass the images they
 track).  One orbit of reduced generator images gives at every step the
 conjugacy lengths of the N^2 candidate loops c under phi^k
 (`outer_metric.candidate_lengths`): dist(phi^k) and the ratios of every
 candidate at once.  The orbit is associated as
 phi^k(x_i) = phi^(k-1)(phi(x_i)): the previous step's images form the
-substitution table (`automorphisms.endomorphism_images`), and the N
-short words phi(x_i) are its input, so each step feeds the kernel a few
-letters and copies long blocks whole.  The letter budget keeps the rule
-of the other association, substituting phi into phi^(k-1)(x_i): the raw
-size of step k for x_i is the unsigned letter counts of phi^(k-1)(x_i)
-dotted with the lengths |phi(x_j)|.  The orbit stops at the first step
-whose raw size exceeds the budget, and a bracket then reports the steps
-it completed.
+substitution table, and the N short words phi(x_i) are its input, so
+each step feeds the kernel a few letters and copies long blocks whole.
+The letter budget keeps the rule of the other association, substituting
+phi into phi^(k-1)(x_i): the raw size of step k for x_i is the unsigned
+letter counts of phi^(k-1)(x_i) dotted with the lengths |phi(x_j)|.
+The orbit stops at the first step whose raw size exceeds the budget,
+and a bracket then reports the steps it completed.
+
+`brackets` is the one power-orbit path, and it brackets many maps at
+once: a walk step passes the tracked images of all its paths, and
+`bracket` is a batch of one.  The orbits step in lockstep
+(`_power_orbits`): power step k substitutes every map's short words
+phi(x_i) through its own phi^(k-1), each a map of one stacked kernel
+table, in one `_wordkernel.lockstep_substitute` call, so the call
+overhead of a step is paid once, not once per map.  An orbit whose raw
+size may pass `BATCH_CAP` letters leaves the group and runs alone, on a
+table of its own, to its end before the group's next step, as a long
+path does in `walk_engine._inverse_orbit`: a stacked step holds the
+powers of all its maps at once.  The budget rule, the lengths read and
+the floats of each map are those it gets alone.
 
 A bracket takes its lower bound from the caller: `bracket` passes
 `stretch_lower(phi)`, and a walk step brackets the abelianizations of
@@ -38,12 +50,13 @@ gives each matrix the bracket it gets alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import (Automorphism, cyclic_images, endomorphism_images,
-                            image_abelianization, letter_counts)
+from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, Word, WordBudgetExceeded
+from ._wordkernel import BATCH_CAP, ImageTable, lockstep_substitute
+from .automorphisms import Automorphism, cyclic_images, image_abelianization, letter_counts
 from .matrix_oracle import BitBudgetExceeded, spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
@@ -53,7 +66,7 @@ __all__ = [
     "stretch_lowers",
     "stretch_ratio",
     "bracket",
-    "bracket_images",
+    "brackets",
 ]
 
 CONVERGE_TOL = 1e-3  # on logs; experiments read results at 1e-2 resolution
@@ -123,30 +136,82 @@ def _orbit(step, words, steps: int):
         yield words
 
 
-def _power_step(images, budget: int, words) -> list:
-    """phi^k(x_i) = phi^(k-1)(phi(x_i)) from words[i] = phi^(k-1)(x_i),
-    for the map phi with generator images `images`; words None stands
-    for phi^0, the identity, and gives phi^1 = images.
+def _power_cut(images, words, budget: int) -> int:
+    """The raw size of the first x_i over the budget in the power step
+    phi^k(x_i) = phi^(k-1)(phi(x_i)) of the map phi with generator images
+    `images`, from words[i] = phi^(k-1)(x_i), or 0 when the step fits;
+    words None stands for phi^0, the identity, whose step gives
+    phi^1 = images.
 
-    Raises WordBudgetExceeded for the first i whose raw size, the
-    unsigned letter counts of words[i] dotted with |phi(x_j)|, exceeds
-    the budget: the size of substituting phi into words[i], which is
+    The raw size of x_i is the unsigned letter counts of words[i] dotted
+    with |phi(x_j)|, the size of substituting phi into words[i], which is
     |phi(x_i)| at k = 1.
     """
     sizes = [len(w) for w in images]
     if words is None:
-        over = [size for size in sizes if size > budget]
-        if over:
-            raise WordBudgetExceeded(over[0], budget)
-        return list(images)
+        return next((size for size in sizes if size > budget), 0)
     longest = max(sizes)
     for w in words:
         if len(w) * longest <= budget:
             continue  # the raw size is at most that; no need to count
         raw = sum((p + q) * size for (p, q), size in zip(letter_counts(w), sizes))
         if raw > budget:
-            raise WordBudgetExceeded(raw, budget)
-    return endomorphism_images(words, images)
+            return raw
+    return 0
+
+
+def _power_orbits(image_sets, steps: int, budget: int) -> list:
+    """The candidate lengths along the power orbit of each map phi given
+    by its generator images image_sets[p]: the rows
+    candidate_lengths(phi^k(x_i)) for k = 1, 2, ..., up to `steps` or the
+    last step within the budget (`_power_cut`), or the WordBudgetExceeded
+    of step 1 when phi itself passes the budget.
+
+    The orbits run in lockstep: power step k substitutes the short words
+    phi(x_i) of every live map through its own phi^(k-1), each a map of
+    one stacked `ImageTable`, in one `lockstep_substitute` call.  An
+    orbit whose raw size may pass BATCH_CAP, the total length of its
+    words times the longest |phi(x_j)|, leaves the group and runs alone,
+    on a table of its own, to its end before the group's next step, so
+    at most one long orbit is held at a time.
+    """
+    rows, words = [], {}
+    for p, images in enumerate(image_sets):
+        needed = _power_cut(images, None, budget)
+        rows.append(WordBudgetExceeded(needed, budget) if needed else [candidate_lengths(images)])
+        if not needed:
+            words[p] = images
+
+    def advance(live, k):
+        while k <= steps:
+            if len(live) > 1:
+                short = []
+                for p in live:
+                    longest = max(len(w) for w in image_sets[p])
+                    if sum(len(w) for w in words[p]) * longest >= BATCH_CAP:
+                        advance([p], k)
+                    else:
+                        short.append(p)
+                live = short
+            for p in live:
+                if _power_cut(image_sets[p], words[p], budget):
+                    del words[p]  # the orbit ends at its last step within the budget
+            live = [p for p in live if p in words]
+            if not live:
+                return
+            table = ImageTable(*[[w.letters for w in words[p]] for p in live])
+            out = lockstep_substitute(table, list(range(len(live))),
+                                      [[w.letters for w in image_sets[p]] for p in live],
+                                      sys.maxsize)
+            for p, arrs in zip(live, out):
+                words[p] = [Word._wrap(a, len(image_sets[p])) for a in arrs]
+                rows[p].append(candidate_lengths(words[p]))
+            k += 1
+        for p in live:
+            del words[p]
+
+    advance(list(words), 2)
+    return rows
 
 
 def _point(lengths: list, complete: bool) -> tuple[float, bool]:
@@ -154,12 +219,13 @@ def _point(lengths: list, complete: bool) -> tuple[float, bool]:
     orbit lengths[0..k] and whether it converged.
 
     It converged when the orbit ran all its steps and the ratio moved by
-    less than CONVERGE_TOL over the last one.
+    less than CONVERGE_TOL over the last one; an orbit that ran all its
+    steps has at least two ratios.
     """
-    ratios = [[math.log(b / a) for a, b in zip(u, v)] for u, v in zip(lengths, lengths[1:])]
-    last = ratios[-1]
+    before, after = lengths[-2], lengths[-1]
+    last = [math.log(b / a) for a, b in zip(before, after)]
     i = max(range(len(last)), key=last.__getitem__)
-    return last[i], complete and abs(last[i] - ratios[-2][i]) < CONVERGE_TOL
+    return last[i], complete and abs(last[i] - math.log(before[i] / lengths[-3][i])) < CONVERGE_TOL
 
 
 def stretch_ratio(
@@ -186,32 +252,47 @@ def bracket(
     *,
     budget: int | None = None,
 ) -> StretchBracket:
-    """Assemble lower/upper/point for log lambda(phi).
+    """Assemble lower/upper/point for log lambda(phi): `brackets` of the
+    one map phi, with the lower bound `stretch_lower(phi)`.
 
-    One orbit of the generator images runs max(2, k_max) steps.  The
-    upper bound is the best dist(phi^k)/k over k = 1..k_max; the point
-    estimate is the largest last log ratio over the candidate loops,
-    which tracks the dominant growth stratum.  When the letter budget
-    cuts the orbit off, both use the steps completed, and k_used records
-    how many of them entered the upper bound.
+    Raises WordBudgetExceeded when not even phi's own images fit the
+    budget.
     """
-    return bracket_images(phi.images, k_max, lower=stretch_lower(phi), budget=budget)
+    [br] = brackets([phi.images], [stretch_lower(phi)], k_max, budget=budget)
+    if isinstance(br, WordBudgetExceeded):
+        raise br
+    return br
 
 
-def bracket_images(images, k_max: int = DEFAULT_K_MAX, *, lower: float,
-                   budget: int | None = None) -> StretchBracket:
-    """`bracket` of the map phi given by its reduced generator images
-    images[i] = phi(x_i), whose orbit it runs, and the lower bound
-    `stretch_lower(phi)`, which it takes as given."""
+def brackets(image_sets, lowers, k_max: int = DEFAULT_K_MAX, *,
+             budget: int | None = None) -> list:
+    """The bracket of each map phi given by its reduced generator images
+    images[i] = phi(x_i), with the lower bound `stretch_lower(phi)` taken
+    as given from `lowers`, from one lockstep run of their power orbits
+    (`_power_orbits`).
+
+    Each orbit runs max(2, k_max) steps.  The upper bound is the best
+    dist(phi^k)/k over k = 1..k_max; the point estimate is the largest
+    last log ratio over the candidate loops, which tracks the dominant
+    growth stratum.  When the letter budget cuts an orbit off, both use
+    the steps completed, and k_used records how many of them entered the
+    upper bound.  The item of a map whose own images pass the budget is
+    its WordBudgetExceeded.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    rank = len(images)
-    loops = candidates(rank)
+    image_sets = list(image_sets)
     steps = max(2, k_max)
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    orbit = _orbit(partial(_power_step, images, b), None, steps)
-    lengths = [[len(c) for c in loops]] + [candidate_lengths(words) for words in orbit]
-    k_used = min(len(lengths) - 1, k_max)
-    upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
-    point, converged = _point(lengths, len(lengths) > steps)
-    return StretchBracket(lower, upper, point, k_used, converged)
+    out = []
+    for images, lower, rows in zip(image_sets, lowers, _power_orbits(image_sets, steps, b)):
+        if isinstance(rows, WordBudgetExceeded):
+            out.append(rows)
+            continue
+        loops = candidates(len(images))
+        lengths = [[len(c) for c in loops]] + rows
+        k_used = min(len(lengths) - 1, k_max)
+        upper = min(log_stretch(loops, lengths[k]) / k for k in range(1, k_used + 1))
+        point, converged = _point(lengths, len(lengths) > steps)
+        out.append(StretchBracket(lower, upper, point, k_used, converged))
+    return out

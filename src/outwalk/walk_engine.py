@@ -13,13 +13,13 @@ increment; none forms Phi_n by composing forward.  Drift and brackets
 track the N reduced generator images Phi_n^{-1}(x_i) (step
 `MapStack.images`): drift reads the distance off them at every step
 (`outer_metric.image_dist`, which reads exact candidate lengths only
-while their size bounds can still beat the best ratio), and a bracket
-reads its powers off them (`spectral.bracket_images`) on the geometric
-schedule, with the lower bound that one `spectral_radii` batch gives
-for the abelianizations of all paths of the step
-(`spectral.stretch_lowers`).  Conjugacy growth tracks the seed classes
-g, cyclically reduced, since conjugacy length is a class function (step
-`MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
+while their size bounds can still beat the best ratio), and the brackets
+of a scheduled step read their powers off them in one batch of all
+paths of the step (`spectral.brackets`, whose power orbits step in
+lockstep), with the lower bounds that one `spectral_radii` batch gives
+for their abelianizations (`spectral.stretch_lowers`).  Conjugacy
+growth tracks the seed classes g, cyclically reduced, since conjugacy
+length is a class function (step `MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
 substituted through each other, so they track the automorphism
 Phi_n^{-1} itself (step `MapStack.compose`), which carries Phi_n as its
 inverse images, and record on the geometric schedule only.  The matrix
@@ -52,7 +52,9 @@ one call per path.  A path with a word whose raw image passes the
 letter budget is cut and dropped before the batch is substituted.
 So the call overhead of a step is paid once per batch, not once per
 path.  One `record` call then reads the new states of all of them, so
-that a spectral step brackets their abelianizations in one batch.
+that a spectral step brackets them in one batch: one `spectral_radii`
+batch of their abelianizations, and one kernel call per power step for
+all their power orbits but those that pass `BATCH_CAP`, which run alone.
 Gromov products compose path by path inside the same loop, since there
 each path's state is a table of its own.  A path whose input passes
 `BATCH_CAP` letters leaves the group and runs alone to its end, through
@@ -87,7 +89,7 @@ from .matrix_oracle import (
     vector_growth,
 )
 from .outer_metric import gromov_product, image_dist
-from .spectral import bracket_images, stretch_lowers
+from .spectral import brackets, stretch_lowers
 from .rng import categorical, cumulative, path_generator
 
 __all__ = [
@@ -443,20 +445,24 @@ def spectral_experiment(
 
     The path tracks the N reduced generator images Phi_n^{-1}(x_i), as
     drift does, and is cut off at the same step; at a scheduled n the
-    bracket reads those images (`spectral.bracket_images`), and its lower
-    bound comes from one batch over the paths of the step
-    (`spectral.stretch_lowers`), the same as each path's alone.  Orbit
+    brackets of all paths of the step read those images in one batch
+    (`spectral.brackets`), and their lower bounds come from one batch
+    (`spectral.stretch_lowers`), each the same as the path's alone.  Orbit
     words under k-th powers blow up like lambda^k, so the bracket depth is
     downgraded per record whenever the letter budget cuts the orbit off.
     The first orbit step is the tracked images themselves, which fit the
-    budget; a bracket that raised anyway would mark only its record
-    truncated (`_on_schedule`).
+    budget; a bracket over the budget anyway, a WordBudgetExceeded item
+    of the batch, would mark only its record truncated (`_on_schedule`).
     """
     rank = measure.rank
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
-    def record(n, tracked, lower):
-        br = bracket_images(tracked, k_max, lower=lower, budget=letter_budget)
+    def bracket_all(states):
+        return brackets(states, stretch_lowers(states), k_max, budget=letter_budget)
+
+    def record(n, _, br):
+        if isinstance(br, WordBudgetExceeded):
+            raise br
         status = "ok" if br.k_used >= k_max else "downgraded"
         return [("spectral.lower", br.lower / n, status),
                 ("spectral.upper", br.upper / n, status),
@@ -464,7 +470,7 @@ def spectral_experiment(
                 ("spectral.k_used", float(br.k_used), status)]
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.images,
-                            _on_schedule(record, "spectral.upper", n_max, stretch_lowers),
+                            _on_schedule(record, "spectral.upper", n_max, bracket_all),
                             n_max=n_max, budget=letter_budget)
     return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)
 

@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 from outwalk._wordkernel import BATCH_CAP, ImageTable
-from outwalk.automorphisms import automorphism_to_str, endomorphism_images, images
+from outwalk.automorphisms import automorphism_to_str, images
 from outwalk.cli import main
 from outwalk.free_group import Word
+from outwalk.spectral import bracket
 
 THETA = "rank = 3\ngen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
 
@@ -159,8 +160,8 @@ def test_substitute_is_reached_only_through_lockstep_substitute(tmp_path, measur
                                                                  monkeypatch):
     # the kernel has one batch entry: every `substitute` call comes from
     # `lockstep_substitute`, and a one-map table gets the int8 letters as
-    # they are, from `images`, `endomorphism_images` and the steps of a
-    # path that runs alone once its words pass BATCH_CAP
+    # they are, from `images`, the power step of a lone bracket and the
+    # steps of a path that runs alone once its words pass BATCH_CAP
     calls = []
     substitute = ImageTable.substitute
 
@@ -173,7 +174,7 @@ def test_substitute_is_reached_only_through_lockstep_substitute(tmp_path, measur
     phi = measures["niel"].support[5]
     gens = [Word.generator(i, 3) for i in (1, 2, 3)]
     images(phi, gens)
-    endomorphism_images(phi.images, gens)
+    bracket(phi, 2)
     assert [call[1:3] for call in calls] == [(True, np.int8)] * 2
     assert body_digest(tmp_path, config_text(measures, "conjugacy-batch")) == DIGESTS[
         "conjugacy-batch"]

@@ -20,7 +20,8 @@ from outwalk import matrix_oracle, spectral
 from outwalk.matrix_oracle import (GELFAND_MAX_J, IntMatrix, MatrixBracket, guivarch_series,
                                    spectral_radius)
 from outwalk.outer_metric import candidate_lengths, dist
-from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, stretch_lower,
+from outwalk.cli import main
+from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, brackets, stretch_lower,
                               stretch_ratio)
 from outwalk.walk_engine import sample_path, spectral_experiment
 
@@ -171,6 +172,17 @@ def test_bracket_k_used_at_the_raw_image_sizes(phi, k_max):
                 assert bracket(phi, k_max, budget=budget).k_used == min(fits, k_max)
 
 
+def test_an_orbit_cut_at_k_1_reads_its_one_ratio():
+    # budget 2 fits FIB's images but not its square: the point estimate
+    # reads two length rows, whose one ratio row it cannot test for
+    # convergence
+    br = bracket(FIB, 4, budget=2)
+    before, after = (candidate_lengths(power(FIB, k).images) for k in (0, 1))
+    assert br.k_used == 1 and not br.converged
+    assert br.point == max(math.log(b / a) for a, b in zip(before, after))
+    assert br.upper == pytest.approx(stretch_upper(FIB, 1))
+
+
 def test_bracket_refuses_k_max_below_1():
     for k_max in (0, -3):
         with pytest.raises(ValueError, match="k_max"):
@@ -308,3 +320,59 @@ def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
     assert [lower for _, lower, _, _ in rows] == [-1.0 / n for n in range(1, 6)]
     assert stretch_lower(ASYM) == -1.0
     assert bracket(ASYM, 2).lower == -1.0
+
+
+def spy_on_power_steps(monkeypatch) -> list:
+    """Log (groups, stacked table, the words of each group) per
+    `lockstep_substitute` call of the power orbits."""
+    calls = []
+    substitute = spectral.lockstep_substitute
+
+    def spy(table, maps, groups, budget):
+        calls.append((len(groups), table.lens.size > table.stride, groups))
+        return substitute(table, maps, groups, budget)
+
+    monkeypatch.setattr(spectral, "lockstep_substitute", spy)
+    return calls
+
+
+def test_power_orbits_step_in_lockstep(niel, monkeypatch):
+    # the short orbits of a group share one `lockstep_substitute` call per
+    # power step, each a map of one stacked table; the long orbit passes
+    # BATCH_CAP at k = 3 and runs alone, on a table of its own, through
+    # k = 3 and 4 before the group's next call
+    def walk_images(seed, n):
+        *_, (_, _, inv) = sample_path(niel, seed, 0, n)
+        return list(inv.images)
+
+    image_sets = [walk_images(0, 4), walk_images(2, 15), walk_images(0, 8), walk_images(0, 12)]
+    want = [brackets([ims], [0.0], 4)[0] for ims in image_sets]
+    calls = spy_on_power_steps(monkeypatch)
+    assert brackets(image_sets, [0.0] * 4, 4) == want
+    assert [call[:2] for call in calls] == [(4, True), (1, False), (1, False), (3, True), (3, True)]
+    for _, _, [words] in calls[1:3]:
+        assert all(a is w.letters for a, w in zip(words, image_sets[1]))
+
+
+def test_bracket_and_the_stretch_kind_are_a_batch_of_one(tmp_path, monkeypatch):
+    sizes = []
+    batch = spectral.brackets
+    want = batch([ASYM.images], [stretch_lower(ASYM)], 5)[0]
+
+    def spy(image_sets, lowers, k_max, *, budget=None):
+        image_sets = list(image_sets)
+        sizes.append(len(image_sets))
+        return batch(image_sets, lowers, k_max, budget=budget)
+
+    monkeypatch.setattr(spectral, "brackets", spy)
+    calls = spy_on_power_steps(monkeypatch)
+    br = bracket(ASYM, 5)
+    assert br == want
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    cfg.write_text("kind = stretch\nk_max = 5\nrank = 3\n"
+                   "gen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert f"stretch,0,0,stretch.upper,{br.upper!r},ok" in out.read_text().splitlines()
+    assert sizes == [1, 1]
+    # four power steps each, one group on the map's own table
+    assert [call[:2] for call in calls] == [(1, False)] * 8

@@ -25,7 +25,7 @@ from outwalk.automorphisms import (
 )
 from outwalk.matrix_oracle import IntMatrix
 from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
-from outwalk.spectral import CONVERGE_TOL, bracket, bracket_images, stretch_lower, stretch_lowers
+from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower, stretch_lowers
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -505,10 +505,8 @@ def kind_reference(kind, rank, settings, seeds=None):
         def spectral_records(n, ims):
             if n not in schedule:
                 return []
-            try:
-                br = bracket_images(ims, settings["k_max"], budget=budget,
-                                    lower=stretch_lowers([ims])[0])
-            except WordBudgetExceeded:
+            [br] = brackets([ims], stretch_lowers([ims]), settings["k_max"], budget=budget)
+            if isinstance(br, WordBudgetExceeded):
                 return [("spectral.upper", float("nan"), "truncated")]
             status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
             return [("spectral.lower", br.lower / n, status),
@@ -578,28 +576,38 @@ def test_lockstep_records_equal_one_path_references(kind, threads, niel, sl3):
 
 
 def test_spectral_records_do_not_depend_on_the_group(niel, monkeypatch):
-    # a spectral step brackets the abelianizations of all its paths in
-    # one `spectral_radii` batch: path 0 gets the same records alone, as
-    # one of four, and as one of two at two threads
-    batches = []
-    radii = spectral.spectral_radii
+    # a spectral step brackets all its paths in one batch: one
+    # `spectral_radii` batch of their abelianizations, and one lockstep
+    # run of their power orbits, in which an orbit past BATCH_CAP leaves
+    # the group and runs alone.  Each path gets the same records stepped
+    # alone, as one of sixteen, and as one of eight at two threads
+    batches, tables = [], []
+    radii, substitute = spectral.spectral_radii, spectral.lockstep_substitute
 
-    def spy(mats):
+    def radii_spy(mats):
         batches.append(len(mats))
         return radii(mats)
 
-    monkeypatch.setattr(spectral, "spectral_radii", spy)
-    settings = dict(n_max=32, k_max=4, master_seed=3, letter_budget=200_000)
-    runs = {}
-    for paths, threads in ((1, 1), (4, 1), (4, 2)):
+    def substitute_spy(table, maps, groups, budget):
+        tables.append(len(groups))
+        return substitute(table, maps, groups, budget)
+
+    monkeypatch.setattr(spectral, "spectral_radii", radii_spy)
+    monkeypatch.setattr(spectral, "lockstep_substitute", substitute_spy)
+    settings = dict(n_max=32, paths=16, k_max=4, master_seed=3, letter_budget=200_000)
+    alone = [repr(r) for r in one_path_records("spectral", niel, settings)]
+    for threads in (1, 2):
         batches.clear()
-        series = spectral_experiment(niel, paths=paths, threads=threads, **settings)
-        runs[paths, threads] = [repr(r) for r in series.records if r[0] == 0]
+        tables.clear()
+        series = spectral_experiment(niel, threads=threads, **settings)
+        assert [repr(r) for r in series.records] == alone
         if threads == 1:
-            assert set(batches) == {paths}
-    alone = runs[1, 1]
-    assert any("downgraded" in r for r in alone)
-    assert runs[4, 1] == alone and runs[4, 2] == alone
+            assert set(batches) == {16}
+            # orbits ran as a group of 16 and alone, after leaving it
+            assert max(tables) == 16 and 1 in tables
+    # the budget cuts the orbits at every k below k_max
+    k_used = {r[3] for r in series.records if r[2] == "spectral.k_used" and r[4] == "downgraded"}
+    assert k_used == {1.0, 2.0, 3.0}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
