@@ -100,7 +100,7 @@ SMALL = 192
 SHORT_BLOCK = 4
 
 # The letter that separator slots map to, as a letter and as a byte, and
-# the input-letter cap of a batch; see the module docstring.
+# the input-letter cap of a batch and of a lockstep item (`lockstep_orbits`).
 SEP = 127
 SEP_BYTE = bytes([SEP])
 BATCH_CAP = 1 << 15
@@ -284,6 +284,37 @@ def common_suffix(x, y, k: int) -> int:
             return k + ((d & -d).bit_length() - 1) // 8
         k, w = q, min(2 * w, WINDOW_MAX)
     return k
+
+
+def lockstep_orbits(items, size, step, first: int, last: int):
+    """Step the orbits of a list of items in lockstep for k = first..last,
+    and yield the outputs of each step in order.
+
+    step(k, group) steps a group of items once and returns the items
+    that go on and the step's outputs.  Before each step of a group, an
+    item with size(item) >= BATCH_CAP leaves it and runs alone through
+    last, or until its step drops it, before the group's next step:
+    long words gain nothing from sharing a kernel call, and only one
+    long item is held at a time.
+    """
+
+    def run(group, k):
+        while k <= last:
+            if len(group) > 1:
+                short = []
+                for item in group:
+                    if size(item) >= BATCH_CAP:
+                        yield from run([item], k)
+                    else:
+                        short.append(item)
+                group = short
+            if not group:
+                return
+            group, outputs = step(k, group)
+            yield from outputs
+            k += 1
+
+    return run(items, first)
 
 
 def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int) -> list:

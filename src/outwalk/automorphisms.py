@@ -180,8 +180,9 @@ class MapStack:
     one slot range per map), so that the words of all of them go through
     one kernel call per separated batch.  A single state goes through
     its map's own table, as `images` maps it, whose int8 letters index
-    the table as they are: a long word alone then holds no slot array of
-    eight bytes per letter.
+    the table as they are: a long word alone then builds no slot array,
+    a copy of the word in the narrowest dtype that holds the stack's
+    slots (uint8 for the 192 of the rank-3 NIEL stack) plus map offsets.
     `compose` maps state by state, since there each state is a table of
     its own.
     """

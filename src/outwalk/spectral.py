@@ -30,21 +30,19 @@ and a bracket then reports the steps it completed.
 
 `brackets` is the one power-orbit path, and it brackets many maps at
 once: a walk step passes the tracked images of all its paths, and
-`bracket` is a batch of one.  The orbits step in lockstep
-(`_power_orbits`): power step k substitutes every map's short words
-phi(x_i) through its own phi^(k-1), each a map of one stacked kernel
-table, in one `_wordkernel.lockstep_substitute` call, so the call
-overhead of a step is paid once, not once per map.  An orbit whose raw
-size may pass `BATCH_CAP` letters leaves the group and runs alone, on a
-table of its own, to its end before the group's next step, as a long
-path does in `walk_engine._inverse_orbit`: a stacked step holds the
-powers of all its maps at once.  The budget rule, the lengths read and
-the floats of each map are those it gets alone.
+`bracket` is a batch of one.  The orbits step in lockstep under
+`_wordkernel.lockstep_orbits` (`_power_orbits`), as the walk paths do:
+power step k substitutes every map's short words phi(x_i) through its
+own phi^(k-1), each a map of one stacked kernel table, in one
+`_wordkernel.lockstep_substitute` call, so the call overhead of a step
+is paid once, not once per map.  An orbit whose raw size may pass
+`BATCH_CAP` letters runs alone on a table of its own, since a stacked
+step holds the powers of all its maps at once.  The budget rule, the
+lengths read and the floats of each map are those it gets alone.
 
-A bracket takes its lower bound from the caller: `bracket` passes
-`stretch_lower(phi)`, and a walk step brackets the abelianizations of
-all its paths in one `spectral_radii` batch (`stretch_lowers`), which
-gives each matrix the bracket it gets alone.
+`brackets` reads the lower bounds of all its maps off one
+`spectral_radii` batch of their abelianizations (`stretch_lowers`),
+which gives each matrix the bracket it gets alone.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, Word, WordBudgetExceeded
-from ._wordkernel import BATCH_CAP, ImageTable, lockstep_substitute
+from ._wordkernel import ImageTable, lockstep_orbits, lockstep_substitute
 from .automorphisms import Automorphism, cyclic_images, image_abelianization, letter_counts
 from .matrix_oracle import BitBudgetExceeded, spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
@@ -139,17 +137,13 @@ def _orbit(step, words, steps: int):
 def _power_cut(images, words, budget: int) -> int:
     """The raw size of the first x_i over the budget in the power step
     phi^k(x_i) = phi^(k-1)(phi(x_i)) of the map phi with generator images
-    `images`, from words[i] = phi^(k-1)(x_i), or 0 when the step fits;
-    words None stands for phi^0, the identity, whose step gives
-    phi^1 = images.
+    `images`, from words[i] = phi^(k-1)(x_i), or 0 when the step fits.
 
     The raw size of x_i is the unsigned letter counts of words[i] dotted
-    with |phi(x_j)|, the size of substituting phi into words[i], which is
-    |phi(x_i)| at k = 1.
+    with |phi(x_j)|, the size of substituting phi into words[i]; at k = 1
+    the words are the generators x_i, and it is |phi(x_i)|.
     """
     sizes = [len(w) for w in images]
-    if words is None:
-        return next((size for size in sizes if size > budget), 0)
     longest = max(sizes)
     for w in words:
         if len(w) * longest <= budget:
@@ -167,50 +161,37 @@ def _power_orbits(image_sets, steps: int, budget: int) -> list:
     last step within the budget (`_power_cut`), or the WordBudgetExceeded
     of step 1 when phi itself passes the budget.
 
-    The orbits run in lockstep: power step k substitutes the short words
-    phi(x_i) of every live map through its own phi^(k-1), each a map of
-    one stacked `ImageTable`, in one `lockstep_substitute` call.  An
-    orbit whose raw size may pass BATCH_CAP, the total length of its
-    words times the longest |phi(x_j)|, leaves the group and runs alone,
-    on a table of its own, to its end before the group's next step, so
-    at most one long orbit is held at a time.
+    The orbits step in lockstep as the module docstring says, each an
+    item (p, phi(x_i), phi^(k-1)(x_i)) whose size bounds its raw size:
+    the total length of its words times the longest |phi(x_j)|.
     """
-    rows, words = [], {}
+    rows, items = [], []
     for p, images in enumerate(image_sets):
-        needed = _power_cut(images, None, budget)
+        rank = len(images)
+        needed = _power_cut(images, [Word.generator(i, rank) for i in range(1, rank + 1)], budget)
         rows.append(WordBudgetExceeded(needed, budget) if needed else [candidate_lengths(images)])
         if not needed:
-            words[p] = images
+            items.append((p, images, images))
 
-    def advance(live, k):
-        while k <= steps:
-            if len(live) > 1:
-                short = []
-                for p in live:
-                    longest = max(len(w) for w in image_sets[p])
-                    if sum(len(w) for w in words[p]) * longest >= BATCH_CAP:
-                        advance([p], k)
-                    else:
-                        short.append(p)
-                live = short
-            for p in live:
-                if _power_cut(image_sets[p], words[p], budget):
-                    del words[p]  # the orbit ends at its last step within the budget
-            live = [p for p in live if p in words]
-            if not live:
-                return
-            table = ImageTable(*[[w.letters for w in words[p]] for p in live])
-            out = lockstep_substitute(table, list(range(len(live))),
-                                      [[w.letters for w in image_sets[p]] for p in live],
-                                      sys.maxsize)
-            for p, arrs in zip(live, out):
-                words[p] = [Word._wrap(a, len(image_sets[p])) for a in arrs]
-                rows[p].append(candidate_lengths(words[p]))
-            k += 1
-        for p in live:
-            del words[p]
+    def size(item):
+        _, images, words = item
+        return sum(len(w) for w in words) * max(len(w) for w in images)
 
-    advance(list(words), 2)
+    def step(k, group):
+        # an orbit ends at its last step within the budget
+        group = [item for item in group if not _power_cut(item[1], item[2], budget)]
+        if not group:
+            return [], []
+        table = ImageTable(*[[w.letters for w in words] for _, _, words in group])
+        out = lockstep_substitute(table, list(range(len(group))),
+                                  [[w.letters for w in images] for _, images, _ in group],
+                                  sys.maxsize)
+        group = [(p, images, [Word._wrap(a, len(images)) for a in arrs])
+                 for (p, images, _), arrs in zip(group, out)]
+        return group, [(p, candidate_lengths(words)) for p, _, words in group]
+
+    for p, row in lockstep_orbits(items, size, step, 2, steps):
+        rows[p].append(row)
     return rows
 
 
@@ -253,23 +234,22 @@ def bracket(
     budget: int | None = None,
 ) -> StretchBracket:
     """Assemble lower/upper/point for log lambda(phi): `brackets` of the
-    one map phi, with the lower bound `stretch_lower(phi)`.
+    one map phi.
 
     Raises WordBudgetExceeded when not even phi's own images fit the
     budget.
     """
-    [br] = brackets([phi.images], [stretch_lower(phi)], k_max, budget=budget)
+    [br] = brackets([phi.images], k_max, budget=budget)
     if isinstance(br, WordBudgetExceeded):
         raise br
     return br
 
 
-def brackets(image_sets, lowers, k_max: int = DEFAULT_K_MAX, *,
-             budget: int | None = None) -> list:
+def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = None) -> list:
     """The bracket of each map phi given by its reduced generator images
-    images[i] = phi(x_i), with the lower bound `stretch_lower(phi)` taken
-    as given from `lowers`, from one lockstep run of their power orbits
-    (`_power_orbits`).
+    images[i] = phi(x_i): the lower bounds from one batch of them
+    (`stretch_lowers`, which raises on the bit budget), the rest from one
+    lockstep run of their power orbits (`_power_orbits`).
 
     Each orbit runs max(2, k_max) steps.  The upper bound is the best
     dist(phi^k)/k over k = 1..k_max; the point estimate is the largest
@@ -282,6 +262,7 @@ def brackets(image_sets, lowers, k_max: int = DEFAULT_K_MAX, *,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     image_sets = list(image_sets)
+    lowers = stretch_lowers(image_sets)
     steps = max(2, k_max)
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
     out = []

@@ -16,10 +16,9 @@ track the N reduced generator images Phi_n^{-1}(x_i) (step
 while their size bounds can still beat the best ratio), and the brackets
 of a scheduled step read their powers off them in one batch of all
 paths of the step (`spectral.brackets`, whose power orbits step in
-lockstep), with the lower bounds that one `spectral_radii` batch gives
-for their abelianizations (`spectral.stretch_lowers`).  Conjugacy
-growth tracks the seed classes g, cyclically reduced, since conjugacy
-length is a class function (step `MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
+lockstep).  Conjugacy growth tracks the seed classes g, cyclically
+reduced, since conjugacy length is a class function (step
+`MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
 substituted through each other, so they track the automorphism
 Phi_n^{-1} itself (step `MapStack.compose`), which carries Phi_n as its
 inverse images, and record on the geometric schedule only.  The matrix
@@ -52,16 +51,14 @@ one call per path.  A path with a word whose raw image passes the
 letter budget is cut and dropped before the batch is substituted.
 So the call overhead of a step is paid once per batch, not once per
 path.  One `record` call then reads the new states of all of them, so
-that a spectral step brackets them in one batch: one `spectral_radii`
-batch of their abelianizations, and one kernel call per power step for
-all their power orbits but those that pass `BATCH_CAP`, which run alone.
+that a spectral step brackets them in one batch (`spectral.brackets`).
 Gromov products compose path by path inside the same loop, since there
-each path's state is a table of its own.  A path whose input passes
-`BATCH_CAP` letters leaves the group and runs alone to its end, through
-its own map's table as a one-path run does, before the group's next
-step: long words gain nothing from sharing a call, and only one long
-path is held at a time.  The matrix kinds run their paths of a group
-one after the other.
+each path's state is a table of its own.  The paths are scheduled by
+`_wordkernel.lockstep_orbits`, as the power orbits of the brackets
+are, and a path whose input passes `BATCH_CAP` letters runs alone,
+through its own map's table as a one-path run does, by the rule stated
+there.  The matrix kinds run their paths of a group one after the
+other.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from functools import partial
 from itertools import islice
 
 from .free_group import Word, WordBudgetExceeded, word_to_str
-from ._wordkernel import BATCH_CAP
+from ._wordkernel import lockstep_orbits
 from .automorphisms import (
     Automorphism,
     MapStack,
@@ -89,7 +86,7 @@ from .matrix_oracle import (
     vector_growth,
 )
 from .outer_metric import gromov_product, image_dist
-from .spectral import brackets, stretch_lowers
+from .spectral import brackets
 from .rng import categorical, cumulative, path_generator
 
 __all__ = [
@@ -317,33 +314,22 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     and the identity as words, the tracked state is the automorphism
     Phi_n^{-1}.
 
-    A path whose input passes BATCH_CAP letters leaves the group and runs
-    alone to its end before the group's next step, so at most one long
-    path is held at a time; its record calls read one state each.
+    The paths step under `_wordkernel.lockstep_orbits`, each an item
+    (pid, increments, state) whose size is `_input_letters(state)`.
     """
     stack = MapStack([invert(a) for a in measure.support])
 
-    def advance(paths, n):
-        while paths and n <= n_max:
-            if len(paths) > 1:
-                short = []
-                for path in paths:
-                    if _input_letters(path[2]) >= BATCH_CAP:
-                        yield from advance([path], n)
-                    else:
-                        short.append(path)
-                paths = short
-            maps = [next(steps) for _, steps, _ in paths]
-            states = step(stack, maps, [state for _, _, state in paths], budget=budget)
-            paths = [(pid, steps, state)
-                     for (pid, steps, _), state in zip(paths, states) if state is not None]
-            rows = record(n, [state for _, _, state in paths])
-            for (pid, _, _), step_rows in zip(paths, rows):
-                yield pid, n, step_rows
-            n += 1
+    def advance(n, paths):
+        maps = [next(steps) for _, steps, _ in paths]
+        states = step(stack, maps, [state for _, _, state in paths], budget=budget)
+        paths = [(pid, steps, state)
+                 for (pid, steps, _), state in zip(paths, states) if state is not None]
+        rows = record(n, [state for _, _, state in paths])
+        return paths, [(pid, n, step_rows) for (pid, _, _), step_rows in zip(paths, rows)]
 
     def group_rows(pids):
-        return advance([(pid, _increments(measure, master_seed, pid), words) for pid in pids], 1)
+        paths = [(pid, _increments(measure, master_seed, pid), words) for pid in pids]
+        return lockstep_orbits(paths, lambda path: _input_letters(path[2]), advance, 1, n_max)
 
     return group_rows
 
@@ -446,10 +432,10 @@ def spectral_experiment(
     The path tracks the N reduced generator images Phi_n^{-1}(x_i), as
     drift does, and is cut off at the same step; at a scheduled n the
     brackets of all paths of the step read those images in one batch
-    (`spectral.brackets`), and their lower bounds come from one batch
-    (`spectral.stretch_lowers`), each the same as the path's alone.  Orbit
-    words under k-th powers blow up like lambda^k, so the bracket depth is
-    downgraded per record whenever the letter budget cuts the orbit off.
+    (`spectral.brackets`, lower bounds included), each the same as the
+    path's alone.  Orbit words under k-th powers blow up like lambda^k,
+    so the bracket depth is downgraded per record whenever the letter
+    budget cuts the orbit off.
     The first orbit step is the tracked images themselves, which fit the
     budget; a bracket over the budget anyway, a WordBudgetExceeded item
     of the batch, would mark only its record truncated (`_on_schedule`).
@@ -458,7 +444,7 @@ def spectral_experiment(
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
 
     def bracket_all(states):
-        return brackets(states, stretch_lowers(states), k_max, budget=letter_budget)
+        return brackets(states, k_max, budget=letter_budget)
 
     def record(n, _, br):
         if isinstance(br, WordBudgetExceeded):

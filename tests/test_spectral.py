@@ -346,9 +346,9 @@ def test_power_orbits_step_in_lockstep(niel, monkeypatch):
         return list(inv.images)
 
     image_sets = [walk_images(0, 4), walk_images(2, 15), walk_images(0, 8), walk_images(0, 12)]
-    want = [brackets([ims], [0.0], 4)[0] for ims in image_sets]
+    want = [brackets([ims], 4)[0] for ims in image_sets]
     calls = spy_on_power_steps(monkeypatch)
-    assert brackets(image_sets, [0.0] * 4, 4) == want
+    assert brackets(image_sets, 4) == want
     assert [call[:2] for call in calls] == [(4, True), (1, False), (1, False), (3, True), (3, True)]
     for _, _, [words] in calls[1:3]:
         assert all(a is w.letters for a, w in zip(words, image_sets[1]))
@@ -357,12 +357,12 @@ def test_power_orbits_step_in_lockstep(niel, monkeypatch):
 def test_bracket_and_the_stretch_kind_are_a_batch_of_one(tmp_path, monkeypatch):
     sizes = []
     batch = spectral.brackets
-    want = batch([ASYM.images], [stretch_lower(ASYM)], 5)[0]
+    want = batch([ASYM.images], 5)[0]
 
-    def spy(image_sets, lowers, k_max, *, budget=None):
+    def spy(image_sets, k_max, *, budget=None):
         image_sets = list(image_sets)
         sizes.append(len(image_sets))
-        return batch(image_sets, lowers, k_max, budget=budget)
+        return batch(image_sets, k_max, budget=budget)
 
     monkeypatch.setattr(spectral, "brackets", spy)
     calls = spy_on_power_steps(monkeypatch)

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from outwalk import cli, spectral, walk_engine
+from outwalk import _wordkernel, cli, spectral, walk_engine
 from outwalk._wordkernel import BATCH_CAP
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
@@ -25,7 +25,7 @@ from outwalk.automorphisms import (
 )
 from outwalk.matrix_oracle import IntMatrix
 from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
-from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower, stretch_lowers
+from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
@@ -505,7 +505,7 @@ def kind_reference(kind, rank, settings, seeds=None):
         def spectral_records(n, ims):
             if n not in schedule:
                 return []
-            [br] = brackets([ims], stretch_lowers([ims]), settings["k_max"], budget=budget)
+            [br] = brackets([ims], settings["k_max"], budget=budget)
             if isinstance(br, WordBudgetExceeded):
                 return [("spectral.upper", float("nan"), "truncated")]
             status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
@@ -608,6 +608,35 @@ def test_spectral_records_do_not_depend_on_the_group(niel, monkeypatch):
     # the budget cuts the orbits at every k below k_max
     k_used = {r[3] for r in series.records if r[2] == "spectral.k_used" and r[4] == "downgraded"}
     assert k_used == {1.0, 2.0, 3.0}
+
+
+def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
+    # the scheduler has one entry: the paths of every word kind step
+    # under it, and so do the power orbits of `bracket` and of each
+    # scheduled spectral step (n = 1, 2 and 4)
+    entered = []
+    driver = _wordkernel.lockstep_orbits
+
+    def spy(items, size, step, first, last):
+        entered.append(step.__qualname__.split(".")[0])
+        return driver(items, size, step, first, last)
+
+    monkeypatch.setattr(walk_engine, "lockstep_orbits", spy)
+    monkeypatch.setattr(spectral, "lockstep_orbits", spy)
+    settings = dict(n_max=4, paths=2, master_seed=0)
+    seeds = [cyclic_reduce(parse_word("ab", 3))]
+    runs = {"drift": partial(drift_experiment, niel, **settings),
+            "conjugacy": partial(conjugacy_growth_experiment, niel, seeds, **settings),
+            "gromov": partial(gromov_decay_experiment, niel, **settings),
+            "spectral": partial(spectral_experiment, niel, **settings),
+            "bracket": partial(bracket, niel.support[5], 3)}
+    walk = ["_inverse_orbit"]
+    want = {"drift": walk, "conjugacy": walk, "gromov": walk,
+            "spectral": walk + ["_power_orbits"] * 3, "bracket": ["_power_orbits"]}
+    for kind, run in runs.items():
+        entered.clear()
+        run()
+        assert entered == want[kind], kind
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -41,6 +41,7 @@ from outwalk._wordkernel import (
     common_prefix,
     cyclic_length,
     cyclic_trim,
+    lockstep_orbits,
     lockstep_substitute,
     product_cyclic_length,
     stack_reduce,
@@ -536,6 +537,60 @@ def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
     assert as_lists(got[1]) == (needed, budget)
     assert ([as_lists(g) for g in got]
             == [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)])
+
+
+def scheduled(items, first, last, grow=None, drop=None):
+    """The steps, as (k, names of the group), and the outputs of
+    `lockstep_orbits` over items (name, size), under a fake step that
+    multiplies the size of item name by grow[name], drops the items
+    named in drop[k] at step k and outputs (k, name) for each item that
+    goes on."""
+    grow, drop, steps = grow or {}, drop or {}, []
+
+    def step(k, group):
+        steps.append((k, [name for name, _ in group]))
+        group = [(name, size * grow.get(name, 1)) for name, size in group
+                 if name not in drop.get(k, ())]
+        return group, [(k, name) for name, _ in group]
+
+    outputs = list(lockstep_orbits(items, lambda item: item[1], step, first, last))
+    return steps, outputs
+
+
+def test_an_item_at_the_cap_leaves_the_group():
+    steps, outputs = scheduled([("a", 0), ("b", BATCH_CAP - 1), ("c", BATCH_CAP)], 1, 2)
+    assert steps == [(1, ["c"]), (2, ["c"]), (1, ["a", "b"]), (2, ["a", "b"])]
+    assert outputs == [(1, "c"), (2, "c"), (1, "a"), (1, "b"), (2, "a"), (2, "b")]
+
+
+def test_a_lone_item_runs_through_last_before_the_group_steps_again():
+    # b reaches the cap at its first step; from then on it runs alone,
+    # and the other items wait at k = 2 until it is through k = 4
+    steps, _ = scheduled([("a", 1), ("b", BATCH_CAP // 2), ("c", 1)], 1, 4, grow={"b": 2})
+    assert steps == [(1, ["a", "b", "c"]), (2, ["b"]), (3, ["b"]), (4, ["b"]),
+                     (2, ["a", "c"]), (3, ["a", "c"]), (4, ["a", "c"])]
+
+
+def test_a_dropped_item_is_never_stepped_again():
+    # b is dropped inside the group, and c on its lone run, which then ends
+    items = [("a", 1), ("b", 1), ("c", BATCH_CAP)]
+    steps, outputs = scheduled(items, 1, 4, drop={2: {"b", "c"}})
+    assert steps == [(1, ["c"]), (2, ["c"]), (1, ["a", "b"]), (2, ["a", "b"]), (3, ["a"]),
+                     (4, ["a"])]
+    assert outputs == [(1, "c"), (1, "a"), (1, "b"), (2, "a"), (3, "a"), (4, "a")]
+    # a group whose every item is dropped ends
+    assert scheduled(items[:2], 1, 4, drop={1: {"a", "b"}})[0] == [(1, ["a", "b"])]
+
+
+@pytest.mark.parametrize("first, last", [(1, 1), (3, 5), (4, 3)])
+def test_steps_run_from_first_through_last(first, last):
+    steps, _ = scheduled([("a", 1), ("b", BATCH_CAP)], first, last)
+    ks = list(range(first, last + 1))
+    assert steps == [(k, ["b"]) for k in ks] + [(k, ["a"]) for k in ks]
+
+
+def test_no_item_steps_nothing():
+    assert scheduled([], 1, 10) == ([], [])
 
 
 @pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
