@@ -51,14 +51,15 @@ checked: it joins the words with a separator letter between them and
 runs each batch through one `substitute` call.  Its words come in
 groups, each read in a map of the table; every word operation of
 `automorphisms` on one map (compose, apply, the inverse check, the orbit
-step of a lone path) is a group of one on that map's own table, and the
-walks step many paths at once, each a group through its own map, as the
-brackets of a walk step (`spectral.brackets`) step their power orbits,
-each a group through its own power.  One table stacks the maps
-(`ImageTable(*maps)`): map m takes the slots from m * stride on, stride
-the least power of two of at least 2R+2, so that a letter's slot in its
-map is its two's-complement bits below the stride, one bitwise and with
-no division.  The separator is letter R+1,
+step of a lone path) is a group of one on that map's own table.  Many
+groups step at once, each through its own map: walk paths through the
+support (`MapStack`), and through a map of their own (`own_images`)
+the s_n(x_i) of a Gromov step through each path's Phi_{n-1} and the
+phi(x_i) of a bracket's power step through each phi^(k-1).  One table
+stacks the maps (`ImageTable(*maps)`): map m takes the slots from m *
+stride on, stride the least power of two of at least 2R+2, so that a
+letter's slot in its map is its two's-complement bits below the
+stride, one bitwise and with no division.  The separator is letter R+1,
 the slot that is also slot -(R+1) of a map; it maps to `SEP`, a letter
 no generator of rank below 127 uses, so neither regime ever cancels it
 and no word cancels into its neighbour.  On a one-map table the int8
@@ -330,26 +331,25 @@ def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int
     owners = [m for m, ws in zip(maps, groups) for _ in ws]
     sizes = [w.size for w in words]
     batches = _batches(table, sizes)
+    slots = (_slots(table, owners[a:b], words[a:b]) for a, b in batches)
+    cut = [None] * len(groups)
     if words and max(sizes) * table.longest > budget:
-        raw = iter([n for a, b in batches for n in _raw_sizes(
-            table, _slots(table, owners[a:b], words[a:b]), sizes[a:b])])
-        cut = []
-        for ws in groups:
+        slots = list(slots)
+        raw = iter([n for s, (a, b) in zip(slots, batches)
+                    for n in _raw_sizes(table, s, sizes[a:b])])
+        for p, ws in enumerate(groups):
             over = [n for n in [next(raw) for _ in ws] if n > budget]
-            cut.append(WordBudgetExceeded(over[0], budget) if over else None)
+            cut[p] = WordBudgetExceeded(over[0], budget) if over else None
         if any(cut):
-            kept = [p for p, c in enumerate(cut) if c is None]
-            images = iter(lockstep_substitute(table, [maps[p] for p in kept],
-                                              [groups[p] for p in kept], budget))
-            return [next(images) if c is None else c for c in cut]
+            kept = [c is None for c, ws in zip(cut, groups) for _ in ws]
+            slots = [_kept(s, kept[a:b], sizes[a:b]) for s, (a, b) in zip(slots, batches)]
     out = []
-    for a, b in batches:
-        arr = table.substitute(_slots(table, owners[a:b], words[a:b]))
-        out += [arr] if b - a == 1 else _split(arr)
-    if len(groups) == 1:
-        return [out]
+    for s, (a, b) in zip(slots, batches):
+        if s is not None:
+            arr = table.substitute(s)
+            out += [arr] if b - a == 1 else _split(arr)
     images = iter(out)
-    return [[next(images) for _ in ws] for ws in groups]
+    return [c if c is not None else [next(images) for _ in ws] for c, ws in zip(cut, groups)]
 
 
 def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
@@ -357,21 +357,27 @@ def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
     of the table: word i read in map owners[i].  On a one-map table the
     int8 letters are their own slots and pass as they are; on a stacked
     one the slots take the narrowest unsigned dtype that holds them."""
-    if table.lens.size == table.stride:
-        if len(words) == 1:
-            return words[0]
-        parts = [table.sep_word] * (2 * len(words) - 1)
-        parts[::2] = words
-        return np.concatenate(parts)
-    dtype = np.min_scalar_type(table.lens.size - 1)
     parts = [table.sep_word] * (2 * len(words) - 1)
     parts[::2] = words
+    if table.lens.size == table.stride:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    dtype = np.min_scalar_type(table.lens.size - 1)
     # the two's-complement bits of an int8 letter are its uint8 view
     slots = (np.concatenate(parts).view(np.uint8) & (table.stride - 1)).astype(dtype, copy=False)
     counts = [w.size + 1 for w in words]
     counts[-1] -= 1
     slots += np.repeat(np.array(owners, dtype=dtype) * table.stride, counts)
     return slots
+
+
+def _kept(slots: np.ndarray, kept: list, sizes: list):
+    """The slots of a batch of words of these sizes with only the words
+    that `kept` marks, or None when it marks none."""
+    if all(kept) or not any(kept):
+        return slots if kept[0] else None
+    # each word goes with the separator before it, the first word with a
+    # stand-in letter; the one that leads the kept slots is cut off
+    return np.concatenate([slots[:1], slots])[np.repeat(kept, [n + 1 for n in sizes])][1:]
 
 
 def _raw_sizes(table: ImageTable, slots: np.ndarray, sizes: list) -> list:

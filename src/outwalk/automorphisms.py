@@ -12,7 +12,8 @@ budget.  `images` is a group of one on a map's own table: `apply` maps
 one word with it, `compose` two groups, the inverse check two round
 trips, and `cyclic_images` one group followed by a cyclic trim of each
 image.  `MapStack` steps many states at once, each a group through its
-own map of a tuple.
+own map of a tuple, and `own_images` many groups, each through the map
+of its own generator images.
 
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
@@ -46,6 +47,7 @@ __all__ = [
     "MapStack",
     "apply",
     "images",
+    "own_images",
     "cyclic_images",
     "compose",
     "invert",
@@ -142,6 +144,24 @@ def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
     return [Word._wrap(a, phi.rank) for a in out]
 
 
+def own_images(tables, groups, *, budget: int | None = None) -> list:
+    """The images of the words groups[p] under the map whose generator
+    images are tables[p], each group through its own map, from one
+    `lockstep_substitute` call over the one table that stacks them all;
+    None for a group with a word over the budget."""
+    table = ImageTable(*[[w.letters for w in t] for t in tables])
+    return _lockstep_words(table, list(range(len(tables))), groups, tables[0][0].rank, budget)
+
+
+def _lockstep_words(table: ImageTable, maps, groups, rank: int, budget: int | None) -> list:
+    """`lockstep_substitute` on groups of Words: the images of each group
+    as Words, or None for a group with a word over the budget."""
+    out = lockstep_substitute(table, maps, [[w.letters for w in ws] for ws in groups],
+                              DEFAULT_LETTER_BUDGET if budget is None else budget)
+    return [None if isinstance(arrs, WordBudgetExceeded) else [Word._wrap(a, rank) for a in arrs]
+            for arrs in out]
+
+
 def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:
     """Cyclically reduced images of the conjugacy classes words under phi.
 
@@ -183,8 +203,7 @@ class MapStack:
     the table as they are: a long word alone then builds no slot array,
     a copy of the word in the narrowest dtype that holds the stack's
     slots (uint8 for the 192 of the rank-3 NIEL stack) plus map offsets.
-    `compose` maps state by state, since there each state is a table of
-    its own.
+    `compose` is two such calls for all states.
     """
 
     def __init__(self, phis):
@@ -196,15 +215,8 @@ class MapStack:
 
     def images(self, maps, states, *, budget: int | None = None) -> list:
         """[images(phis[m], words) for m, words in zip(maps, states)], None where one raises."""
-        if len(states) == 1:
-            table, maps = self.phis[maps[0]]._table, [0]
-        else:
-            table = self._table
-        b = DEFAULT_LETTER_BUDGET if budget is None else budget
-        r = self.phis[0].rank
-        out = lockstep_substitute(table, maps, [[w.letters for w in ws] for ws in states], b)
-        return [None if isinstance(arrs, WordBudgetExceeded) else [Word._wrap(a, r) for a in arrs]
-                for arrs in out]
+        table, maps = (self.phis[maps[0]]._table, [0]) if len(states) == 1 else (self._table, maps)
+        return _lockstep_words(table, maps, states, self.phis[0].rank, budget)
 
     def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
         """[cyclic_images(phis[m], words) ...], None where one raises."""
@@ -213,14 +225,13 @@ class MapStack:
                 for ws in self.images(maps, states, budget=budget)]
 
     def compose(self, maps, states, *, budget: int | None = None) -> list:
-        """[compose(phis[m], psi) ...], None where one raises."""
-        out = []
-        for m, psi in zip(maps, states):
-            try:
-                out.append(compose(self.phis[m], psi, budget=budget))
-            except WordBudgetExceeded:
-                out.append(None)
-        return out
+        """[compose(phis[m], psi) ...], None where one raises: an `images`
+        step, and each psi^{-1} as its own map (`own_images`)."""
+        fwd = self.images(maps, [psi.images for psi in states], budget=budget)
+        inv = own_images([psi.inverse_images for psi in states],
+                         [self.phis[m].inverse_images for m in maps], budget=budget)
+        return [None if a is None or b is None else Automorphism(tuple(a), tuple(b), psi.rank)
+                for a, b, psi in zip(fwd, inv, states)]
 
 
 def invert(phi: Automorphism) -> Automorphism:

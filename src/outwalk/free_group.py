@@ -50,12 +50,41 @@ def _check_letters(arr: np.ndarray, rank: int) -> None:
         raise ValueError("letter 0 is not allowed")
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
-    """A freely reduced word."""
+@dataclass(frozen=True, eq=False, repr=False)
+class _Letters:
+    """What `Word` and `CyclicWord` share: letters and a rank, compared
+    by type, rank and letters."""
 
     letters: np.ndarray
     rank: int
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, rank: int):
+        # internal fast path: arr is already reduced and in range
+        obj = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(obj, "letters", arr)
+        object.__setattr__(obj, "rank", rank)
+        return obj
+
+    def __len__(self) -> int:
+        return int(self.letters.size)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.rank == other.rank and self.letters.tobytes() == other.letters.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letters.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({word_to_str(self)!r}, rank={self.rank})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Word(_Letters):
+    """A freely reduced word."""
 
     def __post_init__(self):
         arr = as_array(self.letters)
@@ -66,15 +95,6 @@ class Word:
         object.__setattr__(self, "letters", arr)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, rank: int) -> "Word":
-        # internal fast path: arr is already reduced and in range
-        obj = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(obj, "letters", arr)
-        object.__setattr__(obj, "rank", rank)
-        return obj
-
-    @classmethod
     def identity(cls, rank: int) -> "Word":
         return cls._wrap(np.empty(0, dtype=DTYPE), rank)
 
@@ -82,30 +102,13 @@ class Word:
     def generator(cls, i: int, rank: int) -> "Word":
         return cls._wrap(np.array([i], dtype=DTYPE), rank)
 
-    def __len__(self) -> int:
-        return int(self.letters.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.rank == other.rank and self.letters.tobytes() == other.letters.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.letters.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Word({word_to_str(self)!r}, rank={self.rank})"
-
-
-@dataclass(frozen=True, eq=False)
-class CyclicWord:
+@dataclass(frozen=True, eq=False, repr=False)
+class CyclicWord(_Letters):
     """A cyclically reduced conjugacy-class representative.
 
     len() of a CyclicWord is the conjugacy length of the class.
     """
-
-    letters: np.ndarray
-    rank: int
 
     def __post_init__(self):
         arr = as_array(self.letters)
@@ -116,29 +119,6 @@ class CyclicWord:
             raise ValueError("cyclic word is not cyclically reduced")
         arr.flags.writeable = False
         object.__setattr__(self, "letters", arr)
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray, rank: int) -> "CyclicWord":
-        obj = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(obj, "letters", arr)
-        object.__setattr__(obj, "rank", rank)
-        return obj
-
-    def __len__(self) -> int:
-        return int(self.letters.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self.rank == other.rank and self.letters.tobytes() == other.letters.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.letters.tobytes()))
-
-    def __repr__(self) -> str:
-        s = "".join(_letter_to_char(int(x)) for x in self.letters) or "1"
-        return f"CyclicWord({s!r}, rank={self.rank})"
 
     def as_word(self) -> Word:
         return Word._wrap(self.letters, self.rank)

@@ -33,9 +33,10 @@ once: a walk step passes the tracked images of all its paths, and
 `bracket` is a batch of one.  The orbits step in lockstep under
 `_wordkernel.lockstep_orbits` (`_power_orbits`), as the walk paths do:
 power step k substitutes every map's short words phi(x_i) through its
-own phi^(k-1), each a map of one stacked kernel table, in one
-`_wordkernel.lockstep_substitute` call, so the call overhead of a step
-is paid once, not once per map.  An orbit whose raw size may pass
+own phi^(k-1), each a map of one stacked kernel table, in one kernel
+batch (`automorphisms.own_images`, the step that also maps the inverse
+images of the walk's Gromov states), so the call overhead of a step is
+paid once, not once per map.  An orbit whose raw size may pass
 `BATCH_CAP` letters runs alone on a table of its own, since a stacked
 step holds the powers of all its maps at once.  The budget rule, the
 lengths read and the floats of each map are those it gets alone.
@@ -53,8 +54,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, Word, WordBudgetExceeded
-from ._wordkernel import ImageTable, lockstep_orbits, lockstep_substitute
-from .automorphisms import Automorphism, cyclic_images, image_abelianization, letter_counts
+from ._wordkernel import lockstep_orbits
+from .automorphisms import (Automorphism, cyclic_images, image_abelianization, letter_counts,
+                            own_images)
 from .matrix_oracle import BitBudgetExceeded, spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
@@ -182,12 +184,9 @@ def _power_orbits(image_sets, steps: int, budget: int) -> list:
         group = [item for item in group if not _power_cut(item[1], item[2], budget)]
         if not group:
             return [], []
-        table = ImageTable(*[[w.letters for w in words] for _, _, words in group])
-        out = lockstep_substitute(table, list(range(len(group))),
-                                  [[w.letters for w in images] for _, images, _ in group],
-                                  sys.maxsize)
-        group = [(p, images, [Word._wrap(a, len(images)) for a in arrs])
-                 for (p, images, _), arrs in zip(group, out)]
+        out = own_images([words for _, _, words in group], [images for _, images, _ in group],
+                         budget=sys.maxsize)
+        group = [(p, images, words) for (p, images, _), words in zip(group, out)]
         return group, [(p, candidate_lengths(words)) for p, _, words in group]
 
     for p, row in lockstep_orbits(items, size, step, 2, steps):

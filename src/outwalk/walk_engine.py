@@ -45,15 +45,15 @@ At step n every live path draws its increment, and one
 `automorphisms.MapStack` step maps the tracked words of all of them,
 each through its own s_n^{-1}: the kernel table stacks the inverse
 support once per experiment, one slot range per map, and the words go
-through `ImageTable.substitute` in separated batches of at most
-`BATCH_CAP` input letters (`_wordkernel.lockstep_substitute`), not in
-one call per path.  A path with a word whose raw image passes the
-letter budget is cut and dropped before the batch is substituted.
-So the call overhead of a step is paid once per batch, not once per
-path.  One `record` call then reads the new states of all of them, so
-that a spectral step brackets them in one batch (`spectral.brackets`).
-Gromov products compose path by path inside the same loop, since there
-each path's state is a table of its own.  The paths are scheduled by
+through the kernel in separated batches of at most `BATCH_CAP` input
+letters, not in one call per path.  A path with a word whose raw image
+passes the letter budget is cut and dropped before the batch is
+substituted.  So the call overhead of a step is paid once per batch,
+not once per path; a Gromov step is two such calls, the second through
+a table that stacks the paths' own inverse images
+(`MapStack.compose`).  One `record` call then reads the new states of
+all of them, so that a spectral step brackets them in one batch
+(`spectral.brackets`).  The paths are scheduled by
 `_wordkernel.lockstep_orbits`, as the power orbits of the brackets
 are, and a path whose input passes `BATCH_CAP` letters runs alone,
 through its own map's table as a one-path run does, by the rule stated
@@ -296,10 +296,12 @@ def _series(kind, group_rows, *, n_max, paths, threads):
 
 
 def _input_letters(state) -> int:
-    """Letters that a step feeds the kernel from one path's state: its
-    tracked words, or the images of its tracked automorphism, with a
-    separator between two."""
-    words = state.images if isinstance(state, Automorphism) else state
+    """Letters that a step feeds the kernel from one path's state, with a
+    separator between two: its tracked words or both sides of its tracked
+    automorphism, whose inverse images are a map of the table that a
+    Gromov step stacks for all paths (`MapStack.compose`), so that only
+    one long table is held at a time."""
+    words = (*state.images, *state.inverse_images) if isinstance(state, Automorphism) else state
     return sum([w.letters.size for w in words]) + len(words) - 1
 
 
@@ -312,7 +314,8 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     paths that the step did not cut, in order, and gives the rows of
     each, which are yielded as (pid, n, rows).  With `MapStack.compose`
     and the identity as words, the tracked state is the automorphism
-    Phi_n^{-1}.
+    Phi_n^{-1}, and a step maps the images and the inverse images of all
+    paths in one call each.
 
     The paths step under `_wordkernel.lockstep_orbits`, each an item
     (pid, increments, state) whose size is `_input_letters(state)`.

@@ -169,3 +169,18 @@ def test_word_construction_validates():
     with pytest.raises(ValueError):
         CyclicWord(np.array([1, 2, -1], dtype=np.int8), 2)  # not cyclically reduced
     assert len(Word.identity(2)) == 0
+
+
+def test_a_word_and_a_cyclic_word_stay_apart():
+    # the two types share their letters, length and hash, never equality
+    w = parse_word("abC", 3)
+    g = CyclicWord(w.letters, 3)
+    assert len(w) == len(g) == 3 and hash(w) == hash(g)
+    assert w != g and g != w and not w == g
+    assert g.as_word() == w and cyclic_reduce(w) == g
+    assert {w, g} == {w, g.as_word(), g} and len({w, g}) == 2
+    assert Word(w.letters, 4) != w and CyclicWord(g.letters, 4) != g
+    assert repr(w) == "Word('abC', rank=3)"
+    assert repr(g) == "CyclicWord('abC', rank=3)"
+    assert repr(Word.identity(2)) == "Word('1', rank=2)"
+    assert repr(CyclicWord(np.array([], dtype=np.int8), 2)) == "CyclicWord('1', rank=2)"

@@ -4,7 +4,7 @@ One small config per experiment kind, plus one budget-cut config per
 walk and matrix kind, the walk kinds on F_2 and the matrix kinds on
 SL(2, Z) (whose spectral radius has a closed form) and SL(4, Z), a
 conjugacy config whose nine tracked words
-outgrow the orbit-step batch cap, a spectral config at the benchmark's
+outgrow the orbit-step batch cap, a Gromov config whose tracked maps do, a spectral config at the benchmark's
 sizes, a Guivarch config long enough for the
 Gelfand ladder's ball regime, and one whose budget a Gelfand power passes
 mid-chunk, runs through the CLI; the sha256 of its CSV body
@@ -76,6 +76,9 @@ CONFIGS = {
                       "letter_budget = 200000\n", "niel"),
     "spectral-cut": ("kind = spectral\nn_max = 16\npaths = 4\nmaster_seed = 1\nk_max = 2\n"
                      "letter_budget = 10\n", "niel"),
+    # the states of path 2 pass 2^15 letters and run alone from n = 42 on; at n = 48 the
+    # budget marks the records of paths 0 and 2
+    "gromov-batch": ("kind = gromov\nn_max = 48\npaths = 3\nmaster_seed = 3\n", "niel"),
     "gromov-cut": ("kind = gromov\nn_max = 16\npaths = 4\nmaster_seed = 1\n"
                    "letter_budget = 10\n", "niel"),
     "matrix-guivarch-cut": ("kind = matrix-guivarch\nn_max = 100\npaths = 4\nmaster_seed = 5\n"
@@ -98,6 +101,7 @@ DIGESTS = {
     "drift-cut": "48a8da77e6c92c51ff76ac2dab23a8454b3e4c0917221fe7e5679d29a8954c2f",
     "drift-f2": "b78ccf6ce4dcc22572e8db0e317381db181bda75d1c91418c34b90bf94baa5d2",
     "gromov": "dc43dbced567fbf2a2c60c8a55b04fc1cf597a1ba1a5e2f36079e51b5ca9c91e",
+    "gromov-batch": "145cc1b442289ffe28a376a571ba48728b21dd0159725b98f8c2e2a1ca2b8c99",
     "gromov-cut": "1c15500341697be3bd70a6c947300b137ed51322d1669bbe358bffed8fdc560c",
     "gromov-f2": "47322fdd395d1017ce5c559fb006aa57a51c0af9bc4ca7f2ab38810dc4d1f468",
     "matrix-furstenberg": "55a67aec1296e43329a8e530979cb5424092b367bbee028560787ba68d044e49",

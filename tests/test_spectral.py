@@ -323,21 +323,21 @@ def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
 
 
 def spy_on_power_steps(monkeypatch) -> list:
-    """Log (groups, stacked table, the words of each group) per
-    `lockstep_substitute` call of the power orbits."""
+    """Log (groups, stacked table, the letters of each group) per
+    `own_images` call of the power orbits, one kernel batch each."""
     calls = []
-    substitute = spectral.lockstep_substitute
+    own_images = spectral.own_images
 
-    def spy(table, maps, groups, budget):
-        calls.append((len(groups), table.lens.size > table.stride, groups))
-        return substitute(table, maps, groups, budget)
+    def spy(tables, groups, *, budget):
+        calls.append((len(groups), len(tables) > 1, [[w.letters for w in ws] for ws in groups]))
+        return own_images(tables, groups, budget=budget)
 
-    monkeypatch.setattr(spectral, "lockstep_substitute", spy)
+    monkeypatch.setattr(spectral, "own_images", spy)
     return calls
 
 
 def test_power_orbits_step_in_lockstep(niel, monkeypatch):
-    # the short orbits of a group share one `lockstep_substitute` call per
+    # the short orbits of a group share one `own_images` call per
     # power step, each a map of one stacked table; the long orbit passes
     # BATCH_CAP at k = 3 and runs alone, on a table of its own, through
     # k = 3 and 4 before the group's next call

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from outwalk import _wordkernel, cli, spectral, walk_engine
+from outwalk import _wordkernel, automorphisms, cli, spectral, walk_engine
 from outwalk._wordkernel import BATCH_CAP
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
@@ -582,18 +582,18 @@ def test_spectral_records_do_not_depend_on_the_group(niel, monkeypatch):
     # the group and runs alone.  Each path gets the same records stepped
     # alone, as one of sixteen, and as one of eight at two threads
     batches, tables = [], []
-    radii, substitute = spectral.spectral_radii, spectral.lockstep_substitute
+    radii, own_images = spectral.spectral_radii, spectral.own_images
 
     def radii_spy(mats):
         batches.append(len(mats))
         return radii(mats)
 
-    def substitute_spy(table, maps, groups, budget):
+    def own_images_spy(own_tables, groups, *, budget):
         tables.append(len(groups))
-        return substitute(table, maps, groups, budget)
+        return own_images(own_tables, groups, budget=budget)
 
     monkeypatch.setattr(spectral, "spectral_radii", radii_spy)
-    monkeypatch.setattr(spectral, "lockstep_substitute", substitute_spy)
+    monkeypatch.setattr(spectral, "own_images", own_images_spy)
     settings = dict(n_max=32, paths=16, k_max=4, master_seed=3, letter_budget=200_000)
     alone = [repr(r) for r in one_path_records("spectral", niel, settings)]
     for threads in (1, 2):
@@ -665,6 +665,89 @@ def test_a_long_path_leaves_the_batch_and_runs_alone(niel, monkeypatch, threads)
     assert cuts == [50, 55, 59]
     want = one_path_records("conjugacy", niel, settings, seeds)
     assert list(map(repr, series.records)) == list(map(repr, want))
+
+
+def gromov_states(niel, pids, n):
+    """The tracked states Phi_n^{-1} of paths pids of master seed 3."""
+    return [list(sample_path(niel, 3, pid, n))[-1][2] for pid in pids]
+
+
+def sides(psi) -> tuple:
+    return psi.images, psi.inverse_images
+
+
+def test_stack_compose_equals_compose_state_by_state(niel):
+    # one Gromov step for six states, through four different maps
+    stack = MapStack([invert(a) for a in niel.support])
+    states = gromov_states(niel, range(6), 12)
+    maps = [0, 5, 11, 5, 23, 17]
+    got = stack.compose(maps, states)
+    want = [compose(stack.phis[m], psi) for m, psi in zip(maps, states)]
+    assert list(map(sides, got)) == list(map(sides, want))
+    # a state alone goes through the same two halves
+    [alone] = stack.compose([5], [states[1]])
+    assert sides(alone) == sides(want[1])
+
+
+def test_stack_compose_cuts_a_state_on_either_half(niel):
+    # at budget 25, path 2 through map 5 passes it only on its images
+    # s^{-1}(Phi^{-1}(x_i)), and path 5 through map 0 only on its inverse
+    # images Phi(s(x_i)); both are None, where `compose` raises, and the
+    # other states step as they do alone
+    budget = 25
+    stack = MapStack([invert(a) for a in niel.support])
+    states = gromov_states(niel, [1, 2, 3, 5, 4], 12)
+    maps = [11, 5, 5, 0, 11]
+
+    def halves_over(m, psi):
+        out = []
+        for half in (lambda: images(stack.phis[m], psi.images, budget=budget),
+                     lambda: images(invert(psi), stack.phis[m].inverse_images, budget=budget)):
+            try:
+                half()
+                out.append(False)
+            except WordBudgetExceeded:
+                out.append(True)
+        return out
+
+    assert [halves_over(m, psi) for m, psi in zip(maps, states)] == [
+        [False, False], [True, False], [False, False], [False, True], [False, False]]
+    got = stack.compose(maps, states, budget=budget)
+    assert [g is None for g in got] == [False, True, False, True, False]
+    for i in (0, 2, 4):
+        assert sides(got[i]) == sides(compose(stack.phis[maps[i]], states[i], budget=budget))
+
+
+def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
+    # every Gromov step of a group is two `lockstep_substitute` calls, one
+    # group per path in each, the images through the stack and the
+    # inverse images through each path's own inverse; no path composes
+    calls, steps, composed = [], [], []
+    substitute, step = automorphisms.lockstep_substitute, MapStack.compose
+
+    def substitute_spy(table, maps, groups, budget):
+        if steps:
+            steps[-1].append(len(groups))
+        return substitute(table, maps, groups, budget)
+
+    def step_spy(self, maps, states, *, budget=None):
+        steps.append([len(states)])
+        out = step(self, maps, states, budget=budget)
+        calls.append(steps.pop())
+        return out
+
+    def compose_spy(*args, **kwargs):
+        composed.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "lockstep_substitute", substitute_spy)
+    monkeypatch.setattr(MapStack, "compose", step_spy)
+    monkeypatch.setattr(automorphisms, "compose", compose_spy)
+    monkeypatch.setattr(walk_engine, "compose", compose_spy)
+    series = gromov_decay_experiment(niel, n_max=8, paths=4, master_seed=3)
+    assert calls == [[4, 4, 4]] * 8
+    assert not composed
+    assert len(series.values("gromov")) == 4 * len(geometric_schedule(8))
 
 
 def test_cesaro_tail_monotone_in_probability():

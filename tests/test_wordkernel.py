@@ -539,6 +539,41 @@ def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
             == [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)])
 
 
+@pytest.mark.parametrize("cut", [(0, 0), (2, 1), (3, 1), (4, 2)])
+def test_a_budget_check_builds_each_batch_once(niel, monkeypatch, cut):
+    # under a cap of 1000 the fifteen words run in three batches; the
+    # check builds the slots of each once and reads each word's raw size
+    # once.  The cut group's words leave a batch from its first places,
+    # from its last (the words 6 and 12, 13), from its middle (9-11), and
+    # the last batch whole (word 14)
+    monkeypatch.setattr(_wordkernel, "BATCH_CAP", 1000)
+    built, read = [], []
+    slots, raw_sizes = _wordkernel._slots, _wordkernel._raw_sizes
+
+    def slots_spy(table, owners, words):
+        built.append(len(words))
+        return slots(table, owners, words)
+
+    def raw_sizes_spy(table, word_slots, sizes):
+        read.append(len(sizes))
+        return raw_sizes(table, word_slots, sizes)
+
+    monkeypatch.setattr(_wordkernel, "_slots", slots_spy)
+    monkeypatch.setattr(_wordkernel, "_raw_sizes", raw_sizes_spy)
+    maps = list(niel.support)
+    picks = [3, 3, 17, 0, 23]
+    words = [[random_reduced(10 * p + k, 400 if (p, k) == cut else 40 + 90 * k)
+              for k in range(3)] for p in range(5)]
+    budget = max(raw_total(maps[m]._table, w)
+                 for p, (m, ws) in enumerate(zip(picks, words)) for w in ws if p != cut[0])
+    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    assert isinstance(got[cut[0]], WordBudgetExceeded)
+    assert len(built) == len(read) > 1
+    assert sum(built) == sum(read) == 15
+    assert ([as_lists(g) for g in got]
+            == [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)])
+
+
 def scheduled(items, first, last, grow=None, drop=None):
     """The steps, as (k, names of the group), and the outputs of
     `lockstep_orbits` over items (name, size), under a fake step that
