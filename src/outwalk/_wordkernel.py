@@ -1,8 +1,14 @@
-"""Low-level array kernel for free-group words.
+"""Low-level kernel for free-group words.
 
-A word is a 1-D numpy int8 array of nonzero letters: +i is the i-th
-generator, -i its inverse (1-based).  Everything here operates on raw
-arrays; the public types in :mod:`outwalk.free_group` wrap them.
+A word is a sequence of nonzero letters: +i is the i-th generator, -i
+its inverse (1-based), each one int8.  Between kernel calls a reduced
+word is carried as `bytes`, one byte per int8 letter (its two's
+complement): the word orbits track their words so, `Reading` reads
+them, and `lockstep_substitute` takes and returns them.  Inside a call
+a batch of words is one int8 array read off its bytes by one
+`np.frombuffer`, and `ImageTable.substitute` and `cyclic_trim` take and
+return int8 arrays.  The public types in :mod:`outwalk.free_group` wrap
+int8 arrays, and `automorphisms` converts at that boundary.
 
 Raw user input is reduced by `stack_reduce`, the pure-Python stack that
 also serves as the reference in tests.  Substitution gets a reduced word
@@ -47,8 +53,12 @@ Free reduction is confluent, so both regimes give the same normal form.
 An orbit step maps a handful of words at once, and per word the cost is
 numpy call overhead, not letters.  So `lockstep_substitute` is the one
 entry point above `substitute`, and the one place the letter budget is
-checked: it joins the words with a separator letter between them and
-runs each batch through one `substitute` call.  Its words come in
+checked: it joins the bytes of the words with the byte of a separator
+letter between them, reads each batch as one int8 array and runs it
+through one `substitute` call, and cuts the bytes of the substituted
+batch at its `SEP` bytes with one `bytes.split` (a batch of one word is
+not cut).  So no numpy array is built or wrapped per word on either
+side of the call.  Its words come in
 groups, each read in a map of the table; every word operation of
 `automorphisms` on one map (compose, apply, the inverse check, the orbit
 step of a lone path) is a group of one on that map's own table.  Many
@@ -193,18 +203,19 @@ class ImageTable:
     slots of map 0 are those of a one-map table.
     """
 
-    def __init__(self, *maps: list[np.ndarray]):
-        # maps[m][i] (0-based i) holds the image of generator i+1 under map m
+    def __init__(self, *maps: list[bytes]):
+        # maps[m][i] (0-based i) holds the image of generator i+1 under map
+        # m, as bytes or any buffer of int8 letters
         rank = len(maps[0])
         self.sep = rank + 1
         self.stride = 1 << (2 * rank + 1).bit_length()
-        self.sep_word = np.array([self.sep], dtype=DTYPE) if self.sep <= SEP else None
+        self.sep_byte = bytes([self.sep]) if self.sep <= SEP else None
         # per slot, the block as bytes: slot -l of a map holds the inverse
         # of its slot l, the reversed bytes of the block, each negated
         pad = [b""] * (self.stride - 2 * rank - 2)
         raw = []
         for images in maps:
-            fwd = [img.tobytes() for img in images]
+            fwd = [bytes(img) for img in images]
             raw += [b""] + fwd + [SEP_BYTE] + pad + [b[::-1].translate(NEG) for b in reversed(fwd)]
         sizes = [len(b) for b in raw]
         self.lens = np.array(sizes, dtype=np.int64)
@@ -323,13 +334,15 @@ def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int
     through map maps[p] of the table, from one `substitute` call per
     separated batch of all groups' words (see the module docstring).
 
-    Returns the images of each group or, for a group with a word whose
+    Words are bytes, one byte per int8 letter; any buffer of int8
+    letters (the array of a `free_group.Word`) reads the same.  Returns
+    the images of each group as bytes or, for a group with a word whose
     raw image exceeds the budget, the WordBudgetExceeded of its first
     such word; such a group is dropped before substituting.
     """
     words = [w for ws in groups for w in ws]
     owners = [m for m, ws in zip(maps, groups) for _ in ws]
-    sizes = [w.size for w in words]
+    sizes = [len(w) for w in words]
     batches = _batches(table, sizes)
     slots = (_slots(table, owners[a:b], words[a:b]) for a, b in batches)
     cut = [None] * len(groups)
@@ -346,25 +359,26 @@ def lockstep_substitute(table: ImageTable, maps: list, groups: list, budget: int
     out = []
     for s, (a, b) in zip(slots, batches):
         if s is not None:
-            arr = table.substitute(s)
-            out += [arr] if b - a == 1 else _split(arr)
+            batch = table.substitute(s).tobytes()
+            out += [batch] if b - a == 1 else batch.split(SEP_BYTE)
     images = iter(out)
     return [c if c is not None else [next(images) for _ in ws] for c, ws in zip(cut, groups)]
 
 
 def _slots(table: ImageTable, owners: list, words: list) -> np.ndarray:
-    """The words of a batch, joined by the separator letter R+1, as slots
-    of the table: word i read in map owners[i].  On a one-map table the
-    int8 letters are their own slots and pass as they are; on a stacked
-    one the slots take the narrowest unsigned dtype that holds them."""
-    parts = [table.sep_word] * (2 * len(words) - 1)
-    parts[::2] = words
+    """The words of a batch, their bytes joined by the byte of the
+    separator letter R+1 and read as one int8 array, as slots of the
+    table: word i read in map owners[i].  On a one-map table the int8
+    letters are their own slots and pass as they are, a lone word with
+    no copy; on a stacked one the slots take the narrowest unsigned dtype
+    that holds them."""
+    arr = np.frombuffer(words[0] if len(words) == 1 else table.sep_byte.join(words), dtype=DTYPE)
     if table.lens.size == table.stride:
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return arr
     dtype = np.min_scalar_type(table.lens.size - 1)
     # the two's-complement bits of an int8 letter are its uint8 view
-    slots = (np.concatenate(parts).view(np.uint8) & (table.stride - 1)).astype(dtype, copy=False)
-    counts = [w.size + 1 for w in words]
+    slots = (arr.view(np.uint8) & (table.stride - 1)).astype(dtype, copy=False)
+    counts = [len(w) + 1 for w in words]
     counts[-1] -= 1
     slots += np.repeat(np.array(owners, dtype=dtype) * table.stride, counts)
     return slots
@@ -382,10 +396,13 @@ def _kept(slots: np.ndarray, kept: list, sizes: list):
 
 def _raw_sizes(table: ImageTable, slots: np.ndarray, sizes: list) -> list:
     """The raw image size of each word of a batch of words of these sizes:
-    the block lengths of its slots, summed up to its separator."""
-    lens = table.lens.take(slots)
+    the block lengths of its slots, summed up to its separator.  A lone
+    word, which may be long, is summed BATCH_CAP slots at a time, so no
+    temporary holds an int64 per letter of it."""
     if len(sizes) == 1:
-        return [int(lens.sum())]
+        return [sum(int(table.lens.take(slots[a:a + BATCH_CAP]).sum())
+                    for a in range(0, slots.size, BATCH_CAP))]
+    lens = table.lens.take(slots)
     # each word is summed with the one-letter separator after it; one more
     # after the last word gives an empty last word a segment too
     starts = np.cumsum([0] + [size + 1 for size in sizes[:-1]])
@@ -406,30 +423,23 @@ def _batches(table: ImageTable, sizes: list) -> list:
     return list(zip(firsts, firsts[1:] + [len(sizes)]))
 
 
-def _split(arr: np.ndarray) -> list:
-    """The reduced words of a substituted batch, cut at its SEP letters."""
-    cuts = np.flatnonzero(arr == SEP).tolist()
-    return [arr[a + 1:b] for a, b in zip([-1] + cuts, cuts + [arr.size])]
-
-
 class Reading:
-    """A reduced word read as itself or, with `inverse`, as its inverse.
+    """A reduced word, given as bytes, read as itself or, with `inverse`,
+    as its inverse.
 
-    Its first HEAD letters are kept as bytes, and as one big-endian
-    integer for `common_prefix`; so for most words every window is a
-    slice of bytes, and the rest of a long word is read on demand.
+    Its first HEAD letters are kept as bytes, the word's own prefix (the
+    word itself when it is no longer), and as one big-endian integer for
+    `common_prefix`; every window is a slice of bytes, and past the head
+    one of the word, read on demand.
     """
 
     __slots__ = ("word", "inverse", "size", "head", "head_bytes", "head_size")
 
-    def __init__(self, word: np.ndarray, inverse: bool = False):
-        n = word.size
+    def __init__(self, word: bytes, inverse: bool = False):
+        n = len(word)
         h = n if n < HEAD else HEAD
         self.word, self.inverse, self.size, self.head_size = word, inverse, n, h
-        if inverse:
-            self.head_bytes = word[n - h:].tobytes()[::-1].translate(NEG)
-        else:
-            self.head_bytes = word[:h].tobytes()
+        self.head_bytes = word[n - h:][::-1].translate(NEG) if inverse else word[:h]
         self.head = int.from_bytes(self.head_bytes, "big")
 
     def window(self, a: int, b: int) -> bytes:
@@ -438,8 +448,8 @@ class Reading:
             return self.head_bytes[a:b]
         if self.inverse:
             n = self.size
-            return self.word[n - b:n - a].tobytes()[::-1].translate(NEG)
-        return self.word[a:b].tobytes()
+            return self.word[n - b:n - a][::-1].translate(NEG)
+        return self.word[a:b]
 
 
 def common_prefix(x: Reading, y: Reading, cap: int, i: int = 0, j: int = 0) -> int:
@@ -474,7 +484,8 @@ def cyclic_trim(arr: np.ndarray) -> np.ndarray:
     """
     if arr.size < 2 or arr[0] != -arr[-1]:
         return arr
-    t = common_prefix(Reading(arr), Reading(arr, True), arr.size // 2)
+    word = arr.tobytes()
+    t = common_prefix(Reading(word), Reading(word, True), arr.size // 2)
     return arr[t:arr.size - t]
 
 

@@ -15,6 +15,14 @@ image.  `MapStack` steps many states at once, each a group through its
 own map of a tuple, and `own_images` many groups, each through the map
 of its own generator images.
 
+The kernel carries words as bytes, one byte per int8 letter.  The word
+orbits of the walks and brackets track bytes and step through
+`MapStack.byte_images` and `own_images`, which take and give bytes.
+`images`, `apply`, `compose`, `cyclic_images` and the other `MapStack`
+steps take and give `Word`s and `CyclicWord`s: a Word's array goes into
+the kernel as the buffer it is, and each image comes out as a Word whose
+array views the image's bytes (`np.frombuffer`), with no copy.
+
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
 generator, so it reverses order: abelianization(compose(phi, psi)) ==
@@ -47,6 +55,7 @@ __all__ = [
     "MapStack",
     "apply",
     "images",
+    "image_bytes",
     "own_images",
     "cyclic_images",
     "compose",
@@ -137,29 +146,40 @@ def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
     words = list(words)
     if any(w.rank != phi.rank for w in words):
         raise ValueError("rank mismatch")
-    [out] = lockstep_substitute(phi._table, [0], [[w.letters for w in words]],
-                                DEFAULT_LETTER_BUDGET if budget is None else budget)
+    return _words(image_bytes(phi, [w.letters for w in words], budget=budget), phi.rank)
+
+
+def image_bytes(phi: Automorphism, words, *, budget: int | None = None) -> list:
+    """`images` of words given as bytes, as bytes: a group of one on
+    phi's table, raising as `images` does."""
+    [out] = lockstep_substitute(phi._table, [0], [list(words)], _budget(budget))
     if isinstance(out, WordBudgetExceeded):
         raise out
-    return [Word._wrap(a, phi.rank) for a in out]
+    return out
 
 
 def own_images(tables, groups, *, budget: int | None = None) -> list:
     """The images of the words groups[p] under the map whose generator
     images are tables[p], each group through its own map, from one
     `lockstep_substitute` call over the one table that stacks them all;
-    None for a group with a word over the budget."""
-    table = ImageTable(*[[w.letters for w in t] for t in tables])
-    return _lockstep_words(table, list(range(len(tables))), groups, tables[0][0].rank, budget)
+    None for a group with a word over the budget.  Words, images and
+    table blocks are bytes."""
+    table = ImageTable(*tables)
+    return _groups(lockstep_substitute(table, list(range(len(tables))), groups, _budget(budget)))
 
 
-def _lockstep_words(table: ImageTable, maps, groups, rank: int, budget: int | None) -> list:
-    """`lockstep_substitute` on groups of Words: the images of each group
-    as Words, or None for a group with a word over the budget."""
-    out = lockstep_substitute(table, maps, [[w.letters for w in ws] for ws in groups],
-                              DEFAULT_LETTER_BUDGET if budget is None else budget)
-    return [None if isinstance(arrs, WordBudgetExceeded) else [Word._wrap(a, rank) for a in arrs]
-            for arrs in out]
+def _budget(budget: int | None) -> int:
+    return DEFAULT_LETTER_BUDGET if budget is None else budget
+
+
+def _groups(out) -> list:
+    """The items of `lockstep_substitute` with a cut group as None."""
+    return [None if isinstance(images, WordBudgetExceeded) else images for images in out]
+
+
+def _words(images, rank: int) -> list:
+    """Images as bytes, as Words whose arrays view those bytes."""
+    return [Word._wrap(np.frombuffer(b, dtype=DTYPE), rank) for b in images]
 
 
 def cyclic_images(phi: Automorphism, words, *, budget: int | None = None) -> list:
@@ -194,16 +214,18 @@ class MapStack:
 
     `images`, `cyclic_images` and `compose` are the steps of the same
     names, one per state, and give None for a state whose step passes
-    the letter budget where the one-state step raises.  A word step is
-    one `lockstep_substitute` call, each state a group: many states
-    share one kernel table of every map (`_wordkernel.ImageTable` with
-    one slot range per map), so that the words of all of them go through
-    one kernel call per separated batch.  A single state goes through
-    its map's own table, as `images` maps it, whose int8 letters index
-    the table as they are: a long word alone then builds no slot array,
-    a copy of the word in the narrowest dtype that holds the stack's
-    slots (uint8 for the 192 of the rank-3 NIEL stack) plus map offsets.
-    `compose` is two such calls for all states.
+    the letter budget where the one-state step raises; `byte_images` is
+    `images` on states of bytes, the step of the walks that track bytes.
+    A word step is one `lockstep_substitute` call, each state a group:
+    many states share one kernel table of every map
+    (`_wordkernel.ImageTable` with one slot range per map), so that the
+    words of all of them go through one kernel call per separated batch.
+    A single state goes through its map's own table, as `images` maps
+    it, whose int8 letters index the table as they are: a long word
+    alone then builds no slot array, a copy of the word in the narrowest
+    dtype that holds the stack's slots (uint8 for the 192 of the rank-3
+    NIEL stack) plus map offsets, and is read off its bytes with no
+    copy.  `compose` is two such calls for all states.
     """
 
     def __init__(self, phis):
@@ -213,24 +235,36 @@ class MapStack:
     def _table(self) -> ImageTable:
         return ImageTable(*[[w.letters for w in phi.images] for phi in self.phis])
 
+    def byte_images(self, maps, states, *, budget: int | None = None) -> list:
+        """`images` of states of bytes, as bytes: the images of each
+        state's words through phis[m], None where one raises."""
+        table, maps = (self.phis[maps[0]]._table, [0]) if len(states) == 1 else (self._table, maps)
+        return _groups(lockstep_substitute(table, maps, states, _budget(budget)))
+
     def images(self, maps, states, *, budget: int | None = None) -> list:
         """[images(phis[m], words) for m, words in zip(maps, states)], None where one raises."""
-        table, maps = (self.phis[maps[0]]._table, [0]) if len(states) == 1 else (self._table, maps)
-        return _lockstep_words(table, maps, states, self.phis[0].rank, budget)
+        r = self.phis[0].rank
+        return [None if out is None else _words(out, r)
+                for out in self.byte_images(maps, [[w.letters for w in ws] for ws in states],
+                                            budget=budget)]
 
     def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
         """[cyclic_images(phis[m], words) ...], None where one raises."""
         r = self.phis[0].rank
-        return [None if ws is None else [CyclicWord._wrap(cyclic_trim(w.letters), r) for w in ws]
-                for ws in self.images(maps, states, budget=budget)]
+        return [None if out is None
+                else [CyclicWord._wrap(cyclic_trim(np.frombuffer(b, dtype=DTYPE)), r) for b in out]
+                for out in self.byte_images(maps, [[w.letters for w in ws] for ws in states],
+                                            budget=budget)]
 
     def compose(self, maps, states, *, budget: int | None = None) -> list:
         """[compose(phis[m], psi) ...], None where one raises: an `images`
         step, and each psi^{-1} as its own map (`own_images`)."""
         fwd = self.images(maps, [psi.images for psi in states], budget=budget)
-        inv = own_images([psi.inverse_images for psi in states],
-                         [self.phis[m].inverse_images for m in maps], budget=budget)
-        return [None if a is None or b is None else Automorphism(tuple(a), tuple(b), psi.rank)
+        inv = own_images([[w.letters for w in psi.inverse_images] for psi in states],
+                         [[w.letters for w in self.phis[m].inverse_images] for m in maps],
+                         budget=budget)
+        return [None if a is None or b is None
+                else Automorphism(tuple(a), tuple(_words(b, psi.rank)), psi.rank)
                 for a, b, psi in zip(fwd, inv, states)]
 
 
@@ -238,22 +272,24 @@ def invert(phi: Automorphism) -> Automorphism:
     return Automorphism(phi.inverse_images, phi.images, phi.rank)
 
 
-def letter_counts(w: Word) -> list:
-    """[(occurrences of x_j, occurrences of x_j^{-1}) for j = 1..rank] in w,
-    from one count of its bytes: x_j is byte j and x_j^{-1} byte 256 - j."""
-    counts = np.bincount(w.letters.view(np.uint8), minlength=256).tolist()
-    return [(counts[j], counts[-j]) for j in range(1, w.rank + 1)]
+def letter_counts(w: bytes, rank: int) -> list:
+    """[(occurrences of x_j, occurrences of x_j^{-1}) for j = 1..rank] in
+    the word w given as bytes (or any buffer of int8 letters), from one
+    count of its bytes: x_j is byte j and x_j^{-1} byte 256 - j."""
+    counts = np.bincount(np.frombuffer(w, dtype=np.uint8), minlength=256).tolist()
+    return [(counts[j], counts[-j]) for j in range(1, rank + 1)]
 
 
 def abelianization(phi: Automorphism) -> IntMatrix:
     """Signed letter counts: row i counts generators in the image of x_{i+1}."""
-    return image_abelianization(phi.images)
+    return image_abelianization([w.letters for w in phi.images])
 
 
 def image_abelianization(images) -> IntMatrix:
     """The abelianization of the map x_{i+1} -> images[i], from the signed
-    letter counts of its generator images."""
-    return IntMatrix(tuple(tuple(p - q for p, q in letter_counts(w)) for w in images))
+    letter counts of its generator images, given as bytes."""
+    rank = len(images)
+    return IntMatrix(tuple(tuple(p - q for p, q in letter_counts(w, rank)) for w in images))
 
 
 def identity_automorphism(rank: int) -> Automorphism:

@@ -25,6 +25,7 @@ from ._wordkernel import (
 __all__ = [
     "Word",
     "CyclicWord",
+    "as_bytes",
     "WordBudgetExceeded",
     "ParseError",
     "reduce",
@@ -129,6 +130,13 @@ def reduce(raw, rank: int) -> Word:
     arr = as_array(raw)
     _check_letters(arr, rank)
     return Word._wrap(reduce_array(arr), rank)
+
+
+def as_bytes(words) -> list:
+    """The letters of each word as bytes, one byte per int8 letter: the
+    form in which the kernel and the word orbits carry words between
+    kernel calls."""
+    return [w.letters.tobytes() for w in words]
 
 
 def cyclic_reduce(w: Word) -> CyclicWord:

@@ -29,10 +29,17 @@ every ratio, and exact lengths are read in decreasing order of that
 bound until no bound left can beat the best ratio (about 2.6 of the 9
 lengths per step of a rank-3 NIEL drift walk).  `dist` reads theta.images this way;
 every other distance reads generator images tracked through several
-maps with `automorphisms.images`, without composing maps: the drift
-along a walk and `orbit_dist` through `image_dist`, the stretch
-brackets along powers through every candidate length, since their
-point estimate reads each loop's ratio.
+maps, without composing maps: the drift along a walk and `orbit_dist`
+through `image_dist`, the stretch brackets along powers through every
+candidate length, since their point estimate reads each loop's ratio.
+
+`candidate_lengths` and `image_dist` read the images as bytes, one byte
+per int8 letter, the currency in which the walks and brackets track
+them (`_wordkernel`), so a `Reading` of an image is built off the
+image's own bytes.  `dist` and `orbit_dist` take automorphisms and
+convert their `Word` images to bytes; `orbit_dist` substitutes them as
+bytes (`automorphisms.image_bytes`), so the long images it reads are
+never wrapped as Words.
 
 The metric is asymmetric; Gromov products use the symmetrized version
 d_sym(x, y) = d(x, y) + d(y, x).
@@ -46,8 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._wordkernel import Reading, cyclic_length, product_cyclic_length
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded
-from .automorphisms import Automorphism, images, invert
+from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded, as_bytes
+from .automorphisms import Automorphism, image_bytes, invert
 
 __all__ = [
     "candidates",
@@ -87,14 +94,15 @@ def candidates(rank: int) -> tuple:
 
 def candidate_lengths(images) -> list:
     """Conjugacy lengths |theta(c)| of the candidate loops c, in the order
-    of `candidates`, from the reduced generator images images[i] = theta(x_i).
+    of `candidates`, from the reduced generator images images[i] = theta(x_i),
+    given as bytes.
 
     A petal x_i is the cyclic trim of theta(x_i); a figure eight
     x_i x_j^{+-1} is the seam between theta(x_i) and theta(x_j)^{+-1},
     then the trim, both read off the images without forming the product
     (`_wordkernel.product_cyclic_length`).
     """
-    readings = [(Reading(w.letters), Reading(w.letters, True)) for w in images]
+    readings = [(Reading(w), Reading(w, True)) for w in images]
     return [_loop_length(readings, *piece) for piece in _pieces(len(images))]
 
 
@@ -126,9 +134,9 @@ def log_stretch(loops, lengths) -> float:
 
 
 def image_dist(images) -> float:
-    """dist read off the reduced generator images images[i] = theta(x_i):
-    log_stretch(candidates(N), candidate_lengths(images)), with the
-    exact lengths read best-first.
+    """dist read off the reduced generator images images[i] = theta(x_i),
+    given as bytes: log_stretch(candidates(N), candidate_lengths(images)),
+    with the exact lengths read best-first.
 
     The image of a loop is reduced, so its conjugacy length is at most
     its raw size: |theta(x_i)| for a petal, |theta(x_i)| + |theta(x_j)|
@@ -149,8 +157,7 @@ def image_dist(images) -> float:
             break
         for k in (i, j):
             if readings[k] is None:
-                letters = images[k].letters
-                readings[k] = (Reading(letters), Reading(letters, True))
+                readings[k] = (Reading(images[k]), Reading(images[k], True))
         num, den = _loop_length(readings, i, j, flip), (1 if i == j else 2)
         if num * best_den > best_num * den:
             best_num, best_den = num, den
@@ -175,7 +182,7 @@ def dist(theta: Automorphism, *, budget: int | None = None) -> float:
         raw = sizes[i] if i == j else sizes[i] + sizes[j]
         if raw > b:
             raise WordBudgetExceeded(raw, b)
-    return image_dist(theta.images)
+    return image_dist(as_bytes(theta.images))
 
 
 def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:
@@ -188,7 +195,7 @@ def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = Non
     of phi substituted through psi^{-1}.  Raises WordBudgetExceeded for
     the first image whose substitution needs more letters than the
     budget."""
-    return image_dist(images(invert(psi), phi.images, budget=budget))
+    return image_dist(image_bytes(invert(psi), as_bytes(phi.images), budget=budget))
 
 
 def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
@@ -197,10 +204,12 @@ def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None =
     Computed in the symmetrized orbit metric:
     (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
     d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
-    inequality.
+    inequality.  When psi is phi^{-1}, as the `gromov` kind reads it,
+    sym_dist(psi) is the sum of the same two distances in the other
+    order, the same float, and is not read again.
     """
     a = sym_dist(phi, budget=budget)
-    b = sym_dist(psi, budget=budget)
+    b = a if psi == invert(phi) else sym_dist(psi, budget=budget)
     c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
     return 0.5 * (a + b - c)
 

@@ -15,8 +15,9 @@ of a seed loop c.  Both bounds hold with no irreducibility hypothesis.
 
 Powers of phi are never composed.  A bracket needs only the N
 generator images phi(x_i) (`brackets`; walks pass the images they
-track).  One orbit of reduced generator images gives at every step the
-conjugacy lengths of the N^2 candidate loops c under phi^k
+track), as bytes, the currency of `_wordkernel`, in which the power
+orbits run too.  One orbit of reduced generator images gives at every
+step the conjugacy lengths of the N^2 candidate loops c under phi^k
 (`outer_metric.candidate_lengths`): dist(phi^k) and the ratios of every
 candidate at once.  The orbit is associated as
 phi^k(x_i) = phi^(k-1)(phi(x_i)): the previous step's images form the
@@ -53,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, Word, WordBudgetExceeded
+from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded, as_bytes
 from ._wordkernel import lockstep_orbits
 from .automorphisms import (Automorphism, cyclic_images, image_abelianization, letter_counts,
                             own_images)
@@ -99,13 +100,13 @@ class StretchBracket:
 def stretch_lower(phi: Automorphism) -> float:
     """Certified lower bound: log spectral radius of the abelianization,
     as `stretch_lowers` gives it for a batch of one."""
-    return stretch_lowers([phi.images])[0]
+    return stretch_lowers([as_bytes(phi.images)])[0]
 
 
 def stretch_lowers(image_sets) -> list:
-    """The lower bound of each map given by its generator images: the
-    log spectral radius of its abelianization, from one `spectral_radii`
-    batch of them.
+    """The lower bound of each map given by its generator images, as
+    bytes: the log spectral radius of its abelianization, from one
+    `spectral_radii` batch of them.
 
     Exact in rank 2; the Gelfand trace bound otherwise, which
     `spectral_radii` raises to 0 where it reads below, since an
@@ -143,14 +144,15 @@ def _power_cut(images, words, budget: int) -> int:
 
     The raw size of x_i is the unsigned letter counts of words[i] dotted
     with |phi(x_j)|, the size of substituting phi into words[i]; at k = 1
-    the words are the generators x_i, and it is |phi(x_i)|.
+    the words are the generators x_i, and it is |phi(x_i)|.  Images and
+    words are bytes.
     """
     sizes = [len(w) for w in images]
     longest = max(sizes)
     for w in words:
         if len(w) * longest <= budget:
             continue  # the raw size is at most that; no need to count
-        raw = sum((p + q) * size for (p, q), size in zip(letter_counts(w), sizes))
+        raw = sum((p + q) * size for (p, q), size in zip(letter_counts(w, len(sizes)), sizes))
         if raw > budget:
             return raw
     return 0
@@ -158,7 +160,7 @@ def _power_cut(images, words, budget: int) -> int:
 
 def _power_orbits(image_sets, steps: int, budget: int) -> list:
     """The candidate lengths along the power orbit of each map phi given
-    by its generator images image_sets[p]: the rows
+    by its generator images image_sets[p], as bytes: the rows
     candidate_lengths(phi^k(x_i)) for k = 1, 2, ..., up to `steps` or the
     last step within the budget (`_power_cut`), or the WordBudgetExceeded
     of step 1 when phi itself passes the budget.
@@ -169,8 +171,7 @@ def _power_orbits(image_sets, steps: int, budget: int) -> list:
     """
     rows, items = [], []
     for p, images in enumerate(image_sets):
-        rank = len(images)
-        needed = _power_cut(images, [Word.generator(i, rank) for i in range(1, rank + 1)], budget)
+        needed = _power_cut(images, [bytes([i]) for i in range(1, len(images) + 1)], budget)
         rows.append(WordBudgetExceeded(needed, budget) if needed else [candidate_lengths(images)])
         if not needed:
             items.append((p, images, images))
@@ -238,7 +239,7 @@ def bracket(
     Raises WordBudgetExceeded when not even phi's own images fit the
     budget.
     """
-    [br] = brackets([phi.images], k_max, budget=budget)
+    [br] = brackets([as_bytes(phi.images)], k_max, budget=budget)
     if isinstance(br, WordBudgetExceeded):
         raise br
     return br
@@ -246,7 +247,7 @@ def bracket(
 
 def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = None) -> list:
     """The bracket of each map phi given by its reduced generator images
-    images[i] = phi(x_i): the lower bounds from one batch of them
+    images[i] = phi(x_i), as bytes: the lower bounds from one batch of them
     (`stretch_lowers`, which raises on the bit budget), the rest from one
     lockstep run of their power orbits (`_power_orbits`).
 

@@ -10,13 +10,14 @@ completed step of each path.  Every word kind runs over
 `_inverse_orbit`, which tracks a state under the inverse increments,
 Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)), with one step per
 increment; none forms Phi_n by composing forward.  Drift and brackets
-track the N reduced generator images Phi_n^{-1}(x_i) (step
-`MapStack.images`): drift reads the distance off them at every step
-(`outer_metric.image_dist`, which reads exact candidate lengths only
-while their size bounds can still beat the best ratio), and the brackets
-of a scheduled step read their powers off them in one batch of all
-paths of the step (`spectral.brackets`, whose power orbits step in
-lockstep).  Conjugacy growth tracks the seed classes g, cyclically
+track the N reduced generator images Phi_n^{-1}(x_i) as bytes, one byte
+per int8 letter, the kernel's own currency (step `MapStack.byte_images`,
+so no word of theirs is wrapped as a `Word`): drift reads the distance
+off them at every step (`outer_metric.image_dist`, which reads exact
+candidate lengths only while their size bounds can still beat the best
+ratio), and the brackets of a scheduled step read their powers off
+them in one batch of all paths of the step (`spectral.brackets`, whose
+power orbits step in lockstep).  Conjugacy growth tracks the seed classes g, cyclically
 reduced, since conjugacy length is a class function (step
 `MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
 substituted through each other, so they track the automorphism
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import Word, WordBudgetExceeded, word_to_str
+from .free_group import WordBudgetExceeded, word_to_str
 from ._wordkernel import lockstep_orbits
 from .automorphisms import (
     Automorphism,
@@ -297,12 +298,12 @@ def _series(kind, group_rows, *, n_max, paths, threads):
 
 def _input_letters(state) -> int:
     """Letters that a step feeds the kernel from one path's state, with a
-    separator between two: its tracked words or both sides of its tracked
-    automorphism, whose inverse images are a map of the table that a
-    Gromov step stacks for all paths (`MapStack.compose`), so that only
-    one long table is held at a time."""
+    separator between two: its tracked words (bytes or cyclic words) or
+    both sides of its tracked automorphism, whose inverse images are a
+    map of the table that a Gromov step stacks for all paths
+    (`MapStack.compose`), so that only one long table is held at a time."""
     words = (*state.images, *state.inverse_images) if isinstance(state, Automorphism) else state
-    return sum([w.letters.size for w in words]) + len(words) - 1
+    return sum(map(len, words)) + len(words) - 1
 
 
 def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
@@ -373,21 +374,21 @@ def drift_experiment(
 ) -> EstimateSeries:
     """Records (1/n) dist(Phi_n^{-1}) per path per n (the drift estimator).
 
-    The path tracks the N reduced generator images Phi_n^{-1}(x_i), one
-    batched substitution per step, and reads dist off them best-first
+    The path tracks the N reduced generator images Phi_n^{-1}(x_i) as
+    bytes, one batched substitution per step, and reads dist off them
+    best-first
     (`outer_metric.image_dist`): the image sizes bound every candidate's
     ratio, and only candidates whose bound beats the best ratio so far
     get their exact length.  It is cut off at the first step at which
     substituting one of those images needs more letters than the letter
     budget.
     """
-    rank = measure.rank
-    gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
+    gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
     def record(n, states):
         return [[("drift", image_dist(tracked) / n, "ok")] for tracked in states]
 
-    source = _inverse_orbit(measure, master_seed, gens, MapStack.images, record,
+    source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images, record,
                             n_max=n_max, budget=letter_budget)
     return _series("drift", source, n_max=n_max, paths=paths, threads=threads)
 
@@ -432,8 +433,8 @@ def spectral_experiment(
 ) -> EstimateSeries:
     """Stretch brackets of Phi_n^{-1}, normalized by n, on a geometric schedule.
 
-    The path tracks the N reduced generator images Phi_n^{-1}(x_i), as
-    drift does, and is cut off at the same step; at a scheduled n the
+    The path tracks the N reduced generator images Phi_n^{-1}(x_i) as
+    bytes, as drift does, and is cut off at the same step; at a scheduled n the
     brackets of all paths of the step read those images in one batch
     (`spectral.brackets`, lower bounds included), each the same as the
     path's alone.  Orbit words under k-th powers blow up like lambda^k,
@@ -443,8 +444,7 @@ def spectral_experiment(
     budget; a bracket over the budget anyway, a WordBudgetExceeded item
     of the batch, would mark only its record truncated (`_on_schedule`).
     """
-    rank = measure.rank
-    gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
+    gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
     def bracket_all(states):
         return brackets(states, k_max, budget=letter_budget)
@@ -458,7 +458,7 @@ def spectral_experiment(
                 ("spectral.point", br.point / n, status),
                 ("spectral.k_used", float(br.k_used), status)]
 
-    source = _inverse_orbit(measure, master_seed, gens, MapStack.images,
+    source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images,
                             _on_schedule(record, "spectral.upper", n_max, bracket_all),
                             n_max=n_max, budget=letter_budget)
     return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)

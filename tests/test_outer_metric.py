@@ -3,13 +3,16 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outwalk.free_group import WordBudgetExceeded, cyclic_reduce, parse_word, reduce, word_to_str
+from outwalk._wordkernel import HEAD, stack_reduce
+from outwalk.free_group import (WordBudgetExceeded, as_bytes, cyclic_reduce, parse_word, reduce,
+                                 word_to_str)
 from outwalk.automorphisms import (
     Automorphism,
     compose,
@@ -151,8 +154,8 @@ def random_letters(seed: int, size: int, rank: int) -> list:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda rank: products(rank, 8)))
 def test_candidate_lengths_on_nielsen_moves(theta):
-    assert candidate_lengths(theta.images) == substituted_lengths(theta)
-    assert_best_first_read(theta.images)
+    assert candidate_lengths(as_bytes(theta.images)) == substituted_lengths(theta)
+    assert_best_first_read(as_bytes(theta.images))
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +169,8 @@ def walk_inverses_16_32_44(niel):
 def test_candidate_lengths_on_walk_inverses(walk_inverses_16_32_44):
     assert max(len(w) for inv in walk_inverses_16_32_44 for w in inv.images) > 2048
     for inv in walk_inverses_16_32_44:
-        assert candidate_lengths(inv.images) == substituted_lengths(inv)
-        assert_best_first_read(inv.images)
+        assert candidate_lengths(as_bytes(inv.images)) == substituted_lengths(inv)
+        assert_best_first_read(as_bytes(inv.images))
 
 
 def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, monkeypatch):
@@ -176,7 +179,7 @@ def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, mo
     # bound falls short of it, so never more than the N^2 lengths
     loops = candidates(3)
     wants = [max([Fraction(1)] + [Fraction(n, len(c)) for n, c in
-                                  zip(candidate_lengths(inv.images), loops)])
+                                  zip(candidate_lengths(as_bytes(inv.images)), loops)])
              for inv in walk_inverses_16_32_44]
     bounds = []
     petal, eight = outer_metric.cyclic_length, outer_metric.product_cyclic_length
@@ -194,7 +197,7 @@ def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, mo
     reads = []
     for inv, want in zip(walk_inverses_16_32_44, wants):
         bounds.clear()
-        image_dist(inv.images)
+        image_dist(as_bytes(inv.images))
         sizes = [len(w) for w in inv.images]
         all_bounds = [Fraction(sum(sizes[abs(x) - 1] for x in c.letters.tolist()), len(c))
                       for c in loops]
@@ -218,8 +221,61 @@ def test_candidate_lengths_on_conjugations(data, size, seed):
     inner = conjugation(random_letters(seed, size, rank), rank)
     for theta in (inner, compose(inner, data.draw(products(rank))),
                   compose(data.draw(products(rank)), inner)):
-        assert candidate_lengths(theta.images) == substituted_lengths(theta)
-        assert_best_first_read(theta.images)
+        assert candidate_lengths(as_bytes(theta.images)) == substituted_lengths(theta)
+        assert_best_first_read(as_bytes(theta.images))
+
+
+def peel(letters) -> list:
+    """Cyclic trim of a reduced letter list, one matched pair of ends at
+    a time."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return letters[i:j]
+
+
+def inverse(letters) -> list:
+    return [-x for x in reversed(letters)]
+
+
+def brute_force_lengths(images) -> list:
+    """The conjugacy length of each candidate's image: the raw
+    concatenation of the images of its letters, reduced by the stack and
+    peeled one pair of ends at a time."""
+    out = []
+    for c in candidates(len(images)):
+        raw = []
+        for x in c.letters.tolist():
+            raw += images[x - 1] if x > 0 else inverse(images[-x - 1])
+        out.append(len(peel(stack_reduce(raw))))
+    return out
+
+
+# piece sizes around the first window and the head of a reading
+piece_sizes = st.one_of(st.integers(1, 8), st.integers(60, 70), st.integers(HEAD - 8, HEAD))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_lengths_on_bytes_against_the_brute_force(data, seed):
+    # each image joins up to three pieces of a shared pool, some
+    # inverted, so seams cancel whole pieces and the ends of a loop peel
+    # deep, past the head of a `Reading`: images of up to 3 HEAD letters
+    rank = data.draw(st.integers(2, 4))
+    sizes = data.draw(st.lists(piece_sizes, min_size=1, max_size=4))
+    pool = [reduce(random_letters(seed + k, n, rank), rank).letters.tolist()
+            for k, n in enumerate(sizes)]
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
+    images = []
+    for i in range(1, rank + 1):
+        parts = data.draw(st.lists(picks, min_size=1, max_size=3))
+        image = stack_reduce([x for k, flip in parts for x in (inverse(pool[k]) if flip else pool[k])])
+        images.append(image or [i])
+    assert max(map(len, images)) <= 3 * HEAD
+    want = brute_force_lengths(images)
+    words = [np.array(w, dtype=np.int8).tobytes() for w in images]
+    assert candidate_lengths(words) == want
+    assert image_dist(words) == log_stretch(candidates(rank), want)
 
 
 @pytest.mark.parametrize("theta, want", [
@@ -232,8 +288,8 @@ def test_candidate_lengths_on_conjugations(data, size, seed):
 ])
 def test_image_dist_ties(theta, want):
     # every bound ties the best ratio: the read stops without a better one
-    assert_best_first_read(theta.images)
-    assert image_dist(theta.images) == dist(theta) == want
+    assert_best_first_read(as_bytes(theta.images))
+    assert image_dist(as_bytes(theta.images)) == dist(theta) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,6 +356,28 @@ def test_gromov_product_examples():
     assert gromov_product(identity_automorphism(2), phi) == pytest.approx(0.0)
     # (x|x) equals the symmetrized distance to x
     assert gromov_product(phi, phi) == pytest.approx(sym_dist(phi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda rank: products(rank, 8)))
+def test_gromov_product_with_the_inverse_reads_sym_dist_once(theta):
+    # sym_dist(theta^{-1}) is the sum of sym_dist(theta)'s two distances in
+    # the other order, the same float: the product reads theta's two
+    # distances and the two orbit distances, four `image_dist` calls
+    reads = []
+    image_dist_ = outer_metric.image_dist
+
+    def spy(images):
+        reads.append(len(images))
+        return image_dist_(images)
+
+    phi = invert(theta)
+    c = orbit_dist(phi, theta) + orbit_dist(theta, phi)
+    want = 0.5 * (sym_dist(phi) + sym_dist(theta) - c)
+    with mock.patch.object(outer_metric, "image_dist", spy):
+        got = gromov_product(phi, theta)
+    assert got == want
+    assert len(reads) == 4
 
 
 @settings(max_examples=40)

@@ -5,13 +5,15 @@ import statistics
 from functools import partial
 from itertools import islice
 
+import numpy as np
 import pytest
 
-from outwalk import _wordkernel, automorphisms, cli, spectral, walk_engine
-from outwalk._wordkernel import BATCH_CAP
+from outwalk import _wordkernel, automorphisms, cli, outer_metric, spectral, walk_engine
+from outwalk._wordkernel import BATCH_CAP, ImageTable
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
-from outwalk.free_group import Word, WordBudgetExceeded, cyclic_reduce, parse_word, word_to_str
+from outwalk.free_group import (CyclicWord, Word, WordBudgetExceeded, as_bytes, cyclic_reduce,
+                                 parse_word, word_to_str)
 from outwalk.automorphisms import (
     MapStack,
     abelianization,
@@ -494,7 +496,7 @@ def kind_reference(kind, rank, settings, seeds=None):
     schedule = set(geometric_schedule(n_max))
     gens = [Word.generator(i, rank) for i in range(1, rank + 1)]
     if kind == "drift":
-        return (gens, images, lambda n, ims: [("drift", image_dist(ims) / n, "ok")],
+        return (gens, images, lambda n, ims: [("drift", image_dist(as_bytes(ims)) / n, "ok")],
                 lambda inv: list(inv.images))
     if kind == "conjugacy":
         return (seeds, cyclic_images,
@@ -505,7 +507,7 @@ def kind_reference(kind, rank, settings, seeds=None):
         def spectral_records(n, ims):
             if n not in schedule:
                 return []
-            [br] = brackets([ims], settings["k_max"], budget=budget)
+            [br] = brackets([as_bytes(ims)], settings["k_max"], budget=budget)
             if isinstance(br, WordBudgetExceeded):
                 return [("spectral.upper", float("nan"), "truncated")]
             status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
@@ -748,6 +750,94 @@ def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
     assert calls == [[4, 4, 4]] * 8
     assert not composed
     assert len(series.values("gromov")) == 4 * len(geometric_schedule(8))
+
+
+def test_a_gromov_record_reads_four_image_dists(niel, monkeypatch):
+    # the record reads sym_dist(Phi_n) once, since sym_dist(Phi_n^{-1}) is
+    # the same float, and the two orbit distances of Phi_n^{+-1}
+    reads = []
+    image_dist_ = outer_metric.image_dist
+
+    def spy(images):
+        reads.append(len(images))
+        return image_dist_(images)
+
+    monkeypatch.setattr(outer_metric, "image_dist", spy)
+    series = gromov_decay_experiment(niel, n_max=16, paths=3, master_seed=3)
+    assert len(reads) == 4 * len(series.values("gromov")) > 0
+
+
+def no_word_in(obj) -> bool:
+    """Whether no `Word` or `CyclicWord` sits anywhere in lists and tuples."""
+    if isinstance(obj, (Word, CyclicWord)):
+        return False
+    return not isinstance(obj, (list, tuple)) or all(map(no_word_in, obj))
+
+
+def all_bytes(groups) -> bool:
+    return all(type(w) is bytes for ws in groups for w in ws)
+
+
+@pytest.mark.parametrize("kind", ["drift", "spectral"])
+def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
+    # the kernel takes and gives arrays; every state of the walk orbits and
+    # of the power orbits, and every image read, is bytes, with no Word
+    seen = {"substitute": 0, "orbit": 0, "read": 0}
+    substitute, scheduler = ImageTable.substitute, _wordkernel.lockstep_orbits
+
+    def substitute_spy(self, word):
+        out = substitute(self, word)
+        assert isinstance(word, np.ndarray) and isinstance(out, np.ndarray)
+        assert out.dtype == np.int8
+        seen["substitute"] += 1
+        return out
+
+    def scheduler_spy(items, size, step, first, last):
+        def checked(k, group):
+            assert no_word_in(group)
+            group, outputs = step(k, group)
+            # (pid, increments, images) of a walk path, (p, phi(x_i),
+            # phi^k(x_i)) of a power orbit
+            assert all_bytes(item[2] for item in group) and no_word_in(group)
+            seen["orbit"] += len(group)
+            return group, outputs
+
+        return scheduler(items, size, checked, first, last)
+
+    def read_spy(read, sets=False):
+        # image_dist and candidate_lengths read one set of images,
+        # brackets many
+        def checked(images, *args, **kwargs):
+            images = list(images)
+            assert all_bytes(images if sets else [images])
+            seen["read"] += 1
+            return read(images, *args, **kwargs)
+
+        return checked
+
+    monkeypatch.setattr(ImageTable, "substitute", substitute_spy)
+    monkeypatch.setattr(walk_engine, "lockstep_orbits", scheduler_spy)
+    monkeypatch.setattr(spectral, "lockstep_orbits", scheduler_spy)
+    monkeypatch.setattr(walk_engine, "image_dist", read_spy(walk_engine.image_dist))
+    monkeypatch.setattr(walk_engine, "brackets", read_spy(walk_engine.brackets, sets=True))
+    monkeypatch.setattr(spectral, "candidate_lengths", read_spy(spectral.candidate_lengths))
+    run = drift_experiment if kind == "drift" else spectral_experiment
+    series = run(niel, n_max=12, paths=4, master_seed=3)
+    assert {r[4] for r in series.records} == {"ok"}
+    assert min(seen.values()) > 0
+    # the Word API keeps its types: images, compose and cyclic_images, and
+    # the MapStack steps over Words
+    phi, psi = niel.support[5], niel.support[11]
+    gens = [Word.generator(i, 3) for i in (1, 2, 3)]
+    seeds = [cyclic_reduce(parse_word("abC", 3))]
+    stack = MapStack([phi, psi])
+    got = (images(phi, gens) + [apply(phi, gens[0])]
+           + [w for theta in (compose(phi, psi), *stack.compose([0, 1], [psi, phi]))
+              for w in (*theta.images, *theta.inverse_images)]
+           + [w for ws in stack.images([0, 1], [gens, gens]) for w in ws])
+    assert all(type(w) is Word for w in got)
+    cyclic = cyclic_images(phi, seeds) + [w for ws in stack.cyclic_images([1], [seeds]) for w in ws]
+    assert all(type(w) is CyclicWord for w in cyclic)
 
 
 def test_cesaro_tail_monotone_in_probability():

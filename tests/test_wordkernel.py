@@ -14,7 +14,9 @@ walk inverses and from seams built to a given depth; both reach the
 table's seam cache and its fallback, the windows of the prefix past the
 letters of the previous block that it still holds.  A batch must give each
 word the image it gets alone, hold the budget per word, and never let
-its separator out.  A group of one on a map's own table is how
+its separator out.  Words go in and images come out as bytes, one byte
+per int8 letter; the tests pass their int8 arrays as bytes and read the
+images back as arrays.  A group of one on a map's own table is how
 `automorphisms` maps words; many groups over a stacked table must each
 get the images that their own map's table gives them, and a group with
 a word over the budget must get the WordBudgetExceeded of its first
@@ -153,7 +155,7 @@ def test_budget_raised_exactly_when_raw_total_exceeds_it(walk_maps, data, size, 
     word = random_reduced(seed, size)
     total = len(raw_concatenation(table, word))
     budget = max(0, total + slack)
-    [got] = lockstep_substitute(psi._table, [0], [[word]], budget)
+    [got] = lockstep(psi._table, [0], [[word]], budget)
     if total > budget:
         assert (got.needed, got.budget) == (total, budget)
         with pytest.raises(WordBudgetExceeded) as err:
@@ -378,9 +380,20 @@ def one_at_a_time(table, words) -> list:
     return [table.substitute(w).tolist() for w in words]
 
 
+def lockstep(table, maps, groups, budget) -> list:
+    """`lockstep_substitute` on groups of int8 arrays, passed as bytes:
+    each group's images, which come out as bytes, as int8 arrays again."""
+    out = lockstep_substitute(table, maps, [[w.tobytes() for w in ws] for ws in groups], budget)
+    for item in out:
+        if not isinstance(item, WordBudgetExceeded):
+            assert all(type(b) is bytes for b in item)
+    return [item if isinstance(item, WordBudgetExceeded)
+            else [np.frombuffer(b, dtype=np.int8) for b in item] for item in out]
+
+
 def group_of_one(table, words, budget=10**9):
     """The item of words as a group of one on map 0 of the table."""
-    return lockstep_substitute(table, [0], [words], budget)[0]
+    return lockstep(table, [0], [words], budget)[0]
 
 
 def as_words(words) -> list:
@@ -389,6 +402,19 @@ def as_words(words) -> list:
 
 def raw_total(table, word) -> int:
     return int(table.lens[word].sum())
+
+
+@pytest.mark.parametrize("slack", [-1, 0, 1])
+def test_a_long_lone_word_meets_the_budget_exactly(niel, slack):
+    # a lone word's raw size is summed a BATCH_CAP of slots at a time
+    table = niel.support[5]._table
+    word = random_reduced(11, 3 * BATCH_CAP + 7)
+    total = raw_total(table, word)
+    [got] = lockstep(table, [0], [[word]], total + slack)
+    if slack < 0:
+        assert (got.needed, got.budget) == (total, total + slack)
+    else:
+        assert [a.tolist() for a in got] == one_at_a_time(table, [word])
 
 
 def test_batch_over_budget_only_in_total_does_not_raise(niel):
@@ -447,6 +473,31 @@ def test_batch_splits_at_the_cap(niel):
     assert [a.tolist() for a in got] == one_at_a_time(table, words)
 
 
+def test_a_lone_word_reaches_the_kernel_as_a_view_of_its_bytes(niel, monkeypatch):
+    # a word that runs alone on a one-map table enters `substitute` with no
+    # copy, and its image leaves as bytes, its one copy; a batch is cut
+    # at its separators into the images that each word gets alone
+    seen = []
+    substitute = ImageTable.substitute
+
+    def spy(self, word):
+        seen.append(word)
+        return substitute(self, word)
+
+    monkeypatch.setattr(ImageTable, "substitute", spy)
+    table = niel.support[5]._table
+    word = random_reduced(3, BATCH_CAP + 5).tobytes()
+    [[image]] = lockstep_substitute(table, [0], [[word]], 10**9)
+    assert len(seen) == 1 and seen[0].base is word and seen[0].dtype == np.int8
+    words = [random_reduced(k, 50).tobytes() for k in range(4)]
+    [images] = lockstep_substitute(table, [0], [words], 10**9)
+    assert len(seen) == 2
+    monkeypatch.setattr(ImageTable, "substitute", substitute)
+    for w, got in zip([word] + words, [image] + images):
+        assert type(got) is bytes
+        assert got == table.substitute(np.frombuffer(w, dtype=np.int8)).tobytes()
+
+
 def stacked(maps) -> ImageTable:
     """One table of every map, map m in slots m * stride on."""
     return ImageTable(*[[w.letters for w in phi.images] for phi in maps])
@@ -480,7 +531,7 @@ def test_lockstep_gives_each_group_its_own_maps_images(nielsen_products, walk_ma
              for p, g in enumerate(groups)]
     raws = sorted(raw_total(maps[m]._table, w) for m, ws in zip(picks, words) for w in ws)
     budget = data.draw(st.sampled_from(raws + [10**9]))
-    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    got = lockstep(stacked(maps), picks, words, budget)
     want = [own_table_images(maps[m], ws, budget) for m, ws in zip(picks, words)]
     assert [as_lists(g) for g in got] == want
 
@@ -501,7 +552,7 @@ def test_lockstep_splits_at_the_cap_between_words(niel, monkeypatch, cap, batche
     maps = list(niel.support)
     picks = [3, 3, 17, 0, 23]
     words = [[random_reduced(10 * p + k, 40 + 90 * k) for k in range(3)] for p in range(5)]
-    got = lockstep_substitute(stacked(maps), picks, words, 10**9)
+    got = lockstep(stacked(maps), picks, words, 10**9)
     # words of 40, 130 and 220 letters in turn: under a cap of 1000 the
     # batches take 8, 6 and 1 of them, one separator between two words
     assert len(calls) == batches
@@ -531,7 +582,7 @@ def test_lockstep_drops_a_cut_group_before_substituting(niel, monkeypatch):
                  for p, (m, ws) in enumerate(zip(picks, words)) for w in ws if p != 1)
     needed = raw_total(maps[2]._table, words[1][2])
     assert needed > budget
-    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    got = lockstep(stacked(maps), picks, words, budget)
     assert calls == [3 * (3 * 50) + 8]
     monkeypatch.setattr(ImageTable, "substitute", substitute)
     assert as_lists(got[1]) == (needed, budget)
@@ -566,7 +617,7 @@ def test_a_budget_check_builds_each_batch_once(niel, monkeypatch, cut):
               for k in range(3)] for p in range(5)]
     budget = max(raw_total(maps[m]._table, w)
                  for p, (m, ws) in enumerate(zip(picks, words)) for w in ws if p != cut[0])
-    got = lockstep_substitute(stacked(maps), picks, words, budget)
+    got = lockstep(stacked(maps), picks, words, budget)
     assert isinstance(got[cut[0]], WordBudgetExceeded)
     assert len(built) == len(read) > 1
     assert sum(built) == sum(read) == 15
@@ -652,13 +703,13 @@ def test_common_prefix_across_window_edges(shared):
     u = np.array(p + [x] + random_reduced(1, 2 * HEAD).tolist(), dtype=np.int8)
     v = np.array(p + [-x] + random_reduced(2, 50).tolist(), dtype=np.int8)
     assert stack_reduce(u.tolist()) == u.tolist() and stack_reduce(v.tolist()) == v.tolist()
-    pu, pv = Reading(u), Reading(v)
+    pu, pv = Reading(u.tobytes()), Reading(v.tobytes())
     for cap in (shared - 1, shared, shared + 1, v.size):
         if cap >= 0:
             assert common_prefix(pu, pv, cap) == min(shared, cap)
     # the inverse words, read as their inverses, are u and v again
-    iu = Reading(np.array(u[::-1] * -1), True)
-    iv = Reading(np.array(v[::-1] * -1), True)
+    iu = Reading(np.array(u[::-1] * -1).tobytes(), True)
+    iv = Reading(np.array(v[::-1] * -1).tobytes(), True)
     assert common_prefix(iu, iv, v.size) == shared
     for offset in {0, shared // 2, shared}:
         assert common_prefix(pu, pv, v.size - offset, offset, offset) == shared - offset
@@ -702,7 +753,8 @@ def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
     u = np.array(stack_reduce(u), dtype=np.int8)
     v = np.array(stack_reduce(v), dtype=np.int8)
     v_inv = np.array(v[::-1] * -1)
-    pu, pu_inv, pv, pv_inv = Reading(u), Reading(u, True), Reading(v), Reading(v, True)
+    bu, bv = u.tobytes(), v.tobytes()
+    pu, pu_inv, pv, pv_inv = Reading(bu), Reading(bu, True), Reading(bv), Reading(bv, True)
     assert cyclic_length(pu, pu_inv) == len(peel(u.tolist()))
     assert product_cyclic_length(pu, pu_inv, pv, pv_inv) == product_by_stack(u, v)
     assert product_cyclic_length(pu, pu_inv, pv_inv, pv) == product_by_stack(u, v_inv)
