@@ -8,6 +8,17 @@ time n is A_n ... A_1.  (The automorphism walk in
 two conventions are bridged by transposing increments, which preserves
 spectral radii.)
 
+A product pays only for what its left factor changes.  Each row of
+A @ B is the sum of a * B[j] over the nonzero entries a = A[i][j] of the
+row, and a unit row e_j hands back the row B[j] itself, the same tuple
+(`IntMatrix._sparse_rows`, found once per matrix).  Increments are the
+left factors, so only the support atoms pay for their patterns, and a
+transvection I +- E_ij costs n multiply-adds instead of n^3 products;
+`apply` reads a vector the same way.  `guivarch_series` keeps the
+absolute sum and the longest entry of each row of its running product,
+and reads again only the rows that the increment changed: its bit
+checks and the row norm it reports read no product twice.
+
 Spectral radius brackets are reported on natural-log scale: a linear
 value would overflow a double long before a 1000-step product does.  Up
 to dimension 2 the characteristic polynomial gives log rho(A) itself,
@@ -20,7 +31,14 @@ its eigenvalue moduli multiply to |det| >= 1, so rho >= 1.  `_ladder`
 runs the ladders of a batch together.  Each level is a few whole-batch
 operations on a numpy object array of Python ints (the square P @ P,
 the abs, sum and max of the row norms, the traces, the cut shifts),
-then one pass over the batch that reads each matrix's two floats.
+then one pass over the batch that reads each matrix's two floats.  The
+square of a batch of at least SHARED_SQUARE_MIN matrices shares its
+symmetric products (`_shared_square`): the diagonal entries of P^2
+share the n(n-1)/2 products p_ik p_ki, and the entries (i, j) and (j, i)
+the sum p_ii + p_jj, so a square takes n + n(n-1)/2 + n(n-1)^2
+products instead of n^3, 18 instead of 27 for n = 3.  It runs as a few
+dozen whole-batch operations, which only a large batch repays; a
+smaller batch runs `P @ P`.  Both give the same integers.
 
 Every power is a ball: integer mids m under one shared exponent e and
 one integer radius rad, so that every entry of the power is within
@@ -34,8 +52,9 @@ math.log(|trace|) are needed, and CPython's math.log of an int reads
 only the int rounded half-even to 53 bits.  So a ball fixes a float
 when both ends of its interval round to one double (`_log_of_all`), and
 then the float is the one the exact power gives.  A ball square costs
-n^3 products of mids of about PREC bits, where the exact A^32 and A^64
-of a long walk have thousands of bits of which math.log reads 53.
+at most n^3 products of mids of about PREC bits, where the exact A^32
+and A^64 of a long walk have thousands of bits of which math.log reads
+53.
 
 The entries of A^64 have about 64 times the bits of those of A, so the
 bit budget bounds the ladder too: the first exact power whose entries
@@ -56,6 +75,8 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -84,6 +105,11 @@ PREC = 128  # a power whose row norm is longer is cut to PREC bits before it is 
 # matrices near the default bit budget would hold about 144 MB)
 CHUNK = 128
 CHUNK_BITS = 1 << 22
+
+# the least batch whose Gelfand squares share their symmetric products
+# (module docstring): per 3x3 matrix with 128-bit entries, `_shared_square`
+# beats `m @ m` on batches of 64 and more, and loses on 32 and fewer
+SHARED_SQUARE_MIN = 64
 
 NEG_INF = float("-inf")
 
@@ -123,16 +149,22 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
+    @cached_property
+    def _sparse_rows(self) -> tuple:
+        """Per row: j when the row is the unit row e_j, else its nonzero
+        entries as (column, entry) pairs (module docstring)."""
+        out = []
+        for row in self.entries:
+            terms = tuple((j, a) for j, a in enumerate(row) if a)
+            out.append(terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else terms)
+        return tuple(out)
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        b_cols = tuple(zip(*other.entries))
-        return IntMatrix._of_rows(
-            tuple(
-                tuple(sum(map(operator.mul, row, col)) for col in b_cols)
-                for row in self.entries
-            )
-        )
+        rows = other.entries
+        return IntMatrix._of_rows(tuple(
+            rows[t] if type(t) is int else _combine(t, rows) for t in self._sparse_rows))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
@@ -159,19 +191,27 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def max_bits(self) -> int:
-        return _max_bits(self.entries)
+        return max(x.bit_length() for row in self.entries for x in row)
 
     def apply(self, v: tuple) -> tuple:
         if len(v) != self.n:
             raise ValueError("vector dimension mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple(v[t] if type(t) is int else sum(a * v[j] for j, a in t)
+                     for t in self._sparse_rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def _max_bits(rows: tuple) -> int:
-    return max(x.bit_length() for row in rows for x in row)
+def _combine(terms: tuple, rows: tuple) -> tuple:
+    """The row sum of a * rows[j] over the (j, a) pairs of `terms`."""
+    if not terms:
+        return (0,) * len(rows)
+    acc = None
+    for j, a in terms:
+        row = rows[j] if a == 1 else map(operator.mul, repeat(a), rows[j])
+        acc = row if acc is None else map(operator.add, acc, row)
+    return tuple(acc)
 
 
 def _row_norm(rows: tuple) -> int:
@@ -333,11 +373,42 @@ def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
             break
         if any(shifts):
             m = m >> np.array(shifts, dtype=object)[:, None, None]
-        m = m @ m
+        m = _shared_square(m) if len(live) >= SHARED_SQUARE_MIN else m @ m
     for i, lo, hi in zip(live, lower, upper):
         if lo < 0 and mats[i].det():
             lo = 0.0  # rho >= 1 (module docstring)
         out[i] = MatrixBracket(lo, hi)
+    return out
+
+
+def _shared_square(m: np.ndarray) -> np.ndarray:
+    """m @ m for a stack m of n x n object matrices, from fewer products.
+
+    The diagonal entries of M^2 share the products m_ik m_ki, and the
+    entries (i, j) and (j, i) the sum m_ii + m_jj, so a square takes
+    n + n(n-1)/2 + n(n-1)^2 products instead of n^3, each a whole-batch
+    operation on the stack's column of one entry.
+    """
+    n = m.shape[1]
+    c = m.transpose(1, 2, 0)  # c[i, j]: the entries (i, j) of the stack
+    out = np.empty_like(m)
+    sq = out.transpose(1, 2, 0)
+    for i in range(n):
+        sq[i, i] = c[i, i] * c[i, i]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = c[i, j] * c[j, i]
+            sq[i, i] += p
+            sq[j, j] += p
+            t = c[i, i] + c[j, j]
+            sq[i, j] = c[i, j] * t
+            sq[j, i] = c[j, i] * t
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for k in range(n):
+                    if k != i and k != j:
+                        sq[i, j] += c[i, k] * c[k, j]
     return out
 
 
@@ -395,34 +466,48 @@ def guivarch_series(
     """
     prod = None
     n = 0
-    chunk, bits = [], 0
+    chunk, norms, bits = [], [], 0
     for a in increments:
-        prod = a if prod is None else a @ prod
-        b = prod.max_bits()
+        if prod is None:
+            prod = a
+            reads = list(map(_read_row, a.entries))
+        else:
+            # a unit row of the increment passes a row of the product through
+            prod = a @ prod
+            reads = [reads[t] if type(t) is int else _read_row(row)
+                     for t, row in zip(a._sparse_rows, prod.entries)]
+        norm, b = map(max, zip(*reads))
         if b > bit_budget:
-            yield from _bracket_rows(chunk, n, bit_budget)
+            yield from _bracket_rows(chunk, norms, n, bit_budget)
             raise BitBudgetExceeded(
                 f"product entries exceed {bit_budget} bits at n={n + len(chunk) + 1}")
         chunk.append(prod)
+        norms.append(norm)
         bits += b * prod.n * prod.n
         if (len(chunk) == CHUNK or bits > CHUNK_BITS
                 or prod.n > 2 and (b + prod.n.bit_length()) << GELFAND_MAX_J > bit_budget):
-            yield from _bracket_rows(chunk, n, bit_budget)
+            yield from _bracket_rows(chunk, norms, n, bit_budget)
             n += len(chunk)
-            chunk, bits = [], 0
-    yield from _bracket_rows(chunk, n, bit_budget)
+            chunk, norms, bits = [], [], 0
+    yield from _bracket_rows(chunk, norms, n, bit_budget)
 
 
-def _bracket_rows(products: list, n: int, bit_budget: int) -> Iterator[tuple]:
-    """The guivarch_series rows of the running products A_(n+1), A_(n+2), ...
+def _read_row(row: tuple) -> tuple:
+    """The absolute sum of an int row and the bit length of its longest entry."""
+    return sum(map(abs, row)), max(map(int.bit_length, row))
+
+
+def _bracket_rows(products: list, norms: list, n: int, bit_budget: int) -> Iterator[tuple]:
+    """The guivarch_series rows of the running products A_(n+1), A_(n+2), ...,
+    whose row norms are `norms`.
 
     Raises the BitBudgetExceeded of the first product that has one.
     """
-    for br, prod in zip(spectral_radii(products, bit_budget), products):
+    for br, norm in zip(spectral_radii(products, bit_budget), norms):
         if isinstance(br, BitBudgetExceeded):
             raise br
         n += 1
-        yield n, br.lower / n, br.upper / n, log_norm(prod) / n
+        yield n, br.lower / n, br.upper / n, _log_int(norm) / n
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -6,8 +6,9 @@ SL(2, Z) (whose spectral radius has a closed form) and SL(4, Z), a
 conjugacy config whose nine tracked words
 outgrow the orbit-step batch cap, a Gromov config whose tracked maps do, a spectral config at the benchmark's
 sizes, a Guivarch config long enough for the
-Gelfand ladder's ball regime, and one whose budget a Gelfand power passes
-mid-chunk, runs through the CLI; the sha256 of its CSV body
+Gelfand ladder's ball regime, one whose budget a Gelfand power passes
+mid-chunk, and each matrix kind on dense atoms, whose products no unit
+row passes through, runs through the CLI; the sha256 of its CSV body
 (every line that is not a `#` comment) must equal the digest recorded
 here, at `--threads 1` and, for a config that reads `paths`, at
 `--threads 2` too.  A refactor that claims no behaviour change keeps
@@ -26,9 +27,18 @@ from outwalk._wordkernel import BATCH_CAP, ImageTable
 from outwalk.automorphisms import automorphism_to_str, images
 from outwalk.cli import main
 from outwalk.free_group import Word
+from outwalk.matrix_oracle import IntMatrix
 from outwalk.spectral import bracket
 
 THETA = "rank = 3\ngen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
+
+# dense atoms of determinant +-1: no row of one is a unit row, so every
+# product runs the dense path of `@` and `apply`
+DENSE_ATOMS = ([[2, 1, 1], [1, 1, 1], [1, 1, 2]],
+               [[1, 2, 1], [1, 1, 1], [0, 1, 1]],
+               [[1, -1, 2], [0, 1, 1], [1, 0, 2]])
+DENSE = "dim = 3\n" + "".join(f"gen.{i}.matrix = {rows}\ngen.{i}.weight = {w}\n"
+                              for i, (rows, w) in enumerate(zip(DENSE_ATOMS, (0.5, 0.25, 0.25))))
 
 # name: (config head, measure); the measure is THETA or a name in the
 # `measures` fixture
@@ -89,6 +99,11 @@ CONFIGS = {
                                 "bit_budget = 3000\n", "sl3"),
     "matrix-furstenberg-cut": ("kind = matrix-furstenberg\nn_max = 100\npaths = 4\n"
                                "master_seed = 5\nbit_budget = 16\nvector = [1, 0, 0]\n", "sl3"),
+    # products of dense atoms, whose entries pass PREC bits within the first chunk
+    "matrix-guivarch-dense": ("kind = matrix-guivarch\nn_max = 200\npaths = 3\nmaster_seed = 3\n",
+                              DENSE),
+    "matrix-furstenberg-dense": ("kind = matrix-furstenberg\nn_max = 200\npaths = 3\n"
+                                 "master_seed = 3\nvector = [1, -2, 0]\n", DENSE),
 }
 
 DIGESTS = {
@@ -106,10 +121,12 @@ DIGESTS = {
     "gromov-f2": "47322fdd395d1017ce5c559fb006aa57a51c0af9bc4ca7f2ab38810dc4d1f468",
     "matrix-furstenberg": "55a67aec1296e43329a8e530979cb5424092b367bbee028560787ba68d044e49",
     "matrix-furstenberg-cut": "993b5e9f61ae9be8385bc06fc1306c4899d3d44bade5ceb9048acb7ae1e2e543",
+    "matrix-furstenberg-dense": "e95c52e9d55f06e0152191616d06a7ae3878f52d189efff5fae72fc41092e5ee",
     "matrix-furstenberg-sl2": "de60d502bdd48b670577cae72e561c1a5d4796def97afdd0f85019c75e2aa9a7",
     "matrix-guivarch": "bf6990c2e4c2919fdd3e1fe3990e82c0c5dc22017046bf02c7d950d0423ea5c9",
     "matrix-guivarch-ballcut": "0a2194f1a84af7ccd6de369c4c62edab56d10761de3d4acf0b0571223471c1df",
     "matrix-guivarch-cut": "015e4214c3e4367857fca370c59153b904a5085b9e861906eb1a00df778f1c67",
+    "matrix-guivarch-dense": "49aa4789fa931583d21b26a28639323aa0dc547cef7614c44b4c806956f7bbed",
     "matrix-guivarch-long": "dc70d6bba9f22f20264bc2641222044a41f41d9a60a652ffa0c12caaab55ea79",
     "matrix-guivarch-sl2": "b3b0dee4d7992814d5f2d4ec94968f60a60ea0e0d43223d782897a24f710089f",
     "matrix-guivarch-sl4": "bc8823abc56ec9ab312dfbebb488851137858cb2f38d935a2f41cdff02ff5dbd",
@@ -119,6 +136,10 @@ DIGESTS = {
     "spectral-f2": "cabe62df7c54e65e7fbb580550bfe1eb2a78ad9cd668fc1c8f2252394085a4c0",
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
 }
+
+
+def test_dense_atoms_are_unimodular():
+    assert [IntMatrix(rows).det() for rows in DENSE_ATOMS] == [1, -1, -1]
 
 
 def measure_text(measure) -> str:

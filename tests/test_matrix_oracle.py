@@ -2,8 +2,10 @@
 
 import math
 import random
+from itertools import cycle, islice
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from outwalk.matrix_oracle import (
     CHUNK,
     GELFAND_MAX_J,
     PREC,
+    SHARED_SQUARE_MIN,
     BitBudgetExceeded,
     IntMatrix,
     MatrixBracket,
@@ -128,6 +131,41 @@ def test_mat_mul_examples():
     assert a @ i == a and i @ a == a
     # a product is a well-formed matrix: tuple rows, hashable, equal to the checked one
     assert hash(a @ b) == hash(IntMatrix([[2, 1], [1, 1]]))
+
+
+def sparse_matrix(n):
+    """Matrices whose rows are unit rows, -1 rows, zero rows or random zero patterns."""
+    unit = st.integers(0, n - 1).map(lambda j: [int(c == j) for c in range(n)])
+    minus = unit.map(lambda row: [-x for x in row])
+    pattern = st.lists(st.one_of(st.just(0), st.integers(-2**70, 2**70)), min_size=n, max_size=n)
+    row = st.one_of(unit, minus, st.just([0] * n), pattern)
+    return st.lists(row, min_size=n, max_size=n).map(IntMatrix)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    sparse_matrix(n), sparse_matrix(n),
+    st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n))))
+def test_sparse_products_equal_the_dense_sums(args):
+    a, b, v = args
+    n = a.n
+    dense = IntMatrix([[sum(a.entries[i][k] * b.entries[k][j] for k in range(n))
+                        for j in range(n)] for i in range(n)])
+    prod = a @ b
+    assert prod == dense and hash(prod) == hash(dense)
+    image = a.apply(tuple(v))
+    assert type(image) is tuple
+    assert image == tuple(sum(a.entries[i][k] * v[k] for k in range(n)) for i in range(n))
+
+
+def test_a_unit_row_passes_the_right_factors_row_through():
+    a = IntMatrix([[1, 0, 0], [0, 0, 1], [1, -1, 0]])
+    b = IntMatrix([[2**100, 3, 5], [7, 11, 13], [17, 19, 23]])
+    p = a @ b
+    assert p.entries[0] is b.entries[0] and p.entries[1] is b.entries[2]
+    assert p.entries[2] == (2**100 - 7, -8, -8)
+    v = (2**90, 5, -6)
+    assert a.apply(v)[0] is v[0]
 
 
 @settings(max_examples=50)
@@ -398,7 +436,7 @@ def assert_reference(a, br, bit_budget=math.inf):
         assert (br.lower, br.upper) == expected
 
 
-def test_a_batch_equals_its_matrices_one_by_one(ladder_runs):
+def test_a_batch_equals_its_matrices_one_by_one(ladder_runs, monkeypatch):
     budget = 10_000
     rng = random.Random(5)
     walk = IntMatrix.identity(3)
@@ -413,12 +451,40 @@ def test_a_batch_equals_its_matrices_one_by_one(ladder_runs):
         IntMatrix([[2**200 + 1, 1, 0], [0, 1, 0], [1, 0, 1]]),
         IntMatrix([[2**budget, 0, 0], [0, 1, 0], [0, 0, 1]]),  # A itself is over budget
     ]
-    batch = mats + mats[::-1]  # each kind beside each other kind
-    got = list(spectral_radii(batch, budget))
-    assert ladder_runs["exact"] == 4
-    for a, br in zip(batch, got):
-        assert_reference(a, br, budget)
-    assert [str(x) for x in got] == [str(next(spectral_radii([a], budget))) for a in batch]
+    alone = [str(next(spectral_radii([a], budget))) for a in mats]
+    assert ladder_runs["exact"] == 2
+    squares = []
+    shared_square = matrix_oracle._shared_square
+
+    def spy(m):
+        squares.append(len(m))
+        return shared_square(m)
+
+    monkeypatch.setattr(matrix_oracle, "_shared_square", spy)
+    # each kind beside each other kind, in batches on each side of the size
+    # from which the Gelfand squares share their products
+    for size in (10, SHARED_SQUARE_MIN - 1, 2 * SHARED_SQUARE_MIN):
+        kinds = list(islice(cycle([0, 1, 2, 3, 4, 4, 3, 2, 1, 0]), size))
+        batch = [mats[i] for i in kinds]
+        exact, squares[:] = ladder_runs["exact"], []
+        got = list(spectral_radii(batch, budget))
+        assert ladder_runs["exact"] - exact == sum(i in (2, 3) for i in kinds)
+        for a, br in zip(batch, got):
+            assert_reference(a, br, budget)
+        assert [str(x) for x in got] == [alone[i] for i in kinds]
+        # a square shares its products while the batch holds SHARED_SQUARE_MIN live matrices
+        assert all(live >= SHARED_SQUARE_MIN for live in squares)
+        assert bool(squares) == (size > SHARED_SQUARE_MIN)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.one_of(st.just(0), st.integers(-2**300, 2**300)),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    min_size=1, max_size=5)))
+def test_the_shared_square_is_the_square(stack):
+    m = np.array(stack, dtype=object)
+    assert matrix_oracle._shared_square(m).tolist() == (m @ m).tolist()
 
 
 def ladder_matrix(n):
@@ -529,6 +595,28 @@ def test_a_cut_guivarch_path_forms_no_product_past_its_cut(sl3, monkeypatch):
     assert counts["matmul"] == sum(cut - 1 for cut in cuts)
     # the batches ladder no more matrices than the products formed
     assert counts["batched"] <= counts["matmul"] + len(cuts)
+
+
+def test_guivarch_series_reads_only_the_rows_an_increment_changes(monkeypatch):
+    rng = random.Random(9)
+    increments = [rng.choice(transvections(3)) for _ in range(300)]
+    expected = reference_rows(increments, 10**6)
+    reads = []
+    read_row = matrix_oracle._read_row
+
+    def spy(row):
+        reads.append(row)
+        return read_row(row)
+
+    def never(*args):
+        raise AssertionError("a product read again")
+
+    monkeypatch.setattr(matrix_oracle, "_read_row", spy)
+    monkeypatch.setattr(matrix_oracle, "log_norm", never)
+    monkeypatch.setattr(IntMatrix, "max_bits", never)
+    assert (list(guivarch_series(increments)), None) == expected
+    # the three rows of the first product, then the one row each transvection changes
+    assert len(reads) == 3 + len(increments) - 1
 
 
 @settings(max_examples=300)
