@@ -15,13 +15,13 @@ image.  `MapStack` steps many states at once, each a group through its
 own map of a tuple, and `own_images` many groups, each through the map
 of its own generator images.
 
-The kernel carries words as bytes, one byte per int8 letter.  The word
-orbits of the walks and brackets track bytes and step through
-`MapStack.byte_images` and `own_images`, which take and give bytes.
-`images`, `apply`, `compose`, `cyclic_images` and the other `MapStack`
-steps take and give `Word`s and `CyclicWord`s: a Word's array goes into
-the kernel as the buffer it is, and each image comes out as a Word whose
-array views the image's bytes (`np.frombuffer`), with no copy.
+The kernel carries words as bytes, one byte per int8 letter, and so do
+the word orbits between steps: `MapStack` and `own_images` take and give
+bytes.  `Word` is the public wrapper only: `images`, `apply`, `compose`
+and `cyclic_images` take and give `Word`s and `CyclicWord`s, a Word's
+array goes into the kernel as the buffer it is, and each image comes
+out as a Word whose array views the image's bytes (`np.frombuffer`),
+with no copy.
 
 Composition convention: compose(phi, psi) applies psi first, i.e. maps
 x to phi(psi(x)).  Abelianization rows are indexed by the mapped
@@ -212,10 +212,10 @@ class MapStack:
     """A tuple of automorphisms of one rank, through which many tracked
     states step at once: state p through phis[maps[p]].
 
-    `images`, `cyclic_images` and `compose` are the steps of the same
-    names, one per state, and give None for a state whose step passes
-    the letter budget where the one-state step raises; `byte_images` is
-    `images` on states of bytes, the step of the walks that track bytes.
+    A state is a list of words as bytes, and a step gives the new states,
+    None for one whose step passes the letter budget where the one-map
+    step (`images`, `cyclic_images`, `compose`) raises; a `compose` state
+    holds a map's generator images, then its inverse's.
     A word step is one `lockstep_substitute` call, each state a group:
     many states share one kernel table of every map
     (`_wordkernel.ImageTable` with one slot range per map), so that the
@@ -236,36 +236,25 @@ class MapStack:
         return ImageTable(*[[w.letters for w in phi.images] for phi in self.phis])
 
     def byte_images(self, maps, states, *, budget: int | None = None) -> list:
-        """`images` of states of bytes, as bytes: the images of each
-        state's words through phis[m], None where one raises."""
+        """The images of each state's words through phis[m]."""
         table, maps = (self.phis[maps[0]]._table, [0]) if len(states) == 1 else (self._table, maps)
         return _groups(lockstep_substitute(table, maps, states, _budget(budget)))
 
-    def images(self, maps, states, *, budget: int | None = None) -> list:
-        """[images(phis[m], words) for m, words in zip(maps, states)], None where one raises."""
-        r = self.phis[0].rank
-        return [None if out is None else _words(out, r)
-                for out in self.byte_images(maps, [[w.letters for w in ws] for ws in states],
-                                            budget=budget)]
-
     def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
-        """[cyclic_images(phis[m], words) ...], None where one raises."""
-        r = self.phis[0].rank
+        """`byte_images`, then each image trimmed (`cyclic_trim`)."""
         return [None if out is None
-                else [CyclicWord._wrap(cyclic_trim(np.frombuffer(b, dtype=DTYPE)), r) for b in out]
-                for out in self.byte_images(maps, [[w.letters for w in ws] for ws in states],
-                                            budget=budget)]
+                else [cyclic_trim(np.frombuffer(b, dtype=DTYPE)).tobytes() for b in out]
+                for out in self.byte_images(maps, states, budget=budget)]
 
     def compose(self, maps, states, *, budget: int | None = None) -> list:
-        """[compose(phis[m], psi) ...], None where one raises: an `images`
-        step, and each psi^{-1} as its own map (`own_images`)."""
-        fwd = self.images(maps, [psi.images for psi in states], budget=budget)
-        inv = own_images([[w.letters for w in psi.inverse_images] for psi in states],
+        """States [psi(x_i)..., psi^{-1}(x_i)...] to those of compose(phis[m],
+        psi): a `byte_images` step, then each psi^{-1} as its own map."""
+        r = self.phis[0].rank
+        fwd = self.byte_images(maps, [state[:r] for state in states], budget=budget)
+        inv = own_images([state[r:] for state in states],
                          [[w.letters for w in self.phis[m].inverse_images] for m in maps],
                          budget=budget)
-        return [None if a is None or b is None
-                else Automorphism(tuple(a), tuple(_words(b, psi.rank)), psi.rank)
-                for a, b, psi in zip(fwd, inv, states)]
+        return [None if a is None or b is None else a + b for a, b in zip(fwd, inv)]
 
 
 def invert(phi: Automorphism) -> Automorphism:

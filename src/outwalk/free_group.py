@@ -45,7 +45,7 @@ class ParseError(ValueError):
 def _check_letters(arr: np.ndarray, rank: int) -> None:
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    if arr.size and int(np.abs(arr).max()) > rank:
+    if arr.size and not -rank <= int(arr.min()) <= int(arr.max()) <= rank:
         raise ValueError(f"letter index out of range for rank {rank}")
     if arr.size and not arr.all():
         raise ValueError("letter 0 is not allowed")

@@ -9,21 +9,21 @@ Every multi-path kind is a row source: group_rows(path_ids) yields
 completed step of each path.  Every word kind runs over
 `_inverse_orbit`, which tracks a state under the inverse increments,
 Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)), with one step per
-increment; none forms Phi_n by composing forward.  Drift and brackets
-track the N reduced generator images Phi_n^{-1}(x_i) as bytes, one byte
-per int8 letter, the kernel's own currency (step `MapStack.byte_images`,
-so no word of theirs is wrapped as a `Word`): drift reads the distance
+increment; none forms Phi_n by composing forward.  Every state is a
+list of words as bytes, one byte per int8 letter, the kernel's own
+currency.  Drift and brackets track the N reduced generator images
+Phi_n^{-1}(x_i) (step `MapStack.byte_images`): drift reads the distance
 off them at every step (`outer_metric.image_dist`, which reads exact
 candidate lengths only while their size bounds can still beat the best
 ratio), and the brackets of a scheduled step read their powers off
 them in one batch of all paths of the step (`spectral.brackets`, whose
-power orbits step in lockstep).  Conjugacy growth tracks the seed classes g, cyclically
-reduced, since conjugacy length is a class function (step
-`MapStack.cyclic_images`).  Gromov products need Phi_n and Phi_n^{-1}
-substituted through each other, so they track the automorphism
-Phi_n^{-1} itself (step `MapStack.compose`), which carries Phi_n as its
-inverse images, and record on the geometric schedule only.  The matrix
-kinds run over `guivarch_series` and `vector_growth`.
+power orbits step in lockstep).  Conjugacy growth tracks the seed
+classes g, cyclically reduced, since conjugacy length is a class
+function (step `MapStack.cyclic_images`).  Gromov products need Phi_n
+and Phi_n^{-1} substituted through each other, so they track drift's
+images followed by those of Phi_n (step `MapStack.compose`), and record
+on the geometric schedule only.  The matrix kinds run over
+`guivarch_series` and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records
@@ -51,7 +51,7 @@ letters, not in one call per path.  A path with a word whose raw image
 passes the letter budget is cut and dropped before the batch is
 substituted.  So the call overhead of a step is paid once per batch,
 not once per path; a Gromov step is two such calls, the second through
-a table that stacks the paths' own inverse images
+a table that stacks the paths' own images of Phi_{n-1}
 (`MapStack.compose`).  One `record` call then reads the new states of
 all of them, so that a spectral step brackets them in one batch
 (`spectral.brackets`).  The paths are scheduled by
@@ -70,11 +70,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import WordBudgetExceeded, word_to_str
+from .free_group import WordBudgetExceeded, as_bytes, word_to_str
 from ._wordkernel import lockstep_orbits
 from .automorphisms import (
     Automorphism,
     MapStack,
+    _words,
     compose,
     identity_automorphism,
     invert,
@@ -297,13 +298,11 @@ def _series(kind, group_rows, *, n_max, paths, threads):
 
 
 def _input_letters(state) -> int:
-    """Letters that a step feeds the kernel from one path's state, with a
-    separator between two: its tracked words (bytes or cyclic words) or
-    both sides of its tracked automorphism, whose inverse images are a
-    map of the table that a Gromov step stacks for all paths
-    (`MapStack.compose`), so that only one long table is held at a time."""
-    words = (*state.images, *state.inverse_images) if isinstance(state, Automorphism) else state
-    return sum(map(len, words)) + len(words) - 1
+    """Letters that a step feeds the kernel from one path's state, its
+    words with a separator between two; a Gromov state's second half is
+    a map of the table its step stacks (`MapStack.compose`), so that only
+    one long table is held at a time."""
+    return sum(map(len, state)) + len(state) - 1
 
 
 def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
@@ -313,10 +312,9 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     budget=budget), with step a method of `MapStack` over the inverse
     support.  One record(n, states) call reads the new states of the
     paths that the step did not cut, in order, and gives the rows of
-    each, which are yielded as (pid, n, rows).  With `MapStack.compose`
-    and the identity as words, the tracked state is the automorphism
-    Phi_n^{-1}, and a step maps the images and the inverse images of all
-    paths in one call each.
+    each, which are yielded as (pid, n, rows).  A state is a list of
+    words as bytes; with `MapStack.compose` and the generators twice as
+    words, the images of Phi_n^{-1}, then those of Phi_n.
 
     The paths step under `_wordkernel.lockstep_orbits`, each an item
     (pid, increments, state) whose size is `_input_letters(state)`.
@@ -416,8 +414,8 @@ def conjugacy_growth_experiment(
         return [[(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
                 for tracked in states]
 
-    source = _inverse_orbit(measure, master_seed, seeds, MapStack.cyclic_images, record,
-                            n_max=n_max, budget=letter_budget)
+    source = _inverse_orbit(measure, master_seed, as_bytes(seeds), MapStack.cyclic_images,
+                            record, n_max=n_max, budget=letter_budget)
     return _series("conjugacy", source, n_max=n_max, paths=paths, threads=threads)
 
 
@@ -475,23 +473,24 @@ def gromov_decay_experiment(
 ) -> EstimateSeries:
     """Records (1/n) (Phi_n.y0 | Phi_n^{-1}.y0)_{y0} in the symmetrized metric.
 
-    The path tracks the automorphism Phi_n^{-1} itself, composed as
-    s_n^{-1} Phi_{n-1}^{-1}, which substitutes its images and those of
-    Phi_n, the inverse images it carries; it is cut off at the first
-    step at which one of them needs more letters than the letter
-    budget.  `gromov_product` reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) =
-    sym_dist(Phi_n^2) from the generator images of Phi_n^{+-1}
-    substituted through themselves (`orbit_dist`), the expensive part;
-    so records follow the geometric schedule and budget failures mark
-    single records.
+    The path tracks the generator images of Phi_n^{-1}, as drift does,
+    then those of Phi_n, as bytes, and is cut off at the first step at
+    which one of them needs more letters than the letter budget; a
+    record wraps them as the automorphism Phi_n^{-1}.  `gromov_product`
+    reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) = sym_dist(Phi_n^2) from the
+    generator images of Phi_n^{+-1} substituted through themselves
+    (`orbit_dist`), the expensive part; so records follow the geometric
+    schedule and budget failures mark single records.
     """
+    r = measure.rank
+    gens = [bytes([i]) for i in range(1, r + 1)]
 
-    def record(n, inverse):
+    def record(n, state):
+        inverse = Automorphism(tuple(_words(state[:r], r)), tuple(_words(state[r:], r)), r)
         return [("gromov", gromov_product(invert(inverse), inverse, budget=letter_budget) / n,
                  "ok")]
 
-    source = _inverse_orbit(measure, master_seed, identity_automorphism(measure.rank),
-                            MapStack.compose,
+    source = _inverse_orbit(measure, master_seed, gens * 2, MapStack.compose,
                             _on_schedule(record, "gromov", n_max),
                             n_max=n_max, budget=letter_budget)
     return _series("gromov", source, n_max=n_max, paths=paths, threads=threads)

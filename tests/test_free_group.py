@@ -71,6 +71,19 @@ def test_reduce_rejects_bad_letters():
         reduce([0], 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Word(np.array([1, -128], dtype=np.int8), 3),
+    lambda: CyclicWord([-128], 2),
+    lambda: reduce([-128, 1], 3),
+    lambda: reduce([-4], 3),
+], ids=["word", "cyclic-word", "reduce", "reduce-past-rank"])
+def test_a_letter_below_minus_rank_is_refused(make):
+    # the int8 letter -128 has no positive counterpart: its absolute
+    # value is -128 again, so only a signed range check refuses it
+    with pytest.raises(ValueError, match="out of range"):
+        make()
+
+
 @given(letters_st)
 def test_reduce_matches_oracle(seq):
     assert reduce(seq, 3).letters.tolist() == oracle_reduce(seq)

@@ -674,8 +674,10 @@ def gromov_states(niel, pids, n):
     return [list(sample_path(niel, 3, pid, n))[-1][2] for pid in pids]
 
 
-def sides(psi) -> tuple:
-    return psi.images, psi.inverse_images
+def state_of(psi) -> list:
+    """The Gromov walk state of psi: its images, then its inverse images,
+    as bytes."""
+    return as_bytes((*psi.images, *psi.inverse_images))
 
 
 def test_stack_compose_equals_compose_state_by_state(niel):
@@ -683,12 +685,11 @@ def test_stack_compose_equals_compose_state_by_state(niel):
     stack = MapStack([invert(a) for a in niel.support])
     states = gromov_states(niel, range(6), 12)
     maps = [0, 5, 11, 5, 23, 17]
-    got = stack.compose(maps, states)
-    want = [compose(stack.phis[m], psi) for m, psi in zip(maps, states)]
-    assert list(map(sides, got)) == list(map(sides, want))
+    got = stack.compose(maps, list(map(state_of, states)))
+    want = [state_of(compose(stack.phis[m], psi)) for m, psi in zip(maps, states)]
+    assert got == want and all_bytes(got)
     # a state alone goes through the same two halves
-    [alone] = stack.compose([5], [states[1]])
-    assert sides(alone) == sides(want[1])
+    assert stack.compose([5], [state_of(states[1])]) == [want[1]]
 
 
 def test_stack_compose_cuts_a_state_on_either_half(niel):
@@ -714,10 +715,27 @@ def test_stack_compose_cuts_a_state_on_either_half(niel):
 
     assert [halves_over(m, psi) for m, psi in zip(maps, states)] == [
         [False, False], [True, False], [False, False], [False, True], [False, False]]
-    got = stack.compose(maps, states, budget=budget)
+    got = stack.compose(maps, list(map(state_of, states)), budget=budget)
     assert [g is None for g in got] == [False, True, False, True, False]
     for i in (0, 2, 4):
-        assert sides(got[i]) == sides(compose(stack.phis[maps[i]], states[i], budget=budget))
+        assert got[i] == state_of(compose(stack.phis[maps[i]], states[i], budget=budget))
+
+
+def test_stack_cyclic_images_equals_cyclic_images_state_by_state(niel):
+    # one conjugacy step of the nine `conjugacy-batch` seeds through eight
+    # maps: each image is trimmed as `cyclic_images` trims it, and some
+    # of them have matched ends to peel
+    stack = MapStack([invert(a) for a in niel.support])
+    seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
+    maps = [0, 3, 5, 8, 11, 14, 17, 23]
+    states = [as_bytes(seeds)] * len(maps)
+    got = stack.cyclic_images(maps, states)
+    want = [as_bytes(cyclic_images(stack.phis[m], seeds)) for m in maps]
+    assert got == want and all_bytes(got)
+    # a state alone goes through its map's own table
+    assert stack.cyclic_images([5], states[:1]) == [want[2]]
+    raw = stack.byte_images(maps, states)
+    assert sum(len(w) < len(b) for ws, bs in zip(got, raw) for w, b in zip(ws, bs)) > 0
 
 
 def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
@@ -778,7 +796,7 @@ def all_bytes(groups) -> bool:
     return all(type(w) is bytes for ws in groups for w in ws)
 
 
-@pytest.mark.parametrize("kind", ["drift", "spectral"])
+@pytest.mark.parametrize("kind", ["drift", "spectral", "conjugacy", "gromov"])
 def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     # the kernel takes and gives arrays; every state of the walk orbits and
     # of the power orbits, and every image read, is bytes, with no Word
@@ -796,7 +814,7 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
         def checked(k, group):
             assert no_word_in(group)
             group, outputs = step(k, group)
-            # (pid, increments, images) of a walk path, (p, phi(x_i),
+            # (pid, increments, words) of a walk path, (p, phi(x_i),
             # phi^k(x_i)) of a power orbit
             assert all_bytes(item[2] for item in group) and no_word_in(group)
             seen["orbit"] += len(group)
@@ -821,23 +839,29 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     monkeypatch.setattr(walk_engine, "image_dist", read_spy(walk_engine.image_dist))
     monkeypatch.setattr(walk_engine, "brackets", read_spy(walk_engine.brackets, sets=True))
     monkeypatch.setattr(spectral, "candidate_lengths", read_spy(spectral.candidate_lengths))
-    run = drift_experiment if kind == "drift" else spectral_experiment
-    series = run(niel, n_max=12, paths=4, master_seed=3)
+    # a Gromov record reads the distances of the Automorphism it wraps
+    # through image_dist
+    monkeypatch.setattr(outer_metric, "image_dist", read_spy(outer_metric.image_dist))
+    seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
+    runs = {"drift": drift_experiment, "spectral": spectral_experiment,
+            "conjugacy": partial(conjugacy_growth_experiment, seeds=seeds),
+            "gromov": gromov_decay_experiment}
+    series = runs[kind](niel, n_max=12, paths=4, master_seed=3)
     assert {r[4] for r in series.records} == {"ok"}
+    if kind == "conjugacy":
+        del seen["read"]  # a conjugacy record reads lengths only
     assert min(seen.values()) > 0
-    # the Word API keeps its types: images, compose and cyclic_images, and
-    # the MapStack steps over Words
+    # the Word API keeps its types: images, apply, compose and
+    # cyclic_images; the MapStack steps take and give bytes
     phi, psi = niel.support[5], niel.support[11]
     gens = [Word.generator(i, 3) for i in (1, 2, 3)]
-    seeds = [cyclic_reduce(parse_word("abC", 3))]
-    stack = MapStack([phi, psi])
-    got = (images(phi, gens) + [apply(phi, gens[0])]
-           + [w for theta in (compose(phi, psi), *stack.compose([0, 1], [psi, phi]))
-              for w in (*theta.images, *theta.inverse_images)]
-           + [w for ws in stack.images([0, 1], [gens, gens]) for w in ws])
+    theta, stack = compose(phi, psi), MapStack([phi, psi])
+    got = images(phi, gens) + [apply(phi, gens[0]), *theta.images, *theta.inverse_images]
     assert all(type(w) is Word for w in got)
-    cyclic = cyclic_images(phi, seeds) + [w for ws in stack.cyclic_images([1], [seeds]) for w in ws]
-    assert all(type(w) is CyclicWord for w in cyclic)
+    assert all(type(w) is CyclicWord for w in cyclic_images(phi, seeds))
+    assert all_bytes(stack.compose([0, 1], [state_of(psi), state_of(phi)])
+                     + stack.cyclic_images([1], [as_bytes(seeds)])
+                     + stack.byte_images([0, 1], [as_bytes(gens)] * 2))
 
 
 def test_cesaro_tail_monotone_in_probability():

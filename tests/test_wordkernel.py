@@ -49,7 +49,7 @@ from outwalk._wordkernel import (
     stack_reduce,
 )
 from outwalk.automorphisms import MapStack, compose, images
-from outwalk.free_group import Word
+from outwalk.free_group import Word, as_bytes
 from outwalk.walk_engine import sample_path
 
 from conftest import nielsen_measure
@@ -318,9 +318,9 @@ def test_a_stacked_table_stays_linear_in_its_maps():
     assert (stride, table.lens.size) == (32, 224 * stride)
     assert not any(b[4] for b in table.py_blocks)
     maps = list(range(224))
-    states = [[Word._wrap(random_reduced(m, 100 + m % 50, rank=8), 8)] for m in maps]
-    out = stack.images(maps, states)
-    assert out == [images(stack.phis[m], ws) for m, ws in zip(maps, states)]
+    words = [Word._wrap(random_reduced(m, 100 + m % 50, rank=8), 8) for m in maps]
+    out = stack.byte_images(maps, [as_bytes([w]) for w in words])
+    assert out == [as_bytes(images(stack.phis[m], [w])) for m, w in zip(maps, words)]
     caches = [b[4] for b in table.py_blocks]
     assert sum(map(len, caches)) > 0
     assert all(a // stride == b // stride for b, cache in enumerate(caches) for a in cache)
