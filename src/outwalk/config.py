@@ -191,9 +191,10 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("master_seed: must fit in 64 bits")
     if cfg.vector is not None and (len(cfg.vector) != cfg.dim or not any(cfg.vector)):
         raise ConfigError("vector: must be a nonzero vector of length dim")
-    if cfg.out is not None and (cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1):
-        # format_config writes it as one `out = ...` line, which must parse back
-        raise ConfigError("out: must be one line without surrounding whitespace")
+    if cfg.out is not None and (cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) != 1):
+        # format_config writes it as one `out = ...` line, which must parse back;
+        # an empty path, no line, would run the experiment and write nothing
+        raise ConfigError("out: must be one nonempty line without surrounding whitespace")
     if not cfg.gens:
         raise ConfigError("gen.0.*: at least one measure atom is required")
     if not kind.walks and len(cfg.gens) > 1:

@@ -29,9 +29,9 @@ every ratio, and exact lengths are read in decreasing order of that
 bound until no bound left can beat the best ratio (about 2.6 of the 9
 lengths per step of a rank-3 NIEL drift walk).  `dist` reads theta.images this way;
 every other distance reads generator images tracked through several
-maps, without composing maps: the drift along a walk and `orbit_dist`
-through `image_dist`, the stretch brackets along powers through every
-candidate length, since their point estimate reads each loop's ratio.
+maps, without composing maps: drift and Gromov records along a walk and
+`orbit_dist` through `image_dist`, the stretch brackets along powers through
+every candidate length, since their point estimate reads each loop's ratio.
 
 `candidate_lengths` and `image_dist` read the images as bytes, one byte
 per int8 letter, the currency in which the walks and brackets track
@@ -42,7 +42,8 @@ bytes (`automorphisms.image_bytes`), so the long images it reads are
 never wrapped as Words.
 
 The metric is asymmetric; Gromov products use the symmetrized version
-d_sym(x, y) = d(x, y) + d(y, x).
+d_sym(x, y) = d(x, y) + d(y, x).  No kind calls `orbit_dist` or
+`gromov_product`: they are the reference for the `gromov` kind's records.
 """
 
 from __future__ import annotations
@@ -204,12 +205,11 @@ def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None =
     Computed in the symmetrized orbit metric:
     (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
     d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
-    inequality.  When psi is phi^{-1}, as the `gromov` kind reads it,
-    sym_dist(psi) is the sum of the same two distances in the other
-    order, the same float, and is not read again.
+    inequality.  The `gromov` kind's records read the same four distances
+    off power orbits, and the test suite checks them against it.
     """
     a = sym_dist(phi, budget=budget)
-    b = a if psi == invert(phi) else sym_dist(psi, budget=budget)
+    b = sym_dist(psi, budget=budget)
     c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
     return 0.5 * (a + b - c)
 

@@ -29,10 +29,11 @@ letter counts of phi^(k-1)(x_i) dotted with the lengths |phi(x_j)|.
 The orbit stops at the first step whose raw size exceeds the budget,
 and a bracket then reports the steps it completed.
 
-`brackets` is the one power-orbit path, and it brackets many maps at
-once: a walk step passes the tracked images of all its paths, and
+`power_orbits` runs the power orbits of many maps at once, each step read
+by its caller's reader: `candidate_lengths` for `brackets`, whose point
+estimate reads every loop, `image_dist` for the walk's Gromov records;
 `bracket` is a batch of one.  The orbits step in lockstep under
-`_wordkernel.lockstep_orbits` (`_power_orbits`), as the walk paths do:
+`_wordkernel.lockstep_orbits`:
 power step k substitutes every map's short words phi(x_i) through its
 own phi^(k-1), each a map of one stacked kernel table, in one kernel
 batch (`automorphisms.own_images`, the step that also maps the inverse
@@ -40,7 +41,7 @@ images of the walk's Gromov states), so the call overhead of a step is
 paid once, not once per map.  An orbit whose raw size may pass
 `BATCH_CAP` letters runs alone on a table of its own, since a stacked
 step holds the powers of all its maps at once.  The budget rule, the
-lengths read and the floats of each map are those it gets alone.
+reads and the floats of each map are those it gets alone.
 
 `brackets` reads the lower bounds of all its maps off one
 `spectral_radii` batch of their abelianizations (`stretch_lowers`),
@@ -68,6 +69,7 @@ __all__ = [
     "stretch_ratio",
     "bracket",
     "brackets",
+    "power_orbits",
 ]
 
 CONVERGE_TOL = 1e-3  # on logs; experiments read results at 1e-2 resolution
@@ -158,12 +160,12 @@ def _power_cut(images, words, budget: int) -> int:
     return 0
 
 
-def _power_orbits(image_sets, steps: int, budget: int) -> list:
-    """The candidate lengths along the power orbit of each map phi given
-    by its generator images image_sets[p], as bytes: the rows
-    candidate_lengths(phi^k(x_i)) for k = 1, 2, ..., up to `steps` or the
-    last step within the budget (`_power_cut`), or the WordBudgetExceeded
-    of step 1 when phi itself passes the budget.
+def power_orbits(image_sets, steps: int, budget: int, read) -> list:
+    """What read(phi^k(x_i)) gives along the power orbit of each map phi
+    given by its generator images image_sets[p], as bytes: the rows for
+    k = 1, 2, ..., up to `steps` or the last step within the budget
+    (`_power_cut`), or the WordBudgetExceeded of step 1 when phi itself
+    passes the budget.
 
     The orbits step in lockstep as the module docstring says, each an
     item (p, phi(x_i), phi^(k-1)(x_i)) whose size bounds its raw size:
@@ -172,7 +174,7 @@ def _power_orbits(image_sets, steps: int, budget: int) -> list:
     rows, items = [], []
     for p, images in enumerate(image_sets):
         needed = _power_cut(images, [bytes([i]) for i in range(1, len(images) + 1)], budget)
-        rows.append(WordBudgetExceeded(needed, budget) if needed else [candidate_lengths(images)])
+        rows.append(WordBudgetExceeded(needed, budget) if needed else [read(images)])
         if not needed:
             items.append((p, images, images))
 
@@ -188,7 +190,7 @@ def _power_orbits(image_sets, steps: int, budget: int) -> list:
         out = own_images([words for _, _, words in group], [images for _, images, _ in group],
                          budget=sys.maxsize)
         group = [(p, images, words) for (p, images, _), words in zip(group, out)]
-        return group, [(p, candidate_lengths(words)) for p, _, words in group]
+        return group, [(p, read(words)) for p, _, words in group]
 
     for p, row in lockstep_orbits(items, size, step, 2, steps):
         rows[p].append(row)
@@ -249,7 +251,7 @@ def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = Non
     """The bracket of each map phi given by its reduced generator images
     images[i] = phi(x_i), as bytes: the lower bounds from one batch of them
     (`stretch_lowers`, which raises on the bit budget), the rest from one
-    lockstep run of their power orbits (`_power_orbits`).
+    lockstep run of their power orbits (`power_orbits`).
 
     Each orbit runs max(2, k_max) steps.  The upper bound is the best
     dist(phi^k)/k over k = 1..k_max; the point estimate is the largest
@@ -266,7 +268,8 @@ def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = Non
     steps = max(2, k_max)
     b = DEFAULT_LETTER_BUDGET if budget is None else budget
     out = []
-    for images, lower, rows in zip(image_sets, lowers, _power_orbits(image_sets, steps, b)):
+    orbits = power_orbits(image_sets, steps, b, candidate_lengths)
+    for images, lower, rows in zip(image_sets, lowers, orbits):
         if isinstance(rows, WordBudgetExceeded):
             out.append(rows)
             continue

@@ -19,11 +19,11 @@ ratio), and the brackets of a scheduled step read their powers off
 them in one batch of all paths of the step (`spectral.brackets`, whose
 power orbits step in lockstep).  Conjugacy growth tracks the seed
 classes g, cyclically reduced, since conjugacy length is a class
-function (step `MapStack.cyclic_images`).  Gromov products need Phi_n
-and Phi_n^{-1} substituted through each other, so they track drift's
-images followed by those of Phi_n (step `MapStack.compose`), and record
-on the geometric schedule only.  The matrix kinds run over
-`guivarch_series` and `vector_growth`.
+function (step `MapStack.cyclic_images`).  Gromov products track
+drift's images followed by those of Phi_n (step `MapStack.compose`),
+and a scheduled step reads dist of both maps and their squares off
+their power orbits in one batch (`spectral.power_orbits`).  The matrix
+kinds run over `guivarch_series` and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records
@@ -53,10 +53,10 @@ substituted.  So the call overhead of a step is paid once per batch,
 not once per path; a Gromov step is two such calls, the second through
 a table that stacks the paths' own images of Phi_{n-1}
 (`MapStack.compose`).  One `record` call then reads the new states of
-all of them, so that a spectral step brackets them in one batch
-(`spectral.brackets`).  The paths are scheduled by
-`_wordkernel.lockstep_orbits`, as the power orbits of the brackets
-are, and a path whose input passes `BATCH_CAP` letters runs alone,
+all of them, so that a spectral or Gromov step runs their power orbits
+in one batch (`spectral.power_orbits`).  The paths are scheduled by
+`_wordkernel.lockstep_orbits`, as those power orbits are, and a
+path whose input passes `BATCH_CAP` letters runs alone,
 through its own map's table as a one-path run does, by the rule stated
 there.  The matrix kinds run their paths of a group one after the
 other.
@@ -70,16 +70,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import WordBudgetExceeded, as_bytes, word_to_str
+from .free_group import DEFAULT_LETTER_BUDGET, WordBudgetExceeded, as_bytes, word_to_str
 from ._wordkernel import lockstep_orbits
-from .automorphisms import (
-    Automorphism,
-    MapStack,
-    _words,
-    compose,
-    identity_automorphism,
-    invert,
-)
+from .automorphisms import Automorphism, MapStack, compose, identity_automorphism, invert
 from .matrix_oracle import (
     BitBudgetExceeded,
     DEFAULT_BIT_BUDGET,
@@ -87,8 +80,8 @@ from .matrix_oracle import (
     guivarch_series,
     vector_growth,
 )
-from .outer_metric import gromov_product, image_dist
-from .spectral import brackets
+from .outer_metric import image_dist
+from .spectral import brackets, power_orbits
 from .rng import categorical, cumulative, path_generator
 
 __all__ = [
@@ -336,27 +329,14 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     return group_rows
 
 
-def _on_schedule(record, cut_estimator, n_max, shared=None):
-    """The step record of `_inverse_orbit` that reads each state by
-    record(n, state) at the n of the geometric schedule, and gives no
-    rows off it; with `shared`, by record(n, state, x) for the items x
-    of shared(states), one call per scheduled step.  A budget hit inside
-    one record marks only that record, as (cut_estimator, nan,
-    "truncated")."""
+def _on_schedule(record, n_max):
+    """The step record of `_inverse_orbit` that reads the states by
+    record(n, states) at the n of the geometric schedule, and gives no
+    rows off them at any other n."""
     schedule = set(geometric_schedule(n_max))
 
-    def one(n, *args):
-        try:
-            return record(n, *args)
-        except WordBudgetExceeded:
-            return [(cut_estimator, float("nan"), "truncated")]
-
     def scheduled(n, states):
-        if n not in schedule:
-            return [[]] * len(states)
-        if shared is None:
-            return [one(n, state) for state in states]
-        return [one(n, state, x) for state, x in zip(states, shared(states))]
+        return record(n, states) if n in schedule else [[]] * len(states)
 
     return scheduled
 
@@ -440,24 +420,24 @@ def spectral_experiment(
     budget cuts the orbit off.
     The first orbit step is the tracked images themselves, which fit the
     budget; a bracket over the budget anyway, a WordBudgetExceeded item
-    of the batch, would mark only its record truncated (`_on_schedule`).
+    of the batch, would mark only its record truncated.
     """
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
-    def bracket_all(states):
-        return brackets(states, k_max, budget=letter_budget)
-
-    def record(n, _, br):
+    def rows(n, br):
         if isinstance(br, WordBudgetExceeded):
-            raise br
+            return [("spectral.upper", float("nan"), "truncated")]
         status = "ok" if br.k_used >= k_max else "downgraded"
         return [("spectral.lower", br.lower / n, status),
                 ("spectral.upper", br.upper / n, status),
                 ("spectral.point", br.point / n, status),
                 ("spectral.k_used", float(br.k_used), status)]
 
+    def record(n, states):
+        return [rows(n, br) for br in brackets(states, k_max, budget=letter_budget)]
+
     source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images,
-                            _on_schedule(record, "spectral.upper", n_max, bracket_all),
+                            _on_schedule(record, n_max),
                             n_max=n_max, budget=letter_budget)
     return _series("spectral", source, n_max=n_max, paths=paths, threads=threads)
 
@@ -475,23 +455,38 @@ def gromov_decay_experiment(
 
     The path tracks the generator images of Phi_n^{-1}, as drift does,
     then those of Phi_n, as bytes, and is cut off at the first step at
-    which one of them needs more letters than the letter budget; a
-    record wraps them as the automorphism Phi_n^{-1}.  `gromov_product`
-    reads d_sym(Phi_n.y0, Phi_n^{-1}.y0) = sym_dist(Phi_n^2) from the
-    generator images of Phi_n^{+-1} substituted through themselves
-    (`orbit_dist`), the expensive part; so records follow the geometric
-    schedule and budget failures mark single records.
+    which one of them needs more letters than the letter budget.  A
+    record is 0.5 * (a + a - c) / n, the float of `gromov_product`, with
+    a = dist(Phi_n) + dist(Phi_n^{-1}) and c = dist(Phi_n^2) +
+    dist(Phi_n^{-2}), read best-first (`image_dist`) off steps 1 and 2 of
+    the power orbits of both halves of all states of a scheduled step,
+    in one batch (`spectral.power_orbits`).  It is truncated where
+    `gromov_product` raises: when step 2 of either orbit passes the
+    budget, or a figure eight of either half, |u_i| + |u_j|, does.
     """
     r = measure.rank
     gens = [bytes([i]) for i in range(1, r + 1)]
+    budget = DEFAULT_LETTER_BUDGET if letter_budget is None else letter_budget
 
-    def record(n, state):
-        inverse = Automorphism(tuple(_words(state[:r], r)), tuple(_words(state[r:], r)), r)
-        return [("gromov", gromov_product(invert(inverse), inverse, budget=letter_budget) / n,
-                 "ok")]
+    def cut(half, orbit):
+        # a half whose own images pass the budget has a figure eight that
+        # does, so an orbit that is a WordBudgetExceeded is never read
+        return sum(sorted(map(len, half))[-2:]) > budget or len(orbit) < 2
+
+    def rows(n, halves, orbits):
+        if any(map(cut, halves, orbits)):
+            return [("gromov", float("nan"), "truncated")]
+        (fwd, fwd2), (bwd, bwd2) = orbits
+        a = fwd + bwd
+        return [("gromov", 0.5 * (a + a - (fwd2 + bwd2)) / n, "ok")]
+
+    def record(n, states):
+        halves = [half for state in states for half in (state[r:], state[:r])]
+        orbits = power_orbits(halves, 2, budget, image_dist)
+        return [rows(n, halves[p:p + 2], orbits[p:p + 2]) for p in range(0, len(halves), 2)]
 
     source = _inverse_orbit(measure, master_seed, gens * 2, MapStack.compose,
-                            _on_schedule(record, "gromov", n_max),
+                            _on_schedule(record, n_max),
                             n_max=n_max, budget=letter_budget)
     return _series("gromov", source, n_max=n_max, paths=paths, threads=threads)
 

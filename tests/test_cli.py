@@ -171,13 +171,15 @@ def test_measure_size_below_its_least_exits_2(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith(f"error: {size}: must be >= ")
 
 
-@pytest.mark.parametrize("where", ["config", "override", "directory"])
+@pytest.mark.parametrize("where", ["config", "override", "directory", "empty"])
 def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
+    # an empty `--out` (say, from an unset variable) ran the whole
+    # experiment, wrote nothing and exited 0
     def experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
     monkeypatch.setitem(cli.RUNNERS, "drift", experiment)
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    out = {"directory": tmp_path, "empty": ""}.get(where, tmp_path / "missing" / "x.csv")
     cfg = tmp_path / "run.cfg"
     head = f"out = {out}\n" if where == "config" else ""
     cfg.write_text(head + "kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES)

@@ -66,8 +66,8 @@ def test_parse_inverts_format(fields):
     try:
         validate(cfg)
     except ConfigError:
-        # only an `out` that cannot be written as one line is refused
-        assert cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1
+        # only an `out` that is empty or cannot be written as one line is refused
+        assert cfg.out == "" or cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1
         return
     assert parse_config(format_config(cfg)) == cfg
 

@@ -8,7 +8,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from outwalk import _wordkernel, automorphisms, cli, outer_metric, spectral, walk_engine
+from outwalk import _wordkernel, automorphisms, cli, spectral, walk_engine
 from outwalk._wordkernel import BATCH_CAP, ImageTable
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
@@ -26,7 +26,8 @@ from outwalk.automorphisms import (
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
+from outwalk.outer_metric import (candidates, dist, gromov_product, image_dist, orbit_dist,
+                                  sym_dist)
 from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -612,10 +613,69 @@ def test_spectral_records_do_not_depend_on_the_group(niel, monkeypatch):
     assert k_used == {1.0, 2.0, 3.0}
 
 
+def test_gromov_records_do_not_depend_on_the_group(niel, monkeypatch):
+    # a Gromov step reads all its paths off one lockstep run of the power
+    # orbits of both halves of each state, Phi_n and Phi_n^{-1}, to k = 2:
+    # one `own_images` batch of the 8 orbits of 4 paths at step 2, until
+    # at n = 32 every orbit passes BATCH_CAP and runs alone.  Each path
+    # gets the records that `gromov_product` gives it stepped alone
+    steps = []
+    orbits, own_images = walk_engine.power_orbits, spectral.own_images
+
+    def orbits_spy(*args):
+        steps.append([])
+        return orbits(*args)
+
+    def own_images_spy(own_tables, groups, *, budget):
+        steps[-1].append(len(groups))
+        return own_images(own_tables, groups, budget=budget)
+
+    monkeypatch.setattr(walk_engine, "power_orbits", orbits_spy)
+    monkeypatch.setattr(spectral, "own_images", own_images_spy)
+    settings = dict(n_max=32, paths=4, master_seed=3, letter_budget=None)
+    alone = [repr(r) for r in one_path_records("gromov", niel, settings)]
+    for threads in (1, 2):
+        steps.clear()
+        series = gromov_decay_experiment(niel, threads=threads, **settings)
+        assert [repr(r) for r in series.records] == alone
+        if threads == 1:
+            assert steps == [[8]] * 5 + [[1] * 8]
+    assert {r[4] for r in series.records} == {"ok"}
+
+
+def test_a_gromov_record_is_cut_by_a_figure_eight_alone():
+    # the moves x1 -> x1x3 and x2 -> x2x3 of F_3: in these records both
+    # squares Phi_n^{+-2} fit the budget, so `orbit_dist` reads them, but a
+    # figure eight of Phi_n has a raw image |u_i| + |u_j| over it, so
+    # `dist` does not, and the record is truncated as `gromov_product`
+    # truncates it
+    measure = ProbMeasure((parse_automorphism("a->ac; b->b; c->c | a->aC; b->b; c->c"),
+                           parse_automorphism("a->a; b->bc; c->c | a->a; b->bC; c->c")),
+                          (0.5, 0.5))
+    for budget, want in ((3, {(0, 2), (1, 2)}), (5, {(3, 4)})):
+        settings = dict(n_max=16, paths=4, master_seed=1, letter_budget=budget)
+        series = gromov_decay_experiment(measure, **settings)
+        assert list(map(repr, series.records)) == list(
+            map(repr, one_path_records("gromov", measure, settings)))
+        by_eight = set()
+        for pid, n, est, _, status in series.records:
+            if est != "gromov" or status != "truncated":
+                continue
+            *_, (_, phi, inv) = sample_path(measure, 1, pid, n)
+            try:
+                orbit_dist(phi, inv, budget=budget) + orbit_dist(inv, phi, budget=budget)
+            except WordBudgetExceeded:
+                continue
+            with pytest.raises(WordBudgetExceeded):
+                sym_dist(phi, budget=budget)
+            by_eight.add((pid, n))
+        assert by_eight == want
+
+
 def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
     # the scheduler has one entry: the paths of every word kind step
     # under it, and so do the power orbits of `bracket` and of each
-    # scheduled spectral step (n = 1, 2 and 4)
+    # scheduled spectral and Gromov step (n = 1, 2 and 4)
     entered = []
     driver = _wordkernel.lockstep_orbits
 
@@ -633,8 +693,9 @@ def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
             "spectral": partial(spectral_experiment, niel, **settings),
             "bracket": partial(bracket, niel.support[5], 3)}
     walk = ["_inverse_orbit"]
-    want = {"drift": walk, "conjugacy": walk, "gromov": walk,
-            "spectral": walk + ["_power_orbits"] * 3, "bracket": ["_power_orbits"]}
+    scheduled = walk + ["power_orbits"] * 3
+    want = {"drift": walk, "conjugacy": walk, "gromov": scheduled,
+            "spectral": scheduled, "bracket": ["power_orbits"]}
     for kind, run in runs.items():
         entered.clear()
         run()
@@ -771,16 +832,17 @@ def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
 
 
 def test_a_gromov_record_reads_four_image_dists(niel, monkeypatch):
-    # the record reads sym_dist(Phi_n) once, since sym_dist(Phi_n^{-1}) is
-    # the same float, and the two orbit distances of Phi_n^{+-1}
+    # the record reads dist(Phi_n^{+-1}) and dist(Phi_n^{+-2}) off steps 1
+    # and 2 of the power orbits of Phi_n and Phi_n^{-1}, and
+    # sym_dist(Phi_n) once, since sym_dist(Phi_n^{-1}) is the same float
     reads = []
-    image_dist_ = outer_metric.image_dist
+    image_dist_ = walk_engine.image_dist
 
     def spy(images):
         reads.append(len(images))
         return image_dist_(images)
 
-    monkeypatch.setattr(outer_metric, "image_dist", spy)
+    monkeypatch.setattr(walk_engine, "image_dist", spy)
     series = gromov_decay_experiment(niel, n_max=16, paths=3, master_seed=3)
     assert len(reads) == 4 * len(series.values("gromov")) > 0
 
@@ -839,9 +901,6 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     monkeypatch.setattr(walk_engine, "image_dist", read_spy(walk_engine.image_dist))
     monkeypatch.setattr(walk_engine, "brackets", read_spy(walk_engine.brackets, sets=True))
     monkeypatch.setattr(spectral, "candidate_lengths", read_spy(spectral.candidate_lengths))
-    # a Gromov record reads the distances of the Automorphism it wraps
-    # through image_dist
-    monkeypatch.setattr(outer_metric, "image_dist", read_spy(outer_metric.image_dist))
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
     runs = {"drift": drift_experiment, "spectral": spectral_experiment,
             "conjugacy": partial(conjugacy_growth_experiment, seeds=seeds),
