@@ -10,9 +10,10 @@ set `master_seed` and `paths`, so a kind that does not read one refuses
 it (`--paths 1` is the one path such a kind runs, and passes).
 
 Exit codes: 0 success, 2 validation or schema error (an output path
-that cannot be written included, refused before the run or the
-aggregation starts), 3 budget exhausted everywhere (on the one map of
-a `distance` or `stretch` run, which then writes no CSV).  CSV
+that cannot be written included, and a walk run with no output path at
+all, refused before the run or the aggregation starts), 3 every path
+cut off by its budget.  A `distance` or `stretch` run prints its one
+record, so its output path is optional.  CSV
 schema (exact): experiment,path_id,n,estimator,value,status.  The
 header is the line `# outwalk run`, the timestamp in its own
 `# generated_at = ...` line, and the resolved config, less its `out`
@@ -48,7 +49,6 @@ from .config import (
     seed_words,
     validate,
 )
-from .free_group import WordBudgetExceeded
 from .outer_metric import dist, sym_dist
 from .spectral import bracket
 from .walk_engine import (
@@ -93,11 +93,11 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"out: cannot write {path!r}")
 
 
-def _distance(measure, *, letter_budget) -> EstimateSeries:
+def _distance(measure) -> EstimateSeries:
     """The one record of a `distance` run, printed too."""
     theta = measure.support[0]
-    d = dist(theta, budget=letter_budget)
-    s = sym_dist(theta, budget=letter_budget)
+    d = dist(theta)
+    s = sym_dist(theta)
     print(f"dist = {d:.6f}")
     print(f"sym = {s:.6f}")
     return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
@@ -146,13 +146,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     settings = {name: getattr(cfg, name) for name in KIND_TABLE[cfg.kind].settings}
     if "paths" in settings:
         settings["threads"] = threads
-    try:
-        series = RUNNERS[cfg.kind](measure, **settings)
-    except WordBudgetExceeded as e:
-        # only a one-map run raises it, with no path to cut off: it has
-        # nothing to write
-        print(f"error: budget exhausted: {e}", file=sys.stderr)
-        return 3
+    series = RUNNERS[cfg.kind](measure, **settings)
     if cfg.out:
         write_series(series, cfg, cfg.out)
     # downgraded records are certified brackets too, so they count as output
@@ -305,6 +299,9 @@ def main(argv=None) -> int:
             raise ConfigError("--threads: must be >= 1")
         if cfg.out:
             _check_out(cfg.out)
+        elif KIND_TABLE[cfg.kind].walks:
+            # a walk prints nothing: without a path its run would be lost
+            raise ConfigError(f"out: required for a {cfg.kind} run (--out or out =)")
         return run(cfg, threads=args.threads)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -69,7 +69,7 @@ KIND_TABLE = {
     "gromov": Kind("rank", {**_WALK, **_LETTERS}),
     "matrix-guivarch": Kind("dim", {**_WALK, **_BITS}),
     "matrix-furstenberg": Kind("dim", {**_WALK, **_BITS, "vector": None}),
-    "distance": Kind("rank", _LETTERS),
+    "distance": Kind("rank", {}),
     "stretch": Kind("rank", {**_LETTERS, "k_max": DEFAULT_K_MAX}),
 }
 

@@ -268,25 +268,26 @@ def spectral_radius(a: IntMatrix, bit_budget: int = DEFAULT_BIT_BUDGET) -> Matri
     For n >= 3, raises BitBudgetExceeded once A or one of its Gelfand
     powers has an entry beyond bit_budget bits.
     """
-    br = next(spectral_radii([a], bit_budget))
-    if isinstance(br, BitBudgetExceeded):
-        raise br
-    return br
+    return next(spectral_radii([a], bit_budget))
 
 
 def spectral_radii(mats: list, bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator:
     """Yield spectral_radius of each matrix of `mats`, all of one dimension.
 
-    Each item is the MatrixBracket of its matrix, or the BitBudgetExceeded
-    that spectral_radius raises on it; no matrix changes another's item.
-    The batch ladder runs at the first item, and the exact ladder of a
+    Each item is the MatrixBracket of its matrix, and the first matrix
+    on which spectral_radius raises BitBudgetExceeded raises it here,
+    after the items before it; no matrix changes another's item.  The
+    batch ladder runs at the first item, and the exact ladder of a
     matrix the balls leave undecided when its item is reached.
     """
     if not mats or mats[0].n <= 2:
         yield from map(_closed_form, mats)
         return
     for a, br in zip(mats, _ladder(mats, bit_budget, PREC)):
-        yield br if br is not None else _ladder([a], bit_budget, None)[0]
+        br = br if br is not None else _ladder([a], bit_budget, None)[0]
+        if isinstance(br, BitBudgetExceeded):
+            raise br
+        yield br
 
 
 def _closed_form(a: IntMatrix) -> MatrixBracket:
@@ -504,8 +505,6 @@ def _bracket_rows(products: list, norms: list, n: int, bit_budget: int) -> Itera
     Raises the BitBudgetExceeded of the first product that has one.
     """
     for br, norm in zip(spectral_radii(products, bit_budget), norms):
-        if isinstance(br, BitBudgetExceeded):
-            raise br
         n += 1
         yield n, br.lower / n, br.upper / n, _log_int(norm) / n
 

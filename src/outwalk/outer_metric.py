@@ -19,8 +19,7 @@ and theta(x_j)^{+-1}, then the trim (`candidate_lengths`), and
 `log_stretch` turns candidate lengths into the exact maximal ratio.
 The candidate order is written once, as the (i, j, flip) triples of
 `_pieces`: the loops of `candidates`, the lengths of
-`candidate_lengths`, the best-first queue of `image_dist` and the budget
-check of `dist` all follow it.
+`candidate_lengths` and the best-first queue of `image_dist` follow it.
 
 A distance needs only the maximum, so `image_dist` reads it best-first:
 the conjugacy length of a loop's image is at most the loop's raw size,
@@ -41,6 +40,10 @@ convert their `Word` images to bytes; `orbit_dist` substitutes them as
 bytes (`automorphisms.image_bytes`), so the long images it reads are
 never wrapped as Words.
 
+A distance reads words already formed, so only `orbit_dist`, which
+substitutes, is bounded by the letter budget; `dist` and `sym_dist`
+read any map.
+
 The metric is asymmetric; Gromov products use the symmetrized version
 d_sym(x, y) = d(x, y) + d(y, x).  No kind calls `orbit_dist` or
 `gromov_product`: they are the reference for the `gromov` kind's records.
@@ -54,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._wordkernel import Reading, cyclic_length, product_cyclic_length
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded, as_bytes
+from .free_group import CyclicWord, as_bytes
 from .automorphisms import Automorphism, image_bytes, invert
 
 __all__ = [
@@ -165,7 +168,7 @@ def image_dist(images) -> float:
     return math.log(best_num / best_den)
 
 
-def dist(theta: Automorphism, *, budget: int | None = None) -> float:
+def dist(theta: Automorphism) -> float:
     """Orbit distance d(R, R.theta): log of the maximal candidate stretch.
 
     Read off theta.images best-first (`image_dist`): the raw image of a
@@ -173,22 +176,14 @@ def dist(theta: Automorphism, *, budget: int | None = None) -> float:
     cyclically trims to its conjugacy length, so raw size over loop
     length bounds each ratio from above, and a candidate whose bound
     cannot beat the best ratio so far is never read.  Zero exactly when
-    theta permutes the generators up to inversion.  Raises
-    WordBudgetExceeded for the first candidate, in loop order, whose raw
-    image has more letters than the budget.
+    theta permutes the generators up to inversion.
     """
-    sizes = [len(w) for w in theta.images]
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
-    for i, j, _ in _pieces(theta.rank):
-        raw = sizes[i] if i == j else sizes[i] + sizes[j]
-        if raw > b:
-            raise WordBudgetExceeded(raw, b)
     return image_dist(as_bytes(theta.images))
 
 
-def sym_dist(theta: Automorphism, *, budget: int | None = None) -> float:
+def sym_dist(theta: Automorphism) -> float:
     """Symmetrized orbit distance; invariant under theta <-> theta^{-1}."""
-    return dist(theta, budget=budget) + dist(invert(theta), budget=budget)
+    return dist(theta) + dist(invert(theta))
 
 
 def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
@@ -205,11 +200,12 @@ def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None =
     Computed in the symmetrized orbit metric:
     (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
     d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
-    inequality.  The `gromov` kind's records read the same four distances
-    off power orbits, and the test suite checks them against it.
+    inequality.  Raises WordBudgetExceeded where an `orbit_dist` does.
+    The `gromov` kind's records read the same four distances off power
+    orbits, and the test suite checks them against it.
     """
-    a = sym_dist(phi, budget=budget)
-    b = sym_dist(psi, budget=budget)
+    a = sym_dist(phi)
+    b = sym_dist(psi)
     c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
     return 0.5 * (a + b - c)
 

@@ -23,11 +23,12 @@ candidate at once.  The orbit is associated as
 phi^k(x_i) = phi^(k-1)(phi(x_i)): the previous step's images form the
 substitution table, and the N short words phi(x_i) are its input, so
 each step feeds the kernel a few letters and copies long blocks whole.
-The letter budget keeps the rule of the other association, substituting
-phi into phi^(k-1)(x_i): the raw size of step k for x_i is the unsigned
-letter counts of phi^(k-1)(x_i) dotted with the lengths |phi(x_j)|.
-The orbit stops at the first step whose raw size exceeds the budget,
-and a bracket then reports the steps it completed.
+The letter budget bounds that substitution, as the kernel bounds every
+other: the raw size of step k for x_i is the unsigned letter counts of
+phi(x_i) dotted with the lengths |phi^(k-1)(x_j)|.  The orbit stops
+before the first step whose raw size exceeds the budget, and a bracket
+then reports the steps it completed.  Step 1 reads the images it is
+given and substitutes nothing, so it is never cut.
 
 `power_orbits` runs the power orbits of many maps at once, each step read
 by its caller's reader: `candidate_lengths` for `brackets`, whose point
@@ -38,10 +39,11 @@ power step k substitutes every map's short words phi(x_i) through its
 own phi^(k-1), each a map of one stacked kernel table, in one kernel
 batch (`automorphisms.own_images`, the step that also maps the inverse
 images of the walk's Gromov states), so the call overhead of a step is
-paid once, not once per map.  An orbit whose raw size may pass
-`BATCH_CAP` letters runs alone on a table of its own, since a stacked
-step holds the powers of all its maps at once.  The budget rule, the
-reads and the floats of each map are those it gets alone.
+paid once, not once per map.  An orbit whose item size
+(`power_orbits`) reaches `BATCH_CAP` letters runs alone on a table of
+its own, since a stacked step holds the powers of all its maps at once.
+The budget cut, the reads and the floats of each map are those it gets
+alone.
 
 `brackets` reads the lower bounds of all its maps off one
 `spectral_radii` batch of their abelianizations (`stretch_lowers`),
@@ -59,7 +61,7 @@ from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded, a
 from ._wordkernel import lockstep_orbits
 from .automorphisms import (Automorphism, cyclic_images, image_abelianization, letter_counts,
                             own_images)
-from .matrix_oracle import BitBudgetExceeded, spectral_radii
+from .matrix_oracle import spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
 __all__ = [
@@ -115,12 +117,8 @@ def stretch_lowers(image_sets) -> list:
     invertible integer matrix has rho >= 1.  Raises the
     BitBudgetExceeded of the first matrix that passes the bit budget.
     """
-    out = []
-    for br in spectral_radii([image_abelianization(images) for images in image_sets]):
-        if isinstance(br, BitBudgetExceeded):
-            raise br
-        out.append(br.lower)
-    return out
+    mats = [image_abelianization(images) for images in image_sets]
+    return [br.lower for br in spectral_radii(mats)]
 
 
 def _orbit(step, words, steps: int):
@@ -139,58 +137,49 @@ def _orbit(step, words, steps: int):
         yield words
 
 
-def _power_cut(images, words, budget: int) -> int:
-    """The raw size of the first x_i over the budget in the power step
-    phi^k(x_i) = phi^(k-1)(phi(x_i)) of the map phi with generator images
-    `images`, from words[i] = phi^(k-1)(x_i), or 0 when the step fits.
+def _power_cut(counts, words, budget: int) -> bool:
+    """Whether the power step phi^k(x_i) = phi^(k-1)(phi(x_i)) passes the
+    budget: whether, for some x_i, the raw size of substituting phi(x_i)
+    through the table words[j] = phi^(k-1)(x_j) exceeds it.
 
-    The raw size of x_i is the unsigned letter counts of words[i] dotted
-    with |phi(x_j)|, the size of substituting phi into words[i]; at k = 1
-    the words are the generators x_i, and it is |phi(x_i)|.  Images and
-    words are bytes.
+    counts[i] holds the unsigned letter counts of phi(x_i), one per x_j,
+    and the raw size is counts[i] dotted with the lengths |words[j]|,
+    the block lengths that the kernel sums for the substitution.
     """
-    sizes = [len(w) for w in images]
-    longest = max(sizes)
-    for w in words:
-        if len(w) * longest <= budget:
-            continue  # the raw size is at most that; no need to count
-        raw = sum((p + q) * size for (p, q), size in zip(letter_counts(w, len(sizes)), sizes))
-        if raw > budget:
-            return raw
-    return 0
+    sizes = [len(w) for w in words]
+    return any(sum(c * size for c, size in zip(row, sizes)) > budget for row in counts)
 
 
 def power_orbits(image_sets, steps: int, budget: int, read) -> list:
     """What read(phi^k(x_i)) gives along the power orbit of each map phi
     given by its generator images image_sets[p], as bytes: the rows for
     k = 1, 2, ..., up to `steps` or the last step within the budget
-    (`_power_cut`), or the WordBudgetExceeded of step 1 when phi itself
-    passes the budget.
+    (`_power_cut`).  Step 1 reads the images themselves.
 
     The orbits step in lockstep as the module docstring says, each an
-    item (p, phi(x_i), phi^(k-1)(x_i)) whose size bounds its raw size:
-    the total length of its words times the longest |phi(x_j)|.
+    item (p, phi(x_i), phi^(k-1)(x_i), letter counts of phi(x_i)), whose
+    size is the total length of its words times the longest |phi(x_j)|.
     """
     rows, items = [], []
     for p, images in enumerate(image_sets):
-        needed = _power_cut(images, [bytes([i]) for i in range(1, len(images) + 1)], budget)
-        rows.append(WordBudgetExceeded(needed, budget) if needed else [read(images)])
-        if not needed:
-            items.append((p, images, images))
+        rows.append([read(images)])
+        counts = [[a + b for a, b in letter_counts(w, len(images))] for w in images]
+        items.append((p, images, images, counts))
 
     def size(item):
-        _, images, words = item
+        _, images, words, _ = item
         return sum(len(w) for w in words) * max(len(w) for w in images)
 
     def step(k, group):
         # an orbit ends at its last step within the budget
-        group = [item for item in group if not _power_cut(item[1], item[2], budget)]
+        group = [item for item in group if not _power_cut(item[3], item[2], budget)]
         if not group:
             return [], []
-        out = own_images([words for _, _, words in group], [images for _, images, _ in group],
-                         budget=sys.maxsize)
-        group = [(p, images, words) for (p, images, _), words in zip(group, out)]
-        return group, [(p, read(words)) for p, _, words in group]
+        out = own_images([words for _, _, words, _ in group],
+                         [images for _, images, _, _ in group], budget=sys.maxsize)
+        group = [(p, images, words, counts)
+                 for (p, images, _, counts), words in zip(group, out)]
+        return group, [(p, read(words)) for p, _, words, _ in group]
 
     for p, row in lockstep_orbits(items, size, step, 2, steps):
         rows[p].append(row)
@@ -236,15 +225,8 @@ def bracket(
     budget: int | None = None,
 ) -> StretchBracket:
     """Assemble lower/upper/point for log lambda(phi): `brackets` of the
-    one map phi.
-
-    Raises WordBudgetExceeded when not even phi's own images fit the
-    budget.
-    """
-    [br] = brackets([as_bytes(phi.images)], k_max, budget=budget)
-    if isinstance(br, WordBudgetExceeded):
-        raise br
-    return br
+    one map phi."""
+    return brackets([as_bytes(phi.images)], k_max, budget=budget)[0]
 
 
 def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = None) -> list:
@@ -258,8 +240,7 @@ def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = Non
     last log ratio over the candidate loops, which tracks the dominant
     growth stratum.  When the letter budget cuts an orbit off, both use
     the steps completed, and k_used records how many of them entered the
-    upper bound.  The item of a map whose own images pass the budget is
-    its WordBudgetExceeded.
+    upper bound; step 1, which reads the images, always does.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -270,9 +251,6 @@ def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = Non
     out = []
     orbits = power_orbits(image_sets, steps, b, candidate_lengths)
     for images, lower, rows in zip(image_sets, lowers, orbits):
-        if isinstance(rows, WordBudgetExceeded):
-            out.append(rows)
-            continue
         loops = candidates(len(images))
         lengths = [[len(c) for c in loops]] + rows
         k_used = min(len(lengths) - 1, k_max)

@@ -34,12 +34,16 @@ brackets, a generator image; for Gromov products, an image of
 Phi_n^{-1} or of Phi_n) needs more letters than the letter budget, or
 a matrix entry more bits than the bit budget; it then ends in a row
 with estimator "truncated_at", value the last completed step and
-status "truncated", never silently dropped.  A budget hit inside one
-bracket or Gromov record marks only that record.  Paths are keyed by
-(master_seed, path_id), each with its own increment stream, and run in
-one group of contiguous path ids per thread (`_run_paths` runs the
-groups); results are merged in path order, so the worker count never
-changes output bytes.
+status "truncated", never silently dropped.  So every word a record
+reads fits the letter budget, and a record checks no budget on it: the
+budget bounds only the substitutions of its power orbits, which stop
+before the first one over it.  A bracket then reports the steps it
+completed, downgraded, and a Gromov record is truncated when either of
+its orbits stops before step 2; either marks only that record.  Paths
+are keyed by (master_seed, path_id), each with its own increment
+stream, and run in one group of contiguous path ids per thread
+(`_run_paths` runs the groups); results are merged in path order, so
+the worker count never changes output bytes.
 
 The word kinds step the paths of a group in lockstep (`_inverse_orbit`).
 At step n every live path draws its increment, and one
@@ -417,16 +421,12 @@ def spectral_experiment(
     (`spectral.brackets`, lower bounds included), each the same as the
     path's alone.  Orbit words under k-th powers blow up like lambda^k,
     so the bracket depth is downgraded per record whenever the letter
-    budget cuts the orbit off.
-    The first orbit step is the tracked images themselves, which fit the
-    budget; a bracket over the budget anyway, a WordBudgetExceeded item
-    of the batch, would mark only its record truncated.
+    budget cuts the orbit off.  The first orbit step is the tracked
+    images themselves, so every record has one.
     """
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
     def rows(n, br):
-        if isinstance(br, WordBudgetExceeded):
-            return [("spectral.upper", float("nan"), "truncated")]
         status = "ok" if br.k_used >= k_max else "downgraded"
         return [("spectral.lower", br.lower / n, status),
                 ("spectral.upper", br.upper / n, status),
@@ -462,19 +462,14 @@ def gromov_decay_experiment(
     the power orbits of both halves of all states of a scheduled step,
     in one batch (`spectral.power_orbits`).  It is truncated where
     `gromov_product` raises: when step 2 of either orbit passes the
-    budget, or a figure eight of either half, |u_i| + |u_j|, does.
+    budget.
     """
     r = measure.rank
     gens = [bytes([i]) for i in range(1, r + 1)]
     budget = DEFAULT_LETTER_BUDGET if letter_budget is None else letter_budget
 
-    def cut(half, orbit):
-        # a half whose own images pass the budget has a figure eight that
-        # does, so an orbit that is a WordBudgetExceeded is never read
-        return sum(sorted(map(len, half))[-2:]) > budget or len(orbit) < 2
-
-    def rows(n, halves, orbits):
-        if any(map(cut, halves, orbits)):
+    def rows(n, orbits):
+        if any(len(orbit) < 2 for orbit in orbits):
             return [("gromov", float("nan"), "truncated")]
         (fwd, fwd2), (bwd, bwd2) = orbits
         a = fwd + bwd
@@ -483,7 +478,7 @@ def gromov_decay_experiment(
     def record(n, states):
         halves = [half for state in states for half in (state[r:], state[:r])]
         orbits = power_orbits(halves, 2, budget, image_dist)
-        return [rows(n, halves[p:p + 2], orbits[p:p + 2]) for p in range(0, len(halves), 2)]
+        return [rows(n, orbits[p:p + 2]) for p in range(0, len(orbits), 2)]
 
     source = _inverse_orbit(measure, master_seed, gens * 2, MapStack.compose,
                             _on_schedule(record, n_max),

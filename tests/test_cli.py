@@ -7,6 +7,7 @@ from outwalk import cli
 from outwalk.automorphisms import automorphism_to_str, parse_automorphism
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
 from outwalk.config import KIND_TABLE, format_config, parse_config
+from outwalk.outer_metric import dist
 from outwalk.spectral import bracket
 
 F3_LINES = """rank = 3
@@ -187,6 +188,26 @@ def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
     assert main(["run", "--config", str(cfg), *override]) == 2
 
 
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_a_walk_run_without_an_output_path_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # with neither `--out` nor `out =`, a walk ran every path, wrote
+    # nothing and exited 0; a one-map run prints its record
+    if KIND_TABLE[kind].walks:
+        def experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, kind, experiment)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASES[kind])
+    rc = main(["run", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    if KIND_TABLE[kind].walks:
+        assert rc == 2 and err.startswith("error: out: ")
+    else:
+        assert rc == 0 and out.startswith(("dist = ", "lower = "))
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("head", [
     "kind = drift\nn_max = 4\npaths = 2\n",
     "kind = conjugacy\nn_max = 4\npaths = 2\nmaster_seed = 18446744073709551615\n"
@@ -224,8 +245,7 @@ def test_exit_3_when_every_path_is_cut_off(tmp_path, niel):
 
 
 def test_drift_budget_hit_truncates_paths(tmp_path, niel):
-    # the figure-eight candidates need up to twice the letters of a
-    # generator image, so a budget hit must cut the path off, not crash
+    # a substitution over the budget must cut the path off, not crash
     n_max = 40
     text = f"kind = drift\nn_max = {n_max}\npaths = 4\nletter_budget = 1000\n" + measure_lines(niel)
     rc, out = run_config(tmp_path, text)
@@ -244,17 +264,24 @@ def test_drift_budget_hit_truncates_paths(tmp_path, niel):
 
 
 @pytest.mark.parametrize("kind, budget", [("distance", 2), ("stretch", 1)])
-def test_single_map_over_budget_exits_3(tmp_path, capsys, kind, budget):
+def test_a_one_map_run_never_exits_3(tmp_path, capsys, kind, budget):
     # a and b map to two letters each: the raw image of the figure eight
-    # ab has four, and the bracket's first power two; one map has no
-    # path to cut off, so the run ends with exit 3 and no CSV
-    text = (f"kind = {kind}\nletter_budget = {budget}\nrank = 3\n"
-            "gen.0.map = a->ab; b->bc; c->c\ngen.0.inv = a->acB; b->bC; c->c\n")
-    rc, out = run_config(tmp_path, text)
+    # ab has four, and so has the substitution that forms the bracket's
+    # second power.  A distance reads the images and substitutes nothing,
+    # so it reads no budget and refuses one; a bracket reads its first
+    # power as it is, and the budget stops the orbit before the second
+    theta = "gen.0.map = a->ab; b->bc; c->c\ngen.0.inv = a->acB; b->bC; c->c\n"
+    rc, out = run_config(tmp_path, f"kind = {kind}\nletter_budget = {budget}\nrank = 3\n" + theta)
     err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("error: budget exhausted") and "Traceback" not in err
-    assert not out.exists()
+    if kind == "distance":
+        assert rc == 2 and not out.exists()
+        assert err.startswith("error: letter_budget: ")
+        return
+    assert rc == 0, err
+    rows = out.read_text().splitlines()
+    upper = dist(parse_automorphism("a->ab; b->bc; c->c | a->acB; b->bC; c->c", 3))
+    assert "stretch,0,0,stretch.k_used,1.0,ok" in rows
+    assert f"stretch,0,0,stretch.upper,{upper!r},ok" in rows
 
 
 ONE_PATH_CONFIGS = {
@@ -383,7 +410,7 @@ READS = {
     "gromov": {"rank", "letter_budget"} | WALK,
     "matrix-guivarch": {"dim", "bit_budget"} | WALK,
     "matrix-furstenberg": {"dim", "bit_budget", "vector"} | WALK,
-    "distance": {"rank", "letter_budget"},
+    "distance": {"rank"},
     "stretch": {"rank", "letter_budget", "k_max"},
 }
 

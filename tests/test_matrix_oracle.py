@@ -436,6 +436,18 @@ def assert_reference(a, br, bit_budget=math.inf):
         assert (br.lower, br.upper) == expected
 
 
+def batch_items(mats, bit_budget) -> list:
+    """What spectral_radii yields for mats, then the BitBudgetExceeded it
+    raises, if it raises one."""
+    items = []
+    try:
+        for br in spectral_radii(mats, bit_budget):
+            items.append(br)
+    except BitBudgetExceeded as e:
+        items.append(e)
+    return items
+
+
 def test_a_batch_equals_its_matrices_one_by_one(ladder_runs, monkeypatch):
     budget = 10_000
     rng = random.Random(5)
@@ -451,7 +463,7 @@ def test_a_batch_equals_its_matrices_one_by_one(ladder_runs, monkeypatch):
         IntMatrix([[2**200 + 1, 1, 0], [0, 1, 0], [1, 0, 1]]),
         IntMatrix([[2**budget, 0, 0], [0, 1, 0], [0, 0, 1]]),  # A itself is over budget
     ]
-    alone = [str(next(spectral_radii([a], budget))) for a in mats]
+    alone = [str(x) for a in mats for x in batch_items([a], budget)]
     assert ladder_runs["exact"] == 2
     squares = []
     shared_square = matrix_oracle._shared_square
@@ -462,19 +474,24 @@ def test_a_batch_equals_its_matrices_one_by_one(ladder_runs, monkeypatch):
 
     monkeypatch.setattr(matrix_oracle, "_shared_square", spy)
     # each kind beside each other kind, in batches on each side of the size
-    # from which the Gelfand squares share their products
+    # from which the Gelfand squares share their products; the batch
+    # raises at its first matrix over the budget, so the matrices over it
+    # come before, and after, all the others
     for size in (10, SHARED_SQUARE_MIN - 1, 2 * SHARED_SQUARE_MIN):
-        kinds = list(islice(cycle([0, 1, 2, 3, 4, 4, 3, 2, 1, 0]), size))
-        batch = [mats[i] for i in kinds]
-        exact, squares[:] = ladder_runs["exact"], []
-        got = list(spectral_radii(batch, budget))
-        assert ladder_runs["exact"] - exact == sum(i in (2, 3) for i in kinds)
-        for a, br in zip(batch, got):
-            assert_reference(a, br, budget)
-        assert [str(x) for x in got] == [alone[i] for i in kinds]
-        # a square shares its products while the batch holds SHARED_SQUARE_MIN live matrices
-        assert all(live >= SHARED_SQUARE_MIN for live in squares)
-        assert bool(squares) == (size > SHARED_SQUARE_MIN)
+        cycled = list(islice(cycle([0, 1, 2, 3, 4, 4, 3, 2, 1, 0]), size))
+        for kinds in (cycled, sorted(cycled, key=lambda i: i >= 3)):
+            batch = [mats[i] for i in kinds]
+            exact, squares[:] = ladder_runs["exact"], []
+            got = batch_items(batch, budget)
+            # every item up to the first raise, which ends the batch
+            assert isinstance(got[-1], BitBudgetExceeded) and kinds[len(got) - 1] >= 3
+            assert ladder_runs["exact"] - exact == sum(i in (2, 3) for i in kinds[:len(got)])
+            for a, br in zip(batch, got):
+                assert_reference(a, br, budget)
+            assert [str(x) for x in got] == [alone[i] for i in kinds[:len(got)]]
+            # a square shares its products while the batch holds SHARED_SQUARE_MIN live matrices
+            assert all(live >= SHARED_SQUARE_MIN for live in squares)
+            assert bool(squares) == (size > SHARED_SQUARE_MIN)
 
 
 @settings(max_examples=40, deadline=None)
@@ -495,9 +512,11 @@ def ladder_matrix(n):
 @given(st.integers(3, 4).flatmap(lambda n: st.tuples(ladder_matrix(n), ladder_matrix(n))),
        st.sampled_from([300, 3000, 10**6]))
 def test_the_ladder_of_a_pair_is_the_pair_of_ladders(pair, budget):
-    got = list(spectral_radii(list(pair), budget))
-    alone = [next(spectral_radii([a], budget)) for a in pair]
-    assert [str(x) for x in got] == [str(x) for x in alone]
+    got = batch_items(list(pair), budget)
+    alone = [batch_items([a], budget)[0] for a in pair]
+    # the pair ends at the first matrix that raises
+    assert [str(x) for x in got] == [str(x) for x in alone[:len(got)]]
+    assert len(got) == 2 or isinstance(got[0], BitBudgetExceeded)
     for a, br in zip(pair, got):
         assert_reference(a, br, budget)
 

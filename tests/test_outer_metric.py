@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outwalk._wordkernel import HEAD, stack_reduce
-from outwalk.free_group import (WordBudgetExceeded, as_bytes, cyclic_reduce, parse_word, reduce,
-                                 word_to_str)
+from outwalk.free_group import as_bytes, cyclic_reduce, parse_word, reduce, word_to_str
 from outwalk.automorphisms import (
     Automorphism,
     compose,
@@ -295,23 +294,16 @@ def test_image_dist_ties(theta, want):
 @given(data=st.data(), size=conjugator_sizes, seed=st.integers(0, 2**32))
 def test_dist_budget_matches_the_substitution_route(data, size, seed):
     # the raw size of a candidate is the sum of |theta(x)| over its
-    # letters; dist raises for the first candidate over the budget with
-    # the needed count that substituting the candidates raises with
+    # letters; dist reads the images and substitutes nothing, so it is
+    # the float of substituting the candidates at every budget they fit
     rank = data.draw(st.integers(2, 4))
     theta = compose(conjugation(random_letters(seed, size, rank), rank),
                     data.draw(products(rank)))
     loops = candidates(rank)
     largest = max(sum(len(theta.images[abs(x) - 1]) for x in c.letters.tolist()) for c in loops)
-    for budget in (largest - 1, largest, largest + 1):
-        if budget < largest:
-            with pytest.raises(WordBudgetExceeded) as err:
-                dist(theta, budget=budget)
-            with pytest.raises(WordBudgetExceeded) as want:
-                substituted_lengths(theta, budget)
-            assert (err.value.needed, err.value.budget) == (want.value.needed, budget)
-        else:
-            want = max(n / len(c) for n, c in zip(substituted_lengths(theta, budget), loops))
-            assert dist(theta, budget=budget) == math.log(max(1, want))
+    for budget in (largest, largest + 1):
+        want = max(n / len(c) for n, c in zip(substituted_lengths(theta, budget), loops))
+        assert dist(theta) == math.log(max(1, want))
 
 
 @settings(max_examples=60)

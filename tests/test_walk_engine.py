@@ -3,7 +3,7 @@
 import math
 import statistics
 from functools import partial
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -26,8 +26,7 @@ from outwalk.automorphisms import (
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import (candidates, dist, gromov_product, image_dist, orbit_dist,
-                                  sym_dist)
+from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
 from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -509,8 +508,6 @@ def kind_reference(kind, rank, settings, seeds=None):
             if n not in schedule:
                 return []
             [br] = brackets([as_bytes(ims)], settings["k_max"], budget=budget)
-            if isinstance(br, WordBudgetExceeded):
-                return [("spectral.upper", float("nan"), "truncated")]
             status = "ok" if br.k_used >= settings["k_max"] else "downgraded"
             return [("spectral.lower", br.lower / n, status),
                     ("spectral.upper", br.upper / n, status),
@@ -643,12 +640,12 @@ def test_gromov_records_do_not_depend_on_the_group(niel, monkeypatch):
     assert {r[4] for r in series.records} == {"ok"}
 
 
-def test_a_gromov_record_is_cut_by_a_figure_eight_alone():
-    # the moves x1 -> x1x3 and x2 -> x2x3 of F_3: in these records both
-    # squares Phi_n^{+-2} fit the budget, so `orbit_dist` reads them, but a
-    # figure eight of Phi_n has a raw image |u_i| + |u_j| over it, so
-    # `dist` does not, and the record is truncated as `gromov_product`
-    # truncates it
+def test_a_figure_eight_over_the_budget_cuts_no_gromov_record():
+    # the moves x1 -> x1x3 and x2 -> x2x3 of F_3: in these records a
+    # figure eight of Phi_n has a raw image |u_i| + |u_j| over the budget,
+    # but no record substitutes one; both squares Phi_n^{+-2} fit the
+    # budget, so `orbit_dist` reads them, and the record reads ok as
+    # `gromov_product` reads it
     measure = ProbMeasure((parse_automorphism("a->ac; b->b; c->c | a->aC; b->b; c->c"),
                            parse_automorphism("a->a; b->bc; c->c | a->a; b->bC; c->c")),
                           (0.5, 0.5))
@@ -659,17 +656,76 @@ def test_a_gromov_record_is_cut_by_a_figure_eight_alone():
             map(repr, one_path_records("gromov", measure, settings)))
         by_eight = set()
         for pid, n, est, _, status in series.records:
-            if est != "gromov" or status != "truncated":
+            if est != "gromov":
                 continue
             *_, (_, phi, inv) = sample_path(measure, 1, pid, n)
             try:
-                orbit_dist(phi, inv, budget=budget) + orbit_dist(inv, phi, budget=budget)
+                gromov_product(phi, inv, budget=budget)
             except WordBudgetExceeded:
+                assert status == "truncated"
                 continue
-            with pytest.raises(WordBudgetExceeded):
-                sym_dist(phi, budget=budget)
-            by_eight.add((pid, n))
+            assert status == "ok"
+            if any(len(u) + len(v) > budget
+                   for half in (phi, inv) for u, v in combinations(half.images, 2)):
+                by_eight.add((pid, n))
         assert by_eight == want
+
+
+@pytest.mark.parametrize("master_seed", [973431126432672820, 12663201618514722133])
+def test_no_power_step_substitutes_a_raw_image_over_the_budget(niel, monkeypatch, master_seed):
+    # spectral-niel's settings: power step k substitutes each phi(x_i)
+    # through the table of phi^(k-1), whose raw size, the block lengths
+    # summed over its letters, the budget bounds as it bounds every
+    # substitution; on these seeds a rule on the other association let
+    # raw images of 219,395 and 202,047 letters through
+    letter_budget, largest = 200_000, []
+    own_images = spectral.own_images
+
+    def spy(tables, groups, *, budget):
+        for table, words in zip(tables, groups):
+            sizes = [len(w) for w in table]
+            largest.append(max(sum(sizes[abs(x) - 1] for x in np.frombuffer(w, np.int8).tolist())
+                               for w in words))
+        return own_images(tables, groups, budget=budget)
+
+    monkeypatch.setattr(spectral, "own_images", spy)
+    series = spectral_experiment(niel, n_max=32, paths=16, k_max=4, master_seed=master_seed,
+                                 letter_budget=letter_budget)
+    assert largest and max(largest) <= letter_budget
+    # the budget stopped some orbits
+    assert "downgraded" in {r[4] for r in series.records}
+
+
+# the golden drift-cut, spectral-cut and gromov-cut configs
+RECORD_BUDGETS = {
+    "drift": (drift_experiment, dict(n_max=40, paths=4, master_seed=5, letter_budget=2000)),
+    "spectral": (spectral_experiment,
+                 dict(n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10)),
+    "gromov": (gromov_decay_experiment,
+               dict(n_max=16, paths=4, master_seed=1, letter_budget=10)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_BUDGETS))
+def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
+    # each tracked word was formed by a substitution within the budget, so
+    # the records read only words that fit it, and check no budget on them
+    inverse_orbit, states_read = walk_engine._inverse_orbit, []
+
+    def spy(measure, master_seed, words, step, record, *, n_max, budget):
+        def checked(n, states):
+            states_read.extend(states)
+            assert all(len(w) <= budget for state in states for w in state)
+            return record(n, states)
+
+        return inverse_orbit(measure, master_seed, words, step, checked,
+                             n_max=n_max, budget=budget)
+
+    monkeypatch.setattr(walk_engine, "_inverse_orbit", spy)
+    runner, settings = RECORD_BUDGETS[kind]
+    series = runner(niel, **settings)
+    # and the budget bounded the run: it cut a path or stopped an orbit
+    assert states_read and {r[4] for r in series.records} != {"ok"}
 
 
 def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
@@ -1043,11 +1099,7 @@ def test_spectral_records_equal_bracket_of_the_sampled_inverse(niel, budget):
     for pid in range(4):
         for n, _, inv in sample_path(niel, 9, pid, n_max, letter_budget=budget):
             if n in geometric_schedule(n_max):
-                try:
-                    br = bracket(inv, k_max, budget=budget)
-                except WordBudgetExceeded:
-                    want[(pid, n)] = [("spectral.upper", "nan", "truncated")]
-                    continue
+                br = bracket(inv, k_max, budget=budget)
                 status = "ok" if br.k_used >= k_max else "downgraded"
                 want[(pid, n)] = [(f"spectral.{e}", repr(v), status) for e, v in (
                     ("lower", br.lower / n), ("upper", br.upper / n), ("point", br.point / n),
