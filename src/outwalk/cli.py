@@ -7,14 +7,16 @@
 `run` calls the kind's runner in `RUNNERS` with exactly the settings
 that `config.KIND_TABLE` names for the kind.  `--seed` and `--paths`
 set `master_seed` and `paths`, so a kind that does not read one refuses
-it (`--paths 1` is the one path such a kind runs, and passes).
+it (`--paths 1` is the one path such a kind runs, and passes), and a
+kind that runs no paths refuses `--threads` other than 1.
 
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, and a walk run with no output path at
-all, refused before the run or the aggregation starts), 3 every path
-cut off by its budget.  A `distance` or `stretch` run prints its one
-record, so its output path is optional.  CSV
-schema (exact): experiment,path_id,n,estimator,value,status.  The
+all, refused before the run or the aggregation starts), 3 no record
+within the budget: none reads ok or downgraded, though a path may have
+completed its steps with every record truncated.  A `distance` or
+`stretch` run prints its one record, so its output path is optional.
+CSV schema (exact): experiment,path_id,n,estimator,value,status.  The
 header is the line `# outwalk run`, the timestamp in its own
 `# generated_at = ...` line, and the resolved config, less its `out`
 path, as `# key = value` lines: every setting that bounded the run, and
@@ -151,7 +153,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
         write_series(series, cfg, cfg.out)
     # downgraded records are certified brackets too, so they count as output
     if not any(r[4] in ("ok", "downgraded") for r in series.records):
-        print("error: budget exhausted on every path", file=sys.stderr)
+        print("error: no record within the budget", file=sys.stderr)
         return 3
     return 0
 
@@ -297,6 +299,8 @@ def main(argv=None) -> int:
         validate(cfg)
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
+        if args.threads != 1 and not KIND_TABLE[cfg.kind].walks:
+            raise ConfigError(f"--threads: a {cfg.kind} run does not read it")
         if cfg.out:
             _check_out(cfg.out)
         elif KIND_TABLE[cfg.kind].walks:

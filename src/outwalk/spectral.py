@@ -23,12 +23,13 @@ candidate at once.  The orbit is associated as
 phi^k(x_i) = phi^(k-1)(phi(x_i)): the previous step's images form the
 substitution table, and the N short words phi(x_i) are its input, so
 each step feeds the kernel a few letters and copies long blocks whole.
-The letter budget bounds that substitution, as the kernel bounds every
-other: the raw size of step k for x_i is the unsigned letter counts of
-phi(x_i) dotted with the lengths |phi^(k-1)(x_j)|.  The orbit stops
-before the first step whose raw size exceeds the budget, and a bracket
-then reports the steps it completed.  Step 1 reads the images it is
-given and substitutes nothing, so it is never cut.
+The letter budget bounds that substitution where it bounds every other,
+in the kernel (`_wordkernel.lockstep_substitute`): the raw size of step
+k for x_i is the sum of the block lengths |phi^(k-1)(x_j)| over the
+letters of phi(x_i).  An orbit stops at the first step whose raw size
+exceeds the budget, which the kernel drops, and a bracket then reports
+the steps it completed.  Step 1 reads the images it is given and
+substitutes nothing, so it is never cut.
 
 `power_orbits` runs the power orbits of many maps at once, each step read
 by its caller's reader: `candidate_lengths` for `brackets`, whose point
@@ -53,14 +54,12 @@ which gives each matrix the bracket it gets alone.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .free_group import DEFAULT_LETTER_BUDGET, CyclicWord, WordBudgetExceeded, as_bytes
+from .free_group import CyclicWord, WordBudgetExceeded, as_bytes
 from ._wordkernel import lockstep_orbits
-from .automorphisms import (Automorphism, cyclic_images, image_abelianization, letter_counts,
-                            own_images)
+from .automorphisms import Automorphism, cyclic_images, image_abelianization, own_images
 from .matrix_oracle import spectral_radii
 from .outer_metric import candidate_lengths, candidates, log_stretch
 
@@ -137,49 +136,32 @@ def _orbit(step, words, steps: int):
         yield words
 
 
-def _power_cut(counts, words, budget: int) -> bool:
-    """Whether the power step phi^k(x_i) = phi^(k-1)(phi(x_i)) passes the
-    budget: whether, for some x_i, the raw size of substituting phi(x_i)
-    through the table words[j] = phi^(k-1)(x_j) exceeds it.
-
-    counts[i] holds the unsigned letter counts of phi(x_i), one per x_j,
-    and the raw size is counts[i] dotted with the lengths |words[j]|,
-    the block lengths that the kernel sums for the substitution.
-    """
-    sizes = [len(w) for w in words]
-    return any(sum(c * size for c, size in zip(row, sizes)) > budget for row in counts)
-
-
-def power_orbits(image_sets, steps: int, budget: int, read) -> list:
+def power_orbits(image_sets, steps: int, budget: int | None, read) -> list:
     """What read(phi^k(x_i)) gives along the power orbit of each map phi
     given by its generator images image_sets[p], as bytes: the rows for
-    k = 1, 2, ..., up to `steps` or the last step within the budget
-    (`_power_cut`).  Step 1 reads the images themselves.
+    k = 1, 2, ..., up to `steps` or the last step within the budget.
+    Step 1 reads the images themselves.
 
     The orbits step in lockstep as the module docstring says, each an
-    item (p, phi(x_i), phi^(k-1)(x_i), letter counts of phi(x_i)), whose
-    size is the total length of its words times the longest |phi(x_j)|.
+    item (p, phi(x_i), phi^(k-1)(x_i)), whose size is the total length of
+    its words times the longest |phi(x_j)|.  An orbit ends where
+    `own_images` gives its group as None.
     """
     rows, items = [], []
     for p, images in enumerate(image_sets):
         rows.append([read(images)])
-        counts = [[a + b for a, b in letter_counts(w, len(images))] for w in images]
-        items.append((p, images, images, counts))
+        items.append((p, images, images))
 
     def size(item):
-        _, images, words, _ = item
+        _, images, words = item
         return sum(len(w) for w in words) * max(len(w) for w in images)
 
     def step(k, group):
-        # an orbit ends at its last step within the budget
-        group = [item for item in group if not _power_cut(item[3], item[2], budget)]
-        if not group:
-            return [], []
-        out = own_images([words for _, _, words, _ in group],
-                         [images for _, images, _, _ in group], budget=sys.maxsize)
-        group = [(p, images, words, counts)
-                 for (p, images, _, counts), words in zip(group, out)]
-        return group, [(p, read(words)) for p, _, words, _ in group]
+        out = own_images([words for _, _, words in group],
+                         [images for _, images, _ in group], budget=budget)
+        group = [(p, images, words)
+                 for (p, images, _), words in zip(group, out) if words is not None]
+        return group, [(p, read(words)) for p, _, words in group]
 
     for p, row in lockstep_orbits(items, size, step, 2, steps):
         rows[p].append(row)
@@ -247,9 +229,8 @@ def brackets(image_sets, k_max: int = DEFAULT_K_MAX, *, budget: int | None = Non
     image_sets = list(image_sets)
     lowers = stretch_lowers(image_sets)
     steps = max(2, k_max)
-    b = DEFAULT_LETTER_BUDGET if budget is None else budget
     out = []
-    orbits = power_orbits(image_sets, steps, b, candidate_lengths)
+    orbits = power_orbits(image_sets, steps, budget, candidate_lengths)
     for images, lower, rows in zip(image_sets, lowers, orbits):
         loops = candidates(len(images))
         lengths = [[len(c) for c in loops]] + rows

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import DEFAULT_LETTER_BUDGET, WordBudgetExceeded, as_bytes, word_to_str
+from .free_group import WordBudgetExceeded, as_bytes, word_to_str
 from ._wordkernel import lockstep_orbits
 from .automorphisms import Automorphism, MapStack, compose, identity_automorphism, invert
 from .matrix_oracle import (
@@ -466,7 +466,6 @@ def gromov_decay_experiment(
     """
     r = measure.rank
     gens = [bytes([i]) for i in range(1, r + 1)]
-    budget = DEFAULT_LETTER_BUDGET if letter_budget is None else letter_budget
 
     def rows(n, orbits):
         if any(len(orbit) < 2 for orbit in orbits):
@@ -477,7 +476,7 @@ def gromov_decay_experiment(
 
     def record(n, states):
         halves = [half for state in states for half in (state[r:], state[:r])]
-        orbits = power_orbits(halves, 2, budget, image_dist)
+        orbits = power_orbits(halves, 2, letter_budget, image_dist)
         return [rows(n, orbits[p:p + 2]) for p in range(0, len(orbits), 2)]
 
     source = _inverse_orbit(measure, master_seed, gens * 2, MapStack.compose,

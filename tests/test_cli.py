@@ -244,6 +244,20 @@ def test_exit_3_when_every_path_is_cut_off(tmp_path, niel):
     assert all(rows == [(0, "truncated")] for rows in per_path_rows(out).values())
 
 
+def test_exit_3_when_no_record_is_within_the_budget(tmp_path, capsys):
+    # both paths complete step 1, within the budget of 2 letters, but the
+    # square of each step-1 map needs 3, so both Gromov records are
+    # truncated: no path is cut off, and still no record counts
+    text = ("kind = gromov\nn_max = 1\npaths = 2\nletter_budget = 2\nrank = 2\n"
+            "gen.0.map = a->ab; b->b\ngen.0.inv = a->aB; b->b\ngen.0.weight = 0.5\n"
+            "gen.1.map = a->a; b->ba\ngen.1.inv = a->a; b->bA\ngen.1.weight = 0.5\n")
+    rc, out = run_config(tmp_path, text)
+    assert rc == 3
+    assert capsys.readouterr().err == "error: no record within the budget\n"
+    assert per_path_rows(out) == {0: [(1, "truncated")], 1: [(1, "truncated")]}
+    assert ",truncated_at," not in out.read_text()
+
+
 def test_drift_budget_hit_truncates_paths(tmp_path, niel):
     # a substitution over the budget must cut the path off, not crash
     n_max = 40
@@ -304,6 +318,11 @@ def test_one_path_kinds_refuse_paths(tmp_path, capsys, kind, paths):
     assert run_config(tmp_path, text, "--paths", str(paths))[0] == 2
     assert run_config(tmp_path, text + "paths = 1\n")[0] == 0
     assert run_config(tmp_path, text, "--paths", "1")[0] == 0
+    # nor does it run threads: --threads 1 is the one thread it runs
+    capsys.readouterr()
+    assert run_config(tmp_path, text, "--threads", str(paths))[0] == 2
+    assert capsys.readouterr().err.startswith("error: --threads: ")
+    assert run_config(tmp_path, text, "--threads", "1")[0] == 0
 
 
 def test_exit_0_when_every_record_is_downgraded(tmp_path, niel):

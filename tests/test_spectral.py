@@ -21,8 +21,8 @@ from outwalk.matrix_oracle import (GELFAND_MAX_J, IntMatrix, MatrixBracket, guiv
                                    spectral_radius)
 from outwalk.outer_metric import candidate_lengths, dist
 from outwalk.cli import main
-from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, brackets, stretch_lower,
-                              stretch_ratio)
+from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, brackets, power_orbits,
+                              stretch_lower, stretch_ratio)
 from outwalk.walk_engine import sample_path, spectral_experiment
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
@@ -351,6 +351,15 @@ def test_power_orbits_step_in_lockstep(niel, monkeypatch):
     assert [call[:2] for call in calls] == [(4, True), (1, False), (1, False), (3, True), (3, True)]
     for _, _, [words] in calls[1:3]:
         assert all(a is w for a, w in zip(words, image_sets[1]))
+    # at 100 letters the kernel stops the long orbit at step 2, whose raw
+    # size is 1,810, and the last short one at step 3, whose raw size is
+    # 480: each enters the stacked call of the step that cuts it, and
+    # comes back with the rows it gets alone
+    calls.clear()
+    orbits = power_orbits(image_sets, 4, 100, candidate_lengths)
+    assert [call[:2] for call in calls] == [(4, True), (3, True), (2, True)]
+    assert orbits == [power_orbits([ims], 4, 100, candidate_lengths)[0] for ims in image_sets]
+    assert [len(rows) for rows in orbits] == [4, 1, 4, 2]
 
 
 def test_bracket_and_the_stretch_kind_are_a_batch_of_one(tmp_path, monkeypatch):

@@ -677,21 +677,28 @@ def test_no_power_step_substitutes_a_raw_image_over_the_budget(niel, monkeypatch
     # through the table of phi^(k-1), whose raw size, the block lengths
     # summed over its letters, the budget bounds as it bounds every
     # substitution; on these seeds a rule on the other association let
-    # raw images of 219,395 and 202,047 letters through
-    letter_budget, largest = 200_000, []
+    # raw images of 219,395 and 202,047 letters through.  The kernel
+    # drops a group over the budget, so only the groups that come back
+    # were substituted
+    letter_budget, largest, dropped = 200_000, [], []
     own_images = spectral.own_images
 
     def spy(tables, groups, *, budget):
-        for table, words in zip(tables, groups):
+        out = own_images(tables, groups, budget=budget)
+        for table, words, images in zip(tables, groups, out):
+            if images is None:
+                dropped.append(words)
+                continue
             sizes = [len(w) for w in table]
             largest.append(max(sum(sizes[abs(x) - 1] for x in np.frombuffer(w, np.int8).tolist())
                                for w in words))
-        return own_images(tables, groups, budget=budget)
+        return out
 
     monkeypatch.setattr(spectral, "own_images", spy)
     series = spectral_experiment(niel, n_max=32, paths=16, k_max=4, master_seed=master_seed,
                                  letter_budget=letter_budget)
     assert largest and max(largest) <= letter_budget
+    assert dropped
     # the budget stopped some orbits
     assert "downgraded" in {r[4] for r in series.records}
 
