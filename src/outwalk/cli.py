@@ -1,14 +1,11 @@
 """Experiment runner CLI.
 
-    outwalk run --config <file> [--out <file>] [--seed <u64>]
-                [--paths <int>] [--threads <int>]
+    outwalk run --config <file> [--out <file>] [--threads <int>]
     outwalk summarize --in <file> --out <file>
 
 `run` calls the kind's runner in `RUNNERS` with exactly the settings
-that `config.KIND_TABLE` names for the kind.  `--seed` and `--paths`
-set `master_seed` and `paths`, so a kind that does not read one refuses
-it (`--paths 1` is the one path such a kind runs, and passes), and a
-kind that runs no paths refuses `--threads` other than 1.
+that `config.KIND_TABLE` names for the kind, all read from the config
+file.  A kind that runs no paths refuses `--threads` other than 1.
 
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, and a walk run with no output path at
@@ -176,13 +173,12 @@ def batch_means_ci(values) -> float | None:
 def ok_values(rows) -> dict:
     """The values that enter aggregates, by (n, estimator), in path order.
 
-    Only finite values of ok per-path rows count; any other value stays
-    in its per-path row.  A series file may come from an older version
-    whose body still holds summary rows (path_id -1); they never count.
+    Only finite values of ok rows count; any other value stays in its
+    per-path row.
     """
     by_key = {}
     for pid, n, est, value, status in sorted(rows, key=lambda row: row[0]):
-        if pid >= 0 and status == "ok" and math.isfinite(value):
+        if status == "ok" and math.isfinite(value):
             by_key.setdefault((n, est), []).append(value)
     return by_key
 
@@ -196,7 +192,6 @@ def _uncovered(rows) -> dict:
     spectral or gromov record).  downgraded counts the downgraded
     records at (n, estimator).
     """
-    rows = [row for row in rows if row[0] >= 0]
     last_step = {pid: value for pid, _, est, value, _ in rows if est == "truncated_at"}
     hit = {(pid, n) for pid, n, est, _, status in rows
            if status == "truncated" and est != "truncated_at"}
@@ -220,30 +215,32 @@ def summarize(in_path: str, out_path: str) -> int:
     empty.  truncated and downgraded count the paths left out
     (`_uncovered`), so that effective_paths + truncated + downgraded is
     the number of paths whenever every ok value is finite.  An output
-    path that cannot be written is refused before the input is read.
+    path that cannot be written is refused before the input is read,
+    and so is an input row that `run` does not write: a negative
+    path_id, a status other than ok, downgraded or truncated, or a
+    second record of one path, n and estimator.
     """
+    records, keys = {}, set()
     try:
         _check_out(out_path)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    records: dict = {}
-    try:
         with open(in_path) as fh:
             reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader, None)
-            if header != CSV_HEADER.split(","):
-                print(f"error: unexpected CSV header in {in_path}", file=sys.stderr)
-                return 2
+            if next(reader, None) != CSV_HEADER.split(","):
+                raise ConfigError(f"unexpected CSV header in {in_path}")
             for row in reader:
                 if len(row) != 6:
-                    print(f"error: malformed row {row!r}", file=sys.stderr)
-                    return 2
+                    raise ConfigError(f"malformed row {row!r}")
                 experiment, pid, n, est, value, status = row
-                records.setdefault(experiment, []).append(
-                    (int(pid), int(n), est, float(value), status)
-                )
-    except OSError as e:
+                key = (experiment, int(pid), int(n), est)
+                if key[1] < 0:
+                    raise ConfigError(f"row {row!r}: path_id must be >= 0")
+                if status not in ("ok", "downgraded", "truncated"):
+                    raise ConfigError(f"row {row!r}: unknown status {status!r}")
+                if key in keys:
+                    raise ConfigError(f"row {row!r}: a second record of one path, n and estimator")
+                keys.add(key)
+                records.setdefault(experiment, []).append((*key[1:], float(value), status))
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
@@ -275,8 +272,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--paths", type=int)
     p_run.add_argument("--threads", type=int, default=1)
 
     p_sum = sub.add_parser("summarize", help="aggregate a series CSV")
@@ -290,10 +285,6 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        if args.seed is not None:
-            cfg.master_seed = args.seed
-        if args.paths is not None:
-            cfg.paths = args.paths
         if args.out is not None:
             cfg.out = args.out
         validate(cfg)

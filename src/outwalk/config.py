@@ -136,22 +136,27 @@ def parse_config(text: str) -> ExperimentConfig:
 
     gens = {}
     words = {}
-    for key in sorted(pairs):
-        value = pairs[key]
+    named = {}  # (family, index, field) -> the key that set it
+    for key, value in pairs.items():
         parts = key.split(".")
         if parts[0] == "gen" and len(parts) == 3 and parts[2] in ("map", "inv", "weight", "matrix"):
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ConfigError(f"{key}: bad generator index") from None
-            gens.setdefault(idx, {})[parts[2]] = value
+            error = "bad generator index"
         elif parts[0] == "word" and len(parts) == 2:
-            try:
-                words[int(parts[1])] = value
-            except ValueError:
-                raise ConfigError(f"{key}: bad seed word index") from None
+            error = "bad seed word index"
         else:
             raise ConfigError(f"unknown key {key!r}")
+        try:
+            idx = int(parts[1])
+        except ValueError:
+            raise ConfigError(f"{key}: {error}") from None
+        # int() reads gen.1 and gen.01 as one index: one line must not overwrite the other
+        first = named.setdefault((parts[0], idx, *parts[2:]), key)
+        if first != key:
+            raise ConfigError(f"{key}: same setting as {first}")
+        if parts[0] == "gen":
+            gens.setdefault(idx, {})[parts[2]] = value
+        else:
+            words[idx] = value
     if gens and sorted(gens) != list(range(len(gens))):
         raise ConfigError("gen.<i> indices must be 0..k-1 without gaps")
     if words and sorted(words) != list(range(len(words))):

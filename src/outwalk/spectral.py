@@ -143,9 +143,9 @@ def power_orbits(image_sets, steps: int, budget: int | None, read) -> list:
     Step 1 reads the images themselves.
 
     The orbits step in lockstep as the module docstring says, each an
-    item (p, phi(x_i), phi^(k-1)(x_i)), whose size is the total length of
-    its words times the longest |phi(x_j)|.  An orbit ends where
-    `own_images` gives its group as None.
+    item (p, phi(x_i), phi^(k-1)(x_i)), whose size, the total length of
+    the phi(x_i) times the longest |phi^(k-1)(x_j)|, bounds the raw size
+    of its step.  An orbit ends where `own_images` gives its group as None.
     """
     rows, items = [], []
     for p, images in enumerate(image_sets):
@@ -154,7 +154,7 @@ def power_orbits(image_sets, steps: int, budget: int | None, read) -> list:
 
     def size(item):
         _, images, words = item
-        return sum(len(w) for w in words) * max(len(w) for w in images)
+        return sum(len(w) for w in images) * max(len(w) for w in words)
 
     def step(k, group):
         out = own_images([words for _, _, words in group],

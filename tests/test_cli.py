@@ -56,11 +56,15 @@ def with_measure(head, niel) -> str:
 
 
 def run_config(tmp_path, text, *args):
+    """The exit code of `outwalk run` on the config text, and its output
+    path; argparse exits on a flag it does not know."""
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "run.csv"
     cfg.write_text(text)
-    rc = main(["run", "--config", str(cfg), "--out", str(out), *args])
-    return rc, out
+    try:
+        return main(["run", "--config", str(cfg), "--out", str(out), *args]), out
+    except SystemExit as e:
+        return e.code, out
 
 
 def per_path_rows(out_path) -> dict:
@@ -88,8 +92,11 @@ def test_exit_0_on_success(tmp_path):
     ["--threads", "-3"],
 ])
 def test_exit_2_on_bad_override(tmp_path, override):
-    rc, _ = run_config(tmp_path, "kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES, *override)
-    assert rc == 2
+    # `--paths` and `--seed` are gone, whatever their value: paths and
+    # master_seed come from config lines only, whose bad values are cases
+    # of test_input_errors_exit_2
+    rc, out = run_config(tmp_path, "kind = drift\nn_max = 4\npaths = 2\n" + F3_LINES, *override)
+    assert rc == 2 and not out.exists()
 
 
 FURSTENBERG_2 = ("kind = matrix-furstenberg\nn_max = 4\ndim = 2\nvector = {vector}\n"
@@ -132,6 +139,104 @@ def test_exit_2_on_bad_config(tmp_path, capsys, text, error):
     rc, out = run_config(tmp_path, text if "\ngen.0." in text else text + F3_LINES)
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+RANK_2 = ("rank = 2\ngen.0.map = a->ab; b->b\ngen.0.inv = a->aB; b->b\ngen.0.weight = 0.5\n"
+          "gen.1.map = a->b; b->a\ngen.1.inv = a->b; b->a\ngen.1.weight = 0.5\n")
+DRIFT = "kind = drift\nn_max = 4\n" + F3_LINES
+CONJUGACY = "kind = conjugacy\nn_max = 4\n" + F3_LINES
+FURSTENBERG = "kind = matrix-furstenberg\nn_max = 4\n" + MATRIX_LINES
+SERIES = CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("command, text, error", [
+    # parse_config
+    pytest.param("run", "\n# a comment\nkind drift\n",
+                 "line 3: expected 'key = value', got 'kind drift'", id="no '='"),
+    pytest.param("run", "kind = drift\n" + DRIFT, "line 2: duplicate key 'kind'",
+                 id="key twice"),
+    pytest.param("run", "n_max = 4\n" + F3_LINES, "missing required key 'kind'", id="no kind"),
+    pytest.param("run", "kind = drift\nn_max = four\n" + F3_LINES,
+                 "n_max: expected an integer", id="not an integer"),
+    pytest.param("run", FURSTENBERG + "vector = [1, 0\n",
+                 "vector: expected an integer list like [1,0]", id="vector literal"),
+    pytest.param("run", DRIFT + "gen.x.weight = 1\n", "gen.x.weight: bad generator index",
+                 id="gen index"),
+    pytest.param("run", CONJUGACY + "word.x = ab\n", "word.x: bad seed word index",
+                 id="word index"),
+    pytest.param("run", DRIFT + "colour = red\n", "unknown key 'colour'", id="unknown key"),
+    pytest.param("run", DRIFT + "gen.3.weight = 0.5\n",
+                 "gen.<i> indices must be 0..k-1 without gaps", id="gen gap"),
+    pytest.param("run", CONJUGACY + "word.1 = ab\n",
+                 "word.<i> indices must be 0..k-1 without gaps", id="word gap"),
+    # int() read both spellings of an index, and the key that sorted last won
+    pytest.param("run", "kind = drift\nn_max = 4\n" + RANK_2 + "gen.01.map = a->aB; b->b\n",
+                 "gen.01.map: same setting as gen.1.map", id="gen index twice"),
+    pytest.param("run", CONJUGACY + "word.0 = ab\nword.00 = aab\n",
+                 "word.00: same setting as word.0", id="word index twice"),
+    # the settings of the retired `--paths` and `--seed`, from config lines
+    pytest.param("run", "paths = -2\n" + DRIFT, "paths: must be >= 1", id="paths -2"),
+    pytest.param("run", "master_seed = -1\n" + DRIFT, "master_seed: must fit in 64 bits",
+                 id="master_seed -1"),
+    pytest.param("run", f"master_seed = {2**64}\n" + DRIFT, "master_seed: must fit in 64 bits",
+                 id="master_seed 2**64"),
+    # validate
+    pytest.param("run", "kind = drift\n" + F3_LINES, "n_max: required for a drift run",
+                 id="required"),
+    pytest.param("run", FURSTENBERG + "vector = [1, 0]\n",
+                 "vector: must be a nonzero vector of length dim", id="vector length"),
+    pytest.param("run", FURSTENBERG + "vector = [0, 0, 0]\n",
+                 "vector: must be a nonzero vector of length dim", id="zero vector"),
+    pytest.param("run", "kind = drift\nn_max = 4\nrank = 3\n",
+                 "gen.0.*: at least one measure atom is required", id="no gen.0"),
+    pytest.param("run", "kind = drift\nn_max = 4\nrank = 2\ngen.0.map = a->ab; b->b\n"
+                 "gen.0.weight = 1\n", "gen.0.inv: required for a drift run", id="no inv"),
+    pytest.param("run", "kind = drift\nn_max = 4\nrank = 2\ngen.0.weight = 1\n",
+                 "gen.0.map/gen.0.inv: required for a drift run", id="no map, no inv"),
+    # build_measure
+    pytest.param("run", DRIFT.replace("weight = 0.5", "weight = half", 1),
+                 "gen.0.weight: expected a number", id="weight not a number"),
+    pytest.param("run", "kind = drift\nn_max = 4\n" + MAP_LINES, "gen.0.weight: required",
+                 id="no weight"),
+    pytest.param("run", "kind = matrix-guivarch\nn_max = 4\ndim = 3\n"
+                 "gen.0.matrix = [[1, 1], [0, 1]]\ngen.0.weight = 1\n",
+                 "gen.0.matrix: dimension 2 != dim 3", id="matrix dimension"),
+    pytest.param("run", "kind = drift\nn_max = 4\nrank = 2\ngen.0.map = a->x; b->b\n"
+                 "gen.0.inv = a->a; b->b\ngen.0.weight = 1\n",
+                 "gen.0.map: letter 'x' exceeds rank 2", id="map parse"),
+    # summarize
+    pytest.param("summarize", "path_id,n\n", "unexpected CSV header in {input}", id="header"),
+    pytest.param("summarize", SERIES + "drift,0,1,drift,0.5\n",
+                 "malformed row ['drift', '0', '1', 'drift', '0.5']", id="short row"),
+    pytest.param("summarize", None, "[Errno 2] No such file or directory: '{input}'",
+                 id="unreadable"),
+    pytest.param("summarize", SERIES + "drift,0,one,drift,0.5,ok\n",
+                 "malformed series file: invalid literal for int() with base 10: 'one'",
+                 id="malformed value"),
+    # a repeated row counted twice: 3 effective paths of 2, and a mean
+    # that weighs path 0 double
+    pytest.param("summarize", SERIES + "drift,0,1,drift,0.5,ok\ndrift,1,1,drift,0.25,ok\n"
+                 "drift,0,1,drift,0.5,ok\n", "row ['drift', '0', '1', 'drift', '0.5', 'ok']: "
+                 "a second record of one path, n and estimator", id="repeated row"),
+    # a row of any other status counted nowhere: every key read 0,0,0
+    pytest.param("summarize", SERIES + "drift,0,1,drift,0.5,skipped\n",
+                 "row ['drift', '0', '1', 'drift', '0.5', 'skipped']: unknown status 'skipped'",
+                 id="unknown status"),
+    # the summary rows that series bodies held before `summarize` existed
+    pytest.param("summarize", SERIES + "drift,-1,1,drift.mean,0.5,ok\n",
+                 "row ['drift', '-1', '1', 'drift.mean', '0.5', 'ok']: path_id must be >= 0",
+                 id="negative path_id"),
+])
+def test_input_errors_exit_2(tmp_path, capsys, command, text, error):
+    # each case is refused before any CSV is written, with its message
+    given = tmp_path / "input"
+    out = tmp_path / "out.csv"
+    if text is not None:
+        given.write_text(text)
+    flag = "--config" if command == "run" else "--in"
+    assert main([command, flag, str(given), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {error.format(input=given)}\n"
 
 
 NAN_WEIGHT_HEADS = {
@@ -315,9 +420,7 @@ def test_one_path_kinds_refuse_paths(tmp_path, capsys, kind, paths):
     rc, out = run_config(tmp_path, text + f"paths = {paths}\n")
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err.startswith("error: paths: ")
-    assert run_config(tmp_path, text, "--paths", str(paths))[0] == 2
     assert run_config(tmp_path, text + "paths = 1\n")[0] == 0
-    assert run_config(tmp_path, text, "--paths", "1")[0] == 0
     # nor does it run threads: --threads 1 is the one thread it runs
     capsys.readouterr()
     assert run_config(tmp_path, text, "--threads", str(paths))[0] == 2
@@ -349,8 +452,6 @@ def test_summarize_leaves_non_finite_ok_values_out(tmp_path):
         "spectral,0,2,spectral.upper,1.0,ok",
         "spectral,1,2,spectral.upper,nan,truncated",
         "spectral,3,2,spectral.point,0.75,downgraded",
-        # the summary rows of an older series body are never aggregated
-        "spectral,-1,2,spectral.lower.mean,0.5,ok",
     ]) + "\n")
     out = tmp_path / "summary.csv"
     assert main(["summarize", "--in", str(series), "--out", str(out)]) == 0
@@ -433,8 +534,8 @@ READS = {
     "stretch": {"rank", "letter_budget", "k_max"},
 }
 
-# (setting, config line or command-line override that sets it to a value
-# every kind that reads it accepts)
+# (setting, config line that sets it to a value every kind that reads it
+# accepts, or a retired command-line override that set it)
 SETTERS = [
     ("rank", "rank = 3"),
     ("dim", "dim = 3"),
@@ -468,7 +569,11 @@ def test_a_setting_runs_only_on_a_kind_that_reads_it(tmp_path, capsys, kind, set
         text += setter + "\n"
     rc, out = run_config(tmp_path, text, *args)
     err = capsys.readouterr().err
-    if setting in READS[kind]:
+    if args:
+        # no flag sets a setting: the config file alone fixes the run
+        assert rc == 2 and not out.exists()
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(args)}\n")
+    elif setting in READS[kind]:
         assert rc == 0, err
     else:
         assert rc == 2 and not out.exists()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -360,6 +361,42 @@ def test_power_orbits_step_in_lockstep(niel, monkeypatch):
     assert [call[:2] for call in calls] == [(4, True), (3, True), (2, True)]
     assert orbits == [power_orbits([ims], 4, 100, candidate_lengths)[0] for ims in image_sets]
     assert [len(rows) for rows in orbits] == [4, 1, 4, 2]
+
+
+def power_step_sizes(monkeypatch) -> list:
+    """Log (size, raw size) per item of each power step of the brackets:
+    the size that `lockstep_orbits` reads, and the sum of |phi^(k-1)(x_j)|
+    over the letters x_j of the phi(x_i), as the kernel forms it."""
+    logged = []
+    orbits = spectral.lockstep_orbits
+
+    def spy(items, size, step, first, last):
+        def logged_step(k, group):
+            for item in group:
+                _, images, words = item
+                lens = [len(w) for w in words]
+                letters = np.frombuffer(b"".join(images), dtype=np.int8).tolist()
+                logged.append((size(item), sum(lens[abs(x) - 1] for x in letters)))
+            return step(k, group)
+
+        return orbits(items, size, logged_step, first, last)
+
+    monkeypatch.setattr(spectral, "lockstep_orbits", spy)
+    return logged
+
+
+@pytest.mark.parametrize("master_seed", [6256742556232270619, 6867211471654728749])
+def test_a_power_step_size_bounds_its_raw_size(niel, monkeypatch, master_seed):
+    # an item whose size reaches BATCH_CAP runs alone, so the size must
+    # bound the letters its step substitutes.  On these spectral-niel
+    # benchmark configs the total length of the phi^(k-1)(x_i) times the
+    # longest |phi(x_j)| fell below the raw size of one step: 402 < 409
+    # and 129 < 132
+    sizes = power_step_sizes(monkeypatch)
+    spectral_experiment(niel, n_max=32, paths=16, master_seed=master_seed, k_max=4,
+                        letter_budget=200_000)
+    assert len(sizes) > 200
+    assert all(size >= raw for size, raw in sizes)
 
 
 def test_bracket_and_the_stretch_kind_are_a_batch_of_one(tmp_path, monkeypatch):
