@@ -78,8 +78,9 @@ def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -
     for cfg_line in format_config(replace(cfg, out=None)).rstrip("\n").splitlines():
         lines.append(f"# {cfg_line}")
     lines.append(CSV_HEADER)
-    for pid, n, est, value, status in series.records:
-        lines.append(f"{series.experiment},{pid},{n},{est},{_fmt(value)},{status}")
+    kind = series.experiment
+    lines += [f"{kind},{pid},{n},{est},{_fmt(value)},{status}"
+              for pid, n, est, value, status in series.records]
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

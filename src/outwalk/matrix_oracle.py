@@ -66,7 +66,12 @@ as repeated squaring gives, and the budget raises at the same power.
 So the bracket is the exact ladder's whichever way it is read, and no
 matrix of a batch changes another's.  `spectral_radii` is the batch
 entry, `spectral_radius` its batch of one, and `guivarch_series` takes
-the brackets of a path's running products one chunk at a time.
+the brackets of a path's running products one chunk at a time.  Each
+ladder level costs a few dozen whole-batch calls whatever the batch
+size, so a chunk is up to CHUNK = 512 products; it closes early once
+its entries pass CHUNK_BITS = 2^22 bits (512 KiB), which bounds what a
+chunk of long products holds, or after a product whose A^64 may pass
+the bit budget.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -100,10 +105,13 @@ GELFAND_MAX_J = 6  # powers A^(2^j), j = 0..6
 
 PREC = 128  # a power whose row norm is longer is cut to PREC bits before it is squared
 
+ROOT_BITS = 128  # `_log_half_sum_sqrt` roots about the top ROOT_BITS bits of a long root
+
 # running products per spectral_radii batch of guivarch_series, and a cap
-# on the entry bits a chunk holds (a chunk of CHUNK products of 3x3
-# matrices near the default bit budget would hold about 144 MB)
-CHUNK = 128
+# on the entry bits a chunk holds: a chunk closes once its entries pass
+# CHUNK_BITS (512 KiB), where CHUNK products of 3x3 matrices near the
+# default bit budget would hold about 576 MB
+CHUNK = 512
 CHUNK_BITS = 1 << 22
 
 # the least batch whose Gelfand squares share their symmetric products
@@ -160,9 +168,9 @@ class IntMatrix:
         return tuple(out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
         rows = other.entries
+        if len(self.entries) != len(rows):
+            raise ValueError("dimension mismatch")
         return IntMatrix._of_rows(tuple(
             rows[t] if type(t) is int else _combine(t, rows) for t in self._sparse_rows))
 
@@ -246,10 +254,26 @@ def log_norm(a: IntMatrix) -> float:
 
 
 def _log_half_sum_sqrt(t_abs: int, disc: int) -> float:
-    """log((t_abs + sqrt(disc)) / 2) for integers t_abs >= 0, disc >= 0."""
+    """log((t_abs + sqrt(disc)) / 2) for integers t_abs >= 0, disc >= 0.
+
+    Past 1000 bits the float is math.log(b) - log 2 for b = t_abs +
+    isqrt(disc), and math.log reads 53 bits of b.  isqrt(disc) >> m is
+    isqrt(disc >> 2m), so the root of the high bits puts b in [lo, lo +
+    2^m); when every integer there has one log (`_log_of_all`), that is
+    the log of b, and the full root is taken only when it has not.
+    """
     if t_abs < 2**52 and disc < 2**52:
         num = t_abs + math.sqrt(disc)
         return math.log(num / 2.0) if num else NEG_INF
+    m = (disc.bit_length() >> 1) - ROOT_BITS
+    if m > 0:
+        lo = t_abs + (isqrt(disc >> 2 * m) << m)
+        sh = lo.bit_length() - 1000
+        if sh > 0:
+            # shifted below 2^1024, where float() reads it
+            v = _log_of_all(lo >> sh, -(-(lo + (1 << m) - 1) >> sh), sh)
+            if v is not None:
+                return v - math.log(2.0)
     s0 = isqrt(disc)
     b = t_abs + s0
     if b == 0:
@@ -318,6 +342,7 @@ def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
     """
     n = mats[0].n
     log_n = math.log(n)
+    cut = prec or math.inf
     out = [None] * len(mats)
     live = list(range(len(mats)))  # the index in `mats` of each batch row
     m = np.array([a.entries for a in mats], dtype=object)
@@ -331,38 +356,49 @@ def _ladder(mats: list, bit_budget: int, prec: Optional[int]) -> list:
         norms = np.abs(m).sum(axis=2).max(axis=1).tolist()
         traces = m.diagonal(0, 1, 2).sum(axis=1).tolist()
         keep, shifts = [], []
-        for i, (x, t, rd, s) in enumerate(zip(norms, traces, rad, e)):
-            t = abs(t)
+        keep_i, shift = keep.append, shifts.append
+        for i, x, t, rd, s in zip(count(), norms, traces, rad, e):
+            if t < 0:
+                t = -t
+            xb = x.bit_length()
             if rd:
                 # the row norm and |trace| of the power: within r << s of x << s and t << s
                 r = n * rd
-                if (x + r).bit_length() + s > bit_budget:
+                hi = x + r
+                if hi.bit_length() + s > bit_budget:
                     continue  # a ball that may pass the budget: undecided
-                norm_log = _log_of_all(x - r, x + r, s)
+                norm_log = _log_of_all(x - r, hi, s)
                 tr_log = _log_of_all(t - r, t + r, s)
                 if norm_log is None or tr_log is None:
                     continue
             else:
                 # |y| <= x for every entry y, so only a long norm needs the scan
-                if x.bit_length() > bit_budget and np.abs(m[i]).max().bit_length() > bit_budget:
+                if xb > bit_budget and np.abs(m[i]).max().bit_length() > bit_budget:
                     out[live[i]] = BitBudgetExceeded(f"A^{k} entries exceed {bit_budget} bits")
                     continue
-                norm_log, tr_log = _log_int(x), _log_int(t)  # a zero trace leaves lower
-            upper[i] = min(upper[i], norm_log / k)
-            lower[i] = max(lower[i], (tr_log - log_n) / k)
-            keep.append(i)
+                # the zero matrix and nilpotent powers have norm 0; a zero trace leaves lower
+                norm_log = math.log(x) if x else NEG_INF
+                tr_log = math.log(t) if t else NEG_INF
+            v = norm_log / k
+            if v < upper[i]:
+                upper[i] = v
+            v = (tr_log - log_n) / k
+            if v > lower[i]:
+                lower[i] = v
+            keep_i(i)
             if last:
                 continue
             # cut to prec bits: each mid moves by less than one unit
-            sh = max(0, x.bit_length() - prec) if prec else 0
+            sh = xb - cut if xb > cut else 0
             if sh:
                 rd = -(-rd >> sh) + 1
                 x = (x >> sh) + n + 1
-            # (M + D)^2 = M^2 + MD + DM + D^2 with |D_ij| <= rd, and every
-            # row and column sum of |M| is at most (n + 1) x
-            rad[i] = rd * (n + 1) * x + n * rd * rd
-            e[i] = 2 * (s + sh)
-            shifts.append(sh)
+            if rd:
+                # (M + D)^2 = M^2 + MD + DM + D^2 with |D_ij| <= rd, and every
+                # row and column sum of |M| is at most (n + 1) x
+                rad[i] = rd * (n + 1) * x + n * rd * rd
+                e[i] = 2 * (s + sh)
+            shift(sh)
         if len(keep) < len(live):
             if not keep:
                 return out
@@ -472,6 +508,13 @@ def guivarch_series(
         if prod is None:
             prod = a
             reads = list(map(_read_row, a.entries))
+            dim = len(a.entries)
+            cells = dim * dim
+            # the close rule (b + dim.bit_length()) << GELFAND_MAX_J > bit_budget
+            # as a bound on b; a 2x2 product forms no power, and every b that
+            # reaches the test is at most bit_budget
+            close_bits = (bit_budget if dim <= 2
+                          else (bit_budget >> GELFAND_MAX_J) - dim.bit_length())
         else:
             # a unit row of the increment passes a row of the product through
             prod = a @ prod
@@ -484,9 +527,8 @@ def guivarch_series(
                 f"product entries exceed {bit_budget} bits at n={n + len(chunk) + 1}")
         chunk.append(prod)
         norms.append(norm)
-        bits += b * prod.n * prod.n
-        if (len(chunk) == CHUNK or bits > CHUNK_BITS
-                or prod.n > 2 and (b + prod.n.bit_length()) << GELFAND_MAX_J > bit_budget):
+        bits += b * cells
+        if len(chunk) == CHUNK or bits > CHUNK_BITS or b > close_bits:
             yield from _bracket_rows(chunk, norms, n, bit_budget)
             n += len(chunk)
             chunk, norms, bits = [], [], 0

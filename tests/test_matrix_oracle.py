@@ -239,6 +239,57 @@ def test_spectral_radius_huge_entries():
     assert br.lower == pytest.approx(900 * math.log((3 + math.sqrt(5)) / 2), rel=1e-12)
 
 
+def full_root_log(t, disc):
+    """log((t + sqrt(disc)) / 2) past 1000 bits, from the whole integer root."""
+    return math.log(t + isqrt(disc)) - math.log(2.0)
+
+
+def tie_trace(bits, mantissa):
+    """A trace t for det -1 whose b = t + isqrt(t^2 + 4) = 2t, a `bits`-bit
+    integer, lies halfway between two doubles; with an even 53-bit
+    `mantissa` b rounds down and b + 1 up."""
+    return (2 * mantissa + 1) << (bits - 55)
+
+
+long_trace = st.integers(1000, 6000).flatmap(lambda bits: st.integers(2**(bits - 1), 2**bits - 1))
+even_tie = st.tuples(st.integers(1001, 6000), st.integers(2**51, 2**52 - 1)).map(
+    lambda p: tie_trace(p[0], 2 * p[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_trace, even_tie), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_the_closed_form_of_a_long_2x2_matrix_is_the_log_of_the_whole_root(t, det, sign):
+    # trace sign * t and determinant det: the root of the discriminant t^2 - 4 det
+    a = IntMatrix([[sign * t, -det], [1, 0]])
+    br = spectral_radius(a)
+    assert br.lower == br.upper == full_root_log(t, t * t - 4 * det)
+
+
+def test_a_long_root_is_taken_whole_only_when_its_high_bits_leave_the_double_open(monkeypatch):
+    reads, roots = [], []
+    log_of_all = matrix_oracle._log_of_all
+
+    def spy_log_of_all(lo, hi, e):
+        reads.append(log_of_all(lo, hi, e))
+        return reads[-1]
+
+    def spy_isqrt(x):
+        roots.append(x)
+        return isqrt(x)
+
+    monkeypatch.setattr(matrix_oracle, "_log_of_all", spy_log_of_all)
+    monkeypatch.setattr(matrix_oracle, "isqrt", spy_isqrt)
+    tie = tie_trace(3000, 2**52)
+    for t, det, certified in ((3**2000, 1, True), (tie, -1, False)):
+        reads[:], roots[:] = [], []
+        disc = t * t - 4 * det
+        assert spectral_radius(IntMatrix([[t, -det], [1, 0]])).lower == full_root_log(t, disc)
+        # one interval read; the whole root only after an interval that fixes no double
+        assert len(reads) == 1 and (reads[0] is not None) == certified
+        assert roots[0].bit_length() < 2 * matrix_oracle.ROOT_BITS + 2
+        assert roots[1:] == ([] if certified else [disc])
+
+
 def test_power_rho_consistency():
     # rho(A^k) = rho(A)^k for exact 2x2 values
     a = IntMatrix([[2, 1], [1, 1]])
@@ -504,6 +555,25 @@ def test_the_shared_square_is_the_square(stack):
     assert matrix_oracle._shared_square(m).tolist() == (m @ m).tolist()
 
 
+def test_zero_and_nilpotent_matrices_in_a_shared_square_batch():
+    rng = random.Random(7)
+    walk, mats = IntMatrix.identity(3), []
+    for step in range(1, 701):
+        walk = rng.choice(transvections(3)) @ walk
+        if step % 10 == 0:
+            mats.append(walk)
+    zero = IntMatrix([[0, 0, 0]] * 3)
+    nilpotent = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    mats.insert(3, zero)
+    mats.insert(40, nilpotent)
+    assert len(mats) >= SHARED_SQUARE_MIN
+    got = list(spectral_radii(mats))
+    for a, br in zip(mats, got):
+        assert (br.lower, br.upper) == reference_ladder(a)
+    # every power past N^2 is zero: both bounds read the log of norm or trace 0
+    assert (got[3].lower, got[3].upper) == (got[40].lower, got[40].upper) == (-math.inf, -math.inf)
+
+
 def ladder_matrix(n):
     return st.one_of(small_matrix(n), small_matrix(n, huge_entry), special_matrix(n))
 
@@ -548,7 +618,9 @@ def reference_rows(increments, bit_budget):
 def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps, bit_budget,
                                                     monkeypatch):
     rng = random.Random(steps + dim)
-    increments = [rng.choice(transvections(dim)) for _ in range(steps)]
+    # the first `steps` increments, then enough more that a walk no budget
+    # cuts closes a chunk of `chunk` products
+    increments = [rng.choice(transvections(dim)) for _ in range(max(steps, chunk + 100))]
     monkeypatch.setattr(matrix_oracle, "CHUNK", chunk)
     if chunk_bits is not None:
         monkeypatch.setattr(matrix_oracle, "CHUNK_BITS", chunk_bits)
@@ -585,6 +657,7 @@ def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps,
         assert any(len(b) > 1 for b in batches)
     if bit_budget == 10**6:
         # no product of this walk comes near the budget
+        assert batches[:-1]
         assert all(len(b) == chunk or entry_bits(b) > bits_cap for b in batches[:-1])
     if chunk_bits is not None and dim == 3 and bit_budget == 10**6:
         assert any(len(b) < chunk for b in batches[:-1])
