@@ -90,10 +90,17 @@ prefix of u and u^{-1} (`cyclic_trim`, `cyclic_length`).  The
 conjugacy length of a product u v of reduced words needs no product:
 the seam cancels the common prefix of u^{-1} and v, and the ends then
 peel as the common prefix of u and v^{-1} (`product_cyclic_length`).
-All are read by `common_prefix` on `Reading`s, which compare windows
-of the two words as big integers built from their bytes, so no Python
-loop runs per letter and no temporary grows past a window, however
-long the words.
+Nor does that of a longer product of reduced pieces, such as the image
+Phi^{-1}(g) of a class g, the product of the generator images u_l^{+-1}
+over the letters l of g (`class_length`): the pieces reduce as a stack
+of intervals, each seam cancelling the common prefix of the top
+interval's inverse and the next piece, and the ends of the result peel
+interval by interval, down to the trim of one.  Its one- and two-piece
+cases are `cyclic_length` and `product_cyclic_length`.  All are read
+by `common_prefix` on `Reading`s, which compare windows of the two
+words as big integers built from their bytes, so no Python loop runs
+per letter and no temporary grows past a window, however long the
+words.
 """
 
 from __future__ import annotations
@@ -522,3 +529,55 @@ def product_cyclic_length(u: Reading, u_inv: Reading, v: Reading, v_inv: Reading
         return b - a - 2 * common_prefix(v, v_inv, (b - a) // 2, k, a)
     # w peeled by b is u[b:a], whose inverse is u^{-1}[k:]
     return a - b - 2 * common_prefix(u, u_inv, (a - b) // 2, b, k)
+
+
+def class_length(readings, letters) -> int:
+    """Cyclic length of the reduced product of the pieces u_l^{+-1} over
+    the letters l of a seed, without forming it: readings[i] is the pair
+    (u, u^{-1}) of readings of the reduced word u_{i+1}, and letter
+    -(i+1) reads that pair swapped.
+
+    One and two pieces are `cyclic_length` and `product_cyclic_length`.
+    More reduce as a stack of intervals of the pieces: each seam cancels
+    the common prefix of the top interval's inverse and the next piece,
+    and an interval used up pops.  The ends of the reduced product then
+    peel as the common prefix of its first interval and the inverse of
+    its last, an interval used up leaving, down to the cyclic trim of
+    the one interval left.  Whole pieces may cancel (x -> w x w^{-1});
+    each `common_prefix` call ends a seam or the peel, or uses up an
+    interval, so a seed of k letters takes O(k) calls.
+    """
+    pieces = [readings[l - 1] if l > 0 else readings[-l - 1][::-1] for l in letters]
+    if len(pieces) == 1:
+        return cyclic_length(*pieces[0])
+    if len(pieces) == 2:
+        return product_cyclic_length(*pieces[0], *pieces[1])
+    # an interval [u, u^{-1}, a, b] holds letters a..b-1 of u, and its
+    # inverse letters |u|-b..|u|-a-1 of u^{-1}
+    stack = []
+    for u, u_inv in pieces:
+        a, b = 0, u.size
+        while stack and a < b:
+            t, t_inv, c, d = top = stack[-1]
+            k = common_prefix(t_inv, u, min(d - c, b - a), t.size - d, a)
+            a += k
+            if k < d - c:
+                top[3] = d - k
+                break
+            stack.pop()
+        if a < b:
+            stack.append([u, u_inv, a, b])
+    first, last = 0, len(stack) - 1
+    while first < last:
+        head, tail = stack[first], stack[last]
+        u, _, a, b = head
+        v, v_inv, c, d = tail
+        cap = min(b - a, d - c)
+        t = common_prefix(u, v_inv, cap, a, v.size - d)
+        head[2], tail[3] = a + t, d - t
+        if t < cap:
+            return sum(b - a for _, _, a, b in stack[first:last + 1])
+        first += a + t == b
+        last -= d - t == c
+    u, u_inv, a, b = stack[first]
+    return b - a - 2 * common_prefix(u, u_inv, (b - a) // 2, a, u.size - b)

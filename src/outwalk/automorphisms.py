@@ -11,9 +11,11 @@ Every word operation here goes through the kernel's one batch entry,
 budget.  `images` is a group of one on a map's own table: `apply` maps
 one word with it, `compose` two groups, the inverse check two round
 trips, and `cyclic_images` one group followed by a cyclic trim of each
-image.  `MapStack` steps many states at once, each a group through its
-own map of a tuple, and `own_images` many groups, each through the map
-of its own generator images.
+image, which only `spectral.stretch_ratio` calls: no walk steps it.
+`MapStack` steps many states at once, each a group through its own map
+of a tuple, by its two steps `byte_images` and `compose`, and
+`own_images` many groups, each through the map of its own generator
+images.
 
 The kernel carries words as bytes, one byte per int8 letter, and so do
 the word orbits between steps: `MapStack` and `own_images` take and give
@@ -214,8 +216,8 @@ class MapStack:
 
     A state is a list of words as bytes, and a step gives the new states,
     None for one whose step passes the letter budget where the one-map
-    step (`images`, `cyclic_images`, `compose`) raises; a `compose` state
-    holds a map's generator images, then its inverse's.
+    step (`images`, `compose`) raises; a `compose` state holds a map's
+    generator images, then its inverse's.
     A word step is one `lockstep_substitute` call, each state a group:
     many states share one kernel table of every map
     (`_wordkernel.ImageTable` with one slot range per map), so that the
@@ -239,12 +241,6 @@ class MapStack:
         """The images of each state's words through phis[m]."""
         table, maps = (self.phis[maps[0]]._table, [0]) if len(states) == 1 else (self._table, maps)
         return _groups(lockstep_substitute(table, maps, states, _budget(budget)))
-
-    def cyclic_images(self, maps, states, *, budget: int | None = None) -> list:
-        """`byte_images`, then each image trimmed (`cyclic_trim`)."""
-        return [None if out is None
-                else [cyclic_trim(np.frombuffer(b, dtype=DTYPE)).tobytes() for b in out]
-                for out in self.byte_images(maps, states, budget=budget)]
 
     def compose(self, maps, states, *, budget: int | None = None) -> list:
         """States [psi(x_i)..., psi^{-1}(x_i)...] to those of compose(phis[m],

@@ -104,7 +104,11 @@ def candidate_lengths(images) -> list:
     A petal x_i is the cyclic trim of theta(x_i); a figure eight
     x_i x_j^{+-1} is the seam between theta(x_i) and theta(x_j)^{+-1},
     then the trim, both read off the images without forming the product
-    (`_wordkernel.product_cyclic_length`).
+    (`_wordkernel.cyclic_length`, `product_cyclic_length`).  These are
+    the one- and two-letter cases of `_wordkernel.class_length`, which
+    the `conjugacy` kind reads every seed class with; the candidates
+    call them directly, since going through the general reader costs
+    drift time on every step.
     """
     readings = [(Reading(w), Reading(w, True)) for w in images]
     return [_loop_length(readings, *piece) for piece in _pieces(len(images))]

@@ -11,30 +11,32 @@ completed step of each path.  Every word kind runs over
 Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)), with one step per
 increment; none forms Phi_n by composing forward.  Every state is a
 list of words as bytes, one byte per int8 letter, the kernel's own
-currency.  Drift and brackets track the N reduced generator images
-Phi_n^{-1}(x_i) (step `MapStack.byte_images`): drift reads the distance
-off them at every step (`outer_metric.image_dist`, which reads exact
-candidate lengths only while their size bounds can still beat the best
-ratio), and the brackets of a scheduled step read their powers off
-them in one batch of all paths of the step (`spectral.brackets`, whose
-power orbits step in lockstep).  Conjugacy growth tracks the seed
-classes g, cyclically reduced, since conjugacy length is a class
-function (step `MapStack.cyclic_images`).  Gromov products track
-drift's images followed by those of Phi_n (step `MapStack.compose`),
-and a scheduled step reads dist of both maps and their squares off
-their power orbits in one batch (`spectral.power_orbits`).  The matrix
-kinds run over `guivarch_series` and `vector_growth`.
+currency.  Drift, conjugacy growth and brackets track the N reduced
+generator images u_i = Phi_n^{-1}(x_i) (step `MapStack.byte_images`):
+drift reads the distance off them at every step
+(`outer_metric.image_dist`, which reads exact candidate lengths only
+while their size bounds can still beat the best ratio), conjugacy
+growth reads |Phi_n^{-1}(g)| of each seed class g at every step, the
+cyclic length of the product of the u_l^{+-1} over the letters l of g,
+without forming it (`_wordkernel.class_length`), and the brackets of a
+scheduled step read their powers off them in one batch of all paths of
+the step (`spectral.brackets`, whose power orbits step in lockstep).
+Gromov products track drift's images followed by those of Phi_n (step
+`MapStack.compose`), and a scheduled step reads dist of both maps and
+their squares off their power orbits in one batch
+(`spectral.power_orbits`).  The matrix kinds run over `guivarch_series`
+and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records
 only: this module computes no summary, and `outwalk summarize`
 (`cli.summarize`) is the one aggregator.  A path is cut off at the
-first step at which one substitution of a tracked word (for drift and
-brackets, a generator image; for Gromov products, an image of
-Phi_n^{-1} or of Phi_n) needs more letters than the letter budget, or
-a matrix entry more bits than the bit budget; it then ends in a row
-with estimator "truncated_at", value the last completed step and
-status "truncated", never silently dropped.  So every word a record
+first step at which one substitution of a tracked word (for drift,
+conjugacy growth and brackets, a generator image; for Gromov products,
+an image of Phi_n^{-1} or of Phi_n) needs more letters than the letter
+budget, or a matrix entry more bits than the bit budget; it then ends
+in a row with estimator "truncated_at", value the last completed step
+and status "truncated", never silently dropped.  So every word a record
 reads fits the letter budget, and a record checks no budget on it: the
 budget bounds only the substitutions of its power orbits, which stop
 before the first one over it.  A bracket then reports the steps it
@@ -74,8 +76,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from .free_group import WordBudgetExceeded, as_bytes, word_to_str
-from ._wordkernel import lockstep_orbits
+from .free_group import WordBudgetExceeded, word_to_str
+from ._wordkernel import Reading, class_length, lockstep_orbits
 from .automorphisms import Automorphism, MapStack, compose, identity_automorphism, invert
 from .matrix_oracle import (
     BitBudgetExceeded,
@@ -387,19 +389,30 @@ def conjugacy_growth_experiment(
 ) -> EstimateSeries:
     """Records (1/n) log |Phi_n^{-1}(g)| for each seed conjugacy class g.
 
-    The seeds must be distinct, nontrivial conjugacy classes, each given
+    The path tracks drift's state, the N reduced generator images
+    u_i = Phi_n^{-1}(x_i) as bytes, and is cut off at drift's step.
+    Phi_n^{-1}(g) is the product of the u_l^{+-1} over the letters l of
+    g, and a record reads the cyclic length of that product off the
+    images without forming it (`_wordkernel.class_length`).  The seeds
+    must be distinct, nontrivial conjugacy classes, each given
     cyclically reduced (`config.seed_words` checks a config's words);
     two seeds of one class would write the same rows twice.
     """
     seeds = list(seeds)
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
+    letters = [g.letters.tolist() for g in seeds]
+    gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
     def record(n, states):
-        return [[(name, math.log(len(w)) / n, "ok") for name, w in zip(names, tracked)]
-                for tracked in states]
+        rows = []
+        for tracked in states:
+            readings = [(Reading(w), Reading(w, True)) for w in tracked]
+            rows.append([(name, math.log(class_length(readings, g)) / n, "ok")
+                         for name, g in zip(names, letters)])
+        return rows
 
-    source = _inverse_orbit(measure, master_seed, as_bytes(seeds), MapStack.cyclic_images,
-                            record, n_max=n_max, budget=letter_budget)
+    source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images, record,
+                            n_max=n_max, budget=letter_budget)
     return _series("conjugacy", source, n_max=n_max, paths=paths, threads=threads)
 
 

@@ -3,9 +3,9 @@
 One small config per experiment kind, plus one budget-cut config per
 walk and matrix kind, the walk kinds on F_2 and the matrix kinds on
 SL(2, Z) (whose spectral radius has a closed form) and SL(4, Z), a
-conjugacy config whose nine tracked words
-outgrow the orbit-step batch cap, a Gromov config whose tracked maps do, a spectral config at the benchmark's
-sizes, a Guivarch config long enough for the
+conjugacy config whose tracked images outgrow the orbit-step batch cap,
+a Gromov config whose tracked maps do, a spectral config at the
+benchmark's sizes, a Guivarch config long enough for the
 Gelfand ladder's ball regime, one whose budget a Gelfand power passes
 mid-chunk, and each matrix kind on dense atoms, whose products no unit
 row passes through, runs through the CLI; the sha256 of its CSV body
@@ -74,7 +74,8 @@ CONFIGS = {
                   "letter_budget = 2000\n", "niel"),
     "conjugacy-cut": ("kind = conjugacy\nn_max = 40\npaths = 4\nmaster_seed = 5\n"
                       "letter_budget = 200\nword.0 = ab\n", "niel"),
-    # a word passes 2^15 letters at n = 43-50 and the budget cuts every path at n = 50-59
+    # a path's three images pass 2^15 letters at n = 42-53 and the budget cuts every path at
+    # n = 53-69
     "conjugacy-batch": ("kind = conjugacy\nn_max = 80\npaths = 3\nmaster_seed = 7\n"
                         "letter_budget = 200000\n"
                         + "".join(f"word.{i} = {w}\n" for i, w in enumerate(
@@ -108,8 +109,8 @@ CONFIGS = {
 
 DIGESTS = {
     "conjugacy": "c43aeed6745f48049fc1d2fe46ed5be2a946e2ea52ebcb49b85863e33832098c",
-    "conjugacy-batch": "ecb17a2476e640e7497b6b853e53016115fa9fa57dbaed630c81372457c63f9b",
-    "conjugacy-cut": "fdeecd399e0788949f598ef20be4976bd220294608606c207c05762ceb68db30",
+    "conjugacy-batch": "caff88f8ba56ad51b8a05882552da48b4aa36161af60fee3400bb2760bef2dbe",
+    "conjugacy-cut": "3c10d56b97e3ac98d7225cca40ff7bbe9c2ac60cdb78b65f75bc263f2ea8a6b3",
     "conjugacy-f2": "3a4e18bb8ca861e21914f27760e7fdc9a8a7dc19c54552154dfab84cc8281494",
     "distance": "27689480723d43ece157fff8b9d30bab88e58b5ee9cd5f698aaaa745e5badf34",
     "drift": "b4be53219ccd7f807015478526780bd84a4c29e2a8664190fbe946bd97a1ad0a",
@@ -156,12 +157,16 @@ def measure_text(measure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def body_digest(tmp_path, text, threads=1) -> str:
+def body_lines(tmp_path, text, threads=1) -> list:
+    """The lines of the CSV body that `outwalk run` writes for the config text."""
     cfg, out = tmp_path / "golden.cfg", tmp_path / "golden.csv"
     cfg.write_text(text)
     main(["run", "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
-    body = "".join(line for line in out.read_text().splitlines(True) if not line.startswith("#"))
-    return hashlib.sha256(body.encode()).hexdigest()
+    return [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
+
+
+def body_digest(tmp_path, text, threads=1) -> str:
+    return hashlib.sha256("".join(body_lines(tmp_path, text, threads)).encode()).hexdigest()
 
 
 def config_text(measures, name) -> str:
@@ -179,6 +184,21 @@ RUNS = [pytest.param(name, threads, id=name if threads == 1 else f"{name}-thread
 @pytest.mark.parametrize("name, threads", RUNS)
 def test_body_matches_golden(tmp_path, measures, name, threads):
     assert body_digest(tmp_path, config_text(measures, name), threads) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_conjugacy_is_cut_where_drift_is(tmp_path, measures, threads):
+    # the conjugacy kind reads every seed class off drift's images, so the
+    # budget cuts its paths at the steps where it cuts drift's
+    text = config_text(measures, "conjugacy-cut")
+    drift = text.replace("kind = conjugacy\n", "kind = drift\n").replace("word.0 = ab\n", "")
+
+    def cuts(text, kind):
+        return [line.replace(f"{kind},", "", 1) for line in body_lines(tmp_path, text, threads)
+                if ",truncated_at," in line]
+
+    assert cuts(text, "conjugacy") == cuts(drift, "drift") == [
+        f"{pid},{n},truncated_at,{n}.0,truncated\n" for pid, n in enumerate([26, 19, 19, 25])]
 
 
 def test_substitute_is_reached_only_through_lockstep_substitute(tmp_path, measures,

@@ -478,11 +478,13 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
 # Lockstep parity.  `_inverse_orbit` steps every live path of a group
 # together, with one kernel call per batch of all their words.  The
 # references below step one path at a time: the tracked state of the kind
-# mapped through s_n^{-1} by the one-state step (`images`, `cyclic_images`
-# or `compose`), the path cut at the first step that raises; and the
-# composed walk of `sample_path`, whose Phi_n^{-1} gives the same state
-# up to the cut.  Each kind's records are read off either state by the
-# same reference reader.
+# mapped through s_n^{-1} by the one-state step (`images` or `compose`),
+# the path cut at the first step that raises; and the composed walk of
+# `sample_path`, whose Phi_n^{-1} gives the same state up to the cut.
+# Each kind's records are read off either state by the same reference
+# reader.  The conjugacy reference tracks drift's images, which cut the
+# path, beside the seed classes, each mapped by `cyclic_images`, off
+# which it reads the records.
 
 WORD_KINDS = ("conjugacy", "drift", "gromov", "spectral")
 
@@ -499,10 +501,14 @@ def kind_reference(kind, rank, settings, seeds=None):
         return (gens, images, lambda n, ims: [("drift", image_dist(as_bytes(ims)) / n, "ok")],
                 lambda inv: list(inv.images))
     if kind == "conjugacy":
-        return (seeds, cyclic_images,
-                lambda n, ws: [(f"conjugacy.{word_to_str(g)}", math.log(len(w)) / n, "ok")
-                               for g, w in zip(seeds, ws)],
-                lambda inv: [cyclic_reduce(apply(inv, g.as_word())) for g in seeds])
+        def conjugacy_step(phi, state, *, budget):
+            return images(phi, state[0], budget=budget), cyclic_images(phi, state[1])
+
+        return ((gens, seeds), conjugacy_step,
+                lambda n, state: [(f"conjugacy.{word_to_str(g)}", math.log(len(w)) / n, "ok")
+                                  for g, w in zip(seeds, state[1])],
+                lambda inv: (list(inv.images),
+                             [cyclic_reduce(apply(inv, g.as_word())) for g in seeds]))
     if kind == "spectral":
         def spectral_records(n, ims):
             if n not in schedule:
@@ -703,9 +709,11 @@ def test_no_power_step_substitutes_a_raw_image_over_the_budget(niel, monkeypatch
     assert "downgraded" in {r[4] for r in series.records}
 
 
-# the golden drift-cut, spectral-cut and gromov-cut configs
+# the golden drift-cut, conjugacy-cut, spectral-cut and gromov-cut configs
 RECORD_BUDGETS = {
     "drift": (drift_experiment, dict(n_max=40, paths=4, master_seed=5, letter_budget=2000)),
+    "conjugacy": (partial(conjugacy_growth_experiment, seeds=[cyclic_reduce(parse_word("ab", 3))]),
+                  dict(n_max=40, paths=4, master_seed=5, letter_budget=200)),
     "spectral": (spectral_experiment,
                  dict(n_max=16, paths=4, master_seed=1, k_max=2, letter_budget=10)),
     "gromov": (gromov_decay_experiment,
@@ -767,28 +775,28 @@ def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_long_path_leaves_the_batch_and_runs_alone(niel, monkeypatch, threads):
-    # the `conjugacy-batch` golden config: one path's nine words pass the
-    # cap at n = 43-50 while the others stay short; it runs alone to its
+    # the `conjugacy-batch` golden config: one path's three images pass
+    # the cap at n = 42 while the others stay short; it runs alone to its
     # cut, then the others go on together
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
     settings = dict(n_max=80, paths=3, master_seed=7, letter_budget=200_000)
     calls = []
-    step = MapStack.cyclic_images
+    step = MapStack.byte_images
 
     def spy(self, maps, states, *, budget=None):
         calls.append([walk_engine._input_letters(state) for state in states])
         return step(self, maps, states, budget=budget)
 
-    monkeypatch.setattr(MapStack, "cyclic_images", spy)
+    monkeypatch.setattr(MapStack, "byte_images", spy)
     series = conjugacy_growth_experiment(niel, seeds, **settings, threads=threads)
-    monkeypatch.setattr(MapStack, "cyclic_images", step)
+    monkeypatch.setattr(MapStack, "byte_images", step)
     # a batch never holds a state past the cap; only a lone path does
     assert all(size < BATCH_CAP for call in calls if len(call) > 1 for size in call)
     alone = [i for i, call in enumerate(calls) if len(call) == 1 and call[0] >= BATCH_CAP]
     if threads == 1:
         assert alone and any(len(call) > 1 for call in calls[alone[0]:])
     cuts = sorted(r[1] for r in series.records if r[2] == "truncated_at")
-    assert cuts == [50, 55, 59]
+    assert cuts == [53, 58, 69]
     want = one_path_records("conjugacy", niel, settings, seeds)
     assert list(map(repr, series.records)) == list(map(repr, want))
 
@@ -843,23 +851,6 @@ def test_stack_compose_cuts_a_state_on_either_half(niel):
     assert [g is None for g in got] == [False, True, False, True, False]
     for i in (0, 2, 4):
         assert got[i] == state_of(compose(stack.phis[maps[i]], states[i], budget=budget))
-
-
-def test_stack_cyclic_images_equals_cyclic_images_state_by_state(niel):
-    # one conjugacy step of the nine `conjugacy-batch` seeds through eight
-    # maps: each image is trimmed as `cyclic_images` trims it, and some
-    # of them have matched ends to peel
-    stack = MapStack([invert(a) for a in niel.support])
-    seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
-    maps = [0, 3, 5, 8, 11, 14, 17, 23]
-    states = [as_bytes(seeds)] * len(maps)
-    got = stack.cyclic_images(maps, states)
-    want = [as_bytes(cyclic_images(stack.phis[m], seeds)) for m in maps]
-    assert got == want and all_bytes(got)
-    # a state alone goes through its map's own table
-    assert stack.cyclic_images([5], states[:1]) == [want[2]]
-    raw = stack.byte_images(maps, states)
-    assert sum(len(w) < len(b) for ws, bs in zip(got, raw) for w, b in zip(ws, bs)) > 0
 
 
 def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
@@ -964,14 +955,22 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     monkeypatch.setattr(walk_engine, "image_dist", read_spy(walk_engine.image_dist))
     monkeypatch.setattr(walk_engine, "brackets", read_spy(walk_engine.brackets, sets=True))
     monkeypatch.setattr(spectral, "candidate_lengths", read_spy(spectral.candidate_lengths))
+    class_length = walk_engine.class_length
+
+    def class_length_spy(readings, letters):
+        # a conjugacy record reads each seed's class off readings of the
+        # tracked images
+        assert all_bytes([[r.word for pair in readings for r in pair]])
+        seen["read"] += 1
+        return class_length(readings, letters)
+
+    monkeypatch.setattr(walk_engine, "class_length", class_length_spy)
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
     runs = {"drift": drift_experiment, "spectral": spectral_experiment,
             "conjugacy": partial(conjugacy_growth_experiment, seeds=seeds),
             "gromov": gromov_decay_experiment}
     series = runs[kind](niel, n_max=12, paths=4, master_seed=3)
     assert {r[4] for r in series.records} == {"ok"}
-    if kind == "conjugacy":
-        del seen["read"]  # a conjugacy record reads lengths only
     assert min(seen.values()) > 0
     # the Word API keeps its types: images, apply, compose and
     # cyclic_images; the MapStack steps take and give bytes
@@ -982,7 +981,7 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     assert all(type(w) is Word for w in got)
     assert all(type(w) is CyclicWord for w in cyclic_images(phi, seeds))
     assert all_bytes(stack.compose([0, 1], [state_of(psi), state_of(phi)])
-                     + stack.cyclic_images([1], [as_bytes(seeds)])
+                     + stack.byte_images([1], [as_bytes(seeds)])
                      + stack.byte_images([0, 1], [as_bytes(gens)] * 2))
 
 

@@ -3,7 +3,8 @@
 place the letter budget is checked, against one word at a time on each
 map's own table, and `cyclic_trim` and the cyclic lengths of products,
 read by `common_prefix`, against the stack reduction and a
-letter-by-letter peel.
+letter-by-letter peel; the cyclic length of a class's image read off the
+generator images, against `cyclic_images`.
 
 The block stack takes words under tables with a long block, the
 vectorized pair deletion long words under tables of short blocks; every
@@ -40,6 +41,7 @@ from outwalk._wordkernel import (
     ImageTable,
     Reading,
     WordBudgetExceeded,
+    class_length,
     common_prefix,
     cyclic_length,
     cyclic_trim,
@@ -48,8 +50,8 @@ from outwalk._wordkernel import (
     product_cyclic_length,
     stack_reduce,
 )
-from outwalk.automorphisms import MapStack, compose, images
-from outwalk.free_group import Word, as_bytes
+from outwalk.automorphisms import Automorphism, MapStack, compose, cyclic_images, images
+from outwalk.free_group import CyclicWord, Word, as_bytes, reduce
 from outwalk.walk_engine import sample_path
 
 from conftest import nielsen_measure
@@ -759,3 +761,68 @@ def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
     assert product_cyclic_length(pu, pu_inv, pv, pv_inv) == product_by_stack(u, v)
     assert product_cyclic_length(pu, pu_inv, pv_inv, pv) == product_by_stack(u, v_inv)
     assert product_cyclic_length(pv, pv_inv, pu, pu_inv) == product_by_stack(v, u)
+
+
+def random_class(seed: int, size: int) -> list:
+    """A cyclically reduced word of size letters in rank 3."""
+    w = random_reduced(seed, size).tolist()
+    if size > 1 and w[0] == -w[-1]:
+        # a last letter that cancels neither neighbour
+        w[-1] = next(x for x in (1, -1, 2, -2, 3, -3) if x not in (-w[-2], -w[0]))
+    return w
+
+
+def conjugation(w: list, moved) -> Automorphism:
+    """x_i -> w x_i w^{-1} for the generators i in moved, with w a word in
+    the others when they are not all moved, and the others fixed; its
+    inverse conjugates by w^{-1}."""
+    w_inv = [-x for x in reversed(w)]
+    sides = [[reduce(a + [i] + b if i in moved else [i], 3) for i in (1, 2, 3)]
+             for a, b in ((w, w_inv), (w_inv, w))]
+    return Automorphism(tuple(sides[0]), tuple(sides[1]), 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), size=st.integers(1, 20),
+       source=st.sampled_from(["nielsen", "conjugation", "walk"]))
+def test_class_length_against_cyclic_images(nielsen_products, walk_maps, data, seed, size,
+                                            source):
+    # Phi(g) is the product of the generator images Phi(x_l)^{+-1} over
+    # the letters l of g.  Under a conjugation by a long w the images'
+    # ends cancel w whole, and a piece x_j that the map fixes cancels
+    # whole into the w or w^{-1} next to it
+    if source == "nielsen":
+        phi = data.draw(st.sampled_from(nielsen_products))
+    elif source == "walk":
+        phi = data.draw(st.sampled_from([m for pair in walk_maps for m in pair]))
+    else:
+        moved = data.draw(st.sampled_from([{1}, {2}, {1, 3}, {1, 2, 3}]))
+        w = random_reduced(seed + 1, data.draw(st.integers(1, 3 * HEAD)), 3)
+        kept = [i for i in (1, 2, 3) if i not in moved]
+        if kept:
+            # the letters of w: the fixed generators only
+            w = w[np.isin(np.abs(w), kept)]
+        phi = conjugation(stack_reduce(w.tolist()), moved)
+    g = random_class(seed, size)
+    readings = [(Reading(b), Reading(b, True)) for b in as_bytes(phi.images)]
+    got = class_length(readings, g)
+    assert got == len(cyclic_images(phi, [CyclicWord(np.array(g, dtype=np.int8), 3)])[0])
+    pieces = [readings[x - 1] if x > 0 else readings[-x - 1][::-1] for x in g]
+    if size == 1:
+        assert got == cyclic_length(*pieces[0])
+    if size == 2:
+        assert got == product_cyclic_length(*pieces[0], *pieces[1])
+
+
+@pytest.mark.parametrize("k", [2, WINDOW + 1, 3 * HEAD])
+@pytest.mark.parametrize("w, g", [([-3, -2], [3, 1, 2]), ([-3, 2], [2, 1, -3])])
+def test_class_length_peels_down_to_one_piece(w, g, k):
+    # under a -> w C^k a c^k w^{-1}, with w = C B or C b, the pieces of
+    # c a b, or of b a C, that the map fixes cancel whole: one at the seam
+    # with w or w^{-1}, the other in the peel of the ends.  That leaves one
+    # interval of the middle piece, C^k a c^k b c or C b C^k a c^k, whose
+    # own ends peel once more
+    phi = conjugation(w + [-3] * k, {1})
+    readings = [(Reading(b), Reading(b, True)) for b in as_bytes(phi.images)]
+    want = len(cyclic_images(phi, [CyclicWord(np.array(g, dtype=np.int8), 3)])[0])
+    assert class_length(readings, g) == want == 2 * k + 1
