@@ -34,11 +34,11 @@ every candidate length, since their point estimate reads each loop's ratio.
 
 `candidate_lengths` and `image_dist` read the images as bytes, one byte
 per int8 letter, the currency in which the walks and brackets track
-them (`_wordkernel`), so a `Reading` of an image is built off the
-image's own bytes.  `dist` and `orbit_dist` take automorphisms and
-convert their `Word` images to bytes; `orbit_dist` substitutes them as
-bytes (`automorphisms.image_bytes`), so the long images it reads are
-never wrapped as Words.
+them (`_wordkernel`), each image u read as the byte pair (u, u^{-1}).
+`dist` and `orbit_dist` take automorphisms and convert their `Word`
+images to bytes; `orbit_dist` substitutes them as bytes
+(`automorphisms.image_bytes`), so the long images it reads are never
+wrapped as Words.
 
 A distance reads words already formed, so only `orbit_dist`, which
 substitutes, is bounded by the letter budget; `dist` and `sym_dist`
@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._wordkernel import Reading, cyclic_length, product_cyclic_length
+from ._wordkernel import cyclic_length, inverse_bytes, product_cyclic_length
 from .free_group import CyclicWord, as_bytes
 from .automorphisms import Automorphism, image_bytes, invert
 
@@ -110,13 +110,13 @@ def candidate_lengths(images) -> list:
     call them directly, since going through the general reader costs
     drift time on every step.
     """
-    readings = [(Reading(w), Reading(w, True)) for w in images]
+    readings = [(w, inverse_bytes(w)) for w in images]
     return [_loop_length(readings, *piece) for piece in _pieces(len(images))]
 
 
 def _loop_length(readings, i: int, j: int, flip: bool) -> int:
     """Conjugacy length of the image of the candidate (i, j, flip) of
-    `_pieces`, from the readings (u, u^{-1}) of the generator images."""
+    `_pieces`, from the byte pairs (u, u^{-1}) of the generator images."""
     u, u_inv = readings[i]
     if i == j:
         return cyclic_length(u, u_inv)
@@ -149,7 +149,7 @@ def image_dist(images) -> float:
     The image of a loop is reduced, so its conjugacy length is at most
     its raw size: |theta(x_i)| for a petal, |theta(x_i)| + |theta(x_j)|
     for a figure eight.  Candidates are read in decreasing order of that
-    bound on their ratio, each image read (`Reading`) only on first use,
+    bound on their ratio, each image's inverse built only on first use,
     and the loop stops once no bound left beats the best ratio.  Ratios
     are compared as `log_stretch` compares them, exactly in integers and
     strictly, so the maximum is the same rational and the same float.
@@ -165,7 +165,7 @@ def image_dist(images) -> float:
             break
         for k in (i, j):
             if readings[k] is None:
-                readings[k] = (Reading(images[k]), Reading(images[k], True))
+                readings[k] = (images[k], inverse_bytes(images[k]))
         num, den = _loop_length(readings, i, j, flip), (1 if i == j else 2)
         if num * best_den > best_num * den:
             best_num, best_den = num, den

@@ -77,7 +77,7 @@ from functools import partial
 from itertools import islice
 
 from .free_group import WordBudgetExceeded, word_to_str
-from ._wordkernel import Reading, class_length, lockstep_orbits
+from ._wordkernel import class_length, inverse_bytes, lockstep_orbits
 from .automorphisms import Automorphism, MapStack, compose, identity_automorphism, invert
 from .matrix_oracle import (
     BitBudgetExceeded,
@@ -393,20 +393,23 @@ def conjugacy_growth_experiment(
     u_i = Phi_n^{-1}(x_i) as bytes, and is cut off at drift's step.
     Phi_n^{-1}(g) is the product of the u_l^{+-1} over the letters l of
     g, and a record reads the cyclic length of that product off the
-    images without forming it (`_wordkernel.class_length`).  The seeds
-    must be distinct, nontrivial conjugacy classes, each given
-    cyclically reduced (`config.seed_words` checks a config's words);
-    two seeds of one class would write the same rows twice.
+    images without forming it (`_wordkernel.class_length`), inverting
+    only the images a seed reads.  The seeds must be distinct,
+    nontrivial conjugacy classes, each given cyclically reduced
+    (`config.seed_words` checks a config's words); two seeds of one
+    class would write the same rows twice.
     """
     seeds = list(seeds)
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
     letters = [g.letters.tolist() for g in seeds]
+    read = {abs(x) - 1 for g in letters for x in g}
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
     def record(n, states):
         rows = []
         for tracked in states:
-            readings = [(Reading(w), Reading(w, True)) for w in tracked]
+            readings = [(w, inverse_bytes(w)) if i in read else None
+                        for i, w in enumerate(tracked)]
             rows.append([(name, math.log(class_length(readings, g)) / n, "ok")
                          for name, g in zip(names, letters)])
         return rows

@@ -958,9 +958,9 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
     class_length = walk_engine.class_length
 
     def class_length_spy(readings, letters):
-        # a conjugacy record reads each seed's class off readings of the
-        # tracked images
-        assert all_bytes([[r.word for pair in readings for r in pair]])
+        # a conjugacy record reads each seed's class off the tracked
+        # images and their inverses, as bytes
+        assert all_bytes([[w for pair in readings if pair for w in pair]])
         seen["read"] += 1
         return class_length(readings, letters)
 
@@ -1068,6 +1068,26 @@ def test_conjugacy_equals_apply_of_composed_inverse(walk):
             for n, inv in composed_inverse_products(measure, 3, pid, n_max).items():
                 length = len(cyclic_reduce(apply(inv, seed.as_word())))
                 assert got[(pid, n)] == math.log(length) / n
+
+
+def test_conjugacy_inverts_only_the_images_its_seeds_read(niel, monkeypatch):
+    # the lone seed ab reads the images of x_1 and x_2: each record
+    # inverts each of them once, and the image of x_3 never
+    inverted = []
+    inverse_bytes = walk_engine.inverse_bytes
+
+    def spy(word):
+        inverted.append(word)
+        return inverse_bytes(word)
+
+    monkeypatch.setattr(walk_engine, "inverse_bytes", spy)
+    seed = cyclic_reduce(parse_word("ab", 3))
+    series = conjugacy_growth_experiment(niel, [seed], n_max=16, paths=3, master_seed=3)
+    assert {r[4] for r in series.records} == {"ok"}
+    images = [as_bytes(inv.images) for pid in range(3)
+              for inv in composed_inverse_products(niel, 3, pid, 16).values()]
+    assert len(images) == len(series.records) == 48
+    assert sorted(inverted) == sorted(u[i] for u in images for i in (0, 1))
 
 
 def test_spectral_equals_composed_powers(walk):

@@ -35,16 +35,15 @@ from hypothesis import strategies as st
 from outwalk import _wordkernel
 from outwalk._wordkernel import (
     BATCH_CAP,
-    HEAD,
     SMALL,
     WINDOW,
     ImageTable,
-    Reading,
     WordBudgetExceeded,
     class_length,
     common_prefix,
     cyclic_length,
     cyclic_trim,
+    inverse_bytes,
     lockstep_orbits,
     lockstep_substitute,
     product_cyclic_length,
@@ -681,10 +680,10 @@ def test_no_item_steps_nothing():
     assert scheduled([], 1, 10) == ([], [])
 
 
-@pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
+@pytest.mark.parametrize("depth", [1, 63, 64, 65, 300, 1023, 1024, 1025, 3077])
 def test_batch_trims_deep_conjugates(depth):
     # x -> u x u^{-1} maps every cyclic word c to u c u^{-1}, which the
-    # trim peels back |u| deep, past the head of a `Reading` for long u
+    # trim peels back |u| deep, across many windows for long u
     u = random_reduced(depth, depth).tolist()
     images = [np.array(stack_reduce(u + [i] + [-x for x in reversed(u)]), dtype=np.int8)
               for i in (1, 2, 3)]
@@ -696,33 +695,119 @@ def test_batch_trims_deep_conjugates(depth):
 
 
 @pytest.mark.parametrize("shared", [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW,
-                                    HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + 5])
+                                    1023, 1024, 1025, 3077])
 def test_common_prefix_across_window_edges(shared):
-    # u = p x s and v = p y t with x != y: the prefix is p in either
-    # reading, from the start or from any offset into p, at any cap
+    # u = p x s and v = p y t with x != y: the prefix is p, also of the
+    # inverses of the inverse words, from the start or from any offset
+    # into p, at any cap
     p = random_reduced(shared, shared).tolist()
     x = 1 if not p or abs(p[-1]) != 1 else 2
-    u = np.array(p + [x] + random_reduced(1, 2 * HEAD).tolist(), dtype=np.int8)
+    u = np.array(p + [x] + random_reduced(1, 2048).tolist(), dtype=np.int8)
     v = np.array(p + [-x] + random_reduced(2, 50).tolist(), dtype=np.int8)
     assert stack_reduce(u.tolist()) == u.tolist() and stack_reduce(v.tolist()) == v.tolist()
-    pu, pv = Reading(u.tobytes()), Reading(v.tobytes())
+    pu, pv = u.tobytes(), v.tobytes()
     for cap in (shared - 1, shared, shared + 1, v.size):
         if cap >= 0:
             assert common_prefix(pu, pv, cap) == min(shared, cap)
-    # the inverse words, read as their inverses, are u and v again
-    iu = Reading(np.array(u[::-1] * -1).tobytes(), True)
-    iv = Reading(np.array(v[::-1] * -1).tobytes(), True)
+    # the inverse words, inverted, are u and v again
+    iu = inverse_bytes(np.array(u[::-1] * -1).tobytes())
+    iv = inverse_bytes(np.array(v[::-1] * -1).tobytes())
     assert common_prefix(iu, iv, v.size) == shared
     for offset in {0, shared // 2, shared}:
         assert common_prefix(pu, pv, v.size - offset, offset, offset) == shared - offset
 
 
+def prefix_by_letters(x, y, cap: int, i: int, j: int) -> int:
+    """The common prefix of x from letter i and y from letter j, up to
+    cap letters, one letter at a time: the reference for `common_prefix`."""
+    n = 0
+    while n < cap and x[i + n] == y[j + n]:
+        n += 1
+    return n
+
+
+def suffix_by_letters(x, y, k: int) -> int:
+    """The common suffix of x and y, given that it is at least k, one
+    letter at a time: the reference for `_wordkernel.common_suffix`."""
+    while k < min(len(x), len(y)) and x[-k - 1] == y[-k - 1]:
+        k += 1
+    return k
+
+
+# the doubled windows from letter 0 end at multiples of WINDOW, and under
+# a cap past their end a window that differs halves down to WINDOW
+# letters at multiples of WINDOW, so shared lengths fall one letter
+# before, at and after each of them; 33 WINDOW + 1 lies in the window
+# that ends at 63 WINDOW
+EDGES = [max(0, k * WINDOW + e) for k in range(34) for e in (-1, 0, 1)]
+FAR = 63 * WINDOW
+
+
+def sharing(rng, i: int, j: int, shared: int, ends: str, tail: int) -> tuple:
+    """x = s p a t and y = r p b u, with |s| = i, |r| = j, |p| = shared,
+    bytes a != b and tails t, u of up to tail bytes, or with p ending x
+    or y."""
+    some = lambda n: rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    a = int(rng.integers(0, 256))
+    b = (a + int(rng.integers(1, 256))) % 256
+    p = some(shared)
+    x = some(i) + p + (b"" if ends == "x" else bytes([a]) + some(int(rng.integers(0, tail + 1))))
+    y = some(j) + p + (b"" if ends == "y" else bytes([b]) + some(int(rng.integers(0, tail + 1))))
+    return x, y
+
+
+def check_prefix_and_suffix(x, y, cap: int, i: int, j: int, k: int, shared: int):
+    # from |s| and |r| the prefix is p at any cap, and the suffix of the
+    # reversed tails is p reversed from any known part k of it
+    for xs in (x, bytearray(x)):
+        assert common_prefix(xs, y, cap, i, j) == prefix_by_letters(x, y, cap, i, j)
+        assert prefix_by_letters(x, y, cap, i, j) == min(shared, cap)
+    tx, ty = x[i:][::-1], y[j:][::-1]
+    for xs in (tx, bytearray(tx)):
+        assert _wordkernel.common_suffix(xs, ty, k) == suffix_by_letters(tx, ty, k) == shared
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shared=st.sampled_from(EDGES), seed=st.integers(0, 2**32),
+       ends=st.sampled_from(["neither", "x", "y"]), tail=st.sampled_from([200, FAR]))
+def test_common_prefix_and_suffix_against_the_letters(data, shared, seed, ends, tail):
+    # random offsets, caps below, at and above the shared length, and
+    # short tails, which end the windows early, or long ones
+    rng = np.random.default_rng(seed)
+    i, j = data.draw(st.integers(0, 70)), data.draw(st.integers(0, 70))
+    x, y = sharing(rng, i, j, shared, ends, tail)
+    room = min(len(x) - i, len(y) - j)
+    cap = data.draw(st.one_of(st.integers(max(0, shared - 3), min(room, shared + 3)),
+                              st.just(room)))
+    check_prefix_and_suffix(x, y, cap, i, j, data.draw(st.integers(0, shared)), shared)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (5, 70)])
+def test_common_prefix_and_suffix_at_every_window_edge(i, j):
+    # every shared length of EDGES under a cap past the window that
+    # holds it, so that the window halves down at each edge
+    rng = np.random.default_rng(i + j)
+    for shared in EDGES:
+        x, y = sharing(rng, i, j, shared, "neither", 0)
+        x, y = x + bytes(FAR), y + bytes(FAR)
+        check_prefix_and_suffix(x, y, min(len(x) - i, len(y) - j), i, j, 0, shared)
+
+
+@given(word=st.binary(max_size=300))
+def test_inverse_bytes_is_an_involution(word):
+    inv = inverse_bytes(word)
+    assert inverse_bytes(inv) == word
+    # the int8 letters reversed, each negated (-128 is its own negation)
+    letters = np.frombuffer(word, dtype=np.int8)
+    assert np.frombuffer(inv, dtype=np.int8).tolist() == (-letters[::-1]).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), core=st.integers(0, 6),
-       ends=st.one_of(st.integers(0, 4), st.integers(WINDOW - 2, 3 * HEAD)))
+       ends=st.one_of(st.integers(0, 4), st.integers(WINDOW - 2, 3072)))
 def test_cyclic_trim_against_the_peel(seed, core, ends):
-    # u c u^{-1}, reduced: the peel runs about |u| deep, past the head
-    # of a `Reading` for long u
+    # u c u^{-1}, reduced: the peel runs about |u| deep, across many
+    # windows for long u
     u = random_reduced(seed, ends).tolist()
     c = random_reduced(seed + 1, core).tolist()
     w = np.array(stack_reduce(u + c + [-x for x in reversed(u)]), dtype=np.int8)
@@ -737,7 +822,7 @@ def product_by_stack(u, v) -> int:
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), sizes=st.lists(st.integers(0, 3 * HEAD), min_size=4,
+@given(seed=st.integers(0, 2**32), sizes=st.lists(st.integers(0, 3072), min_size=4,
                                                   max_size=4),
        shape=st.sampled_from(["free", "shared head", "v ends in u", "u ends in v^-1"]))
 def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
@@ -756,7 +841,7 @@ def test_product_cyclic_length_against_the_stack(seed, sizes, shape):
     v = np.array(stack_reduce(v), dtype=np.int8)
     v_inv = np.array(v[::-1] * -1)
     bu, bv = u.tobytes(), v.tobytes()
-    pu, pu_inv, pv, pv_inv = Reading(bu), Reading(bu, True), Reading(bv), Reading(bv, True)
+    pu, pu_inv, pv, pv_inv = bu, inverse_bytes(bu), bv, inverse_bytes(bv)
     assert cyclic_length(pu, pu_inv) == len(peel(u.tolist()))
     assert product_cyclic_length(pu, pu_inv, pv, pv_inv) == product_by_stack(u, v)
     assert product_cyclic_length(pu, pu_inv, pv_inv, pv) == product_by_stack(u, v_inv)
@@ -797,14 +882,14 @@ def test_class_length_against_cyclic_images(nielsen_products, walk_maps, data, s
         phi = data.draw(st.sampled_from([m for pair in walk_maps for m in pair]))
     else:
         moved = data.draw(st.sampled_from([{1}, {2}, {1, 3}, {1, 2, 3}]))
-        w = random_reduced(seed + 1, data.draw(st.integers(1, 3 * HEAD)), 3)
+        w = random_reduced(seed + 1, data.draw(st.integers(1, 3072)), 3)
         kept = [i for i in (1, 2, 3) if i not in moved]
         if kept:
             # the letters of w: the fixed generators only
             w = w[np.isin(np.abs(w), kept)]
         phi = conjugation(stack_reduce(w.tolist()), moved)
     g = random_class(seed, size)
-    readings = [(Reading(b), Reading(b, True)) for b in as_bytes(phi.images)]
+    readings = [(b, inverse_bytes(b)) for b in as_bytes(phi.images)]
     got = class_length(readings, g)
     assert got == len(cyclic_images(phi, [CyclicWord(np.array(g, dtype=np.int8), 3)])[0])
     pieces = [readings[x - 1] if x > 0 else readings[-x - 1][::-1] for x in g]
@@ -814,7 +899,7 @@ def test_class_length_against_cyclic_images(nielsen_products, walk_maps, data, s
         assert got == product_cyclic_length(*pieces[0], *pieces[1])
 
 
-@pytest.mark.parametrize("k", [2, WINDOW + 1, 3 * HEAD])
+@pytest.mark.parametrize("k", [2, WINDOW + 1, 3072])
 @pytest.mark.parametrize("w, g", [([-3, -2], [3, 1, 2]), ([-3, 2], [2, 1, -3])])
 def test_class_length_peels_down_to_one_piece(w, g, k):
     # under a -> w C^k a c^k w^{-1}, with w = C B or C b, the pieces of
@@ -823,6 +908,6 @@ def test_class_length_peels_down_to_one_piece(w, g, k):
     # interval of the middle piece, C^k a c^k b c or C b C^k a c^k, whose
     # own ends peel once more
     phi = conjugation(w + [-3] * k, {1})
-    readings = [(Reading(b), Reading(b, True)) for b in as_bytes(phi.images)]
+    readings = [(b, inverse_bytes(b)) for b in as_bytes(phi.images)]
     want = len(cyclic_images(phi, [CyclicWord(np.array(g, dtype=np.int8), 3)])[0])
     assert class_length(readings, g) == want == 2 * k + 1
