@@ -25,7 +25,6 @@ from .automorphisms import (
 from .outer_metric import (
     candidates,
     dist,
-    gromov_product,
     log_stretch,
     sym_dist,
 )

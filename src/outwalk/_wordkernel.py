@@ -40,13 +40,19 @@ map.  `ImageTable.substitute` picks one of two regimes from its input:
   stands for its raw image's, which is no shorter, since the image of
   a generator under an automorphism and the separator are never
   empty): the blocks are the rows of one zero-padded int8
-  matrix, so the raw image is one row gather with the zeros dropped;
-  then passes delete non-overlapping adjacent inverse pairs until none
-  is left.  A pass peels one layer of every seam at once, so the pass
-  count is the deepest seam cancellation.  A long block can cancel as
-  deep as it is long (a -> a b^k sends a B^k to a b^k B^k), one pass
-  per letter, which is why the regime looks at the longest block of the
-  table and not at the word.
+  matrix, so the raw image is one row gather, its bytes with the zero
+  pads dropped by one `bytes.translate`.  Then passes delete
+  non-overlapping adjacent inverse pairs (`_pair_pass`): each zeros the
+  pairs it deletes and drops them with one more translate.  The first
+  pass compares every adjacent pair; a pass leaves inverse pairs only
+  at the joints where it deleted one, so each later pass compares only
+  the joints of the pass before, and the passes end when one leaves no
+  joint.  A pass peels one layer of every seam at once, so the passes
+  that delete number the deepest seam cancellation, and past the first
+  pass the work is the number of joints, not the word's length.  A
+  long block can cancel as deep as it is long (a -> a b^k
+  sends a B^k to a b^k B^k), one pass per letter, which is why the
+  regime looks at the longest block of the table and not at the word.
 
 Free reduction is confluent, so both regimes give the same normal form.
 
@@ -98,9 +104,12 @@ interval's inverse and the next piece, and the ends of the result peel
 interval by interval, down to the trim of one.  Its one- and two-piece
 cases are `cyclic_length` and `product_cyclic_length`.  All read a
 word u as the byte pair (u, u^{-1}), the inverse built by
-`inverse_bytes`, and every seam and peel is a `common_prefix` of two
-byte strings, which compares windows with `bytes ==`, a memcmp: no
-Python loop runs per letter, however long the words.
+`inverse_bytes`: a reversed slice mapped through `NEG` by
+`bytes.translate`, or from `NUMPY_INVERSE` letters on a numpy negation
+of the reversed int8 view, which is cheaper per letter and byte for byte
+the same.  Every seam and peel is a `common_prefix` of two byte
+strings, which compares windows with `bytes ==`, a memcmp: no Python
+loop runs per letter, however long the words.
 """
 
 from __future__ import annotations
@@ -130,6 +139,12 @@ BATCH_CAP = 1 << 15
 WINDOW = 64
 WINDOW_MAX = 1 << 20
 NEG = bytes(-x & 0xFF for x in range(256))
+
+# `inverse_bytes` inverts words of at least this many letters by numpy:
+# about 0.3 ns a letter plus 1 us a call, against 1.3-1.6 ns a letter
+# for a reversed slice and `bytes.translate`, which are even at about
+# 900-1,000 letters (2 CPUs, Python 3.11.7, numpy 2.4.6).
+NUMPY_INVERSE = 1000
 
 
 class WordBudgetExceeded(RuntimeError):
@@ -167,27 +182,51 @@ def is_reduced(arr: np.ndarray) -> bool:
     return not bool((arr[:-1] == -arr[1:]).any())
 
 
-def _delete_pairs_pass(arr: np.ndarray):
-    """One vectorized pass removing non-overlapping adjacent inverse pairs."""
-    hits = np.flatnonzero(arr[:-1] == -arr[1:])
-    if hits.size == 0:
-        return arr, False
-    if hits.size == 1:
-        sel = hits
+def _pair_pass(word: bytes, left):
+    """One pass of vectorized pair deletion over the int8 letters of word.
+
+    Letters l and l + 1 are compared for each l of left, ascending, or for
+    every l when left is None.  The inverse pairs found that do not
+    overlap are zeroed in a copy and dropped with one `bytes.translate`
+    (on bytes, not bytearray, whose translate is slower): inside a run of
+    consecutive pairs (x X x ...) only every other pair goes.  Returns
+    the shorter word and its joints, the l where a letter before a
+    deleted pair now meets one after it, ascending: a pass leaves inverse
+    pairs only there, so the next pass compares only them.  With no pair
+    found, returns the word and no joint.
+    """
+    arr = np.frombuffer(word, dtype=DTYPE)
+    if left is None:
+        hits = np.flatnonzero(arr[:-1] == -arr[1:])
     else:
-        # inside a run of consecutive hit indices only every other pair
-        # can be removed simultaneously
-        new_run = np.empty(hits.size, dtype=bool)
-        new_run[0] = True
-        np.not_equal(hits[1:], hits[:-1] + 1, out=new_run[1:])
-        starts = np.flatnonzero(new_run)
-        counts = np.diff(np.append(starts, hits.size))
-        first = np.repeat(hits[starts], counts)
-        sel = hits[((hits - first) & 1) == 0]
-    keep = np.ones(arr.size, dtype=bool)
-    keep[sel] = False
-    keep[sel + 1] = False
-    return arr[keep], True
+        hits = left[arr[left] == -arr[left + 1]]
+    if hits.size > 1:
+        step = hits[1:] - hits[:-1]
+        if step.min() == 1:
+            new_run = np.empty(hits.size, dtype=bool)
+            new_run[0] = True
+            np.not_equal(step, 1, out=new_run[1:])
+            starts = np.flatnonzero(new_run)
+            first = np.repeat(hits[starts], np.diff(np.append(starts, hits.size)))
+            hits = hits[((hits - first) & 1) == 0]
+    if hits.size == 0:
+        return word, hits
+    buf = bytearray(word)
+    arr = np.frombuffer(buf, dtype=DTYPE)
+    arr[hits] = 0
+    arr[hits + 1] = 0
+    word = bytes(buf).translate(None, b"\0")
+    # the letter after the i-th deleted pair moves to hits[i] - 2i; pairs
+    # deleted side by side share that place, and one at either end of
+    # the word leaves no joint
+    after = hits - np.arange(0, 2 * hits.size, 2)
+    keep = np.empty(after.size, dtype=bool)
+    keep[0] = after[0] > 0
+    np.not_equal(after[1:], after[:-1], out=keep[1:])
+    after = after[keep]
+    if after.size and after[-1] == len(word):
+        after = after[:-1]
+    return word, after - 1
 
 
 def reduce_array(arr: np.ndarray) -> np.ndarray:
@@ -248,15 +287,17 @@ class ImageTable:
         """Apply the substitution to a reduced word and reduce the result.
 
         The word may be a batch of reduced words separated by the letter
-        `sep`; each comes out reduced, with `SEP` between them.  No budget
+        `sep`; each comes out reduced, with `SEP` between them, as an int8
+        array in either regime (see the module docstring).  No budget
         applies here: `lockstep_substitute` checks it before calling.
         """
         if self.rows is not None and word.size > SMALL:
-            arr = self.rows.take(word, axis=0).ravel()
-            arr, changed = arr.compress(arr != 0), True
-            while changed:
-                arr, changed = _delete_pairs_pass(arr)
-            return arr
+            # the raw image: the gathered rows, their zero pads dropped
+            out, left = _pair_pass(self.rows.take(word, axis=0).tobytes().translate(None, b"\0"),
+                                   None)
+            while left.size:
+                out, left = _pair_pass(out, left)
+            return np.frombuffer(out, dtype=DTYPE)
         out = bytearray()
         extend = out.extend
         blocks = self.py_blocks
@@ -285,8 +326,12 @@ class ImageTable:
 
 def inverse_bytes(word: bytes) -> bytes:
     """The inverse of a word given as bytes: its letters reversed, each
-    negated."""
-    return word[::-1].translate(NEG)
+    negated, byte by byte as `NEG` maps them (int8 negation wraps -128
+    to itself, as NEG does 0x80); words of at least `NUMPY_INVERSE`
+    letters by numpy."""
+    if len(word) < NUMPY_INVERSE:
+        return word[::-1].translate(NEG)
+    return np.negative(np.frombuffer(word, dtype=DTYPE)[::-1]).tobytes()
 
 
 def common_prefix(x: bytes, y: bytes, cap: int, i: int = 0, j: int = 0) -> int:

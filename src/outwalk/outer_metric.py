@@ -6,7 +6,7 @@ dist(theta) = log max over candidate loops c of |theta(c)| / |c|, where
 unit rose to the rose remarked by theta (covolume normalization cancels
 in the ratio).  With the left action Phi . y0 = R . Phi^{-1}, pairwise
 orbit distances are d(Phi.y0, Psi.y0) = dist(Psi^{-1} Phi): the
-generator images of Phi substituted through Psi^{-1} (`orbit_dist`).
+generator images of Phi substituted through Psi^{-1}.
 
 The candidate loops on a rose are the petals and the figure eights; the
 optimal stretch is always attained on one of them (Francaviglia-Martino,
@@ -25,28 +25,25 @@ A distance needs only the maximum, so `image_dist` reads it best-first:
 the conjugacy length of a loop's image is at most the loop's raw size,
 the sum of |theta(x)| over its letters x, so the image sizes alone bound
 every ratio, and exact lengths are read in decreasing order of that
-bound until no bound left can beat the best ratio (about 2.6 of the 9
-lengths per step of a rank-3 NIEL drift walk).  `dist` reads theta.images this way;
+bound until no bound left can beat the best ratio (about 2.0 of the 9
+lengths per step of a rank-3 NIEL drift walk: a figure eight x_i x_j^{-1}
+never beats both x_i x_j and the petals, so it is never read).  `dist`
+reads theta.images this way;
 every other distance reads generator images tracked through several
-maps, without composing maps: drift and Gromov records along a walk and
-`orbit_dist` through `image_dist`, the stretch brackets along powers through
-every candidate length, since their point estimate reads each loop's ratio.
+maps, without composing maps: drift and Gromov records along a walk
+through `image_dist`, the stretch brackets along powers through every
+candidate length, since their point estimate reads each loop's ratio.
 
 `candidate_lengths` and `image_dist` read the images as bytes, one byte
 per int8 letter, the currency in which the walks and brackets track
 them (`_wordkernel`), each image u read as the byte pair (u, u^{-1}).
-`dist` and `orbit_dist` take automorphisms and convert their `Word`
-images to bytes; `orbit_dist` substitutes them as bytes
-(`automorphisms.image_bytes`), so the long images it reads are never
-wrapped as Words.
+`dist` takes an automorphism and converts its `Word` images to bytes.
 
-A distance reads words already formed, so only `orbit_dist`, which
-substitutes, is bounded by the letter budget; `dist` and `sym_dist`
-read any map.
+A distance reads words already formed, so no letter budget bounds it:
+`dist` and `sym_dist` read any map.
 
 The metric is asymmetric; Gromov products use the symmetrized version
-d_sym(x, y) = d(x, y) + d(y, x).  No kind calls `orbit_dist` or
-`gromov_product`: they are the reference for the `gromov` kind's records.
+d_sym(x, y) = d(x, y) + d(y, x).
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import numpy as np
 
 from ._wordkernel import cyclic_length, inverse_bytes, product_cyclic_length
 from .free_group import CyclicWord, as_bytes
-from .automorphisms import Automorphism, image_bytes, invert
+from .automorphisms import Automorphism, invert
 
 __all__ = [
     "candidates",
@@ -66,9 +63,7 @@ __all__ = [
     "log_stretch",
     "image_dist",
     "dist",
-    "orbit_dist",
     "sym_dist",
-    "gromov_product",
 ]
 
 @lru_cache(maxsize=None)
@@ -141,6 +136,18 @@ def log_stretch(loops, lengths) -> float:
     return math.log(best_num / best_den)
 
 
+@lru_cache(maxsize=None)
+def _queue(rank: int) -> tuple:
+    """(m, pieces, index) of the loops that `image_dist` reads, the
+    petals and the figure eights x_i x_j of `_pieces`, sorted by (i, j):
+    their count m, the (i, j, loop length) of each, and the (i, j, r) of
+    each piece r.  The queue key of piece r of a loop whose bound is b / 2
+    is b m + r, so the keys sort as the tuples (b, i, j)."""
+    pieces = sorted((i, j) for i, j, flip in _pieces(rank) if not flip)
+    return (len(pieces), tuple([(i, j, 1 if i == j else 2) for i, j in pieces]),
+            tuple([(i, j, r) for r, (i, j) in enumerate(pieces)]))
+
+
 def image_dist(images) -> float:
     """dist read off the reduced generator images images[i] = theta(x_i),
     given as bytes: log_stretch(candidates(N), candidate_lengths(images)),
@@ -149,26 +156,46 @@ def image_dist(images) -> float:
     The image of a loop is reduced, so its conjugacy length is at most
     its raw size: |theta(x_i)| for a petal, |theta(x_i)| + |theta(x_j)|
     for a figure eight.  Candidates are read in decreasing order of that
-    bound on their ratio, each image's inverse built only on first use,
-    and the loop stops once no bound left beats the best ratio.  Ratios
-    are compared as `log_stretch` compares them, exactly in integers and
+    bound on their ratio, from one sorted list of int keys (`_queue`),
+    each image's inverse built only on first use, and the loop stops at
+    the first key whose bound cannot beat the best ratio.  Ratios are
+    compared as `log_stretch` compares them, exactly in integers and
     strictly, so the maximum is the same rational and the same float.
+
+    The figure eights x_i x_j^{-1} are not read.  Conjugacy length is
+    translation length in the Cayley tree of F_N, and for g = theta(x_i),
+    h = theta(x_j): if the axes of g and h are disjoint, g h and g h^{-1}
+    have the same length; if they meet, both have at most |g| + |h|
+    (cyclic lengths), a ratio no better than the better petal's
+    (Culler-Morgan, Group actions on R-trees, 1987).  So x_i x_j^{-1}
+    never beats both x_i x_j and the petals, and the maximum is the same.
     """
-    sizes = [len(w) for w in images]
-    # twice the bound: 2|u_i| for a petal, |u_i| + |u_j| for a figure eight
-    queue = sorted([(sizes[i] + sizes[j], i, j, flip) for i, j, flip in _pieces(len(sizes))],
-                   reverse=True)
-    readings = [None] * len(sizes)
+    m, pieces, index = _queue(len(images))
+    # twice the bound, times m: 2|u_i| for a petal, |u_i| + |u_j| for a
+    # figure eight
+    sizes = [len(w) * m for w in images]
+    keys = sorted([sizes[i] + sizes[j] + r for i, j, r in index], reverse=True)
+    inverses = [None] * len(images)
     best_num, best_den = 1, 1
-    for twice_bound, i, j, flip in queue:
-        if twice_bound * best_den <= 2 * best_num:
+    # a key below stop has twice its bound at most 2 best_num / best_den
+    stop = 3 * m
+    for key in keys:
+        if key < stop:
             break
-        for k in (i, j):
-            if readings[k] is None:
-                readings[k] = (images[k], inverse_bytes(images[k]))
-        num, den = _loop_length(readings, i, j, flip), (1 if i == j else 2)
+        i, j, den = pieces[key % m]
+        u, u_inv = images[i], inverses[i]
+        if u_inv is None:
+            u_inv = inverses[i] = inverse_bytes(u)
+        if i == j:
+            num = cyclic_length(u, u_inv)
+        else:
+            v, v_inv = images[j], inverses[j]
+            if v_inv is None:
+                v_inv = inverses[j] = inverse_bytes(v)
+            num = product_cyclic_length(u, u_inv, v, v_inv)
         if num * best_den > best_num * den:
             best_num, best_den = num, den
+            stop = (2 * num // den + 1) * m
     return math.log(best_num / best_den)
 
 
@@ -188,28 +215,4 @@ def dist(theta: Automorphism) -> float:
 def sym_dist(theta: Automorphism) -> float:
     """Symmetrized orbit distance; invariant under theta <-> theta^{-1}."""
     return dist(theta) + dist(invert(theta))
-
-
-def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
-    """d(phi.y0, psi.y0) = dist(psi^{-1} phi), from the generator images
-    of phi substituted through psi^{-1}.  Raises WordBudgetExceeded for
-    the first image whose substitution needs more letters than the
-    budget."""
-    return image_dist(image_bytes(invert(psi), as_bytes(phi.images), budget=budget))
-
-
-def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
-    """Gromov product (phi.y0 | psi.y0) at the identity marking.
-
-    Computed in the symmetrized orbit metric:
-    (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
-    d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
-    inequality.  Raises WordBudgetExceeded where an `orbit_dist` does.
-    The `gromov` kind's records read the same four distances off power
-    orbits, and the test suite checks them against it.
-    """
-    a = sym_dist(phi)
-    b = sym_dist(psi)
-    c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
-    return 0.5 * (a + b - c)
 

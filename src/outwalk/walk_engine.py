@@ -472,13 +472,13 @@ def gromov_decay_experiment(
     The path tracks the generator images of Phi_n^{-1}, as drift does,
     then those of Phi_n, as bytes, and is cut off at the first step at
     which one of them needs more letters than the letter budget.  A
-    record is 0.5 * (a + a - c) / n, the float of `gromov_product`, with
+    record is 0.5 * (a + a - c) / n, the float of the test oracle
+    `gromov_product` (tests/conftest.py), with
     a = dist(Phi_n) + dist(Phi_n^{-1}) and c = dist(Phi_n^2) +
     dist(Phi_n^{-2}), read best-first (`image_dist`) off steps 1 and 2 of
     the power orbits of both halves of all states of a scheduled step,
-    in one batch (`spectral.power_orbits`).  It is truncated where
-    `gromov_product` raises: when step 2 of either orbit passes the
-    budget.
+    in one batch (`spectral.power_orbits`).  It is truncated where the
+    oracle raises: when step 2 of either orbit passes the budget.
     """
     r = measure.rank
     gens = [bytes([i]) for i in range(1, r + 1)]

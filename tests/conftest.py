@@ -1,9 +1,18 @@
-"""Shared measures for the walk and CLI tests."""
+"""Shared measures for the walk and CLI tests, and the orbit-distance
+oracles that the `gromov` kind's records are checked against."""
 
 import pytest
 
-from outwalk.automorphisms import left_multiplier, right_multiplier
+from outwalk.automorphisms import (
+    Automorphism,
+    image_bytes,
+    invert,
+    left_multiplier,
+    right_multiplier,
+)
+from outwalk.free_group import as_bytes
 from outwalk.matrix_oracle import IntMatrix
+from outwalk.outer_metric import image_dist, sym_dist
 from outwalk.walk_engine import ProbMeasure
 
 
@@ -34,6 +43,30 @@ def transvection_measure(dim: int) -> ProbMeasure:
                 rows[i][j] = sign
                 mats.append(IntMatrix(rows))
     return ProbMeasure(tuple(mats), tuple(1 / len(mats) for _ in mats))
+
+
+def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
+    """d(phi.y0, psi.y0) = dist(psi^{-1} phi), from the generator images
+    of phi substituted through psi^{-1}.  Raises WordBudgetExceeded for
+    the first image whose substitution needs more letters than the
+    budget."""
+    return image_dist(image_bytes(invert(psi), as_bytes(phi.images), budget=budget))
+
+
+def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:
+    """Gromov product (phi.y0 | psi.y0) at the identity marking.
+
+    Computed in the symmetrized orbit metric:
+    (x|y) = (d_sym(y0,x) + d_sym(y0,y) - d_sym(x,y)) / 2, with
+    d_sym(y0, phi.y0) = sym_dist(phi).  Nonnegative by the triangle
+    inequality.  Raises WordBudgetExceeded where an `orbit_dist` does.
+    The `gromov` kind's records read the same four distances off power
+    orbits, composing no map.
+    """
+    a = sym_dist(phi)
+    b = sym_dist(psi)
+    c = orbit_dist(phi, psi, budget=budget) + orbit_dist(psi, phi, budget=budget)
+    return 0.5 * (a + b - c)
 
 
 @pytest.fixture(scope="module")

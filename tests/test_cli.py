@@ -1,6 +1,10 @@
 """`outwalk run` and `outwalk summarize` end to end: exit codes, budget
 cut-offs and aggregates."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from outwalk import cli
@@ -619,3 +623,49 @@ def test_stretch_k_max_1_is_one_bracket(tmp_path):
                  budget=10**8)
     assert values == {"stretch.lower": br.lower, "stretch.upper": br.upper,
                       "stretch.point": br.point, "stretch.k_used": 1.0}
+
+
+LAZY_IMPORT_RUN = """
+import sys
+
+import numpy.random
+from outwalk import cli
+
+build_measure = cli.build_measure
+built = []
+
+
+def snapshot(cfg):
+    measure = build_measure(cfg)
+    built.append(set(sys.modules))
+    return measure
+
+
+cli.build_measure = snapshot
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert cli.main(["run", "--config", config, "--out", out, "--threads", "1"]) == 0
+    print(" ".join(sorted(set(sys.modules) - built[-1])))
+"""
+
+
+def test_a_run_imports_no_module(tmp_path, niel):
+    # a module imported lazily inside a run (numpy.ma by np.unique's first
+    # call, 10-16 ms) costs every fresh process that time.  Set-up ends as
+    # in bench/child.py, when build_measure returns (argparse imports
+    # locale before), and numpy.random is imported first, as the bench's
+    # speed probe imports it.  The drift and spectral runs take pair
+    # deletion and invert words past NUMPY_INVERSE letters
+    heads = ["kind = drift\nn_max = 40\npaths = 8\n",
+             "kind = spectral\nn_max = 16\npaths = 4\nk_max = 4\nletter_budget = 200000\n",
+             "kind = matrix-guivarch\nn_max = 400\npaths = 2\n" + MATRIX_LINES]
+    args = []
+    for i, head in enumerate(heads):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text(with_measure(head, niel))
+        args += [str(cfg), str(tmp_path / f"{i}.csv")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_RUN, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["", "", ""]

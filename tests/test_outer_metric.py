@@ -27,14 +27,14 @@ from outwalk.outer_metric import (
     candidate_lengths,
     candidates,
     dist,
-    gromov_product,
     image_dist,
     log_stretch,
-    orbit_dist,
     sym_dist,
 )
 from outwalk import outer_metric
 from outwalk.walk_engine import sample_path
+
+from conftest import gromov_product, orbit_dist
 
 TWIST = parse_automorphism("a->ab; b->b | a->aB; b->b")
 
@@ -174,7 +174,8 @@ def test_candidate_lengths_on_walk_inverses(walk_inverses_16_32_44):
 def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, monkeypatch):
     # a loop's ratio is at most its raw size over its length: image_dist
     # reads every loop whose bound beats the maximum ratio and none whose
-    # bound falls short of it, so never more than the N^2 lengths
+    # bound falls short of it, so never more than the N^2 lengths; of the
+    # figure eights it reads only the x_i x_j, never x_i x_j^{-1}
     loops = candidates(3)
     wants = [max([Fraction(1)] + [Fraction(n, len(c)) for n, c in
                                   zip(candidate_lengths(as_bytes(inv.images)), loops)])
@@ -187,6 +188,7 @@ def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, mo
         return petal(u, u_inv)
 
     def read_eight(u, u_inv, v, v_inv):
+        assert v in images
         bounds.append(Fraction(len(u) + len(v), 2))
         return eight(u, u_inv, v, v_inv)
 
@@ -195,10 +197,11 @@ def test_best_first_reads_only_the_loops_that_can_win(walk_inverses_16_32_44, mo
     reads = []
     for inv, want in zip(walk_inverses_16_32_44, wants):
         bounds.clear()
-        image_dist(as_bytes(inv.images))
+        images = as_bytes(inv.images)
+        image_dist(images)
         sizes = [len(w) for w in inv.images]
         all_bounds = [Fraction(sum(sizes[abs(x) - 1] for x in c.letters.tolist()), len(c))
-                      for c in loops]
+                      for c in loops if min(c.letters) > 0]
         assert min(bounds) >= want
         assert sum(b > want for b in all_bounds) <= len(bounds) <= len(loops)
         reads.append(len(bounds))
@@ -274,6 +277,13 @@ def test_lengths_on_bytes_against_the_brute_force(data, seed):
     words = [np.array(w, dtype=np.int8).tobytes() for w in images]
     assert candidate_lengths(words) == want
     assert image_dist(words) == log_stretch(candidates(rank), want)
+    # what image_dist's skipping of x_i x_j^{-1} rests on: its length is
+    # that of x_i x_j, or both are at most the petals' sum
+    by_piece = dict(zip(outer_metric._pieces(rank), want))
+    for (i, j, flip), n in by_piece.items():
+        if flip:
+            m = by_piece[i, j, False]
+            assert n == m or max(n, m) <= by_piece[i, i, False] + by_piece[j, j, False]
 
 
 @pytest.mark.parametrize("theta, want", [

@@ -26,7 +26,7 @@ from outwalk.automorphisms import (
     parse_automorphism,
 )
 from outwalk.matrix_oracle import IntMatrix
-from outwalk.outer_metric import candidates, dist, gromov_product, image_dist, sym_dist
+from outwalk.outer_metric import candidates, dist, image_dist, sym_dist
 from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -41,6 +41,8 @@ from outwalk.walk_engine import (
     sample_path,
     spectral_experiment,
 )
+
+from conftest import gromov_product
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
 FIB_INV = invert(FIB)

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from outwalk import _wordkernel
 from outwalk._wordkernel import (
     BATCH_CAP,
+    NUMPY_INVERSE,
     SMALL,
     WINDOW,
     ImageTable,
@@ -181,15 +182,83 @@ def test_long_blocks_never_take_pair_deletion(monkeypatch):
     # past SHORT_BLOCK letters takes the block stack whatever the word
     k = 10_000
     passes = []
-    delete_pairs = _wordkernel._delete_pairs_pass
+    pair_pass = _wordkernel._pair_pass
 
-    def counted(arr):
-        passes.append(arr.size)
-        return delete_pairs(arr)
+    def counted(buf, left):
+        passes.append(len(buf))
+        return pair_pass(buf, left)
 
-    monkeypatch.setattr(_wordkernel, "_delete_pairs_pass", counted)
+    monkeypatch.setattr(_wordkernel, "_pair_pass", counted)
     check(letters([1] + [2] * k, [2]), np.array([1] + [-2] * k, dtype=np.int8))
     assert len(passes) <= 2
+
+
+def cascade(k: int, left: int = 1, right: int = 1) -> list:
+    """c a^k b^k c, with left and right c's at its ends, which a -> a,
+    b -> A, c -> c sends to c a^k A^k c: a seam k deep, peeled one pair
+    per pass, and with no c the whole word cancels."""
+    return [3] * left + [1] * k + [2] * k + [3] * right
+
+
+# short-block tables: a -> a, b -> A, c -> c cascades (`cascade`) and
+# sends (a b)^r to (a A)^r, a run of 2r - 1 consecutive inverse pairs;
+# under a -> ab, b -> B, c -> c the block B of each b cancels whole, and
+# a -> aCb, b -> Bc, c -> A sends a b c to aCb Bc A, which cancels whole
+SHORT_TABLES = [[[1], [-1], [3]], [[1, 2], [-2], [3]], [[1, -3, 2], [-2, 3], [-1]]]
+
+
+@st.composite
+def short_block_words(draw):
+    """A reduced word for `SHORT_TABLES`: a cascade at a depth on either
+    side of SMALL, with or without its end letters, a run of alternating
+    letters of odd or even length inside random context, or a random
+    word."""
+    shape = draw(st.sampled_from(["cascade", "run", "random"]))
+    if shape == "cascade":
+        return cascade(draw(st.integers(1, 2 * SMALL)), *draw(st.tuples(st.integers(0, 1),
+                                                                       st.integers(0, 1))))
+    if shape == "random":
+        return random_reduced(draw(st.integers(0, 2**32)), draw(sizes)).tolist()
+    run = [1, 2] * draw(st.integers(0, SMALL)) + draw(st.sampled_from([[], [1]]))
+    head, tail = draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32))
+    return stack_reduce(random_reduced(head, 5).tolist() + [3] + run + [3]
+                        + random_reduced(tail, 5).tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(images=st.sampled_from(SHORT_TABLES),
+       words=st.lists(short_block_words(), min_size=1, max_size=4), at=st.integers(0, 4))
+def test_pair_deletion_on_separated_batches(images, words, at):
+    # a batch joined by the separator, sized past SMALL so that it takes
+    # pair deletion, comes out as the stack reduction of its raw image;
+    # a short batch takes a random word at a drawn place
+    table = ImageTable(letters(*images))
+    if sum(len(w) + 1 for w in words) <= SMALL + 1:
+        words.insert(at, random_reduced(at, SMALL + 1).tolist())
+    batch = np.array([x for w in words for x in [table.sep] + w][1:], dtype=np.int8)
+    blocks = letters(*images, [_wordkernel.SEP])  # the separator is letter R + 1
+    assert table.rows is not None and batch.size > SMALL
+    got = table.substitute(batch)
+    assert got.dtype == np.int8
+    assert got.tolist() == stack_reduce(raw_concatenation(blocks, batch))
+
+
+def test_pair_passes_compare_only_their_joints(monkeypatch):
+    # every pass after the first compares only the joints the last pass
+    # made, one per pass here, not the whole word again
+    k = 3 * SMALL
+    compared = []
+    pair_pass = _wordkernel._pair_pass
+
+    def counted(buf, left):
+        compared.append(len(buf) - 1 if left is None else left.size)
+        return pair_pass(buf, left)
+
+    monkeypatch.setattr(_wordkernel, "_pair_pass", counted)
+    check(letters(*SHORT_TABLES[0]), np.array(cascade(k), dtype=np.int8))
+    assert compared[0] == 2 * k + 1
+    assert len(compared) == k + 1
+    assert sum(compared[1:]) <= 2 * k
 
 
 @pytest.fixture(scope="module")
@@ -800,6 +869,18 @@ def test_inverse_bytes_is_an_involution(word):
     # the int8 letters reversed, each negated (-128 is its own negation)
     letters = np.frombuffer(word, dtype=np.int8)
     assert np.frombuffer(inv, dtype=np.int8).tolist() == (-letters[::-1]).tolist()
+
+
+@pytest.mark.parametrize("length", [NUMPY_INVERSE - 1, NUMPY_INVERSE, NUMPY_INVERSE + 1,
+                                    4 * NUMPY_INVERSE])
+def test_inverse_bytes_on_both_sides_of_numpy(length):
+    # every byte value, 0x80 (-128, its own negation) and the separator's
+    # 0x7F among them, on both sides of the length where numpy takes over
+    word = bytes((7 * i + length) % 256 for i in range(length))
+    assert set(word) == set(range(256))
+    inv = inverse_bytes(word)
+    assert type(inv) is bytes
+    assert inv == bytes(-x & 0xFF for x in reversed(word))
 
 
 @settings(max_examples=60, deadline=None)
