@@ -57,7 +57,6 @@ __all__ = [
     "MapStack",
     "apply",
     "images",
-    "image_bytes",
     "own_images",
     "cyclic_images",
     "compose",
@@ -148,16 +147,10 @@ def images(phi: Automorphism, words, *, budget: int | None = None) -> list:
     words = list(words)
     if any(w.rank != phi.rank for w in words):
         raise ValueError("rank mismatch")
-    return _words(image_bytes(phi, [w.letters for w in words], budget=budget), phi.rank)
-
-
-def image_bytes(phi: Automorphism, words, *, budget: int | None = None) -> list:
-    """`images` of words given as bytes, as bytes: a group of one on
-    phi's table, raising as `images` does."""
-    [out] = lockstep_substitute(phi._table, [0], [list(words)], _budget(budget))
+    [out] = lockstep_substitute(phi._table, [0], [[w.letters for w in words]], _budget(budget))
     if isinstance(out, WordBudgetExceeded):
         raise out
-    return out
+    return _words(out, phi.rank)
 
 
 def own_images(tables, groups, *, budget: int | None = None) -> list:

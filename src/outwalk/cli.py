@@ -21,7 +21,9 @@ nothing else.  Only the timestamp differs between reruns, so output
 bodies stay byte-identical across reruns and worker counts.
 
 A `run` body holds per-path records only (path_id 0..paths-1); every
-summary comes from `summarize`, the one aggregator.  Its schema (exact):
+summary comes from `summarize`, the one aggregator.  It reads a series
+into one table per experiment, (path_id, n) -> {estimator: (value,
+status)}, and writes each row from it.  Its schema (exact):
 experiment,n,estimator,mean,median,ci_low,ci_high,effective_paths,
 truncated,downgraded; the last three say which paths a row covers.
 """
@@ -34,7 +36,6 @@ import math
 import os
 import statistics
 import sys
-from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -171,57 +172,55 @@ def batch_means_ci(values) -> float | None:
     return 1.96 * statistics.stdev(means) / math.sqrt(nb)
 
 
-def ok_values(rows) -> dict:
-    """The values that enter aggregates, by (n, estimator), in path order.
+def summary_rows(experiment: str, table: dict) -> list:
+    """The summary rows of one experiment's table (path_id, n) ->
+    {estimator: (value, status)}, one per (n, estimator) of a record.
 
-    Only finite values of ok rows count; any other value stays in its
-    per-path row.
+    mean, median and the interval are over the finite values of the ok
+    records, in path order, and effective_paths counts them; with none,
+    the three are left empty.  The 95% interval (`batch_means_ci`) is
+    left empty with fewer than four values.  truncated counts the paths
+    cut at n: a path whose `truncated_at` step is below n, or one with a
+    truncated record at n (a spectral or gromov record).  downgraded
+    counts the downgraded records.  So effective_paths + truncated +
+    downgraded is the number of paths whenever every ok value is finite.
     """
-    by_key = {}
-    for pid, n, est, value, status in sorted(rows, key=lambda row: row[0]):
-        if status == "ok" and math.isfinite(value):
-            by_key.setdefault((n, est), []).append(value)
-    return by_key
-
-
-def _uncovered(rows) -> dict:
-    """(truncated, downgraded) by (n, estimator), for every key of a
-    per-path record.
-
-    truncated counts the paths cut at n: a path whose `truncated_at`
-    step is below n, or one with a record at n that hit the budget (a
-    spectral or gromov record).  downgraded counts the downgraded
-    records at (n, estimator).
-    """
-    last_step = {pid: value for pid, _, est, value, _ in rows if est == "truncated_at"}
-    hit = {(pid, n) for pid, n, est, _, status in rows
-           if status == "truncated" and est != "truncated_at"}
-    downgraded = Counter((n, est) for _, n, est, _, status in rows if status == "downgraded")
-    out = {}
-    for n, est in {(n, est) for _, n, est, _, _ in rows if est != "truncated_at"}:
-        cut = {pid for pid, step in last_step.items() if step < n}
-        cut |= {pid for pid, m in hit if m == n}
-        out[(n, est)] = (len(cut), downgraded[(n, est)])
-    return out
+    pids = sorted({pid for pid, _ in table})
+    last_step = {pid: cell["truncated_at"][0] for (pid, _), cell in table.items()
+                 if "truncated_at" in cell}
+    lines = []
+    for n, est in sorted({(n, est) for (_, n), cell in table.items() for est in cell
+                          if est != "truncated_at"}):
+        cells = [table.get((pid, n), {}) for pid in pids]
+        records = [cell[est] for cell in cells if est in cell]
+        values = [value for value, status in records if status == "ok" and math.isfinite(value)]
+        truncated = sum(last_step.get(pid, n) < n or any(
+            status == "truncated" for e, (_, status) in cell.items() if e != "truncated_at")
+            for pid, cell in zip(pids, cells))
+        downgraded = sum(status == "downgraded" for _, status in records)
+        mean_s = median_s = lo_s = hi_s = ""
+        if values:
+            mean = sum(values) / len(values)
+            mean_s, median_s = _fmt(mean), _fmt(statistics.median(values))
+            half = batch_means_ci(values)
+            if half is not None:
+                lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
+        lines.append(f"{experiment},{n},{est},{mean_s},{median_s},{lo_s},{hi_s},"
+                     f"{len(values)},{truncated},{downgraded}")
+    return lines
 
 
 def summarize(in_path: str, out_path: str) -> int:
-    """Aggregate a series CSV: one row per (experiment, n, estimator) of
-    a per-path record.
+    """Aggregate a series CSV: its records go into one table per
+    experiment, (path_id, n) -> {estimator: (value, status)}, and
+    `summary_rows` writes every row from it.
 
-    mean, median and the interval are over the values of `ok_values`,
-    and effective_paths counts them; with none, the three are left
-    empty.  The 95% interval uses batch means over paths in path_id
-    order (`batch_means_ci`); with fewer than four paths it is left
-    empty.  truncated and downgraded count the paths left out
-    (`_uncovered`), so that effective_paths + truncated + downgraded is
-    the number of paths whenever every ok value is finite.  An output
-    path that cannot be written is refused before the input is read,
-    and so is an input row that `run` does not write: a negative
-    path_id, a status other than ok, downgraded or truncated, or a
-    second record of one path, n and estimator.
+    An output path that cannot be written is refused before the input
+    is read, and so is an input row that `run` does not write: a
+    negative path_id, a status other than ok, downgraded or truncated,
+    or a second record of one path, n and estimator.
     """
-    records, keys = {}, set()
+    tables = {}
     try:
         _check_out(out_path)
         with open(in_path) as fh:
@@ -232,15 +231,15 @@ def summarize(in_path: str, out_path: str) -> int:
                 if len(row) != 6:
                     raise ConfigError(f"malformed row {row!r}")
                 experiment, pid, n, est, value, status = row
-                key = (experiment, int(pid), int(n), est)
-                if key[1] < 0:
+                pid, n = int(pid), int(n)
+                if pid < 0:
                     raise ConfigError(f"row {row!r}: path_id must be >= 0")
                 if status not in ("ok", "downgraded", "truncated"):
                     raise ConfigError(f"row {row!r}: unknown status {status!r}")
-                if key in keys:
+                cell = tables.setdefault(experiment, {}).setdefault((pid, n), {})
+                if est in cell:
                     raise ConfigError(f"row {row!r}: a second record of one path, n and estimator")
-                keys.add(key)
-                records.setdefault(experiment, []).append((*key[1:], float(value), status))
+                cell[est] = (float(value), status)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -248,19 +247,8 @@ def summarize(in_path: str, out_path: str) -> int:
         print(f"error: malformed series file: {e}", file=sys.stderr)
         return 2
     lines = [SUMMARY_HEADER]
-    for experiment in sorted(records):
-        by_key = ok_values(records[experiment])
-        for (n, est), (truncated, downgraded) in sorted(_uncovered(records[experiment]).items()):
-            values = by_key.get((n, est), [])
-            mean_s = median_s = lo_s = hi_s = ""
-            if values:
-                mean = sum(values) / len(values)
-                mean_s, median_s = _fmt(mean), _fmt(statistics.median(values))
-                half = batch_means_ci(values)
-                if half is not None:
-                    lo_s, hi_s = _fmt(mean - half), _fmt(mean + half)
-            lines.append(f"{experiment},{n},{est},{mean_s},{median_s},{lo_s},{hi_s},"
-                         f"{len(values)},{truncated},{downgraded}")
+    for experiment in sorted(tables):
+        lines += summary_rows(experiment, tables[experiment])
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

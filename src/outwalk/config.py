@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, least_rotation,
                          parse_word, word_to_str)
-from .automorphisms import InverseCheckError, parse_automorphism, automorphism_to_str
+from .automorphisms import InverseCheckError, parse_automorphism
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
 from .spectral import DEFAULT_K_MAX
 from .walk_engine import ProbMeasure, WALK_K_MAX

@@ -19,7 +19,6 @@ from ._wordkernel import (
     cyclic_trim,
     is_reduced,
     reduce_array,
-    stack_reduce,
 )
 
 __all__ = [

@@ -127,20 +127,20 @@ class ProbMeasure:
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, expected 1")
-        first = self.support[0]
-        if isinstance(first, Automorphism):
+        atom = Automorphism if isinstance(self.support[0], Automorphism) else IntMatrix
+        if not all(isinstance(a, atom) for a in self.support):
+            raise ValueError("support must hold Automorphisms or IntMatrices")
+        if atom is Automorphism:
             ranks = {a.rank for a in self.support}
             if len(ranks) != 1:
                 raise ValueError("support mixes ranks")
-        elif isinstance(first, IntMatrix):
+        else:
             dims = {m.n for m in self.support}
             if len(dims) != 1:
                 raise ValueError("support mixes dimensions")
             for m in self.support:
                 if m.det() not in (-1, 1):
                     raise ValueError("matrix increments must have determinant +-1")
-        else:
-            raise ValueError("support must hold Automorphisms or IntMatrices")
 
     @property
     def is_matrix(self) -> bool:

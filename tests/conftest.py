@@ -5,7 +5,7 @@ import pytest
 
 from outwalk.automorphisms import (
     Automorphism,
-    image_bytes,
+    images,
     invert,
     left_multiplier,
     right_multiplier,
@@ -50,7 +50,7 @@ def orbit_dist(phi: Automorphism, psi: Automorphism, *, budget: int | None = Non
     of phi substituted through psi^{-1}.  Raises WordBudgetExceeded for
     the first image whose substitution needs more letters than the
     budget."""
-    return image_dist(image_bytes(invert(psi), as_bytes(phi.images), budget=budget))
+    return image_dist(as_bytes(images(invert(psi), phi.images, budget=budget)))
 
 
 def gromov_product(phi: Automorphism, psi: Automorphism, *, budget: int | None = None) -> float:

@@ -476,7 +476,7 @@ def test_summarize_refuses_unwritable_out_before_aggregating(tmp_path, monkeypat
     def aggregate(*args, **kwargs):
         raise AssertionError("the series was aggregated")
 
-    monkeypatch.setattr(cli, "ok_values", aggregate)
+    monkeypatch.setattr(cli, "summary_rows", aggregate)
     series = tmp_path / "series.csv"
     series.write_text(CSV_HEADER + "\ndrift,0,1,drift,0.5,ok\n")
     out = tmp_path if where == "directory" else tmp_path / "missing" / "y.csv"

@@ -13,6 +13,9 @@ row passes through, runs through the CLI; the sha256 of its CSV body
 here, at `--threads 1` and, for a config that reads `paths`, at
 `--threads 2` too.  A refactor that claims no behaviour change keeps
 every digest.
+The summary of each config that reads `paths` is pinned the same way:
+the sha256 of the whole file that `outwalk summarize` writes from its
+`--threads 1` body.
 An intended output change updates the digests it moves and says so in
 CHANGES.md, together with its cause.
 """
@@ -138,6 +141,35 @@ DIGESTS = {
     "stretch": "aff07c4095e22ab7f2af4e45dc86bab804b9cd0696028664c96e2790f8d0471c",
 }
 
+SUMMARY_DIGESTS = {
+    "conjugacy": "7fe9a7afebdc29d7e4142aed4c6187eae8b12595510e12cf551d322a61917a5f",
+    "conjugacy-batch": "fe1243bed92c2a9b12e4bfa397b3fb13f3d8928adb7f7271c218e0c57290cc26",
+    "conjugacy-cut": "eea2e7b2a7ddd72d60ca88d89108b0c8a54bbf5476e437b7f465e1e7db47a9c2",
+    "conjugacy-f2": "94ffe84d2525759351cc889b1c51c813bc659b6da4f08c704d97e44f1f54ffd6",
+    "drift": "3084bb31f0c98d5d1ad90e35d50392e64c3c5ba59237d26fb938f26a624493e7",
+    "drift-cut": "a0b81d6bb4aae3e63a82aa2e6b28cc56d02890617271aa340123d1aabb08ddbc",
+    "drift-f2": "915b7a818fb984c9a28903291fe15f4555477d815757e066830f34be5e9f3abb",
+    "gromov": "91dd64b137faeb89b41185fddefc39fbc9b8c4357f84d005a5ab38cd575bbfb0",
+    "gromov-batch": "b94b16fd58cdf2f659b2d10a5bc3073c2b208f031f12e27c025ea2eefeb775d8",
+    "gromov-cut": "d55400c6fc96f4c02f46ceeca17f9870151a60bd9b7b2f4a6fc0e846b2dfd6a8",
+    "gromov-f2": "abc94cfd4919e8e0da51e345bf0119514ab24d84f30c9487977cc4ad74a7e914",
+    "matrix-furstenberg": "589c0fe80e64babbb1cf036bd12195c845f2783167e23e184f26d52dc4c64edb",
+    "matrix-furstenberg-cut": "ca4bf9cf80f4100c83b06290e6ea7f9307123786f4357b62b5b5d8c7a2a0ad3b",
+    "matrix-furstenberg-dense": "6ea2f64997bde5309b26f4940501cce9836e6ab063ca6050a24a80ff58a78336",
+    "matrix-furstenberg-sl2": "e72d4ce964a11cc748dfb44bf8ffcaba1bf6b5c60e2977ca95535c9dde92a894",
+    "matrix-guivarch": "292fcdd42463e5e18119dc6a0f5052ba705e2b21956a8a3410139b24c93d7ab4",
+    "matrix-guivarch-ballcut": "8443d1a2f509e8f76920d0b7719b9b2fb065d307e686d960482dbd30e8c26690",
+    "matrix-guivarch-cut": "a6990bd297ca1a3f4530ec8dcc0b6e7d88e3eca4e1012dda30ed083dce17e5a5",
+    "matrix-guivarch-dense": "1e40874b05230412d20873975127a2df73b9183cb256ff806e8b76ad3a1da62a",
+    "matrix-guivarch-long": "863907f5a5498ac58c761679386c0d960b9ec897460d89373ab841923cdd4d3a",
+    "matrix-guivarch-sl2": "dcc93bfec74566ea6de18e89f86cacaa10436c23557dabf9c634267d643b94b1",
+    "matrix-guivarch-sl4": "26c702f8ae5de847ce5299c0dc52985420b710f14ab5eedf3a40b9a4eea3480f",
+    "spectral": "ceb92965963c730d6a843c9b5389179c7de198cb5b960926d40da67970f98887",
+    "spectral-cut": "01e9fd8fa9c286851582746b54f60933a6c6d7c5ee4745815ad504f98871a2fc",
+    "spectral-deep": "c54ecb5d375b7f2fb7f93ce977dc52591e97b22ee2f598a99d310c9eb55b7dd3",
+    "spectral-f2": "a4219e4bbc3694573d3d2d3224fb649682ed8d972a54472cfef49935d66c7195",
+}
+
 
 def test_dense_atoms_are_unimodular():
     assert [IntMatrix(rows).det() for rows in DENSE_ATOMS] == [1, -1, -1]
@@ -169,6 +201,14 @@ def body_digest(tmp_path, text, threads=1) -> str:
     return hashlib.sha256("".join(body_lines(tmp_path, text, threads)).encode()).hexdigest()
 
 
+def summary_digest(tmp_path, text) -> str:
+    """The sha256 of the summary that `outwalk summarize` writes from the run's CSV."""
+    body_lines(tmp_path, text)
+    out = tmp_path / "summary.csv"
+    assert main(["summarize", "--in", str(tmp_path / "golden.csv"), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def config_text(measures, name) -> str:
     head, measure = CONFIGS[name]
     return head + (measure_text(measures[measure]) if measure in measures else measure)
@@ -184,6 +224,12 @@ RUNS = [pytest.param(name, threads, id=name if threads == 1 else f"{name}-thread
 @pytest.mark.parametrize("name, threads", RUNS)
 def test_body_matches_golden(tmp_path, measures, name, threads):
     assert body_digest(tmp_path, config_text(measures, name), threads) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(CONFIGS)
+                                  if "\npaths = " in CONFIGS[name][0]])
+def test_summary_matches_golden(tmp_path, measures, name):
+    assert summary_digest(tmp_path, config_text(measures, name)) == SUMMARY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -66,6 +66,11 @@ def test_measure_validation():
         ProbMeasure((FIB, ROT), (0.5, 0.5))  # rank mismatch
     with pytest.raises(ValueError):
         ProbMeasure((IntMatrix([[2, 0], [0, 1]]),), (1.0,))  # det 2
+    # a support that mixes automorphisms and matrices, in either order
+    unit = IntMatrix([[1, 1], [0, 1]])
+    for support in ((FIB, unit), (unit, FIB)):
+        with pytest.raises(ValueError, match="^support must hold Automorphisms or IntMatrices$"):
+            ProbMeasure(support, (0.5, 0.5))
 
 
 def test_point_mass_walk_is_power():
