@@ -13,11 +13,11 @@ A @ B is the sum of a * B[j] over the nonzero entries a = A[i][j] of the
 row, and a unit row e_j hands back the row B[j] itself, the same tuple
 (`IntMatrix._sparse_rows`, found once per matrix).  Increments are the
 left factors, so only the support atoms pay for their patterns, and a
-transvection I +- E_ij costs n multiply-adds instead of n^3 products;
-`apply` reads a vector the same way.  `guivarch_series` keeps the
-absolute sum and the longest entry of each row of its running product,
-and reads again only the rows that the increment changed: its bit
-checks and the row norm it reports read no product twice.
+transvection I +- E_ij costs n multiply-adds instead of n^3 products.
+`running_products`, the one product loop of both matrix kinds, keeps
+the absolute sum and the longest entry of each row of its product and
+reads again only the rows that the increment changed.  `vector_growth`
+starts it from the column block v: it forms A_n ... A_1 v, never A_n ... A_1.
 
 Spectral radius brackets are reported on natural-log scale: a linear
 value would overflow a double long before a 1000-step product does.  Up
@@ -66,7 +66,7 @@ as repeated squaring gives, and the budget raises at the same power.
 So the bracket is the exact ladder's whichever way it is read, and no
 matrix of a batch changes another's.  `spectral_radii` is the batch
 entry, `spectral_radius` its batch of one, and `guivarch_series` takes
-the brackets of a path's running products one chunk at a time.  Each
+the brackets of a chunk of `running_products` at a time.  Each
 ladder level costs a few dozen whole-batch calls whatever the batch
 size, so a chunk is up to CHUNK = 512 products; it closes early once
 its entries pass CHUNK_BITS = 2^22 bits (512 KiB), which bounds what a
@@ -81,7 +81,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -107,7 +107,7 @@ PREC = 128  # a power whose row norm is longer is cut to PREC bits before it is 
 
 ROOT_BITS = 128  # `_log_half_sum_sqrt` roots about the top ROOT_BITS bits of a long root
 
-# running products per spectral_radii batch of guivarch_series, and a cap
+# running products per chunk of running_products, and a cap
 # on the entry bits a chunk holds: a chunk closes once its entries pass
 # CHUNK_BITS (512 KiB), where CHUNK products of 3x3 matrices near the
 # default bit budget would hold about 576 MB
@@ -144,7 +144,8 @@ class IntMatrix:
 
     @classmethod
     def _of_rows(cls, rows: tuple) -> "IntMatrix":
-        """The matrix of `rows`, a square tuple of int tuples, unchecked."""
+        """The matrix of `rows`, a square tuple of int tuples, unchecked (an
+        n x k block only as the right factor of `@` in `running_products`)."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", rows)
         return m
@@ -171,8 +172,8 @@ class IntMatrix:
         rows = other.entries
         if len(self.entries) != len(rows):
             raise ValueError("dimension mismatch")
-        return IntMatrix._of_rows(tuple(
-            rows[t] if type(t) is int else _combine(t, rows) for t in self._sparse_rows))
+        return IntMatrix._of_rows(tuple([
+            rows[t] if type(t) is int else _combine(t, rows) for t in self._sparse_rows]))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
@@ -201,12 +202,6 @@ class IntMatrix:
     def max_bits(self) -> int:
         return max(x.bit_length() for row in self.entries for x in row)
 
-    def apply(self, v: tuple) -> tuple:
-        if len(v) != self.n:
-            raise ValueError("vector dimension mismatch")
-        return tuple(v[t] if type(t) is int else sum(a * v[j] for j, a in t)
-                     for t in self._sparse_rows)
-
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
@@ -214,7 +209,7 @@ class IntMatrix:
 def _combine(terms: tuple, rows: tuple) -> tuple:
     """The row sum of a * rows[j] over the (j, a) pairs of `terms`."""
     if not terms:
-        return (0,) * len(rows)
+        return (0,) * len(rows[0])
     acc = None
     for j, a in terms:
         row = rows[j] if a == 1 else map(operator.mul, repeat(a), rows[j])
@@ -469,19 +464,19 @@ def vector_growth(
 ) -> Iterator[tuple]:
     """Yield (n, (1/n) log ||A_n ... A_1 vector||_inf) along a path of increments.
 
-    Raises BitBudgetExceeded once entries outgrow the bit budget.
+    The row norms of `running_products` from the column block `vector`.
+    Raises ValueError for a zero or non-integer seed, and
+    BitBudgetExceeded once entries outgrow the bit budget.
     """
-    w = tuple(int(x) for x in vector)
+    try:
+        w = [operator.index(x) for x in vector]
+    except TypeError as e:
+        raise ValueError(f"seed vector entries must be integers: {vector!r}") from e
     if not any(w):
         raise ValueError("seed vector must be nonzero")
-    n = 0
-    for a in increments:
-        w = a.apply(w)
-        n += 1
-        top = max(abs(x) for x in w)
-        if top.bit_length() > bit_budget:
-            raise BitBudgetExceeded(f"vector entries exceed {bit_budget} bits at n={n}")
-        yield n, _log_int(top) / n
+    chunks = running_products(increments, bit_budget, IntMatrix._of_rows(tuple((x,) for x in w)))
+    for n, norm in enumerate(chain.from_iterable(norms for _, norms in chunks), 1):
+        yield n, _log_int(norm) / n
 
 
 def guivarch_series(
@@ -489,27 +484,41 @@ def guivarch_series(
 ) -> Iterator[tuple]:
     """Yield (n, rho_lower/n, rho_upper/n, log_norm/n) for running products.
 
-    The product is maintained exactly.  The rho bounds of a chunk of
-    CHUNK running products, fewer once their entries hold CHUNK_BITS
-    bits, come from one `spectral_radii` batch (exact for 2x2), so the
-    products run ahead of the rows by at most a chunk.  Raises
-    BitBudgetExceeded, after the rows before it, at the first n where
-    the entries of the product or of one of its Gelfand powers outgrow
-    the budget.  The powers A^k of a product with b-bit entries have at
-    most k (b + n.bit_length()) bits, so a chunk of n x n products,
-    n >= 3, also closes after a product whose A^64 may outgrow it: no
-    product past a cut is formed.  The closed form of n <= 2 forms no
-    power and cannot raise.
+    The rho bounds of a chunk of `running_products` come from one
+    `spectral_radii` batch (exact for 2x2).  Raises BitBudgetExceeded,
+    after the rows before it, at the first n where the entries of the
+    product or of one of its Gelfand powers outgrow the budget.
     """
-    prod = None
+    n = 0
+    for products, norms in running_products(increments, bit_budget):
+        for br, norm in zip(spectral_radii(products, bit_budget), norms):
+            n += 1
+            yield n, br.lower / n, br.upper / n, _log_int(norm) / n
+
+
+def running_products(
+    increments: Iterable[IntMatrix], bit_budget: int, start: Optional[IntMatrix] = None
+) -> Iterator[tuple]:
+    """Yield the running products A_n ... A_1 start in chunks (blocks, row norms).
+
+    With start None the first product is the first increment; an n x k
+    `start` gives n x k blocks, formed without A_n ... A_1.  A chunk
+    holds CHUNK products, fewer past CHUNK_BITS entry bits, and closes
+    after a product whose A^64 may outgrow the budget (at most
+    k (b + n.bit_length()) bits in A^k for b-bit entries, n >= 3): no
+    product past a Gelfand cut is formed.  Raises BitBudgetExceeded,
+    after the chunk before it, at the first n where an entry outgrows
+    the budget.
+    """
+    prod, reads = start, None
     n = 0
     chunk, norms, bits = [], [], 0
     for a in increments:
-        if prod is None:
-            prod = a
-            reads = list(map(_read_row, a.entries))
-            dim = len(a.entries)
-            cells = dim * dim
+        if reads is None:
+            prod = a if prod is None else a @ prod
+            reads = list(map(_read_row, prod.entries))
+            dim = len(prod.entries)
+            cells = dim * len(prod.entries[0])
             # the close rule (b + dim.bit_length()) << GELFAND_MAX_J > bit_budget
             # as a bound on b; a 2x2 product forms no power, and every b that
             # reaches the test is at most bit_budget
@@ -522,33 +531,22 @@ def guivarch_series(
                      for t, row in zip(a._sparse_rows, prod.entries)]
         norm, b = map(max, zip(*reads))
         if b > bit_budget:
-            yield from _bracket_rows(chunk, norms, n, bit_budget)
+            yield chunk, norms
             raise BitBudgetExceeded(
                 f"product entries exceed {bit_budget} bits at n={n + len(chunk) + 1}")
         chunk.append(prod)
         norms.append(norm)
         bits += b * cells
         if len(chunk) == CHUNK or bits > CHUNK_BITS or b > close_bits:
-            yield from _bracket_rows(chunk, norms, n, bit_budget)
+            yield chunk, norms
             n += len(chunk)
             chunk, norms, bits = [], [], 0
-    yield from _bracket_rows(chunk, norms, n, bit_budget)
+    yield chunk, norms
 
 
 def _read_row(row: tuple) -> tuple:
     """The absolute sum of an int row and the bit length of its longest entry."""
     return sum(map(abs, row)), max(map(int.bit_length, row))
-
-
-def _bracket_rows(products: list, norms: list, n: int, bit_budget: int) -> Iterator[tuple]:
-    """The guivarch_series rows of the running products A_(n+1), A_(n+2), ...,
-    whose row norms are `norms`.
-
-    Raises the BitBudgetExceeded of the first product that has one.
-    """
-    for br, norm in zip(spectral_radii(products, bit_budget), norms):
-        n += 1
-        yield n, br.lower / n, br.upper / n, _log_int(norm) / n
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -24,8 +24,8 @@ the step (`spectral.brackets`, whose power orbits step in lockstep).
 Gromov products track drift's images followed by those of Phi_n (step
 `MapStack.compose`), and a scheduled step reads dist of both maps and
 their squares off their power orbits in one batch
-(`spectral.power_orbits`).  The matrix kinds run over `guivarch_series`
-and `vector_growth`.
+(`spectral.power_orbits`).  The matrix kinds read the one product loop
+`running_products`, through `guivarch_series` and `vector_growth`.
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records

@@ -36,7 +36,7 @@ from outwalk.spectral import bracket
 THETA = "rank = 3\ngen.0.map = a->b; b->c; c->ab\ngen.0.inv = a->cA; b->a; c->b\n"
 
 # dense atoms of determinant +-1: no row of one is a unit row, so every
-# product runs the dense path of `@` and `apply`
+# product runs the dense path of `@`
 DENSE_ATOMS = ([[2, 1, 1], [1, 1, 1], [1, 1, 2]],
                [[1, 2, 1], [1, 1, 1], [0, 1, 1]],
                [[1, -1, 2], [0, 1, 1], [1, 0, 2]])

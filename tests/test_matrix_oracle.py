@@ -153,9 +153,10 @@ def test_sparse_products_equal_the_dense_sums(args):
                         for j in range(n)] for i in range(n)])
     prod = a @ b
     assert prod == dense and hash(prod) == hash(dense)
-    image = a.apply(tuple(v))
-    assert type(image) is tuple
-    assert image == tuple(sum(a.entries[i][k] * v[k] for k in range(n)) for i in range(n))
+    # a column block, the right factor `running_products` carries for a vector
+    image = (a @ IntMatrix._of_rows(tuple((x,) for x in v))).entries
+    assert all(type(row) is tuple for row in image)
+    assert image == tuple((sum(a.entries[i][k] * v[k] for k in range(n)),) for i in range(n))
 
 
 def test_a_unit_row_passes_the_right_factors_row_through():
@@ -164,8 +165,8 @@ def test_a_unit_row_passes_the_right_factors_row_through():
     p = a @ b
     assert p.entries[0] is b.entries[0] and p.entries[1] is b.entries[2]
     assert p.entries[2] == (2**100 - 7, -8, -8)
-    v = (2**90, 5, -6)
-    assert a.apply(v)[0] is v[0]
+    v = IntMatrix._of_rows(((2**90,), (5,), (-6,)))
+    assert (a @ v).entries[0] is v.entries[0]
 
 
 @settings(max_examples=50)
@@ -786,6 +787,50 @@ def test_vector_growth_homogeneity():
 def test_vector_growth_rejects_zero():
     with pytest.raises(ValueError):
         list(vector_growth([IntMatrix.identity(2)], (0, 0)))
+
+
+@pytest.mark.parametrize("seed", [(1.5, 0), (1.0, 0), ("1", 0)])
+def test_vector_growth_rejects_a_non_integer_seed(seed):
+    # as IntMatrix refuses these entries, not truncated to (1, 0)
+    with pytest.raises(ValueError, match="seed vector entries must be integers"):
+        list(vector_growth([IntMatrix.identity(2)], seed))
+
+
+def reference_vector_rows(increments, vector, bit_budget):
+    """vector_growth one dense step v <- A v at a time: its rows and the
+    message it ends with."""
+    v, rows = list(vector), []
+    for n, a in enumerate(increments, 1):
+        v = [sum(x * y for x, y in zip(row, v)) for row in a.entries]
+        top = max(map(abs, v))
+        if top.bit_length() > bit_budget:
+            return rows, f"product entries exceed {bit_budget} bits at n={n}"
+        rows.append((n, (math.log(top) if top else -math.inf) / n))
+    return rows, None
+
+
+@pytest.mark.parametrize("chunk", [1, 3, CHUNK])
+@pytest.mark.parametrize("bit_budget", [40, 10**6])  # 40 cuts every dimension mid-walk
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_vector_growth_equals_the_dense_steps(chunk, bit_budget, dim, monkeypatch):
+    rng = random.Random(dim)
+    atoms = transvections(dim) if dim > 1 else [IntMatrix([[2]]), IntMatrix([[-3]])]
+    increments = [rng.choice(atoms) for _ in range(max(600, chunk + 100))]
+    # a zero row: the column block's row becomes (0,); in dimension 1 it
+    # zeroes the vector, so there it is the last increment
+    zero_row = [[0] * dim] + [[int(r == c) for c in range(dim)] for r in range(1, dim)]
+    increments[6 if dim > 1 else -1] = IntMatrix(zero_row)
+    vector = tuple(range(1, dim + 1))
+    monkeypatch.setattr(matrix_oracle, "CHUNK", chunk)
+    rows, message = [], None
+    try:
+        for row in vector_growth(increments, vector, bit_budget):
+            rows.append(row)
+    except BitBudgetExceeded as e:
+        message = str(e)
+    expected = reference_vector_rows(increments, vector, bit_budget)
+    assert (rows, message) == expected
+    assert (message is None) == (bit_budget == 10**6)
 
 
 def test_guivarch_series_identity():
