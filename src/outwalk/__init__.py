@@ -33,10 +33,8 @@ from .matrix_oracle import (
     BitBudgetExceeded,
     IntMatrix,
     MatrixBracket,
-    guivarch_series,
     log_norm,
     spectral_radius,
-    vector_growth,
 )
 from .walk_engine import (
     EstimateSeries,

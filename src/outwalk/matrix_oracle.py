@@ -16,8 +16,8 @@ left factors, so only the support atoms pay for their patterns, and a
 transvection I +- E_ij costs n multiply-adds instead of n^3 products.
 `running_products`, the one product loop of both matrix kinds, keeps
 the absolute sum and the longest entry of each row of its product and
-reads again only the rows that the increment changed.  `vector_growth`
-starts it from the column block v: it forms A_n ... A_1 v, never A_n ... A_1.
+reads again only the rows that the increment changed.  Started from a
+column block v, it forms A_n ... A_1 v, never A_n ... A_1.
 
 Spectral radius brackets are reported on natural-log scale: a linear
 value would overflow a double long before a 1000-step product does.  Up
@@ -65,13 +65,13 @@ on it alone with no cut: every power is then exact, the same integers
 as repeated squaring gives, and the budget raises at the same power.
 So the bracket is the exact ladder's whichever way it is read, and no
 matrix of a batch changes another's.  `spectral_radii` is the batch
-entry, `spectral_radius` its batch of one, and `guivarch_series` takes
-the brackets of a chunk of `running_products` at a time.  Each
-ladder level costs a few dozen whole-batch calls whatever the batch
-size, so a chunk is up to CHUNK = 512 products; it closes early once
-its entries pass CHUNK_BITS = 2^22 bits (512 KiB), which bounds what a
-chunk of long products holds, or after a product whose A^64 may pass
-the bit budget.
+entry, `spectral_radius` its batch of one, and the Guivarc'h kind
+(`walk_engine.guivarch_experiment`) takes the brackets of a chunk of
+`running_products` at a time.  Each ladder level costs a few dozen
+whole-batch calls whatever the batch size, so a chunk is up to CHUNK =
+512 products; it closes early once its entries pass CHUNK_BITS = 2^22
+bits (512 KiB), which bounds what a chunk of long products holds, or
+after a product whose A^64 may pass the bit budget.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -94,8 +94,6 @@ __all__ = [
     "log_norm",
     "spectral_radius",
     "spectral_radii",
-    "vector_growth",
-    "guivarch_series",
     "parse_matrix",
 ]
 
@@ -459,43 +457,6 @@ def _log_of_all(lo: int, hi: int, e: int) -> Optional[float]:
     return None
 
 
-def vector_growth(
-    increments: Iterable[IntMatrix], vector: tuple, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Iterator[tuple]:
-    """Yield (n, (1/n) log ||A_n ... A_1 vector||_inf) along a path of increments.
-
-    The row norms of `running_products` from the column block `vector`.
-    Raises ValueError for a zero or non-integer seed, and
-    BitBudgetExceeded once entries outgrow the bit budget.
-    """
-    try:
-        w = [operator.index(x) for x in vector]
-    except TypeError as e:
-        raise ValueError(f"seed vector entries must be integers: {vector!r}") from e
-    if not any(w):
-        raise ValueError("seed vector must be nonzero")
-    chunks = running_products(increments, bit_budget, IntMatrix._of_rows(tuple((x,) for x in w)))
-    for n, norm in enumerate(chain.from_iterable(norms for _, norms in chunks), 1):
-        yield n, _log_int(norm) / n
-
-
-def guivarch_series(
-    increments: Iterable[IntMatrix], bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Iterator[tuple]:
-    """Yield (n, rho_lower/n, rho_upper/n, log_norm/n) for running products.
-
-    The rho bounds of a chunk of `running_products` come from one
-    `spectral_radii` batch (exact for 2x2).  Raises BitBudgetExceeded,
-    after the rows before it, at the first n where the entries of the
-    product or of one of its Gelfand powers outgrow the budget.
-    """
-    n = 0
-    for products, norms in running_products(increments, bit_budget):
-        for br, norm in zip(spectral_radii(products, bit_budget), norms):
-            n += 1
-            yield n, br.lower / n, br.upper / n, _log_int(norm) / n
-
-
 def running_products(
     increments: Iterable[IntMatrix], bit_budget: int, start: Optional[IntMatrix] = None
 ) -> Iterator[tuple]:
@@ -503,10 +464,10 @@ def running_products(
 
     With start None the first product is the first increment; an n x k
     `start` gives n x k blocks, formed without A_n ... A_1.  A chunk
-    holds CHUNK products, fewer past CHUNK_BITS entry bits, and closes
-    after a product whose A^64 may outgrow the budget (at most
-    k (b + n.bit_length()) bits in A^k for b-bit entries, n >= 3): no
-    product past a Gelfand cut is formed.  Raises BitBudgetExceeded,
+    holds CHUNK products, fewer past CHUNK_BITS entry bits, and without
+    `start` closes after a product whose A^64 may outgrow the budget (at
+    most k (b + n.bit_length()) bits in A^k for b-bit entries, n >= 3):
+    no product past a Gelfand cut is formed.  Raises BitBudgetExceeded,
     after the chunk before it, at the first n where an entry outgrows
     the budget.
     """
@@ -520,9 +481,9 @@ def running_products(
             dim = len(prod.entries)
             cells = dim * len(prod.entries[0])
             # the close rule (b + dim.bit_length()) << GELFAND_MAX_J > bit_budget
-            # as a bound on b; a 2x2 product forms no power, and every b that
-            # reaches the test is at most bit_budget
-            close_bits = (bit_budget if dim <= 2
+            # as a bound on b; no ladder reads a 2x2 product or a block, and
+            # every b that reaches the test is at most bit_budget
+            close_bits = (bit_budget if dim <= 2 or start is not None
                           else (bit_budget >> GELFAND_MAX_J) - dim.bit_length())
         else:
             # a unit row of the increment passes a row of the product through

@@ -5,8 +5,8 @@ increments.  With the left action on the rose orbit, d(y0, Phi_n.y0) =
 dist(Phi_n^{-1}).
 
 Every multi-path kind is a row source: group_rows(path_ids) yields
-(path_id, n, [(estimator, value, status), ...]) once for every
-completed step of each path.  Every word kind runs over
+(path_id, n, records) for a path's steps through n, each record built
+once, by the code that computes its value.  Every word kind runs over
 `_inverse_orbit`, which tracks a state under the inverse increments,
 Phi_n^{-1}(w) = s_n^{-1}(Phi_{n-1}^{-1}(w)), with one step per
 increment; none forms Phi_n by composing forward.  Every state is a
@@ -24,8 +24,8 @@ the step (`spectral.brackets`, whose power orbits step in lockstep).
 Gromov products track drift's images followed by those of Phi_n (step
 `MapStack.compose`), and a scheduled step reads dist of both maps and
 their squares off their power orbits in one batch
-(`spectral.power_orbits`).  The matrix kinds read the one product loop
-`running_products`, through `guivarch_series` and `vector_growth`.
+(`spectral.power_orbits`).  The matrix kinds hand each chunk of
+`running_products`, the one product loop, to a reader (`_matrix_path`).
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  A series holds per-path records
@@ -71,21 +71,16 @@ other.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from itertools import count, islice, repeat
 
 from .free_group import WordBudgetExceeded, word_to_str
 from ._wordkernel import class_length, inverse_bytes, lockstep_orbits
 from .automorphisms import Automorphism, MapStack, compose, identity_automorphism, invert
-from .matrix_oracle import (
-    BitBudgetExceeded,
-    DEFAULT_BIT_BUDGET,
-    IntMatrix,
-    guivarch_series,
-    vector_growth,
-)
+from .matrix_oracle import (BitBudgetExceeded, DEFAULT_BIT_BUDGET, IntMatrix, _log_int,
+                            running_products, spectral_radii)
 from .outer_metric import image_dist
 from .spectral import brackets, power_orbits
 from .rng import categorical, cumulative, path_generator
@@ -267,13 +262,15 @@ def _run_paths(groups: int, threads: int, one_group) -> list:
 def _series(kind, group_rows, *, n_max, paths, threads):
     """The one driver of every multi-path experiment.
 
-    group_rows(pids) yields (pid, n, [(estimator, value, status), ...])
-    for every completed step n = 1, 2, ... of each path of pids, a
-    path's steps in order.  A path whose last completed step is below
-    n_max ends in one truncation row.  The paths run in one group of
-    contiguous path ids per thread (`_run_paths` runs the groups), and
-    merge in path order; no other row follows.
+    group_rows(pids) yields (pid, n, records): n is the last step a path
+    of pids completed so far, and records are its `EstimateSeries`
+    records since the yield before, stored as they come.  A path whose
+    last completed step is below n_max ends in one truncation row.  The
+    paths run in one group of contiguous path ids per thread, merged in
+    path order (`_run_paths`).  n_max and paths must be positive.
     """
+    if n_max < 1 or paths < 1:
+        raise ValueError(f"n_max and paths must be positive, got {n_max} and {paths}")
     groups = max(1, min(threads, paths))
     bounds = [paths * g // groups for g in range(groups + 1)]
 
@@ -281,8 +278,8 @@ def _series(kind, group_rows, *, n_max, paths, threads):
         pids = range(bounds[g], bounds[g + 1])
         rows = {pid: [] for pid in pids}
         last = dict.fromkeys(pids, 0)
-        for pid, n, step in group_rows(pids):
-            rows[pid].extend([(pid, n, est, value, status) for est, value, status in step])
+        for pid, n, records in group_rows(pids):
+            rows[pid] += records
             last[pid] = n
         out = []
         for pid in pids:
@@ -309,15 +306,17 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
     a group in lockstep: step n maps the images of step n-1 of every live
     path through its own s_n^{-1} by step(stack, maps, states,
     budget=budget), with step a method of `MapStack` over the inverse
-    support.  One record(n, states) call reads the new states of the
-    paths that the step did not cut, in order, and gives the rows of
-    each, which are yielded as (pid, n, rows).  A state is a list of
+    support.  One record(n, pids, states) call reads the new states of
+    the paths pids that the step did not cut, in order, and gives the
+    records of each, yielded as (pid, n, records).  A state is a list of
     words as bytes; with `MapStack.compose` and the generators twice as
     words, the images of Phi_n^{-1}, then those of Phi_n.
 
     The paths step under `_wordkernel.lockstep_orbits`, each an item
     (pid, increments, state) whose size is `_input_letters(state)`.
     """
+    if measure.is_matrix:
+        raise ValueError("word experiments need an automorphism measure")
     stack = MapStack([invert(a) for a in measure.support])
 
     def advance(n, paths):
@@ -325,8 +324,8 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
         states = step(stack, maps, [state for _, _, state in paths], budget=budget)
         paths = [(pid, steps, state)
                  for (pid, steps, _), state in zip(paths, states) if state is not None]
-        rows = record(n, [state for _, _, state in paths])
-        return paths, [(pid, n, step_rows) for (pid, _, _), step_rows in zip(paths, rows)]
+        pids = [pid for pid, _, _ in paths]
+        return paths, list(zip(pids, repeat(n), record(n, pids, [s for _, _, s in paths])))
 
     def group_rows(pids):
         paths = [(pid, _increments(measure, master_seed, pid), words) for pid in pids]
@@ -337,12 +336,12 @@ def _inverse_orbit(measure, master_seed, words, step, record, *, n_max, budget):
 
 def _on_schedule(record, n_max):
     """The step record of `_inverse_orbit` that reads the states by
-    record(n, states) at the n of the geometric schedule, and gives no
-    rows off them at any other n."""
+    record(n, pids, states) at the n of the geometric schedule, and gives
+    no records off them at any other n."""
     schedule = set(geometric_schedule(n_max))
 
-    def scheduled(n, states):
-        return record(n, states) if n in schedule else [[]] * len(states)
+    def scheduled(n, pids, states):
+        return record(n, pids, states) if n in schedule else [[]] * len(states)
 
     return scheduled
 
@@ -369,8 +368,8 @@ def drift_experiment(
     """
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
-    def record(n, states):
-        return [[("drift", image_dist(tracked) / n, "ok")] for tracked in states]
+    def record(n, pids, states):
+        return [[(pid, n, "drift", image_dist(s) / n, "ok")] for pid, s in zip(pids, states)]
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images, record,
                             n_max=n_max, budget=letter_budget)
@@ -396,23 +395,25 @@ def conjugacy_growth_experiment(
     images without forming it (`_wordkernel.class_length`), inverting
     only the images a seed reads.  The seeds must be distinct,
     nontrivial conjugacy classes, each given cyclically reduced
-    (`config.seed_words` checks a config's words); two seeds of one
-    class would write the same rows twice.
+    (`config.seed_words` checks a config's words); a seed given twice
+    raises ValueError, since its records would repeat their keys.
     """
     seeds = list(seeds)
     names = [f"conjugacy.{word_to_str(g)}" for g in seeds]
+    if len(set(names)) < len(names):
+        raise ValueError(f"conjugacy seeds repeat: {names}")
     letters = [g.letters.tolist() for g in seeds]
     read = {abs(x) - 1 for g in letters for x in g}
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
-    def record(n, states):
-        rows = []
-        for tracked in states:
+    def record(n, pids, states):
+        records = []
+        for pid, tracked in zip(pids, states):
             readings = [(w, inverse_bytes(w)) if i in read else None
                         for i, w in enumerate(tracked)]
-            rows.append([(name, math.log(class_length(readings, g)) / n, "ok")
-                         for name, g in zip(names, letters)])
-        return rows
+            records.append([(pid, n, name, math.log(class_length(readings, g)) / n, "ok")
+                            for name, g in zip(names, letters)])
+        return records
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images, record,
                             n_max=n_max, budget=letter_budget)
@@ -442,15 +443,16 @@ def spectral_experiment(
     """
     gens = [bytes([i]) for i in range(1, measure.rank + 1)]
 
-    def rows(n, br):
+    def records(pid, n, br):
         status = "ok" if br.k_used >= k_max else "downgraded"
-        return [("spectral.lower", br.lower / n, status),
-                ("spectral.upper", br.upper / n, status),
-                ("spectral.point", br.point / n, status),
-                ("spectral.k_used", float(br.k_used), status)]
+        return [(pid, n, "spectral.lower", br.lower / n, status),
+                (pid, n, "spectral.upper", br.upper / n, status),
+                (pid, n, "spectral.point", br.point / n, status),
+                (pid, n, "spectral.k_used", float(br.k_used), status)]
 
-    def record(n, states):
-        return [rows(n, br) for br in brackets(states, k_max, budget=letter_budget)]
+    def record(n, pids, states):
+        return [records(pid, n, br)
+                for pid, br in zip(pids, brackets(states, k_max, budget=letter_budget))]
 
     source = _inverse_orbit(measure, master_seed, gens, MapStack.byte_images,
                             _on_schedule(record, n_max),
@@ -483,17 +485,17 @@ def gromov_decay_experiment(
     r = measure.rank
     gens = [bytes([i]) for i in range(1, r + 1)]
 
-    def rows(n, orbits):
+    def records(pid, n, orbits):
         if any(len(orbit) < 2 for orbit in orbits):
-            return [("gromov", float("nan"), "truncated")]
+            return [(pid, n, "gromov", float("nan"), "truncated")]
         (fwd, fwd2), (bwd, bwd2) = orbits
         a = fwd + bwd
-        return [("gromov", 0.5 * (a + a - (fwd2 + bwd2)) / n, "ok")]
+        return [(pid, n, "gromov", 0.5 * (a + a - (fwd2 + bwd2)) / n, "ok")]
 
-    def record(n, states):
+    def record(n, pids, states):
         halves = [half for state in states for half in (state[r:], state[:r])]
         orbits = power_orbits(halves, 2, letter_budget, image_dist)
-        return [rows(n, orbits[p:p + 2]) for p in range(0, len(orbits), 2)]
+        return [records(pid, n, orbits[p:p + 2]) for p, pid in zip(count(0, 2), pids)]
 
     source = _inverse_orbit(measure, master_seed, gens * 2, MapStack.compose,
                             _on_schedule(record, n_max),
@@ -501,30 +503,68 @@ def gromov_decay_experiment(
     return _series("gromov", source, n_max=n_max, paths=paths, threads=threads)
 
 
-def _matrix_experiment(experiment, matrix_series, estimators, measure, *, n_max, paths, master_seed,
-                       bit_budget=DEFAULT_BIT_BUDGET, threads=1, **series_args):
-    """Records, per path per n, the values that matrix_series(increments,
-    bit_budget=bit_budget, **series_args) yields for the running products
-    A_n ... A_1, one per estimator."""
+def _matrix_path(reader, pid, increments, bit_budget, start=None):
+    """The records of one matrix path, and the BitBudgetExceeded that cut
+    it or None.  reader(records, pid, done, products, norms, bit_budget)
+    appends those of each chunk of the path's `running_products` from
+    `start`, the steps past `done`; one that raises BitBudgetExceeded
+    has appended those of the products before it."""
+    records, done = [], 0
+    try:
+        for products, norms in running_products(increments, bit_budget, start):
+            reader(records, pid, done, products, norms, bit_budget)
+            done += len(products)
+    except BitBudgetExceeded as cut:
+        return records, cut
+    return records, None
+
+
+def _guivarch_records(records, pid, done, products, norms, bit_budget):
+    """The rho brackets of a chunk, from one `spectral_radii` batch, and its norms."""
+    for n, br, norm in zip(count(done + 1), spectral_radii(products, bit_budget), norms):
+        records += [(pid, n, "guivarch.rho_lower", br.lower / n, "ok"),
+                    (pid, n, "guivarch.rho_upper", br.upper / n, "ok"),
+                    (pid, n, "guivarch.norm", _log_int(norm) / n, "ok")]
+
+
+def _furstenberg_records(records, pid, done, products, norms, bit_budget):
+    """The norms only: a product here is a column block A_n ... A_1 v."""
+    records += [(pid, n, "furstenberg.vector", _log_int(norm) / n, "ok")
+                for n, norm in enumerate(norms, done + 1)]
+
+
+def _column(vector) -> IntMatrix:
+    """The column block of a nonzero integer seed vector."""
+    try:
+        v = [operator.index(x) for x in vector]
+    except TypeError as e:
+        raise ValueError(f"seed vector entries must be integers: {vector!r}") from e
+    if not any(v):
+        raise ValueError("seed vector must be nonzero")
+    return IntMatrix._of_rows(tuple((x,) for x in v))
+
+
+def _matrix_experiment(experiment, reader, measure, *, n_max, paths, master_seed,
+                       bit_budget=DEFAULT_BIT_BUDGET, threads=1, start=None):
+    """The records that reader appends along each path (`_matrix_path`)."""
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
 
     def group_rows(pids):
         for pid in pids:
             steps = _steps(measure, master_seed, pid, n_max)
-            try:
-                for n, *values in matrix_series(steps, bit_budget=bit_budget, **series_args):
-                    yield pid, n, [(est, value, "ok") for est, value in zip(estimators, values)]
-            except BitBudgetExceeded:
-                pass
+            records, _ = _matrix_path(reader, pid, steps, bit_budget, start)
+            yield pid, records[-1][1] if records else 0, records
 
     return _series(experiment, group_rows, n_max=n_max, paths=paths, threads=threads)
 
 
-# each matrix kind names its series: the spectral radius bracket and the
-# norm of the product, or the growth of the product on the seed `vector`
-guivarch_experiment = partial(_matrix_experiment, "matrix-guivarch", guivarch_series,
-                              ("guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm"))
-furstenberg_experiment = partial(_matrix_experiment, "matrix-furstenberg", vector_growth,
-                                 ("furstenberg.vector",))
+def guivarch_experiment(measure, **settings) -> EstimateSeries:
+    """Records log rho(A_n ... A_1), bracketed, and log |A_n ... A_1|_inf over n."""
+    return _matrix_experiment("matrix-guivarch", _guivarch_records, measure, **settings)
 
+
+def furstenberg_experiment(measure, *, vector, **settings) -> EstimateSeries:
+    """Records (1/n) log |A_n ... A_1 vector|_inf (Furstenberg-Kesten)."""
+    return _matrix_experiment("matrix-furstenberg", _furstenberg_records, measure,
+                              start=_column(vector), **settings)

@@ -10,29 +10,42 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from outwalk import matrix_oracle
+from outwalk import matrix_oracle, walk_engine
 from outwalk.matrix_oracle import (
     CHUNK,
+    DEFAULT_BIT_BUDGET,
     GELFAND_MAX_J,
     PREC,
     SHARED_SQUARE_MIN,
     BitBudgetExceeded,
     IntMatrix,
     MatrixBracket,
-    guivarch_series,
     log_norm,
     parse_matrix,
     spectral_radii,
     spectral_radius,
-    vector_growth,
     _log_of_all,
     _row_norm,
 )
-from outwalk.walk_engine import guivarch_experiment
+from outwalk.walk_engine import (
+    _column,
+    _furstenberg_records,
+    _guivarch_records,
+    _matrix_path,
+    furstenberg_experiment,
+    guivarch_experiment,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 entry = st.integers(min_value=-6, max_value=6)
+
+
+def matrix_path(reader, increments, bit_budget=DEFAULT_BIT_BUDGET, start=None):
+    """The records of `_matrix_path` on explicit increments as path 0, and
+    the message of the BitBudgetExceeded that cut it, or None."""
+    records, cut = _matrix_path(reader, 0, increments, bit_budget, start)
+    return records, cut and str(cut)
 
 
 def small_matrix(n, entries=entry):
@@ -358,11 +371,9 @@ def test_bit_budget_bounds_the_gelfand_ladder():
         spectral_radius(a, bit_budget=1000)
     assert spectral_radius(a, bit_budget=4000) == spectral_radius(a)
     # the walk is cut off once A_n^64, not A_n, outgrows the budget
-    rows = []
-    with pytest.raises(BitBudgetExceeded):
-        for row in guivarch_series([h] * 100, bit_budget=1000):
-            rows.append(row)
-    assert 0 < len(rows) < 20
+    records, message = matrix_path(_guivarch_records, [h] * 100, bit_budget=1000)
+    assert message is not None
+    assert 0 < records[-1][1] < 20
 
 
 huge_entry = st.one_of(st.just(0), st.integers(min_value=-2**400, max_value=2**400))
@@ -593,7 +604,7 @@ def test_the_ladder_of_a_pair_is_the_pair_of_ladders(pair, budget):
 
 
 def reference_rows(increments, bit_budget):
-    """guivarch_series one step at a time: its rows and the message it ends with."""
+    """A guivarch path one step at a time: its records and the message it ends with."""
     prod, rows = None, []
     for n, a in enumerate(increments, 1):
         prod = a if prod is None else a @ prod
@@ -606,7 +617,9 @@ def reference_rows(increments, bit_budget):
                 lower, upper = reference_ladder(prod, bit_budget)
             except BitBudgetExceeded as e:
                 return rows, str(e)
-        rows.append((n, lower / n, upper / n, log_norm(prod) / n))
+        rows += [(0, n, "guivarch.rho_lower", lower / n, "ok"),
+                 (0, n, "guivarch.rho_upper", upper / n, "ok"),
+                 (0, n, "guivarch.norm", log_norm(prod) / n, "ok")]
     return rows, None
 
 
@@ -633,14 +646,9 @@ def test_guivarch_rows_do_not_depend_on_the_chunk(chunk, chunk_bits, dim, steps,
         batches.append(mats)
         return batch_ladder(mats, bit_budget)
 
-    monkeypatch.setattr(matrix_oracle, "spectral_radii", spy)
-    rows, message = [], None
-    try:
-        for row in guivarch_series(increments, bit_budget):
-            rows.append(row)
-    except BitBudgetExceeded as e:
-        message = str(e)
-    assert (rows, message) == reference_rows(increments, bit_budget)
+    monkeypatch.setattr(walk_engine, "spectral_radii", spy)
+    assert matrix_path(_guivarch_records, increments, bit_budget) == reference_rows(
+        increments, bit_budget)
     def entry_bits(mats):
         return sum(a.max_bits() * a.n * a.n for a in mats)
 
@@ -690,6 +698,29 @@ def test_a_cut_guivarch_path_forms_no_product_past_its_cut(sl3, monkeypatch):
     assert counts["batched"] <= counts["matmul"] + len(cuts)
 
 
+def test_a_chunk_of_column_blocks_closes_only_at_its_size(sl3, monkeypatch):
+    # under bit budget 24 every 3x3 block passes the bound of the A^64
+    # close rule, but no Gelfand ladder reads a block: a furstenberg path
+    # of n blocks comes in at most ceil(n / CHUNK) + 1 chunks, the last
+    # one the chunk a cut ends
+    chunks = []
+    products = walk_engine.running_products
+
+    def spy(increments, bit_budget, start=None):
+        sizes = []
+        chunks.append(sizes)
+        for chunk in products(increments, bit_budget, start):
+            sizes.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(walk_engine, "running_products", spy)
+    series = furstenberg_experiment(sl3, vector=(1, 1, 0), n_max=200, paths=4, master_seed=0,
+                                    bit_budget=24)
+    assert len(chunks) == 4 and any(r[2] == "truncated_at" for r in series.records)
+    for sizes in chunks:
+        assert len(sizes) <= -(-sum(sizes) // CHUNK) + 1
+
+
 def test_guivarch_series_reads_only_the_rows_an_increment_changes(monkeypatch):
     rng = random.Random(9)
     increments = [rng.choice(transvections(3)) for _ in range(300)]
@@ -707,7 +738,7 @@ def test_guivarch_series_reads_only_the_rows_an_increment_changes(monkeypatch):
     monkeypatch.setattr(matrix_oracle, "_read_row", spy)
     monkeypatch.setattr(matrix_oracle, "log_norm", never)
     monkeypatch.setattr(IntMatrix, "max_bits", never)
-    assert (list(guivarch_series(increments)), None) == expected
+    assert matrix_path(_guivarch_records, increments) == expected
     # the three rows of the first product, then the one row each transvection changes
     assert len(reads) == 3 + len(increments) - 1
 
@@ -763,49 +794,55 @@ def test_gelfand_bracket_contains_known_value():
     assert br.upper - br.lower < 0.05
 
 
+def furstenberg_path(increments, vector, bit_budget=DEFAULT_BIT_BUDGET):
+    """The records of a furstenberg path of explicit increments from the
+    seed `vector`, and the message of its cut, or None."""
+    return matrix_path(_furstenberg_records, increments, bit_budget, _column(vector))
+
+
 def test_vector_growth_identity():
     ident = IntMatrix.identity(2)
-    series = list(vector_growth([ident] * 5, (1, 0)))
-    assert [v for _, v in series] == [0.0] * 5
+    records, _ = furstenberg_path([ident] * 5, (1, 0))
+    assert [r[3] for r in records] == [0.0] * 5
 
 
 def test_vector_growth_hyperbolic():
     a = IntMatrix([[2, 1], [1, 1]])
-    series = list(vector_growth([a] * 200, (1, 0)))
+    records, _ = furstenberg_path([a] * 200, (1, 0))
     limit = math.log((3 + math.sqrt(5)) / 2)
-    assert series[-1][1] == pytest.approx(limit, abs=1e-2)
+    assert records[-1][3] == pytest.approx(limit, abs=1e-2)
 
 
 def test_vector_growth_homogeneity():
     a = IntMatrix([[2, 1], [1, 1]])
-    s1 = [v for _, v in vector_growth([a] * 30, (1, 0))]
-    s3 = [v for _, v in vector_growth([a] * 30, (3, 0))]
+    s1 = [r[3] for r in furstenberg_path([a] * 30, (1, 0))[0]]
+    s3 = [r[3] for r in furstenberg_path([a] * 30, (3, 0))[0]]
     for n, (u, v) in enumerate(zip(s1, s3), 1):
         assert v - u == pytest.approx(math.log(3) / n, abs=1e-12)
 
 
 def test_vector_growth_rejects_zero():
     with pytest.raises(ValueError):
-        list(vector_growth([IntMatrix.identity(2)], (0, 0)))
+        furstenberg_path([IntMatrix.identity(2)], (0, 0))
 
 
 @pytest.mark.parametrize("seed", [(1.5, 0), (1.0, 0), ("1", 0)])
 def test_vector_growth_rejects_a_non_integer_seed(seed):
     # as IntMatrix refuses these entries, not truncated to (1, 0)
     with pytest.raises(ValueError, match="seed vector entries must be integers"):
-        list(vector_growth([IntMatrix.identity(2)], seed))
+        furstenberg_path([IntMatrix.identity(2)], seed)
 
 
 def reference_vector_rows(increments, vector, bit_budget):
-    """vector_growth one dense step v <- A v at a time: its rows and the
-    message it ends with."""
+    """A furstenberg path one dense step v <- A v at a time: its records
+    and the message it ends with."""
     v, rows = list(vector), []
     for n, a in enumerate(increments, 1):
         v = [sum(x * y for x, y in zip(row, v)) for row in a.entries]
         top = max(map(abs, v))
         if top.bit_length() > bit_budget:
             return rows, f"product entries exceed {bit_budget} bits at n={n}"
-        rows.append((n, (math.log(top) if top else -math.inf) / n))
+        rows.append((0, n, "furstenberg.vector", (math.log(top) if top else -math.inf) / n, "ok"))
     return rows, None
 
 
@@ -822,26 +859,32 @@ def test_vector_growth_equals_the_dense_steps(chunk, bit_budget, dim, monkeypatc
     increments[6 if dim > 1 else -1] = IntMatrix(zero_row)
     vector = tuple(range(1, dim + 1))
     monkeypatch.setattr(matrix_oracle, "CHUNK", chunk)
-    rows, message = [], None
-    try:
-        for row in vector_growth(increments, vector, bit_budget):
-            rows.append(row)
-    except BitBudgetExceeded as e:
-        message = str(e)
+    rows, message = furstenberg_path(increments, vector, bit_budget)
     expected = reference_vector_rows(increments, vector, bit_budget)
     assert (rows, message) == expected
     assert (message is None) == (bit_budget == 10**6)
 
 
+def guivarch_rows(increments, bit_budget=DEFAULT_BIT_BUDGET):
+    """The (n, lower, upper, norm) values of each step of a guivarch path
+    of explicit increments, read off its records in their order, and the
+    message of its cut, or None."""
+    records, message = matrix_path(_guivarch_records, increments, bit_budget)
+    names = ("guivarch.rho_lower", "guivarch.rho_upper", "guivarch.norm")
+    steps = [records[i:i + 3] for i in range(0, len(records), 3)]
+    assert all(tuple(r[2] for r in step) == names for step in steps)
+    return [(step[0][1], *(r[3] for r in step)) for step in steps], message
+
+
 def test_guivarch_series_identity():
-    rows = list(guivarch_series([IntMatrix.identity(2)] * 4))
+    rows, _ = guivarch_rows([IntMatrix.identity(2)] * 4)
     for n, lo, hi, norm in rows:
         assert lo == hi == norm == 0.0
 
 
 def test_guivarch_series_deterministic_hyperbolic():
     a = IntMatrix([[2, 1], [1, 1]])
-    rows = list(guivarch_series([a] * 50))
+    rows, _ = guivarch_rows([a] * 50)
     limit = math.log((3 + math.sqrt(5)) / 2)
     for n, lo, hi, norm in rows:
         assert lo == pytest.approx(limit, rel=1e-9)  # rho(A^n) = rho(A)^n exactly
@@ -851,8 +894,8 @@ def test_guivarch_series_deterministic_hyperbolic():
 
 def test_guivarch_bit_budget():
     a = IntMatrix([[2, 1], [1, 1]])
-    with pytest.raises(BitBudgetExceeded):
-        list(guivarch_series([a] * 200, bit_budget=64))
+    _, message = guivarch_rows([a] * 200, bit_budget=64)
+    assert message is not None
 
 
 def test_parse_matrix():

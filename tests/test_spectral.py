@@ -17,14 +17,15 @@ from outwalk.automorphisms import (
     parse_automorphism,
     right_multiplier,
 )
-from outwalk import matrix_oracle, spectral
-from outwalk.matrix_oracle import (GELFAND_MAX_J, IntMatrix, MatrixBracket, guivarch_series,
+from outwalk import spectral, walk_engine
+from outwalk.matrix_oracle import (DEFAULT_BIT_BUDGET, GELFAND_MAX_J, IntMatrix, MatrixBracket,
                                    spectral_radius)
 from outwalk.outer_metric import candidate_lengths, dist
 from outwalk.cli import main
 from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, brackets, power_orbits,
                               stretch_lower, stretch_ratio)
-from outwalk.walk_engine import sample_path, spectral_experiment
+from outwalk.walk_engine import (_guivarch_records, _matrix_path, sample_path,
+                                 spectral_experiment)
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -314,10 +315,11 @@ def test_stretch_lower_clamped_at_zero_on_a_niel_path(niel):
 def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
     # a bracket whose lower bound reads below 0 reaches every caller as it is
     fake = MatrixBracket(-1.0, 1.0)
-    monkeypatch.setattr(matrix_oracle, "spectral_radii", lambda mats, bit_budget: [fake] * len(mats))
+    monkeypatch.setattr(walk_engine, "spectral_radii", lambda mats, bit_budget: [fake] * len(mats))
     monkeypatch.setattr(spectral, "spectral_radii", lambda mats: [fake] * len(mats))
-    rows = list(guivarch_series([IntMatrix.identity(3)] * 5))
-    assert [lower for _, lower, _, _ in rows] == [-1.0 / n for n in range(1, 6)]
+    records, _ = _matrix_path(_guivarch_records, 0, [IntMatrix.identity(3)] * 5, DEFAULT_BIT_BUDGET)
+    lower = [value for _, _, est, value, _ in records if est == "guivarch.rho_lower"]
+    assert lower == [-1.0 / n for n in range(1, 6)]
     assert stretch_lower(ASYM) == -1.0
     assert bracket(ASYM, 2).lower == -1.0
 

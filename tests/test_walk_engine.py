@@ -314,6 +314,35 @@ def test_matrix_vs_abelianization_bridge():
         assert prod == abelianization(path.inverse_product)
 
 
+AB = cyclic_reduce(parse_word("ab", 3))
+
+# case: (runner, measure, settings over paths=2, master_seed=0, the message
+# of its ValueError)
+API_REFUSALS = {
+    "drift-on-matrices": (drift_experiment, "sl3", dict(n_max=4), "automorphism measure"),
+    "conjugacy-on-matrices": (conjugacy_growth_experiment, "sl3", dict(seeds=[AB], n_max=4),
+                              "automorphism measure"),
+    "spectral-on-matrices": (spectral_experiment, "sl3", dict(n_max=4), "automorphism measure"),
+    "gromov-on-matrices": (gromov_decay_experiment, "sl3", dict(n_max=4), "automorphism measure"),
+    "a-seed-twice": (conjugacy_growth_experiment, "niel", dict(seeds=[AB, AB], n_max=4),
+                     "seeds repeat"),
+    "drift-n_max-0": (drift_experiment, "niel", dict(n_max=0), "must be positive"),
+    "guivarch-n_max-0": (guivarch_experiment, "sl3", dict(n_max=0), "must be positive"),
+    "drift-paths-0": (drift_experiment, "niel", dict(n_max=4, paths=0), "must be positive"),
+    "furstenberg-paths-0": (furstenberg_experiment, "sl3",
+                            dict(vector=(1, 0, 0), n_max=4, paths=0), "must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(API_REFUSALS))
+def test_the_python_api_refuses_what_the_cli_refuses(case, niel, sl3):
+    # a config cannot name these runs; called directly they raised
+    # AttributeError, wrote a key twice, or gave an empty series
+    runner, measure, settings, message = API_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        runner({"niel": niel, "sl3": sl3}[measure], **{"paths": 2, "master_seed": 0, **settings})
+
+
 def test_threads_do_not_change_records():
     one = drift_experiment(F3_MEASURE, n_max=10, paths=8, master_seed=2, threads=1)
     many = drift_experiment(F3_MEASURE, n_max=10, paths=8, master_seed=2, threads=8)
@@ -735,10 +764,10 @@ def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
     inverse_orbit, states_read = walk_engine._inverse_orbit, []
 
     def spy(measure, master_seed, words, step, record, *, n_max, budget):
-        def checked(n, states):
+        def checked(n, pids, states):
             states_read.extend(states)
             assert all(len(w) <= budget for state in states for w in state)
-            return record(n, states)
+            return record(n, pids, states)
 
         return inverse_orbit(measure, master_seed, words, step, checked,
                              n_max=n_max, budget=budget)
