@@ -40,8 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from ._wordkernel import DTYPE, ImageTable, cyclic_trim, lockstep_substitute
+from .defaults import DEFAULT_LETTER_BUDGET
 from .free_group import (
-    DEFAULT_LETTER_BUDGET,
     CyclicWord,
     ParseError,
     Word,

@@ -7,6 +7,18 @@
 that `config.KIND_TABLE` names for the kind, all read from the config
 file.  A kind that runs no paths refuses `--threads` other than 1.
 
+A run loads the layers of its kind and nothing more.  Importing this
+module loads `config`, `walk_engine`, `matrix_oracle` and `rng`; `run`
+imports the module of the kind's runner (`RUNNERS`) before
+`build_measure` returns, so that the kind's modules load in set-up,
+never in the run itself.  A kind on automorphisms adds the word layer
+there (`word_walks`, which imports `free_group`, `_wordkernel`,
+`automorphisms`, `outer_metric` and `spectral`); a matrix kind adds
+nothing.  Only a run at more than one thread imports
+`concurrent.futures`, as its paths start, and only `summarize` and its
+helpers import `csv` and `statistics`.  The CSV is written line by line
+as each record is formatted.
+
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, and a walk run with no output path at
 all, refused before the run or the aggregation starts), 3 no record
@@ -31,13 +43,12 @@ truncated,downgraded; the last three say which paths a row covers.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
-import statistics
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from importlib import import_module
 
 from .config import (
     KIND_TABLE,
@@ -46,20 +57,9 @@ from .config import (
     build_measure,
     format_config,
     parse_config,
-    seed_words,
     validate,
 )
-from .outer_metric import dist, sym_dist
-from .spectral import bracket
-from .walk_engine import (
-    EstimateSeries,
-    conjugacy_growth_experiment,
-    drift_experiment,
-    furstenberg_experiment,
-    gromov_decay_experiment,
-    guivarch_experiment,
-    spectral_experiment,
-)
+from .walk_engine import EstimateSeries
 
 CSV_HEADER = "experiment,path_id,n,estimator,value,status"
 
@@ -73,17 +73,17 @@ def _fmt(value: float) -> str:
 
 
 def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -> None:
-    lines = ["# outwalk run"]
-    lines.append(f"# generated_at = {datetime.now(timezone.utc).isoformat()}")
-    # without `out`, runs that differ only in where they write share a header
-    for cfg_line in format_config(replace(cfg, out=None)).rstrip("\n").splitlines():
-        lines.append(f"# {cfg_line}")
-    lines.append(CSV_HEADER)
+    """The header, then each record's line as it is formatted: the file's
+    text is never held whole."""
     kind = series.experiment
-    lines += [f"{kind},{pid},{n},{est},{_fmt(value)},{status}"
-              for pid, n, est, value, status in series.records]
     with open(out_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# outwalk run\n# generated_at = {datetime.now(timezone.utc).isoformat()}\n")
+        # without `out`, runs that differ only in where they write share a header
+        fh.writelines(f"# {cfg_line}\n"
+                      for cfg_line in format_config(replace(cfg, out=None)).splitlines())
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(f"{kind},{pid},{n},{est},{_fmt(value)},{status}\n"
+                      for pid, n, est, value, status in series.records)
 
 
 def _check_out(path: str) -> None:
@@ -94,60 +94,31 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"out: cannot write {path!r}")
 
 
-def _distance(measure) -> EstimateSeries:
-    """The one record of a `distance` run, printed too."""
-    theta = measure.support[0]
-    d = dist(theta)
-    s = sym_dist(theta)
-    print(f"dist = {d:.6f}")
-    print(f"sym = {s:.6f}")
-    return EstimateSeries("distance", [(0, 0, "dist", d, "ok"),
-                                       (0, 0, "sym_dist", s, "ok")])
-
-
-def _stretch(measure, *, k_max, letter_budget) -> EstimateSeries:
-    """The one record of a `stretch` run, printed too."""
-    br = bracket(measure.support[0], k_max, budget=letter_budget)
-    print(f"lower = {br.lower:.6f}")
-    print(f"upper = {br.upper:.6f}")
-    print(f"point = {br.point:.6f}")
-    print(f"k_used = {br.k_used}")
-    print(f"converged = {br.converged}")
-    return EstimateSeries(
-        "stretch",
-        [
-            (0, 0, "stretch.lower", br.lower, "ok"),
-            (0, 0, "stretch.upper", br.upper, "ok"),
-            (0, 0, "stretch.point", br.point, "ok"),
-            (0, 0, "stretch.k_used", float(br.k_used), "ok"),
-        ],
-    )
-
-
-def _conjugacy(measure, *, words, **settings) -> EstimateSeries:
-    return conjugacy_growth_experiment(measure, seed_words(words, measure.rank), **settings)
-
-
-# kind -> runner(measure, **settings), called with the settings that
-# config.KIND_TABLE names for the kind, plus `threads` when it runs paths
+# kind -> (module, runner): the runner, a function of outwalk.<module>, is
+# called as runner(measure, **settings) with the settings that
+# config.KIND_TABLE names for the kind, plus `threads` when it runs paths;
+# importing the module loads the kind's layers
 RUNNERS = {
-    "drift": drift_experiment,
-    "conjugacy": _conjugacy,
-    "spectral": spectral_experiment,
-    "gromov": gromov_decay_experiment,
-    "matrix-guivarch": guivarch_experiment,
-    "matrix-furstenberg": furstenberg_experiment,
-    "distance": _distance,
-    "stretch": _stretch,
+    "drift": ("word_walks", "drift_experiment"),
+    "conjugacy": ("word_walks", "_conjugacy"),
+    "spectral": ("word_walks", "spectral_experiment"),
+    "gromov": ("word_walks", "gromov_decay_experiment"),
+    "matrix-guivarch": ("walk_engine", "guivarch_experiment"),
+    "matrix-furstenberg": ("walk_engine", "furstenberg_experiment"),
+    "distance": ("word_walks", "_distance"),
+    "stretch": ("word_walks", "_stretch"),
 }
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> int:
+    # the kind's modules load here, in set-up, before build_measure returns
+    module, attr = RUNNERS[cfg.kind]
+    runner = getattr(import_module(f"{__package__}.{module}"), attr)
     measure = build_measure(cfg)
     settings = {name: getattr(cfg, name) for name in KIND_TABLE[cfg.kind].settings}
     if "paths" in settings:
         settings["threads"] = threads
-    series = RUNNERS[cfg.kind](measure, **settings)
+    series = runner(measure, **settings)
     if cfg.out:
         write_series(series, cfg, cfg.out)
     # downgraded records are certified brackets too, so they count as output
@@ -163,6 +134,8 @@ def batch_means_ci(values) -> float | None:
     The P values, in path order, split into B = floor(sqrt(P)) batches
     of floor(P/B); the half-width is 1.96 * stdev(batch means) / sqrt(B).
     """
+    import statistics
+
     p = len(values)
     nb = math.isqrt(p)
     if nb < 2:
@@ -185,6 +158,8 @@ def summary_rows(experiment: str, table: dict) -> list:
     counts the downgraded records.  So effective_paths + truncated +
     downgraded is the number of paths whenever every ok value is finite.
     """
+    import statistics
+
     pids = sorted({pid for pid, _ in table})
     last_step = {pid: cell["truncated_at"][0] for (pid, _), cell in table.items()
                  if "truncated_at" in cell}
@@ -220,6 +195,8 @@ def summarize(in_path: str, out_path: str) -> int:
     negative path_id, a status other than ok, downgraded or truncated,
     or a second record of one path, n and estimator.
     """
+    import csv
+
     tables = {}
     try:
         _check_out(out_path)

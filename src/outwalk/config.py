@@ -13,6 +13,11 @@ is refused, so a resolved config holds exactly what bounded its run.
 parse_config(format_config(cfg)) round-trips exactly; runs embed the
 resolved config, less its `out` path, in the output header, so every
 CSV names its own provenance.
+
+The defaults of the word kinds come from `defaults`, and the map and
+word parsers are imported where a map (`build_measure`) or a seed word
+(`seed_words`) is parsed: a matrix config loads no module of the word
+layer.
 """
 
 from __future__ import annotations
@@ -20,12 +25,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .free_group import (DEFAULT_LETTER_BUDGET, CyclicWord, ParseError, cyclic_reduce, least_rotation,
-                         parse_word, word_to_str)
-from .automorphisms import InverseCheckError, parse_automorphism
+from .defaults import DEFAULT_K_MAX, DEFAULT_LETTER_BUDGET, WALK_K_MAX
 from .matrix_oracle import DEFAULT_BIT_BUDGET, parse_matrix
-from .spectral import DEFAULT_K_MAX
-from .walk_engine import ProbMeasure, WALK_K_MAX
+from .walk_engine import ProbMeasure
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "validate", "format_config",
            "build_measure"]
@@ -239,9 +241,11 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
                 raise ConfigError(f"gen.{i}.matrix: determinant {m.det()} is not +-1")
             support.append(m)
         else:
+            from .automorphisms import parse_automorphism
+
             try:
                 a = parse_automorphism(f"{g['map']} | {g['inv']}", cfg.rank)
-            except (ParseError, InverseCheckError, ValueError) as e:
+            except ValueError as e:  # ParseError and InverseCheckError included
                 raise ConfigError(f"gen.{i}.map: {e}") from None
             support.append(a)
     try:
@@ -250,9 +254,12 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
         raise ConfigError(f"gen.*.weight: {e}") from None
 
 
-def seed_words(words: list, rank: int) -> list[CyclicWord]:
-    """Cyclically reduced seed classes of F_rank; two seeds of one conjugacy
-    class (the same least rotation) would write the same rows twice."""
+def seed_words(words: list, rank: int) -> list:
+    """Cyclically reduced seed classes of F_rank, as `CyclicWord`s; two
+    seeds of one conjugacy class (the same least rotation) would write the
+    same rows twice."""
+    from .free_group import ParseError, cyclic_reduce, least_rotation, parse_word, word_to_str
+
     out, classes = [], {}
     for i, text in enumerate(words):
         try:

@@ -34,8 +34,6 @@ __all__ = [
     "word_to_str",
 ]
 
-DEFAULT_LETTER_BUDGET = 10**8
-
 
 class ParseError(ValueError):
     pass

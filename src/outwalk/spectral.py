@@ -57,6 +57,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from .defaults import DEFAULT_K_MAX
 from .free_group import CyclicWord, WordBudgetExceeded, as_bytes
 from ._wordkernel import lockstep_orbits
 from .automorphisms import Automorphism, cyclic_images, image_abelianization, own_images
@@ -74,8 +75,6 @@ __all__ = [
 ]
 
 CONVERGE_TOL = 1e-3  # on logs; experiments read results at 1e-2 resolution
-
-DEFAULT_K_MAX = 12  # standalone; walk experiments pass their own, default 4
 
 BRACKET_TOL = 1e-9
 

@@ -4,10 +4,11 @@ cut-offs and aggregates."""
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
-from outwalk import cli
+from outwalk import cli, word_walks
 from outwalk.automorphisms import automorphism_to_str, parse_automorphism
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
 from outwalk.config import KIND_TABLE, format_config, parse_config
@@ -288,7 +289,7 @@ def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, where):
     def experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setitem(cli.RUNNERS, "drift", experiment)
+    monkeypatch.setattr(word_walks, "drift_experiment", experiment)
     out = {"directory": tmp_path, "empty": ""}.get(where, tmp_path / "missing" / "x.csv")
     cfg = tmp_path / "run.cfg"
     head = f"out = {out}\n" if where == "config" else ""
@@ -305,7 +306,8 @@ def test_a_walk_run_without_an_output_path_exits_2(tmp_path, capsys, monkeypatch
         def experiment(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setitem(cli.RUNNERS, kind, experiment)
+        module, attr = cli.RUNNERS[kind]
+        monkeypatch.setattr(import_module(f"outwalk.{module}"), attr, experiment)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASES[kind])
     rc = main(["run", "--config", str(cfg)])
@@ -669,3 +671,42 @@ def test_a_run_imports_no_module(tmp_path, niel):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["", "", ""]
+
+
+LOADED_AFTER_RUN = """
+import sys
+
+import numpy.random
+from outwalk import cli
+
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--threads", "1"]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+WORD_LAYER = {"outwalk.free_group", "outwalk._wordkernel", "outwalk.automorphisms",
+              "outwalk.outer_metric", "outwalk.spectral"}
+
+# what no run of one thread calls: the thread pool, and what only summarize reads
+UNCALLED = {"concurrent.futures", "statistics", "csv"}
+
+
+@pytest.mark.parametrize("head, unloaded", [
+    ("kind = matrix-guivarch\nn_max = 400\npaths = 2\n" + MATRIX_LINES, WORD_LAYER | UNCALLED),
+    ("kind = matrix-furstenberg\nn_max = 200\npaths = 2\nvector = [1, 1, 0]\n" + MATRIX_LINES,
+     WORD_LAYER | UNCALLED),
+    ("kind = drift\nn_max = 40\npaths = 8\n", UNCALLED),
+], ids=["matrix-guivarch", "matrix-furstenberg", "drift"])
+def test_a_run_loads_only_its_kinds_layers(tmp_path, niel, head, unloaded):
+    # a matrix run compiled and imported the whole word layer, and every
+    # run the thread pool, statistics and csv, none of which it calls.
+    # One fresh process per config, with numpy.random imported first, as
+    # the bench's speed probe imports it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_measure(head, niel))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_RUN, str(cfg),
+                           str(tmp_path / "run.csv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) & unloaded == set()

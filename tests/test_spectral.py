@@ -24,8 +24,8 @@ from outwalk.outer_metric import candidate_lengths, dist
 from outwalk.cli import main
 from outwalk.spectral import (CONVERGE_TOL, StretchBracket, bracket, brackets, power_orbits,
                               stretch_lower, stretch_ratio)
-from outwalk.walk_engine import (_guivarch_records, _matrix_path, sample_path,
-                                 spectral_experiment)
+from outwalk.walk_engine import _guivarch_records, _matrix_path, sample_path
+from outwalk.word_walks import spectral_experiment
 
 FIB = parse_automorphism("a->ab; b->a | a->b; b->Ba")
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)

@@ -8,7 +8,7 @@ from itertools import combinations, islice
 import numpy as np
 import pytest
 
-from outwalk import _wordkernel, automorphisms, cli, spectral, walk_engine
+from outwalk import _wordkernel, automorphisms, cli, spectral, walk_engine, word_walks
 from outwalk._wordkernel import BATCH_CAP, ImageTable
 from outwalk.cli import SUMMARY_HEADER, batch_means_ci
 from outwalk.config import ExperimentConfig
@@ -32,13 +32,15 @@ from outwalk.walk_engine import (
     EstimateSeries,
     ProbMeasure,
     WalkPath,
-    conjugacy_growth_experiment,
-    drift_experiment,
     furstenberg_experiment,
     geometric_schedule,
-    gromov_decay_experiment,
     guivarch_experiment,
     sample_path,
+)
+from outwalk.word_walks import (
+    conjugacy_growth_experiment,
+    drift_experiment,
+    gromov_decay_experiment,
     spectral_experiment,
 )
 
@@ -315,6 +317,7 @@ def test_matrix_vs_abelianization_bridge():
 
 
 AB = cyclic_reduce(parse_word("ab", 3))
+BA = cyclic_reduce(parse_word("ba", 3))
 
 # case: (runner, measure, settings over paths=2, master_seed=0, the message
 # of its ValueError)
@@ -326,6 +329,8 @@ API_REFUSALS = {
     "gromov-on-matrices": (gromov_decay_experiment, "sl3", dict(n_max=4), "automorphism measure"),
     "a-seed-twice": (conjugacy_growth_experiment, "niel", dict(seeds=[AB, AB], n_max=4),
                      "seeds repeat"),
+    "a-class-twice": (conjugacy_growth_experiment, "niel", dict(seeds=[AB, BA], n_max=4),
+                      "seeds repeat a class: 'ab' and 'ba'"),
     "drift-n_max-0": (drift_experiment, "niel", dict(n_max=0), "must be positive"),
     "guivarch-n_max-0": (guivarch_experiment, "sl3", dict(n_max=0), "must be positive"),
     "drift-paths-0": (drift_experiment, "niel", dict(n_max=4, paths=0), "must be positive"),
@@ -337,7 +342,8 @@ API_REFUSALS = {
 @pytest.mark.parametrize("case", sorted(API_REFUSALS))
 def test_the_python_api_refuses_what_the_cli_refuses(case, niel, sl3):
     # a config cannot name these runs; called directly they raised
-    # AttributeError, wrote a key twice, or gave an empty series
+    # AttributeError, wrote a key twice, wrote one class under two names,
+    # or gave an empty series
     runner, measure, settings, message = API_REFUSALS[case]
     with pytest.raises(ValueError, match=message):
         runner({"niel": niel, "sl3": sl3}[measure], **{"paths": 2, "master_seed": 0, **settings})
@@ -659,7 +665,7 @@ def test_gromov_records_do_not_depend_on_the_group(niel, monkeypatch):
     # at n = 32 every orbit passes BATCH_CAP and runs alone.  Each path
     # gets the records that `gromov_product` gives it stepped alone
     steps = []
-    orbits, own_images = walk_engine.power_orbits, spectral.own_images
+    orbits, own_images = word_walks.power_orbits, spectral.own_images
 
     def orbits_spy(*args):
         steps.append([])
@@ -669,7 +675,7 @@ def test_gromov_records_do_not_depend_on_the_group(niel, monkeypatch):
         steps[-1].append(len(groups))
         return own_images(own_tables, groups, budget=budget)
 
-    monkeypatch.setattr(walk_engine, "power_orbits", orbits_spy)
+    monkeypatch.setattr(word_walks, "power_orbits", orbits_spy)
     monkeypatch.setattr(spectral, "own_images", own_images_spy)
     settings = dict(n_max=32, paths=4, master_seed=3, letter_budget=None)
     alone = [repr(r) for r in one_path_records("gromov", niel, settings)]
@@ -761,7 +767,7 @@ RECORD_BUDGETS = {
 def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
     # each tracked word was formed by a substitution within the budget, so
     # the records read only words that fit it, and check no budget on them
-    inverse_orbit, states_read = walk_engine._inverse_orbit, []
+    inverse_orbit, states_read = word_walks._inverse_orbit, []
 
     def spy(measure, master_seed, words, step, record, *, n_max, budget):
         def checked(n, pids, states):
@@ -772,7 +778,7 @@ def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
         return inverse_orbit(measure, master_seed, words, step, checked,
                              n_max=n_max, budget=budget)
 
-    monkeypatch.setattr(walk_engine, "_inverse_orbit", spy)
+    monkeypatch.setattr(word_walks, "_inverse_orbit", spy)
     runner, settings = RECORD_BUDGETS[kind]
     series = runner(niel, **settings)
     # and the budget bounded the run: it cut a path or stopped an orbit
@@ -790,7 +796,7 @@ def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
         entered.append(step.__qualname__.split(".")[0])
         return driver(items, size, step, first, last)
 
-    monkeypatch.setattr(walk_engine, "lockstep_orbits", spy)
+    monkeypatch.setattr(word_walks, "lockstep_orbits", spy)
     monkeypatch.setattr(spectral, "lockstep_orbits", spy)
     settings = dict(n_max=4, paths=2, master_seed=0)
     seeds = [cyclic_reduce(parse_word("ab", 3))]
@@ -820,7 +826,7 @@ def test_a_long_path_leaves_the_batch_and_runs_alone(niel, monkeypatch, threads)
     step = MapStack.byte_images
 
     def spy(self, maps, states, *, budget=None):
-        calls.append([walk_engine._input_letters(state) for state in states])
+        calls.append([word_walks._input_letters(state) for state in states])
         return step(self, maps, states, budget=budget)
 
     monkeypatch.setattr(MapStack, "byte_images", spy)
@@ -914,7 +920,6 @@ def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
     monkeypatch.setattr(automorphisms, "lockstep_substitute", substitute_spy)
     monkeypatch.setattr(MapStack, "compose", step_spy)
     monkeypatch.setattr(automorphisms, "compose", compose_spy)
-    monkeypatch.setattr(walk_engine, "compose", compose_spy)
     series = gromov_decay_experiment(niel, n_max=8, paths=4, master_seed=3)
     assert calls == [[4, 4, 4]] * 8
     assert not composed
@@ -926,13 +931,13 @@ def test_a_gromov_record_reads_four_image_dists(niel, monkeypatch):
     # and 2 of the power orbits of Phi_n and Phi_n^{-1}, and
     # sym_dist(Phi_n) once, since sym_dist(Phi_n^{-1}) is the same float
     reads = []
-    image_dist_ = walk_engine.image_dist
+    image_dist_ = word_walks.image_dist
 
     def spy(images):
         reads.append(len(images))
         return image_dist_(images)
 
-    monkeypatch.setattr(walk_engine, "image_dist", spy)
+    monkeypatch.setattr(word_walks, "image_dist", spy)
     series = gromov_decay_experiment(niel, n_max=16, paths=3, master_seed=3)
     assert len(reads) == 4 * len(series.values("gromov")) > 0
 
@@ -986,12 +991,12 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
         return checked
 
     monkeypatch.setattr(ImageTable, "substitute", substitute_spy)
-    monkeypatch.setattr(walk_engine, "lockstep_orbits", scheduler_spy)
+    monkeypatch.setattr(word_walks, "lockstep_orbits", scheduler_spy)
     monkeypatch.setattr(spectral, "lockstep_orbits", scheduler_spy)
-    monkeypatch.setattr(walk_engine, "image_dist", read_spy(walk_engine.image_dist))
-    monkeypatch.setattr(walk_engine, "brackets", read_spy(walk_engine.brackets, sets=True))
+    monkeypatch.setattr(word_walks, "image_dist", read_spy(word_walks.image_dist))
+    monkeypatch.setattr(word_walks, "brackets", read_spy(word_walks.brackets, sets=True))
     monkeypatch.setattr(spectral, "candidate_lengths", read_spy(spectral.candidate_lengths))
-    class_length = walk_engine.class_length
+    class_length = word_walks.class_length
 
     def class_length_spy(readings, letters):
         # a conjugacy record reads each seed's class off the tracked
@@ -1000,7 +1005,7 @@ def test_word_orbits_carry_bytes_between_kernel_calls(niel, monkeypatch, kind):
         seen["read"] += 1
         return class_length(readings, letters)
 
-    monkeypatch.setattr(walk_engine, "class_length", class_length_spy)
+    monkeypatch.setattr(word_walks, "class_length", class_length_spy)
     seeds = [cyclic_reduce(parse_word(t, 3)) for t in BATCH_SEEDS]
     runs = {"drift": drift_experiment, "spectral": spectral_experiment,
             "conjugacy": partial(conjugacy_growth_experiment, seeds=seeds),
@@ -1110,13 +1115,13 @@ def test_conjugacy_inverts_only_the_images_its_seeds_read(niel, monkeypatch):
     # the lone seed ab reads the images of x_1 and x_2: each record
     # inverts each of them once, and the image of x_3 never
     inverted = []
-    inverse_bytes = walk_engine.inverse_bytes
+    inverse_bytes = word_walks.inverse_bytes
 
     def spy(word):
         inverted.append(word)
         return inverse_bytes(word)
 
-    monkeypatch.setattr(walk_engine, "inverse_bytes", spy)
+    monkeypatch.setattr(word_walks, "inverse_bytes", spy)
     seed = cyclic_reduce(parse_word("ab", 3))
     series = conjugacy_growth_experiment(niel, [seed], n_max=16, paths=3, master_seed=3)
     assert {r[4] for r in series.records} == {"ok"}
