@@ -15,8 +15,9 @@ never in the run itself.  A kind on automorphisms adds the word layer
 there (`word_walks`, which imports `free_group`, `_wordkernel`,
 `automorphisms`, `outer_metric` and `spectral`); a matrix kind adds
 nothing.  Only a run at more than one thread imports
-`concurrent.futures`, as its paths start, and only `summarize` and its
-helpers import `csv` and `statistics`.  The CSV is written line by line
+`concurrent.futures`, there too, for the thread pool of
+`walk_engine._run_paths`, and only `summarize` and its helpers import
+`csv` and `statistics`.  The CSV is written line by line
 as each record is formatted.
 
 Exit codes: 0 success, 2 validation or schema error (an output path
@@ -111,9 +112,12 @@ RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> int:
-    # the kind's modules load here, in set-up, before build_measure returns
+    # the kind's modules, and the thread pool of walk_engine._run_paths,
+    # load here, in set-up, before build_measure returns
     module, attr = RUNNERS[cfg.kind]
     runner = getattr(import_module(f"{__package__}.{module}"), attr)
+    if threads > 1:
+        import_module("concurrent.futures.thread")
     measure = build_measure(cfg)
     settings = {name: getattr(cfg, name) for name in KIND_TABLE[cfg.kind].settings}
     if "paths" in settings:

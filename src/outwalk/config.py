@@ -255,26 +255,24 @@ def build_measure(cfg: ExperimentConfig) -> ProbMeasure:
 
 
 def seed_words(words: list, rank: int) -> list:
-    """Cyclically reduced seed classes of F_rank, as `CyclicWord`s; two
-    seeds of one conjugacy class (the same least rotation) would write the
-    same rows twice."""
-    from .free_group import ParseError, cyclic_reduce, least_rotation, parse_word, word_to_str
+    """Cyclically reduced seed classes of F_rank, as `CyclicWord`s, one
+    per conjugacy class (`free_group.seed_classes`)."""
+    from .free_group import ParseError, SeedClash, parse_word, seed_classes, word_to_str
 
-    out, classes = [], {}
-    for i, text in enumerate(words):
-        try:
-            w = parse_word(text, rank)
-        except ParseError as e:
-            raise ConfigError(f"word.{i}: {e}") from None
-        if len(w) == 0:
-            raise ConfigError(f"word.{i}: seed word must be nontrivial")
-        g = cyclic_reduce(w)
-        key = least_rotation(g)
-        if key in classes:
-            raise ConfigError(f"word.{i}: {word_to_str(g)!r} is conjugate to word.{classes[key]}")
-        classes[key] = i
-        out.append(g)
-    return out
+    def parsed():
+        for i, text in enumerate(words):
+            try:
+                yield parse_word(text, rank)
+            except ParseError as e:
+                raise ConfigError(f"word.{i}: {e}") from None
+
+    try:
+        return seed_classes(parsed())
+    except SeedClash as e:
+        if e.first is None:
+            raise ConfigError(f"word.{e.index}: seed word must be nontrivial") from None
+        raise ConfigError(f"word.{e.index}: {word_to_str(e.word)!r} is conjugate to "
+                          f"word.{e.first}") from None
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -30,6 +30,8 @@ __all__ = [
     "reduce",
     "cyclic_reduce",
     "least_rotation",
+    "SeedClash",
+    "seed_classes",
     "parse_word",
     "word_to_str",
 ]
@@ -164,6 +166,35 @@ def least_rotation(g: CyclicWord) -> bytes:
             j += k + 1
         k = 0
     return d[i:i + n]
+
+
+class SeedClash(ValueError):
+    """Seed word `index` is trivial (`first` None) or of the conjugacy
+    class of the earlier seed word `first`; `word` is its cyclic
+    reduction."""
+
+    def __init__(self, index: int, word: CyclicWord, first: int | None = None):
+        super().__init__(f"seed {index} is trivial" if first is None
+                         else f"seed {index} is conjugate to seed {first}")
+        self.index, self.word, self.first = index, word, first
+
+
+def seed_classes(words) -> list:
+    """The cyclic reductions of words, read in order, which must be
+    nontrivial and of distinct conjugacy classes (the same least
+    rotation); SeedClash names the first word that is not.  A seed of a
+    conjugacy experiment names one class, and two of one class would
+    write the same rows twice."""
+    out, classes = [], {}
+    for i, w in enumerate(words):
+        g = cyclic_reduce(w)
+        if len(g) == 0:
+            raise SeedClash(i, g)
+        first = classes.setdefault(least_rotation(g), i)
+        if first != i:
+            raise SeedClash(i, g, first)
+        out.append(g)
+    return out
 
 
 def _char_to_letter(ch: str) -> int:

@@ -295,9 +295,10 @@ def _column(vector) -> IntMatrix:
     return IntMatrix._of_rows(tuple((x,) for x in v))
 
 
-def _matrix_experiment(experiment, reader, measure, *, n_max, paths, master_seed,
-                       bit_budget=DEFAULT_BIT_BUDGET, threads=1, start=None):
-    """The records that reader appends along each path (`_matrix_path`)."""
+def _matrix_experiment(experiment, reader, measure, start=None, /, *, n_max, paths,
+                       master_seed, bit_budget=DEFAULT_BIT_BUDGET, threads=1):
+    """The records that reader appends along each path (`_matrix_path`);
+    `start` is positional only, so that no kind takes it as a setting."""
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
 
@@ -318,4 +319,4 @@ def guivarch_experiment(measure, **settings) -> EstimateSeries:
 def furstenberg_experiment(measure, *, vector, **settings) -> EstimateSeries:
     """Records (1/n) log |A_n ... A_1 vector|_inf (Furstenberg-Kesten)."""
     return _matrix_experiment("matrix-furstenberg", _furstenberg_records, measure,
-                              start=_column(vector), **settings)
+                              _column(vector), **settings)

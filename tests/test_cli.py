@@ -644,8 +644,8 @@ def snapshot(cfg):
 
 
 cli.build_measure = snapshot
-for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
-    assert cli.main(["run", "--config", config, "--out", out, "--threads", "1"]) == 0
+for config, out, threads in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
+    assert cli.main(["run", "--config", config, "--out", out, "--threads", threads]) == 0
     print(" ".join(sorted(set(sys.modules) - built[-1])))
 """
 
@@ -656,21 +656,23 @@ def test_a_run_imports_no_module(tmp_path, niel):
     # in bench/child.py, when build_measure returns (argparse imports
     # locale before), and numpy.random is imported first, as the bench's
     # speed probe imports it.  The drift and spectral runs take pair
-    # deletion and invert words past NUMPY_INVERSE letters
-    heads = ["kind = drift\nn_max = 40\npaths = 8\n",
-             "kind = spectral\nn_max = 16\npaths = 4\nk_max = 4\nletter_budget = 200000\n",
-             "kind = matrix-guivarch\nn_max = 400\npaths = 2\n" + MATRIX_LINES]
+    # deletion and invert words past NUMPY_INVERSE letters; a run at two
+    # threads starts a thread pool (concurrent.futures, 7-17 ms)
+    heads = [("kind = drift\nn_max = 40\npaths = 8\n", 1),
+             ("kind = spectral\nn_max = 16\npaths = 4\nk_max = 4\nletter_budget = 200000\n", 1),
+             ("kind = matrix-guivarch\nn_max = 400\npaths = 2\n" + MATRIX_LINES, 1),
+             ("kind = drift\nn_max = 40\npaths = 8\n", 2)]
     args = []
-    for i, head in enumerate(heads):
+    for i, (head, threads) in enumerate(heads):
         cfg = tmp_path / f"{i}.cfg"
         cfg.write_text(with_measure(head, niel))
-        args += [str(cfg), str(tmp_path / f"{i}.csv")]
+        args += [str(cfg), str(tmp_path / f"{i}.csv"), str(threads)]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_RUN, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["", "", ""]
+    assert done.stdout.splitlines() == ["", "", "", ""]
 
 
 LOADED_AFTER_RUN = """

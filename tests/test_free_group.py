@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from outwalk.free_group import (
     CyclicWord,
     ParseError,
+    SeedClash,
     Word,
     cyclic_reduce,
     parse_word,
     reduce,
+    seed_classes,
     word_to_str,
 )
 from outwalk._wordkernel import SMALL, ImageTable, stack_reduce
@@ -140,6 +142,24 @@ def test_cyclic_reduce_examples():
     # A b a b is already cyclically reduced at length 4 (no shorter conjugate)
     assert len(cyclic_reduce(parse_word("Abab", 2))) == 4
     assert oracle_conjugacy_length([-1, 2, 1, 2], 2) == 4
+
+
+@pytest.mark.parametrize("texts, index, first", [
+    (["ab", "aA"], 1, None),
+    (["1"], 0, None),
+    (["ab", "c", "bcB", "a"], 2, 1),
+    (["aCb", "bA", "baC"], 2, 0),
+])
+def test_seed_classes_name_the_first_clash(texts, index, first):
+    # one rule for config seeds and conjugacy_growth_experiment: each word
+    # names a nontrivial class, read as its least rotation, none twice
+    words = [parse_word(t, 3) for t in texts]
+    assert [word_to_str(g) for g in seed_classes(words[:index])] == [
+        word_to_str(cyclic_reduce(w)) for w in words[:index]]
+    with pytest.raises(SeedClash) as clash:
+        seed_classes(words)
+    assert (clash.value.index, clash.value.first) == (index, first)
+    assert clash.value.word == cyclic_reduce(words[index])
 
 
 @given(letters_st, st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0))

@@ -331,6 +331,9 @@ API_REFUSALS = {
                      "seeds repeat"),
     "a-class-twice": (conjugacy_growth_experiment, "niel", dict(seeds=[AB, BA], n_max=4),
                       "seeds repeat a class: 'ab' and 'ba'"),
+    "a-trivial-seed": (conjugacy_growth_experiment, "niel",
+                       dict(seeds=[AB, cyclic_reduce(parse_word("1", 3))], n_max=3),
+                       "^conjugacy seeds must be nontrivial$"),
     "drift-n_max-0": (drift_experiment, "niel", dict(n_max=0), "must be positive"),
     "guivarch-n_max-0": (guivarch_experiment, "sl3", dict(n_max=0), "must be positive"),
     "drift-paths-0": (drift_experiment, "niel", dict(n_max=4, paths=0), "must be positive"),
@@ -342,11 +345,41 @@ API_REFUSALS = {
 @pytest.mark.parametrize("case", sorted(API_REFUSALS))
 def test_the_python_api_refuses_what_the_cli_refuses(case, niel, sl3):
     # a config cannot name these runs; called directly they raised
-    # AttributeError, wrote a key twice, wrote one class under two names,
-    # or gave an empty series
+    # AttributeError or IndexError, wrote a key twice, wrote one class
+    # under two names, or gave an empty series
     runner, measure, settings, message = API_REFUSALS[case]
     with pytest.raises(ValueError, match=message):
         runner({"niel": niel, "sl3": sl3}[measure], **{"paths": 2, "master_seed": 0, **settings})
+
+
+# case: (runner, measure, settings over n_max=4, paths=2, master_seed=0):
+# each names a setting of the other family of kinds, or what sets one
+# kind's walk apart
+UNREAD_SETTINGS = {
+    "drift-bit_budget": (drift_experiment, "niel", dict(bit_budget=64)),
+    "drift-k_max": (drift_experiment, "niel", dict(k_max=2)),
+    "conjugacy-bit_budget": (partial(conjugacy_growth_experiment, seeds=[AB]), "niel",
+                             dict(bit_budget=64)),
+    "spectral-bit_budget": (spectral_experiment, "niel", dict(bit_budget=64)),
+    "gromov-bit_budget": (gromov_decay_experiment, "niel", dict(bit_budget=64)),
+    "guivarch-letter_budget": (guivarch_experiment, "sl3", dict(letter_budget=200)),
+    "furstenberg-letter_budget": (partial(furstenberg_experiment, vector=(1, 0, 0)), "sl3",
+                                  dict(letter_budget=200)),
+    "drift-scheduled": (drift_experiment, "niel", dict(scheduled=True)),
+    "spectral-step": (spectral_experiment, "niel", dict(step=MapStack.compose)),
+    "gromov-copies": (gromov_decay_experiment, "niel", dict(copies=1)),
+    "guivarch-start": (guivarch_experiment, "sl3", dict(start=walk_engine._column((1, 0, 0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SETTINGS))
+def test_an_experiment_refuses_a_setting_it_does_not_read(case, niel, sl3):
+    # the word kinds pass their settings on to one entry, the matrix
+    # kinds to another: a setting that neither reads is refused, not
+    # dropped
+    runner, measure, settings = UNREAD_SETTINGS[case]
+    with pytest.raises(TypeError, match=f"'{next(iter(settings))}'"):
+        runner({"niel": niel, "sl3": sl3}[measure], n_max=4, paths=2, master_seed=0, **settings)
 
 
 def test_threads_do_not_change_records():
@@ -517,7 +550,7 @@ def test_scheduled_kinds_cut_at_the_budget_step(kind, niel, sl3):
     assert cut == cut_steps(niel) == want
 
 
-# Lockstep parity.  `_inverse_orbit` steps every live path of a group
+# Lockstep parity.  `_word_series` steps every live path of a group
 # together, with one kernel call per batch of all their words.  The
 # references below step one path at a time: the tracked state of the kind
 # mapped through s_n^{-1} by the one-state step (`images` or `compose`),
@@ -767,18 +800,17 @@ RECORD_BUDGETS = {
 def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
     # each tracked word was formed by a substitution within the budget, so
     # the records read only words that fit it, and check no budget on them
-    inverse_orbit, states_read = word_walks._inverse_orbit, []
+    word_series, states_read = word_walks._word_series, []
 
-    def spy(measure, master_seed, words, step, record, *, n_max, budget):
+    def spy(experiment, reader, measure, *walk, **settings):
         def checked(n, pids, states):
             states_read.extend(states)
-            assert all(len(w) <= budget for state in states for w in state)
-            return record(n, pids, states)
+            assert all(len(w) <= settings["letter_budget"] for state in states for w in state)
+            return reader(n, pids, states)
 
-        return inverse_orbit(measure, master_seed, words, step, checked,
-                             n_max=n_max, budget=budget)
+        return word_series(experiment, checked, measure, *walk, **settings)
 
-    monkeypatch.setattr(word_walks, "_inverse_orbit", spy)
+    monkeypatch.setattr(word_walks, "_word_series", spy)
     runner, settings = RECORD_BUDGETS[kind]
     series = runner(niel, **settings)
     # and the budget bounded the run: it cut a path or stopped an orbit
@@ -805,7 +837,7 @@ def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
             "gromov": partial(gromov_decay_experiment, niel, **settings),
             "spectral": partial(spectral_experiment, niel, **settings),
             "bracket": partial(bracket, niel.support[5], 3)}
-    walk = ["_inverse_orbit"]
+    walk = ["_word_series"]
     scheduled = walk + ["power_orbits"] * 3
     want = {"drift": walk, "conjugacy": walk, "gromov": scheduled,
             "spectral": scheduled, "bracket": ["power_orbits"]}
