@@ -17,8 +17,14 @@ there (`word_walks`, which imports `free_group`, `_wordkernel`,
 nothing.  Only a run at more than one thread imports
 `concurrent.futures`, there too, for the thread pool of
 `walk_engine._run_paths`, and only `summarize` and its helpers import
-`csv` and `statistics`.  The CSV is written line by line
-as each record is formatted.
+`csv` and `statistics`.
+
+The body of a `run` CSV is written as its records are made: the run
+streams its series once (`walk_engine._series`), and each record's line
+is written as it comes, so a matrix run holds one chunk of records, not
+its body.  Every output file is written beside its path and replaces
+it only when complete, so a run or an aggregation that fails leaves no
+file, or the file that was there, as it was.
 
 Exit codes: 0 success, 2 validation or schema error (an output path
 that cannot be written included, and a walk run with no output path at
@@ -47,6 +53,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import import_module
@@ -73,25 +80,46 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -> None:
-    """The header, then each record's line as it is formatted: the file's
-    text is never held whole."""
+@contextmanager
+def _replacing(path: str):
+    """A new file beside path, open for writing, that replaces path when
+    the block ends; a block that raises leaves path as it was."""
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_series(series: EstimateSeries, cfg: ExperimentConfig, out_path: str) -> set:
+    """The header, then each record's line as the series streams it: no
+    record is held.  out_path is replaced only once the file is whole
+    (`_replacing`).  Returns the statuses of the records written."""
     kind = series.experiment
-    with open(out_path, "w") as fh:
+    statuses = set()
+    with _replacing(out_path) as fh:
         fh.write(f"# outwalk run\n# generated_at = {datetime.now(timezone.utc).isoformat()}\n")
         # without `out`, runs that differ only in where they write share a header
         fh.writelines(f"# {cfg_line}\n"
                       for cfg_line in format_config(replace(cfg, out=None)).splitlines())
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(f"{kind},{pid},{n},{est},{_fmt(value)},{status}\n"
-                      for pid, n, est, value, status in series.records)
+        for pid, n, est, value, status in series:
+            fh.write(f"{kind},{pid},{n},{est},{_fmt(value)},{status}\n")
+            statuses.add(status)
+    return statuses
 
 
 def _check_out(path: str) -> None:
-    """Refuse an output path that cannot be written, before any work."""
+    """Refuse an output path that cannot be written, before any work: the
+    file is made in its directory and replaces it (`_replacing`)."""
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
-            path if os.path.exists(path) else parent, os.W_OK):
+            parent, os.W_OK | os.X_OK):
         raise ConfigError(f"out: cannot write {path!r}")
 
 
@@ -123,10 +151,12 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     if "paths" in settings:
         settings["threads"] = threads
     series = runner(measure, **settings)
-    if cfg.out:
-        write_series(series, cfg, cfg.out)
+    # the series streams once: into the file, or, for a kind that prints
+    # its record, as a list
+    statuses = (write_series(series, cfg, cfg.out) if cfg.out
+                else {r[4] for r in series.records})
     # downgraded records are certified brackets too, so they count as output
-    if not any(r[4] in ("ok", "downgraded") for r in series.records):
+    if statuses.isdisjoint(("ok", "downgraded")):
         print("error: no record within the budget", file=sys.stderr)
         return 3
     return 0
@@ -230,7 +260,7 @@ def summarize(in_path: str, out_path: str) -> int:
     lines = [SUMMARY_HEADER]
     for experiment in sorted(tables):
         lines += summary_rows(experiment, tables[experiment])
-    with open(out_path, "w") as fh:
+    with _replacing(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 

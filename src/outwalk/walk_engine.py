@@ -11,23 +11,36 @@ tests, imports it as it starts and steps; `_run_paths` imports
 
 The driver `_series` runs every multi-path kind, and it alone applies
 the cut-off rule and the merge order.  Every multi-path kind is a row
-source: group_rows(path_ids) yields (path_id, n, records) for a path's
-steps through n, each record built once, by the code that computes its
-value.  A series holds per-path records only: no experiment computes a
-summary, and `outwalk summarize` (`cli.summarize`) is the one
-aggregator.  A path is cut off at the first step at which one
-substitution of a tracked word needs more letters than the letter
-budget (`word_walks`), or a matrix entry more bits than the bit budget;
-it then ends in a row with estimator "truncated_at", value the last
-completed step and status "truncated", never silently dropped.  Paths
-are keyed by (master_seed, path_id), each with its own increment
-stream, and run in one group of contiguous path ids per thread
-(`_run_paths` runs the groups); results are merged in path order, so
-the worker count never changes output bytes.
+source: group_rows(path_ids) yields (path_id, n, records, done) for a
+path's steps through n, each record built once, by the code that
+computes its value; done marks the path's last yield.  A series holds
+per-path records only: no experiment computes a summary, and `outwalk
+summarize` (`cli.summarize`) is the one aggregator.  A path is cut off
+at the first step at which one substitution of a tracked word needs
+more letters than the letter budget (`word_walks`), or a matrix entry
+more bits than the bit budget; it then ends in a row with estimator
+"truncated_at", value the last completed step and status "truncated",
+never silently dropped.  Paths are keyed by (master_seed, path_id),
+each with its own increment stream, and run in one group of contiguous
+path ids per thread (`_run_paths` runs the groups); results are merged
+in path order, so the worker count never changes output bytes.
+
+A series is a stream: its rows come in path order as the sources make
+them, and are held only where that order needs it.  The driver passes
+on the rows of the first path of a group not yet done as they come,
+holds those of the later paths until it is, and passes on a path's
+truncation row once the path is done.  So a matrix run, whose paths
+run one after the other and mark their end, holds one chunk of records
+(`_matrix_experiment`); a word kind's paths step in lockstep and mark
+no end, so the driver holds the rows of every path of the group but
+the first until the group ends; and at more than one thread each
+group's rows are held until the group ends, to be merged in order.
+`EstimateSeries.records` holds them all, read off the stream on first
+access.
 
 The matrix kinds hand each chunk of `running_products`, the one product
-loop, to a reader (`_matrix_path`), and run their paths of a group one
-after the other.
+loop, to a reader (`_matrix_path`), pass on each chunk's records as the
+reader makes them, and run their paths of a group one after the other.
 """
 
 from __future__ import annotations
@@ -35,11 +48,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .matrix_oracle import (BitBudgetExceeded, DEFAULT_BIT_BUDGET, IntMatrix, _log_int,
                             running_products, spectral_radii)
-from .rng import categorical, cumulative, path_generator
+from .rng import categorical_stream, cumulative, path_generator
 
 __all__ = [
     "ProbMeasure",
@@ -105,10 +118,7 @@ class ProbMeasure:
 
 def _increments(measure: ProbMeasure, master_seed: int, path_id: int):
     """Support indices of the increments s_1, s_2, ... of one path."""
-    gen = path_generator(master_seed, path_id)
-    cum = measure.cum_weights()
-    while True:
-        yield categorical(gen, cum)
+    return categorical_stream(path_generator(master_seed, path_id), measure.cum_weights())
 
 
 def _steps(measure: ProbMeasure, master_seed: int, path_id: int, n_max: int):
@@ -169,17 +179,35 @@ def sample_path(measure, master_seed, path_id, n_max, *, letter_budget=None):
         yield path.n, path.product, path.inverse_product
 
 
-@dataclass
 class EstimateSeries:
     """Per-path, per-time estimator records of one experiment.
 
     records hold (path_id, n, estimator, value, status), per-path records
     only (path_id >= 0); (path_id, n, estimator) is unique.  What bounded
     the run is its resolved config, which `cli.write_series` writes.
+
+    A series may be a stream of records (`_series`): iterating over it
+    reads the stream once, holding no record, and `records` reads it
+    whole, once, on first access.  A stream read by iterating is gone.
     """
 
-    experiment: str
-    records: list
+    def __init__(self, experiment: str, records):
+        self.experiment = experiment
+        self._records = records
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            raise RuntimeError(f"the {self.experiment} series was streamed")
+        if not isinstance(self._records, list):
+            self._records = list(self._records)
+        return self._records
+
+    def __iter__(self):
+        if self._records is None or isinstance(self._records, list):
+            return iter(self.records)
+        stream, self._records = self._records, None
+        return iter(stream)
 
     def values(self, estimator: str, n: int | None = None, ok_only: bool = True) -> list:
         out = []
@@ -204,70 +232,94 @@ def geometric_schedule(n_max: int) -> list:
     return sorted(ns)
 
 
-def _run_paths(groups: int, threads: int, one_group) -> list:
-    """Run one_group(g) for the path groups g = 0..groups-1 and merge
-    their rows deterministically in group order."""
+def _run_paths(groups: int, threads: int, one_group):
+    """The rows of one_group(g) for the path groups g = 0..groups-1, in
+    group order: at one thread as each group makes them, at more from a
+    thread pool, each group's rows whole once the group ends."""
     if threads <= 1:
-        chunks = [one_group(g) for g in range(groups)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        yield from chain.from_iterable(map(one_group, range(groups)))
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_group, range(groups)))
-    rows = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for rows in pool.map(lambda g: list(one_group(g)), range(groups)):
+            yield from rows
 
 
 def _series(kind, group_rows, *, n_max, paths, threads):
-    """The one driver of every multi-path experiment.
+    """The one driver of every multi-path experiment: a series that
+    streams its rows (`EstimateSeries`).
 
-    group_rows(pids) yields (pid, n, records): n is the last step a path
-    of pids completed so far, and records are its `EstimateSeries`
-    records since the yield before, stored as they come.  A path whose
-    last completed step is below n_max ends in one truncation row.  The
-    paths run in one group of contiguous path ids per thread, merged in
-    path order (`_run_paths`).  n_max and paths must be positive.
+    group_rows(pids) yields (pid, n, records, done): n is the last step
+    a path of pids completed so far, records are its `EstimateSeries`
+    records since the yield before, and done marks the path's last
+    yield; a path that marks none is done when group_rows ends.  The
+    rows of the first path of a group not yet done pass on as they
+    come, those of later paths are held until it is done, and a done
+    path whose last completed step is below n_max ends in one
+    truncation row.  The paths run in one group of contiguous path ids
+    per thread, merged in path order (`_run_paths`).  n_max and paths
+    must be positive.
     """
     if n_max < 1 or paths < 1:
         raise ValueError(f"n_max and paths must be positive, got {n_max} and {paths}")
     groups = max(1, min(threads, paths))
     bounds = [paths * g // groups for g in range(groups + 1)]
 
-    def one_group(g: int) -> list:
+    def one_group(g: int):
         pids = range(bounds[g], bounds[g + 1])
-        rows = {pid: [] for pid in pids}
+        held = {pid: [] for pid in pids}
         last = dict.fromkeys(pids, 0)
-        for pid, n, records in group_rows(pids):
-            rows[pid] += records
-            last[pid] = n
-        out = []
-        for pid in pids:
-            out.extend(rows[pid])
-            if last[pid] < n_max:
-                # no ok row is named "truncated_at", so the key stays unique
-                out.append((pid, last[pid], "truncated_at", float(last[pid]), "truncated"))
-        return out
+        ended = set()
+        head = pids.start  # the path whose rows pass on as they come
 
-    rows = _run_paths(groups, threads, one_group)
-    return EstimateSeries(kind, rows)
+        def close():
+            # the truncation rows of the done paths from head on, and the
+            # held rows of the path after each
+            nonlocal head
+            while head in ended:
+                if last[head] < n_max:
+                    # no ok row is named "truncated_at", so the key stays unique
+                    yield head, last[head], "truncated_at", float(last[head]), "truncated"
+                head += 1
+                yield from held.pop(head, ())
+
+        for pid, n, records, done in group_rows(pids):
+            last[pid] = n
+            if pid == head:
+                yield from records
+            else:
+                held[pid] += records
+            if done:
+                ended.add(pid)
+                yield from close()
+        ended.update(pids)
+        yield from close()
+
+    return EstimateSeries(kind, _run_paths(groups, threads, one_group))
 
 
 def _matrix_path(reader, pid, increments, bit_budget, start=None):
-    """The records of one matrix path, and the BitBudgetExceeded that cut
-    it or None.  reader(records, pid, done, products, norms, bit_budget)
-    appends those of each chunk of the path's `running_products` from
-    `start`, the steps past `done`; one that raises BitBudgetExceeded
-    has appended those of the products before it."""
-    records, done = [], 0
+    """Yield the records of each chunk of one matrix path's
+    `running_products` from `start`, as reader(records, pid, done,
+    products, norms, bit_budget) appends them for the chunk, the steps
+    past `done`; return the BitBudgetExceeded that cut the path, or
+    None.  A reader that raises BitBudgetExceeded has appended those of
+    the products before it."""
+    done = 0
     try:
         for products, norms in running_products(increments, bit_budget, start):
-            reader(records, pid, done, products, norms, bit_budget)
+            records = []
+            try:
+                reader(records, pid, done, products, norms, bit_budget)
+            except BitBudgetExceeded as cut:
+                yield records
+                return cut
             done += len(products)
+            yield records
     except BitBudgetExceeded as cut:
-        return records, cut
-    return records, None
+        return cut
+    return None
 
 
 def _guivarch_records(records, pid, done, products, norms, bit_budget):
@@ -297,16 +349,20 @@ def _column(vector) -> IntMatrix:
 
 def _matrix_experiment(experiment, reader, measure, start=None, /, *, n_max, paths,
                        master_seed, bit_budget=DEFAULT_BIT_BUDGET, threads=1):
-    """The records that reader appends along each path (`_matrix_path`);
+    """The records that reader appends along each path (`_matrix_path`),
+    passed on chunk by chunk, the paths of a group one after the other;
     `start` is positional only, so that no kind takes it as a setting."""
     if not measure.is_matrix:
         raise ValueError("matrix experiments need a matrix measure")
 
     def group_rows(pids):
         for pid in pids:
+            n = 0
             steps = _steps(measure, master_seed, pid, n_max)
-            records, _ = _matrix_path(reader, pid, steps, bit_budget, start)
-            yield pid, records[-1][1] if records else 0, records
+            for records in _matrix_path(reader, pid, steps, bit_budget, start):
+                n = records[-1][1] if records else n
+                yield pid, n, records, False
+            yield pid, n, [], True
 
     return _series(experiment, group_rows, n_max=n_max, paths=paths, threads=threads)
 

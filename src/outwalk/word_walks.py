@@ -58,7 +58,9 @@ in one batch (`spectral.power_orbits`).  The paths are scheduled by
 `_wordkernel.lockstep_orbits`, as those power orbits are, and a
 path whose input passes `BATCH_CAP` letters runs alone,
 through its own map's table as a one-path run does, by the rule stated
-there.
+there.  A path's rows mark no end: the paths of a group end together,
+so the driver holds the rows of every path of the group but the first
+until the group ends (`walk_engine._series`).
 
 The one-map kinds `distance` and `stretch` read one map and print their
 one record (`_distance`, `_stretch`); `_conjugacy` reads a config's seed
@@ -129,7 +131,7 @@ def _word_series(experiment, reader, measure, scheduled=False, step=None, copies
         pids = [pid for pid, _, _ in paths]
         records = (reader(n, pids, [s for _, _, s in paths]) if reads is None or n in reads
                    else [[]] * len(pids))
-        return paths, list(zip(pids, repeat(n), records))
+        return paths, list(zip(pids, repeat(n), records, repeat(False)))
 
     def group_rows(pids):
         paths = [(pid, _increments(measure, master_seed, pid), start) for pid in pids]

@@ -8,10 +8,11 @@ from importlib import import_module
 
 import pytest
 
-from outwalk import cli, word_walks
+from outwalk import cli, walk_engine, word_walks
 from outwalk.automorphisms import automorphism_to_str, parse_automorphism
 from outwalk.cli import CSV_HEADER, SUMMARY_HEADER, main
 from outwalk.config import KIND_TABLE, format_config, parse_config
+from outwalk.matrix_oracle import CHUNK
 from outwalk.outer_metric import dist
 from outwalk.spectral import bracket
 
@@ -484,6 +485,34 @@ def test_summarize_refuses_unwritable_out_before_aggregating(tmp_path, monkeypat
     out = tmp_path if where == "directory" else tmp_path / "missing" / "y.csv"
     assert main(["summarize", "--in", str(series), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: out: cannot write")
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier run's file\n"])
+def test_a_run_that_raises_leaves_out_as_it_was(tmp_path, monkeypatch, existing):
+    # the body streams into a file beside out, which replaces out only once
+    # it is whole: a run that fails after its first chunk of records leaves
+    # no file, or the one that was there, and no file beside it
+    read = walk_engine._guivarch_records
+    written = []
+
+    def reader(records, pid, done, *chunk):
+        if done:
+            written.extend(p.stat().st_size for p in tmp_path.glob(".run.csv.*"))
+            raise RuntimeError("a reader failed after its first chunk")
+        read(records, pid, done, *chunk)
+
+    monkeypatch.setattr(walk_engine, "_guivarch_records", reader)
+    out = tmp_path / "run.csv"
+    if existing is not None:
+        out.write_text(existing)
+    with pytest.raises(RuntimeError, match="after its first chunk"):
+        run_config(tmp_path, f"kind = matrix-guivarch\nn_max = {CHUNK + 1}\n" + MATRIX_LINES)
+    # the first chunk's lines had reached the file beside out
+    assert written and written[0] > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"] + ["run.csv"] * (
+        existing is not None)
+    if existing is not None:
+        assert out.read_text() == existing
 
 
 def body(out_path) -> str:

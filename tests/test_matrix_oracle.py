@@ -42,10 +42,15 @@ entry = st.integers(min_value=-6, max_value=6)
 
 
 def matrix_path(reader, increments, bit_budget=DEFAULT_BIT_BUDGET, start=None):
-    """The records of `_matrix_path` on explicit increments as path 0, and
-    the message of the BitBudgetExceeded that cut it, or None."""
-    records, cut = _matrix_path(reader, 0, increments, bit_budget, start)
-    return records, cut and str(cut)
+    """The records of `_matrix_path` on explicit increments as path 0, its
+    chunks joined, and the message of the BitBudgetExceeded that cut it,
+    or None."""
+    chunks, records = _matrix_path(reader, 0, increments, bit_budget, start), []
+    while True:
+        try:
+            records += next(chunks)
+        except StopIteration as end:
+            return records, end.value and str(end.value)
 
 
 def small_matrix(n, entries=entry):
@@ -716,7 +721,8 @@ def test_a_chunk_of_column_blocks_closes_only_at_its_size(sl3, monkeypatch):
     monkeypatch.setattr(walk_engine, "running_products", spy)
     series = furstenberg_experiment(sl3, vector=(1, 1, 0), n_max=200, paths=4, master_seed=0,
                                     bit_budget=24)
-    assert len(chunks) == 4 and any(r[2] == "truncated_at" for r in series.records)
+    # the series streams: its paths run as its records are read
+    assert any(r[2] == "truncated_at" for r in series.records) and len(chunks) == 4
     for sizes in chunks:
         assert len(sizes) <= -(-sum(sizes) // CHUNK) + 1
 

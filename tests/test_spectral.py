@@ -317,7 +317,8 @@ def test_only_spectral_radius_clamps_the_lower_bound(monkeypatch):
     fake = MatrixBracket(-1.0, 1.0)
     monkeypatch.setattr(walk_engine, "spectral_radii", lambda mats, bit_budget: [fake] * len(mats))
     monkeypatch.setattr(spectral, "spectral_radii", lambda mats: [fake] * len(mats))
-    records, _ = _matrix_path(_guivarch_records, 0, [IntMatrix.identity(3)] * 5, DEFAULT_BIT_BUDGET)
+    records = [r for chunk in _matrix_path(_guivarch_records, 0, [IntMatrix.identity(3)] * 5,
+                                           DEFAULT_BIT_BUDGET) for r in chunk]
     lower = [value for _, _, est, value, _ in records if est == "guivarch.rho_lower"]
     assert lower == [-1.0 / n for n in range(1, 6)]
     assert stretch_lower(ASYM) == -1.0
@@ -395,8 +396,9 @@ def test_a_power_step_size_bounds_its_raw_size(niel, monkeypatch, master_seed):
     # longest |phi(x_j)| fell below the raw size of one step: 402 < 409
     # and 129 < 132
     sizes = power_step_sizes(monkeypatch)
+    # a series runs its paths as its records are read
     spectral_experiment(niel, n_max=32, paths=16, master_seed=master_seed, k_max=4,
-                        letter_budget=200_000)
+                        letter_budget=200_000).records
     assert len(sizes) > 200
     assert all(size >= raw for size, raw in sizes)
 

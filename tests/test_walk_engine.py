@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 from functools import partial
 from itertools import combinations, islice
 
@@ -27,6 +28,7 @@ from outwalk.automorphisms import (
 )
 from outwalk.matrix_oracle import IntMatrix
 from outwalk.outer_metric import candidates, dist, image_dist, sym_dist
+from outwalk.rng import DRAW_BLOCK, categorical, path_generator
 from outwalk.spectral import CONVERGE_TOL, bracket, brackets, stretch_lower
 from outwalk.walk_engine import (
     EstimateSeries,
@@ -93,6 +95,16 @@ def test_same_seed_same_increments():
         b.advance()
     assert a.increments == b.increments
     assert a.product == b.product
+
+
+def test_a_path_reads_one_categorical_draw_per_step():
+    # a path's increments read its uniforms a block at a time; across the
+    # block edges they are those of one `rng.categorical` call per step
+    measure = ProbMeasure((ROT, TWIST3, invert(TWIST3)), (0.2, 0.3, 0.5))
+    gen, cum = path_generator(2015, 6), measure.cum_weights()
+    want = [categorical(gen, cum) for _ in range(1000)]
+    assert 1000 > 2 * DRAW_BLOCK and 1000 % DRAW_BLOCK
+    assert list(islice(walk_engine._increments(measure, 2015, 6), 1000)) == want
 
 
 def test_incremental_inverse_matches_invert():
@@ -300,6 +312,27 @@ def test_matrix_furstenberg_series():
     series = furstenberg_experiment(MAT_MEASURE, vector=(1, 0), n_max=50, paths=3,
                                     master_seed=4)
     assert len(series.values("furstenberg.vector", 50)) == 3
+
+
+def test_a_matrix_run_holds_one_chunk_of_records():
+    # a series streams, and a matrix path passes on each chunk's records
+    # as its reader makes them: 4096 steps peak above 1024 only by their
+    # longer entries, about 0.3 MB, where holding the records of the 3072
+    # steps more would add about 1.2 MB
+    fib = ProbMeasure((IntMatrix([[0, 1], [1, 1]]), IntMatrix([[0, 1], [-1, 1]])), (0.5, 0.5))
+
+    def peak(n_max):
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in guivarch_experiment(fib, n_max=n_max, paths=1, master_seed=11))
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(600)  # the first run loads what every run shares
+    (short_rows, short), (long_rows, long) = peak(1024), peak(4096)
+    assert (short_rows, long_rows) == (3 * 1024, 3 * 4096)
+    assert long - short < 2**19
 
 
 def test_matrix_vs_abelianization_bridge():
@@ -776,12 +809,12 @@ def test_no_power_step_substitutes_a_raw_image_over_the_budget(niel, monkeypatch
         return out
 
     monkeypatch.setattr(spectral, "own_images", spy)
-    series = spectral_experiment(niel, n_max=32, paths=16, k_max=4, master_seed=master_seed,
-                                 letter_budget=letter_budget)
+    records = spectral_experiment(niel, n_max=32, paths=16, k_max=4, master_seed=master_seed,
+                                  letter_budget=letter_budget).records
     assert largest and max(largest) <= letter_budget
     assert dropped
     # the budget stopped some orbits
-    assert "downgraded" in {r[4] for r in series.records}
+    assert "downgraded" in {r[4] for r in records}
 
 
 # the golden drift-cut, conjugacy-cut, spectral-cut and gromov-cut configs
@@ -812,9 +845,9 @@ def test_every_word_a_record_reads_fits_the_budget(niel, monkeypatch, kind):
 
     monkeypatch.setattr(word_walks, "_word_series", spy)
     runner, settings = RECORD_BUDGETS[kind]
-    series = runner(niel, **settings)
+    statuses = {r[4] for r in runner(niel, **settings).records}
     # and the budget bounded the run: it cut a path or stopped an orbit
-    assert states_read and {r[4] for r in series.records} != {"ok"}
+    assert states_read and statuses != {"ok"}
 
 
 def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
@@ -830,12 +863,16 @@ def test_every_word_orbit_steps_under_lockstep_orbits(niel, monkeypatch):
 
     monkeypatch.setattr(word_walks, "lockstep_orbits", spy)
     monkeypatch.setattr(spectral, "lockstep_orbits", spy)
-    settings = dict(n_max=4, paths=2, master_seed=0)
     seeds = [cyclic_reduce(parse_word("ab", 3))]
-    runs = {"drift": partial(drift_experiment, niel, **settings),
-            "conjugacy": partial(conjugacy_growth_experiment, niel, seeds, **settings),
-            "gromov": partial(gromov_decay_experiment, niel, **settings),
-            "spectral": partial(spectral_experiment, niel, **settings),
+
+    def read(experiment, *args):
+        # a series streams: its paths run as its records are read
+        return experiment(niel, *args, n_max=4, paths=2, master_seed=0).records
+
+    runs = {"drift": partial(read, drift_experiment),
+            "conjugacy": partial(read, conjugacy_growth_experiment, seeds),
+            "gromov": partial(read, gromov_decay_experiment),
+            "spectral": partial(read, spectral_experiment),
             "bracket": partial(bracket, niel.support[5], 3)}
     walk = ["_word_series"]
     scheduled = walk + ["power_orbits"] * 3
@@ -862,17 +899,17 @@ def test_a_long_path_leaves_the_batch_and_runs_alone(niel, monkeypatch, threads)
         return step(self, maps, states, budget=budget)
 
     monkeypatch.setattr(MapStack, "byte_images", spy)
-    series = conjugacy_growth_experiment(niel, seeds, **settings, threads=threads)
+    records = conjugacy_growth_experiment(niel, seeds, **settings, threads=threads).records
     monkeypatch.setattr(MapStack, "byte_images", step)
     # a batch never holds a state past the cap; only a lone path does
     assert all(size < BATCH_CAP for call in calls if len(call) > 1 for size in call)
     alone = [i for i, call in enumerate(calls) if len(call) == 1 and call[0] >= BATCH_CAP]
     if threads == 1:
         assert alone and any(len(call) > 1 for call in calls[alone[0]:])
-    cuts = sorted(r[1] for r in series.records if r[2] == "truncated_at")
+    cuts = sorted(r[1] for r in records if r[2] == "truncated_at")
     assert cuts == [53, 58, 69]
     want = one_path_records("conjugacy", niel, settings, seeds)
-    assert list(map(repr, series.records)) == list(map(repr, want))
+    assert list(map(repr, records)) == list(map(repr, want))
 
 
 def gromov_states(niel, pids, n):
@@ -952,10 +989,10 @@ def test_gromov_steps_all_paths_in_two_kernel_calls(niel, monkeypatch):
     monkeypatch.setattr(automorphisms, "lockstep_substitute", substitute_spy)
     monkeypatch.setattr(MapStack, "compose", step_spy)
     monkeypatch.setattr(automorphisms, "compose", compose_spy)
-    series = gromov_decay_experiment(niel, n_max=8, paths=4, master_seed=3)
+    values = gromov_decay_experiment(niel, n_max=8, paths=4, master_seed=3).values("gromov")
     assert calls == [[4, 4, 4]] * 8
     assert not composed
-    assert len(series.values("gromov")) == 4 * len(geometric_schedule(8))
+    assert len(values) == 4 * len(geometric_schedule(8))
 
 
 def test_a_gromov_record_reads_four_image_dists(niel, monkeypatch):
@@ -970,8 +1007,8 @@ def test_a_gromov_record_reads_four_image_dists(niel, monkeypatch):
         return image_dist_(images)
 
     monkeypatch.setattr(word_walks, "image_dist", spy)
-    series = gromov_decay_experiment(niel, n_max=16, paths=3, master_seed=3)
-    assert len(reads) == 4 * len(series.values("gromov")) > 0
+    values = gromov_decay_experiment(niel, n_max=16, paths=3, master_seed=3).values("gromov")
+    assert len(reads) == 4 * len(values) > 0
 
 
 def no_word_in(obj) -> bool:

@@ -26,6 +26,7 @@ such word before any letter of it reaches the kernel.
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,26 @@ def test_budget_raised_exactly_when_raw_total_exceeds_it(walk_maps, data, size, 
         assert (err.value.needed, err.value.budget) == (total, budget)
     else:
         assert [a.tolist() for a in got] == [stack_reduce(raw_concatenation(table, word))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(longest=st.integers(1, 64), size=sizes, seed=st.integers(0, 2**32))
+def test_both_regimes_give_the_stack_reduction_on_blocks_of_1_to_64_letters(longest, size,
+                                                                            seed):
+    # a rule that picks the regime by cost may send a table of any block
+    # length to either one.  a -> a b^k, k = longest - 1, cancels k deep in
+    # each a B^k of a word past SMALL letters, which pair deletion peels
+    # one layer per pass; c's block is a random reduced word
+    k = longest - 1
+    images = letters([1] + [2] * k, [2]) + [random_reduced(seed, longest)]
+    deep = np.array(([1] + [-2] * k) * (SMALL // longest + 1), dtype=np.int8)
+    words = [deep, random_reduced(seed + 1, size)]
+    for short_block in (0, 64):  # the block stack, then vectorized pair deletion
+        with mock.patch.object(_wordkernel, "SHORT_BLOCK", short_block):
+            table = ImageTable(images)
+        assert (table.rows is None) == (short_block == 0)
+        for word in words:
+            assert table.substitute(word).tolist() == stack_reduce(raw_concatenation(images, word))
 
 
 def test_few_long_blocks_telescope():
